@@ -147,7 +147,7 @@ func main() {
 				tr.Instrument(reg)
 			}
 			if wireRoot != nil {
-				tr.EnableTracing(wireRoot, *seed|1)
+				tr.EnableTracing(wireRoot)
 			}
 			return tr
 		}

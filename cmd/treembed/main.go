@@ -178,7 +178,7 @@ func main() {
 				// root: phase leaves must stay leaves so the SumMetric
 				// leaf identity (and the printed phase table) is untouched.
 				wireRoot = obs.NewSpan("mpcnet_client")
-				tr.EnableTracing(wireRoot, *seed|1)
+				tr.EnableTracing(wireRoot)
 			}
 			if reg != nil && len(obsURLs) > 0 {
 				targets := make([]fleet.Target, len(obsURLs))

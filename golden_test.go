@@ -14,14 +14,13 @@ import (
 	"mpctree/internal/workload"
 )
 
-// Golden output hashes captured before the arena/cache-blocking rewrite
-// (PR 7). Every optimization in that PR — arena-backed record payloads,
-// interned grid keys, the cache-blocked FWHT schedule, reused round
-// buffers — claims bit-identical output; these tests are that claim,
-// pinned. If a future change legitimately alters embedding bytes (a new
-// algorithm, a changed record shape), regenerate the constants and say so
-// in the commit; if one fails unexpectedly, the optimization broke the
-// determinism contract.
+// Golden output hashes captured before the arena rewrite. Every
+// optimization in that rewrite — arena-backed record payloads, interned
+// grid keys, reused round buffers — claims bit-identical output; these
+// tests are that claim, pinned. If a future change legitimately alters
+// embedding bytes (a new algorithm, a changed record shape), regenerate
+// the constants and say so in the commit; if one fails unexpectedly, the
+// optimization broke the determinism contract.
 const (
 	goldenPipelineSeed1 = "1e56167cb081086d87290f078baffbab26762b8b39956bc4b70e217f00529c4f"
 	goldenPipelineSeed2 = "b2b84a20b5c86118a22dc714f2892fc71283a28aec6cc76c52cc95a38c15052e"

@@ -19,7 +19,7 @@ import (
 // benchGate stands up one replica and a started gate for hot-path
 // benchmarks. The gate mux is exercised in-process (no client socket on
 // the gate side); forwards still cross real HTTP to the replica.
-func benchGate(b *testing.B, tracer *obs.Tracer, cacheSize int) *http.ServeMux {
+func benchGate(b *testing.B, tracer, replicaTracer *obs.Tracer, cacheSize int) *http.ServeMux {
 	b.Helper()
 	st, err := treestore.Open(b.TempDir())
 	if err != nil {
@@ -38,7 +38,7 @@ func benchGate(b *testing.B, tracer *obs.Tracer, cacheSize int) *http.ServeMux {
 		b.Fatal(err)
 	}
 	rmux := http.NewServeMux()
-	serve.NewServer(reg, serve.Options{}).RegisterMux(rmux)
+	serve.NewServer(reg, serve.Options{Tracer: replicaTracer}).RegisterMux(rmux)
 	replica := httptest.NewServer(rmux)
 	b.Cleanup(replica.Close)
 
@@ -72,19 +72,29 @@ func benchPost(b *testing.B, mux *http.ServeMux, body []byte) {
 
 // BenchmarkGateHotPath measures the gate's two dist hot paths — an
 // answer-cache hit (no backend round trip) and a full forward — with
-// tracing disabled (the production default: one atomic load) and with a
-// 0%-sampling tracer installed, so the tracing-off and unsampled
-// overheads are both visible against the untraced baseline.
+// tracing disabled (the production default: one atomic load), with a
+// 0%-sampling tracer installed, and with every request sampled, so the
+// tracing-off, unsampled and sampled costs are all visible against the
+// untraced baseline. The sampled forward traces both tiers: its replica
+// records what the gate samples, like treeserve -trace-sample 0 behind
+// treegate -trace-sample 1.
 func BenchmarkGateHotPath(b *testing.B) {
 	for _, tc := range []struct {
-		name   string
-		tracer *obs.Tracer
+		name          string
+		gate, replica float64 // sampling fractions; < 0 = no tracer
 	}{
-		{"untraced", nil},
-		{"tracer_sample0", obs.NewTracer(0, 256)},
+		{"untraced", -1, -1},
+		{"tracer_sample0", 0, -1},
+		{"tracer_sample1", 1, 0},
 	} {
+		tracer := func(fraction float64) *obs.Tracer {
+			if fraction < 0 {
+				return nil
+			}
+			return obs.NewTracer(fraction, 256)
+		}
 		b.Run("cache_hit/"+tc.name, func(b *testing.B) {
-			mux := benchGate(b, tc.tracer, 0)
+			mux := benchGate(b, tracer(tc.gate), tracer(tc.replica), 0)
 			body := []byte(`{"tree":"t-0","pairs":[[0,1],[2,3]]}`)
 			benchPost(b, mux, body) // fill
 			b.ReportAllocs()
@@ -94,7 +104,7 @@ func BenchmarkGateHotPath(b *testing.B) {
 			}
 		})
 		b.Run("forward/"+tc.name, func(b *testing.B) {
-			mux := benchGate(b, tc.tracer, -1) // cache off: every hit forwards
+			mux := benchGate(b, tracer(tc.gate), tracer(tc.replica), -1) // cache off: every hit forwards
 			// Distinct pairs every iteration: always a miss, always a
 			// real backend round trip.
 			bodies := make([][]byte, 256)

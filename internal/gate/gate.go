@@ -25,7 +25,6 @@ package gate
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -76,11 +75,11 @@ type Options struct {
 	Logger *slog.Logger
 	// Tracer, if non-nil, enables per-request span tracing: a sampled
 	// request gets a root span ("gate <endpoint>") with route,
-	// cache_lookup, per-attempt forward, and ensemble_fold children; the
-	// sampling decision propagates to replicas via traceparent so their
-	// compute spans nest under the gate's forward attempts in the merged
-	// timeline. Write-only: responses are bit-identical with tracing on
-	// or off, and a nil tracer costs one atomic pointer load.
+	// cache_lookup, per-attempt forward, and ensemble_fold children; each
+	// forward attempt's context propagates to the replica via traceparent,
+	// so the replica's root records the attempt as its parent_span.
+	// Write-only: responses are bit-identical with tracing on or off, and
+	// a nil tracer costs one atomic pointer load.
 	Tracer *obs.Tracer
 	// SlowLog, if non-nil, emits a sampled structured record for
 	// requests over its threshold (every Nth candidate).
@@ -102,15 +101,9 @@ type Gateway struct {
 	retry     mpcnet.RetryPolicy
 	rounds    int
 	interval  time.Duration
-	maxBody   int64
 	client    *http.Client
 	logger    *slog.Logger
-
-	tracer    atomic.Pointer[obs.Tracer] // nil = tracing disabled
-	slow      *obs.SlowLog
-	sloTarget float64 // latency objective in seconds; 0 = none
-	startID   string  // request-id prefix, unique per gate start
-	reqID     atomic.Uint64
+	requests  *obs.Requests // request id, tracing, metering, body limit, logs
 
 	seq      atomic.Uint64 // request sequence, feeds backoff jitter
 	hitSeq   atomic.Uint64 // cache hits, drives the every-Nth double-check
@@ -161,20 +154,14 @@ func New(opts Options) (*Gateway, error) {
 		retry:     opts.Retry,
 		rounds:    rounds,
 		interval:  interval,
-		maxBody:   maxBody,
 		client:    &http.Client{Timeout: timeout},
 		logger:    opts.Logger,
-		slow:      opts.SlowLog,
-		startID:   strconv.FormatInt(time.Now().UnixNano(), 36),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-		reg:       opts.Obs,
-	}
-	if opts.Tracer != nil {
-		g.tracer.Store(opts.Tracer)
-	}
-	if opts.SLOTarget > 0 {
-		g.sloTarget = opts.SLOTarget.Seconds()
+		requests: obs.NewRequests(obs.RequestsConfig{Family: "gate", Help: "Gate API",
+			Registry: opts.Obs, SLOTarget: opts.SLOTarget,
+			MaxBodyBytes: maxBody, Tracer: opts.Tracer, SlowLog: opts.SlowLog, Logger: opts.Logger}),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+		reg:  opts.Obs,
 	}
 	for _, url := range opts.Backends {
 		if _, dup := g.byURL[url]; dup {
@@ -256,70 +243,28 @@ func (g *Gateway) prefer(key string) []*backendState {
 	return out
 }
 
-// reqTrace carries one request's identity through the forward path:
-// the request id (always present, propagated on every forward) plus,
-// when the request is sampled, the span new child work attaches under
-// and the trace context replicas continue. A nil reqTrace (internal
-// callers with no inbound request) and a nil span (unsampled request)
-// are both fully inert.
-type reqTrace struct {
-	span *obs.Span // attachment point for child spans; nil = unsampled
-	tctx obs.TraceContext
-	id   string // request id
-}
-
-// child opens a span under the request's current attachment point.
-func (rt *reqTrace) child(name string) *obs.Span {
-	if rt == nil {
-		return nil
-	}
-	return rt.span.Child(name)
-}
-
-// derive rebases the request's attachment point onto sp, so sub-forests
-// (ensemble member forwards, cache double-checks) nest under their
-// grouping span instead of the root. The request id rides along.
-func (rt *reqTrace) derive(sp *obs.Span) *reqTrace {
-	if rt == nil {
-		return nil
-	}
-	return &reqTrace{span: sp, tctx: rt.tctx, id: rt.id}
-}
-
-// rtKey carries the reqTrace through the request context.
-type rtKey struct{}
-
-// rtFrom recovers the reqTrace endpoint() attached; nil when the
-// handler is exercised outside the endpoint wrapper (tests, benchmarks).
-func rtFrom(r *http.Request) *reqTrace {
-	rt, _ := r.Context().Value(rtKey{}).(*reqTrace)
-	return rt
-}
-
 // fwdResult is one backend's complete answer.
 type fwdResult struct {
-	status      int
-	body        []byte
-	backend     string
-	replicaSpan string // replica's echoed X-Span-ID (sampled requests)
+	status  int
+	body    []byte
+	backend string
 }
 
 // tryBackend issues one attempt against one backend, propagating the
 // request id and — when the request is sampled — a traceparent naming
-// the gate's attempt span as parent, so the replica's root span nests
-// under this attempt in the merged timeline.
-func (g *Gateway) tryBackend(b *backendState, path string, body []byte, rt *reqTrace, attemptSpan uint64) (*fwdResult, error) {
+// the gate's attempt span as parent, so the replica's root span records
+// this attempt as its parent_span.
+func (g *Gateway) tryBackend(b *backendState, path string, body []byte, reqID string, attempt *obs.Span) (*fwdResult, error) {
 	req, err := http.NewRequest(http.MethodPost, b.url+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if rt != nil && rt.id != "" {
-		req.Header.Set(obs.RequestIDHeader, rt.id)
+	if reqID != "" {
+		req.Header.Set(obs.RequestIDHeader, reqID)
 	}
-	if rt != nil && rt.span != nil && attemptSpan != 0 {
-		tc := obs.TraceContext{TraceID: rt.tctx.TraceID, SpanID: attemptSpan, Sampled: true}
-		req.Header.Set(obs.TraceParentHeader, tc.HeaderValue())
+	if attempt != nil {
+		req.Header.Set(obs.TraceParentHeader, attempt.Context().HeaderValue())
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
@@ -330,8 +275,7 @@ func (g *Gateway) tryBackend(b *backendState, path string, body []byte, rt *reqT
 	if err != nil {
 		return nil, err
 	}
-	return &fwdResult{status: resp.StatusCode, body: data, backend: b.url,
-		replicaSpan: resp.Header.Get(obs.SpanIDHeader)}, nil
+	return &fwdResult{status: resp.StatusCode, body: data, backend: b.url}, nil
 }
 
 // forward routes one request through the preference list with the
@@ -339,8 +283,8 @@ func (g *Gateway) tryBackend(b *backendState, path string, body []byte, rt *reqT
 // errors and 5xx advance to the next backend and mark the failed one
 // unhealthy), back off between rounds with deterministic jitter, give
 // up after rounds sweeps. 4xx answers are the client's problem and
-// return immediately.
-func (g *Gateway) forward(path string, prefs []*backendState, body []byte, rt *reqTrace) (*fwdResult, error) {
+// return immediately. Attempt spans open under sp (nil = untraced).
+func (g *Gateway) forward(path string, prefs []*backendState, body []byte, reqID string, sp *obs.Span) (*fwdResult, error) {
 	seq := g.seq.Add(1)
 	var lastErr error
 	for round := 0; round < g.rounds; round++ {
@@ -353,17 +297,10 @@ func (g *Gateway) forward(path string, prefs []*backendState, body []byte, rt *r
 			}
 			// One span per attempt: the backend in the name, the
 			// retry/failover outcome in the metrics (round, failed,
-			// status), and the replica's echoed span id so the merged
-			// timeline nests its work here.
-			var asp *obs.Span
-			var attemptID uint64
-			if rt != nil && rt.span != nil {
-				attemptID = obs.NewSpanID()
-				asp = rt.span.Child("forward " + b.url)
-				asp.Add("span_id", int64(attemptID))
-				asp.Add("round", int64(round))
-			}
-			res, err := g.tryBackend(b, path, body, rt, attemptID)
+			// status). The replica's root names this span as its parent.
+			asp := sp.Child("forward " + b.url)
+			asp.Add("round", int64(round))
+			res, err := g.tryBackend(b, path, body, reqID, asp)
 			if err != nil {
 				asp.Add("failed", 1)
 				asp.End()
@@ -381,9 +318,6 @@ func (g *Gateway) forward(path string, prefs []*backendState, body []byte, rt *r
 				continue
 			}
 			asp.Add("status", int64(res.status))
-			if id, ok := obs.ParseSpanID(res.replicaSpan); ok {
-				asp.Add("replica_span", int64(id))
-			}
 			asp.End()
 			return res, nil
 		}
@@ -416,108 +350,17 @@ func (g *Gateway) retrySleep(d time.Duration) {
 // treeserve's /v1 surface, so clients and the load generator work
 // unchanged against a gate.
 func (g *Gateway) RegisterMux(mux *http.ServeMux) {
-	mux.HandleFunc("/v1/dist", g.endpoint("dist", g.handleDist))
-	mux.HandleFunc("/v1/knn", g.endpoint("knn", g.handleKNN))
-	mux.HandleFunc("/v1/cut", g.endpoint("cut", g.handleForward("/v1/cut")))
-	mux.HandleFunc("/v1/emd", g.endpoint("emd", g.handleForward("/v1/emd")))
-	mux.HandleFunc("/v1/medoid", g.endpoint("medoid", g.handleForward("/v1/medoid")))
-	mux.HandleFunc("/v1/trees", g.endpoint("trees", g.handleTrees))
-	mux.HandleFunc("/v1/trees/reload", g.endpoint("reload", g.handleReload))
-	mux.HandleFunc("/v1/ensembles", g.endpoint("ensembles", g.handleEnsembles))
-	mux.HandleFunc("/v1/quality", g.endpoint("quality", g.handleQuality))
-	mux.HandleFunc("/v1/status", g.endpoint("status", g.handleStatus))
-}
-
-// endpoint wraps a handler with the cross-cutting gate concerns: body
-// limiting, request-id generation/echo, per-request tracing, gate_*
-// metering (with the latency objective), the slow-query log, and the
-// access log.
-func (g *Gateway) endpoint(name string, fn func(w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
-	var requests, errors4xx, errors5xx *obs.Counter
-	var objective *obs.Objective
-	if g.reg != nil {
-		requests = g.reg.Counter("gate_requests_total", "Gate API requests received.", "endpoint", name)
-		errors4xx = g.reg.Counter("gate_errors_total", "Gate API requests answered with an error status.", "endpoint", name, "class", "4xx")
-		errors5xx = g.reg.Counter("gate_errors_total", "Gate API requests answered with an error status.", "endpoint", name, "class", "5xx")
-		latency := g.reg.Histogram("gate_request_seconds", "Gate API request latency in seconds.", serve.DefaultLatencyBuckets(), "endpoint", name)
-		objective = obs.NewObjective(g.reg, "gate", name, latency, g.sloTarget)
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		reqID := r.Header.Get(obs.RequestIDHeader)
-		if reqID == "" {
-			reqID = g.startID + "-" + strconv.FormatUint(g.reqID.Add(1), 10)
-		}
-		w.Header().Set(obs.RequestIDHeader, reqID)
-		rt := &reqTrace{id: reqID}
-		// Tracing: the disabled path is exactly this one atomic load.
-		tr := g.tracer.Load()
-		if tr != nil {
-			parent, _ := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader))
-			rt.span, rt.tctx = tr.StartRequest(parent, "gate "+name)
-		}
-		if requests != nil {
-			requests.Inc()
-		}
-		r = r.WithContext(context.WithValue(r.Context(), rtKey{}, rt))
-		r.Body = http.MaxBytesReader(w, r.Body, g.maxBody)
-		sw := &statusWriter{ResponseWriter: w}
-		fn(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		if status >= 500 {
-			if errors5xx != nil {
-				errors5xx.Inc()
-			}
-		} else if status >= 400 {
-			if errors4xx != nil {
-				errors4xx.Inc()
-			}
-		}
-		d := time.Since(start)
-		if objective != nil {
-			objective.Observe(d.Seconds())
-		}
-		if rt.span != nil {
-			rt.span.Add("status", int64(status))
-			tr.Finish(rt.span)
-		}
-		if g.slow != nil || g.logger != nil {
-			attrs := []any{
-				"request_id", reqID, "endpoint", name,
-				"method", r.Method, "path", r.URL.Path,
-				"status", status,
-				"duration_ms", float64(d.Microseconds()) / 1000,
-				"remote", r.RemoteAddr}
-			if rt.span != nil {
-				attrs = append(attrs, "trace_id", rt.tctx.TraceIDString())
-			}
-			g.slow.Observe(d, attrs...)
-			if g.logger != nil {
-				g.logger.Info("request", attrs...)
-			}
-		}
-	}
-}
-
-// statusWriter records the status code a handler answered with.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
+	wrap := g.requests.Wrap
+	mux.HandleFunc("/v1/dist", wrap("dist", g.handleDist))
+	mux.HandleFunc("/v1/knn", wrap("knn", g.handleKNN))
+	mux.HandleFunc("/v1/cut", wrap("cut", g.handleForward("/v1/cut")))
+	mux.HandleFunc("/v1/emd", wrap("emd", g.handleForward("/v1/emd")))
+	mux.HandleFunc("/v1/medoid", wrap("medoid", g.handleForward("/v1/medoid")))
+	mux.HandleFunc("/v1/trees", wrap("trees", g.handleTrees))
+	mux.HandleFunc("/v1/trees/reload", wrap("reload", g.handleReload))
+	mux.HandleFunc("/v1/ensembles", wrap("ensembles", g.handleEnsembles))
+	mux.HandleFunc("/v1/quality", wrap("quality", g.handleQuality))
+	mux.HandleFunc("/v1/status", wrap("status", g.handleStatus))
 }
 
 // writeJSONError answers a structured error the way treeserve does.
@@ -574,12 +417,12 @@ func (g *Gateway) handleForward(path string) func(w http.ResponseWriter, r *http
 			Tree string `json:"tree"`
 		}
 		_ = json.Unmarshal(body, &peek)
-		rt := rtFrom(r)
-		rsp := rt.child("route")
+		sp := obs.SpanFromContext(r.Context())
+		rsp := sp.Child("route")
 		prefs := g.prefer(routeKey(path, peek.Tree, body))
 		rsp.Add("backends", int64(len(prefs)))
 		rsp.End()
-		res, err := g.forward(path, prefs, body, rt)
+		res, err := g.forward(path, prefs, body, obs.RequestIDFromContext(r.Context()), sp)
 		if err != nil {
 			writeJSONError(w, http.StatusBadGateway, "%v", err)
 			return
@@ -591,10 +434,10 @@ func (g *Gateway) handleForward(path string) func(w http.ResponseWriter, r *http
 // forwardCached answers one dist/knn request through the answer cache:
 // look up under the owner replica's current fingerprint, else forward
 // and fill under the fingerprint the response reports. Every Nth hit is
-// double-checked against the live backend.
-func (g *Gateway) forwardCached(w http.ResponseWriter, endpoint, tree string, body []byte, rt *reqTrace) {
+// double-checked against the live backend. Spans open under sp.
+func (g *Gateway) forwardCached(w http.ResponseWriter, endpoint, tree string, body []byte, reqID string, sp *obs.Span) {
 	path := "/v1/" + endpoint
-	rsp := rt.child("route")
+	rsp := sp.Child("route")
 	prefs := g.prefer(routeKey(endpoint, tree, body))
 	rsp.Add("backends", int64(len(prefs)))
 	rsp.End()
@@ -605,7 +448,7 @@ func (g *Gateway) forwardCached(w http.ResponseWriter, endpoint, tree string, bo
 	var key string
 	if ti, ok := prefs[0].tree(tree); ok {
 		key = cacheKey(endpoint, tree, fingerprint(prefs[0].url, ti.Version, ti.Generation), body)
-		csp := rt.child("cache_lookup")
+		csp := sp.Child("cache_lookup")
 		data, hit := g.cache.Get(key)
 		if hit {
 			csp.Add("hit", 1)
@@ -613,8 +456,8 @@ func (g *Gateway) forwardCached(w http.ResponseWriter, endpoint, tree string, bo
 		csp.End()
 		if hit {
 			if g.checkN > 0 && g.hitSeq.Add(1)%uint64(g.checkN) == 0 {
-				dsp := rt.child("cache_doublecheck")
-				g.doubleCheck(endpoint, tree, key, data, prefs, body, rt.derive(dsp))
+				dsp := sp.Child("cache_doublecheck")
+				g.doubleCheck(endpoint, tree, key, data, prefs, body, reqID, dsp)
 				dsp.End()
 			}
 			w.Header().Set("X-Gate-Cache", "hit")
@@ -622,7 +465,7 @@ func (g *Gateway) forwardCached(w http.ResponseWriter, endpoint, tree string, bo
 			return
 		}
 	}
-	res, err := g.forward(path, prefs, body, rt)
+	res, err := g.forward(path, prefs, body, reqID, sp)
 	if err != nil {
 		writeJSONError(w, http.StatusBadGateway, "%v", err)
 		return
@@ -663,8 +506,8 @@ func (g *Gateway) noteSnapshot(backend, tree string, version, generation int64) 
 // gate_cache_mismatch_total and the entry is dropped — the counter
 // staying at zero under sustained load is the cache-consistency proof
 // the CI gate asserts.
-func (g *Gateway) doubleCheck(endpoint, tree, key string, cached []byte, prefs []*backendState, body []byte, rt *reqTrace) {
-	res, err := g.forward("/v1/"+endpoint, prefs, body, rt)
+func (g *Gateway) doubleCheck(endpoint, tree, key string, cached []byte, prefs []*backendState, body []byte, reqID string, sp *obs.Span) {
+	res, err := g.forward("/v1/"+endpoint, prefs, body, reqID, sp)
 	if err != nil || res.status != http.StatusOK {
 		return
 	}
@@ -706,11 +549,12 @@ func (g *Gateway) handleDist(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	ctx := r.Context()
 	if members, isEnsemble := g.ensembles[req.Tree]; isEnsemble {
-		g.handleEnsembleDist(w, req, members, rtFrom(r))
+		g.handleEnsembleDist(w, req, members, obs.RequestIDFromContext(ctx), obs.SpanFromContext(ctx))
 		return
 	}
-	g.forwardCached(w, "dist", req.Tree, body, rtFrom(r))
+	g.forwardCached(w, "dist", req.Tree, body, obs.RequestIDFromContext(ctx), obs.SpanFromContext(ctx))
 }
 
 // handleKNN answers /v1/knn through the cache. Ensemble names are
@@ -732,23 +576,22 @@ func (g *Gateway) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, "%q is an ensemble; knn requires a concrete tree", peek.Tree)
 		return
 	}
-	g.forwardCached(w, "knn", peek.Tree, body, rtFrom(r))
+	g.forwardCached(w, "knn", peek.Tree, body, obs.RequestIDFromContext(r.Context()), obs.SpanFromContext(r.Context()))
 }
 
 // handleEnsembleDist fans one dist request across the ensemble's member
 // trees concurrently (each member routed and cached independently) and
 // folds the elementwise min serially in member order — bit-identical to
 // querying the members one by one.
-func (g *Gateway) handleEnsembleDist(w http.ResponseWriter, req serve.DistRequest, members []string, rt *reqTrace) {
+func (g *Gateway) handleEnsembleDist(w http.ResponseWriter, req serve.DistRequest, members []string, reqID string, sp *obs.Span) {
 	if g.ensembleReqs != nil {
 		g.ensembleReqs.Inc()
 	}
 	// Member forwards nest under one fold span so the timeline shows the
 	// fan-out width and the serial fold as a single unit.
-	fsp := rt.child("ensemble_fold")
+	fsp := sp.Child("ensemble_fold")
 	fsp.Add("members", int64(len(members)))
 	defer fsp.End()
-	mrt := rt.derive(fsp)
 	type memberResult struct {
 		resp   serve.DistResponse
 		status int
@@ -769,7 +612,7 @@ func (g *Gateway) handleEnsembleDist(w http.ResponseWriter, req serve.DistReques
 				return
 			}
 			rec := newRecorder()
-			g.forwardCached(rec, "dist", member, mbody, mrt)
+			g.forwardCached(rec, "dist", member, mbody, reqID, fsp)
 			results[i].status = rec.code
 			results[i].body = rec.buf.Bytes()
 			if rec.code == http.StatusOK {
@@ -873,13 +716,13 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rt := rtFrom(r)
+	reqID := obs.RequestIDFromContext(r.Context())
 	var success, failure *fwdResult
 	for _, b := range g.backends {
 		if !b.healthy.Load() {
 			continue
 		}
-		res, err := g.tryBackend(b, "/v1/trees/reload", body, rt, 0)
+		res, err := g.tryBackend(b, "/v1/trees/reload", body, reqID, nil)
 		if err != nil {
 			g.markUnhealthy(b, err)
 			g.countBackendError(b.url)
@@ -917,7 +760,7 @@ func (g *Gateway) handleQuality(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusMethodNotAllowed, "/v1/quality is GET")
 		return
 	}
-	rt := rtFrom(r)
+	reqID := obs.RequestIDFromContext(r.Context())
 	for _, b := range g.backends {
 		if !b.healthy.Load() {
 			continue
@@ -926,8 +769,8 @@ func (g *Gateway) handleQuality(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		if rt != nil && rt.id != "" {
-			req.Header.Set(obs.RequestIDHeader, rt.id)
+		if reqID != "" {
+			req.Header.Set(obs.RequestIDHeader, reqID)
 		}
 		resp, err := g.client.Do(req)
 		if err != nil {

@@ -110,7 +110,7 @@ func (g *Gateway) coherentNow() bool {
 // replica (audit state is per-replica; any healthy one is
 // representative) and keeps only the alarming ones. Best-effort: an
 // unreachable fleet yields no alarms and an empty source.
-func (g *Gateway) qualityAlarms(rt *reqTrace) (alarms []QualityAlarm, source string) {
+func (g *Gateway) qualityAlarms(reqID string) (alarms []QualityAlarm, source string) {
 	alarms = []QualityAlarm{}
 	for _, b := range g.backends {
 		if !b.healthy.Load() {
@@ -120,8 +120,8 @@ func (g *Gateway) qualityAlarms(rt *reqTrace) (alarms []QualityAlarm, source str
 		if err != nil {
 			continue
 		}
-		if rt != nil && rt.id != "" {
-			req.Header.Set(obs.RequestIDHeader, rt.id)
+		if reqID != "" {
+			req.Header.Set(obs.RequestIDHeader, reqID)
 		}
 		resp, err := g.client.Do(req)
 		if err != nil {
@@ -182,18 +182,18 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if g.cacheMismatch != nil {
 		st.Cache.Mismatches = g.cacheMismatch.Value()
 	}
-	st.QualityAlarms, st.QualitySource = g.qualityAlarms(rtFrom(r))
+	st.QualityAlarms, st.QualitySource = g.qualityAlarms(obs.RequestIDFromContext(r.Context()))
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(st)
 }
 
 // TraceProcesses assembles the merged gate+replica span forests for a
 // chrome-trace export: the gate's own completed sampled roots (own, the
-// gate tracer's buffer) plus each backend's /trace/requests forest. The
-// span_id/parent_span/replica_span metrics riding on the spans let the
-// timeline (and the CI validator) stitch a replica's root under the
-// gate forward attempt that caused it. Unreachable backends contribute
-// an empty forest — export must work mid-outage.
+// gate tracer's buffer) plus each backend's /trace/requests forest. Each
+// replica root's parent_span is the span_id of the gate forward attempt
+// that caused it, which is how the timeline (and the CI validator)
+// stitch the two together. Unreachable backends contribute an empty
+// forest — export must work mid-outage.
 func (g *Gateway) TraceProcesses(own *obs.TraceBuffer) []obs.TraceProcess {
 	procs := []obs.TraceProcess{{Name: "treegate", Roots: own.Snapshots()}}
 	for _, b := range g.backends {

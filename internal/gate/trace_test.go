@@ -81,10 +81,10 @@ func childrenNamed(root *obs.SpanSnapshot, name string) []*obs.SpanSnapshot {
 }
 
 // TestGateTraceForest: every sampled request yields exactly one gate
-// root whose forward attempt carries the span id the replica's root
-// names as parent — the cross-process nesting the merged timeline
-// renders — with route/cache_lookup children and replica compute spans
-// underneath.
+// root whose forward attempt's span_id is the parent_span of exactly one
+// replica root in the same trace — the one link per edge the merged
+// timeline renders — with route/cache_lookup children and replica
+// compute spans underneath.
 func TestGateTraceForest(t *testing.T) {
 	trees := buildTrees(t, 1, 11, 64)
 	urls, tracers := tracedFleet(t, trees, 2, 0)
@@ -104,14 +104,13 @@ func TestGateTraceForest(t *testing.T) {
 	if len(roots) != reqs {
 		t.Fatalf("gate recorded %d roots, want %d", len(roots), reqs)
 	}
-	attemptIDs := map[int64]bool{}
-	replicaByAttempt := map[int64]int64{}
+	attemptTrace := map[string]string{} // forward span_id -> trace_id
 	for _, root := range roots {
 		if root.Name != "gate dist" || root.Running {
 			t.Fatalf("root %q running=%v", root.Name, root.Running)
 		}
-		if root.Metrics["span_id"] == 0 || root.Metrics["status"] != http.StatusOK {
-			t.Fatalf("root metrics = %v", root.Metrics)
+		if root.SpanID == "" || root.ParentSpan != "" || root.Metrics["status"] != http.StatusOK {
+			t.Fatalf("root identity %q/%q, metrics = %v", root.SpanID, root.ParentSpan, root.Metrics)
 		}
 		if len(childrenNamed(root, "route")) != 1 {
 			t.Fatalf("root lacks route child: %+v", root.Children)
@@ -127,31 +126,34 @@ func TestGateTraceForest(t *testing.T) {
 		if f.Metrics["failed"] != 0 || f.Metrics["status"] != http.StatusOK {
 			t.Fatalf("healthy forward metrics = %v", f.Metrics)
 		}
-		if f.Metrics["span_id"] == 0 || f.Metrics["replica_span"] == 0 {
-			t.Fatalf("forward span not correlated: %v", f.Metrics)
+		if f.TraceID != root.TraceID || f.ParentSpan != root.SpanID || f.SpanID == "" {
+			t.Fatalf("forward identity %q/%q/%q under root %q/%q", f.TraceID, f.SpanID, f.ParentSpan, root.TraceID, root.SpanID)
 		}
-		attemptIDs[f.Metrics["span_id"]] = true
-		replicaByAttempt[f.Metrics["span_id"]] = f.Metrics["replica_span"]
+		attemptTrace[f.SpanID] = f.TraceID
 	}
 
 	// Replicas sampled only because the gate said so (their own fraction
-	// is 0): every replica root's parent is a gate attempt span, and its
-	// own id is the one the gate recorded from X-Span-ID.
+	// is 0): every replica root's parent is a distinct gate attempt span
+	// of the same trace.
 	replicaRoots := 0
+	linked := map[string]bool{}
 	for _, tr := range tracers {
 		for _, root := range tr.Buffer().Snapshots() {
 			replicaRoots++
 			if root.Name != "serve dist" {
 				t.Fatalf("replica root %q", root.Name)
 			}
-			parent := root.Metrics["parent_span"]
-			if !attemptIDs[parent] {
-				t.Fatalf("replica root parent %d is no gate attempt", parent)
+			trace, ok := attemptTrace[root.ParentSpan]
+			if !ok {
+				t.Fatalf("replica root parent %q is no gate attempt", root.ParentSpan)
 			}
-			if replicaByAttempt[parent] != root.Metrics["span_id"] {
-				t.Fatalf("attempt %d recorded replica span %d, replica says %d",
-					parent, replicaByAttempt[parent], root.Metrics["span_id"])
+			if trace != root.TraceID {
+				t.Fatalf("replica root trace %q, its gate attempt's %q", root.TraceID, trace)
 			}
+			if linked[root.ParentSpan] {
+				t.Fatalf("gate attempt %q has two replica roots", root.ParentSpan)
+			}
+			linked[root.ParentSpan] = true
 			if len(childrenNamed(root, "compute_dist")) != 1 {
 				t.Fatalf("replica root lacks compute_dist: %+v", root.Children)
 			}
@@ -173,10 +175,11 @@ func TestGateTraceForest(t *testing.T) {
 
 // TestGateTraceRetryFailure: a backend that 500s the first attempt
 // shows up in the forest as a failed forward span followed by a
-// successful one under the same root.
+// successful one under the same root, and the replica's root links to
+// the successful attempt.
 func TestGateTraceRetryFailure(t *testing.T) {
 	trees := buildTrees(t, 1, 12, 64)
-	urls, _ := tracedFleet(t, trees, 1, 0)
+	urls, tracers := tracedFleet(t, trees, 1, 0)
 
 	// Proxy in front of the lone replica: fail the first /v1/dist.
 	var failedOnce atomic.Bool
@@ -230,15 +233,20 @@ func TestGateTraceRetryFailure(t *testing.T) {
 	if fwds[1].Metrics["failed"] != 0 || fwds[1].Metrics["status"] != http.StatusOK || fwds[1].Metrics["round"] != 1 {
 		t.Fatalf("second attempt metrics = %v, want success in round 1", fwds[1].Metrics)
 	}
+	replica := tracers[0].Buffer().Snapshots()
+	if len(replica) != 1 || replica[0].ParentSpan != fwds[1].SpanID || replica[0].TraceID != fwds[1].TraceID {
+		t.Fatalf("replica roots %+v, want one linked to the retried attempt %q", replica, fwds[1].SpanID)
+	}
 }
 
 // TestGateTraceConcurrentWellFormed: the forest stays well-formed under
 // concurrent load (run with -race to check the synchronization): every
-// root ended, exactly one root per request, forward children carry span
-// ids.
+// root ended, exactly one root per request, and every replica root —
+// ensemble members and cache double-checks included — links to a gate
+// forward attempt of its own trace.
 func TestGateTraceConcurrentWellFormed(t *testing.T) {
 	trees := buildTrees(t, 2, 13, 64)
-	urls, _ := tracedFleet(t, trees, 2, 0)
+	urls, tracers := tracedFleet(t, trees, 2, 0)
 	_, gsrv, gtr := tracedGate(t, urls, func(o *Options) {
 		o.Ensembles = map[string][]string{"ens": {"t-0", "t-1"}}
 	})
@@ -277,13 +285,20 @@ func TestGateTraceConcurrentWellFormed(t *testing.T) {
 	if len(roots) != goroutines*perG {
 		t.Fatalf("%d roots, want %d", len(roots), goroutines*perG)
 	}
+	attemptTrace := map[string]string{} // forward span_id -> trace_id
 	for _, root := range roots {
-		if root.Running || root.Name != "gate dist" || root.Metrics["span_id"] == 0 {
-			t.Fatalf("malformed root: %q running=%v metrics=%v", root.Name, root.Running, root.Metrics)
+		if root.Running || root.Name != "gate dist" || root.SpanID == "" {
+			t.Fatalf("malformed root: %q running=%v span_id=%q", root.Name, root.Running, root.SpanID)
 		}
 		walkSpans(root, func(s *obs.SpanSnapshot) {
 			if s.Running {
 				t.Fatalf("span %q under %q still running", s.Name, root.Name)
+			}
+			if s.TraceID != root.TraceID {
+				t.Fatalf("span %q has trace %q under root of trace %q", s.Name, s.TraceID, root.TraceID)
+			}
+			if strings.HasPrefix(s.Name, "forward ") {
+				attemptTrace[s.SpanID] = s.TraceID
 			}
 		})
 		if folds := childrenNamed(root, "ensemble_fold"); len(folds) == 1 {
@@ -295,6 +310,19 @@ func TestGateTraceConcurrentWellFormed(t *testing.T) {
 				t.Fatalf("empty ensemble fold: %+v", folds[0])
 			}
 		}
+	}
+	replicaRoots := 0
+	for _, tr := range tracers {
+		for _, root := range tr.Buffer().Snapshots() {
+			replicaRoots++
+			if trace, ok := attemptTrace[root.ParentSpan]; !ok || trace != root.TraceID {
+				t.Fatalf("replica root %q (trace %q) links to no gate attempt of its trace (parent %q)",
+					root.Name, root.TraceID, root.ParentSpan)
+			}
+		}
+	}
+	if replicaRoots == 0 {
+		t.Fatal("no replica roots recorded")
 	}
 }
 

@@ -37,32 +37,8 @@ func NextPow2(v int) int {
 	return 1 << bits.Len(uint(v-1))
 }
 
-// Cache-blocking parameters for fwhtBlocked. fwhtBlockLen floats = 16 KiB,
-// half a typical 32 KiB L1d, so one block plus its write-back traffic stays
-// resident through all log2(fwhtBlockLen) stage-1 passes. fwhtTileCols
-// columns × 8 B = 8 cache lines per row gathered into a stage-2 tile; a
-// tile's contiguous scratch (rows × 512 B) fits L2 even at n = 2²².
-const (
-	fwhtBlockLen = 1 << 11
-	fwhtTileCols = 64
-)
-
 // FWHT applies the unnormalised Walsh–Hadamard transform to x in place.
 // len(x) must be a power of two. Applying it twice yields len(x)·x.
-//
-// Dispatch is the textbook stride loop (fwhtRef) at every size. The
-// cache-blocked schedule (fwhtBlocked) was built for the large-n regime,
-// but measurement on the recorded baseline hardware shows the textbook
-// loop winning at every size up to 2²² (43 ms vs 52 ms blocked at 2²²,
-// 0.46 ms vs 0.55 ms at 2¹⁶): each of its passes is two interleaved
-// sequential streams, which hardware prefetchers service at full
-// bandwidth, while the blocked schedule's strided tile traffic defeats
-// them and adds gather/scatter work. The blocked schedule stays in-tree,
-// bitwise-pinned to the reference (TestFWHTBlockedMatchesReference,
-// FuzzFWHT) and benchmarked beside it (BenchmarkFWHTLarge, gated through
-// benchdiff), so a bandwidth-starved host can flip the dispatch on
-// evidence rather than folklore. Schedule choice never changes output
-// bits, so the dispatch is free to follow the measurements.
 func FWHT(x []float64) {
 	if !IsPow2(len(x)) {
 		panic(fmt.Sprintf("hadamard: length %d is not a power of two", len(x)))
@@ -70,61 +46,9 @@ func FWHT(x []float64) {
 	fwhtRef(x)
 }
 
-// fwhtBlocked is the two-stage cache-blocked schedule, bit-identical to
-// the textbook stride loop: stage 1 runs every stride h < fwhtBlockLen
-// inside each aligned block — such butterflies never cross an aligned
-// block boundary, because a stride-h butterfly stays inside its aligned
-// 2h-window and 2h ≤ fwhtBlockLen. Stage 2 runs the remaining strides
-// h ≥ fwhtBlockLen, which only pair indices congruent mod fwhtBlockLen
-// (fwhtBlockLen divides h): the vector is viewed as rows of blockLen
-// columns, and each fwhtTileCols-wide column tile is gathered into
-// contiguous scratch, transformed across all row strides while resident,
-// and scattered back. Gather/scatter only moves values; every slot sees
-// exactly the reference butterfly sequence — same partners, same
-// ascending stride order, same two floating-point ops — so the result is
-// bitwise equal, not just numerically close.
-func fwhtBlocked(x []float64) {
-	n := len(x)
-	if !IsPow2(n) {
-		panic(fmt.Sprintf("hadamard: length %d is not a power of two", n))
-	}
-	if n <= fwhtBlockLen {
-		fwhtRef(x)
-		return
-	}
-	// Stage 1: full transform of each aligned block (strides 1…blockLen/2).
-	for b := 0; b < n; b += fwhtBlockLen {
-		fwhtRef(x[b : b+fwhtBlockLen])
-	}
-	// Stage 2: strides blockLen…n/2 over each column tile in scratch.
-	rows := n / fwhtBlockLen
-	scratch := make([]float64, rows*fwhtTileCols)
-	for c0 := 0; c0 < fwhtBlockLen; c0 += fwhtTileCols {
-		for j := 0; j < rows; j++ {
-			copy(scratch[j*fwhtTileCols:(j+1)*fwhtTileCols], x[j*fwhtBlockLen+c0:j*fwhtBlockLen+c0+fwhtTileCols])
-		}
-		for h := 1; h < rows; h *= 2 {
-			for i := 0; i < rows; i += 2 * h {
-				for j := i; j < i+h; j++ {
-					p := j * fwhtTileCols
-					q := (j + h) * fwhtTileCols
-					for c := 0; c < fwhtTileCols; c++ {
-						a, b := scratch[p+c], scratch[q+c]
-						scratch[p+c], scratch[q+c] = a+b, a-b
-					}
-				}
-			}
-		}
-		for j := 0; j < rows; j++ {
-			copy(x[j*fwhtBlockLen+c0:j*fwhtBlockLen+c0+fwhtTileCols], scratch[j*fwhtTileCols:(j+1)*fwhtTileCols])
-		}
-	}
-}
-
 // fwhtRef is the textbook in-place butterfly: ascending strides over the
-// whole vector. It is the bitwise reference the blocked FWHT must match
-// (asserted by TestFWHTBlockedMatchesReference and FuzzFWHT) and the fast
-// path for vectors that already fit in L1.
+// whole vector. Each pass is two interleaved sequential streams, which
+// hardware prefetchers service at full bandwidth.
 func fwhtRef(x []float64) {
 	n := len(x)
 	for h := 1; h < n; h *= 2 {

@@ -244,3 +244,22 @@ func BenchmarkDistFWHT(b *testing.B) {
 		}
 	}
 }
+
+func benchFWHTRefSize(b *testing.B, n int) {
+	r := rng.New(1)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = r.Normal()
+	}
+	b.SetBytes(int64(8 * n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fwhtRef(x)
+	}
+}
+
+// BenchmarkFWHTLarge measures the butterfly at sizes past L1 and L2.
+func BenchmarkFWHTLarge(b *testing.B) {
+	b.Run("ref/64k", func(b *testing.B) { benchFWHTRefSize(b, 1<<16) })
+	b.Run("ref/1m", func(b *testing.B) { benchFWHTRefSize(b, 1<<20) })
+}

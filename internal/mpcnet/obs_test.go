@@ -23,14 +23,14 @@ import (
 func TestTracedFrameRoundTrip(t *testing.T) {
 	payload := []byte("records go here")
 	f := Frame{Op: OpAppend, Seq: 42, Machine: 3, Payload: payload,
-		Traced: true, Trace: TraceContext{TraceID: 0xDEADBEEF, SpanID: 42<<8 | 1, Kind: OpAppend}}
+		Trace: obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Sampled: true}}
 
 	buf := AppendFrame(nil, f)
 	got, err := ReadFrame(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatalf("traced frame rejected: %v", err)
 	}
-	if !got.Traced || got.Trace != f.Trace {
+	if got.Trace != f.Trace {
 		t.Fatalf("trace context mangled: %+v, want %+v", got.Trace, f.Trace)
 	}
 	if !bytes.Equal(got.Payload, payload) {
@@ -56,23 +56,100 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 
 	// An unknown flag bit is still a loud wire violation (what an old
 	// reader does with a traced frame, and a new reader with flags from
-	// the future).
-	bad := AppendFrame(nil, plain)
-	bad[5] = 0x02
-	if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrWire) {
-		t.Fatalf("unknown flag accepted: %v", err)
+	// the future) — the retired bit 0 of the old 17-byte block included.
+	// The CRC is recomputed so only the flag check can object.
+	for _, flag := range []byte{0x01, 0x04, 0x80} {
+		bad := AppendFrame(nil, plain)
+		bad[5] = flag
+		reseal(bad)
+		if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrWire) {
+			t.Fatalf("flag %#x accepted: %v", flag, err)
+		}
 	}
 
 	// A traced frame whose payload region is shorter than the trace block
-	// is a wire violation, not a silent misparse. Flip the flag on an
-	// untraced frame and recompute the CRC so only the length check can
-	// object.
+	// is a wire violation, not a silent misparse.
 	short := AppendFrame(nil, Frame{Op: OpPing, Seq: 0})
 	short[5] = flagTrace
-	body := short[:len(short)-trailerLen]
-	binary.LittleEndian.PutUint32(short[len(short)-trailerLen:], crc32.ChecksumIEEE(body))
+	reseal(short)
 	if _, err := ReadFrame(bytes.NewReader(short)); !errors.Is(err, ErrWire) {
 		t.Fatalf("short trace block accepted: %v", err)
+	}
+
+	// So is a trace block naming no trace: a zero context cannot be
+	// re-encoded as traced, so it cannot have been sent as one.
+	zero := AppendFrame(nil, plain)
+	zero = append(zero[:headerLen], append(make([]byte, traceLen), payload...)...)
+	zero[5] = flagTrace
+	binary.LittleEndian.PutUint32(zero[20:24], uint32(traceLen+len(payload)))
+	zero = append(zero, 0, 0, 0, 0)
+	reseal(zero)
+	if _, err := ReadFrame(bytes.NewReader(zero)); !errors.Is(err, ErrWire) {
+		t.Fatalf("zero trace block accepted: %v", err)
+	}
+}
+
+// reseal recomputes an encoded frame's CRC after a test edits its bytes.
+func reseal(frame []byte) {
+	body := frame[:len(frame)-trailerLen]
+	binary.LittleEndian.PutUint32(frame[len(frame)-trailerLen:], crc32.ChecksumIEEE(body))
+}
+
+// serviceSpanLinks checks the one link per coordinator→worker edge:
+// every worker service span's parent_span is the span_id of a wire
+// attempt span of the same trace. It returns how many service spans link
+// to an attempt after the first (a retried op that reached a worker).
+func serviceSpanLinks(t *testing.T, wireRoot *obs.Span, workers []*Worker) (services, retried int) {
+	t.Helper()
+	type attempt struct {
+		trace string
+		n     int64
+	}
+	attempts := map[string]attempt{}
+	for _, sp := range wireRoot.Snapshot().Children {
+		attempts[sp.SpanID] = attempt{sp.TraceID, sp.Metrics["attempt"]}
+	}
+	for i, w := range workers {
+		for _, sp := range w.TraceRoot().Snapshot().Children {
+			a, ok := attempts[sp.ParentSpan]
+			if !ok || a.trace != sp.TraceID {
+				t.Fatalf("worker %d service span %q seq %d: parent %q (trace %q) is no wire attempt",
+					i, sp.Name, sp.Metrics["seq"], sp.ParentSpan, sp.TraceID)
+			}
+			services++
+			if a.n > 0 {
+				retried++
+			}
+		}
+	}
+	return services, retried
+}
+
+// TestServiceSpansLinkToRetriedAttempts: an op whose first attempt dies
+// on a torn connection is served by its retry, and the worker's service
+// span names that retry — not the op or its first attempt — as parent.
+func TestServiceSpansLinkToRetriedAttempts(t *testing.T) {
+	workers, addrs := startWorkers(t, 1)
+	workers[0].TraceRoot()
+	tr, err := Dial(Config{Addrs: addrs, Machines: 1, Retry: fastRetry(12)})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer tr.Close()
+	wireRoot := obs.NewSpan("mpcnet_client")
+	tr.EnableTracing(wireRoot)
+
+	recs := []mpc.Record{{Key: "k", Ints: []int64{1}}}
+	if err := tr.Append(0, recs); err != nil {
+		t.Fatal(err)
+	}
+	tr.conns[0].Close() // the next op's first attempt fails before the worker sees it
+	if err := tr.Append(0, recs); err != nil {
+		t.Fatalf("append across reconnect: %v", err)
+	}
+	services, retried := serviceSpanLinks(t, wireRoot, workers)
+	if services != 2 || retried != 1 {
+		t.Fatalf("service spans = %d (want 2), linked to retries = %d (want 1)", services, retried)
 	}
 }
 
@@ -104,7 +181,7 @@ func TestInstrumentedTCPPipelineBitIdentical(t *testing.T) {
 	reg := obs.New()
 	tr.Instrument(reg)
 	wireRoot := obs.NewSpan("mpcnet_client")
-	tr.EnableTracing(wireRoot, 0x7E57)
+	tr.EnableTracing(wireRoot)
 
 	tcpCluster := mpc.NewWithTransport(cfg, tr)
 	tcpCluster.Instrument(reg)
@@ -148,12 +225,10 @@ func TestInstrumentedTCPPipelineBitIdentical(t *testing.T) {
 	if perOpOps != st.Ops {
 		t.Errorf("PerOp ops sum = %d, Stats.Ops = %d", perOpOps, st.Ops)
 	}
-	var workerSpans int
-	for _, w := range workers {
-		workerSpans += len(w.TraceRoot().Snapshot().Children)
-	}
-	// Dedup replays answer without a new service span, so worker spans
-	// can undercount wire ops but never exceed them.
+	// Every service span links to a wire attempt. Dedup replays answer
+	// without a new service span, so worker spans can undercount wire ops
+	// but never exceed them.
+	workerSpans, _ := serviceSpanLinks(t, wireRoot, workers)
 	if workerSpans == 0 || workerSpans > st.Ops {
 		t.Errorf("worker service spans = %d, want in [1, %d]", workerSpans, st.Ops)
 	}
@@ -168,7 +243,9 @@ func TestInstrumentedTCPPipelineBitIdentical(t *testing.T) {
 // TestWireSpansAccountForRetriedOps kills a worker mid-pipeline and
 // checks the acceptance-criteria accounting: the wire span forest holds
 // one successful span per completed op and one failed span per failed
-// attempt — retried and redialed ops included, nothing dropped.
+// attempt — retried and redialed ops included, nothing dropped — and
+// every worker service span, the dead worker's included, links to one of
+// those attempts.
 func TestWireSpansAccountForRetriedOps(t *testing.T) {
 	pts := testPoints(48, 6, 7)
 	popt := core.PipelineOptions{Seed: 11, Workers: 1, Resilient: true}
@@ -177,6 +254,9 @@ func TestWireSpansAccountForRetriedOps(t *testing.T) {
 	simTree := treeBytes(t, mpc.New(cfg), pts, popt)
 
 	workers, addrs := startWorkers(t, 3)
+	for _, w := range workers {
+		w.TraceRoot()
+	}
 	tr, err := Dial(Config{Addrs: addrs, Machines: cfg.Machines, Retry: fastRetry(3)})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -185,7 +265,7 @@ func TestWireSpansAccountForRetriedOps(t *testing.T) {
 	reg := obs.New()
 	tr.Instrument(reg)
 	wireRoot := obs.NewSpan("mpcnet_client")
-	tr.EnableTracing(wireRoot, 1)
+	tr.EnableTracing(wireRoot)
 	workers[1].SetDieAfter(30)
 
 	tcpCluster := mpc.NewWithTransport(cfg, tr)
@@ -220,6 +300,9 @@ func TestWireSpansAccountForRetriedOps(t *testing.T) {
 	}
 	if failed == 0 {
 		t.Error("no failed wire spans despite retries — retried attempts unaccounted")
+	}
+	if services, _ := serviceSpanLinks(t, wireRoot, workers); services == 0 {
+		t.Error("no worker service spans recorded")
 	}
 	if reg.Counter("mpcnet_dead_workers_total", "").Value() != 1 {
 		t.Errorf("mpcnet_dead_workers_total = %d, want 1",
@@ -293,10 +376,11 @@ func TestWorkerSinkCounters(t *testing.T) {
 // concurrency check: several coordinator streams run traced ops at once
 // (one worker each — the seq protocol is single-coordinator per worker)
 // while every span forest is snapshotted live from another goroutine.
-// Spans share one process-wide lock, so this exercises concurrent
-// Child/End/Snapshot interleaving; the snapshots must stay well-formed
-// and the final merged timeline must be valid, Perfetto-shaped JSON
-// accounting for every applied op.
+// Each worker's service spans share its root's lock while the streams
+// extend them, so this exercises concurrent Child/End/Snapshot
+// interleaving; the snapshots must stay well-formed and the final merged
+// timeline must be valid, Perfetto-shaped JSON accounting for every
+// applied op.
 func TestConcurrentTracedStreamsSnapshotWellFormed(t *testing.T) {
 	const streams, opsPer = 3, 25
 	workers, addrs := startWorkers(t, streams)
@@ -319,7 +403,7 @@ func TestConcurrentTracedStreamsSnapshotWellFormed(t *testing.T) {
 				return
 			}
 			defer tr.Close()
-			tr.EnableTracing(roots[s], uint64(s)+1)
+			tr.EnableTracing(roots[s])
 			recs := []mpc.Record{{Key: fmt.Sprintf("s%d", s), Ints: []int64{int64(s)}}}
 			for i := 0; i < opsPer; i++ {
 				if err := tr.Append(0, recs); err != nil {

@@ -105,8 +105,6 @@ type Transport struct {
 
 	sink      *transportSink // nil when not instrumented
 	traceRoot *obs.Span      // parent of per-attempt wire spans; nil disables
-	traceID   uint64
-	tracing   bool
 
 	mu sync.Mutex // guards Stats reads against the owner's op stream
 }
@@ -175,20 +173,15 @@ func (t *Transport) Instrument(reg *obs.Registry) {
 	t.sink = newTransportSink(reg)
 }
 
-// EnableTracing turns on distributed tracing: every sequenced frame is
-// stamped with (traceID, per-attempt span id) and every op attempt opens
-// a child span under root covering dial + request + response — the
+// EnableTracing turns on distributed tracing: every op attempt opens a
+// child span under root covering dial + request + response — the
 // coordinator's view of wire time, to be read against the worker's
-// service-time spans. A nil root disables. Call before the first op.
-//
-// The per-attempt span id is seq<<8|attempt, so a worker-side span's
-// parent is recomputable from the coordinator span's own seq and attempt
-// metrics — that is what lets tests account for every wire op, retries
-// included, across the merged forest.
-func (t *Transport) EnableTracing(root *obs.Span, traceID uint64) {
+// service-time spans — and every sequenced frame carries that attempt
+// span's context (root's trace id, the attempt's own span id), so the
+// worker's service span names its true parent. A nil root disables.
+// Call before the first op.
+func (t *Transport) EnableTracing(root *obs.Span) {
 	t.traceRoot = root
-	t.traceID = traceID
-	t.tracing = root != nil
 }
 
 // LiveWorkers reports how many workers are still accepting ops.
@@ -287,18 +280,14 @@ func (t *Transport) opWorker(w int, opCode Op, machine int32, payload []byte) (F
 
 		// One wire span per ATTEMPT, not per op: a retried op shows up as
 		// two spans, which is exactly how it spent the wall clock. The
-		// span id stamped on the frame is seq<<8|attempt so the worker's
+		// frame carries the attempt span's own context so the worker's
 		// service span can name its true parent.
-		var span *obs.Span
-		if t.tracing {
-			req.Traced = true
-			req.Trace = TraceContext{TraceID: t.traceID, SpanID: req.Seq<<8 | uint64(attempt), Kind: opCode}
-			span = t.traceRoot.Child(opCode.String())
-			span.Add("seq", int64(req.Seq))
-			span.Add("machine", int64(machine))
-			span.Add("attempt", int64(attempt))
-			span.Add("worker", int64(w))
-		}
+		span := t.traceRoot.Child(opCode.String())
+		req.Trace = span.Context()
+		span.Add("seq", int64(req.Seq))
+		span.Add("machine", int64(machine))
+		span.Add("attempt", int64(attempt))
+		span.Add("worker", int64(w))
 		start := time.Now()
 
 		if t.conns[w] == nil {

@@ -3,31 +3,33 @@
 //
 //	bytes 0..3   magic "MPW1"
 //	byte  4      op
-//	byte  5      flags (bit 0 = trace context present; others must be 0)
+//	byte  5      flags (bit 1 = trace block present; others must be 0)
 //	bytes 6..7   reserved (must be 0)
 //	bytes 8..15  seq     (uint64 LE) — idempotency sequence number
 //	bytes 16..19 machine (int32 LE)  — logical machine index, -1 if n/a
 //	bytes 20..23 payload length (uint32 LE)
-//	...          [trace context, 17 bytes, when flag bit 0 is set]
+//	...          [trace block, 24 bytes, when flag bit 1 is set]
 //	...          payload
 //	last 4       CRC32-IEEE over header+payload (LE)
 //
-// Trace context (flagTrace): a compact distributed-tracing header so a
-// coordinator span and the worker-side span serving the same op can be
-// correlated across the process boundary:
+// Trace block (flagTrace): the obs.TraceContext of the coordinator span
+// that sent the frame — the same identity a traceparent header carries —
+// so the worker-side span serving the op records it as its parent:
 //
-//	bytes 0..7   trace id        (uint64 LE) — one id per coordinator run
-//	bytes 8..15  parent span id  (uint64 LE) — the coordinator's op span
-//	byte  16     op kind         — redundant with the header op byte, kept
-//	             so the context block is self-describing when logged alone
+//	bytes 0..15  trace id (16 bytes, as in traceparent)
+//	bytes 16..23 span id  (uint64 LE) — the coordinator's attempt span
 //
-// The block counts toward the payload length and the CRC. Compatibility:
-// untraced frames are byte-identical to the pre-trace format; a traced
-// frame sent to a pre-trace worker fails loudly with ErrWire (nonzero
-// flags) instead of being misapplied, so a mixed-version fleet surfaces
-// as a transport error, never as silent corruption. Tracing is opt-in on
-// the coordinator (EnableTracing) precisely so upgraded coordinators stay
-// wire-compatible with old workers by default.
+// The block counts toward the payload length and the CRC. Only requests
+// carry it; responses are never traced (resp.Seq already ties each
+// response to its request). Compatibility: untraced frames are
+// byte-identical to the pre-trace format; a traced frame sent to a peer
+// that does not know this block's flag bit fails loudly with ErrWire
+// (unknown flags) instead of being misapplied, and so does a frame with
+// the retired bit 0 (a 17-byte block) sent to this version — a
+// mixed-version fleet surfaces as a transport error, never as silent
+// corruption. Tracing is opt-in on the coordinator (EnableTracing)
+// precisely so upgraded coordinators stay wire-compatible with old
+// workers by default.
 //
 // The checksum makes payload corruption a detected transport failure
 // instead of a silently wrong tree: a frame that fails its CRC poisons
@@ -49,6 +51,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"mpctree/internal/obs"
 )
 
 // Op identifies a frame's operation (requests) or disposition (responses).
@@ -103,9 +107,10 @@ const (
 	headerLen  = 24
 	trailerLen = 4 // CRC32
 	// flagTrace marks a frame whose payload region begins with a traceLen-
-	// byte trace context block. Any other flag bit is a wire violation.
-	flagTrace = 0x01
-	traceLen  = 17
+	// byte trace block. Any other flag bit is a wire violation; bit 0
+	// marked an older 17-byte block and is refused.
+	flagTrace = 0x02
+	traceLen  = 24
 	// maxPayload bounds a single frame. Stores are capped by the model's
 	// CapWords (words are 8 bytes), so legitimate frames are far smaller;
 	// the bound exists to stop a corrupted length field from driving a
@@ -118,15 +123,6 @@ const (
 // one can no longer be trusted to be frame-aligned and must be redialed.
 var ErrWire = errors.New("mpcnet: wire protocol violation")
 
-// TraceContext is the distributed-tracing header carried by a traced
-// frame: enough for the worker to attach its service span to the
-// coordinator span that issued the op, and nothing more.
-type TraceContext struct {
-	TraceID uint64 // one id per coordinator run
-	SpanID  uint64 // the coordinator-side op span this frame belongs to
-	Kind    Op     // request op kind (responses echo the request's kind)
-}
-
 // Frame is one decoded message.
 type Frame struct {
 	Op      Op
@@ -134,19 +130,20 @@ type Frame struct {
 	Machine int32
 	Payload []byte
 
-	// Traced marks a frame carrying a TraceContext. The context rides in
+	// Trace, when valid, is the context of the coordinator span that
+	// sent the frame; the zero value is an untraced frame. It rides in
 	// the payload region on the wire but is stripped before Payload is
 	// handed to op handlers, so tracing never changes what an op sees.
-	Traced bool
-	Trace  TraceContext
+	Trace obs.TraceContext
 }
 
 // AppendFrame appends the encoded frame (header, payload, CRC) to dst.
 func AppendFrame(dst []byte, f Frame) []byte {
 	start := len(dst)
+	traced := f.Trace.Valid()
 	flags := byte(0)
 	plen := len(f.Payload)
-	if f.Traced {
+	if traced {
 		flags = flagTrace
 		plen += traceLen
 	}
@@ -155,10 +152,9 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Machine))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(plen))
-	if f.Traced {
-		dst = binary.LittleEndian.AppendUint64(dst, f.Trace.TraceID)
+	if traced {
+		dst = append(dst, f.Trace.TraceID[:]...)
 		dst = binary.LittleEndian.AppendUint64(dst, f.Trace.SpanID)
-		dst = append(dst, byte(f.Trace.Kind))
 	}
 	dst = append(dst, f.Payload...)
 	sum := crc32.ChecksumIEEE(dst[start:])
@@ -169,7 +165,7 @@ func AppendFrame(dst []byte, f Frame) []byte {
 // context and CRC included — the figure the byte accounting counters use.
 func frameWireLen(f Frame) int {
 	n := headerLen + len(f.Payload) + trailerLen
-	if f.Traced {
+	if f.Trace.Valid() {
 		n += traceLen
 	}
 	return n
@@ -226,16 +222,15 @@ func ReadFrame(r io.Reader) (Frame, error) {
 			return Frame{}, fmt.Errorf("%w: traced %s frame seq %d shorter than trace context (%d bytes)",
 				ErrWire, f.Op, f.Seq, len(body))
 		}
-		f.Traced = true
-		f.Trace = TraceContext{
-			TraceID: binary.LittleEndian.Uint64(body[0:8]),
-			SpanID:  binary.LittleEndian.Uint64(body[8:16]),
-			Kind:    Op(body[16]),
+		f.Trace = obs.TraceContext{SpanID: binary.LittleEndian.Uint64(body[16:24]), Sampled: true}
+		copy(f.Trace.TraceID[:], body[:16])
+		if !f.Trace.Valid() {
+			return Frame{}, fmt.Errorf("%w: traced %s frame seq %d has a zero trace or span id", ErrWire, f.Op, f.Seq)
 		}
 		body = body[traceLen:]
 	}
 	if len(body) > 0 {
-		f.Payload = body[: len(body) : len(body)]
+		f.Payload = body[:len(body):len(body)]
 	}
 	return f, nil
 }

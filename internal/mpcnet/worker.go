@@ -81,8 +81,9 @@ func (w *Worker) Instrument(reg *obs.Registry) {
 
 // TraceRoot returns (creating on first call) the worker's persistent span
 // root. Once it exists, every TRACED frame gets a child service span
-// carrying the coordinator's trace/parent-span ids as metrics — untraced
-// traffic never grows the tree, which is what bounds it. Hand the root to
+// continuing the coordinator's context (its trace id, the attempt span as
+// parent_span) — untraced traffic never grows the tree, which is what
+// bounds it. Hand the root to
 // the debug server so /trace?format=json serves the forest.
 func (w *Worker) TraceRoot() *obs.Span {
 	w.mu.Lock()
@@ -138,10 +139,6 @@ func (w *Worker) serveConn(conn net.Conn) {
 			w.sink.reqBytes.Add(int64(frameWireLen(f)))
 		}
 		resp := w.handle(conn, f)
-		// Echo the trace context on every response — including cached
-		// dedup replays and refusals — so the coordinator can pin each
-		// response to the attempt that elicited it.
-		resp.Traced, resp.Trace = f.Traced, f.Trace
 		if w.sink != nil {
 			w.sink.respBytes.Add(int64(frameWireLen(resp)))
 		}
@@ -191,18 +188,16 @@ func (w *Worker) handle(conn net.Conn, f Frame) Frame {
 		return Frame{Op: RespErr, Seq: f.Seq, Machine: f.Machine}
 	}
 
-	// A service span per TRACED frame, child of the coordinator attempt
+	// A service span per TRACED frame, continuing the coordinator attempt
 	// span named by the frame's trace context. Timing wraps apply() only:
 	// the delta between this span and the coordinator's wire span is the
 	// network plus framing, which is the comparison the merged timeline
 	// exists to show.
 	var span *obs.Span
-	if f.Traced && w.traceRoot != nil {
-		span = w.traceRoot.Child(f.Op.String())
+	if f.Trace.Valid() && w.traceRoot != nil {
+		span = w.traceRoot.Continue(f.Op.String(), f.Trace)
 		span.Add("seq", int64(f.Seq))
 		span.Add("machine", int64(f.Machine))
-		span.Add("trace_id", int64(f.Trace.TraceID))
-		span.Add("parent_span", int64(f.Trace.SpanID))
 		span.Add("req_bytes", int64(len(f.Payload)))
 	}
 	start := time.Now()

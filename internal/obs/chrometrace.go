@@ -10,8 +10,9 @@
 //     named by a thread_name metadata event, so a coordinator can show
 //     its pipeline phases and its wire-level transport ops side by side;
 //   - every span becomes one complete ("X") event whose args carry the
-//     span's model metrics (rounds, comm_words, seq, attempt, …), with
-//     nesting inferred by the viewer from time containment.
+//     span's identity (trace_id, span_id, parent_span — hex, as in
+//     traceparent) and model metrics (rounds, comm_words, seq, attempt,
+//     …), with nesting inferred by the viewer from time containment.
 //
 // Timestamps come from SpanSnapshot.StartUnixNs (wall clock), normalized
 // to the earliest span in the document so traces start at t=0. Clocks of
@@ -117,17 +118,24 @@ func spanEvent(sn *SpanSnapshot, pid, tid int, t0 int64) chromeEvent {
 	if sn.StartUnixNs == 0 {
 		ev.Ts = 0 // pre-timestamp snapshot (old producer); pin to origin
 	}
-	if len(sn.Metrics) > 0 || sn.AllocBytes > 0 || sn.Running {
-		ev.Args = make(map[string]any, len(sn.Metrics)+2)
-		for k, v := range sn.Metrics {
-			ev.Args[k] = v
-		}
-		if sn.AllocBytes > 0 {
-			ev.Args["alloc_bytes"] = sn.AllocBytes
-		}
-		if sn.Running {
-			ev.Args["running"] = true
-		}
+	args := make(map[string]any, len(sn.Metrics)+5)
+	for k, v := range sn.Metrics {
+		args[k] = v
+	}
+	if sn.SpanID != "" { // snapshots from older producers carry no identity
+		args["trace_id"], args["span_id"] = sn.TraceID, sn.SpanID
+	}
+	if sn.ParentSpan != "" {
+		args["parent_span"] = sn.ParentSpan
+	}
+	if sn.AllocBytes > 0 {
+		args["alloc_bytes"] = sn.AllocBytes
+	}
+	if sn.Running {
+		args["running"] = true
+	}
+	if len(args) > 0 {
+		ev.Args = args
 	}
 	return ev
 }

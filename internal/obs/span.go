@@ -10,15 +10,24 @@
 //	   └─ tree_build        (edge dedup, driver assembly, compress)
 //
 // Each span records wall nanoseconds, heap bytes allocated while it was
-// open (process-wide TotalAlloc delta — attribution is approximate when
-// phases overlap, which the pipeline's phases do not), and caller-supplied
-// model metrics such as rounds and comm_words. Those model metrics are
-// exact: the pipeline snapshots the cluster meters at phase boundaries, so
-// per-phase rounds and comm-words sum to the cluster totals.
+// open (process-wide cumulative allocation delta — attribution is
+// approximate when phases overlap, which the pipeline's phases do not),
+// and caller-supplied model metrics such as rounds and comm_words. Those
+// model metrics are exact: the pipeline snapshots the cluster meters at
+// phase boundaries, so per-phase rounds and comm-words sum to the cluster
+// totals.
+//
+// Every span also carries its identity — a 128-bit trace id, its own
+// span id and its parent's — so forests recorded in different processes
+// (coordinator and workers, gate and replicas) join into one trace: a
+// span continuing a remote TraceContext records the remote span as its
+// parent.
 //
 // Every method is safe on a nil *Span — instrumentation call sites never
 // need nil checks — and safe for concurrent use: a live span tree can be
 // rendered by the debug server while the pipeline is still extending it.
+// Each tree has its own lock, so per-request trees on a busy server never
+// contend with each other.
 //
 // Spans are observational only. Nothing reads a span to make an
 // algorithmic decision; the determinism suites run with spans on and off
@@ -29,60 +38,100 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 )
 
-// spanMu guards every span tree in the process. Span operations happen at
-// phase boundaries (tens per run), so a single lock costs nothing and
-// makes cross-tree rendering trivially safe.
-var spanMu sync.RWMutex
-
 // Span is one node of a phase-attribution tree.
 type Span struct {
-	name     string
-	children []*Span
+	name string
+	mu   *sync.RWMutex // shared by every span of one tree
+
+	traceID  [16]byte
+	spanID   uint64
+	parentID uint64 // 0 on a root that continues no remote context
 
 	start      time.Time
-	startUnix  int64 // wall-clock UnixNano at start, for cross-process timelines
-	wallNs     int64
 	startAlloc uint64
+
+	// Guarded by mu.
+	children   []*Span
+	wallNs     int64
 	allocBytes uint64
 	ended      bool
-
-	metrics map[string]int64
+	metrics    map[string]int64
 }
 
-// readTotalAlloc samples the process's cumulative heap allocation.
-// ReadMemStats stops the world briefly; spans open at phase boundaries
-// only, so the cost is a handful of calls per run.
-func readTotalAlloc() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.TotalAlloc
+// allocSamples recycles the one-sample buffers heapAllocBytes reads
+// into, so a read allocates nothing and concurrent reads share no memory.
+var allocSamples = sync.Pool{New: func() any {
+	s := new([1]metrics.Sample)
+	s[0].Name = "/gc/heap/allocs:bytes"
+	return s
+}}
+
+// heapAllocBytes reads the process's cumulative heap allocation — the
+// counter MemStats.TotalAlloc reports — from runtime/metrics, which does
+// not stop the world. Small objects are counted when their P's cached
+// span is refilled, so the figure is exact over a pipeline phase and
+// approximate, to a few KiB, for a span that allocates little.
+func heapAllocBytes() uint64 {
+	s := allocSamples.Get().(*[1]metrics.Sample)
+	metrics.Read(s[:])
+	v := s[0].Value.Uint64()
+	allocSamples.Put(s)
+	return v
 }
 
-// NewSpan starts a root span.
+// newSpan starts a span in the tree guarded by mu.
+func newSpan(name string, mu *sync.RWMutex, traceID [16]byte, parentID uint64) *Span {
+	return &Span{name: name, mu: mu, traceID: traceID, spanID: NewSpanID(), parentID: parentID,
+		start: time.Now(), startAlloc: heapAllocBytes()}
+}
+
+// NewSpan starts a root span of a fresh trace.
 func NewSpan(name string) *Span {
-	now := time.Now()
-	return &Span{name: name, start: now, startUnix: now.UnixNano(), startAlloc: readTotalAlloc(), metrics: map[string]int64{}}
+	return newSpan(name, new(sync.RWMutex), NewTraceID(), 0)
 }
 
-// Child starts a new child span. Nil-safe: a nil parent returns nil, so
-// un-instrumented runs thread nil spans through the pipeline for free.
+// Child starts a new child span in the parent's trace. Nil-safe: a nil
+// parent returns nil, so un-instrumented runs thread nil spans through
+// the pipeline for free.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	now := time.Now()
-	c := &Span{name: name, start: now, startUnix: now.UnixNano(), startAlloc: readTotalAlloc(), metrics: map[string]int64{}}
-	spanMu.Lock()
+	return s.attach(newSpan(name, s.mu, s.traceID, s.spanID))
+}
+
+// Continue starts a child span that continues a remote context: it nests
+// under s in this process's tree, but takes its trace id from remote and
+// records remote's span as its parent. A worker's service span for a
+// traced MPW1 frame is one. Nil-safe.
+func (s *Span) Continue(name string, remote TraceContext) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.attach(newSpan(name, s.mu, remote.TraceID, remote.SpanID))
+}
+
+func (s *Span) attach(c *Span) *Span {
+	s.mu.Lock()
 	s.children = append(s.children, c)
-	spanMu.Unlock()
+	s.mu.Unlock()
 	return c
+}
+
+// Context is the span's identity as a propagation context — what a
+// downstream hop continues. A nil span gives the zero, untraced context.
+func (s *Span) Context() TraceContext {
+	if s == nil {
+		return TraceContext{}
+	}
+	return TraceContext{TraceID: s.traceID, SpanID: s.spanID, Sampled: true}
 }
 
 // End closes the span, freezing its wall time and allocation delta.
@@ -91,9 +140,9 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	alloc := readTotalAlloc()
-	spanMu.Lock()
-	defer spanMu.Unlock()
+	alloc := heapAllocBytes()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.ended {
 		return
 	}
@@ -110,8 +159,11 @@ func (s *Span) Add(key string, delta int64) {
 	if s == nil {
 		return
 	}
-	spanMu.Lock()
-	defer spanMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.metrics == nil {
+		s.metrics = make(map[string]int64)
+	}
 	s.metrics[key] += delta
 }
 
@@ -120,8 +172,8 @@ func (s *Span) Metric(key string) int64 {
 	if s == nil {
 		return 0
 	}
-	spanMu.RLock()
-	defer spanMu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.metrics[key]
 }
 
@@ -129,6 +181,12 @@ func (s *Span) Metric(key string) int64 {
 // serves as JSON and what Render draws.
 type SpanSnapshot struct {
 	Name string `json:"name"`
+	// TraceID, SpanID and ParentSpan are the span's identity in hex, as
+	// in traceparent (32 and 16 digits). ParentSpan is empty on a root
+	// that continues no remote context.
+	TraceID    string `json:"trace_id"`
+	SpanID     string `json:"span_id"`
+	ParentSpan string `json:"parent_span,omitempty"`
 	// StartUnixNs is the wall-clock start time (UnixNano). It exists so
 	// span forests snapshotted in DIFFERENT processes (coordinator +
 	// workers) can be merged onto one timeline; within a single process
@@ -147,13 +205,17 @@ func (s *Span) Snapshot() *SpanSnapshot {
 	if s == nil {
 		return nil
 	}
-	spanMu.RLock()
-	defer spanMu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.snapshotLocked()
 }
 
 func (s *Span) snapshotLocked() *SpanSnapshot {
-	out := &SpanSnapshot{Name: s.name, StartUnixNs: s.startUnix, WallNs: s.wallNs, AllocBytes: s.allocBytes, Running: !s.ended}
+	out := &SpanSnapshot{Name: s.name, TraceID: s.Context().TraceIDString(), SpanID: formatSpanID(s.spanID),
+		StartUnixNs: s.start.UnixNano(), WallNs: s.wallNs, AllocBytes: s.allocBytes, Running: !s.ended}
+	if s.parentID != 0 {
+		out.ParentSpan = formatSpanID(s.parentID)
+	}
 	if !s.ended {
 		out.WallNs = time.Since(s.start).Nanoseconds()
 	}
@@ -168,6 +230,9 @@ func (s *Span) snapshotLocked() *SpanSnapshot {
 	}
 	return out
 }
+
+// formatSpanID renders a span id as 16 hex digits, the traceparent form.
+func formatSpanID(id uint64) string { return fmt.Sprintf("%016x", id) }
 
 // MarshalJSON serializes the span tree snapshot.
 func (s *Span) MarshalJSON() ([]byte, error) {

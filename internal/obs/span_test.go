@@ -143,3 +143,38 @@ func TestSpanDoubleEndKeepsFirst(t *testing.T) {
 		t.Fatal("second End changed the measurement")
 	}
 }
+
+// TestSpanIdentity: a root draws a fresh trace, a child inherits its
+// parent's trace id and names it as parent_span, and Continue takes both
+// from the remote context — the three cases every cross-process link in
+// the repository is built from.
+func TestSpanIdentity(t *testing.T) {
+	root := NewSpan("root")
+	child := root.Child("child")
+	remote := TraceContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
+	cont := root.Continue("served", remote)
+	for _, s := range []*Span{cont, child, root} {
+		s.End()
+	}
+
+	sn := root.Snapshot()
+	rc, cc, xc := root.Context(), child.Context(), cont.Context()
+	if sn.TraceID != rc.TraceIDString() || sn.SpanID != formatSpanID(rc.SpanID) || sn.ParentSpan != "" {
+		t.Fatalf("root identity %q/%q/%q, context %+v", sn.TraceID, sn.SpanID, sn.ParentSpan, rc)
+	}
+	if len(sn.TraceID) != 32 || len(sn.SpanID) != 16 {
+		t.Fatalf("identity not in traceparent hex widths: %q %q", sn.TraceID, sn.SpanID)
+	}
+	c := sn.Children[0]
+	if c.TraceID != sn.TraceID || c.ParentSpan != sn.SpanID || cc.SpanID == rc.SpanID {
+		t.Fatalf("child identity %+v under root %q/%q", c, sn.TraceID, sn.SpanID)
+	}
+	x := sn.Children[1]
+	if x.TraceID != remote.TraceIDString() || x.ParentSpan != formatSpanID(remote.SpanID) || xc.TraceID != remote.TraceID {
+		t.Fatalf("continued identity %+v, remote %+v", x, remote)
+	}
+	var nilSpan *Span
+	if nilSpan.Context().Valid() || nilSpan.Continue("x", remote) != nil {
+		t.Fatal("nil span has identity")
+	}
+}

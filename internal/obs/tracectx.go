@@ -1,21 +1,21 @@
-// HTTP trace-context propagation for the serving plane: W3C
-// traceparent-compatible headers carry a request's trace identity from
-// treegate to treeserve replicas, a deterministic head sampler decides
-// once (at the first hop) whether a request is traced, and a bounded
-// TraceBuffer retains the span forests of completed sampled requests
-// for /trace/requests and the merged chrome-trace export.
+// Trace-context propagation: one TraceContext carries a request's trace
+// identity from treegate to treeserve replicas (as a W3C traceparent
+// header) and from an MPC coordinator to its workers (as the MPW1 trace
+// block), a deterministic head sampler decides once, at the first hop,
+// whether a request is traced, and a bounded TraceBuffer retains the
+// span forests of completed sampled requests for /trace/requests and the
+// merged chrome-trace export.
 //
-// The wire format is the W3C Trace Context header:
+// The HTTP form is the W3C Trace Context header:
 //
 //	traceparent: 00-<32 hex trace id>-<16 hex parent span id>-<2 hex flags>
 //
 // with flag bit 0 = sampled. The decision is made at the head of the
 // request path (the gate, or a replica hit directly) and every
 // downstream tier honors it, so one request is either traced end to end
-// or not at all — no torn traces. Replicas echo the span id they opened
-// in an X-Span-ID response header, which is how the gate's forward
-// spans learn their remote counterpart (`replica_span` metric) and how
-// the merged timeline nests replica work under gate attempts.
+// or not at all — no torn traces. Each edge has one link: the span a
+// downstream tier opens for the request records the upstream span named
+// in the context as its parent_span.
 //
 // Tracing obeys the package's write-only contract: spans record what a
 // request did, nothing reads them back, and a disabled tracer costs the
@@ -23,12 +23,11 @@
 package obs
 
 import (
-	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,16 +35,14 @@ import (
 )
 
 // Header names. TraceParentHeader follows the W3C Trace Context spec;
-// RequestIDHeader is the serving plane's request correlation id;
-// SpanIDHeader is the response header a traced replica echoes its root
-// span id on.
+// RequestIDHeader is the serving plane's request correlation id.
 const (
 	TraceParentHeader = "traceparent"
 	RequestIDHeader   = "X-Request-ID"
-	SpanIDHeader      = "X-Span-ID"
 )
 
-// TraceContext is one request's position in a distributed trace.
+// TraceContext is one request's position in a distributed trace: what
+// a traceparent header and an MPW1 trace block both carry.
 type TraceContext struct {
 	TraceID [16]byte // 128-bit id shared by every span of the request
 	SpanID  uint64   // the current (parent-for-downstream) span
@@ -74,51 +71,47 @@ func (tc TraceContext) HeaderValue() string {
 }
 
 // ParseTraceParent parses a traceparent header value. It accepts only
-// version 00 with a nonzero trace id and parent id; anything else
-// returns ok=false (a malformed header means "start a new trace", never
-// an error — tracing must not be able to fail a request).
+// version 00 with lowercase hex fields, as the W3C Trace Context spec
+// requires, and a nonzero trace id and parent id; anything else returns
+// ok=false (a malformed header means "start a new trace", never an
+// error — tracing must not be able to fail a request).
 func ParseTraceParent(v string) (TraceContext, bool) {
-	parts := strings.Split(strings.TrimSpace(v), "-")
-	if len(parts) != 4 || parts[0] != "00" || len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) != 2 {
+	v = strings.TrimSpace(v)
+	if len(v) != 55 || v[:3] != "00-" || v[35] != '-' || v[52] != '-' {
 		return TraceContext{}, false
 	}
-	var tc TraceContext
-	for i := 0; i < 16; i++ {
-		b, err := strconv.ParseUint(parts[1][2*i:2*i+2], 16, 8)
-		if err != nil {
-			return TraceContext{}, false
-		}
-		tc.TraceID[i] = byte(b)
-	}
-	span, err := strconv.ParseUint(parts[2], 16, 64)
-	if err != nil {
+	hi, ok1 := parseLowerHex(v[3:19])
+	lo, ok2 := parseLowerHex(v[19:35])
+	span, ok3 := parseLowerHex(v[36:52])
+	flags, ok4 := parseLowerHex(v[53:55])
+	if !ok1 || !ok2 || !ok3 || !ok4 {
 		return TraceContext{}, false
 	}
-	flags, err := strconv.ParseUint(parts[3], 16, 8)
-	if err != nil {
-		return TraceContext{}, false
-	}
-	tc.SpanID = span
-	tc.Sampled = flags&1 == 1
+	tc := TraceContext{SpanID: span, Sampled: flags&1 == 1}
+	binary.BigEndian.PutUint64(tc.TraceID[:8], hi)
+	binary.BigEndian.PutUint64(tc.TraceID[8:], lo)
 	if !tc.Valid() {
 		return TraceContext{}, false
 	}
 	return tc, true
 }
 
-// FormatSpanID renders a span id as 16 hex digits (the X-Span-ID form).
-func FormatSpanID(id uint64) string { return fmt.Sprintf("%016x", id) }
-
-// ParseSpanID parses a 16-hex-digit span id; ok=false for anything else.
-func ParseSpanID(s string) (uint64, bool) {
-	if len(s) != 16 {
-		return 0, false
+// parseLowerHex decodes up to 16 lowercase hex digits; any other byte
+// (uppercase included) fails.
+func parseLowerHex(s string) (uint64, bool) {
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case '0' <= c && c <= '9':
+			v = v<<4 | uint64(c-'0')
+		case 'a' <= c && c <= 'f':
+			v = v<<4 | uint64(c-'a'+10)
+		default:
+			return 0, false
+		}
 	}
-	id, err := strconv.ParseUint(s, 16, 64)
-	if err != nil || id == 0 {
-		return 0, false
-	}
-	return id, true
+	return v, true
 }
 
 // ---- id generation ----
@@ -157,10 +150,9 @@ func NewTraceID() [16]byte {
 	return id
 }
 
-// NewSpanID draws a fresh nonzero span id. Ids stay below 2^63 so they
-// round-trip through the int64 span metrics exactly.
+// NewSpanID draws a fresh nonzero span id.
 func NewSpanID() uint64 {
-	id := splitmix64(idState.Add(0x9E3779B97F4A7C15)) &^ (1 << 63)
+	id := splitmix64(idState.Add(0x9E3779B97F4A7C15))
 	if id == 0 {
 		id = 1
 	}
@@ -306,37 +298,27 @@ func (t *Tracer) Buffer() *TraceBuffer {
 }
 
 // StartRequest opens the root span for one inbound request. A valid
-// parent context is continued (its sampled flag is final: unsampled
-// propagated requests stay unsampled regardless of the local policy);
-// otherwise a fresh trace id is drawn and the local sampler decides.
+// parent context is continued: the root takes its trace id and records
+// its span as parent_span, and its sampled flag is final (unsampled
+// propagated requests stay unsampled regardless of the local policy).
+// Otherwise a fresh trace id is drawn and the local sampler decides.
 // Unsampled requests return a nil span — all span calls downstream are
-// nil-safe no-ops — plus the context to propagate. Sampled roots carry
-// span_id, trace_id (low 64 bits), and parent_span metrics so merged
-// timelines can stitch processes together.
-func (t *Tracer) StartRequest(parent TraceContext, name string) (*Span, TraceContext) {
+// nil-safe no-ops.
+func (t *Tracer) StartRequest(parent TraceContext, name string) *Span {
 	if t == nil {
-		return nil, TraceContext{}
+		return nil
 	}
 	if parent.Valid() {
 		if !parent.Sampled {
-			return nil, parent
+			return nil
 		}
-		id := NewSpanID()
-		sp := NewSpan(name)
-		sp.Add("span_id", int64(id))
-		sp.Add("parent_span", int64(parent.SpanID&^(1<<63)))
-		sp.Add("trace_id", traceIDLow(parent.TraceID))
-		return sp, TraceContext{TraceID: parent.TraceID, SpanID: id, Sampled: true}
+		return newSpan(name, new(sync.RWMutex), parent.TraceID, parent.SpanID)
 	}
 	traceID := NewTraceID()
 	if !t.sampler.Sample(traceID) {
-		return nil, TraceContext{TraceID: traceID, SpanID: NewSpanID(), Sampled: false}
+		return nil
 	}
-	id := NewSpanID()
-	sp := NewSpan(name)
-	sp.Add("span_id", int64(id))
-	sp.Add("trace_id", traceIDLow(traceID))
-	return sp, TraceContext{TraceID: traceID, SpanID: id, Sampled: true}
+	return newSpan(name, new(sync.RWMutex), traceID, 0)
 }
 
 // Finish closes a request root and retains it. Nil-safe on both.
@@ -346,48 +328,6 @@ func (t *Tracer) Finish(root *Span) {
 	}
 	root.End()
 	t.buf.Add(root)
-}
-
-// traceIDLow folds the low 64 bits of a trace id into a span metric.
-func traceIDLow(id [16]byte) int64 {
-	var lo uint64
-	for i := 0; i < 8; i++ {
-		lo |= uint64(id[8+i]) << (8 * i)
-	}
-	return int64(lo &^ (1 << 63))
-}
-
-// ---- request-context plumbing ----
-
-type traceCtxKey struct{}
-
-// requestTrace is what rides the context: the live root span plus the
-// propagation identity.
-type requestTrace struct {
-	span *Span
-	tctx TraceContext
-}
-
-// ContextWithTrace attaches a request's root span and trace identity to
-// a context for handlers downstream.
-func ContextWithTrace(ctx context.Context, span *Span, tctx TraceContext) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, &requestTrace{span: span, tctx: tctx})
-}
-
-// TraceFromContext returns the request's root span and trace identity,
-// or (nil, zero) when the request is untraced.
-func TraceFromContext(ctx context.Context) (*Span, TraceContext) {
-	if rt, ok := ctx.Value(traceCtxKey{}).(*requestTrace); ok {
-		return rt.span, rt.tctx
-	}
-	return nil, TraceContext{}
-}
-
-// SpanFromContext is TraceFromContext for callers that only open child
-// spans. Returns nil (safe for every Span method) when untraced.
-func SpanFromContext(ctx context.Context) *Span {
-	sp, _ := TraceFromContext(ctx)
-	return sp
 }
 
 // RegisterRequestTraces mounts GET /trace/requests on mux: the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +38,10 @@ func TestTraceParentRejectsMalformed(t *testing.T) {
 		"00-0102030405060708090a0b0c0d0e0f-1234567890abcdef-01",   // short trace id
 		"00-0102030405060708090a0b0c0d0e0f10-1234567890abcde-01",  // short span id
 		"00-0102030405060708090a0b0c0d0e0fzz-1234567890abcdef-01", // bad hex
+		"00-0102030405060708090A0B0C0D0E0F10-1234567890abcdef-01", // uppercase trace id
+		"00-0102030405060708090a0b0c0d0e0f10-1234567890ABCDEF-01", // uppercase span id
+		"00-0102030405060708090a0b0c0d0e0f10-1234567890abcdef-0A", // uppercase flags
+		"00-0102030405060708090a0b0c0d0e0f10-+234567890abcdef-01", // sign is not hex
 		"garbage",
 		"00-0102030405060708090a0b0c0d0e0f10-1234567890abcdef",
 	}
@@ -47,22 +52,24 @@ func TestTraceParentRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestSpanIDRoundTrip: fresh span ids are nonzero, use all 64 bits, and
+// survive the traceparent round trip a downstream hop parses them from.
 func TestSpanIDRoundTrip(t *testing.T) {
+	high := false
 	for i := 0; i < 100; i++ {
 		id := NewSpanID()
-		if id == 0 || id>>63 != 0 {
-			t.Fatalf("NewSpanID out of range: %x", id)
+		if id == 0 {
+			t.Fatal("NewSpanID drew 0")
 		}
-		got, ok := ParseSpanID(FormatSpanID(id))
-		if !ok || got != id {
-			t.Fatalf("span id round trip: %x -> %x ok=%v", id, got, ok)
+		high = high || id>>63 != 0
+		tc := TraceContext{TraceID: NewTraceID(), SpanID: id, Sampled: true}
+		got, ok := ParseTraceParent(tc.HeaderValue())
+		if !ok || got != tc {
+			t.Fatalf("span id round trip: %x -> %+v ok=%v", id, got, ok)
 		}
 	}
-	if _, ok := ParseSpanID("xyz"); ok {
-		t.Fatal("ParseSpanID accepted garbage")
-	}
-	if _, ok := ParseSpanID("0000000000000000"); ok {
-		t.Fatal("ParseSpanID accepted zero")
+	if !high {
+		t.Fatal("100 span ids never set bit 63: ids are still clamped")
 	}
 }
 
@@ -127,25 +134,25 @@ func TestTraceBufferRing(t *testing.T) {
 func TestTracerStartRequest(t *testing.T) {
 	tr := NewTracer(1, 16)
 
-	// Fresh trace, sampler keeps everything.
-	sp, tctx := tr.StartRequest(TraceContext{}, "serve dist")
-	if sp == nil || !tctx.Sampled || !tctx.Valid() {
+	// Fresh trace, sampler keeps everything; a fresh root has no parent.
+	sp := tr.StartRequest(TraceContext{}, "serve dist")
+	tctx := sp.Context()
+	if sp == nil || !tctx.Valid() {
 		t.Fatalf("fresh sampled request: span=%v tctx=%+v", sp, tctx)
 	}
-	if sp.Metric("span_id") != int64(tctx.SpanID) {
-		t.Fatal("root span_id metric does not match context span id")
-	}
-	if sp.Metric("parent_span") != 0 {
-		t.Fatal("fresh root has a parent_span")
+	if sn := sp.Snapshot(); sn.ParentSpan != "" || sn.SpanID != formatSpanID(tctx.SpanID) {
+		t.Fatalf("fresh root identity: %+v, context %+v", sn, tctx)
 	}
 	tr.Finish(sp)
 	if got := len(tr.Buffer().Snapshots()); got != 1 {
 		t.Fatalf("buffer has %d roots, want 1", got)
 	}
 
-	// Propagated sampled parent is continued with a fresh span id.
-	child, ctctx := tr.StartRequest(tctx, "serve knn")
-	if child == nil || !ctctx.Sampled {
+	// Propagated sampled parent is continued with a fresh span id that
+	// records the parent.
+	child := tr.StartRequest(tctx, "serve knn")
+	ctctx := child.Context()
+	if child == nil {
 		t.Fatal("sampled parent not continued")
 	}
 	if ctctx.TraceID != tctx.TraceID {
@@ -154,55 +161,64 @@ func TestTracerStartRequest(t *testing.T) {
 	if ctctx.SpanID == tctx.SpanID {
 		t.Fatal("child reused parent span id")
 	}
-	if child.Metric("parent_span") != int64(tctx.SpanID) {
-		t.Fatal("child parent_span metric wrong")
+	if got := child.Snapshot().ParentSpan; got != formatSpanID(tctx.SpanID) {
+		t.Fatalf("continued root parent_span = %q, want %016x", got, tctx.SpanID)
 	}
 
 	// Propagated unsampled parent stays unsampled even at fraction 1.
 	unsampled := tctx
 	unsampled.Sampled = false
-	sp2, tctx2 := tr.StartRequest(unsampled, "serve dist")
-	if sp2 != nil || tctx2.Sampled {
+	if sp2 := tr.StartRequest(unsampled, "serve dist"); sp2 != nil {
 		t.Fatal("unsampled propagated request was sampled locally")
 	}
 
-	// Fraction 0: fresh requests never sampled, context still propagable.
-	tr0 := NewTracer(0, 16)
-	sp3, tctx3 := tr0.StartRequest(TraceContext{}, "serve dist")
-	if sp3 != nil || tctx3.Sampled || !tctx3.Valid() {
-		t.Fatalf("0-fraction tracer: span=%v tctx=%+v", sp3, tctx3)
+	// Fraction 0: fresh requests never sampled.
+	if sp3 := NewTracer(0, 16).StartRequest(TraceContext{}, "serve dist"); sp3 != nil {
+		t.Fatal("0-fraction tracer sampled a fresh request")
 	}
 
 	// Nil tracer is inert.
 	var nilT *Tracer
-	if sp, _ := nilT.StartRequest(TraceContext{}, "x"); sp != nil {
+	if sp := nilT.StartRequest(TraceContext{}, "x"); sp != nil {
 		t.Fatal("nil tracer produced a span")
 	}
 	nilT.Finish(NewSpan("x"))
 }
 
+// TestContextPlumbing: inside the request wrapper, handlers read the
+// request id and the root span from the request context; outside it
+// both are empty.
 func TestContextPlumbing(t *testing.T) {
-	ctx := context.Background()
-	if sp := SpanFromContext(ctx); sp != nil {
-		t.Fatal("empty context produced a span")
+	if SpanFromContext(context.Background()) != nil || RequestIDFromContext(context.Background()) != "" {
+		t.Fatal("empty context produced request state")
 	}
-	root := NewSpan("req")
-	tctx := TraceContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
-	ctx = ContextWithTrace(ctx, root, tctx)
-	gotSp, gotCtx := TraceFromContext(ctx)
-	if gotSp != root || gotCtx != tctx {
-		t.Fatal("context round trip lost trace state")
+	tr := NewTracer(1, 4)
+	q := NewRequests(RequestsConfig{Family: "test", Tracer: tr, MaxBodyBytes: 1 << 10})
+	var gotID string
+	var gotSpan *Span
+	h := q.Wrap("echo", func(w http.ResponseWriter, r *http.Request) {
+		gotID = RequestIDFromContext(r.Context())
+		gotSpan = SpanFromContext(r.Context())
+		gotSpan.Child("decode").End()
+	})
+	req := httptest.NewRequest(http.MethodGet, "/echo", nil)
+	req.Header.Set(RequestIDHeader, "client-7")
+	h(httptest.NewRecorder(), req)
+	if gotID != "client-7" {
+		t.Fatalf("request id in context = %q, want client-7", gotID)
 	}
-	// Child spans from the context are attached to the root.
-	SpanFromContext(ctx).Child("decode").End()
-	if len(root.Snapshot().Children) != 1 {
-		t.Fatal("child not attached to root")
+	roots := tr.Buffer().Snapshots()
+	if gotSpan == nil || len(roots) != 1 || roots[0].Name != "test echo" || roots[0].SpanID != formatSpanID(gotSpan.Context().SpanID) {
+		t.Fatalf("root span in context %v, finished roots %+v", gotSpan, roots)
+	}
+	if len(roots[0].Children) != 1 || roots[0].Metrics["status"] != http.StatusOK {
+		t.Fatalf("root %+v: want one child and status 200", roots[0])
 	}
 }
 
 func TestRegisterRequestTraces(t *testing.T) {
 	tr := NewTracer(1, 8)
-	sp, _ := tr.StartRequest(TraceContext{}, "serve dist")
+	sp := tr.StartRequest(TraceContext{}, "serve dist")
 	sp.Child("compute_dist").End()
 	tr.Finish(sp)
 
@@ -225,4 +241,41 @@ func TestRegisterRequestTraces(t *testing.T) {
 	if len(doc.Spans[0].Children) != 1 || doc.Spans[0].Children[0].Name != "compute_dist" {
 		t.Fatalf("children = %+v", doc.Spans[0].Children)
 	}
+}
+
+// FuzzParseTraceParent: the parser never panics, an accepted header is
+// Valid, the context re-renders to a header that parses back to it, and
+// the re-rendered version, trace id and span id are the accepted bytes
+// (W3C allows lowercase hex only, so no other spelling may parse).
+func FuzzParseTraceParent(f *testing.F) {
+	for _, seed := range []string{
+		"00-0102030405060708090a0b0c0d0e0f10-1234567890abcdef-01",
+		"00-0102030405060708090a0b0c0d0e0f10-1234567890abcdef-00",
+		"00-0102030405060708090a0b0c0d0e0f10-1234567890abcdef-ff",
+		" 00-0102030405060708090a0b0c0d0e0f10-1234567890abcdef-01 ",
+		"00-0102030405060708090A0B0C0D0E0F10-1234567890ABCDEF-01", // uppercase: rejected
+		"00-00000000000000000000000000000000-1234567890abcdef-01",
+		"ff-0102030405060708090a0b0c0d0e0f10-1234567890abcdef-01",
+		"",
+		"00--01",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		tc, ok := ParseTraceParent(v)
+		if !ok {
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("accepted %q as invalid context %+v", v, tc)
+		}
+		hv := tc.HeaderValue()
+		got, ok := ParseTraceParent(hv)
+		if !ok || got != tc {
+			t.Fatalf("%q: re-rendered %q parses to %+v ok=%v, want %+v", v, hv, got, ok, tc)
+		}
+		if in := strings.TrimSpace(v); in[:53] != hv[:53] {
+			t.Fatalf("accepted %q, which renders as %q", in, hv)
+		}
+	})
 }

@@ -16,8 +16,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"strconv"
-	"sync/atomic"
 	"time"
 
 	"mpctree/internal/hst"
@@ -42,10 +40,10 @@ type Options struct {
 	// Tracer, if non-nil, enables per-request span tracing: a sampled
 	// request gets a root span ("serve <endpoint>") with decode,
 	// registry_snapshot, compute_*, and encode children, continuing a
-	// propagated traceparent context (the gate's) when one arrives and
-	// echoing the root span id in X-Span-ID. Tracing is write-only —
-	// responses are bit-identical with it on or off — and a nil tracer
-	// costs the hot path one atomic pointer load.
+	// propagated traceparent context (the gate's) when one arrives, so
+	// the root records the caller's span as its parent_span. Tracing is
+	// write-only — responses are bit-identical with it on or off — and a
+	// nil tracer costs the hot path one atomic pointer load.
 	Tracer *obs.Tracer
 	// SlowLog, if non-nil, emits a sampled structured record for
 	// requests over its threshold (every Nth candidate).
@@ -56,30 +54,15 @@ type Options struct {
 	SLOTarget time.Duration
 }
 
-// DefaultLatencyBuckets spans 100µs–25s in powers of ~5 — wide enough
-// for a leaf-cache-hot dist batch and a cold multi-megabyte EMD alike.
-func DefaultLatencyBuckets() []float64 {
-	return []float64{1e-4, 5e-4, 2.5e-3, 1.25e-2, 6.25e-2, 0.3125, 1.5625, 7.8125, 25}
-}
-
 // Server answers tree-metric queries from a Registry.
 type Server struct {
 	trees    *Registry
 	workers  int
 	deadline time.Duration
-	maxBody  int64
 	maxBatch int
 
-	reg      *obs.Registry
+	requests *obs.Requests // request id, tracing, metering, logs
 	inflight *obs.Gauge
-
-	tracer    atomic.Pointer[obs.Tracer] // nil = tracing disabled
-	slow      *obs.SlowLog
-	sloTarget float64 // latency objective in seconds; 0 = none
-
-	logger  *slog.Logger
-	startID string        // request-id prefix, unique per server start
-	reqSeq  atomic.Uint64 // request-id sequence
 }
 
 // NewServer wraps a tree registry in the HTTP query API.
@@ -88,30 +71,23 @@ func NewServer(trees *Registry, opts Options) *Server {
 		trees:    trees,
 		workers:  par.Workers(opts.Workers),
 		deadline: opts.Deadline,
-		maxBody:  opts.MaxBodyBytes,
 		maxBatch: opts.MaxBatch,
-		reg:      opts.Obs,
-		logger:   opts.Logger,
-		slow:     opts.SlowLog,
-		startID:  strconv.FormatInt(time.Now().UnixNano(), 36),
-	}
-	if opts.Tracer != nil {
-		s.tracer.Store(opts.Tracer)
-	}
-	if opts.SLOTarget > 0 {
-		s.sloTarget = opts.SLOTarget.Seconds()
 	}
 	if s.deadline == 0 {
 		s.deadline = 30 * time.Second
 	}
-	if s.maxBody <= 0 {
-		s.maxBody = 8 << 20
+	maxBody := opts.MaxBodyBytes
+	if maxBody <= 0 {
+		maxBody = 8 << 20
 	}
 	if s.maxBatch <= 0 {
 		s.maxBatch = 1 << 20
 	}
-	if s.reg != nil {
-		s.inflight = s.reg.Gauge("serve_inflight_requests", "Requests currently executing.")
+	s.requests = obs.NewRequests(obs.RequestsConfig{Family: "serve", Help: "API",
+		Registry: opts.Obs, SLOTarget: opts.SLOTarget,
+		MaxBodyBytes: maxBody, Tracer: opts.Tracer, SlowLog: opts.SlowLog, Logger: opts.Logger})
+	if opts.Obs != nil {
+		s.inflight = opts.Obs.Gauge("serve_inflight_requests", "Requests currently executing.")
 	}
 	return s
 }
@@ -144,95 +120,24 @@ func notFound(err error) error {
 	return &apiError{status: http.StatusNotFound, msg: err.Error()}
 }
 
-// endpoint wraps a handler with the cross-cutting serving concerns:
-// method check, body limit, per-request deadline, panic containment,
-// and metering (request counter, error counter by status class, latency
-// histogram, in-flight gauge). The handler body runs in its own
-// goroutine so a blown deadline answers 503 immediately; the tree
-// snapshot the stray computation holds stays valid regardless of
-// reloads, so it finishes harmlessly and is discarded.
-func (s *Server) endpoint(name, method string, fn func(*http.Request) (any, error)) http.HandlerFunc {
-	var requests, errors4xx, errors5xx *obs.Counter
-	var objective *obs.Objective
-	if s.reg != nil {
-		requests = s.reg.Counter("serve_requests_total", "API requests received.", "endpoint", name)
-		errors4xx = s.reg.Counter("serve_errors_total", "API requests answered with an error status.", "endpoint", name, "class", "4xx")
-		errors5xx = s.reg.Counter("serve_errors_total", "API requests answered with an error status.", "endpoint", name, "class", "5xx")
-		latency := s.reg.Histogram("serve_request_seconds", "API request latency in seconds.", DefaultLatencyBuckets(), "endpoint", name)
-		objective = obs.NewObjective(s.reg, "serve", name, latency, s.sloTarget)
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		reqID := r.Header.Get(obs.RequestIDHeader)
-		if reqID == "" {
-			reqID = s.startID + "-" + strconv.FormatUint(s.reqSeq.Add(1), 10)
-		}
-		w.Header().Set(obs.RequestIDHeader, reqID)
-		status := http.StatusOK
-		// Tracing: the disabled path is exactly this one atomic load. A
-		// sampled request opens a root span, continued from the gate's
-		// propagated context when one arrives; the root span id is echoed
-		// in X-Span-ID so the gate's forward span can nest this one.
-		var span *obs.Span
-		var tctx obs.TraceContext
-		if tr := s.tracer.Load(); tr != nil {
-			parent, _ := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader))
-			span, tctx = tr.StartRequest(parent, "serve "+name)
-			if span != nil {
-				w.Header().Set(obs.SpanIDHeader, obs.FormatSpanID(tctx.SpanID))
-				defer func() {
-					span.Add("status", int64(status))
-					tr.Finish(span)
-				}()
-			}
-		}
-		if s.logger != nil || s.slow != nil {
-			defer func() {
-				d := time.Since(start)
-				attrs := []any{
-					"request_id", reqID, "endpoint", name,
-					"method", r.Method, "path", r.URL.Path,
-					"status", status,
-					"duration_ms", float64(d.Microseconds()) / 1000,
-					"remote", r.RemoteAddr}
-				if span != nil {
-					attrs = append(attrs, "trace_id", tctx.TraceIDString())
-				}
-				s.slow.Observe(d, attrs...)
-				if s.logger != nil {
-					s.logger.Info("request", attrs...)
-				}
-			}()
-		}
-		if requests != nil {
-			requests.Inc()
+// endpoint wraps a handler with the serving concerns: the shared
+// request wrapper (request id, tracing, metering, body limit, logs) plus
+// the method check, per-request deadline, panic containment, and the
+// in-flight gauge. The handler body runs in its own goroutine, under a
+// context carrying the deadline, so a blown deadline answers 503
+// immediately; the tree snapshot the stray computation holds stays valid
+// regardless of reloads, so it finishes harmlessly and is discarded.
+func (s *Server) endpoint(name, method string, fn func(context.Context, *http.Request) (any, error)) http.HandlerFunc {
+	return s.requests.Wrap(name, func(w http.ResponseWriter, r *http.Request) {
+		if s.inflight != nil {
 			s.inflight.Add(1)
 			defer s.inflight.Add(-1)
-			defer func() { objective.Observe(time.Since(start).Seconds()) }()
-		}
-		fail := func(st int, msg string) {
-			status = st
-			if st >= 500 {
-				if errors5xx != nil {
-					errors5xx.Inc()
-				}
-			} else if errors4xx != nil {
-				errors4xx.Inc()
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(st)
-			_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 		}
 		if method != "" && r.Method != method {
-			fail(http.StatusMethodNotAllowed, fmt.Sprintf("%s requires %s", r.URL.Path, method))
+			writeError(w, http.StatusMethodNotAllowed, fmt.Sprintf("%s requires %s", r.URL.Path, method))
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-
 		ctx := r.Context()
-		if span != nil {
-			ctx = obs.ContextWithTrace(ctx, span, tctx)
-		}
 		if s.deadline > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.deadline)
@@ -250,28 +155,39 @@ func (s *Server) endpoint(name, method string, fn func(*http.Request) (any, erro
 						msg: fmt.Sprintf("internal: %v", p)}}
 				}
 			}()
-			v, err := fn(r.WithContext(ctx))
+			v, err := fn(ctx, r)
 			done <- result{v: v, err: err}
 		}()
 		select {
 		case <-ctx.Done():
-			fail(http.StatusServiceUnavailable, fmt.Sprintf("deadline exceeded after %v", s.deadline))
+			writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("deadline exceeded after %v", s.deadline))
 		case res := <-done:
 			if res.err != nil {
 				var ae *apiError
 				if errors.As(res.err, &ae) {
-					fail(ae.status, ae.msg)
+					writeError(w, ae.status, ae.msg)
 				} else {
-					fail(http.StatusInternalServerError, res.err.Error())
+					writeError(w, http.StatusInternalServerError, res.err.Error())
 				}
 				return
 			}
-			esp := span.Child("encode")
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(res.v)
+			esp := obs.SpanFromContext(ctx).Child("encode")
+			writeJSON(w, http.StatusOK, res.v)
 			esp.End()
 		}
-	}
+	})
+}
+
+// writeJSON answers v as JSON with the given status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeError answers a structured JSON error.
+func writeError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, map[string]string{"error": msg})
 }
 
 // decode unmarshals the request body into req, translating the
@@ -331,8 +247,8 @@ type DistResponse struct {
 	Dists      []float64 `json:"dists"`
 }
 
-func (s *Server) handleDist(r *http.Request) (any, error) {
-	span := obs.SpanFromContext(r.Context())
+func (s *Server) handleDist(ctx context.Context, r *http.Request) (any, error) {
+	span := obs.SpanFromContext(ctx)
 	var req DistRequest
 	dsp := span.Child("decode")
 	err := decode(r, &req)
@@ -364,7 +280,7 @@ func (s *Server) handleDist(r *http.Request) (any, error) {
 	// The request context carries the per-request deadline: a timed-out
 	// batch stops its in-flight shards instead of computing a result
 	// nobody will read.
-	err = par.ForCtx(r.Context(), s.workers, len(req.Pairs), func(lo, hi int) {
+	err = par.ForCtx(ctx, s.workers, len(req.Pairs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = t.Dist(req.Pairs[i][0], req.Pairs[i][1])
 		}
@@ -398,8 +314,8 @@ type KNNResponse struct {
 	Neighbors  [][]hst.Neighbor `json:"neighbors"`
 }
 
-func (s *Server) handleKNN(r *http.Request) (any, error) {
-	span := obs.SpanFromContext(r.Context())
+func (s *Server) handleKNN(ctx context.Context, r *http.Request) (any, error) {
+	span := obs.SpanFromContext(ctx)
 	var req KNNRequest
 	dsp := span.Child("decode")
 	err := decode(r, &req)
@@ -436,7 +352,7 @@ func (s *Server) handleKNN(r *http.Request) (any, error) {
 	csp := span.Child("compute_knn")
 	csp.Add("points", int64(len(points)))
 	csp.Add("k", int64(req.K))
-	err = par.ForCtx(r.Context(), s.workers, len(points), func(lo, hi int) {
+	err = par.ForCtx(ctx, s.workers, len(points), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = t.KNN(points[i], req.K)
 		}
@@ -465,8 +381,8 @@ type CutResponse struct {
 	Sizes    []int   `json:"sizes"`
 }
 
-func (s *Server) handleCut(r *http.Request) (any, error) {
-	span := obs.SpanFromContext(r.Context())
+func (s *Server) handleCut(ctx context.Context, r *http.Request) (any, error) {
+	span := obs.SpanFromContext(ctx)
 	var req CutRequest
 	dsp := span.Child("decode")
 	err := decode(r, &req)
@@ -517,8 +433,8 @@ type EMDResponse struct {
 	EMD  float64 `json:"emd"`
 }
 
-func (s *Server) handleEMD(r *http.Request) (any, error) {
-	span := obs.SpanFromContext(r.Context())
+func (s *Server) handleEMD(ctx context.Context, r *http.Request) (any, error) {
+	span := obs.SpanFromContext(ctx)
 	var req EMDRequest
 	dsp := span.Child("decode")
 	err := decode(r, &req)
@@ -560,8 +476,8 @@ type MedoidResponse struct {
 	TotalDist float64 `json:"total_dist"`
 }
 
-func (s *Server) handleMedoid(r *http.Request) (any, error) {
-	span := obs.SpanFromContext(r.Context())
+func (s *Server) handleMedoid(ctx context.Context, r *http.Request) (any, error) {
+	span := obs.SpanFromContext(ctx)
 	var req MedoidRequest
 	dsp := span.Child("decode")
 	err := decode(r, &req)
@@ -589,7 +505,7 @@ type TreesResponse struct {
 	Trees []TreeInfo `json:"trees"`
 }
 
-func (s *Server) handleTrees(r *http.Request) (any, error) {
+func (s *Server) handleTrees(_ context.Context, r *http.Request) (any, error) {
 	if r.Method != http.MethodGet {
 		return nil, &apiError{status: http.StatusMethodNotAllowed, msg: "/v1/trees is GET; reload via POST /v1/trees/reload"}
 	}
@@ -606,7 +522,7 @@ type ReloadResponse struct {
 	Tree TreeInfo `json:"tree"`
 }
 
-func (s *Server) handleReload(r *http.Request) (any, error) {
+func (s *Server) handleReload(_ context.Context, r *http.Request) (any, error) {
 	var req ReloadRequest
 	if err := decode(r, &req); err != nil {
 		return nil, err
@@ -634,7 +550,7 @@ type QualityResponse struct {
 	Results []QualityResult `json:"results"`
 }
 
-func (s *Server) handleQuality(r *http.Request) (any, error) {
+func (s *Server) handleQuality(_ context.Context, r *http.Request) (any, error) {
 	if name := r.URL.Query().Get("tree"); name != "" {
 		res, err := s.trees.Quality(name)
 		if err != nil {

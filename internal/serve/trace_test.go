@@ -38,22 +38,18 @@ func postTraced(t *testing.T, url string, body []byte, hdrs map[string]string) (
 
 // TestTracedRequestSpanShape: a propagated sampled request yields one
 // root span named after the endpoint with decode/registry_snapshot/
-// compute/encode children, the parent_span metric naming the caller's
-// span, and the root's span id echoed in X-Span-ID.
+// compute/encode children, continuing the caller's trace with the
+// caller's span as parent_span.
 func TestTracedRequestSpanShape(t *testing.T) {
 	tracer := obs.NewTracer(0, 64) // 0: only propagated traces sampled
 	srv, _, _, _ := newTestServer(t, Options{Tracer: tracer})
 
 	parent := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Sampled: true}
 	body, _ := json.Marshal(DistRequest{Tree: "t", Pairs: [][2]int{{0, 1}, {2, 3}}})
-	status, hdr, _ := postTraced(t, srv.URL+"/v1/dist", body,
+	status, _, _ := postTraced(t, srv.URL+"/v1/dist", body,
 		map[string]string{obs.TraceParentHeader: parent.HeaderValue()})
 	if status != http.StatusOK {
 		t.Fatalf("dist: %d", status)
-	}
-	echoed, ok := obs.ParseSpanID(hdr.Get(obs.SpanIDHeader))
-	if !ok {
-		t.Fatalf("X-Span-ID not echoed: %q", hdr.Get(obs.SpanIDHeader))
 	}
 
 	roots := tracer.Buffer().Snapshots()
@@ -64,11 +60,11 @@ func TestTracedRequestSpanShape(t *testing.T) {
 	if root.Name != "serve dist" || root.Running {
 		t.Fatalf("root = %q running=%v", root.Name, root.Running)
 	}
-	if root.Metrics["parent_span"] != int64(parent.SpanID) {
-		t.Fatalf("parent_span = %d, want %d", root.Metrics["parent_span"], parent.SpanID)
+	if want := fmt.Sprintf("%016x", parent.SpanID); root.ParentSpan != want {
+		t.Fatalf("parent_span = %q, want %q", root.ParentSpan, want)
 	}
-	if root.Metrics["span_id"] != int64(echoed) {
-		t.Fatalf("span_id metric %d != echoed %d", root.Metrics["span_id"], echoed)
+	if root.TraceID != parent.TraceIDString() || root.SpanID == "" || root.SpanID == root.ParentSpan {
+		t.Fatalf("root identity %q/%q does not continue trace %q", root.TraceID, root.SpanID, parent.TraceIDString())
 	}
 	if root.Metrics["status"] != http.StatusOK {
 		t.Fatalf("status metric = %d", root.Metrics["status"])
@@ -82,6 +78,9 @@ func TestTracedRequestSpanShape(t *testing.T) {
 		if c.Running {
 			t.Fatalf("child %q still running", c.Name)
 		}
+		if c.TraceID != root.TraceID || c.ParentSpan != root.SpanID {
+			t.Fatalf("child %q identity %q/%q, root %q/%q", c.Name, c.TraceID, c.ParentSpan, root.TraceID, root.SpanID)
+		}
 	}
 	for name, seen := range want {
 		if !seen {
@@ -94,15 +93,12 @@ func TestTracedRequestSpanShape(t *testing.T) {
 		}
 	}
 
-	// An unsampled propagated request records nothing and echoes no span.
+	// An unsampled propagated request records nothing.
 	parent.Sampled = false
-	status, hdr, _ = postTraced(t, srv.URL+"/v1/dist", body,
+	status, _, _ = postTraced(t, srv.URL+"/v1/dist", body,
 		map[string]string{obs.TraceParentHeader: parent.HeaderValue()})
 	if status != http.StatusOK {
 		t.Fatalf("unsampled dist: %d", status)
-	}
-	if hdr.Get(obs.SpanIDHeader) != "" {
-		t.Fatal("unsampled request echoed X-Span-ID")
 	}
 	if got := len(tracer.Buffer().Snapshots()); got != 1 {
 		t.Fatalf("unsampled request recorded a root (buffer=%d)", got)
@@ -116,12 +112,9 @@ func TestLocalHeadSampling(t *testing.T) {
 	srv, _, _, _ := newTestServer(t, Options{Tracer: always})
 	body, _ := json.Marshal(MedoidRequest{Tree: "t"})
 	for i := 0; i < 3; i++ {
-		status, hdr, _ := postTraced(t, srv.URL+"/v1/medoid", body, nil)
+		status, _, _ := postTraced(t, srv.URL+"/v1/medoid", body, nil)
 		if status != http.StatusOK {
 			t.Fatalf("medoid: %d", status)
-		}
-		if hdr.Get(obs.SpanIDHeader) == "" {
-			t.Fatal("sampled request missing X-Span-ID")
 		}
 	}
 	roots := always.Buffer().Snapshots()
@@ -129,8 +122,8 @@ func TestLocalHeadSampling(t *testing.T) {
 		t.Fatalf("recorded %d roots, want 3", len(roots))
 	}
 	for _, root := range roots {
-		if root.Name != "serve medoid" || root.Metrics["parent_span"] != 0 {
-			t.Fatalf("root %q parent_span=%d", root.Name, root.Metrics["parent_span"])
+		if root.Name != "serve medoid" || root.ParentSpan != "" || root.SpanID == "" {
+			t.Fatalf("root %q span_id=%q parent_span=%q", root.Name, root.SpanID, root.ParentSpan)
 		}
 	}
 }

@@ -9,10 +9,12 @@
 //	<dir>/<name>/000001.json   manifest for that version
 //	<dir>/<name>/CURRENT       decimal version number currently served
 //
-// Writes are crash-safe by construction: tree bytes and manifest are
-// written to temp files and renamed into place before CURRENT (itself
-// written via rename) is advanced, so a reader either sees the old
-// current version or the fully-written new one — never a torn state.
+// Publishes survive a process crash and a power loss: tree bytes and
+// manifest are written to temp files, fsynced, and renamed into place,
+// with the directory fsynced after each rename (and after creating a new
+// tree's directory), before CURRENT (itself written the same way) is
+// advanced — so a reader, or a restart after either failure, sees the old
+// current version or the fully-written new one, never a torn state.
 // Loads re-hash the tree bytes and fail loudly on any disagreement
 // with the manifest (wrong length, wrong sha256, version skew), so a
 // corrupt or half-copied store can never silently serve wrong answers.
@@ -87,22 +89,43 @@ func (s *Store) ManifestPath(name string, version int64) string {
 	return filepath.Join(s.treeDir(name), fmt.Sprintf("%06d.json", version))
 }
 
-// writeFileAtomic writes data next to path and renames it into place.
+// writeFileAtomic writes data next to path, syncs it, renames it into
+// place, and syncs the directory, so the file is durable under its final
+// name once this returns.
 func writeFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir makes a directory's entries — a rename into it, a new
+// subdirectory — durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Save serializes t as the next version of name and advances CURRENT.
@@ -111,8 +134,14 @@ func (s *Store) Save(name string, t *hst.Tree) (Manifest, error) {
 	if err := checkName(name); err != nil {
 		return Manifest{}, err
 	}
+	_, statErr := os.Stat(s.treeDir(name))
 	if err := os.MkdirAll(s.treeDir(name), 0o755); err != nil {
 		return Manifest{}, fmt.Errorf("treestore: %w", err)
+	}
+	if os.IsNotExist(statErr) {
+		if err := syncDir(s.dir); err != nil {
+			return Manifest{}, fmt.Errorf("treestore: %w", err)
+		}
 	}
 	version := int64(1)
 	if cur, err := s.Current(name); err == nil {
@@ -148,8 +177,8 @@ func (s *Store) Save(name string, t *hst.Tree) (Manifest, error) {
 	if err := writeFileAtomic(s.ManifestPath(name, version), append(mbytes, '\n')); err != nil {
 		return Manifest{}, fmt.Errorf("treestore: write manifest: %w", err)
 	}
-	// CURRENT advances last: a crash before this line leaves the old
-	// version serving and the new files inert.
+	// CURRENT advances last: a crash or power loss before this line
+	// leaves the old version serving and the new files inert.
 	if err := writeFileAtomic(filepath.Join(s.treeDir(name), "CURRENT"),
 		[]byte(strconv.FormatInt(version, 10)+"\n")); err != nil {
 		return Manifest{}, fmt.Errorf("treestore: advance CURRENT: %w", err)
