@@ -1,6 +1,7 @@
-// benchdiff runs the worker-scaling benchmark suite at workers=1 and
-// workers=8 (the sub-benchmarks of bench_workers_test.go, plus the
-// DistFWHT record-routing benchmark), writes the results to a JSON report,
+// benchdiff runs the width-scaling benchmark suite at workers=1 and
+// workers=8 (the sub-benchmarks of bench_workers_test.go, each run at that
+// GOMAXPROCS, plus the DistFWHT record-routing benchmark), writes the
+// results to a JSON report,
 // and fails if any benchmark regressed by more than -threshold against the
 // committed baseline.
 //
@@ -16,11 +17,11 @@
 // lexicographically last BENCH_*.json), with the CPU-mismatch waiver
 // below taking over for the parallel benchmarks.
 //
-// The report records GOMAXPROCS and the CPU count: on a single-core
-// machine the workers=8 variants measure the worker pool's overhead, not
-// a speedup, and the speedup ratios must be read with that in mind. The
-// determinism suite guarantees both variants compute identical bits, so
-// the numbers are directly comparable.
+// The report records the machine's GOMAXPROCS and CPU count: on a
+// single-core machine the workers=8 variants measure the fan-out's
+// scheduling overhead, not a speedup, and the speedup ratios must be read
+// with that in mind. The determinism suite guarantees both variants
+// compute identical bits, so the numbers are directly comparable.
 package main
 
 import (

@@ -25,7 +25,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		machines = flag.Int("machines", 8, "simulated machines")
 		sparse   = flag.Bool("sparse", false, "use adversarially sparse inputs")
-		workers  = flag.Int("workers", 0, "data-parallel workers for pure compute (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -45,15 +44,13 @@ func main() {
 		*n, *d, params.K, params.DPad, params.Q, fjlt.NNZ(params, fjlt.DefaultBlockC(params.DPad)))
 
 	// Sequential.
-	tr := fjlt.FromParams(params)
-	tr.Workers = *workers
-	seqOut := tr.ApplyAll(pts)
+	seqOut := fjlt.FromParams(params).ApplyAll(pts)
 	fmt.Printf("sequential max pairwise distortion: %.4f (target ξ=%.2f)\n",
 		fjlt.MaxPairwiseDistortion(pts, seqOut), *xi)
 
 	// MPC.
 	c := mpc.New(mpc.Config{Machines: *machines, CapWords: 1 << 22})
-	mpcOut, err := fjlt.ApplyMPC(c, pts, params, 0, *workers)
+	mpcOut, err := fjlt.ApplyMPC(c, pts, params, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fjltdemo:", err)
 		os.Exit(1)

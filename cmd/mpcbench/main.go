@@ -51,7 +51,6 @@ func main() {
 	faults := flag.Float64("faults", 0, "per-round fault-injection probability for E16-Chaos (0 = its built-in rate ladder)")
 	faultSeed := flag.Uint64("fault-seed", 0, "fault-schedule seed (0 = derive from -seed)")
 	maxRetries := flag.Int("max-retries", 0, "per-stage retry budget for E16-Chaos (0 = default)")
-	workers := flag.Int("workers", 0, "data-parallel workers for pure compute; results are identical for any value (0 = GOMAXPROCS)")
 	transport := flag.String("transport", "sim", "MPC record plane: sim | tcp")
 	transportAddrs := flag.String("transport-addrs", "", "comma-separated worker addresses (with -transport=tcp)")
 	transportObs := flag.String("transport-obs", "", "comma-separated worker debug-endpoint URLs, index-aligned with -transport-addrs (with -transport=tcp); auto-filled by -transport-spawn")
@@ -86,7 +85,7 @@ func main() {
 	if *exp != "" {
 		ids = []string{*exp}
 	}
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, Workers: *workers, Faults: *faults, FaultSeed: *faultSeed, MaxRetries: *maxRetries}
+	cfg := experiments.Config{Quick: *quick, Seed: *seed, Faults: *faults, FaultSeed: *faultSeed, MaxRetries: *maxRetries}
 
 	// Observability first: the tcp transport factory captures the registry
 	// and wire-span root, so they must exist before the switch below.
@@ -102,7 +101,7 @@ func main() {
 		// Quality series ride the same registry: E17 publishes its audit
 		// reports through the collector, so a scrape of a live mpcbench
 		// run sees quality_* next to the mpc_* and par_* families.
-		cfg.Quality = quality.NewCollector(reg, quality.Config{Seed: *seed, Workers: *workers})
+		cfg.Quality = quality.NewCollector(reg, quality.Config{Seed: *seed})
 	}
 	if *traceOut != "" {
 		benchRoot = obs.NewSpan("mpcbench")

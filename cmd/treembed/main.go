@@ -57,7 +57,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		useMPC   = flag.Bool("mpc", false, "run the full MPC pipeline (FJLT + Algorithm 2)")
 		machines = flag.Int("machines", 8, "simulated machines (with -mpc)")
-		workers  = flag.Int("workers", 0, "data-parallel workers for pure compute; results are identical for any value (0 = GOMAXPROCS)")
 
 		transport      = flag.String("transport", "sim", "MPC record plane (with -mpc): sim | tcp")
 		transportAddrs = flag.String("transport-addrs", "", "comma-separated worker addresses (with -transport=tcp)")
@@ -113,7 +112,7 @@ func main() {
 	}
 
 	if *useMPC {
-		mopt := mpctree.MPCOptions{Machines: *machines, CapWords: 1 << 22, Seed: *seed, Workers: *workers, Trace: *trace}
+		mopt := mpctree.MPCOptions{Machines: *machines, CapWords: 1 << 22, Seed: *seed, Trace: *trace}
 
 		// Observability first: the tcp transport takes the registry and a
 		// wire-span root at dial time. Everything here is write-only
@@ -194,7 +193,7 @@ func main() {
 		}
 		if *audit {
 			mopt.Quality = mpctree.NewQualityCollector(reg,
-				mpctree.QualityConfig{MaxPairs: *auditPairs, Seed: *seed, Workers: *workers})
+				mpctree.QualityConfig{MaxPairs: *auditPairs, Seed: *seed})
 		}
 
 		if *faults > 0 {
@@ -310,13 +309,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	tree, info, err := mpctree.Embed(pts, mpctree.Options{Method: m, R: *r, Seed: *seed, Workers: *workers})
+	tree, info, err := mpctree.Embed(pts, mpctree.Options{Method: m, R: *r, Seed: *seed})
 	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("tree: %d nodes, height %d, levels %d, r=%d\n", tree.NumNodes(), tree.Height(), info.Levels, info.R)
 	if *audit {
-		rep, err := quality.Audit(tree, pts, quality.Config{MaxPairs: *auditPairs, Seed: *seed, Workers: *workers})
+		rep, err := quality.Audit(tree, pts, quality.Config{MaxPairs: *auditPairs, Seed: *seed})
 		if err != nil {
 			fail(err)
 		}
@@ -341,8 +340,8 @@ func main() {
 	}
 
 	if len(pts) <= 2048 && *trees > 0 {
-		dist, err := stats.MeasureDistortionPar(pts, *trees, *workers, func(s uint64) (*mpctree.Tree, error) {
-			t, _, err := core.Embed(pts, core.Options{Method: m, R: *r, Seed: *seed ^ s<<17, Workers: *workers})
+		dist, err := stats.MeasureDistortion(pts, *trees, func(s uint64) (*mpctree.Tree, error) {
+			t, _, err := core.Embed(pts, core.Options{Method: m, R: *r, Seed: *seed ^ s<<17})
 			return t, err
 		})
 		if err != nil {

@@ -18,7 +18,7 @@
 //	treeserve -tree demo=t.tree -addr :8080
 //	treeserve -store /var/trees -addr :8080
 //	treeserve -tree demo=t.tree -points demo=t.csv -audit-pairs 1024
-//	treeserve -tree a=a.tree -tree b=b.tree -deadline 5s -workers 4
+//	treeserve -tree a=a.tree -tree b=b.tree -deadline 5s
 //	treeserve -tree demo=t.tree -selftest -clients 8 -queries 20000
 //
 // API (JSON bodies; see docs/SERVING.md):
@@ -78,7 +78,6 @@ func main() {
 	var (
 		storeDir = flag.String("store", "", "versioned tree store directory (loads every tree in it; see treembed -store)")
 		addr     = flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
-		workers  = flag.Int("workers", 0, "data-parallel workers per batch request (0 = GOMAXPROCS)")
 		deadline = flag.Duration("deadline", 30*time.Second, "per-request wall budget (answers 503 when exceeded)")
 		maxBody  = flag.Int64("max-body", 8<<20, "maximum request body bytes")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
@@ -127,7 +126,6 @@ func main() {
 		registry.EnableQuality(quality.Config{
 			MaxPairs:     *auditPairs,
 			Seed:         *auditSeed,
-			Workers:      *workers,
 			MaxMeanRatio: *maxMean,
 		}, logger)
 	}
@@ -189,7 +187,6 @@ func main() {
 		tracer = obs.NewTracer(*traceSample, *traceBuf)
 	}
 	server := serve.NewServer(registry, serve.Options{
-		Workers:      *workers,
 		Deadline:     *deadline,
 		MaxBodyBytes: *maxBody,
 		Obs:          reg,

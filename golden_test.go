@@ -118,7 +118,7 @@ func TestGoldenFJLTApplyMPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mpc.New(mpc.Config{Machines: 6, CapWords: 1 << 20})
-	out, err := fjlt.ApplyMPC(c, pts, p, 0, 1)
+	out, err := fjlt.ApplyMPC(c, pts, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

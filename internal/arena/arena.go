@@ -26,12 +26,10 @@
 //     slice is still reachable is a state-bleed bug; the fuzz harness in
 //     this package hunts exactly that contract violation.
 //
-// An Arena is NOT safe for concurrent use. Parallel fan-outs use a Pool:
-// one Arena per static shard (par.Shards semantics), so each worker bumps
-// its own slabs. Shard boundaries are a pure function of the item count,
-// so which arena backs which item is deterministic — and since carved
-// contents are fully written by their owner before being read, arena
-// placement never changes computed values anyway.
+// An Arena is NOT safe for concurrent use. A data-parallel fan-out takes
+// one arena.New() per shard body, so each goroutine bumps its own slabs;
+// since carved contents are fully written by their owner before being
+// read, arena placement never changes computed values.
 package arena
 
 // Slab sizing, in elements. Growth is geometric — the first slab is small
@@ -91,7 +89,7 @@ func (s *slabs[T]) reset() { s.cur, s.off = 0, 0 }
 func (s *slabs[T]) release() { *s = slabs[T]{next: s.min, min: s.min, max: s.max} }
 
 // Arena is a bump allocator over typed slabs. Use New to construct; the
-// zero value is not valid. Not safe for concurrent use — see Pool.
+// zero value is not valid. Not safe for concurrent use.
 type Arena struct {
 	floats slabs[float64]
 	ints   slabs[int64]
@@ -100,17 +98,13 @@ type Arena struct {
 
 // New returns an empty arena.
 func New() *Arena {
-	a := &Arena{}
-	a.init()
-	return a
-}
-
-func (a *Arena) init() {
-	a.floats = slabs[float64]{next: minSlabWords, min: minSlabWords, max: maxSlabWords}
-	a.ints = slabs[int64]{next: minSlabWords, min: minSlabWords, max: maxSlabWords}
-	// Byte elements are 1/8 the size of the word chains; scale the slab
-	// sizes so all three chains span the same byte range.
-	a.bytes = slabs[byte]{next: minSlabWords * 8, min: minSlabWords * 8, max: maxSlabWords * 8}
+	return &Arena{
+		floats: slabs[float64]{next: minSlabWords, min: minSlabWords, max: maxSlabWords},
+		ints:   slabs[int64]{next: minSlabWords, min: minSlabWords, max: maxSlabWords},
+		// Byte elements are 1/8 the size of the word chains; scale the
+		// slab sizes so all three chains span the same byte range.
+		bytes: slabs[byte]{next: minSlabWords * 8, min: minSlabWords * 8, max: maxSlabWords * 8},
+	}
 }
 
 // Floats returns a zeroed []float64 of length and capacity n carved from
@@ -142,38 +136,4 @@ func (a *Arena) Release() {
 	a.floats.release()
 	a.ints.release()
 	a.bytes.release()
-}
-
-// Pool is a fixed set of arenas for data-parallel fan-outs: shard i of a
-// par.Shards call bumps Get(i) and nobody else touches it, so no
-// synchronisation is needed. The shard layout is a pure function of the
-// item count (par's contract), making arena placement deterministic.
-type Pool struct {
-	arenas []Arena
-}
-
-// NewPool returns a pool of n independent arenas (n ≥ 1 shards).
-func NewPool(n int) *Pool {
-	if n < 1 {
-		n = 1
-	}
-	p := &Pool{arenas: make([]Arena, n)}
-	for i := range p.arenas {
-		p.arenas[i].init()
-	}
-	return p
-}
-
-// Size returns the number of arenas in the pool.
-func (p *Pool) Size() int { return len(p.arenas) }
-
-// Get returns shard i's arena. Panics if i is out of range — a shard
-// indexing bug, not a recoverable condition.
-func (p *Pool) Get(i int) *Arena { return &p.arenas[i] }
-
-// Reset resets every arena in the pool (scratch mode, see Arena.Reset).
-func (p *Pool) Reset() {
-	for i := range p.arenas {
-		p.arenas[i].Reset()
-	}
 }

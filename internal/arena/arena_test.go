@@ -149,40 +149,6 @@ func TestReleaseReturnsToZeroState(t *testing.T) {
 	}
 }
 
-func TestPoolShardIsolation(t *testing.T) {
-	p := NewPool(4)
-	if p.Size() != 4 {
-		t.Fatalf("Size = %d", p.Size())
-	}
-	a0 := p.Get(0)
-	a1 := p.Get(1)
-	f0 := a0.Floats(32)
-	f1 := a1.Floats(32)
-	for i := range f0 {
-		f0[i] = 5
-	}
-	for _, v := range f1 {
-		if v != 0 {
-			t.Fatal("pool arenas share slabs")
-		}
-	}
-	p.Reset()
-	g0 := a0.Floats(32)
-	for _, v := range g0 {
-		if v != 0 {
-			t.Fatal("pool Reset did not re-zero")
-		}
-	}
-}
-
-func TestNewPoolClampsToOne(t *testing.T) {
-	p := NewPool(0)
-	if p.Size() != 1 {
-		t.Fatalf("Size = %d, want 1", p.Size())
-	}
-	_ = p.Get(0).Floats(1)
-}
-
 // TestSteadyStateAllocationFree pins the package's whole point: after
 // warm-up, a scratch-mode cycle of mixed carves costs zero heap objects.
 func TestSteadyStateAllocationFree(t *testing.T) {

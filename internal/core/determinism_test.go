@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"mpctree/internal/fjlt"
@@ -9,16 +10,17 @@ import (
 	"mpctree/internal/workload"
 )
 
-// End-to-end worker invariance: the sequential embedding and the full
-// Theorem-1 MPC pipeline must produce byte-identical trees at workers=1
-// and workers=8. This is the top-level statement of the reproducibility
+// End-to-end width invariance: the sequential embedding and the full
+// Theorem-1 MPC pipeline must produce byte-identical trees at GOMAXPROCS=1
+// and GOMAXPROCS=8. This is the top-level statement of the reproducibility
 // contract — everything below (fjlt, hadamard, partition, mpcembed, vec)
 // feeds into these two entry points.
 
-func embedBytes(t *testing.T, m Method, r, workers int) []byte {
+func embedBytes(t *testing.T, m Method, r, procs int) []byte {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	pts := workload.UniformLattice(81, 48, 8, 512)
-	tree, _, err := Embed(pts, Options{Method: m, R: r, Seed: 83, Workers: workers})
+	tree, _, err := Embed(pts, Options{Method: m, R: r, Seed: 83})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +42,8 @@ func TestEmbedWorkerInvariant(t *testing.T) {
 	}
 	for _, cse := range cases {
 		t.Run(cse.name, func(t *testing.T) {
-			want := embedBytes(t, cse.m, cse.r, 1)
-			for _, workers := range []int{2, 8} {
-				if got := embedBytes(t, cse.m, cse.r, workers); !bytes.Equal(got, want) {
-					t.Fatalf("workers=%d: tree bytes differ from serial run", workers)
-				}
+			if !bytes.Equal(embedBytes(t, cse.m, cse.r, 1), embedBytes(t, cse.m, cse.r, 8)) {
+				t.Fatal("tree bytes differ between GOMAXPROCS=1 and GOMAXPROCS=8")
 			}
 		})
 	}
@@ -52,13 +51,13 @@ func TestEmbedWorkerInvariant(t *testing.T) {
 
 func TestEmbedPipelineWorkerInvariant(t *testing.T) {
 	pts := workload.UniformLattice(85, 40, 96, 512)
-	run := func(workers int) []byte {
+	run := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 22})
 		tree, _, err := EmbedPipeline(c, pts, PipelineOptions{
-			Xi:      0.3,
-			FJLT:    fjlt.Options{CK: 1},
-			Seed:    87,
-			Workers: workers,
+			Xi:   0.3,
+			FJLT: fjlt.Options{CK: 1},
+			Seed: 87,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -69,10 +68,7 @@ func TestEmbedPipelineWorkerInvariant(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	want := run(1)
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: pipeline tree bytes differ from serial run", workers)
-		}
+	if !bytes.Equal(run(1), run(8)) {
+		t.Fatal("pipeline tree bytes differ between GOMAXPROCS=1 and GOMAXPROCS=8")
 	}
 }

@@ -21,7 +21,6 @@ import (
 
 	"mpctree/internal/grid"
 	"mpctree/internal/hst"
-	"mpctree/internal/par"
 	"mpctree/internal/partition"
 	"mpctree/internal/quality"
 	"mpctree/internal/rng"
@@ -84,12 +83,6 @@ type Options struct {
 	// Seed drives all randomness. Runs with equal options and seed are
 	// bit-identical.
 	Seed uint64
-
-	// Workers bounds the data-parallel fan-out of the per-point scans
-	// (diameter, min-distance, ball coverage checks; par.Workers semantics:
-	// ≤ 0 means GOMAXPROCS, 1 is serial). Grids are still drawn serially
-	// from the seeded RNG, so the tree is bit-identical for any value.
-	Workers int
 
 	// Quality, if non-nil, receives the per-level Lemma-1 observables
 	// (separation events, same-part diameters) for the collector's seeded
@@ -203,7 +196,7 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 
 	diam := opt.Diameter
 	if diam == 0 {
-		diam = vec.BoundsPar(work, opt.Workers).Diameter()
+		diam = vec.Bounds(work).Diameter()
 	}
 	if diam == 0 {
 		// All points identical; a root with one leaf per point at weight 0
@@ -219,7 +212,7 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 
 	minDist := opt.MinDist
 	if minDist == 0 {
-		minDist = vec.MinPairwiseDistPar(work, opt.Workers)
+		minDist = vec.MinPairwiseDist(work)
 		if math.IsInf(minDist, 1) {
 			minDist = diam
 		}
@@ -309,9 +302,9 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 		var err error
 		switch opt.Method {
 		case MethodGrid:
-			levIDs, used = assignGrid(rnd, work, active, w, opt.Workers)
+			levIDs, used = assignGrid(rnd, work, active, w)
 		default:
-			levIDs, used, err = assignHybrid(rnd, work, active, w, r, maxGrids, opt.Workers, info)
+			levIDs, used, err = assignHybrid(rnd, work, active, w, r, maxGrids, info)
 			if err != nil {
 				return nil, info, err
 			}
@@ -367,21 +360,18 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 func levelTag(lev int) string { return string([]byte{byte(lev)}) }
 
 // assignGrid assigns every active point its cell key under one random
-// shifted grid of cell width w. The per-point cell computation fans out
-// over workers; each point writes only its own id slot.
-func assignGrid(rnd *rng.RNG, pts []vec.Point, active []bool, w float64, workers int) ([]string, int) {
+// shifted grid of cell width w.
+func assignGrid(rnd *rng.RNG, pts []vec.Point, active []bool, w float64) ([]string, int) {
 	g := grid.New(rnd, len(pts[0]), w)
 	ids := make([]string, len(pts))
-	par.For(workers, len(pts), func(lo, hi int) {
-		var scratch []int64
-		for p := lo; p < hi; p++ {
-			if !active[p] {
-				continue
-			}
-			scratch = g.CellCoords(pts[p], scratch)
-			ids[p] = grid.Key(scratch)
+	var scratch []int64
+	for p, x := range pts {
+		if !active[p] {
+			continue
 		}
-	})
+		scratch = g.CellCoords(x, scratch)
+		ids[p] = grid.Key(scratch)
+	}
 	return ids, 1
 }
 
@@ -389,16 +379,14 @@ func assignGrid(rnd *rng.RNG, pts []vec.Point, active []bool, w float64, workers
 // w, drawing up to maxGrids grids per bucket. It mirrors Algorithm 2's
 // structure: grids are global per (level, bucket), not per cluster —
 // clusters are refined implicitly by the chain keys.
-func assignHybrid(rnd *rng.RNG, pts []vec.Point, active []bool, w float64, r, maxGrids, workers int, info *Info) ([]string, int, error) {
+func assignHybrid(rnd *rng.RNG, pts []vec.Point, active []bool, w float64, r, maxGrids int, info *Info) ([]string, int, error) {
 	n := len(pts)
 	d := len(pts[0])
 	ids := make([]string, n)
 	totalGrids := 0
-	covered := make([]int, par.Workers(workers))
+	var scratch [16]int64
 	for j := 0; j < r; j++ {
-		// Lazy draw: stop as soon as all active points are covered. Grids
-		// come serially off the RNG; the coverage scan fans out, each point
-		// writing only its own slot, with per-shard exact integer counts.
+		// Lazy draw: stop as soon as all active points are covered.
 		assigned := make([]string, n)
 		remaining := 0
 		for p := 0; p < n; p++ {
@@ -410,34 +398,24 @@ func assignHybrid(rnd *rng.RNG, pts []vec.Point, active []bool, w float64, r, ma
 			g := grid.New(rnd, d/r, 4*w)
 			totalGrids++
 			info.GridWords += g.Words()
-			s := par.Shards(workers, n, func(shard, lo, hi int) {
-				var scratch [16]int64
-				cnt := 0
-				for p := lo; p < hi; p++ {
-					if !active[p] || assigned[p] != "" {
-						continue
-					}
-					if idx, in := g.InBall(vec.Bucket(pts[p], j, r), w, scratch[:0]); in {
-						assigned[p] = grid.KeyWithPrefix(uint64(u), idx)
-						cnt++
-					}
+			for p := 0; p < n; p++ {
+				if !active[p] || assigned[p] != "" {
+					continue
 				}
-				covered[shard] = cnt
-			})
-			for i := 0; i < s; i++ {
-				remaining -= covered[i]
+				if idx, in := g.InBall(vec.Bucket(pts[p], j, r), w, scratch[:0]); in {
+					assigned[p] = grid.KeyWithPrefix(uint64(u), idx)
+					remaining--
+				}
 			}
 		}
 		if remaining > 0 {
 			return nil, totalGrids, fmt.Errorf("%w (bucket %d, scale %g, %d uncovered)", ErrCoverageFailure, j, w, remaining)
 		}
-		par.For(workers, n, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				if active[p] {
-					ids[p] += string([]byte{byte(j)}) + assigned[p]
-				}
+		for p := 0; p < n; p++ {
+			if active[p] {
+				ids[p] += string([]byte{byte(j)}) + assigned[p]
 			}
-		})
+		}
 	}
 	return ids, totalGrids, nil
 }

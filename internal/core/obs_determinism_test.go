@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"mpctree/internal/fjlt"
@@ -37,7 +38,7 @@ func runPipeline(t *testing.T, pts []vec.Point, opt PipelineOptions, instrument 
 // The hard determinism constraint of the observability layer: a fully
 // instrumented run (registry + spans + round trace + par/resilient
 // meters) must produce a tree byte-identical to the bare run, at any
-// worker count. Instrumentation is write-only; timing never feeds back.
+// GOMAXPROCS. Instrumentation is write-only; timing never feeds back.
 func TestObservabilityPreservesDeterminism(t *testing.T) {
 	pts := workload.UniformLattice(42, 48, 120, 512)
 	opt := PipelineOptions{Xi: 0.3, FJLT: fjlt.Options{CK: 1}, Seed: 7}
@@ -57,16 +58,17 @@ func TestObservabilityPreservesDeterminism(t *testing.T) {
 		t.Fatal("instrumented run's tree differs from uninstrumented run")
 	}
 
-	// Worker-count invariance must survive with observability on.
-	for _, workers := range []int{1, 8} {
+	// Width invariance must survive with observability on.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
 		wopt := iopt
-		wopt.Workers = workers
 		wspan := obs.NewSpan("test-workers")
 		wopt.Span = wspan
 		got, _ := runPipeline(t, pts, wopt, true, reg)
 		wspan.End()
 		if !bytes.Equal(bare, got) {
-			t.Fatalf("workers=%d with observability on: tree differs", workers)
+			t.Fatalf("GOMAXPROCS=%d with observability on: tree differs", procs)
 		}
 	}
 

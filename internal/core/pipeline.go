@@ -37,11 +37,6 @@ type PipelineOptions struct {
 	SkipJLBelow int
 	// Seed drives both stages.
 	Seed uint64
-	// Workers bounds the data-parallel fan-out of pure per-point/per-vector
-	// compute in both stages (par.Workers semantics: ≤ 0 means
-	// runtime.GOMAXPROCS(0), 1 is serial). The embedding is bit-identical
-	// for any value — randomness stays serial, only compute fans out.
-	Workers int
 
 	// Resilient executes each stage under the retrying driver: a
 	// checkpoint at every stage boundary, bounded retries after injected
@@ -131,9 +126,6 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 	fo := opt.FJLT
 	fo.Xi = xi
 	fo.Seed = opt.Seed ^ 0xFA57
-	if fo.Workers == 0 {
-		fo.Workers = opt.Workers
-	}
 	params, err := fjlt.NewParams(n, d, fo)
 	if err != nil {
 		return nil, nil, err
@@ -188,7 +180,7 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 
 	if d > skipBelow {
 		ferr := runStage("fjlt", "jl_projection", func(_ *obs.Span) error {
-			mapped, err := fjlt.ApplyMPC(c, pts, params, 0, fo.Workers)
+			mapped, err := fjlt.ApplyMPC(c, pts, params, 0)
 			if err != nil {
 				return err
 			}
@@ -225,9 +217,6 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 	eo := opt.Embed
 	if eo.Seed == 0 {
 		eo.Seed = opt.Seed ^ 0x7EE
-	}
-	if eo.Workers == 0 {
-		eo.Workers = opt.Workers
 	}
 	if eo.MinDist == 0 {
 		eo.MinDist = minDist

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"mpctree/internal/fjlt"
@@ -15,7 +16,7 @@ import (
 // it never participates in one. A run with a collector attached must
 // produce a tree byte-identical to the bare run — the auditor draws its
 // pair sample from its own seed and only ever reads the tree — at any
-// worker count.
+// GOMAXPROCS.
 func TestQualityAuditingPreservesSequentialDeterminism(t *testing.T) {
 	pts := workload.UniformLattice(21, 96, 8, 1024)
 	opt := Options{Seed: 5}
@@ -29,11 +30,12 @@ func TestQualityAuditingPreservesSequentialDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 8} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
 		reg := obs.New()
 		qopt := opt
-		qopt.Workers = workers
-		qopt.Quality = quality.NewCollector(reg, quality.Config{MaxPairs: 400, Seed: 77, Workers: workers})
+		qopt.Quality = quality.NewCollector(reg, quality.Config{MaxPairs: 400, Seed: 77})
 		audited, _, err := Embed(pts, qopt)
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +45,7 @@ func TestQualityAuditingPreservesSequentialDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(bareBytes.Bytes(), auditedBytes.Bytes()) {
-			t.Fatalf("workers=%d: audited run's tree differs from bare run", workers)
+			t.Fatalf("GOMAXPROCS=%d: audited run's tree differs from bare run", procs)
 		}
 		// The in-loop instrumentation must actually have observed levels.
 		var seps float64

@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 )
 
-// Whole-experiment worker invariance: the rendered Result (tables, checks,
-// notes — every digit) must be identical at workers=1 and workers=8.
-// Experiments draw all randomness serially; Workers only fans out pure
-// compute, so the report text is a complete fingerprint of the run.
+// Whole-experiment width invariance: the rendered Result (tables, checks,
+// notes — every digit) must be identical at GOMAXPROCS=1 and
+// GOMAXPROCS=8. Experiments draw all randomness serially; the fan-outs
+// only spread pure compute, so the report text is a complete fingerprint
+// of the run. The subtests change the process-wide GOMAXPROCS, so they
+// run one at a time.
 func TestExperimentsWorkerInvariant(t *testing.T) {
 	// One experiment per parallelized subsystem: E02 (sequential embeds +
 	// distortion stats), E11 (hybrid sweep over r), E15 (Algorithm 2
@@ -17,11 +20,10 @@ func TestExperimentsWorkerInvariant(t *testing.T) {
 		ids = []string{"E02-Thm2", "E15-Cor1MPC"}
 	}
 	for _, id := range ids {
-		id := id
 		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			run := func(workers int) string {
-				res, err := Run(id, Config{Quick: true, Seed: 424242, Workers: workers})
+			run := func(procs int) string {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				res, err := Run(id, Config{Quick: true, Seed: 424242})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -29,7 +31,7 @@ func TestExperimentsWorkerInvariant(t *testing.T) {
 			}
 			want := run(1)
 			if got := run(8); got != want {
-				t.Fatalf("%s: report differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", id, want, got)
+				t.Fatalf("%s: report differs between GOMAXPROCS=1 and GOMAXPROCS=8:\n--- GOMAXPROCS=1 ---\n%s\n--- GOMAXPROCS=8 ---\n%s", id, want, got)
 			}
 		})
 	}

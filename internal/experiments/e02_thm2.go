@@ -32,8 +32,8 @@ func runE02(cfg Config) (*Result, error) {
 	var worst []float64
 	minRatioOverall := math.Inf(1)
 	for _, r := range rs {
-		dist, err := stats.MeasureDistortionPar(pts, trees, cfg.Workers, func(seed uint64) (*hst.Tree, error) {
-			t, _, err := core.Embed(pts, core.Options{Method: core.MethodHybrid, R: r, Seed: cfg.Seed ^ seed<<8 ^ uint64(r)<<40, Workers: cfg.Workers})
+		dist, err := stats.MeasureDistortion(pts, trees, func(seed uint64) (*hst.Tree, error) {
+			t, _, err := core.Embed(pts, core.Options{Method: core.MethodHybrid, R: r, Seed: cfg.Seed ^ seed<<8 ^ uint64(r)<<40})
 			return t, err
 		})
 		if err != nil {

@@ -47,14 +47,14 @@ func runE06(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			c := cfg.NewCluster(mpc.Config{Machines: 8, CapWords: 1 << 22})
-			mapped, err := fjlt.ApplyMPC(c, wc.pts, p, 0, cfg.Workers)
+			mapped, err := fjlt.ApplyMPC(c, wc.pts, p, 0)
 			if err != nil {
 				return nil, err
 			}
 			worst := fjlt.MaxPairwiseDistortion(wc.pts, mapped)
 			// Dense Gaussian baseline at the same k: the accuracy yardstick
 			// whose O(n·d·k) space the FJLT undercuts.
-			dj, err := fjlt.NewDenseJL(n, d, fjlt.Options{Xi: xi, Seed: cfg.Seed + 62, Workers: cfg.Workers})
+			dj, err := fjlt.NewDenseJL(n, d, fjlt.Options{Xi: xi, Seed: cfg.Seed + 62})
 			if err != nil {
 				return nil, err
 			}
@@ -88,7 +88,7 @@ func runE06(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		c := cfg.NewCluster(mpc.Config{Machines: 8, CapWords: 1 << 22})
-		if _, err := fjlt.ApplyMPC(c, pts, p, 0, cfg.Workers); err != nil {
+		if _, err := fjlt.ApplyMPC(c, pts, p, 0); err != nil {
 			return nil, err
 		}
 		ns = append(ns, float64(nn))

@@ -36,8 +36,8 @@ func runE07(cfg Config) (*Result, error) {
 	}
 
 	measure := func(pts [][]float64, m core.Method, r int, salt uint64) (float64, error) {
-		dist, err := stats.MeasureDistortionPar(pts, trees, cfg.Workers, func(seed uint64) (*hst.Tree, error) {
-			t, _, err := core.Embed(pts, core.Options{Method: m, R: r, Seed: cfg.Seed ^ seed<<9 ^ salt, Workers: cfg.Workers})
+		dist, err := stats.MeasureDistortion(pts, trees, func(seed uint64) (*hst.Tree, error) {
+			t, _, err := core.Embed(pts, core.Options{Method: m, R: r, Seed: cfg.Seed ^ seed<<9 ^ salt})
 			return t, err
 		})
 		if err != nil {

@@ -52,8 +52,8 @@ func runE11(cfg Config) (*Result, error) {
 		// Distortion from the sequential framework (identical math, no
 		// cluster overhead); infeasible bucket counts are recorded as
 		// such — that refusal IS the experiment's point.
-		dist, err := stats.MeasureDistortionPar(pts, trees, cfg.Workers, func(seed uint64) (*hst.Tree, error) {
-			t, _, err := core.Embed(pts, core.Options{Method: core.MethodHybrid, R: r, Seed: cfg.Seed ^ seed<<15 ^ uint64(r)<<2, Workers: cfg.Workers})
+		dist, err := stats.MeasureDistortion(pts, trees, func(seed uint64) (*hst.Tree, error) {
+			t, _, err := core.Embed(pts, core.Options{Method: core.MethodHybrid, R: r, Seed: cfg.Seed ^ seed<<15 ^ uint64(r)<<2})
 			return t, err
 		})
 		if err != nil {

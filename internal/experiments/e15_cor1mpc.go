@@ -51,7 +51,7 @@ func runE15(cfg Config) (*Result, error) {
 		}
 		for _, M := range []int{4, 8} {
 			c := cfg.NewCluster(mpc.Config{Machines: M, CapWords: 1 << 22})
-			e, err := mpcapps.Embed(c, pts, mpcembed.Options{R: 2, Seed: cfg.Seed + 152, Workers: cfg.Workers})
+			e, err := mpcapps.Embed(c, pts, mpcembed.Options{R: 2, Seed: cfg.Seed + 152})
 			if err != nil {
 				return nil, err
 			}

@@ -53,7 +53,6 @@ func runE16(cfg Config) (*Result, error) {
 		Xi:        0.3,
 		FJLT:      fjlt.Options{CK: 1},
 		Seed:      cfg.Seed + 161,
-		Workers:   cfg.Workers,
 		Resilient: true,
 		Retry:     resilient.Options{MaxRetries: retries, Seed: cfg.Seed + 162},
 	}

@@ -28,7 +28,7 @@ func runE17(cfg Config) (*Result, error) {
 	}
 	pts := workload.UniformLattice(cfg.Seed+17, n, d, delta)
 
-	tree, info, err := core.Embed(pts, core.Options{Method: core.MethodHybrid, Seed: cfg.Seed ^ 0x17, Workers: cfg.Workers})
+	tree, info, err := core.Embed(pts, core.Options{Method: core.MethodHybrid, Seed: cfg.Seed ^ 0x17})
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +38,7 @@ func runE17(cfg Config) (*Result, error) {
 	}
 
 	// Full-sample audit vs the offline measurement, same single tree.
-	full, err := quality.Audit(tree, pts, quality.Config{MaxPairs: -1, Seed: cfg.Seed, Workers: cfg.Workers})
+	full, err := quality.Audit(tree, pts, quality.Config{MaxPairs: -1, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +46,7 @@ func runE17(cfg Config) (*Result, error) {
 		cfg.Quality.ObserveAudit(full)
 		cfg.Quality.ObserveLevels(full.Levels)
 	}
-	offline, err := stats.MeasureDistortionPar(pts, 1, cfg.Workers, func(uint64) (*hst.Tree, error) {
+	offline, err := stats.MeasureDistortion(pts, 1, func(uint64) (*hst.Tree, error) {
 		return tree, nil
 	})
 	if err != nil {
@@ -54,7 +54,7 @@ func runE17(cfg Config) (*Result, error) {
 	}
 
 	// Sampled audit: same tree, bounded pair budget.
-	sampled, err := quality.Audit(tree, pts, quality.Config{MaxPairs: 512, Seed: cfg.Seed, Workers: cfg.Workers})
+	sampled, err := quality.Audit(tree, pts, quality.Config{MaxPairs: 512, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -49,11 +49,6 @@ type Config struct {
 	Quick bool
 	// Seed makes the whole experiment deterministic.
 	Seed uint64
-	// Workers bounds the data-parallel fan-out of the pure compute inside
-	// each experiment (par.Workers semantics: ≤ 0 means GOMAXPROCS, 1 is
-	// serial). Results are bit-identical for any value — randomness is
-	// drawn serially, only compute fans out.
-	Workers int
 
 	// Faults is the per-round, per-class fault-injection probability used
 	// by the chaos experiment (E16); 0 keeps E16's built-in rate ladder.

@@ -8,7 +8,7 @@ import (
 )
 
 // TestApplyAllAllocCeiling pins ApplyAll's heap-object count per batch:
-// one output header slice, one scratch buffer and arena pool, and a
+// one output header slice, one scratch buffer and arena, and a
 // fractional per-point cost from slab carving. Before the arena rewrite
 // this config cost 2·n+O(1) allocations (a scratch and an output vector
 // per point); the ceiling is set to catch any return of per-point
@@ -18,7 +18,7 @@ func TestApplyAllAllocCeiling(t *testing.T) {
 		t.Skip("alloc accounting under -short")
 	}
 	pts := workload.UniformLattice(3, 96, 200, 128)
-	tr, err := New(len(pts), len(pts[0]), Options{Seed: 3, Workers: 1})
+	tr, err := New(len(pts), len(pts[0]), Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,7 @@ import (
 // entries N(0, 1/k).
 type DenseJL struct {
 	K, D int
-	// Workers bounds ApplyAll's fan-out (par.Workers semantics; the zero
-	// value runs at GOMAXPROCS).
-	Workers int
-	rows    [][]float64 // k rows of length d
+	rows [][]float64 // k rows of length d
 }
 
 // NewDenseJL builds a dense JL transform for n points in dimension d with
@@ -41,7 +38,7 @@ func NewDenseJL(n, d int, opt Options) (*DenseJL, error) {
 		}
 		rows[i] = row
 	}
-	return &DenseJL{K: p.K, D: d, Workers: opt.Workers, rows: rows}, nil
+	return &DenseJL{K: p.K, D: d, rows: rows}, nil
 }
 
 // Apply maps one point.
@@ -61,11 +58,11 @@ func (t *DenseJL) Apply(x vec.Point) vec.Point {
 }
 
 // ApplyAll maps a point set, fanning the independent per-point matrix
-// multiplies over t.Workers; each slot write is a pure function of the
-// materialised rows and the point, so output is worker-count invariant.
+// multiplies out at GOMAXPROCS; each slot write is a pure function of the
+// materialised rows and the point, so output is width-invariant.
 func (t *DenseJL) ApplyAll(pts []vec.Point) []vec.Point {
 	out := make([]vec.Point, len(pts))
-	par.For(t.Workers, len(pts), func(lo, hi int) {
+	par.For(len(pts), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = t.Apply(pts[i])
 		}

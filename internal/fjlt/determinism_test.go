@@ -2,15 +2,16 @@ package fjlt
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mpctree/internal/mpc"
 	"mpctree/internal/vec"
 )
 
-// Bit-identity of every parallel entry point against its serial run, for
-// worker counts that do and don't divide the point count. Run under -race
-// in CI, this also proves the fan-outs are data-race free.
+// Bit-identity of every entry point at GOMAXPROCS 1 and 8, with point
+// counts the fan-out width does not divide. Run under -race in CI, this
+// also proves the fan-outs are data-race free.
 
 func assertPointsBitIdentical(t *testing.T, want, got []vec.Point, label string) {
 	t.Helper()
@@ -28,36 +29,28 @@ func assertPointsBitIdentical(t *testing.T, want, got []vec.Point, label string)
 
 func TestApplyAllWorkerInvariant(t *testing.T) {
 	pts := randPts(21, 33, 40)
-	ref, err := New(len(pts), 40, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Workers = 1
-	want := ref.ApplyAll(pts)
-	for _, workers := range []int{2, 8} {
-		tr, err := New(len(pts), 40, Options{Seed: 5, Workers: workers})
+	run := func(procs int) []vec.Point {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		tr, err := New(len(pts), 40, Options{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertPointsBitIdentical(t, want, tr.ApplyAll(pts), "Transform.ApplyAll")
+		return tr.ApplyAll(pts)
 	}
+	assertPointsBitIdentical(t, run(1), run(8), "Transform.ApplyAll")
 }
 
 func TestDenseJLApplyAllWorkerInvariant(t *testing.T) {
 	pts := randPts(23, 25, 48)
-	ref, err := NewDenseJL(len(pts), 48, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Workers = 1
-	want := ref.ApplyAll(pts)
-	for _, workers := range []int{3, 8} {
-		tr, err := NewDenseJL(len(pts), 48, Options{Seed: 9, Workers: workers})
+	run := func(procs int) []vec.Point {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		tr, err := NewDenseJL(len(pts), 48, Options{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertPointsBitIdentical(t, want, tr.ApplyAll(pts), "DenseJL.ApplyAll")
+		return tr.ApplyAll(pts)
 	}
+	assertPointsBitIdentical(t, run(1), run(8), "DenseJL.ApplyAll")
 }
 
 func TestApplyMPCWorkerInvariant(t *testing.T) {
@@ -66,35 +59,29 @@ func TestApplyMPCWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) []vec.Point {
+	run := func(procs int) []vec.Point {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 22})
-		out, err := ApplyMPC(c, pts, p, 0, workers)
+		out, err := ApplyMPC(c, pts, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	want := run(1)
-	for _, workers := range []int{2, 8} {
-		assertPointsBitIdentical(t, want, run(workers), "ApplyMPC")
-	}
+	assertPointsBitIdentical(t, run(1), run(8), "ApplyMPC")
 }
 
 func TestMaxPairwiseDistortionWorkerInvariant(t *testing.T) {
 	orig := randPts(31, 21, 16)
-	tr, err := New(len(orig), 16, Options{Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped := tr.ApplyAll(orig)
-	want := MaxPairwiseDistortionPar(orig, mapped, 1)
-	for _, workers := range []int{2, 8} {
-		got := MaxPairwiseDistortionPar(orig, mapped, workers)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("MaxPairwiseDistortionPar(workers=%d) = %v, serial %v", workers, got, want)
+	run := func(procs int) float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		tr, err := New(len(orig), 16, Options{Seed: 17})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return MaxPairwiseDistortion(orig, tr.ApplyAll(orig))
 	}
-	if got := MaxPairwiseDistortion(orig, mapped); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("MaxPairwiseDistortion = %v, Par(1) = %v", got, want)
+	if want, got := run(1), run(8); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("MaxPairwiseDistortion at GOMAXPROCS=8 = %v, at 1 = %v", got, want)
 	}
 }

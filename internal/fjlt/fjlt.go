@@ -49,11 +49,6 @@ type Options struct {
 	CQ     float64 // constant in q = CQ·ln²n/d; default 1
 	ForceK int     // override k entirely (> 0)
 	Seed   uint64
-	// Workers bounds the data-parallel fan-out of batch application
-	// (ApplyAll): ≤ 0 means runtime.GOMAXPROCS(0), 1 is serial. Output is
-	// bit-identical for any value — each point's transform is an
-	// independent pure function of (seed, point).
-	Workers int
 }
 
 // NewParams chooses FJLT parameters for n points in dimension d.
@@ -158,10 +153,7 @@ func NNZ(p Params, blockC int) int {
 
 // Transform is a materialised sequential FJLT.
 type Transform struct {
-	P Params
-	// Workers bounds ApplyAll's fan-out (par.Workers semantics; the zero
-	// value runs at GOMAXPROCS). Apply is always serial per point.
-	Workers int
+	P       Params
 	blockC  int
 	entries []PEntry
 }
@@ -172,9 +164,7 @@ func New(n, d int, opt Options) (*Transform, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := FromParams(p)
-	t.Workers = opt.Workers
-	return t, nil
+	return FromParams(p), nil
 }
 
 // DefaultBlockC returns the column block width used to shard P's
@@ -199,7 +189,7 @@ func FromParams(p Params) *Transform {
 	blockC := DefaultBlockC(p.DPad)
 	nBlocks := (p.DPad + blockC - 1) / blockC
 	perBlock := make([][]PEntry, nBlocks)
-	par.For(0, nBlocks, func(lo, hi int) {
+	par.For(nBlocks, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			perBlock[b] = PEntriesForColBlock(p, b*blockC, blockC)
 		}
@@ -246,16 +236,15 @@ func (t *Transform) applyInto(x vec.Point, y []float64, z vec.Point) {
 }
 
 // ApplyAll maps a point set, fanning the independent per-point transforms
-// over t.Workers. Each output slot is a pure function of (seed, point), so
-// the result is bit-identical to the serial loop for any worker count.
-// Each shard reuses one Hadamard scratch buffer and carves its outputs
-// from its own escape-mode arena (the caller owns them; the slabs die
-// when the outputs do), making the per-point heap cost fractional.
+// out at GOMAXPROCS. Each output slot is a pure function of (seed, point),
+// so the result is bit-identical to the serial loop at any width. Each
+// shard reuses one Hadamard scratch buffer and carves its outputs from its
+// own escape-mode arena (the caller owns them; the slabs die when the
+// outputs do), making the per-point heap cost fractional.
 func (t *Transform) ApplyAll(pts []vec.Point) []vec.Point {
 	out := make([]vec.Point, len(pts))
-	pool := arena.NewPool(par.Workers(t.Workers))
-	par.Shards(t.Workers, len(pts), func(shard, lo, hi int) {
-		a := pool.Get(shard)
+	par.For(len(pts), func(lo, hi int) {
+		a := arena.New()
 		y := make([]float64, t.P.DPad)
 		for i := lo; i < hi; i++ {
 			z := vec.Point(a.Floats(t.P.K))
@@ -269,26 +258,18 @@ func (t *Transform) ApplyAll(pts []vec.Point) []vec.Point {
 // MaxPairwiseDistortion returns max over pairs of
 // |‖φp−φq‖/‖p−q‖ − 1| — the empirical (1±ξ) check (O(n²)).
 func MaxPairwiseDistortion(orig, mapped []vec.Point) float64 {
-	return MaxPairwiseDistortionPar(orig, mapped, 1)
-}
-
-// MaxPairwiseDistortionPar is MaxPairwiseDistortion with the row loop
-// sharded over workers. Exact max-folding is associative, so the result is
-// bit-identical to the serial scan for any worker count.
-func MaxPairwiseDistortionPar(orig, mapped []vec.Point, workers int) float64 {
-	_, worst := par.MinMax(workers, len(orig), math.Inf(1), 0, func(i int) (float64, bool) {
-		var rowWorst float64
+	var worst float64
+	for i := range orig {
 		for j := i + 1; j < len(orig); j++ {
 			de := vec.Dist(orig[i], orig[j])
 			if de == 0 {
 				continue
 			}
 			dm := vec.Dist(mapped[i], mapped[j])
-			if dev := math.Abs(dm/de - 1); dev > rowWorst {
-				rowWorst = dev
+			if dev := math.Abs(dm/de - 1); dev > worst {
+				worst = dev
 			}
 		}
-		return rowWorst, true
-	})
+	}
 	return worst
 }

@@ -198,7 +198,7 @@ func TestMPCMatchesSequential(t *testing.T) {
 	seq := FromParams(p).ApplyAll(pts)
 
 	c := mpc.New(mpc.Config{Machines: 6, CapWords: 1 << 18})
-	got, err := ApplyMPC(c, pts, p, 0, 1)
+	got, err := ApplyMPC(c, pts, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestMPCConstantRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := mpc.New(mpc.Config{Machines: 8, CapWords: 1 << 20})
-		if _, err := ApplyMPC(c, pts, p, 0, 1); err != nil {
+		if _, err := ApplyMPC(c, pts, p, 0); err != nil {
 			t.Fatal(err)
 		}
 		if rounds := c.Metrics().Rounds; rounds != 4 {
@@ -238,7 +238,7 @@ func TestMPCDistortion(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 18})
-	mapped, err := ApplyMPC(c, pts, p, 0, 1)
+	mapped, err := ApplyMPC(c, pts, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,13 +250,13 @@ func TestMPCDistortion(t *testing.T) {
 func TestMPCRejectsBadInput(t *testing.T) {
 	p, _ := NewParams(4, 16, Options{Seed: 1})
 	c := mpc.New(mpc.Config{Machines: 2, CapWords: 1 << 16})
-	if _, err := ApplyMPC(c, nil, p, 0, 1); err == nil {
+	if _, err := ApplyMPC(c, nil, p, 0); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := ApplyMPC(c, randPts(1, 4, 8), p, 0, 1); err == nil {
+	if _, err := ApplyMPC(c, randPts(1, 4, 8), p, 0); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if _, err := ApplyMPC(c, randPts(1, 4, 16), p, 5, 1); err == nil {
+	if _, err := ApplyMPC(c, randPts(1, 4, 16), p, 5); err == nil {
 		t.Error("non-power-of-two blockC accepted")
 	}
 }
@@ -273,7 +273,7 @@ func TestMPCTotalSpaceNearLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := mpc.New(mpc.Config{Machines: 8, CapWords: 1 << 22})
-		if _, err := ApplyMPC(c, pts, p, 0, 1); err != nil {
+		if _, err := ApplyMPC(c, pts, p, 0); err != nil {
 			t.Fatal(err)
 		}
 		return c.Metrics().TotalSpace
@@ -310,7 +310,7 @@ func BenchmarkMPCApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := mpc.New(mpc.Config{Machines: 8, CapWords: 1 << 20})
-		if _, err := ApplyMPC(c, pts, p, 0, 1); err != nil {
+		if _, err := ApplyMPC(c, pts, p, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -349,7 +349,7 @@ func TestApplyMPCExplicitBlockC(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 18})
-	out, err := ApplyMPC(c, pts, p, 16, 1) // non-default block width
+	out, err := ApplyMPC(c, pts, p, 16) // non-default block width
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	"mpctree/internal/arena"
 	"mpctree/internal/hadamard"
 	"mpctree/internal/mpc"
-	"mpctree/internal/par"
 	"mpctree/internal/vec"
 )
 
@@ -44,11 +43,9 @@ func OutKey(i int) string { return fmt.Sprintf("fj|%d", i) }
 // ApplyMPC runs the FJLT over an existing cluster: pts are loaded in
 // row-block layout, transformed, and the embedded points returned. The
 // cluster's metrics then hold the round/space accounting for Theorem 3's
-// claims. blockC 0 selects DefaultBlockC. workers bounds the data-parallel
-// fan-out of the pure per-vector/per-point compute inside rounds
-// (par.Workers semantics); the communication pattern and every emitted
-// byte are identical for any worker count.
-func ApplyMPC(c *mpc.Cluster, pts []vec.Point, p Params, blockC, workers int) ([]vec.Point, error) {
+// claims. blockC 0 selects DefaultBlockC. Each machine's local work runs
+// serially inside its round closure; the machines are the only fan-out.
+func ApplyMPC(c *mpc.Cluster, pts []vec.Point, p Params, blockC int) ([]vec.Point, error) {
 	n := len(pts)
 	if n == 0 {
 		return nil, fmt.Errorf("fjlt: empty point set")
@@ -92,7 +89,7 @@ func ApplyMPC(c *mpc.Cluster, pts []vec.Point, p Params, blockC, workers int) ([
 	}
 
 	// Step 2: H·(DA) — 2 rounds.
-	if err := hadamard.DistFWHT(c, p.DPad, blockC, workers); err != nil {
+	if err := hadamard.DistFWHT(c, p.DPad, blockC, 0); err != nil {
 		return nil, err
 	}
 
@@ -119,16 +116,15 @@ func ApplyMPC(c *mpc.Cluster, pts []vec.Point, p Params, blockC, workers int) ([
 	err = c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
 		keep := local[:0:0]
 		// Group this machine's row-block records by point, preserving
-		// store order within each group, and pre-generate the P entries
-		// of every resident block — both serial, so the parallel phase
-		// below only reads shared state and writes its own partial slot.
+		// store order within each group, and generate the P entries of
+		// every resident block once — each block is an independent
+		// (seed, col0) stream.
 		type group struct {
 			pt   int
 			recs []mpc.Record
 		}
 		idx := make(map[int]int)
 		var groups []group
-		var blockIDs []int
 		entriesByBlock := make(map[int][]PEntry)
 		for _, r := range local {
 			if r.Tag != hadamard.TagRowBlock {
@@ -137,8 +133,7 @@ func ApplyMPC(c *mpc.Cluster, pts []vec.Point, p Params, blockC, workers int) ([
 			}
 			pt, b := int(r.Ints[0]), int(r.Ints[1])
 			if _, ok := entriesByBlock[b]; !ok {
-				entriesByBlock[b] = nil
-				blockIDs = append(blockIDs, b)
+				entriesByBlock[b] = PEntriesForColBlock(p, b*blockC, blockC)
 			}
 			gi, ok := idx[pt]
 			if !ok {
@@ -148,49 +143,23 @@ func ApplyMPC(c *mpc.Cluster, pts []vec.Point, p Params, blockC, workers int) ([
 			}
 			groups[gi].recs = append(groups[gi].recs, r)
 		}
-		// Every resident block's P entries regenerate in parallel — each
-		// block is an independent (seed, col0) stream, so the entries are
-		// the same regardless of which worker draws them.
-		blockEntries := make([][]PEntry, len(blockIDs))
-		par.For(workers, len(blockIDs), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				blockEntries[i] = PEntriesForColBlock(p, blockIDs[i]*blockC, blockC)
-			}
-		})
-		for i, b := range blockIDs {
-			entriesByBlock[b] = blockEntries[i]
-		}
-		// Each point's partial only ever sees that point's records, in
-		// store order — the same float addition sequence as a serial
-		// sweep, so partials are bit-identical for any worker count.
-		// Partials escape into the receiving stores, so each shard carves
-		// them from its own escape-mode arena.
-		partials := make([][]float64, len(groups))
-		pool := arena.NewPool(par.Workers(workers))
-		par.Shards(workers, len(groups), func(shard, lo, hi int) {
-			a := pool.Get(shard)
-			for g := lo; g < hi; g++ {
-				acc := a.Floats(p.K)
-				for _, r := range groups[g].recs {
-					b := int(r.Ints[1])
-					for _, e := range entriesByBlock[b] {
-						acc[e.Row] += e.Val * r.Data[e.Col-b*blockC]
-					}
+		// Emit one partial per point in point order. Each partial only
+		// ever sees that point's records, in store order, so its float
+		// addition sequence is fixed. Partials escape into the receiving
+		// stores, so they are carved from an escape-mode arena.
+		sort.Slice(groups, func(a, b int) bool { return groups[a].pt < groups[b].pt })
+		a := arena.New()
+		for _, g := range groups {
+			acc := a.Floats(p.K)
+			for _, r := range g.recs {
+				b := int(r.Ints[1])
+				for _, e := range entriesByBlock[b] {
+					acc[e.Row] += e.Val * r.Data[e.Col-b*blockC]
 				}
-				partials[g] = acc
 			}
-		})
-		order := make([]int, len(groups))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return groups[order[a]].pt < groups[order[b]].pt })
-		ea := arena.New()
-		for _, g := range order {
-			pt := groups[g].pt
-			ints := ea.Ints(1)
-			ints[0] = int64(pt)
-			emit(pt%M, mpc.Record{Key: OutKey(pt), Tag: tagPartial, Ints: ints, Data: partials[g]})
+			ints := a.Ints(1)
+			ints[0] = int64(g.pt)
+			emit(g.pt%M, mpc.Record{Key: OutKey(g.pt), Tag: tagPartial, Ints: ints, Data: acc})
 		}
 		return keep
 	})

@@ -31,11 +31,11 @@ func TestDistFWHTAllocCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm-up transform so cluster-internal buffers reach steady state.
-	if err := DistFWHT(c, d, blockC, 1); err != nil {
+	if err := DistFWHT(c, d, blockC, 0); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := DistFWHT(c, d, blockC, 1); err != nil {
+		if err := DistFWHT(c, d, blockC, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -9,8 +9,8 @@ import (
 
 // FuzzFWHT cross-checks the in-place butterfly against the explicit dense
 // Hadamard multiply and the involution identity FWHT(FWHT(x)) = d·x, on
-// random power-of-two sizes, through both the serial and the batched
-// parallel entry points.
+// random power-of-two sizes, and checks that Normalized is an isometric
+// involution.
 func FuzzFWHT(f *testing.F) {
 	f.Add(uint64(1), uint(3))
 	f.Add(uint64(42), uint(0))
@@ -53,32 +53,21 @@ func FuzzFWHT(f *testing.F) {
 			}
 		}
 
-		// The batched parallel path must agree bitwise with the serial one.
-		batch := [][]float64{append([]float64(nil), x...), append([]float64(nil), x...), append([]float64(nil), x...)}
-		FWHTBatch(batch, 8)
-		for v := range batch {
-			for i := range batch[v] {
-				if math.Float64bits(batch[v][i]) != math.Float64bits(got[i]) {
-					t.Fatalf("d=%d: FWHTBatch vector %d entry %d diverges from serial FWHT", d, v, i)
-				}
-			}
-		}
-
-		// Normalized is an isometry and a self-inverse; check via the batch.
-		norm := [][]float64{append([]float64(nil), x...)}
-		NormalizedBatch(norm, 8)
+		// Normalized is an isometry and a self-inverse.
+		norm := append([]float64(nil), x...)
+		Normalized(norm)
 		var n0, n1 float64
 		for i := range x {
 			n0 += x[i] * x[i]
-			n1 += norm[0][i] * norm[0][i]
+			n1 += norm[i] * norm[i]
 		}
 		if math.Abs(n1-n0) > 1e-9*(1+n0) {
-			t.Fatalf("d=%d: NormalizedBatch not an isometry: ‖x‖²=%v → %v", d, n0, n1)
+			t.Fatalf("d=%d: Normalized not an isometry: ‖x‖²=%v → %v", d, n0, n1)
 		}
-		NormalizedBatch(norm, 1)
+		Normalized(norm)
 		for i := range x {
-			if math.Abs(norm[0][i]-x[i]) > 1e-9*(1+math.Abs(x[i])) {
-				t.Fatalf("d=%d: Normalized∘Normalized[%d] = %v, want %v", d, i, norm[0][i], x[i])
+			if math.Abs(norm[i]-x[i]) > 1e-9*(1+math.Abs(x[i])) {
+				t.Fatalf("d=%d: Normalized∘Normalized[%d] = %v, want %v", d, i, norm[i], x[i])
 			}
 		}
 	})

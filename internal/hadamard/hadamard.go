@@ -23,7 +23,6 @@ import (
 
 	"mpctree/internal/arena"
 	"mpctree/internal/mpc"
-	"mpctree/internal/par"
 )
 
 // IsPow2 reports whether v is a positive power of two.
@@ -69,40 +68,6 @@ func Normalized(x []float64) {
 	for i := range x {
 		x[i] *= scale
 	}
-}
-
-// FWHTBatch applies the unnormalised transform to every vector of xs in
-// place, fanning the independent per-vector transforms over workers
-// (par.Workers semantics; ≤ 1 runs serially). Each vector's transform is
-// untouched by the fan-out, so the result is bit-identical to calling
-// FWHT serially, for any worker count. All lengths are validated up front
-// so a bad vector panics on the caller's goroutine, not inside the pool.
-func FWHTBatch(xs [][]float64, workers int) {
-	for i, x := range xs {
-		if !IsPow2(len(x)) {
-			panic(fmt.Sprintf("hadamard: vector %d length %d is not a power of two", i, len(x)))
-		}
-	}
-	par.For(workers, len(xs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			FWHT(xs[i])
-		}
-	})
-}
-
-// NormalizedBatch applies the orthonormal transform to every vector of xs
-// in place, over workers. Same determinism contract as FWHTBatch.
-func NormalizedBatch(xs [][]float64, workers int) {
-	for i, x := range xs {
-		if !IsPow2(len(x)) {
-			panic(fmt.Sprintf("hadamard: vector %d length %d is not a power of two", i, len(x)))
-		}
-	}
-	par.For(workers, len(xs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			Normalized(xs[i])
-		}
-	})
 }
 
 // Dense returns the normalised d×d Walsh–Hadamard matrix, for tests and
@@ -201,13 +166,13 @@ func CollectVectors(c *mpc.Cluster, n, d, blockC int) ([][]float64, error) {
 // transpose back. Requires R = d/C ≤ CapWords (a column must fit on a
 // machine); with C chosen near √d this holds whenever d ≤ Cap².
 //
-// The per-machine local transforms are batched over workers (par.Workers
-// semantics); emission stays serial in a fixed record order, so the
-// resident state after every round — and therefore the transform's output
-// — is bit-identical for any worker count.
+// Each machine's local transforms run serially inside its round closure,
+// one block or column at a time as it is emitted: the machines are the
+// only fan-out, as in the MPC model. The last parameter is ignored; it
+// remains only for source compatibility with existing callers.
 //
 // Rounds: 2 (the two transposes); all transforms ride along as local work.
-func DistFWHT(c *mpc.Cluster, d, blockC, workers int) error {
+func DistFWHT(c *mpc.Cluster, d, blockC, _ int) error {
 	if !IsPow2(d) || !IsPow2(blockC) || blockC > d {
 		return fmt.Errorf("hadamard: bad layout d=%d blockC=%d", d, blockC)
 	}
@@ -226,29 +191,22 @@ func DistFWHT(c *mpc.Cluster, d, blockC, workers int) error {
 	// transform.
 	err := c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
 		keep := local[:0:0]
-		// Transform every local block in place in one parallel batch. The
-		// blocks are dropped from this machine's store after emission and
-		// a failed round is only ever recovered by checkpoint restore
-		// (never by re-running the closure on the same store), so no
-		// defensive copy is needed.
-		var batch [][]float64
-		for _, r := range local {
-			if r.Tag == TagRowBlock {
-				batch = append(batch, r.Data)
-			}
-		}
-		FWHTBatch(batch, workers)
-		// Emit serially in store order: delivery order is part of the
-		// cluster's determinism contract. Payloads are carved from an
-		// escape-mode arena (see internal/arena): the receiving stores
-		// hold the carves, the slabs die with them, and the two heap
-		// objects per element collapse to two per ~2k elements.
+		// Transform each block in place, then emit its elements, serially
+		// in store order: delivery order is part of the cluster's
+		// determinism contract. The blocks are dropped from this machine's
+		// store after emission and a failed round is only ever recovered
+		// by checkpoint restore (never by re-running the closure on the
+		// same store), so no defensive copy is needed. Payloads are carved
+		// from an escape-mode arena (see internal/arena): the receiving
+		// stores hold the carves, the slabs die with them, and the two
+		// heap objects per element collapse to two per ~2k elements.
 		a := arena.New()
 		for _, r := range local {
 			if r.Tag != TagRowBlock {
 				keep = append(keep, r)
 				continue
 			}
+			FWHT(r.Data)
 			v, b := r.Ints[0], r.Ints[1]
 			for t, val := range r.Data {
 				ints := a.Ints(3)
@@ -303,13 +261,10 @@ func DistFWHT(c *mpc.Cluster, d, blockC, workers int) error {
 			}
 			return ids[i].t < ids[j].t
 		})
-		batch := make([][]float64, len(ids))
-		for i, id := range ids {
-			batch[i] = cols[id]
-		}
-		FWHTBatch(batch, workers)
-		for i, id := range ids {
-			for j, val := range batch[i] {
+		for _, id := range ids {
+			col := cols[id]
+			FWHT(col)
+			for j, val := range col {
 				ints := a.Ints(3)
 				ints[0], ints[1], ints[2] = int64(id.v), int64(j), int64(id.t)
 				data := a.Floats(1)

@@ -157,7 +157,7 @@ func TestDistFWHTMatchesSequential(t *testing.T) {
 		if err := DistributeVectors(c, vecs, cse.d, cse.blockC); err != nil {
 			t.Fatal(err)
 		}
-		if err := DistFWHT(c, cse.d, cse.blockC, 1); err != nil {
+		if err := DistFWHT(c, cse.d, cse.blockC, 0); err != nil {
 			t.Fatalf("%+v: %v", cse, err)
 		}
 		got, err := CollectVectors(c, cse.n, cse.d, cse.blockC)
@@ -180,15 +180,15 @@ func TestDistFWHTMatchesSequential(t *testing.T) {
 
 func TestDistFWHTRejectsBadLayout(t *testing.T) {
 	c := mpc.New(mpc.Config{Machines: 2, CapWords: 1024})
-	if err := DistFWHT(c, 12, 4, 1); err == nil {
+	if err := DistFWHT(c, 12, 4, 0); err == nil {
 		t.Error("non-power-of-two d accepted")
 	}
-	if err := DistFWHT(c, 16, 32, 1); err == nil {
+	if err := DistFWHT(c, 16, 32, 0); err == nil {
 		t.Error("blockC > d accepted")
 	}
 	// Column longer than cap must be rejected up front.
 	c2 := mpc.New(mpc.Config{Machines: 2, CapWords: 4})
-	if err := DistFWHT(c2, 64, 2, 1); err == nil {
+	if err := DistFWHT(c2, 64, 2, 0); err == nil {
 		t.Error("column exceeding cap accepted")
 	}
 }
@@ -239,7 +239,7 @@ func BenchmarkDistFWHT(b *testing.B) {
 		if err := DistributeVectors(c, vecs, d, blockC); err != nil {
 			b.Fatal(err)
 		}
-		if err := DistFWHT(c, d, blockC, 1); err != nil {
+		if err := DistFWHT(c, d, blockC, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

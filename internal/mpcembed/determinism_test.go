@@ -2,6 +2,7 @@ package mpcembed
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"mpctree/internal/mpc"
@@ -9,9 +10,9 @@ import (
 	"mpctree/internal/vec"
 )
 
-// Algorithm 2's parallel root-path computation must yield a byte-identical
-// tree at any worker count: the per-point work fans out, but edge dedup and
-// record emission replay serially in store order.
+// Algorithm 2 must yield a byte-identical tree at any GOMAXPROCS: the
+// grid draw fans out, the machines run concurrently, and each
+// machine's root-path sweep is serial in store order.
 func TestEmbedWorkerInvariant(t *testing.T) {
 	r := rng.New(71)
 	n, d := 40, 8
@@ -23,9 +24,10 @@ func TestEmbedWorkerInvariant(t *testing.T) {
 		}
 	}
 
-	treeBytes := func(workers int, emitPaths bool) []byte {
+	treeBytes := func(procs int, emitPaths bool) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 22})
-		tree, _, err := Embed(c, pts, Options{R: 2, Seed: 77, Workers: workers, EmitPaths: emitPaths})
+		tree, _, err := Embed(c, pts, Options{R: 2, Seed: 77, EmitPaths: emitPaths})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,24 +39,22 @@ func TestEmbedWorkerInvariant(t *testing.T) {
 	}
 
 	want := treeBytes(1, false)
-	for _, workers := range []int{2, 3, 8} {
-		if got := treeBytes(workers, false); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: tree bytes differ from serial run (%d vs %d bytes)", workers, len(got), len(want))
-		}
+	if got := treeBytes(8, false); !bytes.Equal(got, want) {
+		t.Fatalf("GOMAXPROCS=8: tree bytes differ from GOMAXPROCS=1 (%d vs %d bytes)", len(got), len(want))
 	}
 	// The path-emitting variant routes extra records but must build the
-	// same tree, still worker-invariantly.
+	// same tree, still width-invariantly.
 	wantPaths := treeBytes(1, true)
 	if !bytes.Equal(wantPaths, want) {
 		t.Fatal("EmitPaths changed the tree")
 	}
 	if got := treeBytes(8, true); !bytes.Equal(got, wantPaths) {
-		t.Fatal("workers=8 with EmitPaths: tree bytes differ from serial run")
+		t.Fatal("GOMAXPROCS=8 with EmitPaths: tree bytes differ from GOMAXPROCS=1")
 	}
 }
 
-// The seed-derived-grid variant shares the parallel step; it must stay
-// byte-identical to the broadcast variant at every worker count.
+// The seed-derived-grid variant shares the grid draw; it must stay
+// byte-identical to the broadcast variant at every GOMAXPROCS.
 func TestEmbedSeedDerivedWorkerInvariant(t *testing.T) {
 	r := rng.New(73)
 	pts := make([]vec.Point, 32)
@@ -64,9 +64,10 @@ func TestEmbedSeedDerivedWorkerInvariant(t *testing.T) {
 			pts[i][j] = float64(1 + r.Intn(256))
 		}
 	}
-	run := func(workers int, derived bool) []byte {
+	run := func(procs int, derived bool) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 22})
-		tree, _, err := Embed(c, pts, Options{R: 2, Seed: 79, Workers: workers, SeedDerivedGrids: derived})
+		tree, _, err := Embed(c, pts, Options{R: 2, Seed: 79, SeedDerivedGrids: derived})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,6 +82,6 @@ func TestEmbedSeedDerivedWorkerInvariant(t *testing.T) {
 		t.Fatal("seed-derived grids changed the tree")
 	}
 	if !bytes.Equal(want, run(8, true)) {
-		t.Fatal("workers=8 seed-derived: tree bytes differ from serial run")
+		t.Fatal("GOMAXPROCS=8 seed-derived: tree bytes differ from GOMAXPROCS=1")
 	}
 }

@@ -93,13 +93,6 @@ type Options struct {
 	Compress bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Workers bounds the data-parallel fan-out of the per-point path
-	// computation in step 3 (par.Workers semantics: ≤ 0 means
-	// runtime.GOMAXPROCS(0), 1 is serial). Paths are pure functions of the
-	// broadcast grids and the point, and edge dedup/emission is replayed
-	// serially in store order, so the output tree — and every emitted
-	// record — is bit-identical for any worker count.
-	Workers int
 	// Scratch, if non-nil, is a caller-owned arena Embed carves this
 	// attempt's escaping record payloads from (the per-point load below;
 	// round-internal emissions use their own arenas). Ownership contract:
@@ -465,10 +458,10 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	// Keys are interned as substrings of one shared string — byte-identical
 	// to the fmt.Sprintf originals, so record Words and the Lemma-8 plan
 	// are untouched — payloads are carved from per-shard arenas (escape
-	// mode: the broadcast stores own them), and the shift sampling fans out
-	// over workers. Each grid reseeds its own generator from
-	// (seed, lev, j, uu), exactly as deriveGrid does, so the sampled
-	// variates are independent of the shard layout.
+	// mode: the broadcast stores own them), and the shift sampling — on the
+	// coordinator, outside any round — fans out at GOMAXPROCS. Each grid reseeds
+	// its own generator from (seed, lev, j, uu), exactly as deriveGrid
+	// does, so the sampled variates are independent of the shard layout.
 	nGrids := u * r * levels
 	gridBlob := make([]mpc.Record, nGrids)
 	keyOff := make([]int, nGrids+1)
@@ -487,9 +480,8 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		}
 	}
 	keys := string(keyBuf)
-	gridPool := arena.NewPool(par.Workers(opt.Workers))
-	par.Shards(opt.Workers, nGrids, func(shard, lo, hi int) {
-		a := gridPool.Get(shard)
+	par.For(nGrids, func(lo, hi int) {
+		a := arena.New()
 		var rg rng.RNG
 		for gi := lo; gi < hi; gi++ {
 			lev := gi/(r*u) + 1
@@ -550,137 +542,104 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 				points = append(points, rec)
 			}
 		}
-		// Per-point path computation — the hot loop. Each point's path is a
-		// pure function of the (read-only) grid map and its own coordinates,
-		// so points fan out over workers, each writing only its result slot;
-		// dedup and emission are replayed serially below in store order,
-		// making every emitted record byte-identical to the serial sweep.
-		type levEdge struct {
-			lev          int
-			key          string // child chain hash
-			parHi, parLo int64
-			weight       float64
-		}
-		type ptResult struct {
-			failLev, failBucket int // failLev > 0 marks an uncovered point
-			edges               []levEdge
-			pathInts            []int64
-			leafHi, leafLo      int64
-			leafWeight          float64
-		}
-		results := make([]ptResult, len(points))
-		par.For(opt.Workers, len(points), func(plo, phi int) {
-			var scratch [16]int64
-			var levelID []byte // reused across points; hashed before reuse
-			var padded vec.Point
-			for pi := plo; pi < phi; pi++ {
-				prec := points[pi]
-				pid := int(prec.Ints[0])
-				p := prec.Data
-				if len(p) < dPad {
-					if padded == nil {
-						padded = make(vec.Point, dPad)
-					}
-					clear(padded)
-					copy(padded, p)
-					p = padded
-				}
-				res := &results[pi]
-				cur := rootHash()
-				w := diam / 2
-				ok := true
-				if opt.EmitPaths {
-					res.pathInts = append(res.pathInts, int64(pid))
-				}
-				for lev := 1; lev <= levels && ok; lev++ {
-					// Joined ball id across buckets.
-					levelID = levelID[:0]
-					for j := 0; j < r && ok; j++ {
-						proj := vec.Bucket(p, j, r)
-						covered := false
-						for uu := 0; uu < u; uu++ {
-							g := gridTab[(lev-1)*r*u+j*u+uu]
-							if idx, in := g.InBall(proj, w, scratch[:0]); in {
-								levelID = append(levelID, byte(j))
-								var ub [8]byte
-								binary.LittleEndian.PutUint64(ub[:], uint64(uu))
-								levelID = append(levelID, ub[:]...)
-								for _, v := range idx {
-									var vb [8]byte
-									binary.LittleEndian.PutUint64(vb[:], uint64(v))
-									levelID = append(levelID, vb[:]...)
-								}
-								covered = true
-								break
-							}
-						}
-						if !covered {
-							res.failLev, res.failBucket = lev, j
-							ok = false
-						}
-					}
-					if !ok {
-						break
-					}
-					next := chainNext(cur, levelID)
-					res.edges = append(res.edges, levEdge{
-						lev:    lev,
-						key:    string(next[:]),
-						parHi:  int64(binary.LittleEndian.Uint64(cur[:8])),
-						parLo:  int64(binary.LittleEndian.Uint64(cur[8:])),
-						weight: diamFactor * w,
-					})
-					cur = next
-					if opt.EmitPaths {
-						res.pathInts = append(res.pathInts, int64(binary.LittleEndian.Uint64(cur[:8])), int64(binary.LittleEndian.Uint64(cur[8:])))
-					}
-					w /= 2
-				}
-				if ok {
-					res.leafHi = int64(binary.LittleEndian.Uint64(cur[:8]))
-					res.leafLo = int64(binary.LittleEndian.Uint64(cur[8:]))
-					res.leafWeight = diamFactor * w
-				}
-			}
-		})
-		// Serial replay: dedup and emit in store order. Emitted payloads
-		// are carved escape-mode — the receiving stores own them.
+		// Per-point path computation and emission — the hot loop — in one
+		// serial sweep in store order: each point's path is a pure function
+		// of the grid table and its own coordinates, edges are deduplicated
+		// map-side, and records go out in the order they are computed.
+		// Emitted payloads are carved escape-mode — the receiving stores
+		// own them.
 		ea := arena.New()
 		seenEdge := make(map[string]bool)
 		var keepPaths []mpc.Record
-		for pi, prec := range points {
+		var scratch [16]int64
+		var levelID []byte // reused across points; hashed before reuse
+		var padded vec.Point
+		for _, prec := range points {
 			pid := int(prec.Ints[0])
-			res := &results[pi]
-			for _, e := range res.edges {
-				if seenEdge[e.key] {
-					continue
+			p := prec.Data
+			if len(p) < dPad {
+				if padded == nil {
+					padded = make(vec.Point, dPad)
 				}
-				seenEdge[e.key] = true
-				ints := ea.Ints(3)
-				ints[0], ints[1], ints[2] = int64(e.lev), e.parHi, e.parLo
-				data := ea.Floats(1)
-				data[0] = e.weight
-				emit(hashTo(e.key, M), mpc.Record{
-					Key:  e.key,
-					Tag:  TagEdge,
-					Ints: ints,
-					Data: data,
-				})
+				clear(padded)
+				copy(padded, p)
+				p = padded
 			}
-			if res.failLev > 0 {
-				key := fmt.Sprintf("fail|%d|%d|%d", pid, res.failLev, res.failBucket)
-				emit(hashTo(key, M), mpc.Record{Key: key, Tag: TagFail, Ints: []int64{int64(pid), int64(res.failLev), int64(res.failBucket)}})
+			cur := rootHash()
+			w := diam / 2
+			failLev, failBucket := 0, 0 // failLev > 0 marks an uncovered point
+			var pathInts []int64
+			if opt.EmitPaths {
+				pathInts = append(pathInts, int64(pid))
+			}
+			for lev := 1; lev <= levels && failLev == 0; lev++ {
+				// Joined ball id across buckets.
+				levelID = levelID[:0]
+				for j := 0; j < r && failLev == 0; j++ {
+					proj := vec.Bucket(p, j, r)
+					covered := false
+					for uu := 0; uu < u; uu++ {
+						g := gridTab[(lev-1)*r*u+j*u+uu]
+						if idx, in := g.InBall(proj, w, scratch[:0]); in {
+							levelID = append(levelID, byte(j))
+							var ub [8]byte
+							binary.LittleEndian.PutUint64(ub[:], uint64(uu))
+							levelID = append(levelID, ub[:]...)
+							for _, v := range idx {
+								var vb [8]byte
+								binary.LittleEndian.PutUint64(vb[:], uint64(v))
+								levelID = append(levelID, vb[:]...)
+							}
+							covered = true
+							break
+						}
+					}
+					if !covered {
+						failLev, failBucket = lev, j
+					}
+				}
+				if failLev > 0 {
+					break
+				}
+				next := chainNext(cur, levelID)
+				if !seenEdge[string(next[:])] {
+					key := string(next[:])
+					seenEdge[key] = true
+					ints := ea.Ints(3)
+					ints[0] = int64(lev)
+					ints[1] = int64(binary.LittleEndian.Uint64(cur[:8]))
+					ints[2] = int64(binary.LittleEndian.Uint64(cur[8:]))
+					data := ea.Floats(1)
+					data[0] = diamFactor * w
+					emit(hashTo(key, M), mpc.Record{
+						Key:  key,
+						Tag:  TagEdge,
+						Ints: ints,
+						Data: data,
+					})
+				}
+				cur = next
+				if opt.EmitPaths {
+					pathInts = append(pathInts, int64(binary.LittleEndian.Uint64(cur[:8])), int64(binary.LittleEndian.Uint64(cur[8:])))
+				}
+				w /= 2
+			}
+			if failLev > 0 {
+				key := fmt.Sprintf("fail|%d|%d|%d", pid, failLev, failBucket)
+				emit(hashTo(key, M), mpc.Record{Key: key, Tag: TagFail, Ints: []int64{int64(pid), int64(failLev), int64(failBucket)}})
 				continue
 			}
 			if opt.EmitPaths {
-				keepPaths = append(keepPaths, mpc.Record{Key: fmt.Sprintf("path|%d", pid), Tag: TagPath, Ints: res.pathInts})
+				keepPaths = append(keepPaths, mpc.Record{Key: fmt.Sprintf("path|%d", pid), Tag: TagPath, Ints: pathInts})
 			}
 			// Terminal leaf edge at level levels+1.
 			leafKey := fmt.Sprintf("leaf|%d", pid)
 			ints := ea.Ints(4)
-			ints[0], ints[1], ints[2], ints[3] = int64(pid), int64(levels+1), res.leafHi, res.leafLo
+			ints[0], ints[1] = int64(pid), int64(levels+1)
+			ints[2] = int64(binary.LittleEndian.Uint64(cur[:8]))
+			ints[3] = int64(binary.LittleEndian.Uint64(cur[8:]))
 			data := ea.Floats(1)
-			data[0] = res.leafWeight
+			data[0] = diamFactor * w
 			emit(hashTo(leafKey, M), mpc.Record{
 				Key:  leafKey,
 				Tag:  TagLeaf,

@@ -161,7 +161,7 @@ func TestServiceSpansLinkToRetriedAttempts(t *testing.T) {
 // root (wire spans live under their own root and must not break it).
 func TestInstrumentedTCPPipelineBitIdentical(t *testing.T) {
 	pts := testPoints(48, 6, 7)
-	popt := core.PipelineOptions{Seed: 11, Workers: 1}
+	popt := core.PipelineOptions{Seed: 11}
 	cfg := mpc.Config{Machines: 8, CapWords: 1 << 20}
 
 	simCluster := mpc.New(cfg)
@@ -248,7 +248,7 @@ func TestInstrumentedTCPPipelineBitIdentical(t *testing.T) {
 // those attempts.
 func TestWireSpansAccountForRetriedOps(t *testing.T) {
 	pts := testPoints(48, 6, 7)
-	popt := core.PipelineOptions{Seed: 11, Workers: 1, Resilient: true}
+	popt := core.PipelineOptions{Seed: 11, Resilient: true}
 	cfg := mpc.Config{Machines: 8, CapWords: 1 << 20}
 
 	simTree := treeBytes(t, mpc.New(cfg), pts, popt)

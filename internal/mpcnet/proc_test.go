@@ -74,7 +74,7 @@ func TestSIGKILLRecoveryBitIdentical(t *testing.T) {
 		t.Skip("spawns real processes")
 	}
 	pts := testPoints(48, 6, 7)
-	popt := core.PipelineOptions{Seed: 11, Workers: 1, Resilient: true}
+	popt := core.PipelineOptions{Seed: 11, Resilient: true}
 	cfg := mpc.Config{Machines: 8, CapWords: 1 << 20}
 
 	simCluster := mpc.New(cfg)

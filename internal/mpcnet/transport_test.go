@@ -117,7 +117,7 @@ func treeBytes(t *testing.T, cluster *mpc.Cluster, pts [][]float64, opt core.Pip
 // simulator.
 func TestPipelineBitIdenticalAcrossBackends(t *testing.T) {
 	pts := testPoints(48, 6, 7)
-	popt := core.PipelineOptions{Seed: 11, Workers: 1}
+	popt := core.PipelineOptions{Seed: 11}
 	cfg := mpc.Config{Machines: 8, CapWords: 1 << 20}
 
 	simCluster := mpc.New(cfg)
@@ -146,7 +146,7 @@ func TestPipelineBitIdenticalAcrossBackends(t *testing.T) {
 // with the degradation visible in the transport stats.
 func TestWorkerDeathRecovery(t *testing.T) {
 	pts := testPoints(48, 6, 7)
-	popt := core.PipelineOptions{Seed: 11, Workers: 1, Resilient: true}
+	popt := core.PipelineOptions{Seed: 11, Resilient: true}
 	cfg := mpc.Config{Machines: 8, CapWords: 1 << 20}
 
 	simTree := treeBytes(t, mpc.New(cfg), pts, popt)

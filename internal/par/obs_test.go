@@ -15,7 +15,7 @@ func TestInstrumentMeters(t *testing.T) {
 	defer sink.Store(nil)
 
 	out := make([]int, 100)
-	For(4, len(out), func(lo, hi int) {
+	forN(4, len(out), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			time.Sleep(10 * time.Microsecond)
 			out[i] = i * i
@@ -45,19 +45,19 @@ func TestInstrumentMeters(t *testing.T) {
 	}
 
 	// Inline (single-shard) path meters too.
-	Shards(1, 10, func(shard, lo, hi int) {})
+	shards(1, 10, func(shard, lo, hi int) {})
 	if got := reg.Counter("par_fanouts_total", "").Value(); got != 2 {
 		t.Errorf("par_fanouts_total after inline fan-out = %d, want 2", got)
 	}
 }
 
-// MinMax rides on Shards, so it must be metered and stay correct.
+// MinMax rides on shards, so it must be metered and stay correct.
 func TestInstrumentMinMax(t *testing.T) {
 	reg := obs.New()
 	Instrument(reg)
 	defer sink.Store(nil)
 
-	mn, mx := MinMax(8, 1000, 1e300, -1e300, func(i int) (float64, bool) { return float64(i), true })
+	mn, mx := minMax(8, 1000, 1e300, -1e300, func(i int) (float64, bool) { return float64(i), true })
 	if mn != 0 || mx != 999 {
 		t.Fatalf("MinMax = (%v, %v) with instrumentation on", mn, mx)
 	}
@@ -71,7 +71,7 @@ func TestInstrumentMinMax(t *testing.T) {
 func TestUninstrumentedSinkNil(t *testing.T) {
 	sink.Store(nil)
 	var ran atomic.Int64
-	For(4, 8, func(lo, hi int) { ran.Add(int64(hi - lo)) })
+	forN(4, 8, func(lo, hi int) { ran.Add(int64(hi - lo)) })
 	if ran.Load() != 8 {
 		t.Fatalf("fan-out ran %d items, want 8", ran.Load())
 	}

@@ -1,22 +1,29 @@
-// Package par is the deterministic data-parallel execution layer used by
-// the hot kernels (batched Walsh–Hadamard transforms, the FJLT projection,
-// per-point root-path computation, and the pairwise-distance loops).
+// Package par is the deterministic data-parallel execution layer for the
+// compute that runs OUTSIDE MPC rounds: the sequential FJLT's batch
+// application and P-matrix generation, the coordinator-side grid draw
+// of Algorithm 2, quality audits, distortion measurement, the O(n²)
+// minimum-distance scan, and the serving tier's batched dist/knn answers.
 //
-// The design contract is reproducibility first: a computation fanned out
-// through this package must produce bit-identical results for ANY worker
-// count, including 1. The package guarantees that by construction:
+// Inside a Cluster.Round or LocalMap closure the machine goroutines are
+// the only fan-out — each machine's local computation is sequential, as
+// in the paper's MPC model — so no round closure calls into this package.
 //
-//   - work is divided by static index-range sharding — shard boundaries
-//     are a pure function of the item count, never of the worker count or
-//     of scheduling, so per-shard accumulators see identical inputs on
-//     every run;
-//   - the pool is bounded — at most `workers` goroutines run shard bodies
-//     concurrently — but which goroutine runs which shard is irrelevant,
-//     because shards may only write to disjoint state (their own index
-//     range, or their own shard-indexed accumulator slot);
+// Every fan-out is GOMAXPROCS wide, read once per call; there is no other
+// width control. The design contract is reproducibility first: a
+// computation fanned out through this package must produce bit-identical
+// results at ANY GOMAXPROCS, including 1. The package guarantees that by
+// construction:
+//
+//   - work is divided by static index-range sharding — shard i of s
+//     covers [i·n/s, (i+1)·n/s) — and shards may only write to disjoint
+//     state (their own index range, or their own shard-indexed
+//     accumulator slot), so which goroutine runs which shard, and how
+//     many shards there are, is irrelevant to the output;
+//   - the pool is bounded — at most GOMAXPROCS goroutines run shard
+//     bodies concurrently;
 //   - reductions are the caller's job and must be performed serially in
-//     shard order (see For's doc); min/max-style reductions that are
-//     exactly associative may fold per-shard results in any fixed order.
+//     item order; min/max-style reductions that are exactly associative
+//     may fold per-shard results in any fixed order (MinMax).
 //
 // Randomness must NOT be drawn inside a sharded body: all RNG streams in
 // this repository are serial by contract (internal/rng). Callers draw
@@ -49,7 +56,7 @@ var sink atomic.Pointer[parSink]
 
 // Instrument exports the fork/join layer's meters on reg:
 //
-//	par_fanouts_total         For/Shards/MinMax invocations
+//	par_fanouts_total         For/ForCtx/MinMax invocations
 //	par_shards_total          shard bodies executed
 //	par_shard_busy_ns_total   cumulative shard-body CPU-side wall time
 //	par_fanout_wall_ns_total  cumulative fan-out wall time
@@ -57,7 +64,7 @@ var sink atomic.Pointer[parSink]
 //	                          1.0 means perfectly balanced shards
 //
 // Worker utilization over any scrape interval is
-// Δpar_shard_busy_ns_total / (Δpar_fanout_wall_ns_total × workers).
+// Δpar_shard_busy_ns_total / (Δpar_fanout_wall_ns_total × GOMAXPROCS).
 func Instrument(reg *obs.Registry) {
 	sink.Store(&parSink{
 		fanouts:     reg.Counter("par_fanouts_total", "Data-parallel fan-out invocations."),
@@ -80,52 +87,35 @@ func (p *parSink) record(shards int, start time.Time, busy int64) {
 	}
 }
 
-// Workers resolves a worker-count option: w > 0 is used as given, any
-// other value selects runtime.GOMAXPROCS(0). This is the single place the
-// "-workers" default is defined.
-func Workers(w int) int {
-	if w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// shardCount returns the number of static shards for n items: one shard
-// per item up to maxShards. Shard boundaries depend only on n and
-// maxShards, which callers must keep fixed per call site (For and Shards
-// derive maxShards from the worker count, which is why their OUTPUT
-// contract — not their shard layout — is what is worker-invariant).
-func shardCount(workers, n int) int {
-	if workers > n {
-		return n
-	}
-	return workers
-}
-
-// For runs fn over [0, n) split into at most `workers` contiguous shards,
+// For runs fn over [0, n) split into at most GOMAXPROCS contiguous shards,
 // concurrently. fn(lo, hi) processes items lo ≤ i < hi and MUST touch only
 // state owned by those indices (e.g. out[i] slots); under that contract
-// the result is bit-identical for any worker count. workers ≤ 1, n ≤ 1,
-// or a single shard runs inline with no goroutines.
-func For(workers, n int, fn func(lo, hi int)) {
-	Shards(workers, n, func(_, lo, hi int) { fn(lo, hi) })
+// the result is bit-identical for any GOMAXPROCS. GOMAXPROCS 1, n ≤ 1, or
+// a single shard runs inline with no goroutines.
+func For(n int, fn func(lo, hi int)) {
+	forN(runtime.GOMAXPROCS(0), n, fn)
 }
 
-// Shards is For with the shard index exposed: fn(shard, lo, hi) may
+// forN is For at an explicit fan-out width.
+func forN(workers, n int, fn func(lo, hi int)) {
+	shards(workers, n, func(_, lo, hi int) { fn(lo, hi) })
+}
+
+// shards is forN with the shard index exposed: fn(shard, lo, hi) may
 // additionally write to a shard-indexed accumulator slot (acc[shard]).
-// The number of shards actually used is returned so callers can size
+// The number of shards actually used is returned so callers can fold
 // accumulators with it; it never exceeds min(workers, n).
 //
 // Deterministic reduction rule: per-shard partials may be folded serially
-// in shard order (bit-identical only if the fold is insensitive to shard
-// boundaries, e.g. exact min/max or integer sums) — for floating-point
-// sums that must be bit-identical across worker counts, write per-ITEM
-// values via For and fold serially instead.
-func Shards(workers, n int, fn func(shard, lo, hi int)) int {
+// in shard order only if the fold is insensitive to shard boundaries
+// (exact min/max or integer sums). Floating-point sums that must be
+// bit-identical across widths write per-ITEM values via For and fold
+// serially instead.
+func shards(workers, n int, fn func(shard, lo, hi int)) int {
 	if n <= 0 {
 		return 0
 	}
-	s := shardCount(Workers(workers), n)
+	s := min(workers, n)
 	// Optional instrumentation: wrap shard bodies to meter busy time.
 	// The wrapper changes nothing about shard layout or ownership, so
 	// the reproducibility contract is untouched.
@@ -166,24 +156,29 @@ func Shards(workers, n int, fn func(shard, lo, hi int)) int {
 
 // forCtxChunk is the cancellation-check granularity of ForCtx: shards
 // poll ctx between chunks of this many items. Fixed (never derived from
-// the worker count) so chunking cannot perturb anything observable.
+// the fan-out width) so chunking cannot perturb anything observable.
 const forCtxChunk = 64
 
 // ForCtx is For with cooperative cancellation: shard bodies poll ctx
 // between fixed-size chunks of the index range and stop early once it is
 // done, so a caller whose deadline expired (an HTTP request timing out
-// mid-batch) reclaims its workers instead of paying for a doomed result.
+// mid-batch) reclaims its cores instead of paying for a doomed result.
 // Returns ctx's error if the fan-out was cut short — the output slots are
 // then partially written and must be discarded — and nil on a complete
-// run, whose results are bit-identical to For's for any worker count.
+// run, whose results are bit-identical to For's at any GOMAXPROCS.
 // fn must tolerate being called on sub-ranges of a shard (the per-item
 // ownership contract already implies it).
-func ForCtx(ctx context.Context, workers, n int, fn func(lo, hi int)) error {
+func ForCtx(ctx context.Context, n int, fn func(lo, hi int)) error {
+	return forCtx(ctx, runtime.GOMAXPROCS(0), n, fn)
+}
+
+// forCtx is ForCtx at an explicit fan-out width.
+func forCtx(ctx context.Context, workers, n int, fn func(lo, hi int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	var stopped atomic.Bool
-	For(workers, n, func(lo, hi int) {
+	forN(workers, n, func(lo, hi int) {
 		for lo < hi {
 			if stopped.Load() {
 				return
@@ -203,20 +198,25 @@ func ForCtx(ctx context.Context, workers, n int, fn func(lo, hi int)) error {
 	return ctx.Err()
 }
 
-// MinMax folds a per-item (min, max) pair in parallel: f(i) returns the
-// item's value, and items reporting ok=false are skipped. Exact min/max
-// folding is associative and commutative over float64 (no rounding), so
-// the result is bit-identical for any worker count. Returns
-// (+Inf, -Inf-ish defaults) untouched when every item is skipped — the
-// caller supplies the identity values.
-func MinMax(workers, n int, minID, maxID float64, f func(i int) (v float64, ok bool)) (min, max float64) {
+// MinMax folds a per-item (min, max) pair in parallel at GOMAXPROCS: f(i)
+// returns the item's value, and items reporting ok=false are skipped.
+// Exact min/max folding is associative and commutative over float64 (no
+// rounding), so the result is bit-identical for any width. Returns the
+// caller-supplied identities (minID, maxID) untouched when every item is
+// skipped.
+func MinMax(n int, minID, maxID float64, f func(i int) (v float64, ok bool)) (min, max float64) {
+	return minMax(runtime.GOMAXPROCS(0), n, minID, maxID, f)
+}
+
+// minMax is MinMax at an explicit fan-out width.
+func minMax(workers, n int, minID, maxID float64, f func(i int) (v float64, ok bool)) (float64, float64) {
 	if n <= 0 {
 		return minID, maxID
 	}
-	s := shardCount(Workers(workers), n)
+	s := min(workers, n)
 	mins := make([]float64, s)
 	maxs := make([]float64, s)
-	Shards(workers, n, func(shard, lo, hi int) {
+	shards(workers, n, func(shard, lo, hi int) {
 		mn, mx := minID, maxID
 		for i := lo; i < hi; i++ {
 			v, ok := f(i)
@@ -232,14 +232,14 @@ func MinMax(workers, n int, minID, maxID float64, f func(i int) (v float64, ok b
 		}
 		mins[shard], maxs[shard] = mn, mx
 	})
-	min, max = minID, maxID
+	foldMin, foldMax := minID, maxID
 	for i := 0; i < s; i++ {
-		if mins[i] < min {
-			min = mins[i]
+		if mins[i] < foldMin {
+			foldMin = mins[i]
 		}
-		if maxs[i] > max {
-			max = maxs[i]
+		if maxs[i] > foldMax {
+			foldMax = maxs[i]
 		}
 	}
-	return min, max
+	return foldMin, foldMax
 }

@@ -9,14 +9,18 @@ import (
 	"time"
 )
 
+// The exported fan-outs are exactly GOMAXPROCS wide: one shard per
+// available processor, capped by the item count.
 func TestWorkersResolution(t *testing.T) {
-	if got := Workers(4); got != 4 {
-		t.Errorf("Workers(4) = %d", got)
-	}
-	want := runtime.GOMAXPROCS(0)
-	for _, w := range []int{0, -1, -100} {
-		if got := Workers(w); got != want {
-			t.Errorf("Workers(%d) = %d, want GOMAXPROCS %d", w, got, want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{2, 100} {
+			var calls atomic.Int32
+			For(n, func(lo, hi int) { calls.Add(1) })
+			if want := min(procs, n); int(calls.Load()) != want {
+				t.Errorf("GOMAXPROCS=%d n=%d: For ran %d shards, want %d", procs, n, calls.Load(), want)
+			}
 		}
 	}
 }
@@ -25,7 +29,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 64} {
 		for _, n := range []int{0, 1, 2, 7, 8, 9, 1000} {
 			hits := make([]int32, n)
-			For(workers, n, func(lo, hi int) {
+			forN(workers, n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -44,7 +48,7 @@ func TestShardsDisjointAndOrdered(t *testing.T) {
 		n := 103
 		type rng struct{ lo, hi int }
 		ranges := make([]rng, 16)
-		s := Shards(workers, n, func(shard, lo, hi int) {
+		s := shards(workers, n, func(shard, lo, hi int) {
 			ranges[shard] = rng{lo, hi}
 		})
 		if s > workers || s > n || s < 1 {
@@ -67,7 +71,7 @@ func TestForInlineWhenSerial(t *testing.T) {
 	// workers=1 must run the body on the calling goroutine (no races on
 	// non-atomic caller state even without synchronisation).
 	x := 0
-	For(1, 100, func(lo, hi int) {
+	forN(1, 100, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			x++
 		}
@@ -78,18 +82,18 @@ func TestForInlineWhenSerial(t *testing.T) {
 }
 
 // TestDeterministicSlotWrites is the package's contract in miniature:
-// per-index writes produce bit-identical output for every worker count.
+// per-index writes produce bit-identical output at every fan-out width.
 func TestDeterministicSlotWrites(t *testing.T) {
 	n := 500
 	ref := make([]float64, n)
-	For(1, n, func(lo, hi int) {
+	forN(1, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ref[i] = math.Sin(float64(i)) * 1e9
 		}
 	})
 	for _, workers := range []int{2, 3, 8, 32} {
 		out := make([]float64, n)
-		For(workers, n, func(lo, hi int) {
+		forN(workers, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out[i] = math.Sin(float64(i)) * 1e9
 			}
@@ -121,7 +125,7 @@ func TestMinMaxMatchesSerialExactly(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 7, 16} {
-		mn, mx := MinMax(workers, n, math.Inf(1), math.Inf(-1), func(i int) (float64, bool) {
+		mn, mx := minMax(workers, n, math.Inf(1), math.Inf(-1), func(i int) (float64, bool) {
 			return vals[i], i%13 != 0
 		})
 		if math.Float64bits(mn) != math.Float64bits(wantMin) || math.Float64bits(mx) != math.Float64bits(wantMax) {
@@ -131,11 +135,11 @@ func TestMinMaxMatchesSerialExactly(t *testing.T) {
 }
 
 func TestMinMaxEmptyAndAllSkipped(t *testing.T) {
-	mn, mx := MinMax(4, 0, math.Inf(1), math.Inf(-1), nil)
+	mn, mx := minMax(4, 0, math.Inf(1), math.Inf(-1), nil)
 	if !math.IsInf(mn, 1) || !math.IsInf(mx, -1) {
 		t.Fatalf("empty: (%v, %v)", mn, mx)
 	}
-	mn, mx = MinMax(4, 50, math.Inf(1), math.Inf(-1), func(int) (float64, bool) { return 0, false })
+	mn, mx = minMax(4, 50, math.Inf(1), math.Inf(-1), func(int) (float64, bool) { return 0, false })
 	if !math.IsInf(mn, 1) || !math.IsInf(mx, -1) {
 		t.Fatalf("all skipped: (%v, %v)", mn, mx)
 	}
@@ -144,14 +148,14 @@ func TestMinMaxEmptyAndAllSkipped(t *testing.T) {
 func TestForCtxMatchesFor(t *testing.T) {
 	const n = 1000
 	want := make([]int, n)
-	For(4, n, func(lo, hi int) {
+	forN(4, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			want[i] = i * i
 		}
 	})
 	for _, workers := range []int{1, 3, 8} {
 		got := make([]int, n)
-		if err := ForCtx(context.Background(), workers, n, func(lo, hi int) {
+		if err := forCtx(context.Background(), workers, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				got[i] = i * i
 			}
@@ -170,7 +174,7 @@ func TestForCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	if err := ForCtx(ctx, 4, 100, func(lo, hi int) { ran = true }); err == nil {
+	if err := forCtx(ctx, 4, 100, func(lo, hi int) { ran = true }); err == nil {
 		t.Fatal("cancelled context returned nil")
 	}
 	if ran {
@@ -182,7 +186,7 @@ func TestForCtxCancelsInFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var processed atomic.Int64
 	const n = 1 << 20
-	err := ForCtx(ctx, 2, n, func(lo, hi int) {
+	err := forCtx(ctx, 2, n, func(lo, hi int) {
 		if processed.Add(int64(hi-lo)) > forCtxChunk { // after the first couple of chunks...
 			cancel()
 		}

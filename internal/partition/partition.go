@@ -25,7 +25,6 @@ import (
 	"math"
 
 	"mpctree/internal/grid"
-	"mpctree/internal/par"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
@@ -103,16 +102,6 @@ func GridPartition(r *rng.RNG, pts []vec.Point, w float64) Result {
 // whether that constitutes failure (Algorithm 1 halts; experiments record
 // the rate).
 func BallPartition(r *rng.RNG, pts []vec.Point, w float64, maxGrids int) Result {
-	return BallPartitionPar(r, pts, w, maxGrids, 1)
-}
-
-// BallPartitionPar is BallPartition with the per-grid point scan sharded
-// over workers (par.Workers semantics). Grids are still drawn serially from
-// the RNG in the same lazy order — each point's InBall check writes only
-// its own id slot, and the per-shard covered counts fold with exact integer
-// addition, so the result (including how many grids get drawn) is identical
-// for any worker count.
-func BallPartitionPar(r *rng.RNG, pts []vec.Point, w float64, maxGrids, workers int) Result {
 	if len(pts) == 0 {
 		return Result{}
 	}
@@ -120,26 +109,18 @@ func BallPartitionPar(r *rng.RNG, pts []vec.Point, w float64, maxGrids, workers 
 	ids := make([]string, len(pts))
 	remaining := len(pts)
 	used := 0
-	covered := make([]int, par.Workers(workers))
+	var scratch [16]int64
 	for u := 0; u < maxGrids && remaining > 0; u++ {
 		g := grid.New(r, dim, 4*w)
 		used++
-		s := par.Shards(workers, len(pts), func(shard, lo, hi int) {
-			var scratch [16]int64
-			cnt := 0
-			for i := lo; i < hi; i++ {
-				if ids[i] != Uncovered {
-					continue
-				}
-				if idx, in := g.InBall(pts[i], w, scratch[:0]); in {
-					ids[i] = grid.KeyWithPrefix(uint64(u), idx)
-					cnt++
-				}
+		for i, p := range pts {
+			if ids[i] != Uncovered {
+				continue
 			}
-			covered[shard] = cnt
-		})
-		for i := 0; i < s; i++ {
-			remaining -= covered[i]
+			if idx, in := g.InBall(p, w, scratch[:0]); in {
+				ids[i] = grid.KeyWithPrefix(uint64(u), idx)
+				remaining--
+			}
 		}
 	}
 	return Result{IDs: ids, Uncovered: remaining, GridsUsed: used}
@@ -158,14 +139,6 @@ func BallPartitionPar(r *rng.RNG, pts []vec.Point, w float64, maxGrids, workers 
 // 2w with gaps, the paper's "grid partitioning with space between the
 // hypercubes".
 func HybridPartition(rnd *rng.RNG, pts []vec.Point, w float64, r, maxGrids int) Result {
-	return HybridPartitionPar(rnd, pts, w, r, maxGrids, 1)
-}
-
-// HybridPartitionPar is HybridPartition with the per-bucket projection,
-// ball scans (BallPartitionPar), and id merges sharded over workers. All
-// RNG draws stay serial in bucket order, and every parallel write lands in
-// a per-point slot, so the partitioning is identical for any worker count.
-func HybridPartitionPar(rnd *rng.RNG, pts []vec.Point, w float64, r, maxGrids, workers int) Result {
 	if len(pts) == 0 {
 		return Result{}
 	}
@@ -185,30 +158,26 @@ func HybridPartitionPar(rnd *rng.RNG, pts []vec.Point, w float64, r, maxGrids, w
 	proj := make([]vec.Point, len(pts))
 	for j := 0; j < r; j++ {
 		// Project onto bucket j. Bucket returns subslices; no copying.
-		par.For(workers, len(pts), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				proj[i] = vec.Bucket(pts[i], j, r)
-			}
-		})
-		res := BallPartitionPar(rnd, proj, w, maxGrids, workers)
+		for i, p := range pts {
+			proj[i] = vec.Bucket(p, j, r)
+		}
+		res := BallPartition(rnd, proj, w, maxGrids)
 		totalGrids += res.GridsUsed
-		par.For(workers, len(pts), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if !covered[i] {
-					continue
-				}
-				if res.IDs[i] == Uncovered {
-					covered[i] = false
-					ids[i] = Uncovered
-					continue
-				}
-				// Concatenate with a bucket tag so bucket boundaries cannot
-				// ambiguously merge (ball keys are fixed-width per bucket, but
-				// bucket dimensions are uniform so widths agree; the tag makes
-				// the invariant independent of that).
-				ids[i] += string([]byte{byte(j)}) + res.IDs[i]
+		for i := range pts {
+			if !covered[i] {
+				continue
 			}
-		})
+			if res.IDs[i] == Uncovered {
+				covered[i] = false
+				ids[i] = Uncovered
+				continue
+			}
+			// Concatenate with a bucket tag so bucket boundaries cannot
+			// ambiguously merge (ball keys are fixed-width per bucket, but
+			// bucket dimensions are uniform so widths agree; the tag makes
+			// the invariant independent of that).
+			ids[i] += string([]byte{byte(j)}) + res.IDs[i]
+		}
 	}
 	unc := 0
 	for i := range ids {

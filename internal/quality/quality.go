@@ -31,7 +31,7 @@ import (
 )
 
 // Config tunes an audit. The zero value samples 2048 pairs with seed 0,
-// serial, with no Theorem-2 alarm threshold.
+// with no Theorem-2 alarm threshold.
 type Config struct {
 	// MaxPairs caps the pair sample: 0 means 2048, negative means every
 	// pair. When the cap covers all n(n−1)/2 pairs the sample is the full
@@ -40,10 +40,6 @@ type Config struct {
 	// Seed drives pair sampling only — it is independent of any embedding
 	// seed, so the same pairs are re-audited across hot reloads.
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers bounds the parallel ratio computation (par.Workers
-	// semantics). Reports are bit-identical for any value: ratios land in
-	// per-pair slots and every fold is serial in pair order.
-	Workers int `json:"workers,omitempty"`
 	// MaxMeanRatio, when positive, is the Theorem-2 expectation alarm: a
 	// report whose mean ratio exceeds it is flagged BoundViolated. Derive
 	// a threshold with Thm2Bound, or set a tighter SLO by hand.
@@ -163,9 +159,8 @@ func SamplePairs(seed uint64, n, maxPairs int) [][2]int {
 
 // Audit measures tree t against the Euclidean metric of pts over the
 // Config's seeded pair sample. It is read-only on both arguments; the
-// ratio computation fans out over cfg.Workers with every floating-point
-// fold serial in pair order, so the report is bit-identical at any
-// worker count.
+// ratio computation fans out at GOMAXPROCS with every floating-point fold
+// serial in pair order, so the report is bit-identical at any width.
 func Audit(t *hst.Tree, pts []vec.Point, cfg Config) (*Report, error) {
 	if t == nil {
 		return nil, errors.New("quality: nil tree")
@@ -193,7 +188,7 @@ func Audit(t *hst.Tree, pts []vec.Point, cfg Config) (*Report, error) {
 	ratios := make([]float64, len(pairs))
 	dists := make([]float64, len(pairs))
 	seps := make([]int, len(pairs))
-	par.For(cfg.Workers, len(pairs), func(lo, hi int) {
+	par.For(len(pairs), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			i, j := pairs[k][0], pairs[k][1]
 			de := vec.Dist(pts[i], pts[j])

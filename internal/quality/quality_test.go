@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mpctree/internal/core"
@@ -78,29 +79,27 @@ func TestSamplePairsFullEnumeration(t *testing.T) {
 func TestAuditBitIdenticalAcrossWorkers(t *testing.T) {
 	pts := testPoints(120)
 	tree := buildTree(t, pts, 3)
-	base, err := quality.Audit(tree, pts, quality.Config{MaxPairs: 600, Seed: 9, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, 8} {
-		rep, err := quality.Audit(tree, pts, quality.Config{MaxPairs: 600, Seed: 9, Workers: w})
+	audit := func(procs int) *quality.Report {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rep, err := quality.Audit(tree, pts, quality.Config{MaxPairs: 600, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(base, rep) {
-			t.Fatalf("workers=%d report differs from workers=1:\n%+v\nvs\n%+v", w, rep, base)
-		}
+		return rep
+	}
+	if base, rep := audit(1), audit(8); !reflect.DeepEqual(base, rep) {
+		t.Fatalf("GOMAXPROCS=8 report differs from GOMAXPROCS=1:\n%+v\nvs\n%+v", rep, base)
 	}
 }
 
 func TestAuditMatchesOfflineMeasurement(t *testing.T) {
 	pts := testPoints(90)
 	tree := buildTree(t, pts, 5)
-	rep, err := quality.Audit(tree, pts, quality.Config{MaxPairs: -1, Workers: 4})
+	rep, err := quality.Audit(tree, pts, quality.Config{MaxPairs: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := stats.MeasureDistortionPar(pts, 1, 4, func(uint64) (*hst.Tree, error) { return tree, nil })
+	off, err := stats.MeasureDistortion(pts, 1, func(uint64) (*hst.Tree, error) { return tree, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestAuditLeavesTreeBytesUntouched(t *testing.T) {
 	if _, err := tree.WriteTo(&before); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := quality.Audit(tree, pts, quality.Config{MaxPairs: -1, Workers: 8}); err != nil {
+	if _, err := quality.Audit(tree, pts, quality.Config{MaxPairs: -1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tree.WriteTo(&after); err != nil {

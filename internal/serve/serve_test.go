@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ import (
 
 // buildTree embeds a seeded synthetic point set — the same artifact
 // `treembed -save` produces.
-func buildTree(t *testing.T, seed uint64, n int) *hst.Tree {
+func buildTree(t testing.TB, seed uint64, n int) *hst.Tree {
 	t.Helper()
 	pts := workload.UniformLattice(seed, n, 4, 1<<10)
 	tree, _, err := core.Embed(pts, core.Options{Seed: seed})
@@ -32,7 +33,7 @@ func buildTree(t *testing.T, seed uint64, n int) *hst.Tree {
 }
 
 // saveTree writes a tree the way treembed -save does.
-func saveTree(t *testing.T, tree *hst.Tree, path string) {
+func saveTree(t testing.TB, tree *hst.Tree, path string) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
@@ -88,20 +89,22 @@ func postJSON(t *testing.T, url string, req any, resp any) int {
 
 func TestDistBatchMatchesSerial(t *testing.T) {
 	// The same 10k-pair batch must come back bit-identical to serial
-	// hst.Tree.Dist at every worker count.
-	for _, workers := range []int{1, 3, 8} {
-		srv, _, tree, _ := newTestServer(t, Options{Workers: workers})
+	// hst.Tree.Dist at every GOMAXPROCS.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		srv, _, tree, _ := newTestServer(t, Options{})
 		pairs := workload.DistPairs(7, tree.NumPoints(), 10000)
 		var resp DistResponse
 		if code := postJSON(t, srv.URL+"/v1/dist", DistRequest{Tree: "t", Pairs: pairs}, &resp); code != 200 {
-			t.Fatalf("workers=%d: HTTP %d", workers, code)
+			t.Fatalf("GOMAXPROCS=%d: HTTP %d", procs, code)
 		}
 		if len(resp.Dists) != len(pairs) {
-			t.Fatalf("workers=%d: %d answers for %d pairs", workers, len(resp.Dists), len(pairs))
+			t.Fatalf("GOMAXPROCS=%d: %d answers for %d pairs", procs, len(resp.Dists), len(pairs))
 		}
 		for i, p := range pairs {
 			if want := tree.Dist(p[0], p[1]); resp.Dists[i] != want {
-				t.Fatalf("workers=%d pair %d: %v != serial %v", workers, i, resp.Dists[i], want)
+				t.Fatalf("GOMAXPROCS=%d pair %d: %v != serial %v", procs, i, resp.Dists[i], want)
 			}
 		}
 	}
@@ -230,7 +233,7 @@ func TestDeadline(t *testing.T) {
 // into the parallel batch path: an already-expired deadline must abort
 // the /v1/dist fan-out with 503 rather than computing a doomed batch.
 func TestDeadlineReachesBatchFanOut(t *testing.T) {
-	srv, _, tree, _ := newTestServer(t, Options{Deadline: time.Nanosecond, Workers: 4})
+	srv, _, tree, _ := newTestServer(t, Options{Deadline: time.Nanosecond})
 	pairs := workload.DistPairs(3, tree.NumPoints(), 5000)
 	if code := postJSON(t, srv.URL+"/v1/dist", DistRequest{Tree: "t", Pairs: pairs}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("expired deadline on dist batch: HTTP %d, want 503", code)

@@ -2,7 +2,7 @@
 // listing) taking a small JSON document naming a tree; batch-shaped
 // requests (dist pairs, knn points) fan out through internal/par, so a
 // 10k-pair batch uses every core while staying bit-identical to a
-// serial loop at any worker count (each shard writes only its own
+// serial loop at any GOMAXPROCS (each shard writes only its own
 // output slots). Handlers run under a per-request deadline with bounded
 // request bodies, answer structured JSON errors, and meter themselves
 // onto an obs.Registry.
@@ -23,10 +23,10 @@ import (
 	"mpctree/internal/par"
 )
 
-// Options configures a Server. The zero value serves with GOMAXPROCS
-// workers, a 30s deadline, and a 8 MiB body limit, unmetered.
+// Options configures a Server. The zero value serves with a 30s deadline
+// and a 8 MiB body limit, unmetered. Batched dist and knn requests fan out
+// at GOMAXPROCS.
 type Options struct {
-	Workers      int           // par fan-out width; 0 = GOMAXPROCS
 	Deadline     time.Duration // per-request wall budget; 0 = 30s, <0 = none
 	MaxBodyBytes int64         // request body cap; 0 = 8 MiB
 	MaxBatch     int           // max items (pairs, points) per batch request; 0 = 1<<20
@@ -57,7 +57,6 @@ type Options struct {
 // Server answers tree-metric queries from a Registry.
 type Server struct {
 	trees    *Registry
-	workers  int
 	deadline time.Duration
 	maxBatch int
 
@@ -69,7 +68,6 @@ type Server struct {
 func NewServer(trees *Registry, opts Options) *Server {
 	s := &Server{
 		trees:    trees,
-		workers:  par.Workers(opts.Workers),
 		deadline: opts.Deadline,
 		maxBatch: opts.MaxBatch,
 	}
@@ -280,7 +278,7 @@ func (s *Server) handleDist(ctx context.Context, r *http.Request) (any, error) {
 	// The request context carries the per-request deadline: a timed-out
 	// batch stops its in-flight shards instead of computing a result
 	// nobody will read.
-	err = par.ForCtx(ctx, s.workers, len(req.Pairs), func(lo, hi int) {
+	err = par.ForCtx(ctx, len(req.Pairs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = t.Dist(req.Pairs[i][0], req.Pairs[i][1])
 		}
@@ -352,7 +350,7 @@ func (s *Server) handleKNN(ctx context.Context, r *http.Request) (any, error) {
 	csp := span.Child("compute_knn")
 	csp.Add("points", int64(len(points)))
 	csp.Add("k", int64(req.K))
-	err = par.ForCtx(ctx, s.workers, len(points), func(lo, hi int) {
+	err = par.ForCtx(ctx, len(points), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = t.KNN(points[i], req.K)
 		}

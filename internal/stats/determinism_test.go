@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mpctree/internal/core"
@@ -10,9 +11,9 @@ import (
 	"mpctree/internal/vec"
 )
 
-// MeasureDistortionPar must reproduce the serial measurement bit for bit:
-// per-pair ratios land in slots and every float sum folds serially in pair
-// order, so no worker count can perturb the statistics.
+// MeasureDistortion must be bit-identical at any GOMAXPROCS: per-pair
+// ratios land in slots and every float sum folds serially in pair order,
+// so no fan-out width can perturb the statistics.
 func TestMeasureDistortionWorkerInvariant(t *testing.T) {
 	r := rng.New(61)
 	pts := make([]vec.Point, 40)
@@ -23,9 +24,10 @@ func TestMeasureDistortionWorkerInvariant(t *testing.T) {
 		}
 	}
 
-	measure := func(workers int) Distortion {
-		d, err := MeasureDistortionPar(pts, 5, workers, func(seed uint64) (*hst.Tree, error) {
-			tr, _, err := core.Embed(pts, core.Options{Method: core.MethodGrid, Seed: 1000 + seed, Workers: workers})
+	measure := func(procs int) Distortion {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		d, err := MeasureDistortion(pts, 5, func(seed uint64) (*hst.Tree, error) {
+			tr, _, err := core.Embed(pts, core.Options{Method: core.MethodGrid, Seed: 1000 + seed})
 			return tr, err
 		})
 		if err != nil {
@@ -34,21 +36,18 @@ func TestMeasureDistortionWorkerInvariant(t *testing.T) {
 		return d
 	}
 
-	want := measure(1)
-	for _, workers := range []int{2, 8} {
-		got := measure(workers)
-		for name, pair := range map[string][2]float64{
-			"MaxMeanRatio": {want.MaxMeanRatio, got.MaxMeanRatio},
-			"MeanRatio":    {want.MeanRatio, got.MeanRatio},
-			"MinRatio":     {want.MinRatio, got.MinRatio},
-			"P95Ratio":     {want.P95Ratio, got.P95Ratio},
-		} {
-			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-				t.Fatalf("workers=%d: %s = %v, serial %v", workers, name, pair[1], pair[0])
-			}
+	want, got := measure(1), measure(8)
+	for name, pair := range map[string][2]float64{
+		"MaxMeanRatio": {want.MaxMeanRatio, got.MaxMeanRatio},
+		"MeanRatio":    {want.MeanRatio, got.MeanRatio},
+		"MinRatio":     {want.MinRatio, got.MinRatio},
+		"P95Ratio":     {want.P95Ratio, got.P95Ratio},
+	} {
+		if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+			t.Fatalf("GOMAXPROCS=8: %s = %v, at 1 %v", name, pair[1], pair[0])
 		}
-		if got.Trees != want.Trees || got.Pairs != want.Pairs {
-			t.Fatalf("workers=%d: counters differ: %+v vs %+v", workers, got, want)
-		}
+	}
+	if got.Trees != want.Trees || got.Pairs != want.Pairs {
+		t.Fatalf("GOMAXPROCS=8: counters differ: %+v vs %+v", got, want)
 	}
 }

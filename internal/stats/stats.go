@@ -28,19 +28,13 @@ type Distortion struct {
 }
 
 // MeasureDistortion evaluates the trees produced by build (called once per
-// seed 0..trees-1) against the Euclidean metric of pts. Pairs with zero
-// distance are skipped. build returning an error aborts.
+// seed 0..trees-1, serially) against the Euclidean metric of pts. Pairs
+// with zero distance are skipped. build returning an error aborts. The
+// per-pair ratios fan out at GOMAXPROCS — each lands in its own slot, tree
+// distance queries being read-only — and every floating-point sum folds
+// serially in fixed pair order, so the result is bit-identical at any
+// width.
 func MeasureDistortion(pts []vec.Point, trees int, build func(seed uint64) (*hst.Tree, error)) (Distortion, error) {
-	return MeasureDistortionPar(pts, trees, 1, build)
-}
-
-// MeasureDistortionPar is MeasureDistortion with the per-pair ratio
-// computation sharded over workers (par.Workers semantics). Each pair's
-// ratio lands in its own slot (tree distance queries are read-only) and
-// every floating-point sum is folded serially in fixed pair order, so the
-// result is bit-identical to the serial measurement for any worker count.
-// build is always called serially, once per seed.
-func MeasureDistortionPar(pts []vec.Point, trees, workers int, build func(seed uint64) (*hst.Tree, error)) (Distortion, error) {
 	n := len(pts)
 	if n < 2 {
 		return Distortion{}, fmt.Errorf("stats: need ≥ 2 points")
@@ -63,14 +57,14 @@ func MeasureDistortionPar(pts []vec.Point, trees, workers int, build func(seed u
 		if err != nil {
 			return Distortion{}, err
 		}
-		par.For(workers, len(pairs), func(lo, hi int) {
+		par.For(len(pairs), func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				pr := pairs[k]
 				ratios[k] = t.Dist(pr.i, pr.j) / vec.Dist(pts[pr.i], pts[pr.j])
 			}
 		})
-		// Serial fold in pair order: same float addition sequence as the
-		// serial sweep, so sums/grand/minRatio are bit-identical.
+		// Serial fold in pair order: the same float addition sequence at
+		// any width, so sums/grand/minRatio are bit-identical.
 		for k, ratio := range ratios {
 			sums[k] += ratio
 			grand += ratio

@@ -221,11 +221,25 @@ func (s *Store) ReadManifest(name string, version int64) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("treestore: manifest skew for %q v%d: manifest claims %q v%d",
 			name, version, m.Name, m.Version)
 	}
-	if m.Bytes <= 0 || len(m.SHA256) != sha256.Size*2 {
+	if m.Bytes <= 0 || !isDigest(m.SHA256) {
 		return Manifest{}, fmt.Errorf("treestore: manifest for %q v%d has implausible bytes=%d sha256=%q",
 			name, version, m.Bytes, m.SHA256)
 	}
 	return m, nil
+}
+
+// isDigest reports whether s is a sha256 digest in the lowercase hex form
+// Save writes and LoadVersion compares against.
+func isDigest(s string) bool {
+	if len(s) != sha256.Size*2 {
+		return false
+	}
+	for _, c := range []byte(s) {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Load reads the current version of name, verifying the tree bytes

@@ -2,15 +2,21 @@ package vec
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mpctree/internal/rng"
 )
 
-// The parallel reductions must be bit-identical to their serial
-// counterparts for any worker count — including float extrema over
-// pairwise distances, where shard boundaries must not leak into the
-// result.
+// The reductions must be bit-identical at any GOMAXPROCS — including
+// float extrema over pairwise distances, where the fanned-out minimum's
+// shard boundaries must not leak into the result.
+
+// atProcs runs f at the given GOMAXPROCS.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
 
 func normalPts(seed uint64, n, d int) []Point {
 	r := rng.New(seed)
@@ -26,62 +32,59 @@ func normalPts(seed uint64, n, d int) []Point {
 
 func TestBoundsWorkerInvariant(t *testing.T) {
 	pts := normalPts(51, 37, 6)
-	want := BoundsPar(pts, 1)
-	for _, workers := range []int{2, 3, 8} {
-		got := BoundsPar(pts, workers)
-		for j := range want.Lo {
-			if math.Float64bits(got.Lo[j]) != math.Float64bits(want.Lo[j]) ||
-				math.Float64bits(got.Hi[j]) != math.Float64bits(want.Hi[j]) {
-				t.Fatalf("BoundsPar(workers=%d) dim %d: [%v,%v] vs [%v,%v]",
-					workers, j, got.Lo[j], got.Hi[j], want.Lo[j], want.Hi[j])
+	var want, got BoundingBox
+	atProcs(1, func() { want = Bounds(pts) })
+	atProcs(8, func() { got = Bounds(pts) })
+	for j := range want.Lo {
+		if math.Float64bits(got.Lo[j]) != math.Float64bits(want.Lo[j]) ||
+			math.Float64bits(got.Hi[j]) != math.Float64bits(want.Hi[j]) {
+			t.Fatalf("Bounds dim %d: [%v,%v] at GOMAXPROCS 8 vs [%v,%v] at 1",
+				j, got.Lo[j], got.Hi[j], want.Lo[j], want.Hi[j])
+		}
+		for _, p := range pts {
+			if p[j] < want.Lo[j] || p[j] > want.Hi[j] {
+				t.Fatalf("Bounds dim %d: point coordinate %v outside [%v,%v]", j, p[j], want.Lo[j], want.Hi[j])
 			}
 		}
-	}
-	serial := Bounds(pts)
-	if math.Float64bits(serial.Diameter()) != math.Float64bits(want.Diameter()) {
-		t.Fatal("Bounds diverges from BoundsPar(1)")
 	}
 }
 
 func TestPairwiseExtremaWorkerInvariant(t *testing.T) {
 	pts := normalPts(53, 41, 5)
-	wantMin := MinPairwiseDistPar(pts, 1)
-	wantMax := MaxPairwiseDistPar(pts, 1)
-	wantAR := AspectRatioPar(pts, 1)
-	for _, workers := range []int{2, 8} {
-		if got := MinPairwiseDistPar(pts, workers); math.Float64bits(got) != math.Float64bits(wantMin) {
-			t.Fatalf("MinPairwiseDistPar(workers=%d) = %v, serial %v", workers, got, wantMin)
-		}
-		if got := MaxPairwiseDistPar(pts, workers); math.Float64bits(got) != math.Float64bits(wantMax) {
-			t.Fatalf("MaxPairwiseDistPar(workers=%d) = %v, serial %v", workers, got, wantMax)
-		}
-		if got := AspectRatioPar(pts, workers); math.Float64bits(got) != math.Float64bits(wantAR) {
-			t.Fatalf("AspectRatioPar(workers=%d) = %v, serial %v", workers, got, wantAR)
+	type extrema struct{ min, max, ar float64 }
+	measure := func(procs int) (e extrema) {
+		atProcs(procs, func() { e = extrema{MinPairwiseDist(pts), MaxPairwiseDist(pts), AspectRatio(pts)} })
+		return e
+	}
+	want, got := measure(1), measure(8)
+	for _, c := range []struct {
+		name      string
+		want, got float64
+	}{{"MinPairwiseDist", want.min, got.min}, {"MaxPairwiseDist", want.max, got.max}, {"AspectRatio", want.ar, got.ar}} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Fatalf("%s at GOMAXPROCS 8 = %v, at 1 = %v", c.name, c.got, c.want)
 		}
 	}
-	if got := MinPairwiseDist(pts); math.Float64bits(got) != math.Float64bits(wantMin) {
-		t.Fatal("MinPairwiseDist diverges from Par(1)")
-	}
-	if got := MaxPairwiseDist(pts); math.Float64bits(got) != math.Float64bits(wantMax) {
-		t.Fatal("MaxPairwiseDist diverges from Par(1)")
-	}
-	if got := AspectRatio(pts); math.Float64bits(got) != math.Float64bits(wantAR) {
-		t.Fatal("AspectRatio diverges from Par(1)")
+	// The fanned-out minimum and the serial maximum scan the same
+	// distances as AspectRatio's single pass.
+	if ar := want.max / want.min; math.Float64bits(ar) != math.Float64bits(want.ar) {
+		t.Fatalf("AspectRatio = %v, MaxPairwiseDist/MinPairwiseDist = %v", want.ar, ar)
 	}
 }
 
 func TestParVariantsDegenerateInputs(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		if d := MinPairwiseDistPar(nil, workers); !math.IsInf(d, 1) {
-			t.Fatalf("MinPairwiseDistPar(nil, %d) = %v, want +Inf (fold identity)", workers, d)
-		}
-		one := []Point{{1, 2}}
-		if d := MaxPairwiseDistPar(one, workers); d != 0 {
-			t.Fatalf("MaxPairwiseDistPar(single, %d) = %v", workers, d)
-		}
-		b := BoundsPar(one, workers)
-		if b.Diameter() != 0 {
-			t.Fatalf("BoundsPar(single, %d).Diameter() = %v", workers, b.Diameter())
-		}
+	for _, procs := range []int{1, 8} {
+		atProcs(procs, func() {
+			if d := MinPairwiseDist(nil); !math.IsInf(d, 1) {
+				t.Fatalf("GOMAXPROCS=%d: MinPairwiseDist(nil) = %v, want +Inf (fold identity)", procs, d)
+			}
+			one := []Point{{1, 2}}
+			if d := MaxPairwiseDist(one); d != 0 {
+				t.Fatalf("GOMAXPROCS=%d: MaxPairwiseDist(single) = %v", procs, d)
+			}
+			if d := Bounds(one).Diameter(); d != 0 {
+				t.Fatalf("GOMAXPROCS=%d: Bounds(single).Diameter() = %v", procs, d)
+			}
+		})
 	}
 }

@@ -147,44 +147,22 @@ type BoundingBox struct {
 
 // Bounds computes the bounding box of a non-empty point set.
 func Bounds(ps []Point) BoundingBox {
-	return BoundsPar(ps, 1)
-}
-
-// BoundsPar is Bounds with the point scan sharded over workers: per-shard
-// boxes fold with exact per-dimension min/max, so the box is bit-identical
-// to the serial scan for any worker count.
-func BoundsPar(ps []Point, workers int) BoundingBox {
 	if len(ps) == 0 {
 		panic("vec: Bounds of empty point set")
 	}
-	boxes := make([]BoundingBox, par.Workers(workers))
-	s := par.Shards(workers, len(ps), func(shard, lo0, hi0 int) {
-		lo := Clone(ps[lo0])
-		hi := Clone(ps[lo0])
-		for _, p := range ps[lo0+1 : hi0] {
-			for i, x := range p {
-				if x < lo[i] {
-					lo[i] = x
-				}
-				if x > hi[i] {
-					hi[i] = x
-				}
+	lo := Clone(ps[0])
+	hi := Clone(ps[0])
+	for _, p := range ps[1:] {
+		for i, x := range p {
+			if x < lo[i] {
+				lo[i] = x
 			}
-		}
-		boxes[shard] = BoundingBox{Lo: lo, Hi: hi}
-	})
-	box := boxes[0]
-	for _, b := range boxes[1:s] {
-		for i := range box.Lo {
-			if b.Lo[i] < box.Lo[i] {
-				box.Lo[i] = b.Lo[i]
-			}
-			if b.Hi[i] > box.Hi[i] {
-				box.Hi[i] = b.Hi[i]
+			if x > hi[i] {
+				hi[i] = x
 			}
 		}
 	}
-	return box
+	return BoundingBox{Lo: lo, Hi: hi}
 }
 
 // Width returns the largest side length of the box.
@@ -214,65 +192,32 @@ func (b BoundingBox) Diameter() float64 {
 // for validation and small experiment inputs, not for the hot path (the
 // algorithms take Δ as a parameter, as the paper does).
 func AspectRatio(ps []Point) float64 {
-	return AspectRatioPar(ps, 1)
-}
-
-// AspectRatioPar is AspectRatio with the pairwise scan's outer loop sharded
-// over workers; exact min/max folding makes the ratio bit-identical to the
-// serial scan for any worker count.
-func AspectRatioPar(ps []Point, workers int) float64 {
-	minD, maxD := pairwiseMinMax(ps, workers)
+	minD, maxD := math.Inf(1), 0.0
+	for i := range ps {
+		for j := i + 1; j < len(ps); j++ {
+			d := Dist(ps[i], ps[j])
+			if d == 0 {
+				continue
+			}
+			if d < minD {
+				minD = d
+			}
+			if d > maxD {
+				maxD = d
+			}
+		}
+	}
 	if math.IsInf(minD, 1) {
 		return 1 // all points identical (or a single point)
 	}
 	return maxD / minD
 }
 
-// pairwiseMinMax scans all pairs for (min, max) non-zero distance, sharding
-// rows over workers; per-shard extremes fold with exact min/max.
-func pairwiseMinMax(ps []Point, workers int) (minD, maxD float64) {
-	w := par.Workers(workers)
-	mins := make([]float64, w)
-	maxs := make([]float64, w)
-	s := par.Shards(workers, len(ps), func(shard, lo, hi int) {
-		mn, mx := math.Inf(1), 0.0
-		for i := lo; i < hi; i++ {
-			for j := i + 1; j < len(ps); j++ {
-				d := Dist(ps[i], ps[j])
-				if d == 0 {
-					continue
-				}
-				if d < mn {
-					mn = d
-				}
-				if d > mx {
-					mx = d
-				}
-			}
-		}
-		mins[shard], maxs[shard] = mn, mx
-	})
-	minD, maxD = math.Inf(1), 0
-	for i := 0; i < s; i++ {
-		if mins[i] < minD {
-			minD = mins[i]
-		}
-		if maxs[i] > maxD {
-			maxD = maxs[i]
-		}
-	}
-	return minD, maxD
-}
-
-// MinPairwiseDist returns the smallest non-zero pairwise distance (O(n^2)).
+// MinPairwiseDist returns the smallest non-zero pairwise distance (O(n^2);
+// +Inf when there is none). Rows fan out at GOMAXPROCS and fold with an
+// exact min, so the result is bit-identical at any width.
 func MinPairwiseDist(ps []Point) float64 {
-	return MinPairwiseDistPar(ps, 1)
-}
-
-// MinPairwiseDistPar is MinPairwiseDist with rows sharded over workers
-// (exact min fold: bit-identical for any worker count).
-func MinPairwiseDistPar(ps []Point, workers int) float64 {
-	minD, _ := par.MinMax(workers, len(ps), math.Inf(1), 0, func(i int) (float64, bool) {
+	minD, _ := par.MinMax(len(ps), math.Inf(1), 0, func(i int) (float64, bool) {
 		rowMin := math.Inf(1)
 		for j := i + 1; j < len(ps); j++ {
 			d := Dist(ps[i], ps[j])
@@ -287,21 +232,14 @@ func MinPairwiseDistPar(ps []Point, workers int) float64 {
 
 // MaxPairwiseDist returns the largest pairwise distance (O(n^2)).
 func MaxPairwiseDist(ps []Point) float64 {
-	return MaxPairwiseDistPar(ps, 1)
-}
-
-// MaxPairwiseDistPar is MaxPairwiseDist with rows sharded over workers
-// (exact max fold: bit-identical for any worker count).
-func MaxPairwiseDistPar(ps []Point, workers int) float64 {
-	_, maxD := par.MinMax(workers, len(ps), math.Inf(1), 0, func(i int) (float64, bool) {
-		var rowMax float64
+	var maxD float64
+	for i := range ps {
 		for j := i + 1; j < len(ps); j++ {
-			if d := Dist(ps[i], ps[j]); d > rowMax {
-				rowMax = d
+			if d := Dist(ps[i], ps[j]); d > maxD {
+				maxD = d
 			}
 		}
-		return rowMax, true
-	})
+	}
 	return maxD
 }
 

@@ -97,10 +97,6 @@ type MPCOptions struct {
 	Pipeline core.PipelineOptions
 	// Seed drives all randomness (overrides Pipeline.Seed when nonzero).
 	Seed uint64
-	// Workers bounds the data-parallel fan-out of pure compute in both
-	// stages (overrides Pipeline.Workers when nonzero; ≤ 0 or unset there
-	// means GOMAXPROCS). The embedding is bit-identical for any value.
-	Workers int
 	// Faults, if set, installs a fault-injection schedule on the simulated
 	// cluster before the pipeline runs (see mpc.FaultPlan). Pair it with
 	// Pipeline.Resilient to exercise recovery; without it, the first
@@ -205,9 +201,6 @@ func EmbedMPC(pts []Point, opt MPCOptions) (*Tree, *MPCInfo, error) {
 	if opt.Seed != 0 {
 		popt.Seed = opt.Seed
 	}
-	if opt.Workers != 0 {
-		popt.Workers = opt.Workers
-	}
 	if opt.Span != nil {
 		popt.Span = opt.Span
 	}
@@ -256,9 +249,6 @@ func NewDistributedEmbedding(pts []Point, opt MPCOptions) (*DistributedEmbedding
 	eo := opt.Pipeline.Embed
 	if opt.Seed != 0 {
 		eo.Seed = opt.Seed
-	}
-	if opt.Workers != 0 {
-		eo.Workers = opt.Workers
 	}
 	if opt.Span != nil {
 		eo.Span = opt.Span
