@@ -19,7 +19,7 @@ import (
 )
 
 // buildTrees embeds k independently-seeded trees over one point set.
-func buildTrees(t *testing.T, k int, seed uint64, n int) []*hst.Tree {
+func buildTrees(t testing.TB, k int, seed uint64, n int) []*hst.Tree {
 	t.Helper()
 	pts := workload.UniformLattice(seed, n, 4, 1<<10)
 	out := make([]*hst.Tree, k)
@@ -36,7 +36,7 @@ func buildTrees(t *testing.T, k int, seed uint64, n int) []*hst.Tree {
 // fleet stands up a store with the given trees (named t-0, t-1, …) and
 // n replicas serving all of them, returning the backend URLs and the
 // httptest servers (index-aligned) so tests can kill replicas.
-func fleet(t *testing.T, trees []*hst.Tree, n int) ([]string, []*httptest.Server) {
+func fleet(t testing.TB, trees []*hst.Tree, n int) ([]string, []*httptest.Server) {
 	t.Helper()
 	st, err := treestore.Open(t.TempDir())
 	if err != nil {
@@ -70,7 +70,7 @@ func fleet(t *testing.T, trees []*hst.Tree, n int) ([]string, []*httptest.Server
 
 // newGate builds a started gateway over the URLs with a fake-clock
 // retry policy (no real sleeps in tests).
-func newGate(t *testing.T, urls []string, reg *obs.Registry, mutate func(*Options)) (*Gateway, *httptest.Server) {
+func newGate(t testing.TB, urls []string, reg *obs.Registry, mutate func(*Options)) (*Gateway, *httptest.Server) {
 	t.Helper()
 	opts := Options{
 		Backends:        urls,

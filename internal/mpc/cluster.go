@@ -341,7 +341,27 @@ type RoundFunc func(m int, local []Record, emit Emit) (keep []Record)
 // until the driver restores a checkpoint. Transport failures — a remote
 // machine's host gone mid-round — surface as ErrTransport-class errors,
 // recoverable the same way.
-func (c *Cluster) Round(fn RoundFunc) error {
+func (c *Cluster) Round(fn RoundFunc) error { return c.round(fn, nil) }
+
+// send is one by-reference message: a whole batch of records for machine
+// to, metered as words — WordsOf(recs), computed once by the sender. The
+// sender plans sends over existing machines, at most one to each machine
+// per round.
+type send struct {
+	to    int
+	recs  []Record
+	words int
+}
+
+// round is the one round engine behind Round and Broadcast. A round's
+// traffic is either the per-record messages fn emits or, when fn is nil,
+// the by-reference sends (sends[m] are machine m's), in which case every
+// machine keeps its store. Both kinds pass through the same fault
+// injection, validation, metering and delivery, and a send costs exactly
+// what its records would cost emitted one by one; it just reaches its
+// target in one Append instead of being copied through the emit and
+// delivery buffers record by record.
+func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 	if c.failed != nil {
 		return ErrFailed
 	}
@@ -382,37 +402,39 @@ func (c *Cluster) Round(fn RoundFunc) error {
 	for m := 0; m < M; m++ {
 		outs[m] = outs[m][:0]
 	}
-	keeps := make([][]Record, M)
-	errs := make([]error, M)
-
-	// Latched at the round boundary: a RoundFunc that retains emit and
-	// calls it after the round ends would otherwise silently corrupt
-	// later accounting.
-	var roundOver atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(M)
-	for m := 0; m < M; m++ {
-		go func(m int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[m] = fmt.Errorf("mpc: machine %d panicked: %v", m, p)
+	keeps := locals
+	if fn != nil {
+		keeps = make([][]Record, M)
+		errs := make([]error, M)
+		// Latched at the round boundary: a RoundFunc that retains emit and
+		// calls it after the round ends would otherwise silently corrupt
+		// later accounting.
+		var roundOver atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(M)
+		for m := 0; m < M; m++ {
+			go func(m int) {
+				defer wg.Done()
+				defer func() {
+					if p := recover(); p != nil {
+						errs[m] = fmt.Errorf("mpc: machine %d panicked: %v", m, p)
+					}
+				}()
+				emit := func(to int, rec Record) {
+					if roundOver.Load() {
+						panic(fmt.Sprintf("mpc: machine %d called emit after its round ended; RoundFuncs must not retain emit across rounds", m))
+					}
+					outs[m] = append(outs[m], roundMsg{to: to, rec: rec})
 				}
-			}()
-			emit := func(to int, rec Record) {
-				if roundOver.Load() {
-					panic(fmt.Sprintf("mpc: machine %d called emit after its round ended; RoundFuncs must not retain emit across rounds", m))
-				}
-				outs[m] = append(outs[m], roundMsg{to: to, rec: rec})
+				keeps[m] = fn(m, locals[m], emit)
+			}(m)
+		}
+		wg.Wait()
+		roundOver.Store(true)
+		for _, err := range errs {
+			if err != nil {
+				return c.fail(err)
 			}
-			keeps[m] = fn(m, locals[m], emit)
-		}(m)
-	}
-	wg.Wait()
-	roundOver.Store(true)
-	for _, err := range errs {
-		if err != nil {
-			return c.fail(err)
 		}
 	}
 
@@ -423,9 +445,24 @@ func (c *Cluster) Round(fn RoundFunc) error {
 		// The victim's round output — kept records and sends — is lost,
 		// and so is its store (the machine died holding it).
 		outs[inj.machine] = nil
+		if sends != nil {
+			sends[inj.machine] = nil
+		}
 		keeps[inj.machine] = nil
 		injErr = injectedCrashErr(inj.machine, inj.tick)
 	case FaultDrop, FaultDuplicate:
+		// Mangling decides message by message, so by-reference sends are
+		// first expanded into the records they carry, in the order the
+		// equivalent emits would produce: target by target, then batch
+		// order.
+		for m, ss := range sends {
+			for _, s := range ss {
+				for _, rec := range s.recs {
+					outs[m] = append(outs[m], roundMsg{to: s.to, rec: rec})
+				}
+			}
+		}
+		sends = nil
 		pm := c.faults.perMessage()
 		mangled := 0
 		for m := 0; m < M; m++ {
@@ -448,10 +485,15 @@ func (c *Cluster) Round(fn RoundFunc) error {
 	}
 
 	// Validate send volumes and destinations. The same pass counts records
-	// per destination so delivery buffers can be sized exactly once.
+	// per destination so delivery buffers can be sized exactly once, and
+	// files each by-reference send under its target.
 	stat := RoundStat{Index: c.m.Rounds}
 	recv := make([]int, M)
 	recvRecs := make([]int, M)
+	var inbox [][]Record
+	if sends != nil {
+		inbox = make([][]Record, M)
+	}
 	for m := 0; m < M; m++ {
 		sent := 0
 		for _, ms := range outs[m] {
@@ -462,6 +504,13 @@ func (c *Cluster) Round(fn RoundFunc) error {
 			sent += w
 			recv[ms.to] += w
 			recvRecs[ms.to]++
+		}
+		if sends != nil {
+			for _, s := range sends[m] {
+				sent += s.words
+				recv[s.to] += s.words
+				inbox[s.to] = s.recs
+			}
 		}
 		if sent > effCap {
 			err := fmt.Errorf("%w: machine %d sent %d words (cap %d)", ErrLocalMemory, m, sent, effCap)
@@ -484,7 +533,8 @@ func (c *Cluster) Round(fn RoundFunc) error {
 
 	// Deliver: install each machine's kept records, then append routed
 	// messages in sender order for determinism (destination d receives
-	// all of sender 0's messages in emit order, then sender 1's, …).
+	// all of sender 0's messages in emit order, then sender 1's, …). A
+	// by-reference send is its target's whole inbox and is appended as is.
 	for m := 0; m < M; m++ {
 		if err := c.t.Write(m, keeps[m]); err != nil {
 			return c.fail(err)
@@ -509,12 +559,17 @@ func (c *Cluster) Round(fn RoundFunc) error {
 		}
 	}
 	for m := 0; m < M; m++ {
-		if len(deliver[m]) == 0 {
+		batch := deliver[m]
+		if inbox != nil && inbox[m] != nil {
+			batch = inbox[m]
+		}
+		if len(batch) == 0 {
 			continue
 		}
 		// Transports copy the batch on Append (the local backend appends
-		// into its store slice), so the buffer is reusable next round.
-		if err := c.t.Append(m, deliver[m]); err != nil {
+		// into its store slice), so no store aliases a sent batch and the
+		// delivery buffer is reusable next round.
+		if err := c.t.Append(m, batch); err != nil {
 			return c.fail(err)
 		}
 	}

@@ -16,11 +16,17 @@ import (
 // forwards it to as many new machines as its send budget allows. Takes
 // ⌈log_{f+1} M⌉ rounds with f = CapWords/Words(blob). The blob is appended
 // to every machine's store (including src's).
+//
+// The blob moves by reference: each round hands the round engine one
+// (target, blob) send per new machine, which is metered, capped and
+// fault-injected exactly like the blob's records emitted one by one, and
+// reaches its target in a single store append.
 func (c *Cluster) Broadcast(src int, blob []Record) error {
 	if c.failed != nil {
 		return ErrFailed
 	}
-	if src < 0 || src >= c.cfg.Machines {
+	M := c.cfg.Machines
+	if src < 0 || src >= M {
 		return c.fail(fmt.Errorf("%w: broadcast source %d", ErrBadMachine, src))
 	}
 	bw := WordsOf(blob)
@@ -43,46 +49,35 @@ func (c *Cluster) Broadcast(src int, blob []Record) error {
 		return nil
 	}
 
-	holders := map[int]bool{src: true}
-	for len(holders) < c.cfg.Machines {
-		// Plan this round: each holder covers up to fanout new machines,
-		// in deterministic holder order.
-		plan := make(map[int][]int)
+	holds := make([]bool, M)
+	holds[src] = true
+	for held := 1; held < M; {
+		// Plan this round: each holder, in machine order, covers up to
+		// fanout of the machines still without the blob, in machine order.
+		sends := make([][]send, M)
 		next := 0
-		var hs []int
-		for h := range holders {
-			hs = append(hs, h)
-		}
-		sort.Ints(hs)
-		assigned := 0
-		for _, h := range hs {
-			for k := 0; k < fanout && assigned < c.cfg.Machines-len(holders); {
-				for next < c.cfg.Machines && holders[next] {
+		for h := 0; h < M; h++ {
+			if !holds[h] {
+				continue
+			}
+			for k := 0; k < fanout; k++ {
+				for next < M && holds[next] {
 					next++
 				}
-				if next >= c.cfg.Machines {
+				if next >= M {
 					break
 				}
-				plan[h] = append(plan[h], next)
+				sends[h] = append(sends[h], send{to: next, recs: blob, words: bw})
 				next++
-				k++
-				assigned++
 			}
 		}
-		err := c.Round(func(m int, local []Record, emit Emit) []Record {
-			for _, tgt := range plan[m] {
-				for _, r := range blob {
-					emit(tgt, r)
-				}
-			}
-			return local
-		})
-		if err != nil {
+		if err := c.round(nil, sends); err != nil {
 			return err
 		}
-		for _, tgts := range plan {
-			for _, t := range tgts {
-				holders[t] = true
+		for _, ss := range sends {
+			for _, s := range ss {
+				holds[s.to] = true
+				held++
 			}
 		}
 	}

@@ -42,7 +42,9 @@ type Transport interface {
 	Read(m int) ([]Record, error)
 	// Write replaces machine m's resident records.
 	Write(m int, recs []Record) error
-	// Append appends recs to machine m's store, preserving order.
+	// Append appends recs to machine m's store, preserving order. The
+	// store takes copies of the records, never the slice itself, so one
+	// batch may be appended to several machines and reused afterwards.
 	Append(m int, recs []Record) error
 	// Words returns the resident word footprint of machine m — the
 	// residency check's fast path, so a remote backend can answer from a

@@ -480,6 +480,12 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		}
 	}
 	keys := string(keyBuf)
+	// Cell length ℓ = 4w per level (ball radius w = diam/2^lev), computed
+	// once on the driver for the grid draw and every machine's grid table.
+	cell := make([]float64, levels+1)
+	for lev := 1; lev <= levels; lev++ {
+		cell[lev] = 4 * diam / math.Pow(2, float64(lev))
+	}
 	par.For(nGrids, func(lo, hi int) {
 		a := arena.New()
 		var rg rng.RNG
@@ -487,9 +493,8 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 			lev := gi/(r*u) + 1
 			rem := gi % (r * u)
 			j, uu := rem/u, rem%u
-			w := diam / math.Pow(2, float64(lev))
 			rg.Reseed(opt.Seed, 0x9d1d, uint64(lev), uint64(j), uint64(uu))
-			g := grid.NewInto(&rg, a.Floats(k), 4*w)
+			g := grid.NewInto(&rg, a.Floats(k), cell[lev])
 			ints := a.Ints(3)
 			ints[0], ints[1], ints[2] = int64(lev), int64(j), int64(uu)
 			gridBlob[gi] = mpc.Record{
@@ -523,20 +528,19 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	// Step 3: local path computation + edge emission (map-side dedup).
 	M := c.Machines()
 	err := c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
-		// Parse grids into a flat table indexed (lev-1)·r·u + j·u + uu —
-		// the map this replaces was rebuilt per machine per embed and its
-		// buckets were a fifth of the path round's allocated bytes; the
-		// table is one allocation and the hot-loop lookup is an add and an
-		// index. A missing grid record leaves a zero Grid, matching the
-		// old map-miss behaviour.
-		gridTab := make([]grid.Grid, levels*r*u)
+		// Index the grids' shifts in a flat table at (lev-1)·r·u + j·u + uu;
+		// the cell length is per level (cell above), so the hot loop builds
+		// each grid.Grid in place from a shift and a level. A missing grid
+		// record leaves a nil shift, whose zero-dimensional grid panics in
+		// InBall and fails the round.
+		shifts := make([][]float64, levels*r*u)
 		var points []mpc.Record
 		for _, rec := range local {
 			switch rec.Tag {
 			case TagGrid:
 				lev, j, uu := int(rec.Ints[0]), int(rec.Ints[1]), int(rec.Ints[2])
 				if lev >= 1 && lev <= levels && j >= 0 && j < r && uu >= 0 && uu < u {
-					gridTab[(lev-1)*r*u+j*u+uu] = grid.Grid{Dim: k, Cell: 4 * diam / math.Pow(2, float64(lev)), Shift: rec.Data}
+					shifts[(lev-1)*r*u+j*u+uu] = rec.Data
 				}
 			case TagPoint:
 				points = append(points, rec)
@@ -579,7 +583,8 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 					proj := vec.Bucket(p, j, r)
 					covered := false
 					for uu := 0; uu < u; uu++ {
-						g := gridTab[(lev-1)*r*u+j*u+uu]
+						shift := shifts[(lev-1)*r*u+j*u+uu]
+						g := grid.Grid{Dim: len(shift), Cell: cell[lev], Shift: shift}
 						if idx, in := g.InBall(proj, w, scratch[:0]); in {
 							levelID = append(levelID, byte(j))
 							var ub [8]byte

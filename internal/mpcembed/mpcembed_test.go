@@ -2,6 +2,7 @@ package mpcembed
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"mpctree/internal/mpc"
@@ -298,4 +299,39 @@ func TestCompressOption(t *testing.T) {
 		}
 	}
 	t.Logf("compression: %d → %d nodes", plain.NumNodes(), comp.NumNodes())
+}
+
+// gridDropTransport is the reference transport minus one grid record on
+// one machine: appends to victim lose the (level 1, bucket 0, attempt 0)
+// grid, the first grid every point's path consults.
+type gridDropTransport struct {
+	mpc.Transport
+	victim int
+}
+
+func (t gridDropTransport) Append(m int, recs []mpc.Record) error {
+	if m == t.victim {
+		kept := make([]mpc.Record, 0, len(recs))
+		for _, rec := range recs {
+			if rec.Tag == TagGrid && rec.Ints[0] == 1 && rec.Ints[1] == 0 && rec.Ints[2] == 0 {
+				continue
+			}
+			kept = append(kept, rec)
+		}
+		recs = kept
+	}
+	return t.Transport.Append(m, recs)
+}
+
+// A machine missing a broadcast grid must fail the root-paths round, not
+// compute paths against a grid it never received.
+func TestMissingGridFailsRound(t *testing.T) {
+	pts := latticePts(t, 1, 64, 4, 64)
+	const machines = 4
+	c := mpc.NewWithTransport(mpc.Config{Machines: machines, CapWords: 1 << 22},
+		gridDropTransport{Transport: mpc.NewLocalTransport(machines), victim: 1})
+	_, _, err := Embed(c, pts, Options{R: 2, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "machine 1 panicked") {
+		t.Fatalf("embed with a grid missing on machine 1: %v", err)
+	}
 }
