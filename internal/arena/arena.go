@@ -51,7 +51,6 @@ type slabs[T any] struct {
 	cur  int // index of the active slab in all
 	off  int // carve offset within the active slab
 	next int // size of the next slab to allocate (doubles up to max)
-	min  int // size of the first slab
 	max  int // size cap; carves > max/2 get dedicated allocations
 }
 
@@ -86,24 +85,18 @@ func (s *slabs[T]) carve(n int) []T {
 
 func (s *slabs[T]) reset() { s.cur, s.off = 0, 0 }
 
-func (s *slabs[T]) release() { *s = slabs[T]{next: s.min, min: s.min, max: s.max} }
-
 // Arena is a bump allocator over typed slabs. Use New to construct; the
 // zero value is not valid. Not safe for concurrent use.
 type Arena struct {
 	floats slabs[float64]
 	ints   slabs[int64]
-	bytes  slabs[byte]
 }
 
 // New returns an empty arena.
 func New() *Arena {
 	return &Arena{
-		floats: slabs[float64]{next: minSlabWords, min: minSlabWords, max: maxSlabWords},
-		ints:   slabs[int64]{next: minSlabWords, min: minSlabWords, max: maxSlabWords},
-		// Byte elements are 1/8 the size of the word chains; scale the
-		// slab sizes so all three chains span the same byte range.
-		bytes: slabs[byte]{next: minSlabWords * 8, min: minSlabWords * 8, max: maxSlabWords * 8},
+		floats: slabs[float64]{next: minSlabWords, max: maxSlabWords},
+		ints:   slabs[int64]{next: minSlabWords, max: maxSlabWords},
 	}
 }
 
@@ -116,24 +109,10 @@ func (a *Arena) Floats(n int) []float64 { return a.floats.carve(n) }
 // current slab.
 func (a *Arena) Ints(n int) []int64 { return a.ints.carve(n) }
 
-// Bytes returns a zeroed []byte of length and capacity n carved from the
-// current slab.
-func (a *Arena) Bytes(n int) []byte { return a.bytes.carve(n) }
-
 // Reset makes every retained slab reusable (scratch mode). The caller
 // asserts that nothing carved since the previous Reset is still
 // referenced; carves after Reset return re-zeroed memory.
 func (a *Arena) Reset() {
 	a.floats.reset()
 	a.ints.reset()
-	a.bytes.reset()
-}
-
-// Release drops every retained slab so the GC can reclaim them, returning
-// the arena to its empty state. Escape-mode users never need it; scratch
-// owners call it when a phase's peak footprint should not linger.
-func (a *Arena) Release() {
-	a.floats.release()
-	a.ints.release()
-	a.bytes.release()
 }

@@ -22,8 +22,8 @@ import (
 type PipelineOptions struct {
 	// Xi is the FJLT distortion parameter ξ ∈ (0, 0.5); 0 means 0.3.
 	Xi float64
-	// FJLT tunes the transform further (CK, CQ, ForceK). Xi here wins
-	// over FJLT.Xi when both set.
+	// FJLT tunes the transform further (CK). Xi here wins over FJLT.Xi
+	// when both set.
 	FJLT fjlt.Options
 	// Embed tunes the hybrid partitioning stage. Embed.MinDist, if 0, is
 	// derived as (1−ξ)·MinDist of the ORIGINAL data (default 1: integer
@@ -31,10 +31,6 @@ type PipelineOptions struct {
 	Embed mpcembed.Options
 	// MinDist of the original data; 0 means 1 (lattice inputs).
 	MinDist float64
-	// SkipJLBelow skips dimension reduction when the input dimension is
-	// already at most this (running the FJLT would not reduce it).
-	// 0 means k, the FJLT target dimension.
-	SkipJLBelow int
 	// Seed drives both stages.
 	Seed uint64
 
@@ -131,11 +127,6 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 		return nil, nil, err
 	}
 
-	skipBelow := opt.SkipJLBelow
-	if skipBelow == 0 {
-		skipBelow = params.K
-	}
-
 	info := &PipelineInfo{FJLTParams: params}
 	work := pts
 	minDist := opt.MinDist
@@ -178,7 +169,9 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 		info.Recovery = c.Recovery()
 	}
 
-	if d > skipBelow {
+	// Skip dimension reduction when d is already at most the FJLT target
+	// dimension k: running the FJLT would not reduce it.
+	if d > params.K {
 		ferr := runStage("fjlt", "jl_projection", func(_ *obs.Span) error {
 			mapped, err := fjlt.ApplyMPC(c, pts, params, 0)
 			if err != nil {

@@ -8,7 +8,7 @@
 //   - H is the normalised d×d Walsh–Hadamard matrix (d padded to a power
 //     of two; padding with zero coordinates changes no distance),
 //   - P is a sparse k×d matrix whose entries are 0 with probability 1−q
-//     and N(0, q^{-1}) otherwise, with sparsity q = min(c_q·ln²n/d, 1),
+//     and N(0, q^{-1}) otherwise, with sparsity q = min(ln²n/d, 1),
 //   - k = Θ(ξ^{-2}·ln n) output dimensions.
 //
 // (The paper's Theorem 3 writes φ = k^{-1}PHD; k^{-1/2} is the scaling
@@ -44,11 +44,9 @@ type Params struct {
 
 // Options tunes parameter selection in New.
 type Options struct {
-	Xi     float64 // distortion parameter ξ ∈ (0, 0.5); default 0.3
-	CK     float64 // constant in k = CK·ξ^{-2}·ln n; default 4
-	CQ     float64 // constant in q = CQ·ln²n/d; default 1
-	ForceK int     // override k entirely (> 0)
-	Seed   uint64
+	Xi   float64 // distortion parameter ξ ∈ (0, 0.5); default 0.3
+	CK   float64 // constant in k = CK·ξ^{-2}·ln n; default 4
+	Seed uint64
 }
 
 // NewParams chooses FJLT parameters for n points in dimension d.
@@ -67,24 +65,14 @@ func NewParams(n, d int, opt Options) (Params, error) {
 	if ck == 0 {
 		ck = 4
 	}
-	cq := opt.CQ
-	if cq == 0 {
-		cq = 1
-	}
 	dPad := hadamard.NextPow2(d)
-	k := opt.ForceK
-	if k <= 0 {
-		k = int(math.Ceil(ck * math.Log(float64(n)+1) / (xi * xi)))
-	}
+	ln := math.Log(float64(n) + 1)
+	k := int(math.Ceil(ck * ln / (xi * xi)))
 	if k < 1 {
 		k = 1
 	}
-	ln := math.Log(float64(n) + 1)
-	q := cq * ln * ln / float64(dPad)
+	q := ln * ln / float64(dPad)
 	if q > 1 {
-		q = 1
-	}
-	if q <= 0 {
 		q = 1
 	}
 	return Params{D: d, DPad: dPad, K: k, Q: q, Seed: opt.Seed, Scale: 1 / math.Sqrt(float64(k))}, nil

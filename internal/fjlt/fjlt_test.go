@@ -316,21 +316,6 @@ func BenchmarkMPCApply(b *testing.B) {
 	}
 }
 
-func TestForceK(t *testing.T) {
-	p, err := NewParams(1000, 64, Options{Xi: 0.3, ForceK: 7, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.K != 7 {
-		t.Errorf("ForceK ignored: k=%d", p.K)
-	}
-	tr := FromParams(p)
-	out := tr.Apply(randPts(1, 1, 64)[0])
-	if len(out) != 7 {
-		t.Errorf("output dimension %d", len(out))
-	}
-}
-
 func TestNewParamsSinglePoint(t *testing.T) {
 	p, err := NewParams(1, 32, Options{Xi: 0.4})
 	if err != nil {

@@ -41,9 +41,6 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, adj: make([][]int32, n)}
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return g.n }
-
 // AddArc adds a directed arc from→to with the given capacity and per-unit
 // cost (cost may be 0 but not negative: SSP with Dijkstra requires
 // non-negative reduced costs, which holds when all input costs are
@@ -200,16 +197,4 @@ func EMD(mu, nu []float64, cost func(i, j int) float64) (float64, error) {
 		return 0, fmt.Errorf("flow: transported %v of %v mass", flow, sm)
 	}
 	return c, nil
-}
-
-// Assignment computes a minimum-cost perfect matching between n sources
-// and n sinks with the given cost, returning the total cost (unit-mass
-// EMD).
-func Assignment(n int, cost func(i, j int) float64) (float64, error) {
-	mu := make([]float64, n)
-	nu := make([]float64, n)
-	for i := range mu {
-		mu[i], nu[i] = 1, 1
-	}
-	return EMD(mu, nu, cost)
 }

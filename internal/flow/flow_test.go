@@ -196,22 +196,6 @@ func TestEMDFractionalSplit(t *testing.T) {
 	}
 }
 
-func TestAssignment(t *testing.T) {
-	// Cost matrix with an obvious optimal diagonal.
-	cost := [][]float64{
-		{1, 10, 10},
-		{10, 2, 10},
-		{10, 10, 3},
-	}
-	got, err := Assignment(3, func(i, j int) float64 { return cost[i][j] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-6) > 1e-9 {
-		t.Errorf("Assignment = %v, want 6", got)
-	}
-}
-
 // EMD is a metric on measures when the ground cost is a metric: check
 // symmetry and triangle on random instances.
 func TestEMDMetricAxioms(t *testing.T) {

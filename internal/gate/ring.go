@@ -57,9 +57,6 @@ func NewRing(backends []string, vnodes int) *Ring {
 	return r
 }
 
-// Backends returns the ring's backend set in construction order.
-func (r *Ring) Backends() []string { return r.backends }
-
 // Prefer returns every backend ordered by preference for key: the ring
 // owner first, then each remaining backend in clockwise order. The
 // result is freshly allocated.

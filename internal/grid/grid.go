@@ -54,16 +54,6 @@ func NewInto(r *rng.RNG, shift vec.Point, cell float64) Grid {
 	return Grid{Dim: len(shift), Cell: cell, Shift: shift}
 }
 
-// NewSeq samples a sequence of u independent grids (the G_1, G_2, ... of
-// Definition 2).
-func NewSeq(r *rng.RNG, dim int, cell float64, u int) []Grid {
-	gs := make([]Grid, u)
-	for i := range gs {
-		gs[i] = New(r, dim, cell)
-	}
-	return gs
-}
-
 // CellCoords returns the integer cell coordinates of p: cell i along
 // dimension j contains points with shifted coordinate in [i·ℓ, (i+1)·ℓ).
 // The result is written into dst (reused to avoid allocation) and returned.
@@ -90,15 +80,6 @@ func (g Grid) CenterIndex(p vec.Point, dst []int64) []int64 {
 		dst = append(dst, int64(math.Round((x-g.Shift[i])/g.Cell)))
 	}
 	return dst
-}
-
-// CenterPoint reconstructs the lattice point with the given index.
-func (g Grid) CenterPoint(idx []int64) vec.Point {
-	c := make(vec.Point, g.Dim)
-	for i, v := range idx {
-		c[i] = g.Shift[i] + float64(v)*g.Cell
-	}
-	return c
 }
 
 // DistToCenter returns the distance from p to the lattice point with the

@@ -104,20 +104,6 @@ func TestCenterIndexNearest(t *testing.T) {
 	}
 }
 
-func TestCenterPointRoundTrip(t *testing.T) {
-	r := rng.New(4)
-	g := New(r, 2, 1.5)
-	idx := []int64{3, -2}
-	c := g.CenterPoint(idx)
-	got := g.CenterIndex(c, nil)
-	if got[0] != 3 || got[1] != -2 {
-		t.Errorf("round trip failed: %v", got)
-	}
-	if d := g.DistToCenter(c, idx); d > 1e-12 {
-		t.Errorf("center not at distance 0: %v", d)
-	}
-}
-
 func TestInBall(t *testing.T) {
 	g := Grid{Dim: 2, Cell: 4, Shift: vec.Point{0, 0}}
 	// Ball radius 1 (= cell/4) around lattice points 4Z^2.

@@ -1,63 +1,12 @@
 // Dynamic programming on tree embeddings — the application hook of
 // Section 1.3.3: "storing data on trees provides a unique structure for
 // data computation … efficient low-memory MPC and AMPC algorithms for
-// solving dynamic programs on trees". FoldUp/FoldDown give downstream
-// users the bottom-up and top-down passes those algorithms are built
-// from, and two ready-made DPs (k-center-style cluster selection and
-// weighted subtree medians) show the pattern.
+// solving dynamic programs on trees". Two DPs serve the query layer:
+// CutAtScale (a flat clustering at a scale, top-down) and MedoidLeaf (the
+// 1-median leaf, one bottom-up and one top-down pass).
 package hst
 
 import "math"
-
-// FoldUp runs a bottom-up dynamic program: leafVal seeds each leaf,
-// combine merges a node's accumulated value with one child's value. The
-// traversal order is arena order reversed, which is a valid post-order
-// because Builder creates parents before children. Returns the per-node
-// values; the root's answer is out[0].
-func FoldUp[T any](t *Tree, leafVal func(point int) T, nodeInit func(v int) T, combine func(acc T, child T) T) []T {
-	out := make([]T, len(t.Nodes))
-	for v := len(t.Nodes) - 1; v >= 0; v-- {
-		nd := &t.Nodes[v]
-		var acc T
-		if nd.Point >= 0 {
-			acc = leafVal(nd.Point)
-		} else {
-			acc = nodeInit(v)
-		}
-		for _, c := range nd.Children {
-			acc = combine(acc, out[c])
-		}
-		out[v] = acc
-	}
-	return out
-}
-
-// FoldDown runs a top-down dynamic program: rootVal seeds the root, and
-// push derives a child's value from its parent's value and the
-// connecting edge weight. Returns per-node values.
-func FoldDown[T any](t *Tree, rootVal T, push func(parent T, child int, edgeWeight float64) T) []T {
-	out := make([]T, len(t.Nodes))
-	out[0] = rootVal
-	for v := 1; v < len(t.Nodes); v++ {
-		out[v] = push(out[t.Nodes[v].Parent], v, t.Nodes[v].Weight)
-	}
-	return out
-}
-
-// HeaviestClusterAtScale returns, among nodes whose subtree-diameter
-// bound is at most maxDiam, the one holding the most leaves — the DP
-// behind the densest-ball application, exposed for reuse.
-func (t *Tree) HeaviestClusterAtScale(maxDiam float64) (node, count int) {
-	bounds := t.SubtreeLeafDiameterBound()
-	counts := t.SubtreeCounts()
-	node, count = -1, 0
-	for v := range t.Nodes {
-		if bounds[v] <= maxDiam && counts[v] > count {
-			node, count = v, counts[v]
-		}
-	}
-	return node, count
-}
 
 // CutAtScale cuts the hierarchy at the coarsest frontier whose clusters
 // all have subtree-diameter bound ≤ maxDiam, returning a cluster label

@@ -400,18 +400,6 @@ func (t *Tree) ScaleWeights(factor float64) {
 	}
 }
 
-// LevelNodes returns the arena indices of all nodes at the given hierarchy
-// level.
-func (t *Tree) LevelNodes(level int) []int {
-	var out []int
-	for v, n := range t.Nodes {
-		if n.Level == level {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // MaxLevel returns the largest hierarchy level present.
 func (t *Tree) MaxLevel() int {
 	m := 0

@@ -391,16 +391,10 @@ func TestBuilderPanics(t *testing.T) {
 	}()
 }
 
-func TestLevelNodesAndMaxLevel(t *testing.T) {
+func TestMaxLevel(t *testing.T) {
 	tr := buildSimple(t)
 	if got := tr.MaxLevel(); got != 2 {
 		t.Errorf("MaxLevel = %d", got)
-	}
-	if got := len(tr.LevelNodes(1)); got != 2 {
-		t.Errorf("level-1 nodes = %d", got)
-	}
-	if got := len(tr.LevelNodes(2)); got != 3 {
-		t.Errorf("level-2 nodes = %d", got)
 	}
 }
 

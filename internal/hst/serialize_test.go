@@ -81,50 +81,6 @@ func TestDOT(t *testing.T) {
 	}
 }
 
-func TestFoldUpCounts(t *testing.T) {
-	tr := buildSimple(t)
-	counts := FoldUp(tr,
-		func(point int) int { return 1 },
-		func(v int) int { return 0 },
-		func(acc, child int) int { return acc + child },
-	)
-	want := tr.SubtreeCounts()
-	for v := range counts {
-		if counts[v] != want[v] {
-			t.Fatalf("FoldUp count at %d = %d, want %d", v, counts[v], want[v])
-		}
-	}
-}
-
-func TestFoldDownRootPath(t *testing.T) {
-	tr := buildSimple(t)
-	weights := FoldDown(tr, 0.0, func(parent float64, child int, w float64) float64 {
-		return parent + w
-	})
-	for v := range tr.Nodes {
-		if math.Abs(weights[v]-tr.RootPathWeight(v)) > 1e-12 {
-			t.Fatalf("FoldDown at %d = %v, want %v", v, weights[v], tr.RootPathWeight(v))
-		}
-	}
-}
-
-func TestHeaviestClusterAtScale(t *testing.T) {
-	tr := buildSimple(t)
-	// maxDiam 4 admits node a (2 leaves at depth 2 below it ⇒ bound 4).
-	node, count := tr.HeaviestClusterAtScale(4)
-	if count != 2 || node != 1 {
-		t.Errorf("HeaviestClusterAtScale(4) = node %d count %d", node, count)
-	}
-	// Huge budget: root wins with all 3.
-	if _, count := tr.HeaviestClusterAtScale(1e9); count != 3 {
-		t.Errorf("unbounded scale count = %d", count)
-	}
-	// Tiny budget: a single leaf.
-	if _, count := tr.HeaviestClusterAtScale(0); count != 1 {
-		t.Errorf("zero scale count = %d", count)
-	}
-}
-
 func TestMedoidLeaf(t *testing.T) {
 	r := rng.New(6)
 	for trial := 0; trial < 20; trial++ {

@@ -145,7 +145,7 @@ func TestBroadcastMatchesPerRecordRounds(t *testing.T) {
 						c.EnableTrace()
 						reg := obs.New()
 						c.Instrument(reg)
-						if err := c.DistributeBy([]Record{rec("a", 1), rec("b", 2), rec("c", 3)}, func(i int, _ Record) int { return i % M }); err != nil {
+						if err := c.Distribute([]Record{rec("a", 1), rec("b", 2), rec("c", 3)}); err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
 						if seed > 0 {

@@ -10,10 +10,10 @@
 // of the processes hosting them. Restore pushes the snapshot back through
 // the transport — after a remote worker died and its logical machines
 // were remapped onto survivors, this is exactly the step that heals the
-// cluster. Checkpoints also serialize (codec.go: MarshalBinary /
-// UnmarshalCheckpoint) for drivers that persist them across their own
-// process boundary.
+// cluster.
 package mpc
+
+import "fmt"
 
 // Checkpoint is an immutable snapshot of a cluster's state. It deep-copies
 // record payloads, so later in-place mutation by RoundFuncs (a common
@@ -28,9 +28,6 @@ type Checkpoint struct {
 // Words is the snapshot's size in 64-bit words (the recovery overhead a
 // real framework would pay in storage/IO to persist it).
 func (cp *Checkpoint) Words() int { return cp.words }
-
-// Machines is the number of machine stores the snapshot covers.
-func (cp *Checkpoint) Machines() int { return len(cp.stores) }
 
 // RecoveryStats meters fault-recovery overhead. Unlike Metrics it is NOT
 // rolled back by Restore — it exists precisely to account for work that
@@ -113,9 +110,7 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 // trace return to their snapshotted values and the sticky failure is
 // cleared. The installed FaultPlan (and its tick) is deliberately left
 // alone — a retried round must see fresh fault draws. Restore panics if
-// the cluster has fewer machines than the checkpoint (clusters may Grow
-// between checkpoint and restore, never shrink); machines beyond the
-// snapshot are left empty.
+// the checkpoint was taken on a cluster with a different machine count.
 //
 // Restoring is also the transport-level healing step: every store is
 // rewritten through the transport, so logical machines that were remapped
@@ -123,8 +118,8 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 // the transport cannot accept the restore (no survivors left), the
 // failure stays latched instead of being cleared.
 func (c *Cluster) Restore(cp *Checkpoint) {
-	if len(cp.stores) > c.cfg.Machines {
-		panic("mpc: restore into a smaller cluster")
+	if len(cp.stores) != c.cfg.Machines {
+		panic(fmt.Sprintf("mpc: restore of a %d-machine checkpoint into a %d-machine cluster", len(cp.stores), c.cfg.Machines))
 	}
 	rolledRounds, rolledComm := 0, 0
 	if r := c.m.Rounds - cp.metrics.Rounds; r > 0 {
@@ -137,11 +132,7 @@ func (c *Cluster) Restore(cp *Checkpoint) {
 	}
 	stores, words := deepCopyStores(cp.stores)
 	c.failed = nil
-	for m := 0; m < c.cfg.Machines; m++ {
-		var recs []Record
-		if m < len(stores) {
-			recs = stores[m]
-		}
+	for m, recs := range stores {
 		if err := c.t.Write(m, recs); err != nil {
 			c.fail(err)
 			break
@@ -169,24 +160,5 @@ func (c *Cluster) RaiseCap(capWords int) {
 		if c.obs != nil {
 			c.obs.syncShape(c)
 		}
-	}
-}
-
-// Grow adds machines with empty stores (the other escalation lever).
-// Algorithms in this repository are machine-count independent, so growing
-// between stages preserves their output; growing mid-stage is the
-// driver's responsibility to avoid. A transport that cannot grow latches
-// the failure.
-func (c *Cluster) Grow(extra int) {
-	if extra <= 0 {
-		return
-	}
-	if err := c.t.Grow(extra); err != nil {
-		c.fail(err)
-		return
-	}
-	c.cfg.Machines += extra
-	if c.obs != nil {
-		c.obs.syncShape(c)
 	}
 }

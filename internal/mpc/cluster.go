@@ -41,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -143,16 +142,14 @@ func New(cfg Config) *Cluster {
 	if cfg.Machines < 1 {
 		panic("mpc: need at least one machine")
 	}
-	if cfg.CapWords < 1 {
-		panic("mpc: need positive local memory")
-	}
-	return &Cluster{cfg: cfg, t: NewLocalTransport(cfg.Machines)}
+	return NewWithTransport(cfg, NewLocalTransport(cfg.Machines))
 }
 
 // NewWithTransport creates a cluster whose record plane is t — the
 // in-process reference backend (NewLocalTransport) or a remote one
 // (internal/mpcnet). The transport's logical machine count must match
-// cfg.Machines: the algorithms' output depends on it.
+// cfg.Machines: the algorithms' output depends on it. The machine count
+// is fixed for the cluster's lifetime.
 func NewWithTransport(cfg Config, t Transport) *Cluster {
 	if cfg.Machines < 1 {
 		panic("mpc: need at least one machine")
@@ -163,7 +160,12 @@ func NewWithTransport(cfg Config, t Transport) *Cluster {
 	if t.Machines() != cfg.Machines {
 		panic(fmt.Sprintf("mpc: transport backs %d machines, config wants %d", t.Machines(), cfg.Machines))
 	}
-	return &Cluster{cfg: cfg, t: t}
+	return &Cluster{
+		cfg:        cfg,
+		t:          t,
+		outsBuf:    make([][]roundMsg, cfg.Machines),
+		deliverBuf: make([][]Record, cfg.Machines),
+	}
 }
 
 // Machines returns the machine count.
@@ -171,9 +173,6 @@ func (c *Cluster) Machines() int { return c.cfg.Machines }
 
 // CapWords returns the per-machine local memory cap.
 func (c *Cluster) CapWords() int { return c.cfg.CapWords }
-
-// Transport returns the record plane backing this cluster.
-func (c *Cluster) Transport() Transport { return c.t }
 
 // Metrics returns the cost measures accumulated so far.
 func (c *Cluster) Metrics() Metrics { return c.m }
@@ -282,30 +281,6 @@ func (c *Cluster) Distribute(recs []Record) error {
 	return c.refreshSpace()
 }
 
-// DistributeBy loads input records routing each through to(i, rec).
-func (c *Cluster) DistributeBy(recs []Record, to func(i int, rec Record) int) error {
-	if c.failed != nil {
-		return ErrFailed
-	}
-	chunks := make([][]Record, c.cfg.Machines)
-	for i, r := range recs {
-		m := to(i, r)
-		if m < 0 || m >= c.cfg.Machines {
-			return c.fail(fmt.Errorf("%w: %d", ErrBadMachine, m))
-		}
-		chunks[m] = append(chunks[m], r)
-	}
-	for m, chunk := range chunks {
-		if len(chunk) == 0 {
-			continue
-		}
-		if err := c.t.Append(m, chunk); err != nil {
-			return c.fail(err)
-		}
-	}
-	return c.refreshSpace()
-}
-
 // Collect gathers every machine's store in machine order (driver-side
 // readout; costs no rounds). Reading a failed cluster returns the sticky
 // failure instead of partial garbage: the resident state after a fault is
@@ -393,11 +368,6 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 		locals[m] = st
 	}
 
-	if len(c.outsBuf) < M {
-		grown := make([][]roundMsg, M)
-		copy(grown, c.outsBuf)
-		c.outsBuf = grown
-	}
 	outs := c.outsBuf
 	for m := 0; m < M; m++ {
 		outs[m] = outs[m][:0]
@@ -540,11 +510,6 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 			return c.fail(err)
 		}
 	}
-	if len(c.deliverBuf) < M {
-		grown := make([][]Record, M)
-		copy(grown, c.deliverBuf)
-		c.deliverBuf = grown
-	}
 	deliver := c.deliverBuf
 	for m := 0; m < M; m++ {
 		if cap(deliver[m]) < recvRecs[m] {
@@ -651,15 +616,4 @@ func (c *Cluster) LocalMap(fn func(m int, local []Record) []Record) error {
 		}
 	}
 	return c.refreshSpace()
-}
-
-// SortRecords orders records by (Key, Tag) — the canonical local sort used
-// by the shuffle primitives. Stable so equal keys preserve arrival order.
-func SortRecords(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].Key != recs[j].Key {
-			return recs[i].Key < recs[j].Key
-		}
-		return recs[i].Tag < recs[j].Tag
-	})
 }

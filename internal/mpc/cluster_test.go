@@ -71,10 +71,10 @@ func TestDistributeOverCap(t *testing.T) {
 
 func TestRoundMovesRecords(t *testing.T) {
 	c := New(Config{Machines: 3, CapWords: 1000})
-	if err := c.DistributeBy([]Record{rec("a", 1), rec("b", 2)}, func(i int, r Record) int { return 0 }); err != nil {
+	if err := c.Distribute([]Record{rec("a", 1), rec("b", 2)}); err != nil {
 		t.Fatal(err)
 	}
-	// Machine 0 ships everything to machine 2.
+	// Every machine ships everything to machine 2.
 	err := c.Round(func(m int, local []Record, emit Emit) []Record {
 		for _, r := range local {
 			emit(2, r)
@@ -98,7 +98,7 @@ func TestRoundMovesRecords(t *testing.T) {
 
 func TestRoundEnforcesSendCap(t *testing.T) {
 	c := New(Config{Machines: 2, CapWords: 4})
-	if err := c.DistributeBy([]Record{rec("a", 1)}, func(int, Record) int { return 0 }); err != nil {
+	if err := c.Distribute([]Record{rec("a", 1)}); err != nil {
 		t.Fatal(err)
 	}
 	err := c.Round(func(m int, local []Record, emit Emit) []Record {

@@ -1,14 +1,11 @@
-// Binary encoding for Record and Checkpoint — the serialization layer a
-// network transport (internal/mpcnet) moves round payloads through, and
-// the persistence format a driver can park checkpoints in.
+// Binary encoding for record slices — the serialization layer a network
+// transport (internal/mpcnet) moves round payloads through.
 //
 // The format follows the repository's hst serialization discipline
 // (internal/hst/serialize.go): explicit little-endian layout, varint
 // counts, and decoders that validate every count against the bytes that
 // remain BEFORE allocating — a frame that lies about its payload sizes is
-// rejected with ErrCodec instead of an OOM or a silent truncation. Record
-// implements encoding.BinaryMarshaler/BinaryUnmarshaler in the lattigo
-// idiom: round state is a value that can cross a process boundary.
+// rejected with ErrCodec instead of an OOM or a silent truncation.
 //
 // Layout of one record:
 //
@@ -17,13 +14,7 @@
 //	uvarint  len(Ints)  | len(Ints) × uint64 (little-endian)
 //	uvarint  len(Data)  | len(Data) × float64 bits (little-endian)
 //
-// A record slice is  uvarint count | count × record.  A checkpoint is
-//
-//	magic "MPCK" | byte version=1
-//	uvarint machines | machines × record slice
-//	uvarint rounds | uvarint maxLocalWords | uvarint totalSpace | uvarint commWords
-//	uvarint len(roundStats) | stats × (5 × uvarint)
-//	uvarint words
+// A record slice is  uvarint count | count × record.
 package mpc
 
 import (
@@ -42,9 +33,9 @@ func codecErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCodec, fmt.Sprintf(format, args...))
 }
 
-// AppendRecord appends the binary encoding of r to dst and returns the
+// appendRecord appends the binary encoding of r to dst and returns the
 // extended slice.
-func AppendRecord(dst []byte, r Record) []byte {
+func appendRecord(dst []byte, r Record) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
 	dst = append(dst, r.Key...)
 	dst = append(dst, r.Tag)
@@ -116,31 +107,12 @@ func decodeRecord(buf []byte) (Record, []byte, error) {
 	return r, buf, nil
 }
 
-// MarshalBinary encodes the record (encoding.BinaryMarshaler).
-func (r Record) MarshalBinary() ([]byte, error) {
-	return AppendRecord(nil, r), nil
-}
-
-// UnmarshalBinary decodes one record and rejects trailing bytes
-// (encoding.BinaryUnmarshaler).
-func (r *Record) UnmarshalBinary(data []byte) error {
-	rec, rest, err := decodeRecord(data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return codecErr("%d trailing bytes after record", len(rest))
-	}
-	*r = rec
-	return nil
-}
-
-// AppendRecords appends the encoding of a record slice (uvarint count +
+// appendRecords appends the encoding of a record slice (uvarint count +
 // records) to dst.
-func AppendRecords(dst []byte, recs []Record) []byte {
+func appendRecords(dst []byte, recs []Record) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	for _, r := range recs {
-		dst = AppendRecord(dst, r)
+		dst = appendRecord(dst, r)
 	}
 	return dst
 }
@@ -149,7 +121,7 @@ func AppendRecords(dst []byte, recs []Record) []byte {
 func EncodeRecords(recs []Record) []byte {
 	// Pre-size: Words() over-counts bytes only slightly (8 bytes/word plus
 	// varint headers), so one allocation usually suffices.
-	return AppendRecords(make([]byte, 0, 16+8*WordsOf(recs)), recs)
+	return appendRecords(make([]byte, 0, 16+8*WordsOf(recs)), recs)
 }
 
 // DecodeRecords decodes a record slice encoded by EncodeRecords,
@@ -157,33 +129,20 @@ func EncodeRecords(recs []Record) []byte {
 // the bytes present justify: every record is decoded incrementally and a
 // short buffer fails at the first missing byte.
 func DecodeRecords(data []byte) ([]Record, error) {
-	recs, rest, err := decodeRecordsPrefix(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, codecErr("%d trailing bytes after %d records", len(rest), len(recs))
-	}
-	return recs, nil
-}
-
-// decodeRecordsPrefix decodes one record-slice value from the front of
-// buf, returning the remainder.
-func decodeRecordsPrefix(buf []byte) ([]Record, []byte, error) {
-	count, n := binary.Uvarint(buf)
+	count, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, nil, codecErr("bad record count")
+		return nil, codecErr("bad record count")
 	}
-	buf = buf[n:]
+	buf := data[n:]
 	// Each record needs ≥ 4 bytes (3 varint zeros + tag); an absurd count
 	// on a short buffer is rejected up front rather than looped over.
 	if count > uint64(len(buf))/4+1 {
-		return nil, nil, codecErr("record count %d exceeds %d remaining bytes", count, len(buf))
+		return nil, codecErr("record count %d exceeds %d remaining bytes", count, len(buf))
 	}
-	if count == 0 {
-		return nil, buf, nil
+	var recs []Record
+	if count > 0 {
+		recs = make([]Record, 0, count)
 	}
-	recs := make([]Record, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var (
 			r   Record
@@ -191,122 +150,12 @@ func decodeRecordsPrefix(buf []byte) ([]Record, []byte, error) {
 		)
 		r, buf, err = decodeRecord(buf)
 		if err != nil {
-			return nil, nil, fmt.Errorf("record %d: %w", i, err)
+			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
 		recs = append(recs, r)
 	}
-	return recs, buf, nil
-}
-
-// Checkpoint binary format constants.
-const (
-	checkpointMagic   = "MPCK"
-	checkpointVersion = 1
-)
-
-// MarshalBinary encodes the checkpoint — stores, metrics, trace, and word
-// count — so a driver can persist it across a process boundary and later
-// UnmarshalCheckpoint + Restore it (encoding.BinaryMarshaler).
-func (cp *Checkpoint) MarshalBinary() ([]byte, error) {
-	dst := append([]byte(nil), checkpointMagic...)
-	dst = append(dst, checkpointVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(cp.stores)))
-	for _, st := range cp.stores {
-		dst = AppendRecords(dst, st)
-	}
-	dst = binary.AppendUvarint(dst, uint64(cp.metrics.Rounds))
-	dst = binary.AppendUvarint(dst, uint64(cp.metrics.MaxLocalWords))
-	dst = binary.AppendUvarint(dst, uint64(cp.metrics.TotalSpace))
-	dst = binary.AppendUvarint(dst, uint64(cp.metrics.CommWords))
-	dst = binary.AppendUvarint(dst, uint64(len(cp.roundStats)))
-	for _, st := range cp.roundStats {
-		dst = binary.AppendUvarint(dst, uint64(st.Index))
-		dst = binary.AppendUvarint(dst, uint64(st.SentWords))
-		dst = binary.AppendUvarint(dst, uint64(st.MaxSent))
-		dst = binary.AppendUvarint(dst, uint64(st.MaxReceived))
-		dst = binary.AppendUvarint(dst, uint64(st.MaxResidency))
-	}
-	dst = binary.AppendUvarint(dst, uint64(cp.words))
-	return dst, nil
-}
-
-func decodeUvarint(buf []byte, what string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, codecErr("bad %s", what)
-	}
-	return v, buf[n:], nil
-}
-
-// UnmarshalCheckpoint decodes a checkpoint encoded by MarshalBinary. The
-// machine count is validated incrementally (each store must actually be
-// present), so a header lying about its size fails cleanly.
-func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) < len(checkpointMagic)+1 || string(data[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, codecErr("bad checkpoint magic")
-	}
-	if v := data[len(checkpointMagic)]; v != checkpointVersion {
-		return nil, codecErr("unsupported checkpoint version %d", v)
-	}
-	buf := data[len(checkpointMagic)+1:]
-
-	machines, buf, err := decodeUvarint(buf, "machine count")
-	if err != nil {
-		return nil, err
-	}
-	// A store encoding needs at least one byte (its zero count).
-	if machines > uint64(len(buf)) {
-		return nil, codecErr("machine count %d exceeds %d remaining bytes", machines, len(buf))
-	}
-	cp := &Checkpoint{stores: make([][]Record, machines)}
-	for m := uint64(0); m < machines; m++ {
-		cp.stores[m], buf, err = decodeRecordsPrefix(buf)
-		if err != nil {
-			return nil, fmt.Errorf("machine %d store: %w", m, err)
-		}
-	}
-	fields := []*int{
-		&cp.metrics.Rounds, &cp.metrics.MaxLocalWords,
-		&cp.metrics.TotalSpace, &cp.metrics.CommWords,
-	}
-	names := []string{"rounds", "max local words", "total space", "comm words"}
-	for i, f := range fields {
-		var v uint64
-		v, buf, err = decodeUvarint(buf, names[i])
-		if err != nil {
-			return nil, err
-		}
-		*f = int(v)
-	}
-	nstats, buf, err := decodeUvarint(buf, "round-stat count")
-	if err != nil {
-		return nil, err
-	}
-	// Five varints per stat, one byte each at minimum.
-	if nstats > uint64(len(buf))/5 {
-		return nil, codecErr("round-stat count %d exceeds %d remaining bytes", nstats, len(buf))
-	}
-	if nstats > 0 {
-		cp.roundStats = make([]RoundStat, nstats)
-		for i := range cp.roundStats {
-			st := &cp.roundStats[i]
-			for j, f := range []*int{&st.Index, &st.SentWords, &st.MaxSent, &st.MaxReceived, &st.MaxResidency} {
-				var v uint64
-				v, buf, err = decodeUvarint(buf, fmt.Sprintf("round stat %d field %d", i, j))
-				if err != nil {
-					return nil, err
-				}
-				*f = int(v)
-			}
-		}
-	}
-	words, buf, err := decodeUvarint(buf, "word count")
-	if err != nil {
-		return nil, err
-	}
-	cp.words = int(words)
 	if len(buf) != 0 {
-		return nil, codecErr("%d trailing bytes after checkpoint", len(buf))
+		return nil, codecErr("%d trailing bytes after %d records", len(buf), len(recs))
 	}
-	return cp, nil
+	return recs, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -37,34 +36,9 @@ func recordsEquivalent(a, b Record) bool {
 	return true
 }
 
-func TestRecordRoundTrip(t *testing.T) {
-	for i, r := range sampleRecords() {
-		data, err := r.MarshalBinary()
-		if err != nil {
-			t.Fatalf("record %d: marshal: %v", i, err)
-		}
-		var got Record
-		if err := got.UnmarshalBinary(data); err != nil {
-			t.Fatalf("record %d: unmarshal: %v", i, err)
-		}
-		if !recordsEquivalent(r, got) {
-			t.Fatalf("record %d: round-trip %+v -> %+v", i, r, got)
-		}
-	}
-	// NaN payloads survive bit-exactly.
-	nan := Record{Key: "nan", Data: []float64{math.NaN()}}
-	data, _ := nan.MarshalBinary()
-	var got Record
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatalf("nan unmarshal: %v", err)
-	}
-	if math.Float64bits(got.Data[0]) != math.Float64bits(nan.Data[0]) {
-		t.Fatalf("NaN bits changed: %016x -> %016x", math.Float64bits(nan.Data[0]), math.Float64bits(got.Data[0]))
-	}
-}
-
 func TestRecordsRoundTrip(t *testing.T) {
-	recs := sampleRecords()
+	// NaN payloads must survive bit-exactly too.
+	recs := append(sampleRecords(), Record{Key: "nan", Data: []float64{math.NaN()}})
 	got, err := DecodeRecords(EncodeRecords(recs))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -93,86 +67,19 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"trailing garbage": append(append([]byte{}, valid...), 0x00),
 		// Count says 1000 records but only a few bytes follow: rejected
 		// before any large allocation.
-		"oversized count":       append([]byte{0xe8, 0x07}, 1, 'x', 0, 0, 0),
-		"oversized key length":  {1, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"oversized int count":   {1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"oversized data count":  {1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"missing tag":           {1, 1, 'k'},
-		"varint all high bits":  bytes.Repeat([]byte{0x80}, 12),
-		"checkpoint bad magic":  {'M', 'P', 'X', 'K', 1},
-		"checkpoint bad stores": {'M', 'P', 'C', 'K', 1, 0xff, 0xff, 0x0f},
+		"oversized count":      append([]byte{0xe8, 0x07}, 1, 'x', 0, 0, 0),
+		"oversized key length": {1, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"oversized int count":  {1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"oversized data count": {1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"missing tag":          {1, 1, 'k'},
+		"varint all high bits": bytes.Repeat([]byte{0x80}, 12),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			if name == "checkpoint bad magic" || name == "checkpoint bad stores" {
-				if _, err := UnmarshalCheckpoint(data); !errors.Is(err, ErrCodec) {
-					t.Fatalf("accepted malformed checkpoint (err %v)", err)
-				}
-				return
-			}
 			if _, err := DecodeRecords(data); !errors.Is(err, ErrCodec) {
 				t.Fatalf("accepted malformed payload (err %v)", err)
 			}
 		})
-	}
-}
-
-// TestCheckpointBinaryRoundTrip runs a real cluster, snapshots it,
-// crosses the binary encoding, and restores into a FRESH cluster — the
-// persistence path a driver uses to carry recovery state across its own
-// process boundary.
-func TestCheckpointBinaryRoundTrip(t *testing.T) {
-	cfg := Config{Machines: 4, CapWords: 1 << 16}
-	c := New(cfg)
-	c.EnableTrace()
-	var recs []Record
-	for i := 0; i < 20; i++ {
-		recs = append(recs, Record{Key: string(rune('a' + i)), Tag: uint8(i), Ints: []int64{int64(i)}, Data: []float64{float64(i) / 3}})
-	}
-	if err := c.Distribute(recs); err != nil {
-		t.Fatalf("distribute: %v", err)
-	}
-	if err := c.ShuffleByKey(); err != nil {
-		t.Fatalf("shuffle: %v", err)
-	}
-	cp := c.Checkpoint()
-
-	data, err := cp.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	decoded, err := UnmarshalCheckpoint(data)
-	if err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if decoded.Words() != cp.Words() || decoded.Machines() != cp.Machines() {
-		t.Fatalf("decoded shape %d/%d, want %d/%d", decoded.Words(), decoded.Machines(), cp.Words(), cp.Machines())
-	}
-
-	fresh := New(cfg)
-	fresh.EnableTrace()
-	fresh.Restore(decoded)
-	if m1, m2 := c.Metrics(), fresh.Metrics(); m1 != m2 {
-		t.Fatalf("metrics differ after restore-from-bytes: %+v vs %+v", m1, m2)
-	}
-	if tr1, tr2 := c.Trace(), fresh.Trace(); !reflect.DeepEqual(tr1, tr2) {
-		t.Fatalf("round traces differ after restore-from-bytes")
-	}
-	want, err := c.Collect()
-	if err != nil {
-		t.Fatalf("collect source: %v", err)
-	}
-	got, err := fresh.Collect()
-	if err != nil {
-		t.Fatalf("collect restored: %v", err)
-	}
-	if len(want) != len(got) {
-		t.Fatalf("restored cluster holds %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !recordsEquivalent(want[i], got[i]) {
-			t.Fatalf("record %d differs after restore-from-bytes: %+v vs %+v", i, want[i], got[i])
-		}
 	}
 }
 
@@ -207,33 +114,6 @@ func FuzzRecordCodec(f *testing.F) {
 			if !recordsEquivalent(recs[i], recs2[i]) {
 				t.Fatalf("record %d unstable across re-encode", i)
 			}
-		}
-	})
-}
-
-// FuzzCheckpointCodec does the same for the checkpoint container.
-func FuzzCheckpointCodec(f *testing.F) {
-	c := New(Config{Machines: 2, CapWords: 1 << 12})
-	_ = c.Distribute([]Record{{Key: "a", Ints: []int64{1}}, {Key: "b", Data: []float64{2}}})
-	cp := c.Checkpoint()
-	seed, _ := cp.MarshalBinary()
-	f.Add(seed)
-	f.Add([]byte("MPCK"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := UnmarshalCheckpoint(data)
-		if err != nil {
-			if !errors.Is(err, ErrCodec) {
-				t.Fatalf("non-codec error class: %v", err)
-			}
-			return
-		}
-		re, err := cp.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-marshal of decoded checkpoint: %v", err)
-		}
-		if _, err := UnmarshalCheckpoint(re); err != nil {
-			t.Fatalf("re-decode of re-marshaled checkpoint: %v", err)
 		}
 	})
 }

@@ -5,31 +5,10 @@ import (
 	"testing"
 )
 
-func TestSortByKeyEmptyCluster(t *testing.T) {
-	c := New(Config{Machines: 4, CapWords: 1024})
-	if err := c.SortByKey(); err != nil {
-		t.Fatalf("sort of empty cluster failed: %v", err)
-	}
-	if len(mustCollect(t, c)) != 0 {
-		t.Error("records appeared from nowhere")
-	}
-}
-
 func TestAggregateByKeyEmpty(t *testing.T) {
 	c := New(Config{Machines: 3, CapWords: 1024})
 	if err := c.AggregateByKey(func(a, b Record) Record { return a }); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReduceEmptyCluster(t *testing.T) {
-	c := New(Config{Machines: 3, CapWords: 1024})
-	sum := func(a, b Record) Record { a.Data[0] += b.Data[0]; return a }
-	if err := c.Reduce(0, sum); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Store(0)) != 0 {
-		t.Error("empty reduce produced records")
 	}
 }
 
@@ -46,14 +25,6 @@ func TestBroadcastEmptyBlob(t *testing.T) {
 func TestBroadcastBadSource(t *testing.T) {
 	c := New(Config{Machines: 2, CapWords: 64})
 	if err := c.Broadcast(5, []Record{rec("x")}); !errors.Is(err, ErrBadMachine) {
-		t.Fatalf("want ErrBadMachine, got %v", err)
-	}
-}
-
-func TestDistributeByBadMachine(t *testing.T) {
-	c := New(Config{Machines: 2, CapWords: 64})
-	err := c.DistributeBy([]Record{rec("x")}, func(i int, r Record) int { return 9 })
-	if !errors.Is(err, ErrBadMachine) {
 		t.Fatalf("want ErrBadMachine, got %v", err)
 	}
 }
@@ -84,11 +55,11 @@ func TestMetricsAccumulateAcrossPrimitives(t *testing.T) {
 	if err := c.Distribute(recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ShuffleByKey(); err != nil {
+	if err := rotateRound(c); err != nil {
 		t.Fatal(err)
 	}
 	r1 := c.Metrics().Rounds
-	if err := c.SortByKey(); err != nil {
+	if err := c.Broadcast(0, []Record{rec("blob", 1)}); err != nil {
 		t.Fatal(err)
 	}
 	r2 := c.Metrics().Rounds
@@ -113,7 +84,7 @@ func TestSingleMachinePrimitives(t *testing.T) {
 	if err := c.Broadcast(0, []Record{rec("blob")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SortByKey(); err != nil {
+	if err := rotateRound(c); err != nil {
 		t.Fatal(err)
 	}
 	sum := func(a, b Record) Record { a.Data[0] += b.Data[0]; return a }

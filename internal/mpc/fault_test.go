@@ -23,6 +23,18 @@ func noopRound(c *Cluster) error {
 	return c.Round(func(m int, local []Record, emit Emit) []Record { return local })
 }
 
+// rotateRound moves every record to the next machine, so the round's
+// traffic is the whole resident state.
+func rotateRound(c *Cluster) error {
+	M := c.Machines()
+	return c.Round(func(m int, local []Record, emit Emit) []Record {
+		for _, r := range local {
+			emit((m+1)%M, r)
+		}
+		return nil
+	})
+}
+
 func TestInjectedCrashIsDistinguishable(t *testing.T) {
 	c := New(Config{Machines: 4, CapWords: 1 << 12})
 	seedRecords(t, c, 16)
@@ -188,7 +200,7 @@ func TestCheckpointRestoreRoundTripWithTrace(t *testing.T) {
 	c := New(Config{Machines: 3, CapWords: 1 << 12})
 	c.EnableTrace()
 	seedRecords(t, c, 12)
-	if err := c.ShuffleByKey(); err != nil {
+	if err := rotateRound(c); err != nil {
 		t.Fatal(err)
 	}
 	wantMetrics := c.Metrics()
@@ -208,7 +220,7 @@ func TestCheckpointRestoreRoundTripWithTrace(t *testing.T) {
 	}
 
 	// Mutate heavily: more rounds, in-place payload edits, then poison.
-	if err := c.SortByKey(); err != nil {
+	if err := rotateRound(c); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.LocalMap(func(m int, local []Record) []Record {
@@ -255,38 +267,26 @@ func TestCheckpointRestoreRoundTripWithTrace(t *testing.T) {
 	}
 
 	// The restored cluster keeps working.
-	if err := c.SortByKey(); err != nil {
+	if err := rotateRound(c); err != nil {
 		t.Fatalf("restored cluster broken: %v", err)
 	}
 }
 
-func TestRestoreIntoGrownCluster(t *testing.T) {
-	c := New(Config{Machines: 2, CapWords: 1 << 10})
-	seedRecords(t, c, 6)
-	cp := c.Checkpoint()
-	c.Grow(2)
-	if c.Machines() != 4 {
-		t.Fatalf("Machines = %d after Grow", c.Machines())
-	}
-	c.Restore(cp)
-	if got := len(mustCollect(t, c)); got != 6 {
-		t.Errorf("%d records after restore into grown cluster", got)
-	}
-	if len(c.Store(3)) != 0 {
-		t.Error("new machine not empty after restore")
-	}
-}
-
 func TestRestoreIntoSmallerClusterPanics(t *testing.T) {
-	big := New(Config{Machines: 4, CapWords: 1 << 10})
-	cp := big.Checkpoint()
-	small := New(Config{Machines: 2, CapWords: 1 << 10})
-	defer func() {
-		if recover() == nil {
-			t.Error("restore into smaller cluster accepted")
-		}
-	}()
-	small.Restore(cp)
+	// A checkpoint restores only into a cluster of its own machine count:
+	// smaller and larger clusters both panic.
+	for _, into := range []int{2, 6} {
+		cp := New(Config{Machines: 4, CapWords: 1 << 10}).Checkpoint()
+		other := New(Config{Machines: into, CapWords: 1 << 10})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("restore of a 4-machine checkpoint into %d machines accepted", into)
+				}
+			}()
+			other.Restore(cp)
+		}()
+	}
 }
 
 func TestRaiseCapOnlyRaises(t *testing.T) {
@@ -366,14 +366,8 @@ func TestErrFailedPropagatesThroughEveryPrimitive(t *testing.T) {
 			return c.LocalMap(func(m int, local []Record) []Record { return local })
 		}},
 		{"Distribute", func(c *Cluster) error { return c.Distribute([]Record{rec("x", 1)}) }},
-		{"DistributeBy", func(c *Cluster) error {
-			return c.DistributeBy([]Record{rec("x", 1)}, func(int, Record) int { return 0 })
-		}},
 		{"Broadcast", func(c *Cluster) error { return c.Broadcast(0, []Record{rec("b", 1)}) }},
-		{"ShuffleByKey", func(c *Cluster) error { return c.ShuffleByKey() }},
 		{"AggregateByKey", func(c *Cluster) error { return c.AggregateByKey(sum) }},
-		{"Reduce", func(c *Cluster) error { return c.Reduce(0, sum) }},
-		{"SortByKey", func(c *Cluster) error { return c.SortByKey() }},
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
@@ -403,7 +397,7 @@ func TestLocalMapPanicThenRestoreRevives(t *testing.T) {
 		t.Fatal("Collect should refuse a failed cluster")
 	}
 	c.Restore(cp)
-	if err := c.SortByKey(); err != nil {
+	if err := rotateRound(c); err != nil {
 		t.Fatalf("revived cluster broken: %v", err)
 	}
 	if got := len(mustCollect(t, c)); got != 4 {

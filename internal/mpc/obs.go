@@ -117,14 +117,3 @@ func (s *obsSink) observeFault(kind FaultKind) {
 		ctr.Inc()
 	}
 }
-
-// RoundStatsInto feeds an already-collected trace into reg as if the
-// rounds were observed live — the bridge from the opt-in EnableTrace
-// table to the registry for drivers that ran before instrumentation was
-// attached.
-func RoundStatsInto(reg *obs.Registry, stats []RoundStat) {
-	h := reg.Histogram("mpc_round_sent_words", "Per-round total send volume in words.", obs.DefaultWordBuckets())
-	for _, st := range stats {
-		h.Observe(float64(st.SentWords))
-	}
-}

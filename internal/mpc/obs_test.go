@@ -20,10 +20,10 @@ func TestInstrumentMatchesMetrics(t *testing.T) {
 	if err := c.Distribute(recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ShuffleByKey(); err != nil {
+	if err := rotateRound(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SortByKey(); err != nil {
+	if err := c.Broadcast(0, []Record{{Key: "blob", Data: []float64{1}}}); err != nil {
 		t.Fatal(err)
 	}
 	m := c.Metrics()

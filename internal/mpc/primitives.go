@@ -1,14 +1,13 @@
-// Shuffle-layer primitives built from Round: broadcast trees, TeraSort
-// style global sort, and hash aggregation. These are the standard O(1)- or
-// O(log_f M)-round building blocks MPC algorithms assume (Goodrich et al.;
-// Andoni et al.), implemented so that every word they move is metered and
-// capped like any other traffic.
+// Shuffle-layer primitives built from Round: broadcast trees and hash
+// aggregation. These are the standard O(1)- or O(log_f M)-round building
+// blocks MPC algorithms assume (Goodrich et al.; Andoni et al.),
+// implemented so that every word they move is metered and capped like any
+// other traffic.
 package mpc
 
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 )
 
 // Broadcast replicates blob onto every machine, starting from src, using a
@@ -91,18 +90,6 @@ func hashMachine(key string, machines int) int {
 	return int(h.Sum64() % uint64(machines))
 }
 
-// ShuffleByKey routes every resident record to machine hash(key) % M in
-// one round. Records with equal keys land on one machine.
-func (c *Cluster) ShuffleByKey() error {
-	M := c.cfg.Machines
-	return c.Round(func(m int, local []Record, emit Emit) []Record {
-		for _, r := range local {
-			emit(hashMachine(r.Key, M), r)
-		}
-		return nil
-	})
-}
-
 // AggregateByKey combines all records sharing a key into one, wherever
 // they live, in one round: map-side combining first (so each machine sends
 // at most one record per distinct local key), then hash routing, then
@@ -137,190 +124,4 @@ func combineByKey(recs []Record, combine func(a, b Record) Record) []Record {
 		}
 	}
 	return out
-}
-
-// Reduce combines every resident record on the cluster into a single
-// record delivered to machine dst, using an aggregation tree of fan-in f =
-// CapWords/recordWords (≥ 2): each round, machines pre-combine locally and
-// forward to a shrinking set of aggregators. combine must be associative
-// and commutative; empty clusters deliver nothing.
-func (c *Cluster) Reduce(dst int, combine func(a, b Record) Record) error {
-	if c.failed != nil {
-		return ErrFailed
-	}
-	M := c.cfg.Machines
-	// Local pre-combine.
-	if err := c.LocalMap(func(m int, local []Record) []Record {
-		return foldAll(local, combine)
-	}); err != nil {
-		return err
-	}
-	// Tree: halve the aggregator set each round (fan-in 2 is always safe
-	// for single-record payloads; higher fan-in only saves rounds we can
-	// afford at simulator scales).
-	active := M
-	for active > 1 {
-		half := (active + 1) / 2
-		err := c.Round(func(m int, local []Record, emit Emit) []Record {
-			if m >= half && m < active {
-				for _, r := range local {
-					emit(m-half, r)
-				}
-				return nil
-			}
-			return local
-		})
-		if err != nil {
-			return err
-		}
-		if err := c.LocalMap(func(m int, local []Record) []Record {
-			if m < half {
-				return foldAll(local, combine)
-			}
-			return local
-		}); err != nil {
-			return err
-		}
-		active = half
-	}
-	if dst == 0 {
-		return nil
-	}
-	// Move the result from machine 0 to dst.
-	return c.Round(func(m int, local []Record, emit Emit) []Record {
-		if m == 0 {
-			for _, r := range local {
-				emit(dst, r)
-			}
-			return nil
-		}
-		return local
-	})
-}
-
-func foldAll(recs []Record, combine func(a, b Record) Record) []Record {
-	if len(recs) <= 1 {
-		return recs
-	}
-	acc := recs[0]
-	for _, r := range recs[1:] {
-		acc = combine(acc, r)
-	}
-	return []Record{acc}
-}
-
-// Tags reserved by SortByKey's control traffic. Application records must
-// not use them while a sort is in flight.
-const (
-	TagSample   uint8 = 254
-	TagSplitter uint8 = 255
-)
-
-// SortByKey globally sorts all resident records by key across the machine
-// sequence (machine 0 holds the smallest keys), TeraSort style:
-//
-//  1. every machine sends a small evenly spaced sample of its keys to
-//     machine 0;
-//  2. machine 0 picks M−1 splitters and broadcasts them;
-//  3. every record is routed to its splitter bucket and machines sort
-//     locally.
-//
-// Takes O(1) rounds (+ the broadcast tree). Skewed key distributions can
-// overload a bucket; that surfaces as ErrLocalMemory, faithfully to the
-// model.
-func (c *Cluster) SortByKey() error {
-	if c.failed != nil {
-		return ErrFailed
-	}
-	M := c.cfg.Machines
-	if M == 1 {
-		return c.LocalMap(func(m int, local []Record) []Record {
-			SortRecords(local)
-			return local
-		})
-	}
-	const samplesPerMachine = 16
-	// Round 1: sample.
-	err := c.Round(func(m int, local []Record, emit Emit) []Record {
-		sorted := append([]Record(nil), local...)
-		SortRecords(sorted)
-		k := samplesPerMachine
-		if k > len(sorted) {
-			k = len(sorted)
-		}
-		for i := 0; i < k; i++ {
-			pick := sorted[i*len(sorted)/k]
-			emit(0, Record{Key: pick.Key, Tag: TagSample})
-		}
-		return local
-	})
-	if err != nil {
-		return err
-	}
-	// Machine 0 computes splitters.
-	var splitters []string
-	err = c.LocalMap(func(m int, local []Record) []Record {
-		if m != 0 {
-			return local
-		}
-		var samples []string
-		keep := local[:0:0]
-		for _, r := range local {
-			if r.Tag == TagSample {
-				samples = append(samples, r.Key)
-			} else {
-				keep = append(keep, r)
-			}
-		}
-		sort.Strings(samples)
-		for i := 1; i < M; i++ {
-			if len(samples) == 0 {
-				splitters = append(splitters, "")
-				continue
-			}
-			splitters = append(splitters, samples[i*len(samples)/M])
-		}
-		return keep
-	})
-	if err != nil {
-		return err
-	}
-	// Broadcast splitters.
-	blob := make([]Record, len(splitters))
-	for i, s := range splitters {
-		blob[i] = Record{Key: s, Tag: TagSplitter, Ints: []int64{int64(i)}}
-	}
-	if err := c.Broadcast(0, blob); err != nil {
-		return err
-	}
-	// Route by bucket, dropping control records, then sort locally.
-	err = c.Round(func(m int, local []Record, emit Emit) []Record {
-		sp := make([]string, M-1)
-		for _, r := range local {
-			if r.Tag == TagSplitter {
-				sp[r.Ints[0]] = r.Key
-			}
-		}
-		for _, r := range local {
-			if r.Tag == TagSplitter || r.Tag == TagSample {
-				continue
-			}
-			dst := sort.SearchStrings(sp, r.Key)
-			// SearchStrings returns the first splitter ≥ key; records equal
-			// to a splitter go left of it half the time is unnecessary —
-			// ties all route to the same bucket, which keeps groups whole.
-			for dst < len(sp) && sp[dst] == r.Key {
-				dst++
-			}
-			emit(dst, r)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return c.LocalMap(func(m int, local []Record) []Record {
-		SortRecords(local)
-		return local
-	})
 }

@@ -3,10 +3,7 @@ package mpc
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
-
-	"mpctree/internal/rng"
 )
 
 func TestBroadcastReachesAll(t *testing.T) {
@@ -59,33 +56,6 @@ func TestBroadcastFromNonzeroSource(t *testing.T) {
 		if len(c.Store(m)) != 1 {
 			t.Fatalf("machine %d has %d records", m, len(c.Store(m)))
 		}
-	}
-}
-
-func TestShuffleByKeyGroups(t *testing.T) {
-	c := New(Config{Machines: 4, CapWords: 1000})
-	var recs []Record
-	for i := 0; i < 60; i++ {
-		recs = append(recs, rec(fmt.Sprintf("key%d", i%5), float64(i)))
-	}
-	if err := c.Distribute(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ShuffleByKey(); err != nil {
-		t.Fatal(err)
-	}
-	// Each key must be entirely on one machine.
-	home := map[string]int{}
-	for m := 0; m < 4; m++ {
-		for _, r := range c.Store(m) {
-			if prev, ok := home[r.Key]; ok && prev != m {
-				t.Fatalf("key %q split across machines %d and %d", r.Key, prev, m)
-			}
-			home[r.Key] = m
-		}
-	}
-	if got := len(mustCollect(t, c)); got != 60 {
-		t.Errorf("records lost in shuffle: %d", got)
 	}
 }
 
@@ -150,105 +120,6 @@ func TestAggregateByKeyHotKeyWithinCap(t *testing.T) {
 	}
 }
 
-func TestReduceGlobal(t *testing.T) {
-	for _, M := range []int{1, 2, 5, 9} {
-		c := New(Config{Machines: M, CapWords: 256})
-		var recs []Record
-		total := 0.0
-		for i := 0; i < 37; i++ {
-			recs = append(recs, rec("x", float64(i)))
-			total += float64(i)
-		}
-		if err := c.Distribute(recs); err != nil {
-			t.Fatal(err)
-		}
-		sum := func(a, b Record) Record { a.Data[0] += b.Data[0]; return a }
-		if err := c.Reduce(0, sum); err != nil {
-			t.Fatalf("M=%d: %v", M, err)
-		}
-		st := c.Store(0)
-		if len(st) != 1 || st[0].Data[0] != total {
-			t.Fatalf("M=%d: reduce result %+v, want %v", M, st, total)
-		}
-		// No leftovers elsewhere.
-		for m := 1; m < M; m++ {
-			if len(c.Store(m)) != 0 {
-				t.Fatalf("M=%d: machine %d still holds records", M, m)
-			}
-		}
-	}
-}
-
-func TestReduceToNonzeroDst(t *testing.T) {
-	c := New(Config{Machines: 4, CapWords: 100})
-	if err := c.Distribute([]Record{rec("x", 1), rec("x", 2)}); err != nil {
-		t.Fatal(err)
-	}
-	sum := func(a, b Record) Record { a.Data[0] += b.Data[0]; return a }
-	if err := c.Reduce(2, sum); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Store(2)) != 1 || c.Store(2)[0].Data[0] != 3 {
-		t.Fatalf("reduce to dst=2 wrong: %+v", c.Store(2))
-	}
-}
-
-func TestSortByKeyGlobalOrder(t *testing.T) {
-	r := rng.New(5)
-	for _, M := range []int{1, 3, 8} {
-		c := New(Config{Machines: M, CapWords: 4096})
-		var recs []Record
-		for i := 0; i < 300; i++ {
-			recs = append(recs, rec(fmt.Sprintf("k%06d", r.Intn(10000)), float64(i)))
-		}
-		if err := c.Distribute(recs); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.SortByKey(); err != nil {
-			t.Fatalf("M=%d: %v", M, err)
-		}
-		// Global order: concatenation of stores is sorted; count preserved.
-		var keys []string
-		for m := 0; m < M; m++ {
-			for _, rc := range c.Store(m) {
-				if rc.Tag == TagSample || rc.Tag == TagSplitter {
-					t.Fatal("control record leaked into output")
-				}
-				keys = append(keys, rc.Key)
-			}
-		}
-		if len(keys) != 300 {
-			t.Fatalf("M=%d: %d records after sort", M, len(keys))
-		}
-		if !sort.StringsAreSorted(keys) {
-			t.Fatalf("M=%d: global order violated", M)
-		}
-	}
-}
-
-func TestSortByKeyKeepsEqualKeysTogether(t *testing.T) {
-	c := New(Config{Machines: 4, CapWords: 4096})
-	var recs []Record
-	for i := 0; i < 200; i++ {
-		recs = append(recs, rec(fmt.Sprintf("g%d", i%3), float64(i)))
-	}
-	if err := c.Distribute(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SortByKey(); err != nil {
-		t.Fatal(err)
-	}
-	home := map[string]int{}
-	for m := 0; m < 4; m++ {
-		for _, r := range c.Store(m) {
-			if prev, ok := home[r.Key]; ok && prev != m {
-				t.Fatalf("equal keys split across machines %d and %d", prev, m)
-			}
-			home[r.Key] = m
-		}
-	}
-}
-
 func TestCombineByKeyOrderStable(t *testing.T) {
 	recs := []Record{rec("b", 1), rec("a", 1), rec("b", 2), rec("c", 1), rec("a", 3)}
 	sum := func(a, b Record) Record { a.Data[0] += b.Data[0]; return a }
@@ -273,7 +144,7 @@ func TestPipelineDeterminism(t *testing.T) {
 		if err := c.AggregateByKey(sum); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SortByKey(); err != nil {
+		if err := rotateRound(c); err != nil {
 			t.Fatal(err)
 		}
 		return mustCollect(t, c)
@@ -304,25 +175,6 @@ func BenchmarkRound(b *testing.B) {
 			return local
 		})
 		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSortByKey(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c := New(Config{Machines: 8, CapWords: 1 << 20})
-		r := rng.New(uint64(i))
-		var recs []Record
-		for j := 0; j < 5000; j++ {
-			recs = append(recs, rec(fmt.Sprintf("k%08d", r.Intn(1<<30))))
-		}
-		if err := c.Distribute(recs); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := c.SortByKey(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -65,10 +65,10 @@ func TestTraceConsistentWithMetrics(t *testing.T) {
 	if err := c.Distribute(recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ShuffleByKey(); err != nil {
+	if err := rotateRound(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SortByKey(); err != nil {
+	if err := c.Broadcast(0, []Record{rec("blob", 1)}); err != nil {
 		t.Fatal(err)
 	}
 	total := 0

@@ -34,7 +34,7 @@ var ErrTransport = errors.New("mpc: transport failure")
 type Transport interface {
 	// Name labels the backend ("sim", "tcp") for metrics and logs.
 	Name() string
-	// Machines is the logical machine count currently backed.
+	// Machines is the logical machine count, fixed at construction.
 	Machines() int
 	// Read returns machine m's resident records. The local backend
 	// returns the live slice (callers may mutate records in place, the
@@ -50,8 +50,6 @@ type Transport interface {
 	// residency check's fast path, so a remote backend can answer from a
 	// local sum instead of shipping the whole store back.
 	Words(m int) (int, error)
-	// Grow adds logical machines with empty stores.
-	Grow(extra int) error
 	// Close releases backend resources. The local backend is a no-op.
 	Close() error
 }
@@ -85,10 +83,5 @@ func (t *localTransport) Append(m int, recs []Record) error {
 }
 
 func (t *localTransport) Words(m int) (int, error) { return WordsOf(t.stores[m]), nil }
-
-func (t *localTransport) Grow(extra int) error {
-	t.stores = append(t.stores, make([][]Record, extra)...)
-	return nil
-}
 
 func (t *localTransport) Close() error { return nil }

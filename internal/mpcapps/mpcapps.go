@@ -7,9 +7,9 @@
 // (the path(p) tuple of the paper). Because a point knows ALL of its
 // ancestors, per-node aggregates over the hierarchy need no level-by-level
 // tree walk: every point emits one contribution per ancestor, a single
-// AggregateByKey round combines them, and a Reduce finishes — O(1) rounds
-// total regardless of depth, exactly how Corollary 1 piggybacks on
-// Theorem 1.
+// AggregateByKey round combines them, and a one-round gather to machine 0
+// finishes — O(1) rounds total regardless of depth, exactly how
+// Corollary 1 piggybacks on Theorem 1.
 //
 //   - EMD: the optimal transport cost on a tree is
 //     Σ_edges weight·|μ(subtree) − ν(subtree)|; per-node (μ, ν) masses
@@ -68,7 +68,7 @@ const (
 
 // EMD computes the tree Earth-Mover distance between measures mu and nu
 // (indexed by point id, equal totals) in O(1) MPC rounds: ancestor
-// contributions → AggregateByKey → local Σ w·|imbalance| → Reduce.
+// contributions → AggregateByKey → local Σ w·|imbalance| → gather.
 func (e *Embedding) EMD(mu, nu []float64) (float64, error) {
 	if len(mu) != e.n || len(nu) != e.n {
 		return 0, errors.New("mpcapps: measure length mismatch")
@@ -199,7 +199,7 @@ type BallResult struct {
 
 // DensestBall answers Corollary 1's bicriteria densest-ball query in O(1)
 // MPC rounds: counts per cluster at the deepest level whose per-level
-// cluster-diameter bound is ≤ β·D, maximised by a Reduce.
+// cluster-diameter bound is ≤ β·D, maximised by a one-round gather.
 func (e *Embedding) DensestBall(D, beta float64) (BallResult, error) {
 	if D <= 0 || beta <= 0 {
 		return BallResult{}, errors.New("mpcapps: need positive D and beta")
@@ -292,9 +292,8 @@ func (e *Embedding) DensestBall(D, beta float64) (BallResult, error) {
 }
 
 // gatherTotals ships every tagTotal record to machine 0 (one tiny record
-// per machine, one round) and folds their values with combine — without
-// touching any other resident record, unlike Cluster.Reduce which folds
-// the whole store.
+// per machine, one round) and folds their values with combine, without
+// touching any other resident record.
 func gatherTotals(c *mpc.Cluster, combine func(acc, v float64) float64) (float64, bool, error) {
 	err := c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
 		keep := local[:0:0]

@@ -52,36 +52,3 @@ func TestEmbedWorkerInvariant(t *testing.T) {
 		t.Fatal("GOMAXPROCS=8 with EmitPaths: tree bytes differ from GOMAXPROCS=1")
 	}
 }
-
-// The seed-derived-grid variant shares the grid draw; it must stay
-// byte-identical to the broadcast variant at every GOMAXPROCS.
-func TestEmbedSeedDerivedWorkerInvariant(t *testing.T) {
-	r := rng.New(73)
-	pts := make([]vec.Point, 32)
-	for i := range pts {
-		pts[i] = make(vec.Point, 6)
-		for j := range pts[i] {
-			pts[i][j] = float64(1 + r.Intn(256))
-		}
-	}
-	run := func(procs int, derived bool) []byte {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 22})
-		tree, _, err := Embed(c, pts, Options{R: 2, Seed: 79, SeedDerivedGrids: derived})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := tree.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := run(1, true)
-	if !bytes.Equal(want, run(1, false)) {
-		t.Fatal("seed-derived grids changed the tree")
-	}
-	if !bytes.Equal(want, run(8, true)) {
-		t.Fatal("GOMAXPROCS=8 seed-derived: tree bytes differ from GOMAXPROCS=1")
-	}
-}

@@ -11,11 +11,10 @@ import (
 )
 
 // The arena-backed parallel grid generation in Embed reseeds a stack RNG
-// per grid with the same arguments deriveGrid feeds rng.NewHashed, then
-// samples the shift through grid.NewInto. This test pins that coupling:
-// for every (level, bucket, attempt) the two constructions must agree to
-// the bit, or seed-derived regeneration on other machines would silently
-// diverge from the broadcast grids.
+// per grid and samples the shift through grid.NewInto. This test pins it
+// to the reference construction, grid.New over rng.NewHashed with the
+// same arguments: for every (level, bucket, attempt) the two must agree to
+// the bit.
 func TestGridGenerationMatchesDeriveGrid(t *testing.T) {
 	const seed = 0xDECAF
 	for _, dim := range []int{1, 3, 8, 17} {
@@ -23,7 +22,7 @@ func TestGridGenerationMatchesDeriveGrid(t *testing.T) {
 			cell := 4 * 100.0 / math.Pow(2, float64(lev))
 			for j := 0; j < 3; j++ {
 				for uu := 0; uu < 5; uu++ {
-					want := deriveGrid(seed, lev, j, uu, dim, cell)
+					want := grid.New(rng.NewHashed(seed, 0x9d1d, uint64(lev), uint64(j), uint64(uu)), dim, cell)
 					var rg rng.RNG
 					rg.Reseed(seed, 0x9d1d, uint64(lev), uint64(j), uint64(uu))
 					a := arena.New()
@@ -34,7 +33,7 @@ func TestGridGenerationMatchesDeriveGrid(t *testing.T) {
 					}
 					for i := range want.Shift {
 						if math.Float64bits(got.Shift[i]) != math.Float64bits(want.Shift[i]) {
-							t.Fatalf("(%d,%d,%d,dim=%d): shift[%d] = %x, deriveGrid %x",
+							t.Fatalf("(%d,%d,%d,dim=%d): shift[%d] = %x, reference %x",
 								lev, j, uu, dim, i, math.Float64bits(got.Shift[i]), math.Float64bits(want.Shift[i]))
 						}
 					}

@@ -4,9 +4,9 @@
 // The round structure follows the paper's four steps (dimension reduction,
 // Section 5, happens upstream in the pipeline package):
 //
-//  1. the point-set diameter is computed with an aggregation-tree Reduce
-//     (the paper assumes Δ is known; we compute it in O(log_f M) = O(1)
-//     rounds for completeness);
+//  1. the point-set diameter is computed from per-machine bounding boxes,
+//     merged in one AggregateByKey round (the paper assumes Δ is known; we
+//     compute it for completeness);
 //  2. one machine draws all U·r·logΔ grids — Lemma 7 sizes U, and Lemma 8's
 //     constraint that the grids fit in one machine's memory is enforced
 //     before a single grid is drawn: if they cannot fit (as with r = 1 ball
@@ -74,11 +74,6 @@ type Options struct {
 	MinDist float64
 	// MaxLevels caps depth; 0 means 48.
 	MaxLevels int
-	// SeedDerivedGrids replaces the grid broadcast with local
-	// regeneration from the shared seed (the derandomised-placement
-	// trick): identical output tree, identical local-memory footprint,
-	// zero broadcast traffic and fewer rounds.
-	SeedDerivedGrids bool
 	// EmitPaths keeps one TagPath record per point resident on the
 	// machines after embedding: the point's full ancestor-hash path.
 	// Downstream O(1)-round applications (mpcapps: EMD, densest ball)
@@ -154,16 +149,6 @@ func chainNext(prev [16]byte, levelID []byte) [16]byte {
 	return out
 }
 
-// deriveGrid generates grid (lev, bucket, attempt) as a pure function of
-// the seed, so any machine can rebuild it without communication. Both the
-// broadcast and seed-derived modes use this derivation, making their
-// output trees identical for equal seeds. The byte-serial hash seeding
-// (rng.NewHashed) matters: a weaker XOR-multiply mix produced measurably
-// correlated shift sequences whose coverage had dead zones.
-func deriveGrid(seed uint64, lev, bucket, attempt, dim int, cell float64) grid.Grid {
-	return grid.New(rng.NewHashed(seed, 0x9d1d, uint64(lev), uint64(bucket), uint64(attempt)), dim, cell)
-}
-
 // autoR mirrors the sequential choice r = Θ(log log n).
 func autoR(n, d int) int {
 	if n < 4 {
@@ -179,17 +164,28 @@ func autoR(n, d int) int {
 	return r
 }
 
-// GridPlan reports, without running anything, the Lemma-7 grid count U
-// per (level, bucket) and the total words of grid state a machine must
-// hold (Lemma 8's quantity) to embed n points of dimension d with r
-// buckets over the given diameter range. minDist 0 means 1; failProb 0
-// means 0.01. Used by the ablation experiments and by capacity planning.
-func GridPlan(n, d, r int, diam, minDist, failProb float64) (u, levels, gridWords int) {
+// plan is the Lemma 7/8 grid plan for one bucket count r.
+type plan struct {
+	r, dPad, k, levels, u int
+	gridRecWords          int // words of one grid record
+	gridWords             int // words of all grids (Lemma 8's quantity)
+	diamFactor            float64
+}
+
+// planGrids plans r buckets over diameter diam. Of opt it reads MinDist,
+// FailProb, MaxLevels and MaxGrids, with their documented defaults.
+func planGrids(n, d, r int, diam float64, opt Options) plan {
+	minDist := opt.MinDist
 	if minDist == 0 {
 		minDist = 1
 	}
+	maxLevels := opt.MaxLevels
+	if maxLevels == 0 {
+		maxLevels = 48
+	}
+	failProb := opt.FailProb
 	if failProb == 0 {
-		failProb = 0.01
+		failProb = 0.001
 	}
 	dPad := d
 	if d%r != 0 {
@@ -197,18 +193,32 @@ func GridPlan(n, d, r int, diam, minDist, failProb float64) (u, levels, gridWord
 	}
 	k := dPad / r
 	diamFactor := 2 * math.Sqrt(float64(r))
-	levels = 1
-	for w := diam / 2; diamFactor*w >= minDist && levels < 48; w /= 2 {
+	levels := 1
+	for w := diam / 2; diamFactor*w >= minDist && levels < maxLevels; w /= 2 {
 		levels++
 	}
-	u = partition.HybridGridBound(k, n, r, levels, failProb)
+	u := opt.MaxGrids
+	if u == 0 {
+		u = partition.HybridGridBound(k, n, r, levels, failProb)
+	}
 	grw := (mpc.Record{Key: "g|00|00|0000", Ints: []int64{0, 0, 0}, Data: make([]float64, k)}).Words()
 	gwf := float64(u) * float64(r) * float64(levels) * float64(grw)
-	gridWords = 1 << 50
+	gw := 1 << 50 // sentinel: certainly over any cap
 	if gwf < float64(1<<50) {
-		gridWords = int(gwf)
+		gw = int(gwf)
 	}
-	return u, levels, gridWords
+	return plan{r: r, dPad: dPad, k: k, levels: levels, u: u, gridRecWords: grw, gridWords: gw, diamFactor: diamFactor}
+}
+
+// GridPlan reports, without running anything, the Lemma-7 grid count U
+// per (level, bucket), the level count, and the total words of grid state
+// a machine must hold (Lemma 8's quantity) to embed n points of dimension
+// d with r buckets over the given diameter — the plan Embed runs with the
+// same R, MinDist and FailProb. minDist 0 means 1; failProb 0 means 0.001.
+// Used by the ablation experiments and by capacity planning.
+func GridPlan(n, d, r int, diam, minDist, failProb float64) (u, levels, gridWords int) {
+	pl := planGrids(n, d, r, diam, Options{MinDist: minDist, FailProb: failProb})
+	return pl.u, pl.levels, pl.gridWords
 }
 
 // Embed runs Algorithm 2 over the cluster and returns the tree.
@@ -290,7 +300,7 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		return nil, nil, err
 	}
 
-	// Step 1: diameter via bounding-box Reduce.
+	// Step 1: diameter from per-machine bounding boxes.
 	if err := c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
 		lo := make([]float64, d)
 		hi := make([]float64, d)
@@ -321,10 +331,9 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	}); err != nil {
 		return nil, nil, err
 	}
-	// Reduce box records only: combine respects tags by treating non-box
-	// records as identities — but Reduce folds everything, so shuttle the
-	// box records onto their own pass: we filter into a combined record by
-	// key using AggregateByKey on key "box".
+	// One AggregateByKey round merges the boxes: they all share the key
+	// "box", so they combine into one record on one machine, while the
+	// unique point keys pass through unmerged.
 	boxCombine := func(a, b mpc.Record) mpc.Record {
 		if a.Tag != TagBox {
 			return b
@@ -379,59 +388,17 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		return b.Finish(), &Info{N: 1, Dim: d, R: 1}, nil
 	}
 
-	minDist := opt.MinDist
-	if minDist == 0 {
-		minDist = 1
-	}
-	maxLevels := opt.MaxLevels
-	if maxLevels == 0 {
-		maxLevels = 48
-	}
-	failProb := opt.FailProb
-	if failProb == 0 {
-		failProb = 0.001
-	}
-
 	// Choose r: the caller's explicit value, or the smallest r ≥
 	// Θ(log log n) whose Lemma-7 grid count fits one machine's memory —
 	// the Lemma 8 constraint. Larger r costs √r distortion but shrinks the
 	// per-bucket dimension k = d/r and with it the 2^Θ(k log k) grid count;
 	// this is the paper's grid↔ball trade-off made operational.
-	type plan struct {
-		r, dPad, k, levels, u int
-		gridRecWords          int
-		gridWords             int
-		diamFactor            float64
-	}
-	mkPlan := func(r int) plan {
-		dPad := d
-		if d%r != 0 {
-			dPad = d + (r - d%r)
-		}
-		k := dPad / r
-		diamFactor := 2 * math.Sqrt(float64(r))
-		levels := 1
-		for w := diam / 2; diamFactor*w >= minDist && levels < maxLevels; w /= 2 {
-			levels++
-		}
-		u := opt.MaxGrids
-		if u == 0 {
-			u = partition.HybridGridBound(k, n, r, levels, failProb)
-		}
-		grw := (mpc.Record{Key: "g|00|00|0000", Ints: []int64{0, 0, 0}, Data: make([]float64, k)}).Words()
-		gwf := float64(u) * float64(r) * float64(levels) * float64(grw)
-		gw := 1 << 50 // sentinel: certainly over any cap
-		if gwf < float64(1<<50) {
-			gw = int(gwf)
-		}
-		return plan{r: r, dPad: dPad, k: k, levels: levels, u: u, gridRecWords: grw, gridWords: gw, diamFactor: diamFactor}
-	}
 	var pl plan
 	if opt.R != 0 {
-		pl = mkPlan(opt.R)
+		pl = planGrids(n, d, opt.R, diam, opt)
 	} else {
 		for r := autoR(n, d); ; r++ {
-			pl = mkPlan(r)
+			pl = planGrids(n, d, r, diam, opt)
 			if pl.gridWords <= c.CapWords() || r >= d {
 				break
 			}
@@ -460,8 +427,10 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	// are untouched — payloads are carved from per-shard arenas (escape
 	// mode: the broadcast stores own them), and the shift sampling — on the
 	// coordinator, outside any round — fans out at GOMAXPROCS. Each grid reseeds
-	// its own generator from (seed, lev, j, uu), exactly as deriveGrid
-	// does, so the sampled variates are independent of the shard layout.
+	// its own generator from (seed, lev, j, uu), so the sampled variates are
+	// independent of the shard layout. The byte-serial hash seeding Reseed
+	// shares with rng.NewHashed matters: a weaker XOR-multiply mix produced
+	// measurably correlated shift sequences whose coverage had dead zones.
 	nGrids := u * r * levels
 	gridBlob := make([]mpc.Record, nGrids)
 	keyOff := make([]int, nGrids+1)
@@ -505,17 +474,7 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 			}
 		}
 	})
-	if opt.SeedDerivedGrids {
-		// Derandomised-placement variant: every machine regenerates the
-		// grids from the shared O(1)-word seed — zero broadcast traffic,
-		// but the grid state still occupies (and is charged against)
-		// local memory exactly as in the broadcast variant.
-		if err := c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
-			return append(local, gridBlob...)
-		}); err != nil {
-			return nil, info, err
-		}
-	} else if err := c.Broadcast(0, gridBlob); err != nil {
+	if err := c.Broadcast(0, gridBlob); err != nil {
 		return nil, info, err
 	}
 	spGrid.Add("levels", int64(levels))

@@ -197,6 +197,40 @@ func TestInfoAccounting(t *testing.T) {
 	if info.Diameter <= 0 {
 		t.Error("diameter not computed")
 	}
+	// The broadcast grid state is resident on every machine, so the peak
+	// must reflect it (the planned GridWords uses a conservative key-width
+	// estimate, hence the factor-2 cushion).
+	if info.PeakLocal < info.GridWords/2 {
+		t.Errorf("peak local %d below grid state %d/2 — storage not charged", info.PeakLocal, info.GridWords)
+	}
+}
+
+// GridPlan must report the plan Embed runs with the same R, MinDist and
+// FailProb — including FailProb 0, which both read as the same default.
+func TestGridPlanMatchesEmbed(t *testing.T) {
+	shapes := []struct {
+		seed           uint64
+		n, d, delta, r int
+	}{
+		{5, 64, 8, 256, 2},
+		{10, 60, 4, 64, 2},
+		{9, 40, 5, 32, 2}, // padded: d=5 → 6
+		{3, 60, 4, 64, 1},
+	}
+	for _, sh := range shapes {
+		pts := latticePts(t, sh.seed, sh.n, sh.d, sh.delta)
+		for _, fp := range []float64{0, 0.01} {
+			_, info, err := Embed(bigCluster(4), pts, Options{R: sh.r, FailProb: fp, Seed: 1})
+			if err != nil {
+				t.Fatalf("%+v fp=%v: %v", sh, fp, err)
+			}
+			u, levels, gridWords := GridPlan(len(pts), sh.d, sh.r, info.Diameter, 0, fp)
+			if u != info.U || levels != info.Levels || gridWords != info.GridWords {
+				t.Errorf("%+v fp=%v: GridPlan (u=%d, levels=%d, words=%d), Embed ran (u=%d, levels=%d, words=%d)",
+					sh, fp, u, levels, gridWords, info.U, info.Levels, info.GridWords)
+			}
+		}
+	}
 }
 
 // The MPC tree's distortion should be in the same ballpark as the
@@ -236,41 +270,6 @@ func BenchmarkEmbedMPC(b *testing.B) {
 		if _, _, err := Embed(c, pts, Options{R: 2, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// The seed-derived grid mode must produce exactly the tree the broadcast
-// mode does, with strictly less communication and no more rounds.
-func TestSeedDerivedGridsEquivalent(t *testing.T) {
-	pts := latticePts(t, 12, 60, 4, 64)
-	cA := bigCluster(4)
-	trA, infoA, err := Embed(cA, pts, Options{R: 2, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cB := bigCluster(4)
-	trB, infoB, err := Embed(cB, pts, Options{R: 2, Seed: 21, SeedDerivedGrids: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if trA.Dist(i, j) != trB.Dist(i, j) {
-				t.Fatalf("modes disagree at (%d,%d)", i, j)
-			}
-		}
-	}
-	if infoB.CommWords >= infoA.CommWords {
-		t.Errorf("seed mode comm %d not below broadcast mode %d", infoB.CommWords, infoA.CommWords)
-	}
-	if infoB.Rounds > infoA.Rounds {
-		t.Errorf("seed mode rounds %d exceed broadcast mode %d", infoB.Rounds, infoA.Rounds)
-	}
-	// Grid state is still resident: peak local must reflect it (the
-	// analytic GridWords uses a conservative key-width estimate, so allow
-	// a factor-2 cushion).
-	if infoB.PeakLocal < infoB.GridWords/2 {
-		t.Errorf("seed mode peak local %d below grid state %d/2 — storage not charged", infoB.PeakLocal, infoB.GridWords)
 	}
 }
 

@@ -467,25 +467,6 @@ func (t *Transport) Words(m int) (int, error) {
 	return int(v), nil
 }
 
-// Grow adds logical machines with empty stores, assigned round-robin over
-// the live workers.
-func (t *Transport) Grow(extra int) error {
-	var survivors []int
-	for i, d := range t.dead {
-		if !d {
-			survivors = append(survivors, i)
-		}
-	}
-	if len(survivors) == 0 {
-		return fmt.Errorf("%w: grow with no surviving workers", mpc.ErrTransport)
-	}
-	base := len(t.assign)
-	for i := 0; i < extra; i++ {
-		t.assign = append(t.assign, survivors[(base+i)%len(survivors)])
-	}
-	return nil
-}
-
 // Close closes all worker connections. Worker processes are owned by the
 // spawner, not the transport, and keep running.
 func (t *Transport) Close() error {

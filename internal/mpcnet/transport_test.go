@@ -338,29 +338,3 @@ func TestWireCorruptionDetected(t *testing.T) {
 		t.Fatalf("frame round-trip mismatch: %+v vs %+v", got, f)
 	}
 }
-
-// TestGrowAssignsToSurvivors checks Grow spreads new machines over live
-// workers only.
-func TestGrowAssignsToSurvivors(t *testing.T) {
-	_, addrs := startWorkers(t, 2)
-	tr, err := Dial(Config{Addrs: addrs, Machines: 2, Retry: fastRetry(6)})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer tr.Close()
-	tr.markDead(0)
-	if err := tr.Grow(3); err != nil {
-		t.Fatalf("grow: %v", err)
-	}
-	if tr.Machines() != 5 {
-		t.Fatalf("machines = %d, want 5", tr.Machines())
-	}
-	for m := 2; m < 5; m++ {
-		if tr.assign[m] != 1 {
-			t.Fatalf("machine %d assigned to worker %d, want survivor 1", m, tr.assign[m])
-		}
-	}
-	if err := tr.Write(4, []mpc.Record{{Key: "g"}}); err != nil {
-		t.Fatalf("write to grown machine: %v", err)
-	}
-}

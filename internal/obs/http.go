@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sync"
 	"time"
 )
 
@@ -64,9 +63,7 @@ type Server struct {
 	addr     string
 	listener net.Listener
 	srv      *http.Server
-
-	mu   sync.Mutex
-	root *Span
+	root     *Span
 }
 
 // RegisterDebug mounts the standard debug endpoints — /metrics,
@@ -141,20 +138,8 @@ func Serve(addr string, reg *Registry, root *Span) (*Server, error) {
 // Addr returns the bound listen address (resolves ":0").
 func (s *Server) Addr() string { return s.addr }
 
-// SetRoot swaps the span tree /trace serves — a CLI that runs several
-// pipelines can point the endpoint at the current one.
-func (s *Server) SetRoot(root *Span) {
-	s.mu.Lock()
-	s.root = root
-	s.mu.Unlock()
-}
-
-// Root returns the span tree currently served.
-func (s *Server) Root() *Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.root
-}
+// Root returns the span tree served.
+func (s *Server) Root() *Span { return s.root }
 
 // Close shuts the server down.
 func (s *Server) Close() error { return s.srv.Close() }

@@ -96,13 +96,6 @@ func New() *Registry {
 	return &Registry{byKey: make(map[string]*metric)}
 }
 
-var defaultRegistry = New()
-
-// Default returns the process-wide registry the CLIs export. Libraries
-// take a *Registry parameter instead of using this directly, so tests can
-// isolate their metrics.
-func Default() *Registry { return defaultRegistry }
-
 // register finds or creates the series. Label pairs are passed as
 // alternating key, value strings.
 func (r *Registry) register(name, help string, kind Kind, labelPairs ...string) *metric {

@@ -167,16 +167,6 @@ func (s *Span) Add(key string, delta int64) {
 	s.metrics[key] += delta
 }
 
-// Metric reads an accumulated model metric (0 when absent). Nil-safe.
-func (s *Span) Metric(key string) int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.metrics[key]
-}
-
 // SpanSnapshot is the exported form of a span tree node — what /trace
 // serves as JSON and what Render draws.
 type SpanSnapshot struct {

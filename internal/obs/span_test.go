@@ -35,9 +35,6 @@ func TestSpanHierarchyAndMetrics(t *testing.T) {
 	if got := sn.SumMetric("comm_words"); got != 1000+3*500 {
 		t.Fatalf("leaf comm sum = %d, want 2500", got)
 	}
-	if jl.Metric("rounds") != 4 {
-		t.Fatalf("Metric read = %d, want 4", jl.Metric("rounds"))
-	}
 	if sn.WallNs <= 0 {
 		t.Fatal("ended root has no wall time")
 	}
@@ -54,9 +51,6 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 	c.Add("rounds", 1)
 	c.End()
-	if c.Metric("rounds") != 0 {
-		t.Fatal("nil span holds metrics")
-	}
 	if c.Snapshot() != nil {
 		t.Fatal("nil span snapshots non-nil")
 	}

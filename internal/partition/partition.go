@@ -33,29 +33,6 @@ import (
 // It never collides with a real part key (real keys are ≥ 8 bytes).
 const Uncovered = ""
 
-// BuildGrids samples u randomly shifted grids with cell length 4w in the
-// given dimension. This is the BuildGrids subroutine of Algorithm 1: the
-// grid sequence G_1..G_u of Definition 2 whose intersection points carry
-// balls of radius w.
-func BuildGrids(r *rng.RNG, dim int, w float64, u int) []grid.Grid {
-	return grid.NewSeq(r, dim, 4*w, u)
-}
-
-// AssignBall returns the ball id of p under the grid sequence: the first
-// grid whose nearest lattice point is within radius w. ok is false (and id
-// is Uncovered) when no grid covers p. The id encodes (grid index, lattice
-// point), so distinct balls never share an id.
-func AssignBall(grids []grid.Grid, p vec.Point, w float64) (id string, gridIdx int, ok bool) {
-	var scratch [16]int64
-	for u, g := range grids {
-		idx, in := g.InBall(p, w, scratch[:0])
-		if in {
-			return grid.KeyWithPrefix(uint64(u), idx), u, true
-		}
-	}
-	return Uncovered, -1, false
-}
-
 // Result is a flat partitioning of a point set: one identifier per point,
 // plus bookkeeping used by the space accounting and coverage experiments.
 type Result struct {

@@ -77,7 +77,7 @@ type Options struct {
 	// Escalate enables the resource-escalation path: after
 	// EscalateAfter consecutive non-injected ErrLocalMemory failures the
 	// driver restores the checkpoint, multiplies the cluster's memory cap
-	// by CapFactor, adds GrowMachines machines, and retries. Injected
+	// by CapFactor, and retries. Injected
 	// memory pressure (errors that also match mpc.ErrInjected) is
 	// transient by definition and only ever plain-retried.
 	Escalate bool
@@ -87,12 +87,8 @@ type Options struct {
 	EscalateAfter int
 	// CapFactor multiplies CapWords per escalation; 0 means 2.
 	CapFactor float64
-	// GrowMachines is the machine count added per escalation; 0 adds none.
-	GrowMachines int
 	// MaxEscalations bounds the escalation ladder; 0 means 2.
 	MaxEscalations int
-	// OnRetry, if set, observes every recovery decision (logging hook).
-	OnRetry func(stage string, attempt int, backoffMs int64, err error)
 }
 
 func (o Options) maxRetries() int {
@@ -219,9 +215,6 @@ func Run(c *mpc.Cluster, stage string, opts Options, step Step) (Stats, error) {
 			snk.retries.Inc()
 			snk.backoffMs.Add(backoff)
 		}
-		if opts.OnRetry != nil {
-			opts.OnRetry(stage, attempt, backoff, err)
-		}
 
 		c.Restore(cp)
 		if memFails >= opts.escalateAfter() {
@@ -232,7 +225,6 @@ func Run(c *mpc.Cluster, stage string, opts Options, step Step) (Stats, error) {
 				return st, fmt.Errorf("%w: stage %q exceeded %d escalations: %w", ErrExhausted, stage, st.Escalations, err)
 			}
 			c.RaiseCap(int(float64(c.CapWords()) * opts.capFactor()))
-			c.Grow(opts.GrowMachines)
 			st.Escalations++
 			if snk != nil {
 				snk.escalations.Inc()

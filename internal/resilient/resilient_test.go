@@ -116,18 +116,10 @@ func TestNegativeMaxRetriesMeansNone(t *testing.T) {
 }
 
 // A genuine (non-injected) memory-cap violation escalates: the driver
-// raises the cap, grows the cluster, and the stage then fits.
+// raises the cap, and the stage then fits.
 func TestEscalationOnGenuineMemoryPressure(t *testing.T) {
 	c := loaded(t, 4) // ~4·3 words on 2 machines, cap 4096
-	var retries []string
-	opts := Options{
-		Seed:         2,
-		Escalate:     true,
-		GrowMachines: 2,
-		OnRetry: func(stage string, attempt int, backoffMs int64, err error) {
-			retries = append(retries, fmt.Sprintf("%s#%d", stage, attempt))
-		},
-	}
+	opts := Options{Seed: 2, Escalate: true}
 	startCap := c.CapWords()
 	st, err := Run(c, "hungry", opts, func(attempt int) error {
 		// Blow up each machine's residency just past the ORIGINAL cap;
@@ -145,12 +137,6 @@ func TestEscalationOnGenuineMemoryPressure(t *testing.T) {
 	}
 	if c.CapWords() <= startCap {
 		t.Errorf("cap not raised: %d", c.CapWords())
-	}
-	if c.Machines() != 4 {
-		t.Errorf("machines = %d, want 4 after growth", c.Machines())
-	}
-	if len(retries) == 0 {
-		t.Error("OnRetry hook never fired")
 	}
 }
 

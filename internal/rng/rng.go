@@ -113,15 +113,6 @@ func (r *RNG) Split() *RNG {
 	return New(seed)
 }
 
-// SplitN derives n independent generators (substream i for machine i).
-func (r *RNG) SplitN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
-}
-
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
@@ -159,20 +150,8 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Bool returns a fair coin flip.
 func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
-
-// Sign returns +1 or -1 with equal probability (the diagonal of the FJLT
-// D matrix).
-func (r *RNG) Sign() float64 {
-	if r.Bool() {
-		return 1
-	}
-	return -1
-}
 
 // Normal returns a standard Gaussian variate using Marsaglia's polar
 // method, caching the spare deviate.
@@ -237,50 +216,4 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes s uniformly at random in place.
-func Shuffle[T any](r *RNG, s []T) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Binomial samples Binomial(n, p) exactly. For the FJLT sparsity pattern n
-// can be large, so for np and n(1-p) both large it uses a normal
-// approximation clamped to [0, n]; otherwise it falls back to inversion by
-// repeated Bernoulli trials in O(np) expected time via the geometric-gap
-// trick.
-func (r *RNG) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	np := float64(n) * p
-	if np > 64 && float64(n)*(1-p) > 64 {
-		x := math.Round(np + math.Sqrt(np*(1-p))*r.Normal())
-		if x < 0 {
-			x = 0
-		}
-		if x > float64(n) {
-			x = float64(n)
-		}
-		return int(x)
-	}
-	// Count successes by jumping geometric gaps between them.
-	count := 0
-	i := 0
-	logq := math.Log1p(-p)
-	for {
-		// Gap to next success: floor(log(U)/log(1-p)).
-		gap := int(math.Floor(math.Log(1-r.Float64()) / logq))
-		i += gap + 1
-		if i > n {
-			return count
-		}
-		count++
-	}
 }

@@ -63,16 +63,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestSplitNDeterministic(t *testing.T) {
-	s1 := New(99).SplitN(8)
-	s2 := New(99).SplitN(8)
-	for i := range s1 {
-		if s1[i].Uint64() != s2[i].Uint64() {
-			t.Fatalf("SplitN stream %d not reproducible", i)
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {
@@ -162,20 +152,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestSignBalanced(t *testing.T) {
-	r := New(17)
-	var pos int
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if r.Sign() > 0 {
-			pos++
-		}
-	}
-	if math.Abs(float64(pos)-n/2) > 4*math.Sqrt(n/4) {
-		t.Errorf("Sign imbalance: %d of %d positive", pos, n)
-	}
-}
-
 func TestUnitVectorNorm(t *testing.T) {
 	r := New(19)
 	for _, d := range []int{1, 2, 3, 8, 64} {
@@ -245,69 +221,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(37)
-	s := []int{1, 2, 2, 3, 5, 8, 13}
-	sum := 0
-	for _, x := range s {
-		sum += x
-	}
-	Shuffle(r, s)
-	got := 0
-	for _, x := range s {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed contents: sum %d != %d", got, sum)
-	}
-}
-
-func TestBinomialEdge(t *testing.T) {
-	r := New(41)
-	if got := r.Binomial(0, 0.5); got != 0 {
-		t.Errorf("Binomial(0,.5) = %d", got)
-	}
-	if got := r.Binomial(10, 0); got != 0 {
-		t.Errorf("Binomial(10,0) = %d", got)
-	}
-	if got := r.Binomial(10, 1); got != 10 {
-		t.Errorf("Binomial(10,1) = %d", got)
-	}
-	if got := r.Binomial(-5, 0.3); got != 0 {
-		t.Errorf("Binomial(-5,.3) = %d", got)
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	r := New(43)
-	cases := []struct {
-		n int
-		p float64
-	}{
-		{50, 0.1},     // small-mean path
-		{1000, 0.002}, // sparse path (geometric gaps)
-		{100000, 0.3}, // normal-approximation path
-	}
-	for _, c := range cases {
-		const trials = 3000
-		var sum, sum2 float64
-		for i := 0; i < trials; i++ {
-			x := float64(r.Binomial(c.n, c.p))
-			if x < 0 || x > float64(c.n) {
-				t.Fatalf("Binomial(%d,%v) out of range: %v", c.n, c.p, x)
-			}
-			sum += x
-			sum2 += x * x
-		}
-		mean := sum / trials
-		wantMean := float64(c.n) * c.p
-		sd := math.Sqrt(wantMean * (1 - c.p))
-		if math.Abs(mean-wantMean) > 5*sd/math.Sqrt(trials)+0.5 {
-			t.Errorf("Binomial(%d,%v) mean = %v, want %v", c.n, c.p, mean, wantMean)
-		}
 	}
 }
 

@@ -28,7 +28,6 @@ type LoadOptions struct {
 	Batch       int               // dist pairs per request; 0 = 16
 	Seed        uint64            // query-stream seed; runs with equal seeds are identical
 	Mix         workload.QueryMix // zero value = workload.DefaultQueryMix()
-	MaxScale    float64           // cut-scale upper bound; 0 = 1e6
 	ReloadEvery int               // every k-th request (per client) also POSTs a hot reload; 0 = never
 	Verify      *hst.Tree         // when set, dist/knn answers are checked against it
 
@@ -87,11 +86,7 @@ func RunLoad(baseURL, tree string, numPoints int, opts LoadOptions) LoadReport {
 	if mix == (workload.QueryMix{}) {
 		mix = workload.DefaultQueryMix()
 	}
-	maxScale := opts.MaxScale
-	if maxScale <= 0 {
-		maxScale = 1e6
-	}
-	queries := workload.Queries(opts.Seed, numPoints, total, batch, maxScale, mix)
+	queries := workload.Queries(opts.Seed, numPoints, total, batch, 1e6, mix)
 
 	var (
 		nQueries  atomic.Int64

@@ -105,19 +105,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Stddev returns the sample standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by nearest rank.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {

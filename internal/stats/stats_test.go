@@ -11,18 +11,15 @@ import (
 	"mpctree/internal/workload"
 )
 
-func TestMeanStddevQuantile(t *testing.T) {
+func TestMeanQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if Mean(xs) != 3 {
 		t.Errorf("Mean = %v", Mean(xs))
 	}
-	if math.Abs(Stddev(xs)-math.Sqrt(2.5)) > 1e-12 {
-		t.Errorf("Stddev = %v", Stddev(xs))
-	}
 	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 5 || Quantile(xs, 0.5) != 3 {
 		t.Error("Quantile wrong")
 	}
-	if Mean(nil) != 0 || Stddev([]float64{1}) != 0 || Quantile(nil, 0.5) != 0 {
+	if Mean(nil) != 0 || Quantile(nil, 0.5) != 0 {
 		t.Error("edge cases wrong")
 	}
 }

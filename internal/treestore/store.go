@@ -300,28 +300,3 @@ func (s *Store) Names() ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-// Versions lists every version of name that has a manifest, ascending.
-func (s *Store) Versions(name string) ([]int64, error) {
-	if err := checkName(name); err != nil {
-		return nil, err
-	}
-	ents, err := os.ReadDir(s.treeDir(name))
-	if err != nil {
-		return nil, fmt.Errorf("treestore: %w", err)
-	}
-	var out []int64
-	for _, e := range ents {
-		base, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseInt(base, 10, 64)
-		if err != nil || v < 1 {
-			continue
-		}
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}

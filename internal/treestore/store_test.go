@@ -95,10 +95,6 @@ func TestVersioning(t *testing.T) {
 	if om != m1 || old.NumPoints() != t1.NumPoints() {
 		t.Fatal("version 1 not loadable after version 2 landed")
 	}
-	vs, err := st.Versions("demo")
-	if err != nil || len(vs) != 2 || vs[0] != 1 || vs[1] != 2 {
-		t.Fatalf("Versions = %v, %v", vs, err)
-	}
 }
 
 // TestNames lists only trees with a CURRENT, sorted.

@@ -51,24 +51,19 @@ func TestBoundsWorkerInvariant(t *testing.T) {
 
 func TestPairwiseExtremaWorkerInvariant(t *testing.T) {
 	pts := normalPts(53, 41, 5)
-	type extrema struct{ min, max, ar float64 }
+	type extrema struct{ min, max float64 }
 	measure := func(procs int) (e extrema) {
-		atProcs(procs, func() { e = extrema{MinPairwiseDist(pts), MaxPairwiseDist(pts), AspectRatio(pts)} })
+		atProcs(procs, func() { e = extrema{MinPairwiseDist(pts), MaxPairwiseDist(pts)} })
 		return e
 	}
 	want, got := measure(1), measure(8)
 	for _, c := range []struct {
 		name      string
 		want, got float64
-	}{{"MinPairwiseDist", want.min, got.min}, {"MaxPairwiseDist", want.max, got.max}, {"AspectRatio", want.ar, got.ar}} {
+	}{{"MinPairwiseDist", want.min, got.min}, {"MaxPairwiseDist", want.max, got.max}} {
 		if math.Float64bits(c.got) != math.Float64bits(c.want) {
 			t.Fatalf("%s at GOMAXPROCS 8 = %v, at 1 = %v", c.name, c.got, c.want)
 		}
-	}
-	// The fanned-out minimum and the serial maximum scan the same
-	// distances as AspectRatio's single pass.
-	if ar := want.max / want.min; math.Float64bits(ar) != math.Float64bits(want.ar) {
-		t.Fatalf("AspectRatio = %v, MaxPairwiseDist/MinPairwiseDist = %v", want.ar, ar)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package vec provides the dense-vector geometry primitives shared by the
 // partitioning, embedding, and application layers: points as []float64,
 // Euclidean norms and distances, bucket projections (Definition 3 of the
-// paper), bounding boxes, and aspect-ratio computation.
+// paper), bounding boxes, and pairwise distance extrema.
 //
 // Points live in [Δ]^d as in the paper's Theorem 1 ("we regard the
 // coordinates of points as integers from [Δ]"), but the representation is
@@ -18,18 +18,6 @@ import (
 // Point is a d-dimensional vector.
 type Point = []float64
 
-// Dot returns the inner product of a and b. Panics if lengths differ.
-func Dot(a, b Point) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: Dot dimension mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 // Norm2 returns the squared Euclidean norm of a.
 func Norm2(a Point) float64 {
 	var s float64
@@ -38,9 +26,6 @@ func Norm2(a Point) float64 {
 	}
 	return s
 }
-
-// Norm returns the Euclidean norm of a.
-func Norm(a Point) float64 { return math.Sqrt(Norm2(a)) }
 
 // Dist2 returns the squared Euclidean distance between a and b.
 func Dist2(a, b Point) float64 {
@@ -67,15 +52,6 @@ func Add(a, b Point) Point {
 	return out
 }
 
-// Sub returns a-b as a fresh vector.
-func Sub(a, b Point) Point {
-	out := make(Point, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // Scale returns c*a as a fresh vector.
 func Scale(c float64, a Point) Point {
 	out := make(Point, len(a))
@@ -89,15 +65,6 @@ func Scale(c float64, a Point) Point {
 func Clone(a Point) Point {
 	out := make(Point, len(a))
 	copy(out, a)
-	return out
-}
-
-// ClonePoints deep-copies a point set.
-func ClonePoints(ps []Point) []Point {
-	out := make([]Point, len(ps))
-	for i, p := range ps {
-		out[i] = Clone(p)
-	}
 	return out
 }
 
@@ -165,17 +132,6 @@ func Bounds(ps []Point) BoundingBox {
 	return BoundingBox{Lo: lo, Hi: hi}
 }
 
-// Width returns the largest side length of the box.
-func (b BoundingBox) Width() float64 {
-	var w float64
-	for i := range b.Lo {
-		if s := b.Hi[i] - b.Lo[i]; s > w {
-			w = s
-		}
-	}
-	return w
-}
-
 // Diameter returns the diagonal length of the box, an upper bound on any
 // pairwise distance within it.
 func (b BoundingBox) Diameter() float64 {
@@ -185,32 +141,6 @@ func (b BoundingBox) Diameter() float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// AspectRatio returns Δ = max pairwise distance / min pairwise distance of
-// a point set with at least two distinct points. It is O(n^2) and intended
-// for validation and small experiment inputs, not for the hot path (the
-// algorithms take Δ as a parameter, as the paper does).
-func AspectRatio(ps []Point) float64 {
-	minD, maxD := math.Inf(1), 0.0
-	for i := range ps {
-		for j := i + 1; j < len(ps); j++ {
-			d := Dist(ps[i], ps[j])
-			if d == 0 {
-				continue
-			}
-			if d < minD {
-				minD = d
-			}
-			if d > maxD {
-				maxD = d
-			}
-		}
-	}
-	if math.IsInf(minD, 1) {
-		return 1 // all points identical (or a single point)
-	}
-	return maxD / minD
 }
 
 // MinPairwiseDist returns the smallest non-zero pairwise distance (O(n^2);
@@ -241,27 +171,6 @@ func MaxPairwiseDist(ps []Point) float64 {
 		}
 	}
 	return maxD
-}
-
-// SnapToLattice rounds every coordinate to the nearest integer and clamps
-// to [1, delta], producing a point set in [Δ]^d as Theorem 1 assumes.
-func SnapToLattice(ps []Point, delta int) []Point {
-	out := make([]Point, len(ps))
-	for i, p := range ps {
-		q := make(Point, len(p))
-		for j, x := range p {
-			v := math.Round(x)
-			if v < 1 {
-				v = 1
-			}
-			if v > float64(delta) {
-				v = float64(delta)
-			}
-			q[j] = v
-		}
-		out[i] = q
-	}
-	return out
 }
 
 // Dedup removes exact duplicate points, preserving first occurrences.
@@ -299,22 +208,4 @@ func Equal(a, b Point) bool {
 		}
 	}
 	return true
-}
-
-// Centroid returns the mean of a non-empty point set.
-func Centroid(ps []Point) Point {
-	if len(ps) == 0 {
-		panic("vec: Centroid of empty point set")
-	}
-	c := make(Point, len(ps[0]))
-	for _, p := range ps {
-		for i, x := range p {
-			c[i] += x
-		}
-	}
-	inv := 1 / float64(len(ps))
-	for i := range c {
-		c[i] *= inv
-	}
-	return c
 }

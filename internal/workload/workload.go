@@ -6,9 +6,8 @@
 // The generators cover the regimes the paper's claims stress: uniform
 // volume (typical case), tight Gaussian clusters (two-scale distances,
 // where distortion hurts most), hypercube corners (all distances equal —
-// the JL-hard case), a discretised circle (the cycle metric that started
-// the tree-embedding lower-bound story [52]), and two-scale pair families
-// for separation-probability measurements.
+// the JL-hard case), and a discretised circle (the cycle metric that
+// started the tree-embedding lower-bound story [52]).
 package workload
 
 import (
@@ -137,33 +136,6 @@ func Circle(seed uint64, n, delta int) []vec.Point {
 	})
 }
 
-// TwoScalePairs produces n points arranged as n/2 pairs: partners sit at
-// distance near, pairs are spread at distance ≥ far apart. Used for
-// separation-probability and scale-sensitivity measurements.
-func TwoScalePairs(seed uint64, n, d int, near, far float64) []vec.Point {
-	if n%2 != 0 {
-		panic("workload: TwoScalePairs needs even n")
-	}
-	r := rng.New(seed)
-	var pts []vec.Point
-	grid := int(math.Ceil(math.Pow(float64(n/2), 1/float64(d))))
-	idx := 0
-	for len(pts) < n {
-		base := make(vec.Point, d)
-		rem := idx
-		for j := 0; j < d; j++ {
-			base[j] = float64(rem%grid) * far
-			rem /= grid
-		}
-		idx++
-		dir := make(vec.Point, d)
-		r.UnitVector(dir)
-		partner := vec.Add(base, vec.Scale(near, dir))
-		pts = append(pts, base, partner)
-	}
-	return pts[:n]
-}
-
 // SparseBinary draws n distinct d-dimensional vectors with exactly k
 // coordinates set to delta (the rest 1) — the sparse inputs the FJLT's HD
 // preconditioning exists to handle.
@@ -183,78 +155,4 @@ func SparseBinary(seed uint64, n, d, k, delta int) []vec.Point {
 		}
 		return p
 	})
-}
-
-// Annulus places n points in a spherical shell with radii in
-// [inner, outer] around the center of [1, delta]^d, snapped to the
-// lattice. Shells stress partitionings whose cells are axis-aligned:
-// most cells are empty, the populated ones curve.
-func Annulus(seed uint64, n, d int, inner, outer float64, delta int) []vec.Point {
-	if inner < 0 || outer <= inner {
-		panic("workload: need 0 ≤ inner < outer")
-	}
-	r := rng.New(seed)
-	center := float64(delta) / 2
-	dir := make([]float64, d)
-	return dedupTopUp(n, func() vec.Point {
-		r.UnitVector(dir)
-		rad := inner + (outer-inner)*r.Float64()
-		p := make(vec.Point, d)
-		for j := range p {
-			v := math.Round(center + rad*dir[j])
-			if v < 1 {
-				v = 1
-			}
-			if v > float64(delta) {
-				v = float64(delta)
-			}
-			p[j] = v
-		}
-		return p
-	})
-}
-
-// Mesh returns the full regular lattice {1, 1+spacing, ...}^d with `side`
-// points per axis — side^d points, deterministic. Regular structure is
-// the worst case for a FIXED grid (boundary effects hit many points at
-// once) and a good test that random shifts actually help.
-func Mesh(d, side int, spacing float64) []vec.Point {
-	if side < 1 || d < 1 || spacing <= 0 {
-		panic("workload: bad mesh shape")
-	}
-	total := 1
-	for i := 0; i < d; i++ {
-		total *= side
-		if total > 1<<22 {
-			panic("workload: mesh too large")
-		}
-	}
-	pts := make([]vec.Point, 0, total)
-	for idx := 0; idx < total; idx++ {
-		p := make(vec.Point, d)
-		rem := idx
-		for j := 0; j < d; j++ {
-			p[j] = 1 + float64(rem%side)*spacing
-			rem /= side
-		}
-		pts = append(pts, p)
-	}
-	return pts
-}
-
-// MixtureWithOutliers draws (1−outlierFrac)·n points from tight Gaussian
-// clusters and the rest uniformly — heavy-tailed scale structure that
-// exercises many hierarchy levels at once.
-func MixtureWithOutliers(seed uint64, n, d, k int, sigma, outlierFrac float64, delta int) []vec.Point {
-	if outlierFrac < 0 || outlierFrac > 1 {
-		panic("workload: outlierFrac out of [0,1]")
-	}
-	nOut := int(outlierFrac * float64(n))
-	body := GaussianClusters(seed, n-nOut, d, k, sigma, delta)
-	if nOut == 0 {
-		return body
-	}
-	out := UniformLattice(seed^0xABCD, nOut, d, delta)
-	all := append(body, out...)
-	return vec.Dedup(all)
 }

@@ -127,32 +127,6 @@ func TestCircle(t *testing.T) {
 	}
 }
 
-func TestTwoScalePairs(t *testing.T) {
-	pts := TwoScalePairs(9, 40, 3, 1.0, 100.0)
-	if len(pts) != 40 {
-		t.Fatal("wrong count")
-	}
-	for i := 0; i < 40; i += 2 {
-		if d := vec.Dist(pts[i], pts[i+1]); math.Abs(d-1) > 1e-9 {
-			t.Fatalf("pair %d at distance %v, want 1", i/2, d)
-		}
-	}
-	// Different pairs are far apart.
-	for i := 0; i < 40; i += 2 {
-		for j := i + 2; j < 40; j += 2 {
-			if d := vec.Dist(pts[i], pts[j]); d < 50 {
-				t.Fatalf("pairs %d and %d only %v apart", i/2, j/2, d)
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("odd n accepted")
-		}
-	}()
-	TwoScalePairs(1, 5, 2, 1, 10)
-}
-
 func TestSparseBinary(t *testing.T) {
 	pts := SparseBinary(11, 50, 64, 3, 1000)
 	if len(pts) != 50 || !distinct(pts) {
@@ -179,59 +153,4 @@ func TestSparseBinary(t *testing.T) {
 		}
 	}()
 	SparseBinary(1, 5, 3, 4, 10)
-}
-
-func TestAnnulus(t *testing.T) {
-	pts := Annulus(13, 100, 3, 200, 300, 1024)
-	if len(pts) != 100 || !distinct(pts) {
-		t.Fatal("not 100 distinct shell points")
-	}
-	center := vec.Point{512, 512, 512}
-	for _, p := range pts {
-		r := vec.Dist(p, center)
-		if r < 195 || r > 305 { // lattice snap slack
-			t.Fatalf("point at radius %v outside shell", r)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad radii accepted")
-		}
-	}()
-	Annulus(1, 10, 2, 5, 5, 100)
-}
-
-func TestMesh(t *testing.T) {
-	pts := Mesh(2, 4, 2.5)
-	if len(pts) != 16 || !distinct(pts) {
-		t.Fatalf("mesh has %d points", len(pts))
-	}
-	// Coordinates on the expected lattice.
-	for _, p := range pts {
-		for _, x := range p {
-			rem := (x - 1) / 2.5
-			if rem != math.Trunc(rem) || rem < 0 || rem > 3 {
-				t.Fatalf("coordinate %v off mesh", x)
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("huge mesh accepted")
-		}
-	}()
-	Mesh(10, 100, 1)
-}
-
-func TestMixtureWithOutliers(t *testing.T) {
-	pts := MixtureWithOutliers(17, 200, 3, 4, 2, 0.2, 4096)
-	if len(pts) < 180 || !distinct(pts) {
-		t.Fatalf("mixture has %d points", len(pts))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad fraction accepted")
-		}
-	}()
-	MixtureWithOutliers(1, 10, 2, 2, 1, 1.5, 64)
 }
