@@ -38,9 +38,9 @@ func New(r *rng.RNG, dim int, cell float64) Grid {
 }
 
 // NewInto samples a grid into a caller-provided shift buffer (dimension =
-// len(shift)), drawing exactly the same variates as New — the arena-backed
-// grid generation in mpcembed relies on the two being bitwise
-// interchangeable.
+// len(shift)), drawing exactly the same variates as New — the grid
+// generation in mpcembed, which draws every shift into one shared slice,
+// relies on the two being bitwise interchangeable.
 func NewInto(r *rng.RNG, shift vec.Point, cell float64) Grid {
 	if len(shift) == 0 {
 		panic("grid: empty shift buffer")

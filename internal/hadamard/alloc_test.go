@@ -1,18 +1,19 @@
 package hadamard
 
 import (
+	"runtime"
 	"testing"
 
 	"mpctree/internal/mpc"
 	"mpctree/internal/rng"
 )
 
-// TestDistFWHTAllocCeiling pins the per-transform heap-object count on the
-// BenchmarkDistFWHT layout (16 vectors × 256 dims, 8 machines). benchdiff
-// can't gate allocs/op on 1-CPU CI (quick runs are too noisy for ns/op but
-// alloc counts are exact), so churn creep on the hot path is caught here:
-// the arena-backed rounds sit far below the ceiling, and any change that
-// reintroduces per-element allocations blows through it immediately.
+// TestDistFWHTAllocCeiling pins the per-transform heap-object count and
+// allocated bytes on the BenchmarkDistFWHT layout (16 vectors × 256 dims,
+// 8 machines). benchdiff can't gate allocations on 1-CPU CI (quick runs
+// are too noisy for ns/op but allocation counts are exact), so churn
+// creep on the hot path is caught here: any change that reintroduces
+// per-element records blows through both ceilings immediately.
 func TestDistFWHTAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
@@ -39,13 +40,33 @@ func TestDistFWHTAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured ~1.1k allocs/op arena-backed (was ~19k at the PR5 baseline
-	// for the same layout). Ceiling leaves ~50% headroom for incidental
-	// runtime variation without letting per-element churn back in (which
-	// would cost ≥ 8k on this layout).
+	// Tiles cost ~0.9k objects/op on this layout. The ceiling leaves
+	// headroom for incidental runtime variation without letting
+	// per-element churn back in (which would cost ≥ 8k).
 	const ceiling = 1700
 	if allocs > ceiling {
 		t.Fatalf("DistFWHT allocates %.0f objects/op, ceiling %d — hot-path churn regressed", allocs, ceiling)
 	}
 	t.Logf("DistFWHT allocs/op = %.0f (ceiling %d)", allocs, ceiling)
+
+	// Bytes, measured the way TestBroadcastAllocCeiling measures them.
+	// Tiles cost ~8× the payload per transform; element records, one
+	// header, Ints and Data per element and transpose, cost ~43×.
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := DistFWHT(c, d, blockC, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	payload := float64(n * d * 8)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / runs / payload
+	const bytesCeiling = 12
+	if ratio > bytesCeiling {
+		t.Fatalf("DistFWHT allocates %.2f× the payload's bytes per transform, ceiling %d×", ratio, bytesCeiling)
+	}
+	t.Logf("DistFWHT allocates %.2f× the payload's bytes per transform (ceiling %d×)", ratio, bytesCeiling)
 }

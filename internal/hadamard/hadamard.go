@@ -10,9 +10,11 @@
 // entries, transform every row locally (H_C), transpose, transform every
 // column locally (H_R), and transpose back — the same communication
 // pattern as the MPC FFT of Hajiaghayi–Saleh–Seddighin–Sun the paper
-// invokes. Two local stages suffice whenever d ≤ C², which at local
-// memory (nd)^ε means 1/ε ≤ 2 stages; the round count is O(1) regardless
-// of n.
+// invokes. Like that FFT, the transposes move blocks: each record is a
+// tile of g consecutive columns of one row, so a transpose costs
+// n·d·(g+4)/g words rather than five words per element. Two local stages
+// suffice whenever d ≤ C², which at local memory (nd)^ε means 1/ε ≤ 2
+// stages; the round count is O(1) regardless of n.
 package hadamard
 
 import (
@@ -21,7 +23,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"mpctree/internal/arena"
 	"mpctree/internal/mpc"
 )
 
@@ -92,7 +93,8 @@ func Dense(d int) [][]float64 {
 }
 
 // Record tags used by the distributed transform. Row blocks are the
-// at-rest layout; element records exist only inside transpose rounds.
+// at-rest layout; TagElem records are the tiles (g columns of one row)
+// that exist only inside transpose rounds.
 const (
 	TagRowBlock uint8 = 10
 	TagElem     uint8 = 11
@@ -166,10 +168,21 @@ func CollectVectors(c *mpc.Cluster, n, d, blockC int) ([][]float64, error) {
 // transpose back. Requires R = d/C ≤ CapWords (a column must fit on a
 // machine); with C chosen near √d this holds whenever d ≤ Cap².
 //
+// The transposes move tiles, not elements: a tile is g consecutive columns
+// of one row, one record of g + 4 words (header, [v, ·, ·], g values). The
+// first transpose sends row (v, b)'s C/g tiles to the owners of column
+// groups (v, tg); the owner transforms the group's g columns and sends one
+// g-wide tile per row back to the row's owner. The tile width is derived
+// from the layout and the cap (see tileWidth): g = C when a column group
+// fits in an eighth of the cap, halved until it does, and at g = 1 the
+// tiles are single-element records. Each transpose moves n·d·(g+4)/g words.
+//
 // Each machine's local transforms run serially inside its round closure,
-// one block or column at a time as it is emitted: the machines are the
-// only fan-out, as in the MPC model. The last parameter is ignored; it
-// remains only for source compatibility with existing callers.
+// one block or column at a time: the machines are the only fan-out, as in
+// the MPC model. The butterflies and the order of every float operation
+// are those of Normalized, so the output equals it bit for bit. The last
+// parameter is ignored; it remains only for source compatibility with
+// existing callers.
 //
 // Rounds: 2 (the two transposes); all transforms ride along as local work.
 func DistFWHT(c *mpc.Cluster, d, blockC, _ int) error {
@@ -181,26 +194,27 @@ func DistFWHT(c *mpc.Cluster, d, blockC, _ int) error {
 		return fmt.Errorf("hadamard: column length %d exceeds machine cap %d; increase blockC", rows, c.CapWords())
 	}
 	M := c.Machines()
+	g := tileWidth(rows, blockC, c.CapWords())
 	scale := 1 / math.Sqrt(float64(d))
 
-	// Stage 1 + transpose: transform each row block locally, then scatter
-	// elements to column owners. In-flight element records are routed by a
-	// numeric hash of their coordinates and carry no string key: the
-	// string-key scheme this replaces allocated two strings per element
-	// (the routing key and the record key) on the hottest loop of the
-	// transform.
+	// Stage 1 + transpose: transform each row block locally, then send its
+	// tiles to the column-group owners. Tiles are routed by a numeric hash
+	// of (v, tg) and carry no string key. A tile's payload is a subslice
+	// of its row: the blocks are dropped from this machine's store after
+	// emission and a failed round is only ever recovered by checkpoint
+	// restore (never by re-running the closure on the same store), so no
+	// copy is needed.
 	err := c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
 		keep := local[:0:0]
-		// Transform each block in place, then emit its elements, serially
-		// in store order: delivery order is part of the cluster's
-		// determinism contract. The blocks are dropped from this machine's
-		// store after emission and a failed round is only ever recovered
-		// by checkpoint restore (never by re-running the closure on the
-		// same store), so no defensive copy is needed. Payloads are carved
-		// from an escape-mode arena (see internal/arena): the receiving
-		// stores hold the carves, the slabs die with them, and the two
-		// heap objects per element collapse to two per ~2k elements.
-		a := arena.New()
+		blocks := 0
+		for _, r := range local {
+			if r.Tag == TagRowBlock {
+				blocks++
+			}
+		}
+		ints := make([]int64, 3*blocks*(blockC/g))
+		// Emission is serial in store order: delivery order is part of the
+		// cluster's determinism contract.
 		for _, r := range local {
 			if r.Tag != TagRowBlock {
 				keep = append(keep, r)
@@ -208,15 +222,14 @@ func DistFWHT(c *mpc.Cluster, d, blockC, _ int) error {
 			}
 			FWHT(r.Data)
 			v, b := r.Ints[0], r.Ints[1]
-			for t, val := range r.Data {
-				ints := a.Ints(3)
-				ints[0], ints[1], ints[2] = v, int64(t), b
-				data := a.Floats(1)
-				data[0] = val
-				emit(routeElem(saltCol, uint64(v), uint64(t), M), mpc.Record{
+			for tg := 0; tg*g < blockC; tg++ {
+				in := ints[:3:3]
+				ints = ints[3:]
+				in[0], in[1], in[2] = v, int64(tg), b
+				emit(routeElem(saltCol, uint64(v), uint64(tg), M), mpc.Record{
 					Tag:  TagElem,
-					Ints: ints,
-					Data: data,
+					Ints: in,
+					Data: r.Data[tg*g : (tg+1)*g : (tg+1)*g],
 				})
 			}
 		}
@@ -226,53 +239,44 @@ func DistFWHT(c *mpc.Cluster, d, blockC, _ int) error {
 		return err
 	}
 
-	// Assemble columns, transform, scatter back to row blocks. Column
-	// buffers and outgoing payloads both come from one per-machine arena:
-	// the columns are scratch that dies with the closure, the payloads
-	// escape into the receiving stores — both usages are safe because the
-	// arena is never Reset.
+	// Assemble each column group (R tiles of g columns) column-major,
+	// transform and scale its columns, and send one g-wide tile per row
+	// back to the row's owner. Groups go out in sorted (v, tg) order so the
+	// next round's store layout does not depend on map iteration order.
 	err = c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
-		keep := local[:0:0]
-		a := arena.New()
-		type colID struct{ v, t int }
-		cols := make(map[colID][]float64)
+		keep, ids, slot := tileGroups(local)
+		span := rows * g
+		cols := make([]float64, len(ids)*span)
 		for _, r := range local {
 			if r.Tag != TagElem {
-				keep = append(keep, r)
 				continue
 			}
-			id := colID{v: int(r.Ints[0]), t: int(r.Ints[1])}
-			col := cols[id]
-			if col == nil {
-				col = a.Floats(rows)
-				cols[id] = col
+			col := cols[slot[[2]int64{r.Ints[0], r.Ints[1]}]*span:]
+			b := int(r.Ints[2])
+			for t, val := range r.Data {
+				col[t*rows+b] = val
 			}
-			col[r.Ints[2]] = r.Data[0]
 		}
-		// Fixed emission order (sorted column ids) so the next round's
-		// store layout does not depend on map iteration order.
-		ids := make([]colID, 0, len(cols))
-		for id := range cols {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool {
-			if ids[i].v != ids[j].v {
-				return ids[i].v < ids[j].v
+		data := make([]float64, len(ids)*span)
+		ints := make([]int64, 3*len(ids)*rows)
+		for s, id := range ids {
+			col := cols[s*span : (s+1)*span]
+			for t := 0; t < g; t++ {
+				FWHT(col[t*rows : (t+1)*rows])
 			}
-			return ids[i].t < ids[j].t
-		})
-		for _, id := range ids {
-			col := cols[id]
-			FWHT(col)
-			for j, val := range col {
-				ints := a.Ints(3)
-				ints[0], ints[1], ints[2] = int64(id.v), int64(j), int64(id.t)
-				data := a.Floats(1)
-				data[0] = val * scale
-				emit(routeElem(saltRow, uint64(id.v), uint64(j), M), mpc.Record{
+			for j := 0; j < rows; j++ {
+				out := data[:g:g]
+				data = data[g:]
+				for t := range out {
+					out[t] = col[t*rows+j] * scale
+				}
+				in := ints[:3:3]
+				ints = ints[3:]
+				in[0], in[1], in[2] = id[0], int64(j), id[1]
+				emit(routeElem(saltRow, uint64(id[0]), uint64(j), M), mpc.Record{
 					Tag:  TagElem,
-					Ints: ints,
-					Data: data,
+					Ints: in,
+					Data: out,
 				})
 			}
 		}
@@ -282,42 +286,69 @@ func DistFWHT(c *mpc.Cluster, d, blockC, _ int) error {
 		return err
 	}
 
-	// Reassemble row blocks locally. Block buffers are carved escape-mode:
-	// they become the at-rest store payloads.
+	// Reassemble row blocks locally from their C/g tiles, in sorted (v, b)
+	// order. The blocks are carved from one slice per machine and become
+	// the at-rest payloads.
 	return c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
-		keep := local[:0:0]
-		a := arena.New()
-		type rowID struct{ v, b int }
-		rowsAcc := make(map[rowID][]float64)
+		keep, ids, slot := tileGroups(local)
+		blocks := make([]float64, len(ids)*blockC)
 		for _, r := range local {
 			if r.Tag != TagElem {
-				keep = append(keep, r)
 				continue
 			}
-			id := rowID{v: int(r.Ints[0]), b: int(r.Ints[1])}
-			row := rowsAcc[id]
-			if row == nil {
-				row = a.Floats(blockC)
-				rowsAcc[id] = row
-			}
-			row[r.Ints[2]] = r.Data[0]
+			s := slot[[2]int64{r.Ints[0], r.Ints[1]}]
+			copy(blocks[s*blockC+int(r.Ints[2])*g:], r.Data)
 		}
-		// Deterministic output order.
-		ids := make([]rowID, 0, len(rowsAcc))
-		for id := range rowsAcc {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool {
-			if ids[i].v != ids[j].v {
-				return ids[i].v < ids[j].v
-			}
-			return ids[i].b < ids[j].b
-		})
-		for _, id := range ids {
-			keep = append(keep, RowBlock(id.v, id.b, rowsAcc[id]))
+		for s, id := range ids {
+			keep = append(keep, RowBlock(int(id[0]), int(id[1]), blocks[s*blockC:(s+1)*blockC:(s+1)*blockC]))
 		}
 		return keep
 	})
+}
+
+// tileGroups splits a store into the records that are not tiles (keep,
+// in store order) and the distinct (Ints[0], Ints[1]) pairs of its tiles
+// — (v, tg) column groups or (v, b) rows — in ascending order, with slot
+// mapping each pair to its index.
+func tileGroups(local []mpc.Record) (keep []mpc.Record, ids [][2]int64, slot map[[2]int64]int) {
+	keep = local[:0:0]
+	slot = make(map[[2]int64]int)
+	for _, r := range local {
+		if r.Tag != TagElem {
+			keep = append(keep, r)
+			continue
+		}
+		id := [2]int64{r.Ints[0], r.Ints[1]}
+		if _, ok := slot[id]; !ok {
+			slot[id] = 0
+			ids = append(ids, id)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		if ids[i][0] != ids[j][0] {
+			return ids[i][0] < ids[j][0]
+		}
+		return ids[i][1] < ids[j][1]
+	})
+	for i, id := range ids {
+		slot[id] = i
+	}
+	return keep, ids, slot
+}
+
+// tileWidth picks the transposes' tile width g for R rows of C columns
+// under a cap of capWords: the widest power of two g ≤ C at which one
+// column group — R tiles of g + 4 words — fits in an eighth of the cap,
+// and 1 when none does. At g = 1 the records and their routing are
+// exactly one record per element, so tiles only ever widen where a
+// column group is small against the cap and hashing whole groups to
+// machines costs little balance.
+func tileWidth(rows, blockC, capWords int) int {
+	g := blockC
+	for g > 1 && 8*rows*(g+4) > capWords {
+		g /= 2
+	}
+	return g
 }
 
 // Routing salts: distinct hash domains for the column-scatter and the

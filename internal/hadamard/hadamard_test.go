@@ -134,13 +134,22 @@ func TestDenseOrthonormal(t *testing.T) {
 func TestDistFWHTMatchesSequential(t *testing.T) {
 	r := rng.New(3)
 	cases := []struct {
-		n, d, blockC, machines int
+		n, d, blockC, machines, capWords int
+		g                                int // tile width the cap leaves
 	}{
-		{3, 16, 4, 4},
-		{5, 64, 8, 4},
-		{2, 256, 16, 8},
-		{1, 8, 8, 2},  // single block: degenerate column stage
-		{4, 32, 2, 3}, // tall layout: R=16 rows
+		{3, 16, 4, 4, 1 << 18, 4},
+		{5, 64, 8, 4, 1 << 18, 8},
+		{2, 256, 16, 8, 1 << 18, 16},
+		{1, 8, 8, 2, 1 << 18, 8},  // single block: degenerate column stage
+		{4, 32, 2, 3, 1 << 18, 2}, // tall layout: R=16 rows
+		// Tight caps: the smallest at which one record per element fits
+		// (found by sweeping the cap with element records), so tiles must
+		// fit wherever elements did.
+		{3, 16, 4, 4, 60, 1},
+		{2, 1024, 32, 32, 320, 1}, // few vectors, many machines
+		{5, 64, 8, 4, 400, 2},
+		{6, 128, 16, 4, 960, 8},
+		{16, 256, 16, 8, 2560, 16},
 	}
 	for _, cse := range cases {
 		vecs := make([][]float64, cse.n)
@@ -153,7 +162,10 @@ func TestDistFWHTMatchesSequential(t *testing.T) {
 			want[v] = append([]float64(nil), vecs[v]...)
 			Normalized(want[v])
 		}
-		c := mpc.New(mpc.Config{Machines: cse.machines, CapWords: 1 << 18})
+		if g := tileWidth(cse.d/cse.blockC, cse.blockC, cse.capWords); g != cse.g {
+			t.Fatalf("%+v: tile width %d, want %d", cse, g, cse.g)
+		}
+		c := mpc.New(mpc.Config{Machines: cse.machines, CapWords: cse.capWords})
 		if err := DistributeVectors(c, vecs, cse.d, cse.blockC); err != nil {
 			t.Fatal(err)
 		}
@@ -166,14 +178,19 @@ func TestDistFWHTMatchesSequential(t *testing.T) {
 		}
 		for v := range got {
 			for i := range got[v] {
-				if math.Abs(got[v][i]-want[v][i]) > 1e-9 {
+				if math.Float64bits(got[v][i]) != math.Float64bits(want[v][i]) {
 					t.Fatalf("%+v: vector %d entry %d: dist %v vs seq %v", cse, v, i, got[v][i], want[v][i])
 				}
 			}
 		}
+		m := c.Metrics()
 		// Round count is O(1): exactly 2 communication rounds.
-		if rounds := c.Metrics().Rounds; rounds != 2 {
-			t.Errorf("%+v: DistFWHT took %d rounds, want 2", cse, rounds)
+		if m.Rounds != 2 {
+			t.Errorf("%+v: DistFWHT took %d rounds, want 2", cse, m.Rounds)
+		}
+		// Each transpose moves n·d/g tiles of g + 4 words.
+		if want := 2 * cse.n * cse.d * (cse.g + 4) / cse.g; m.CommWords != want {
+			t.Errorf("%+v: DistFWHT moved %d words, want %d", cse, m.CommWords, want)
 		}
 	}
 }

@@ -409,7 +409,11 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 	}
 
 	// Apply injected faults to the round's output before delivery.
+	// capInjected marks an injection that shrank the cap or added
+	// messages: a cap violation under it is the injection's doing, not the
+	// algorithm's, and is reported as injected.
 	var injErr error
+	capInjected := pressured
 	switch inj.kind {
 	case FaultCrash:
 		// The victim's round output — kept records and sends — is lost,
@@ -451,6 +455,7 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 		}
 		if mangled > 0 {
 			injErr = injectedMangleErr(inj.kind, mangled, inj.tick)
+			capInjected = inj.kind == FaultDuplicate
 		}
 	}
 
@@ -484,8 +489,8 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 		}
 		if sent > effCap {
 			err := fmt.Errorf("%w: machine %d sent %d words (cap %d)", ErrLocalMemory, m, sent, effCap)
-			if pressured {
-				err = injectedPressureErr(err, inj.tick)
+			if capInjected {
+				err = injectedCapErr(err, inj.kind, inj.tick)
 			}
 			return c.fail(err)
 		}
@@ -547,8 +552,8 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 	}
 	c.m.Rounds++
 	err := c.checkSpace(effCap)
-	if err != nil && pressured && !errors.Is(err, ErrTransport) {
-		err = injectedPressureErr(err, inj.tick)
+	if err != nil && capInjected && !errors.Is(err, ErrTransport) {
+		err = injectedCapErr(err, inj.kind, inj.tick)
 	}
 	if err != nil {
 		err = c.fail(err)

@@ -28,9 +28,10 @@ import (
 )
 
 // Injected-fault error classes. Every injected fault matches ErrInjected
-// via errors.Is; crashes additionally match ErrMachineLost, and injected
-// memory pressure additionally matches ErrLocalMemory (so drivers can
-// distinguish "retry as-is" from "raise the resource ask").
+// via errors.Is; crashes additionally match ErrMachineLost, and a cap
+// violation under injected memory pressure or injected duplicates
+// additionally matches ErrLocalMemory (so drivers can distinguish "retry
+// as-is" from "raise the resource ask").
 var (
 	ErrInjected    = errors.New("mpc: injected fault")
 	ErrMachineLost = errors.New("mpc: machine round output lost")
@@ -210,6 +211,10 @@ func injectedMangleErr(kind FaultKind, nmsgs int, tick uint64) error {
 	return fmt.Errorf("%w: %d messages %s at tick %d", ErrInjected, nmsgs, verb, tick)
 }
 
-func injectedPressureErr(detail error, tick uint64) error {
-	return fmt.Errorf("%w under injected memory pressure at tick %d (%w)", detail, tick, ErrInjected)
+// injectedCapErr marks a cap violation in a round whose injected fault —
+// a reduced cap (pressure) or duplicated messages — counts toward the
+// violating volume. If the violation was genuine, the replay, which draws
+// fresh faults, reports it again without the injection.
+func injectedCapErr(detail error, kind FaultKind, tick uint64) error {
+	return fmt.Errorf("%w under injected %s at tick %d (%w)", detail, kind, tick, ErrInjected)
 }

@@ -109,6 +109,50 @@ func TestInjectedDropAndDuplicateAreReported(t *testing.T) {
 	}
 }
 
+// A round whose volumes fit the cap, but not with every message
+// duplicated, fails because of the injection: the violation must match
+// ErrInjected (retry as-is) as well as ErrLocalMemory, exactly like a
+// violation under injected pressure — not read as a genuine one.
+func TestInjectedDuplicatesOverCapAreInjected(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		round func(c *Cluster) error
+	}{
+		// Each machine sends its 40 words (between cap/2 and cap).
+		{"send", rotateRound},
+		// Machine 0 sends 20 words to machine 1, which holds 40.
+		{"residency", func(c *Cluster) error {
+			return c.Round(func(m int, local []Record, emit Emit) []Record {
+				if m != 0 {
+					return local
+				}
+				half := len(local) / 2
+				for _, r := range local[half:] {
+					emit(1, r)
+				}
+				return local[:half]
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := func() *Cluster {
+				c := New(Config{Machines: 2, CapWords: 64})
+				seedRecords(t, c, 20) // 4 words each, 40 per machine
+				return c
+			}
+			if err := tc.round(fresh()); err != nil {
+				t.Fatalf("fault-free round does not fit: %v", err)
+			}
+			c := fresh()
+			c.InjectFaults(&FaultPlan{Seed: 3, Duplicate: 1, PerMessage: 1})
+			err := tc.round(c)
+			if !errors.Is(err, ErrInjected) || !errors.Is(err, ErrLocalMemory) {
+				t.Fatalf("duplicate-induced cap violation classes wrong: %v", err)
+			}
+		})
+	}
+}
+
 func TestInjectedPressureMatchesBothClasses(t *testing.T) {
 	// 16 records ≈ 48 words on 1 machine; cap 64 fits, but at pressure
 	// factor 0.25 the effective cap of 16 does not.

@@ -4,14 +4,13 @@ import (
 	"math"
 	"testing"
 
-	"mpctree/internal/arena"
 	"mpctree/internal/grid"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
 
-// The arena-backed parallel grid generation in Embed reseeds a stack RNG
-// per grid and samples the shift through grid.NewInto. This test pins it
+// The parallel grid generation in Embed reseeds a stack RNG per grid and
+// samples the shift through grid.NewInto. This test pins it
 // to the reference construction, grid.New over rng.NewHashed with the
 // same arguments: for every (level, bucket, attempt) the two must agree to
 // the bit.
@@ -25,8 +24,7 @@ func TestGridGenerationMatchesDeriveGrid(t *testing.T) {
 					want := grid.New(rng.NewHashed(seed, 0x9d1d, uint64(lev), uint64(j), uint64(uu)), dim, cell)
 					var rg rng.RNG
 					rg.Reseed(seed, 0x9d1d, uint64(lev), uint64(j), uint64(uu))
-					a := arena.New()
-					got := grid.NewInto(&rg, vec.Point(a.Floats(dim)), cell)
+					got := grid.NewInto(&rg, make(vec.Point, dim), cell)
 					if got.Dim != want.Dim || got.Cell != want.Cell {
 						t.Fatalf("(%d,%d,%d,dim=%d): shape (%d,%v) != (%d,%v)",
 							lev, j, uu, dim, got.Dim, got.Cell, want.Dim, want.Cell)

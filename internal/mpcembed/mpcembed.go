@@ -12,7 +12,8 @@
 //     before a single grid is drawn: if they cannot fit (as with r = 1 ball
 //     partitioning, where U = 2^Ω(d log d)), the algorithm fails loudly,
 //     which is precisely the paper's argument for why hybridisation is
-//     necessary — and broadcasts them;
+//     necessary — and broadcasts them as r·logΔ grid sets, one record per
+//     (level, bucket) holding its U shifts;
 //  3. every machine computes path(p) for each of its points with purely
 //     local work: per level and bucket, the first grid whose ball covers
 //     the bucket projection. Cluster identities along the path are chained
@@ -51,7 +52,7 @@ import (
 // Record tags.
 const (
 	TagPoint uint8 = 30 // Key "pt|i", Ints [i], Data coords
-	TagGrid  uint8 = 31 // Key "g|lev|bucket|u", Ints [lev,bucket,u], Data shift
+	TagGrid  uint8 = 31 // Key "g|lev|bucket", Ints [lev,bucket], Data the U shifts, shift u at [u·k, (u+1)·k)
 	TagEdge  uint8 = 32 // Key childHash, Ints [level, parentHi, parentLo], Data [weight]
 	TagLeaf  uint8 = 33 // Key "leaf|i", Ints [i, level, parentHi, parentLo], Data [weight]
 	TagFail  uint8 = 34 // Ints [point, level, bucket]
@@ -167,7 +168,7 @@ func autoR(n, d int) int {
 // plan is the Lemma 7/8 grid plan for one bucket count r.
 type plan struct {
 	r, dPad, k, levels, u int
-	gridRecWords          int // words of one grid record
+	gridRecWords          int // words charged per grid: a record of its own
 	gridWords             int // words of all grids (Lemma 8's quantity)
 	diamFactor            float64
 }
@@ -414,67 +415,52 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	info := &Info{N: n, Dim: dPad, R: r, Levels: levels, U: u, Diameter: diam, GridWords: pl.gridWords}
 
 	// Step 2: Lemma 8 check, then grid generation on machine 0 and
-	// broadcast. A single grid record costs (k + 4)-ish words.
+	// broadcast. The plan charges every grid a record of its own (k + 6
+	// words: header, key, three ints, shift), though the grids travel as
+	// one record per (level, bucket) set of U shifts, so the resident
+	// state is smaller than the plan. Charging the packed size would pick
+	// a smaller r at the same cap, and so different trees.
 	if info.GridWords > c.CapWords() {
 		return nil, info, fmt.Errorf("%w: %d grids × %d words = %d > cap %d (r=%d, k=%d, U=%d)",
 			ErrGridsDontFit, u*r*levels, pl.gridRecWords, info.GridWords, c.CapWords(), r, k, u)
 	}
-	// Grid generation is the embed's allocation hot spot: u·r·levels
-	// records at four heap objects each (key string, generator, shift,
-	// coordinate triple) dominated the whole pipeline's alloc profile.
-	// Keys are interned as substrings of one shared string — byte-identical
-	// to the fmt.Sprintf originals, so record Words and the Lemma-8 plan
-	// are untouched — payloads are carved from per-shard arenas (escape
-	// mode: the broadcast stores own them), and the shift sampling — on the
-	// coordinator, outside any round — fans out at GOMAXPROCS. Each grid reseeds
-	// its own generator from (seed, lev, j, uu), so the sampled variates are
-	// independent of the shard layout. The byte-serial hash seeding Reseed
-	// shares with rng.NewHashed matters: a weaker XOR-multiply mix produced
-	// measurably correlated shift sequences whose coverage had dead zones.
-	nGrids := u * r * levels
-	gridBlob := make([]mpc.Record, nGrids)
-	keyOff := make([]int, nGrids+1)
-	keyBuf := make([]byte, 0, nGrids*12)
-	for lev := 1; lev <= levels; lev++ {
-		for j := 0; j < r; j++ {
-			for uu := 0; uu < u; uu++ {
-				keyBuf = append(keyBuf, 'g', '|')
-				keyBuf = strconv.AppendInt(keyBuf, int64(lev), 10)
-				keyBuf = append(keyBuf, '|')
-				keyBuf = strconv.AppendInt(keyBuf, int64(j), 10)
-				keyBuf = append(keyBuf, '|')
-				keyBuf = strconv.AppendInt(keyBuf, int64(uu), 10)
-				keyOff[(lev-1)*r*u+j*u+uu+1] = len(keyBuf)
-			}
-		}
-	}
-	keys := string(keyBuf)
 	// Cell length ℓ = 4w per level (ball radius w = diam/2^lev), computed
 	// once on the driver for the grid draw and every machine's grid table.
 	cell := make([]float64, levels+1)
 	for lev := 1; lev <= levels; lev++ {
 		cell[lev] = 4 * diam / math.Pow(2, float64(lev))
 	}
-	par.For(nGrids, func(lo, hi int) {
-		a := arena.New()
+	// All U·r·L shifts live in one slice, grid gi = ((lev-1)·r + j)·u + uu
+	// at [gi·k, (gi+1)·k), so set (lev, j) is one contiguous run of u·k
+	// words. The shift sampling — on the coordinator, outside any round —
+	// fans out at GOMAXPROCS. Each grid reseeds its own generator from
+	// (seed, lev, j, uu), so the sampled variates are independent of the
+	// shard layout. The byte-serial hash seeding Reseed shares with
+	// rng.NewHashed matters: a weaker XOR-multiply mix produced measurably
+	// correlated shift sequences whose coverage had dead zones.
+	shifts := make([]float64, u*r*levels*k)
+	par.For(u*r*levels, func(lo, hi int) {
 		var rg rng.RNG
 		for gi := lo; gi < hi; gi++ {
 			lev := gi/(r*u) + 1
 			rem := gi % (r * u)
 			j, uu := rem/u, rem%u
 			rg.Reseed(opt.Seed, 0x9d1d, uint64(lev), uint64(j), uint64(uu))
-			g := grid.NewInto(&rg, a.Floats(k), cell[lev])
-			ints := a.Ints(3)
-			ints[0], ints[1], ints[2] = int64(lev), int64(j), int64(uu)
-			gridBlob[gi] = mpc.Record{
-				Key:  keys[keyOff[gi]:keyOff[gi+1]],
-				Tag:  TagGrid,
-				Ints: ints,
-				Data: g.Shift,
-			}
+			grid.NewInto(&rg, shifts[gi*k:(gi+1)*k:(gi+1)*k], cell[lev])
 		}
 	})
-	if err := c.Broadcast(0, gridBlob); err != nil {
+	setWords := u * k
+	sets := make([]mpc.Record, r*levels)
+	for s := range sets {
+		lev, j := s/r+1, s%r
+		sets[s] = mpc.Record{
+			Key:  fmt.Sprintf("g|%d|%d", lev, j),
+			Tag:  TagGrid,
+			Ints: []int64{int64(lev), int64(j)},
+			Data: shifts[s*setWords : (s+1)*setWords : (s+1)*setWords],
+		}
+	}
+	if err := c.Broadcast(0, sets); err != nil {
 		return nil, info, err
 	}
 	spGrid.Add("levels", int64(levels))
@@ -487,22 +473,30 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	// Step 3: local path computation + edge emission (map-side dedup).
 	M := c.Machines()
 	err := c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
-		// Index the grids' shifts in a flat table at (lev-1)·r·u + j·u + uu;
-		// the cell length is per level (cell above), so the hot loop builds
-		// each grid.Grid in place from a shift and a level. A missing grid
-		// record leaves a nil shift, whose zero-dimensional grid panics in
-		// InBall and fails the round.
-		shifts := make([][]float64, levels*r*u)
+		// Index the grid sets at (lev-1)·r + j; the cell length is per level
+		// (cell above), so the hot loop builds each grid.Grid in place from
+		// a shift sliced out of its set and a level. A set that is missing
+		// or not exactly U shifts long fails the round.
+		sets := make([][]float64, levels*r)
 		var points []mpc.Record
 		for _, rec := range local {
 			switch rec.Tag {
 			case TagGrid:
-				lev, j, uu := int(rec.Ints[0]), int(rec.Ints[1]), int(rec.Ints[2])
-				if lev >= 1 && lev <= levels && j >= 0 && j < r && uu >= 0 && uu < u {
-					shifts[(lev-1)*r*u+j*u+uu] = rec.Data
+				lev, j := int(rec.Ints[0]), int(rec.Ints[1])
+				if lev < 1 || lev > levels || j < 0 || j >= r {
+					continue
 				}
+				if len(rec.Data) != setWords {
+					panic(fmt.Sprintf("mpcembed: grid set (level %d, bucket %d) holds %d words, want %d", lev, j, len(rec.Data), setWords))
+				}
+				sets[(lev-1)*r+j] = rec.Data
 			case TagPoint:
 				points = append(points, rec)
+			}
+		}
+		for s, set := range sets {
+			if set == nil {
+				panic(fmt.Sprintf("mpcembed: grid set (level %d, bucket %d) missing", s/r+1, s%r))
 			}
 		}
 		// Per-point path computation and emission — the hot loop — in one
@@ -540,10 +534,10 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 				levelID = levelID[:0]
 				for j := 0; j < r && failLev == 0; j++ {
 					proj := vec.Bucket(p, j, r)
+					set := sets[(lev-1)*r+j]
 					covered := false
 					for uu := 0; uu < u; uu++ {
-						shift := shifts[(lev-1)*r*u+j*u+uu]
-						g := grid.Grid{Dim: len(shift), Cell: cell[lev], Shift: shift}
+						g := grid.Grid{Dim: k, Cell: cell[lev], Shift: set[uu*k : (uu+1)*k]}
 						if idx, in := g.InBall(proj, w, scratch[:0]); in {
 							levelID = append(levelID, byte(j))
 							var ub [8]byte

@@ -198,10 +198,11 @@ func TestInfoAccounting(t *testing.T) {
 		t.Error("diameter not computed")
 	}
 	// The broadcast grid state is resident on every machine, so the peak
-	// must reflect it (the planned GridWords uses a conservative key-width
-	// estimate, hence the factor-2 cushion).
-	if info.PeakLocal < info.GridWords/2 {
-		t.Errorf("peak local %d below grid state %d/2 — storage not charged", info.PeakLocal, info.GridWords)
+	// must reflect its shift words. (GridWords is the plan's per-grid
+	// record charge, which the packed sets undercut.)
+	k := info.Dim / info.R
+	if shiftWords := info.Levels * info.R * info.U * k; info.PeakLocal < shiftWords {
+		t.Errorf("peak local %d below the %d resident shift words — storage not charged", info.PeakLocal, shiftWords)
 	}
 }
 
@@ -300,19 +301,24 @@ func TestCompressOption(t *testing.T) {
 	t.Logf("compression: %d → %d nodes", plain.NumNodes(), comp.NumNodes())
 }
 
-// gridDropTransport is the reference transport minus one grid record on
-// one machine: appends to victim lose the (level 1, bucket 0, attempt 0)
-// grid, the first grid every point's path consults.
-type gridDropTransport struct {
+// gridSetTransport is the reference transport with one grid set mangled on
+// one machine: appends to victim pass the (level 1, bucket 0) set — the
+// first set every point's path consults — through mangle, which may drop
+// it (nil) or replace it.
+type gridSetTransport struct {
 	mpc.Transport
 	victim int
+	mangle func(mpc.Record) *mpc.Record
 }
 
-func (t gridDropTransport) Append(m int, recs []mpc.Record) error {
+func (t gridSetTransport) Append(m int, recs []mpc.Record) error {
 	if m == t.victim {
 		kept := make([]mpc.Record, 0, len(recs))
 		for _, rec := range recs {
-			if rec.Tag == TagGrid && rec.Ints[0] == 1 && rec.Ints[1] == 0 && rec.Ints[2] == 0 {
+			if rec.Tag == TagGrid && rec.Ints[0] == 1 && rec.Ints[1] == 0 {
+				if got := t.mangle(rec); got != nil {
+					kept = append(kept, *got)
+				}
 				continue
 			}
 			kept = append(kept, rec)
@@ -322,15 +328,31 @@ func (t gridDropTransport) Append(m int, recs []mpc.Record) error {
 	return t.Transport.Append(m, recs)
 }
 
-// A machine missing a broadcast grid must fail the root-paths round, not
-// compute paths against a grid it never received.
+// A machine missing a broadcast grid set, or holding one a shift short,
+// must fail the root-paths round, not compute paths against grids it never
+// received.
 func TestMissingGridFailsRound(t *testing.T) {
 	pts := latticePts(t, 1, 64, 4, 64)
 	const machines = 4
-	c := mpc.NewWithTransport(mpc.Config{Machines: machines, CapWords: 1 << 22},
-		gridDropTransport{Transport: mpc.NewLocalTransport(machines), victim: 1})
-	_, _, err := Embed(c, pts, Options{R: 2, Seed: 1})
-	if err == nil || !strings.Contains(err.Error(), "machine 1 panicked") {
-		t.Fatalf("embed with a grid missing on machine 1: %v", err)
+	for _, tc := range []struct {
+		name   string
+		mangle func(mpc.Record) *mpc.Record
+		want   string
+	}{
+		{"missing", func(mpc.Record) *mpc.Record { return nil }, "grid set (level 1, bucket 0) missing"},
+		{"truncated", func(rec mpc.Record) *mpc.Record {
+			const k = 2 // d = 4 over R = 2 buckets
+			rec.Data = rec.Data[:len(rec.Data)-k]
+			return &rec
+		}, "grid set (level 1, bucket 0) holds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mpc.NewWithTransport(mpc.Config{Machines: machines, CapWords: 1 << 22},
+				gridSetTransport{Transport: mpc.NewLocalTransport(machines), victim: 1, mangle: tc.mangle})
+			_, _, err := Embed(c, pts, Options{R: 2, Seed: 1})
+			if err == nil || !strings.Contains(err.Error(), "machine 1 panicked") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("embed with grid set %s on machine 1: %v", tc.name, err)
+			}
+		})
 	}
 }

@@ -77,9 +77,10 @@ type Options struct {
 	// Escalate enables the resource-escalation path: after
 	// EscalateAfter consecutive non-injected ErrLocalMemory failures the
 	// driver restores the checkpoint, multiplies the cluster's memory cap
-	// by CapFactor, and retries. Injected
-	// memory pressure (errors that also match mpc.ErrInjected) is
-	// transient by definition and only ever plain-retried.
+	// by CapFactor, and retries. Cap violations under injected memory
+	// pressure or injected duplicates (errors that also match
+	// mpc.ErrInjected) are transient by definition and only ever
+	// plain-retried.
 	Escalate bool
 	// EscalateAfter is the consecutive-ErrLocalMemory threshold; 0 means 1
 	// (a genuine cap violation is deterministic — retrying at the same

@@ -185,6 +185,41 @@ func TestInjectedPressureDoesNotEscalate(t *testing.T) {
 	}
 }
 
+// Duplicated messages that push a round over the cap are an injected
+// fault too: the stage is replayed as-is and, as under injected pressure,
+// the cap stays put.
+func TestInjectedDuplicatesOverCapDoNotEscalate(t *testing.T) {
+	c := mpc.New(mpc.Config{Machines: 2, CapWords: 64})
+	var recs []mpc.Record
+	for i := 0; i < 20; i++ {
+		recs = append(recs, mpc.Record{Key: fmt.Sprintf("k%03d", i), Ints: []int64{1}, Data: []float64{1}})
+	}
+	if err := c.Distribute(recs); err != nil { // 40 words per machine
+		t.Fatal(err)
+	}
+	c.InjectFaults(&mpc.FaultPlan{Seed: 4, Duplicate: 1, PerMessage: 1, MaxFaults: 2})
+	startCap := c.CapWords()
+	st, err := Run(c, "echoed", Options{Escalate: true, Seed: 5}, func(attempt int) error {
+		// Every machine sends its 40 words to the other: fits, but not
+		// twice over.
+		return c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
+			for _, r := range local {
+				emit(1-m, r)
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatalf("injected duplicates not ridden out: %v", err)
+	}
+	if st.Attempts != 3 || st.Escalations != 0 {
+		t.Errorf("attempts = %d, escalations = %d; want 3 and 0", st.Attempts, st.Escalations)
+	}
+	if c.CapWords() != startCap {
+		t.Errorf("cap changed under injected duplicates: %d → %d", startCap, c.CapWords())
+	}
+}
+
 func TestEscalationLadderBounded(t *testing.T) {
 	c := loaded(t, 2)
 	st, err := Run(c, "bottomless", Options{Escalate: true, MaxEscalations: 2, MaxRetries: 10, Seed: 6},
