@@ -5,7 +5,30 @@ import (
 
 	"mpctree/internal/fjlt"
 	"mpctree/internal/mpc"
+	"mpctree/internal/workload"
 )
+
+// TestEmbedAllocCeiling pins the sequential Algorithm 1's heap-object
+// count on BenchmarkEmbedSequentialWorkers's input. The ceiling is the
+// count measured while Embed and NewEmbedder still ran separate level
+// loops over every point; the one build, which partitions only the points
+// still sharing a cluster and joins each hybrid id once, reads ~10.6k.
+func TestEmbedAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting under -short")
+	}
+	pts := workload.UniformLattice(4, 384, 16, 4096)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := Embed(pts, Options{Method: MethodHybrid, R: 4, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 12845
+	if allocs > ceiling {
+		t.Fatalf("Embed allocates %.0f objects per run, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("Embed allocs/run = %.0f (ceiling %d)", allocs, ceiling)
+}
 
 // TestEmbedPipelineAllocCeiling pins the full pipeline's heap-object
 // count for one fixed configuration — the third leg of the PR-7 alloc

@@ -68,17 +68,10 @@ type Options struct {
 	// MaxGrids when MaxGrids is 0. 0 defaults to 1/n².
 	FailProb float64
 
-	// Diameter overrides the top scale (the point-set diameter). 0
-	// computes the bounding-box diameter from the data.
-	Diameter float64
-
 	// MinDist overrides the smallest pairwise distance used to size the
 	// level count. 0 computes it exactly in O(n²) — fine for experiment
 	// scales; callers with known lattices should pass 1.
 	MinDist float64
-
-	// MaxLevels caps the hierarchy depth as a safety bound. 0 means 64.
-	MaxLevels int
 
 	// Seed drives all randomness. Runs with equal options and seed are
 	// bit-identical.
@@ -123,24 +116,40 @@ var ErrInfeasible = errors.New("core: required grid count is astronomically larg
 // effectively forever and is rejected with ErrInfeasible.
 const maxPracticalGrids = 1 << 20
 
-// autoR returns the paper's bucket count r = Θ(log log n), at least 1.
-func autoR(n, d int) int {
-	if n < 4 {
-		return 1
-	}
-	r := int(math.Round(2 * math.Log2(math.Log2(float64(n)))))
-	if r < 1 {
-		r = 1
-	}
-	if r > d {
-		r = d
-	}
-	return r
-}
+// maxLevels caps the hierarchy depth as a safety bound.
+const maxLevels = 64
 
 // Embed builds a tree embedding of pts with the selected method. Points
 // must be distinct (use vec.Dedup first); dimension must be ≥ 1.
 func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
+	h, info, err := build(pts, opt)
+	if err != nil {
+		return nil, info, err
+	}
+	return h.tree, info, nil
+}
+
+// hierarchy is one run of Algorithm 1: the tree, and what an Embedder
+// needs to place new points in it.
+type hierarchy struct {
+	tree *hst.Tree
+	pts  []vec.Point // working (padded) copy
+	// parts[lev-1] is level lev's flat partition of the points still
+	// sharing a cluster; its Grids replay the level's grids.
+	parts []partition.Result
+	// childByID[v] maps a level id to the child of v holding that part;
+	// repLeaf[v] is one data point in v's subtree.
+	childByID []map[string]int
+	repLeaf   []int
+}
+
+// build runs Algorithm 1 (Theorem 2): it validates pts, chooses r, pads
+// so r divides d, fixes the level schedule and the Lemma-7 grid cap, then
+// at each scale w_i = Δ/2^i partitions the points still sharing a
+// cluster — Definition 1 for the grid method, Definition 3 otherwise
+// (r = 1 is Definition 2) — and assembles the tree. Info comes back on
+// success and with any error raised in or after the level loop.
+func build(pts []vec.Point, opt Options) (*hierarchy, *Info, error) {
 	n := len(pts)
 	if n == 0 {
 		return nil, nil, errors.New("core: empty point set")
@@ -155,6 +164,13 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 		}
 	}
 
+	failProb := opt.FailProb
+	if failProb == 0 {
+		// 1/n² with a 1e-4 floor: at small n the pure 1/n² default is
+		// loose enough that repeated experiment sweeps hit coverage
+		// failures; the floor costs only a log factor in U.
+		failProb = min(1e-4, 1/float64(n*n+1))
+	}
 	r := 1
 	switch opt.Method {
 	case MethodHybrid:
@@ -165,12 +181,8 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 			// mirroring the MPC implementation's Lemma-8-driven choice.
 			// Uses a conservative 48-level estimate; the exact bound is
 			// re-checked (and can only be smaller) once levels are known.
-			fp := opt.FailProb
-			if fp == 0 {
-				fp = min(1e-4, 1/float64(n*n+1))
-			}
-			for r = autoR(n, d); r < d; r++ {
-				if partition.HybridGridBound((d+r-1)/r, n, r, 48, fp) <= maxPracticalGrids {
+			for r = partition.AutoR(n, d); r < d; r++ {
+				if partition.HybridGridBound((d+r-1)/r, n, r, 48, failProb) <= maxPracticalGrids {
 					break
 				}
 			}
@@ -178,10 +190,7 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 		if r < 1 || r > d {
 			return nil, nil, fmt.Errorf("core: r=%d out of [1, d=%d]", r, d)
 		}
-	case MethodBall:
-		r = 1
-	case MethodGrid:
-		r = 1 // unused
+	case MethodBall, MethodGrid:
 	default:
 		return nil, nil, fmt.Errorf("core: unknown method %v", opt.Method)
 	}
@@ -194,10 +203,7 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 		d = len(work[0])
 	}
 
-	diam := opt.Diameter
-	if diam == 0 {
-		diam = vec.Bounds(work).Diameter()
-	}
+	diam := vec.Bounds(work).Diameter()
 	if diam == 0 {
 		// All points identical; a root with one leaf per point at weight 0
 		// is not a valid metric for n > 1. Reject, matching the distinct-
@@ -207,7 +213,8 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 		}
 		b := hst.NewBuilder(1)
 		b.AddLeaf(b.Root(), 0, 1, 0)
-		return b.Finish(), &Info{Method: opt.Method, N: 1, Dim: d, R: r, TopScale: 0}, nil
+		h := &hierarchy{tree: b.Finish(), pts: work, childByID: []map[string]int{nil, nil}, repLeaf: []int{0, 0}}
+		return h, &Info{Method: opt.Method, N: 1, Dim: d, R: r, TopScale: 0}, nil
 	}
 
 	minDist := opt.MinDist
@@ -228,22 +235,11 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 	} else {
 		diamFactor = 2 * math.Sqrt(float64(r))
 	}
-	maxLevels := opt.MaxLevels
-	if maxLevels == 0 {
-		maxLevels = 64
-	}
 	levels := 1
 	for w := diam / 2; diamFactor*w >= minDist && levels < maxLevels; w /= 2 {
 		levels++
 	}
 
-	failProb := opt.FailProb
-	if failProb == 0 {
-		// 1/n² with a 1e-4 floor: at small n the pure 1/n² default is
-		// loose enough that repeated experiment sweeps hit coverage
-		// failures; the floor costs only a log factor in U.
-		failProb = min(1e-4, 1/float64(n*n+1))
-	}
 	maxGrids := opt.MaxGrids
 	if maxGrids == 0 && opt.Method != MethodGrid {
 		maxGrids = partition.HybridGridBound(d/r, n, r, levels, failProb)
@@ -263,20 +259,24 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 		MaxGridsCap: maxGrids,
 	}
 
+	bucketGridWords := grid.Grid{Dim: d / r}.Words() // descriptor of one d/r-dimensional grid
 	rnd := rng.New(opt.Seed)
+	h := &hierarchy{pts: work}
 	// ids[i] holds the level-i flat partition identifier per point.
 	ids := make([][]string, levels+1)
-	// active[p] is false once p's cluster became a singleton (its subtree
-	// is finished and further partitioning of p is irrelevant).
-	active := make([]bool, n)
+	// active lists the points whose cluster still holds others; a point
+	// leaves once its cluster is a singleton (its subtree is finished).
+	// Grids are global per (level, bucket), not per cluster, as in
+	// Algorithm 2: clusters are refined implicitly by the chain keys.
+	active := make([]int, n)
 	for i := range active {
-		active[i] = true
+		active[i] = i
 	}
+	sub := make([]vec.Point, n)
 
 	// clusterKey[p] accumulates the chain of level ids — the path(p)
 	// encoding. Points share a level-i cluster iff keys are equal.
 	clusterKey := make([]string, n)
-	clusterSize := map[string]int{"": n}
 
 	// Quality instrumentation state: a seeded pair sample walked through
 	// the levels alongside the points. Two points still together share
@@ -297,142 +297,74 @@ func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
 
 	w := diam / 2
 	for lev := 1; lev <= levels; lev++ {
-		var levIDs []string
-		var used int
-		var err error
-		switch opt.Method {
-		case MethodGrid:
-			levIDs, used = assignGrid(rnd, work, active, w)
-		default:
-			levIDs, used, err = assignHybrid(rnd, work, active, w, r, maxGrids, info)
-			if err != nil {
-				return nil, info, err
+		sub = sub[:len(active)]
+		for i, p := range active {
+			sub[i] = work[p]
+		}
+		var part partition.Result
+		if opt.Method == MethodGrid {
+			part = partition.GridPartition(rnd, sub, w)
+		} else {
+			part = partition.HybridPartition(rnd, sub, w, r, maxGrids)
+			info.GridWords += part.GridsUsed * bucketGridWords
+			if part.Uncovered > 0 {
+				return nil, info, fmt.Errorf("%w (scale %g, %d uncovered)", ErrCoverageFailure, w, part.Uncovered)
 			}
 		}
-		info.GridsPerLevel = append(info.GridsPerLevel, used)
+		info.GridsPerLevel = append(info.GridsPerLevel, part.GridsUsed)
+		h.parts = append(h.parts, part)
+		levIDs := make([]string, n)
+		for i, p := range active {
+			levIDs[p] = part.IDs[i]
+		}
 		ids[lev] = levIDs
 		if opt.Quality != nil {
 			qStats = append(qStats, partition.PairLevelStats(work, levIDs, qTogether, qPairs, lev, w, diamFactor*w))
 		}
 
-		// Extend chains and recompute cluster sizes; deactivate singletons.
-		next := make(map[string]int, len(clusterSize))
-		for p := 0; p < n; p++ {
-			if !active[p] {
-				continue
-			}
-			clusterKey[p] += levelTag(lev) + levIDs[p]
-			next[clusterKey[p]]++
+		// Extend chains and count cluster sizes; singletons leave.
+		size := make(map[string]int, len(active))
+		for _, p := range active {
+			clusterKey[p] = clusterKey[p] + levelTag(lev) + levIDs[p]
+			size[clusterKey[p]]++
 		}
-		for p := 0; p < n; p++ {
-			if active[p] && next[clusterKey[p]] == 1 {
-				active[p] = false
+		still := active[:0]
+		for _, p := range active {
+			if size[clusterKey[p]] > 1 {
+				still = append(still, p)
 			}
 		}
-		clusterSize = next
+		active = still
 		w /= 2
 		// Once every cluster is a singleton the hierarchy is complete;
 		// later levels would partition nothing.
-		allSingle := true
-		for id := range clusterSize {
-			if clusterSize[id] > 1 {
-				allSingle = false
-				break
-			}
-		}
-		if allSingle {
+		if len(active) == 0 {
 			info.Levels = lev
 			levels = lev
 			break
 		}
 	}
 
-	t, err := buildTree(work, ids, levels, diam, diamFactor)
+	var err error
+	h.tree, h.childByID, h.repLeaf, err = buildTreeNav(work, ids, levels, diam, diamFactor)
 	if err != nil {
 		return nil, info, err
 	}
 	opt.Quality.ObserveLevels(qStats)
-	return t, info, nil
+	return h, info, nil
 }
 
 // levelTag returns a one-byte separator making chain keys prefix-free
 // across levels.
 func levelTag(lev int) string { return string([]byte{byte(lev)}) }
 
-// assignGrid assigns every active point its cell key under one random
-// shifted grid of cell width w.
-func assignGrid(rnd *rng.RNG, pts []vec.Point, active []bool, w float64) ([]string, int) {
-	g := grid.New(rnd, len(pts[0]), w)
-	ids := make([]string, len(pts))
-	var scratch []int64
-	for p, x := range pts {
-		if !active[p] {
-			continue
-		}
-		scratch = g.CellCoords(x, scratch)
-		ids[p] = grid.Key(scratch)
-	}
-	return ids, 1
-}
-
-// assignHybrid assigns every active point its r-bucket hybrid id at scale
-// w, drawing up to maxGrids grids per bucket. It mirrors Algorithm 2's
-// structure: grids are global per (level, bucket), not per cluster —
-// clusters are refined implicitly by the chain keys.
-func assignHybrid(rnd *rng.RNG, pts []vec.Point, active []bool, w float64, r, maxGrids int, info *Info) ([]string, int, error) {
-	n := len(pts)
-	d := len(pts[0])
-	ids := make([]string, n)
-	totalGrids := 0
-	var scratch [16]int64
-	for j := 0; j < r; j++ {
-		// Lazy draw: stop as soon as all active points are covered.
-		assigned := make([]string, n)
-		remaining := 0
-		for p := 0; p < n; p++ {
-			if active[p] {
-				remaining++
-			}
-		}
-		for u := 0; u < maxGrids && remaining > 0; u++ {
-			g := grid.New(rnd, d/r, 4*w)
-			totalGrids++
-			info.GridWords += g.Words()
-			for p := 0; p < n; p++ {
-				if !active[p] || assigned[p] != "" {
-					continue
-				}
-				if idx, in := g.InBall(vec.Bucket(pts[p], j, r), w, scratch[:0]); in {
-					assigned[p] = grid.KeyWithPrefix(uint64(u), idx)
-					remaining--
-				}
-			}
-		}
-		if remaining > 0 {
-			return nil, totalGrids, fmt.Errorf("%w (bucket %d, scale %g, %d uncovered)", ErrCoverageFailure, j, w, remaining)
-		}
-		for p := 0; p < n; p++ {
-			if active[p] {
-				ids[p] += string([]byte{byte(j)}) + assigned[p]
-			}
-		}
-	}
-	return ids, totalGrids, nil
-}
-
-// buildTree converts per-level flat ids into the weighted tree. Edge
-// weight into level i is diamFactor·w_i (w_i = diam/2^i); a cluster that
-// becomes a singleton at level i is emitted as a leaf at level i and not
-// refined further.
-func buildTree(pts []vec.Point, ids [][]string, levels int, diam, diamFactor float64) (*hst.Tree, error) {
-	t, _, _, err := buildTreeNav(pts, ids, levels, diam, diamFactor)
-	return t, err
-}
-
-// buildTreeNav is buildTree plus the navigation structures the Embedder
-// uses for out-of-sample queries: childByID[v] maps a level-id to the
-// child of v holding that part, and repLeaf[v] is one data point living
-// in v's subtree.
+// buildTreeNav converts per-level flat ids into the weighted tree, plus
+// the navigation structures the Embedder uses for out-of-sample queries:
+// childByID[v] maps a level-id to the child of v holding that part, and
+// repLeaf[v] is one data point living in v's subtree. Edge weight into
+// level i is diamFactor·w_i (w_i = diam/2^i); a cluster that becomes a
+// singleton at level i is emitted as a leaf at level i and not refined
+// further.
 func buildTreeNav(pts []vec.Point, ids [][]string, levels int, diam, diamFactor float64) (*hst.Tree, []map[string]int, []int, error) {
 	n := len(pts)
 	b := hst.NewBuilder(n)

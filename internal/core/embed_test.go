@@ -218,19 +218,6 @@ func TestPaddingPath(t *testing.T) {
 	}
 }
 
-func TestAutoR(t *testing.T) {
-	if r := autoR(2, 10); r != 1 {
-		t.Errorf("autoR(2) = %d", r)
-	}
-	// n = 2^16: log2 log2 = 4, r = 8 capped by d.
-	if r := autoR(1<<16, 20); r != 8 {
-		t.Errorf("autoR(2^16) = %d", r)
-	}
-	if r := autoR(1<<16, 3); r != 3 {
-		t.Errorf("autoR capped = %d", r)
-	}
-}
-
 func TestInfoAccounting(t *testing.T) {
 	pts := latticePts(t, 8, 80, 4, 128)
 	info := embedOrFail(t, pts, Options{Method: MethodHybrid, R: 2, Seed: 3})

@@ -10,27 +10,22 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"mpctree/internal/grid"
 	"mpctree/internal/hst"
-	"mpctree/internal/partition"
-	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
 
 // Embedder is an immutable embedding index over a fixed point set.
 type Embedder struct {
-	opt        Options
-	method     Method
-	pts        []vec.Point // working (padded) copy
-	origDim    int
-	r          int
-	levels     int
-	diam       float64
-	diamFactor float64
+	method  Method
+	pts     []vec.Point // working (padded) copy
+	origDim int
+	r       int
+	levels  int
+	diam    float64
 	// grids[lev-1][j] is the ordered grid sequence of level lev, bucket j
 	// (one entry, one grid for the grid method).
 	grids     [][][]grid.Grid
@@ -39,204 +34,22 @@ type Embedder struct {
 	repLeaf   []int
 }
 
-// NewEmbedder builds the embedding and retains its structures. Options
-// semantics match Embed.
+// NewEmbedder builds the embedding with the same run as Embed — its tree
+// is Embed's for equal options — and keeps the index: each level's grids,
+// replayed from the level's partition, and the tree's navigation maps.
 func NewEmbedder(pts []vec.Point, opt Options) (*Embedder, error) {
-	n := len(pts)
-	if n == 0 {
-		return nil, errors.New("core: empty point set")
-	}
-	d := len(pts[0])
-	if d == 0 {
-		return nil, errors.New("core: zero-dimensional points")
-	}
-	for i, p := range pts {
-		if len(p) != d {
-			return nil, fmt.Errorf("core: point %d has dimension %d, want %d", i, len(p), d)
-		}
-	}
-	r := 1
-	switch opt.Method {
-	case MethodHybrid:
-		r = opt.R
-		if r == 0 {
-			fp := opt.FailProb
-			if fp == 0 {
-				fp = min(1e-4, 1/float64(n*n+1))
-			}
-			for r = autoR(n, d); r < d; r++ {
-				if partition.HybridGridBound((d+r-1)/r, n, r, 48, fp) <= maxPracticalGrids {
-					break
-				}
-			}
-		}
-		if r < 1 || r > d {
-			return nil, fmt.Errorf("core: r=%d out of [1, d=%d]", r, d)
-		}
-	case MethodBall:
-		r = 1
-	case MethodGrid:
-		r = 1
-	default:
-		return nil, fmt.Errorf("core: unknown method %v", opt.Method)
-	}
-
-	work := pts
-	if opt.Method != MethodGrid && d%r != 0 {
-		work = vec.PadPointsToMultiple(pts, r)
-	}
-	wd := len(work[0])
-
-	diam := opt.Diameter
-	if diam == 0 {
-		diam = vec.Bounds(work).Diameter()
-	}
-	if diam == 0 {
-		if n > 1 {
-			return nil, errors.New("core: points are not distinct (diameter 0)")
-		}
-		b := hst.NewBuilder(1)
-		b.AddLeaf(b.Root(), 0, 1, 0)
-		return &Embedder{
-			opt: opt, method: opt.Method, pts: work, origDim: d, r: r,
-			tree:      b.Finish(),
-			childByID: []map[string]int{nil, nil},
-			repLeaf:   []int{0, 0},
-		}, nil
-	}
-	minDist := opt.MinDist
-	if minDist == 0 {
-		minDist = vec.MinPairwiseDist(work)
-		if math.IsInf(minDist, 1) {
-			minDist = diam
-		}
-	}
-	var diamFactor float64
-	if opt.Method == MethodGrid {
-		diamFactor = math.Sqrt(float64(wd))
-	} else {
-		diamFactor = 2 * math.Sqrt(float64(r))
-	}
-	maxLevels := opt.MaxLevels
-	if maxLevels == 0 {
-		maxLevels = 64
-	}
-	levels := 1
-	for w := diam / 2; diamFactor*w >= minDist && levels < maxLevels; w /= 2 {
-		levels++
-	}
-	failProb := opt.FailProb
-	if failProb == 0 {
-		failProb = min(1e-4, 1/float64(n*n+1))
-	}
-	maxGrids := opt.MaxGrids
-	if maxGrids == 0 && opt.Method != MethodGrid {
-		maxGrids = partition.HybridGridBound(wd/r, n, r, levels, failProb)
-		if maxGrids > maxPracticalGrids {
-			return nil, fmt.Errorf("%w: Lemma-7 bound U=%d for k=%d dims/bucket (budget %d)",
-				ErrInfeasible, maxGrids, wd/r, maxPracticalGrids)
-		}
-	}
-
-	e := &Embedder{
-		opt: opt, method: opt.Method, pts: work, origDim: d, r: r,
-		diam: diam, diamFactor: diamFactor, levels: levels,
-	}
-
-	rnd := rng.New(opt.Seed)
-	ids := make([][]string, levels+1)
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	clusterKey := make([]string, n)
-
-	w := diam / 2
-	var scratch [16]int64
-	for lev := 1; lev <= levels; lev++ {
-		levIDs := make([]string, n)
-		levGrids := make([][]grid.Grid, 0, e.r)
-		if opt.Method == MethodGrid {
-			g := grid.New(rnd, wd, w)
-			levGrids = append(levGrids, []grid.Grid{g})
-			for p := range work {
-				if !active[p] {
-					continue
-				}
-				sc := g.CellCoords(work[p], scratch[:0])
-				levIDs[p] = grid.Key(sc)
-			}
-		} else {
-			for j := 0; j < e.r; j++ {
-				assigned := make([]string, n)
-				remaining := 0
-				for p := 0; p < n; p++ {
-					if active[p] {
-						remaining++
-					}
-				}
-				var bucketGrids []grid.Grid
-				for u := 0; u < maxGrids && remaining > 0; u++ {
-					g := grid.New(rnd, wd/e.r, 4*w)
-					bucketGrids = append(bucketGrids, g)
-					for p := 0; p < n; p++ {
-						if !active[p] || assigned[p] != "" {
-							continue
-						}
-						if idx, in := g.InBall(vec.Bucket(work[p], j, e.r), w, scratch[:0]); in {
-							assigned[p] = grid.KeyWithPrefix(uint64(u), idx)
-							remaining--
-						}
-					}
-				}
-				if remaining > 0 {
-					return nil, fmt.Errorf("%w (bucket %d, scale %g, %d uncovered)", ErrCoverageFailure, j, w, remaining)
-				}
-				levGrids = append(levGrids, bucketGrids)
-				for p := 0; p < n; p++ {
-					if active[p] {
-						levIDs[p] += string([]byte{byte(j)}) + assigned[p]
-					}
-				}
-			}
-		}
-		e.grids = append(e.grids, levGrids)
-		ids[lev] = levIDs
-
-		next := make(map[string]int)
-		for p := 0; p < n; p++ {
-			if !active[p] {
-				continue
-			}
-			clusterKey[p] += levelTag(lev) + levIDs[p]
-			next[clusterKey[p]]++
-		}
-		for p := 0; p < n; p++ {
-			if active[p] && next[clusterKey[p]] == 1 {
-				active[p] = false
-			}
-		}
-		w /= 2
-		allSingle := true
-		for _, sz := range next {
-			if sz > 1 {
-				allSingle = false
-				break
-			}
-		}
-		if allSingle {
-			e.levels = lev
-			levels = lev
-			break
-		}
-	}
-	e.levels = levels
-
-	t, childByID, repLeaf, err := buildTreeNav(work, ids, levels, diam, diamFactor)
+	h, info, err := build(pts, opt)
 	if err != nil {
 		return nil, err
 	}
-	e.tree, e.childByID, e.repLeaf = t, childByID, repLeaf
+	e := &Embedder{
+		method: opt.Method, pts: h.pts, origDim: len(pts[0]), r: info.R,
+		levels: info.Levels, diam: info.TopScale,
+		tree: h.tree, childByID: h.childByID, repLeaf: h.repLeaf,
+	}
+	for _, part := range h.parts {
+		e.grids = append(e.grids, part.Grids())
+	}
 	return e, nil
 }
 

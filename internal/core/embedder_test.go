@@ -1,30 +1,95 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
+	"mpctree/internal/obs"
+	"mpctree/internal/quality"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
 
+// mergeConfigs are the configurations the Embed ≡ NewEmbedder tests run:
+// every method, and hybrid with a fixed and an automatic r.
+var mergeConfigs = []Options{
+	{Method: MethodGrid, Seed: 42},
+	{Method: MethodBall, Seed: 42},
+	{Method: MethodHybrid, R: 2, Seed: 42},
+	{Method: MethodHybrid, Seed: 42},
+}
+
+// Embed and NewEmbedder share one build, so their trees are the same
+// bytes for equal options.
 func TestEmbedderTreeMatchesEmbed(t *testing.T) {
 	pts := latticePts(t, 1, 80, 4, 128)
-	opt := Options{Method: MethodHybrid, R: 2, Seed: 42}
-	e, err := NewEmbedder(pts, opt)
-	if err != nil {
-		t.Fatal(err)
+	for _, opt := range mergeConfigs {
+		e, err := NewEmbedder(pts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, _, err := Embed(pts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(treeBytes(t, e.Tree()), treeBytes(t, tr)) {
+			t.Errorf("%v R=%d: NewEmbedder's tree differs from Embed's", opt.Method, opt.R)
+		}
 	}
-	tr, _, err := Embed(pts, opt)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestEmbedInfoPinned pins Info for mergeConfigs to the values Embed
+// reported when NewEmbedder still ran its own level loop: the merged
+// build draws the same grids at every level.
+func TestEmbedInfoPinned(t *testing.T) {
+	pts := latticePts(t, 1, 80, 4, 128)
+	const top = 246.1097316239242
+	want := []Info{
+		{Method: MethodGrid, N: 80, Dim: 4, R: 1, Levels: 4, TopScale: top, GridsPerLevel: []int{1, 1, 1, 1}},
+		{Method: MethodBall, N: 80, Dim: 4, R: 1, Levels: 4, TopScale: top, GridsPerLevel: []int{143, 236, 269, 101}, GridWords: 4494, MaxGridsCap: 799},
+		{Method: MethodHybrid, N: 80, Dim: 4, R: 2, Levels: 4, TopScale: top, GridsPerLevel: []int{33, 32, 45, 28}, GridWords: 552, MaxGridsCap: 83},
+		{Method: MethodHybrid, N: 80, Dim: 4, R: 4, Levels: 4, TopScale: top, GridsPerLevel: []int{16, 23, 19, 19}, GridWords: 231, MaxGridsCap: 34},
 	}
-	// Identical seed and options ⇒ identical metric.
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if e.Tree().Dist(i, j) != tr.Dist(i, j) {
-				t.Fatalf("Embedder and Embed disagree at (%d,%d)", i, j)
+	for i, opt := range mergeConfigs {
+		_, got, err := Embed(pts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*got, want[i]) {
+			t.Errorf("%v R=%d: Info = %+v, want %+v", opt.Method, opt.R, *got, want[i])
+		}
+	}
+}
+
+// NewEmbedder honours Options.Quality: it publishes the same per-level
+// series as Embed does for the same options.
+func TestEmbedderPublishesQuality(t *testing.T) {
+	pts := latticePts(t, 1, 80, 4, 128)
+	for _, opt := range mergeConfigs {
+		series := func(run func(Options) error) []obs.Value {
+			reg := obs.New()
+			qopt := opt
+			qopt.Quality = quality.NewCollector(reg, quality.Config{MaxPairs: 300, Seed: 77})
+			if err := run(qopt); err != nil {
+				t.Fatal(err)
 			}
+			return reg.Snapshot()
+		}
+		fromEmbed := series(func(o Options) error { _, _, err := Embed(pts, o); return err })
+		fromIndex := series(func(o Options) error { _, err := NewEmbedder(pts, o); return err })
+		levels := 0
+		for _, v := range fromEmbed {
+			if v.Name == "quality_separation_events_total" {
+				levels++
+			}
+		}
+		if levels == 0 {
+			t.Fatalf("%v R=%d: Embed published no per-level series", opt.Method, opt.R)
+		}
+		if !reflect.DeepEqual(fromEmbed, fromIndex) {
+			t.Errorf("%v R=%d: NewEmbedder's quality series differ from Embed's", opt.Method, opt.R)
 		}
 	}
 }

@@ -34,26 +34,6 @@ func TestEmbedNegativeRealCoordinates(t *testing.T) {
 	}
 }
 
-func TestEmbedDiameterOverride(t *testing.T) {
-	pts := latticePts(t, 52, 40, 3, 64)
-	// A larger-than-true diameter just adds coarse levels; the embedding
-	// must still be valid and dominating.
-	tr, info, err := Embed(pts, Options{Method: MethodHybrid, R: 1, Seed: 6, Diameter: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.TopScale != 10000 {
-		t.Errorf("TopScale = %v", info.TopScale)
-	}
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if tr.Dist(i, j) < vec.Dist(pts[i], pts[j])-1e-9 {
-				t.Fatal("domination violated with diameter override")
-			}
-		}
-	}
-}
-
 func TestEmbedMinDistOverride(t *testing.T) {
 	pts := latticePts(t, 53, 40, 3, 64)
 	// Claiming a larger min distance prunes deep levels. Domination can
@@ -73,17 +53,6 @@ func TestEmbedMinDistOverride(t *testing.T) {
 	}
 	_ = a
 	_ = b
-}
-
-func TestEmbedMaxLevelsCap(t *testing.T) {
-	pts := latticePts(t, 54, 30, 3, 4096)
-	_, info, err := Embed(pts, Options{Method: MethodGrid, Seed: 8, MaxLevels: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Levels > 3 {
-		t.Errorf("levels %d exceed cap 3", info.Levels)
-	}
 }
 
 func TestEmbedBallIgnoresR(t *testing.T) {

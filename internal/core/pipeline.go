@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 
-	"mpctree/internal/arena"
 	"mpctree/internal/fjlt"
 	"mpctree/internal/hst"
 	"mpctree/internal/mpc"
@@ -214,25 +213,12 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 	if eo.MinDist == 0 {
 		eo.MinDist = minDist
 	}
-	// One arena serves every embed attempt. Resetting at the top of each
-	// attempt recycles the slabs the previous (failed) attempt carved:
-	// resilient.Run restored the stage-entry checkpoint before re-invoking
-	// the step, and Restore deep-copies stores into the transport, so no
-	// cluster-resident record references the failed attempt's carves by the
-	// time Reset rewinds them. The successful attempt's carves are never
-	// Reset away — the arena simply goes out of scope and the GC keeps its
-	// slabs alive for as long as the cluster references them (escape mode).
-	// The FJLT stage needs no equivalent: ApplyMPC's escaping payloads come
-	// from round-local arenas that die with each attempt.
-	attemptArena := arena.New()
 	var tree *hst.Tree
 	var einfo *mpcembed.Info
 	err = runStage("embed", "tree_embed", func(sp *obs.Span) error {
-		attemptArena.Reset()
 		eoAttempt := eo
 		eoAttempt.Span = sp
 		eoAttempt.Quality = opt.Quality
-		eoAttempt.Scratch = attemptArena
 		t, ei, err := mpcembed.Embed(c, work, eoAttempt)
 		einfo = ei // partial accounting survives a failed attempt
 		if err != nil {

@@ -8,11 +8,11 @@ import (
 )
 
 // TestApplyAllAllocCeiling pins ApplyAll's heap-object count per batch:
-// one output header slice, one scratch buffer and arena, and a
-// fractional per-point cost from slab carving. Before the arena rewrite
-// this config cost 2·n+O(1) allocations (a scratch and an output vector
-// per point); the ceiling is set to catch any return of per-point
-// allocation while tolerating runtime incidentals.
+// one output header slice, and per shard one scratch buffer and one
+// output allocation the shard's points are sliced from. Allocating a
+// scratch and an output vector per point cost 2·n+O(1); the ceiling is
+// set to catch any return of per-point allocation while tolerating
+// runtime incidentals.
 func TestApplyAllAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
@@ -29,7 +29,7 @@ func TestApplyAllAllocCeiling(t *testing.T) {
 	if len(out) != len(pts) {
 		t.Fatalf("lost outputs: %d != %d", len(out), len(pts))
 	}
-	// Measured ~17 allocs/op for 200 points (was 400+ before the arena).
+	// Measured 7 allocs/op for these 96 points (2·n+O(1) would be 190+).
 	const ceiling = 40
 	if allocs > ceiling {
 		t.Fatalf("ApplyAll allocates %.0f objects per 200-point batch, ceiling %d", allocs, ceiling)

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 
-	"mpctree/internal/arena"
 	"mpctree/internal/hadamard"
 	"mpctree/internal/par"
 	"mpctree/internal/rng"
@@ -226,16 +225,17 @@ func (t *Transform) applyInto(x vec.Point, y []float64, z vec.Point) {
 // ApplyAll maps a point set, fanning the independent per-point transforms
 // out at GOMAXPROCS. Each output slot is a pure function of (seed, point),
 // so the result is bit-identical to the serial loop at any width. Each
-// shard reuses one Hadamard scratch buffer and carves its outputs from its
-// own escape-mode arena (the caller owns them; the slabs die when the
-// outputs do), making the per-point heap cost fractional.
+// shard reuses one Hadamard scratch buffer and slices its outputs out of
+// one allocation, so the heap cost is per shard, not per point.
 func (t *Transform) ApplyAll(pts []vec.Point) []vec.Point {
 	out := make([]vec.Point, len(pts))
+	k := t.P.K
 	par.For(len(pts), func(lo, hi int) {
-		a := arena.New()
+		zs := make([]float64, (hi-lo)*k)
 		y := make([]float64, t.P.DPad)
 		for i := lo; i < hi; i++ {
-			z := vec.Point(a.Floats(t.P.K))
+			z := vec.Point(zs[:k:k])
+			zs = zs[k:]
 			t.applyInto(pts[i], y, z)
 			out[i] = z
 		}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mpctree/internal/arena"
 	"mpctree/internal/hadamard"
 	"mpctree/internal/mpc"
 	"mpctree/internal/vec"
@@ -146,20 +145,21 @@ func ApplyMPC(c *mpc.Cluster, pts []vec.Point, p Params, blockC int) ([]vec.Poin
 		// Emit one partial per point in point order. Each partial only
 		// ever sees that point's records, in store order, so its float
 		// addition sequence is fixed. Partials escape into the receiving
-		// stores, so they are carved from an escape-mode arena.
+		// stores; they and their point ids are slices of one allocation
+		// each per machine.
 		sort.Slice(groups, func(a, b int) bool { return groups[a].pt < groups[b].pt })
-		a := arena.New()
-		for _, g := range groups {
-			acc := a.Floats(p.K)
+		accs := make([]float64, len(groups)*p.K)
+		ids := make([]int64, len(groups))
+		for gi, g := range groups {
+			acc := accs[gi*p.K : (gi+1)*p.K : (gi+1)*p.K]
 			for _, r := range g.recs {
 				b := int(r.Ints[1])
 				for _, e := range entriesByBlock[b] {
 					acc[e.Row] += e.Val * r.Data[e.Col-b*blockC]
 				}
 			}
-			ints := a.Ints(1)
-			ints[0] = int64(g.pt)
-			emit(g.pt%M, mpc.Record{Key: OutKey(g.pt), Tag: tagPartial, Ints: ints, Data: acc})
+			ids[gi] = int64(g.pt)
+			emit(g.pt%M, mpc.Record{Key: OutKey(g.pt), Tag: tagPartial, Ints: ids[gi : gi+1 : gi+1], Data: acc})
 		}
 		return keep
 	})
@@ -168,11 +168,17 @@ func ApplyMPC(c *mpc.Cluster, pts []vec.Point, p Params, blockC int) ([]vec.Poin
 	}
 
 	// Sum partials and scale — local. Accumulators become the resident
-	// output records, carved escape-mode.
+	// output records: the machine's points are counted first, so every
+	// accumulator is a slice of one allocation.
 	err = c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
 		keep := local[:0:0]
-		la := arena.New()
 		acc := make(map[int][]float64)
+		for _, r := range local {
+			if r.Tag == tagPartial {
+				acc[int(r.Ints[0])] = nil
+			}
+		}
+		sums := make([]float64, len(acc)*p.K)
 		for _, r := range local {
 			if r.Tag != tagPartial {
 				keep = append(keep, r)
@@ -181,7 +187,8 @@ func ApplyMPC(c *mpc.Cluster, pts []vec.Point, p Params, blockC int) ([]vec.Poin
 			pt := int(r.Ints[0])
 			a := acc[pt]
 			if a == nil {
-				a = la.Floats(p.K)
+				a = sums[:p.K:p.K]
+				sums = sums[p.K:]
 				acc[pt] = a
 			}
 			for j, v := range r.Data {

@@ -37,7 +37,6 @@ import (
 	"sort"
 	"strconv"
 
-	"mpctree/internal/arena"
 	"mpctree/internal/grid"
 	"mpctree/internal/hst"
 	"mpctree/internal/mpc"
@@ -73,45 +72,25 @@ type Options struct {
 	// 0 means 1 (integer-lattice inputs, as Theorem 1 assumes). The
 	// Theorem-1 pipeline passes (1−ξ) after the FJLT.
 	MinDist float64
-	// MaxLevels caps depth; 0 means 48.
-	MaxLevels int
 	// EmitPaths keeps one TagPath record per point resident on the
 	// machines after embedding: the point's full ancestor-hash path.
 	// Downstream O(1)-round applications (mpcapps: EMD, densest ball)
 	// aggregate over these instead of walking the tree level by level.
 	EmitPaths bool
-	// Compress merges unary chains in the assembled tree (Algorithm 2's
-	// full-depth paths leave long ones in sparse regions). The tree
-	// metric is preserved exactly; node counts typically shrink several-
-	// fold. Leave false when downstream code matches nodes to path
-	// hashes by level (mpcapps does not need it — it works on the
-	// resident path records, not the assembled tree).
-	Compress bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Scratch, if non-nil, is a caller-owned arena Embed carves this
-	// attempt's escaping record payloads from (the per-point load below;
-	// round-internal emissions use their own arenas). Ownership contract:
-	// carves escape into the cluster's stores, so the caller may Reset the
-	// arena only once the cluster no longer references them — in practice,
-	// at a retry boundary after a checkpoint Restore, which deep-copies
-	// stores and therefore orphans every carve the failed attempt made.
-	// The retrying pipeline driver (core.EmbedPipeline) is exactly that
-	// caller. Nil means Embed allocates a private escape-mode arena whose
-	// slabs the GC reclaims with the records.
-	Scratch *arena.Arena
 	// Span, if non-nil, receives child spans attributing cost to the
 	// Algorithm-2 phases: grid_construction (lines 1–3: diameter, grid
 	// draw, broadcast), root_paths (lines 4–6: per-point paths), and
-	// tree_build (edge dedup, driver assembly, compress). Each child
-	// carries exact rounds/comm_words deltas from the cluster meters;
-	// spans are observational only and never change the output.
+	// tree_build (edge dedup, driver assembly). Each child carries exact
+	// rounds/comm_words deltas from the cluster meters; spans are
+	// observational only and never change the output.
 	Span *obs.Span
 	// Quality, if non-nil, receives the per-scale Lemma-1 observables for
 	// the collector's seeded pair sample, derived driver-side from the
-	// assembled (pre-Compress) tree — pairs span machines, so the flat
-	// partitions are never materialised in one place; the tree's LCA
-	// levels carry the same information. Observational only.
+	// assembled tree — pairs span machines, so the flat partitions are
+	// never materialised in one place; the tree's LCA levels carry the
+	// same information. Observational only.
 	Quality *quality.Collector
 }
 
@@ -150,21 +129,6 @@ func chainNext(prev [16]byte, levelID []byte) [16]byte {
 	return out
 }
 
-// autoR mirrors the sequential choice r = Θ(log log n).
-func autoR(n, d int) int {
-	if n < 4 {
-		return 1
-	}
-	r := int(math.Round(2 * math.Log2(math.Log2(float64(n)))))
-	if r < 1 {
-		r = 1
-	}
-	if r > d {
-		r = d
-	}
-	return r
-}
-
 // plan is the Lemma 7/8 grid plan for one bucket count r.
 type plan struct {
 	r, dPad, k, levels, u int
@@ -173,16 +137,15 @@ type plan struct {
 	diamFactor            float64
 }
 
+// maxLevels caps the depth of the level schedule.
+const maxLevels = 48
+
 // planGrids plans r buckets over diameter diam. Of opt it reads MinDist,
-// FailProb, MaxLevels and MaxGrids, with their documented defaults.
+// FailProb and MaxGrids, with their documented defaults.
 func planGrids(n, d, r int, diam float64, opt Options) plan {
 	minDist := opt.MinDist
 	if minDist == 0 {
 		minDist = 1
-	}
-	maxLevels := opt.MaxLevels
-	if maxLevels == 0 {
-		maxLevels = 48
 	}
 	failProb := opt.FailProb
 	if failProb == 0 {
@@ -272,12 +235,8 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	// to a bucket multiple is a local, distance-preserving operation each
 	// machine performs itself once r is fixed). Keys are interned as
 	// substrings of one shared string — byte-identical to the historical
-	// fmt.Sprintf("pt|%d", i) — and the point-id Ints are carved from the
-	// attempt arena, so the load costs O(1) heap objects instead of 2n.
-	scratch := opt.Scratch
-	if scratch == nil {
-		scratch = arena.New()
-	}
+	// fmt.Sprintf("pt|%d", i) — and the point-id Ints are slices of one
+	// slice, so the load costs O(1) heap objects instead of 2n.
 	recs := make([]mpc.Record, n)
 	ptKeyOff := make([]int, n+1)
 	ptKeyBuf := make([]byte, 0, n*8)
@@ -287,7 +246,7 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		ptKeyOff[i+1] = len(ptKeyBuf)
 	}
 	ptKeys := string(ptKeyBuf)
-	ptIDs := scratch.Ints(n)
+	ptIDs := make([]int64, n)
 	for i, p := range pts {
 		ptIDs[i] = int64(i)
 		recs[i] = mpc.Record{
@@ -398,7 +357,7 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	if opt.R != 0 {
 		pl = planGrids(n, d, opt.R, diam, opt)
 	} else {
-		for r := autoR(n, d); ; r++ {
+		for r := partition.AutoR(n, d); ; r++ {
 			pl = planGrids(n, d, r, diam, opt)
 			if pl.gridWords <= c.CapWords() || r >= d {
 				break
@@ -503,9 +462,10 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		// serial sweep in store order: each point's path is a pure function
 		// of the grid table and its own coordinates, edges are deduplicated
 		// map-side, and records go out in the order they are computed.
-		// Emitted payloads are carved escape-mode — the receiving stores
-		// own them.
-		ea := arena.New()
+		// Emitted payloads are sliced out of per-machine chunks; the
+		// receiving stores own them.
+		var intChunk []int64
+		var floatChunk []float64
 		seenEdge := make(map[string]bool)
 		var keepPaths []mpc.Record
 		var scratch [16]int64
@@ -563,11 +523,11 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 				if !seenEdge[string(next[:])] {
 					key := string(next[:])
 					seenEdge[key] = true
-					ints := ea.Ints(3)
+					ints := carve(&intChunk, 3, 4*len(points))
 					ints[0] = int64(lev)
 					ints[1] = int64(binary.LittleEndian.Uint64(cur[:8]))
 					ints[2] = int64(binary.LittleEndian.Uint64(cur[8:]))
-					data := ea.Floats(1)
+					data := carve(&floatChunk, 1, len(points))
 					data[0] = diamFactor * w
 					emit(hashTo(key, M), mpc.Record{
 						Key:  key,
@@ -592,11 +552,11 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 			}
 			// Terminal leaf edge at level levels+1.
 			leafKey := fmt.Sprintf("leaf|%d", pid)
-			ints := ea.Ints(4)
+			ints := carve(&intChunk, 4, 4*len(points))
 			ints[0], ints[1] = int64(pid), int64(levels+1)
 			ints[2] = int64(binary.LittleEndian.Uint64(cur[:8]))
 			ints[3] = int64(binary.LittleEndian.Uint64(cur[8:]))
-			data := ea.Floats(1)
+			data := carve(&floatChunk, 1, len(points))
 			data[0] = diamFactor * w
 			emit(hashTo(leafKey, M), mpc.Record{
 				Key:  leafKey,
@@ -626,15 +586,22 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		return nil, info, err
 	}
 	if opt.Quality != nil {
-		// Observe on the full-depth tree: Compress merges unary chains and
-		// sums their weights, which blurs the per-level diameter bounds.
 		qc := opt.Quality.Config()
 		opt.Quality.ObserveLevels(quality.TreeLevelStats(t, pts, quality.SamplePairs(qc.Seed, n, qc.MaxPairs)))
 	}
-	if opt.Compress {
-		t = t.Compress()
-	}
 	return t, info, nil
+}
+
+// carve returns the next n elements of *chunk. When *chunk is too short
+// it is replaced by a fresh chunk of size elements rather than grown, so
+// nothing is copied; the slices already carved keep the old chunk alive.
+func carve[T any](chunk *[]T, n, size int) []T {
+	if len(*chunk) < n {
+		*chunk = make([]T, max(size, n))
+	}
+	out := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return out
 }
 
 func fillMetrics(c *mpc.Cluster, info *Info, baseRounds int) {

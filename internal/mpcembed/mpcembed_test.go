@@ -278,16 +278,11 @@ func BenchmarkEmbedMPC(b *testing.B) {
 // preserving the metric exactly.
 func TestCompressOption(t *testing.T) {
 	pts := latticePts(t, 13, 50, 4, 256)
-	cA := bigCluster(4)
-	plain, _, err := Embed(cA, pts, Options{R: 2, Seed: 37})
+	plain, _, err := Embed(bigCluster(4), pts, Options{R: 2, Seed: 37})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cB := bigCluster(4)
-	comp, _, err := Embed(cB, pts, Options{R: 2, Seed: 37, Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := plain.Compress()
 	if comp.NumNodes() >= plain.NumNodes() {
 		t.Errorf("compression did not shrink: %d vs %d nodes", comp.NumNodes(), plain.NumNodes())
 	}

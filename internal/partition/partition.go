@@ -39,6 +39,33 @@ type Result struct {
 	IDs       []string // partition id per point; Uncovered for misses
 	Uncovered int      // number of uncovered points
 	GridsUsed int      // grids actually consulted (≤ the cap)
+
+	// The recipe Grids replays: the generator as it stood before the
+	// first draw, the grids drawn in each bucket, and their shape.
+	start rng.RNG
+	drawn []int
+	dim   int
+	cell  float64
+}
+
+// Grids re-draws the grids the partitioning consulted, in draw order:
+// Grids()[j][u] is grid u of bucket j (one bucket for the grid and ball
+// methods). A partitioning draws nothing but grids from its generator, so
+// replaying them from a copy of its starting state is exact; the caller's
+// generator is left untouched. Only an index that places new points needs
+// the grids, so a Result does not keep them.
+func (r Result) Grids() [][]grid.Grid {
+	rnd := r.start
+	shifts := make([]float64, r.GridsUsed*r.dim)
+	out := make([][]grid.Grid, len(r.drawn))
+	for j, u := range r.drawn {
+		out[j] = make([]grid.Grid, u)
+		for i := range out[j] {
+			out[j][i] = grid.NewInto(&rnd, shifts[:r.dim:r.dim], r.cell)
+			shifts = shifts[r.dim:]
+		}
+	}
+	return out
 }
 
 // OK reports whether every point was covered.
@@ -62,6 +89,7 @@ func GridPartition(r *rng.RNG, pts []vec.Point, w float64) Result {
 	if len(pts) == 0 {
 		return Result{}
 	}
+	start := *r
 	g := grid.New(r, len(pts[0]), w)
 	ids := make([]string, len(pts))
 	var scratch []int64
@@ -69,7 +97,7 @@ func GridPartition(r *rng.RNG, pts []vec.Point, w float64) Result {
 		scratch = g.CellCoords(p, scratch)
 		ids[i] = grid.Key(scratch)
 	}
-	return Result{IDs: ids, GridsUsed: 1}
+	return Result{IDs: ids, GridsUsed: 1, start: start, drawn: []int{1}, dim: g.Dim, cell: w}
 }
 
 // BallPartition computes a ball partitioning with scale w (Definition 2):
@@ -82,10 +110,20 @@ func BallPartition(r *rng.RNG, pts []vec.Point, w float64, maxGrids int) Result 
 	if len(pts) == 0 {
 		return Result{}
 	}
-	dim := len(pts[0])
+	start := *r
 	ids := make([]string, len(pts))
-	remaining := len(pts)
-	used := 0
+	remaining, used := ballIDs(r, pts, w, maxGrids, ids)
+	return Result{IDs: ids, Uncovered: remaining, GridsUsed: used,
+		start: start, drawn: []int{used}, dim: len(pts[0]), cell: 4 * w}
+}
+
+// ballIDs is BallPartition without the replay recipe: it writes the ids
+// into ids, which must arrive all Uncovered, and returns the number of
+// points left uncovered and the number of grids drawn.
+func ballIDs(r *rng.RNG, pts []vec.Point, w float64, maxGrids int, ids []string) (remaining, used int) {
+	dim := len(pts[0])
+	ids = ids[:len(pts)] // lets the compiler drop the bounds check on ids[i]
+	remaining = len(pts)
 	var scratch [16]int64
 	for u := 0; u < maxGrids && remaining > 0; u++ {
 		g := grid.New(r, dim, 4*w)
@@ -100,7 +138,7 @@ func BallPartition(r *rng.RNG, pts []vec.Point, w float64, maxGrids int) Result 
 			}
 		}
 	}
-	return Result{IDs: ids, Uncovered: remaining, GridsUsed: used}
+	return remaining, used
 }
 
 // HybridPartition computes an r-hybrid partitioning with scale w
@@ -126,43 +164,46 @@ func HybridPartition(rnd *rng.RNG, pts []vec.Point, w float64, r, maxGrids int) 
 	if d%r != 0 {
 		panic(fmt.Sprintf("partition: r=%d does not divide d=%d (pad first)", r, d))
 	}
-	ids := make([]string, len(pts))
-	covered := make([]bool, len(pts))
-	for i := range covered {
-		covered[i] = true
-	}
+	n := len(pts)
+	start := *rnd
+	drawn := make([]int, r)
 	totalGrids := 0
-	proj := make([]vec.Point, len(pts))
-	for j := 0; j < r; j++ {
+	// bucketIDs[j*n+i] is point i's ball id in bucket j.
+	bucketIDs := make([]string, r*n)
+	proj := make([]vec.Point, n)
+	for j := range drawn {
 		// Project onto bucket j. Bucket returns subslices; no copying.
 		for i, p := range pts {
 			proj[i] = vec.Bucket(p, j, r)
 		}
-		res := BallPartition(rnd, proj, w, maxGrids)
-		totalGrids += res.GridsUsed
-		for i := range pts {
-			if !covered[i] {
-				continue
-			}
-			if res.IDs[i] == Uncovered {
-				covered[i] = false
-				ids[i] = Uncovered
-				continue
-			}
-			// Concatenate with a bucket tag so bucket boundaries cannot
-			// ambiguously merge (ball keys are fixed-width per bucket, but
-			// bucket dimensions are uniform so widths agree; the tag makes
-			// the invariant independent of that).
-			ids[i] += string([]byte{byte(j)}) + res.IDs[i]
-		}
+		_, drawn[j] = ballIDs(rnd, proj, w, maxGrids, bucketIDs[j*n:(j+1)*n])
+		totalGrids += drawn[j]
 	}
+	// Join each point's bucket ids into one string, each behind a bucket
+	// tag so bucket boundaries cannot ambiguously merge (ball keys are
+	// fixed-width per bucket, but bucket dimensions are uniform so widths
+	// agree; the tag makes the invariant independent of that). A ball key
+	// is 8 bytes of grid index plus 8 per coordinate, so the buffer is
+	// sized for a covered point up front.
+	ids := make([]string, n)
 	unc := 0
-	for i := range ids {
-		if ids[i] == Uncovered {
-			unc++
+	buf := make([]byte, 0, r*9+8*d)
+points:
+	for i := range pts {
+		buf = buf[:0]
+		for j := range drawn {
+			id := bucketIDs[j*n+i]
+			if id == Uncovered {
+				unc++
+				continue points
+			}
+			buf = append(buf, byte(j))
+			buf = append(buf, id...)
 		}
+		ids[i] = string(buf)
 	}
-	return Result{IDs: ids, Uncovered: unc, GridsUsed: totalGrids}
+	return Result{IDs: ids, Uncovered: unc, GridsUsed: totalGrids,
+		start: start, drawn: drawn, dim: d / r, cell: 4 * w}
 }
 
 // UnitBallVolume returns vol(B^k), the volume of the k-dimensional
@@ -212,6 +253,22 @@ func HybridGridBound(k, n, r, levels int, delta float64) int {
 		panic("partition: need at least one bucket and level")
 	}
 	return GridBound(k, n*r*levels, delta)
+}
+
+// AutoR returns the paper's bucket count r = Θ(log log n) (Section 4),
+// at least 1 and at most d. Both embeddings start their choice of r here.
+func AutoR(n, d int) int {
+	if n < 4 {
+		return 1
+	}
+	r := int(math.Round(2 * math.Log2(math.Log2(float64(n)))))
+	if r < 1 {
+		r = 1
+	}
+	if r > d {
+		r = d
+	}
+	return r
 }
 
 // Diameters returns, for each part with ≥ 2 points, the exact diameter of

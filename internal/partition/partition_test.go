@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mpctree/internal/grid"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
@@ -200,6 +201,69 @@ func TestHybridPanicsOnBadR(t *testing.T) {
 	}
 }
 
+// Result.Grids replays exactly the grids a partitioning drew: assigning
+// every point again with the replayed grids reproduces IDs, covered or
+// not, and the replay leaves the caller's generator where it was.
+func TestGridsReplayAssignment(t *testing.T) {
+	pts := uniformPts(rng.New(12), 200, 4, 60)
+	const w = 5.0
+	firstBall := func(grids []grid.Grid, p vec.Point) string {
+		for u, g := range grids {
+			if idx, in := g.InBall(p, w, nil); in {
+				return grid.KeyWithPrefix(uint64(u), idx)
+			}
+		}
+		return Uncovered
+	}
+	cases := []struct {
+		name   string
+		run    func(*rng.RNG) Result
+		assign func([][]grid.Grid, vec.Point) string
+	}{
+		{"grid", func(r *rng.RNG) Result { return GridPartition(r, pts, w) },
+			func(g [][]grid.Grid, p vec.Point) string { return grid.Key(g[0][0].CellCoords(p, nil)) }},
+		// Three grids in 4-D leave points uncovered: the replay must too.
+		{"ball", func(r *rng.RNG) Result { return BallPartition(r, pts, w, 3) },
+			func(g [][]grid.Grid, p vec.Point) string { return firstBall(g[0], p) }},
+		{"hybrid", func(r *rng.RNG) Result { return HybridPartition(r, pts, w, 2, 400) },
+			func(g [][]grid.Grid, p vec.Point) string {
+				id := ""
+				for j := range g {
+					b := firstBall(g[j], vec.Bucket(p, j, 2))
+					if b == Uncovered {
+						return Uncovered
+					}
+					id += string([]byte{byte(j)}) + b
+				}
+				return id
+			}},
+	}
+	for _, tc := range cases {
+		rnd := rng.New(5)
+		res := tc.run(rnd)
+		after := *rnd
+		grids := res.Grids()
+		if *rnd != after {
+			t.Fatalf("%s: Grids advanced the caller's generator", tc.name)
+		}
+		drawn := 0
+		for _, bucket := range grids {
+			drawn += len(bucket)
+		}
+		if drawn != res.GridsUsed {
+			t.Fatalf("%s: Grids replayed %d grids, GridsUsed %d", tc.name, drawn, res.GridsUsed)
+		}
+		for i, p := range pts {
+			if got := tc.assign(grids, p); got != res.IDs[i] {
+				t.Fatalf("%s: point %d replays to %q, partition assigned %q", tc.name, i, got, res.IDs[i])
+			}
+		}
+		if tc.name == "ball" && res.OK() {
+			t.Errorf("ball: expected uncovered points with three grids")
+		}
+	}
+}
+
 func TestUnitBallVolume(t *testing.T) {
 	cases := []struct {
 		k    int
@@ -254,6 +318,19 @@ func TestHybridGridBound(t *testing.T) {
 	b := HybridGridBound(3, 1000, 4, 20, 0.01)
 	if b < a {
 		t.Errorf("HybridGridBound decreased with more buckets/levels: %d < %d", b, a)
+	}
+}
+
+func TestAutoR(t *testing.T) {
+	if r := AutoR(2, 10); r != 1 {
+		t.Errorf("AutoR(2) = %d", r)
+	}
+	// n = 2^16: log2 log2 = 4, r = 8 capped by d.
+	if r := AutoR(1<<16, 20); r != 8 {
+		t.Errorf("AutoR(2^16) = %d", r)
+	}
+	if r := AutoR(1<<16, 3); r != 3 {
+		t.Errorf("AutoR capped = %d", r)
 	}
 }
 

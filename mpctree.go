@@ -230,8 +230,8 @@ func EmbedMPC(pts []Point, opt MPCOptions) (*Tree, *MPCInfo, error) {
 type Embedder = core.Embedder
 
 // NewEmbedder builds an embedding index over pts. Options semantics match
-// Embed; the tree NewEmbedder produces is identical to Embed's for the
-// same options and seed.
+// Embed, and the tree NewEmbedder produces is identical to Embed's for the
+// same options and seed, because both come from one build.
 func NewEmbedder(pts []Point, opt Options) (*Embedder, error) {
 	return core.NewEmbedder(pts, opt)
 }
