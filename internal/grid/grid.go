@@ -95,10 +95,22 @@ func (g Grid) DistToCenter(p vec.Point, idx []int64) float64 {
 
 // InBall reports whether p lies within distance radius of the nearest
 // lattice point, and returns that lattice point's index (valid only when
-// the bool is true; the index slice is scratch-reused).
+// the bool is true; the index slice is scratch-reused). It computes each
+// index and its squared distance in one pass, with CenterIndex's and
+// DistToCenter's expressions, so the result is theirs to the bit.
 func (g Grid) InBall(p vec.Point, radius float64, scratch []int64) ([]int64, bool) {
-	idx := g.CenterIndex(p, scratch)
-	return idx, g.DistToCenter(p, idx) <= radius
+	if len(p) != g.Dim {
+		panic(fmt.Sprintf("grid: point dim %d != grid dim %d", len(p), g.Dim))
+	}
+	idx := scratch[:0]
+	var s float64
+	for i, x := range p {
+		v := int64(math.Round((x - g.Shift[i]) / g.Cell))
+		idx = append(idx, v)
+		d := x - (g.Shift[i] + float64(v)*g.Cell)
+		s += d * d
+	}
+	return idx, math.Sqrt(s) <= radius
 }
 
 // Key encodes an index vector into a compact, comparable string. Keys from

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +117,34 @@ func TestInBall(t *testing.T) {
 	idx, ok := g.InBall(vec.Point{4.3, 7.9}, 1, nil)
 	if !ok || idx[0] != 1 || idx[1] != 2 {
 		t.Errorf("InBall = %v, %v", idx, ok)
+	}
+}
+
+// InBall's one pass must agree with CenterIndex and DistToCenter to the
+// bit: the same index, and the same verdict at the reference distance and
+// one ulp below it, where a distance one ulp off would flip one of them.
+func TestInBallMatchesCenterIndexAndDistToCenter(t *testing.T) {
+	r := rng.New(9)
+	var scratch [32]int64
+	for trial := 0; trial < 5000; trial++ {
+		dim := 1 + r.Intn(20)
+		cell := r.UniformRange(0.01, 1000)
+		g := NewInto(r, make(vec.Point, dim), cell)
+		p := make(vec.Point, dim)
+		for i := range p {
+			p[i] = r.UniformRange(-5000, 5000)
+		}
+		ref := g.CenterIndex(p, nil)
+		dist := g.DistToCenter(p, ref)
+		for _, radius := range []float64{dist, math.Nextafter(dist, 0), r.UniformRange(0, 2*dist)} {
+			idx, in := g.InBall(p, radius, scratch[:0])
+			if in != (dist <= radius) {
+				t.Fatalf("dim %d cell %v radius %v: InBall says %v, reference distance %v", dim, cell, radius, in, dist)
+			}
+			if !slices.Equal(idx, ref) {
+				t.Fatalf("dim %d cell %v: index %v, CenterIndex %v", dim, cell, idx, ref)
+			}
+		}
 	}
 }
 

@@ -5,13 +5,6 @@ import (
 	"testing"
 )
 
-func TestAggregateByKeyEmpty(t *testing.T) {
-	c := New(Config{Machines: 3, CapWords: 1024})
-	if err := c.AggregateByKey(func(a, b Record) Record { return a }); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBroadcastEmptyBlob(t *testing.T) {
 	c := New(Config{Machines: 4, CapWords: 64})
 	if err := c.Broadcast(1, nil); err != nil {
@@ -87,12 +80,11 @@ func TestSingleMachinePrimitives(t *testing.T) {
 	if err := rotateRound(c); err != nil {
 		t.Fatal(err)
 	}
-	sum := func(a, b Record) Record { a.Data[0] += b.Data[0]; return a }
-	if err := c.AggregateByKey(sum); err != nil {
+	if err := ownerRound(c); err != nil {
 		t.Fatal(err)
 	}
-	// 5 distinct point keys + blob.
-	if got := len(mustCollect(t, c)); got != 6 {
+	// 20 point records + blob, all on the one machine.
+	if got := len(mustCollect(t, c)); got != 21 {
 		t.Errorf("%d records after pipeline", got)
 	}
 }

@@ -400,7 +400,6 @@ func TestErrFailedPropagatesThroughEveryPrimitive(t *testing.T) {
 		_ = c.LocalMap(func(m int, local []Record) []Record { panic("poison") })
 		return c
 	}
-	sum := func(a, b Record) Record { return a }
 	ops := []struct {
 		name string
 		run  func(c *Cluster) error
@@ -411,7 +410,6 @@ func TestErrFailedPropagatesThroughEveryPrimitive(t *testing.T) {
 		}},
 		{"Distribute", func(c *Cluster) error { return c.Distribute([]Record{rec("x", 1)}) }},
 		{"Broadcast", func(c *Cluster) error { return c.Broadcast(0, []Record{rec("b", 1)}) }},
-		{"AggregateByKey", func(c *Cluster) error { return c.AggregateByKey(sum) }},
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {

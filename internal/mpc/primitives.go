@@ -1,14 +1,11 @@
-// Shuffle-layer primitives built from Round: broadcast trees and hash
-// aggregation. These are the standard O(1)- or O(log_f M)-round building
-// blocks MPC algorithms assume (Goodrich et al.; Andoni et al.),
-// implemented so that every word they move is metered and capped like any
-// other traffic.
+// Shuffle-layer primitives built on the round engine: broadcast trees and
+// the key owner hash routing sends records to. Broadcast is the standard
+// O(log_f M)-round building block MPC algorithms assume (Goodrich et al.;
+// Andoni et al.), implemented so that every word it moves is metered and
+// capped like any other traffic.
 package mpc
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // Broadcast replicates blob onto every machine, starting from src, using a
 // fan-out tree: in each round every machine already holding the blob
@@ -83,45 +80,14 @@ func (c *Cluster) Broadcast(src int, blob []Record) error {
 	return nil
 }
 
-// hashMachine routes a key to a machine deterministically.
-func hashMachine(key string, machines int) int {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum64() % uint64(machines))
-}
-
-// AggregateByKey combines all records sharing a key into one, wherever
-// they live, in one round: map-side combining first (so each machine sends
-// at most one record per distinct local key), then hash routing, then
-// reduce-side combining. combine must be associative and commutative.
-func (c *Cluster) AggregateByKey(combine func(a, b Record) Record) error {
-	M := c.cfg.Machines
-	err := c.Round(func(m int, local []Record, emit Emit) []Record {
-		for _, r := range combineByKey(local, combine) {
-			emit(hashMachine(r.Key, M), r)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
+// Owner returns the machine that owns key: FNV-64a(key) mod machines.
+// Algorithms route every record of one key to its owner, so that records
+// sharing a key meet on one machine.
+func Owner(key string, machines int) int {
+	var h uint64 = 14695981039346656037
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
 	}
-	return c.LocalMap(func(m int, local []Record) []Record {
-		return combineByKey(local, combine)
-	})
-}
-
-// combineByKey merges records with equal keys using combine, preserving
-// first-occurrence order of keys.
-func combineByKey(recs []Record, combine func(a, b Record) Record) []Record {
-	idx := make(map[string]int, len(recs))
-	out := recs[:0:0]
-	for _, r := range recs {
-		if i, ok := idx[r.Key]; ok {
-			out[i] = combine(out[i], r)
-		} else {
-			idx[r.Key] = len(out)
-			out = append(out, r)
-		}
-	}
-	return out
+	return int(h % uint64(machines))
 }

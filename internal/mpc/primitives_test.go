@@ -3,7 +3,10 @@ package mpc
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"testing"
+
+	"mpctree/internal/rng"
 )
 
 func TestBroadcastReachesAll(t *testing.T) {
@@ -59,73 +62,31 @@ func TestBroadcastFromNonzeroSource(t *testing.T) {
 	}
 }
 
-func TestAggregateByKeySums(t *testing.T) {
-	c := New(Config{Machines: 4, CapWords: 1000})
-	var recs []Record
-	want := map[string]float64{}
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("k%d", i%7)
-		recs = append(recs, rec(k, 1))
-		want[k]++
-	}
-	if err := c.Distribute(recs); err != nil {
-		t.Fatal(err)
-	}
-	sum := func(a, b Record) Record {
-		a.Data[0] += b.Data[0]
-		return a
-	}
-	if err := c.AggregateByKey(sum); err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]float64{}
-	for _, r := range mustCollect(t, c) {
-		if _, dup := got[r.Key]; dup {
-			t.Fatalf("key %q not fully aggregated", r.Key)
+// ownerRound sends every record to the owner of its key.
+func ownerRound(c *Cluster) error {
+	M := c.Machines()
+	return c.Round(func(m int, local []Record, emit Emit) []Record {
+		for _, r := range local {
+			emit(Owner(r.Key, M), r)
 		}
-		got[r.Key] = r.Data[0]
-	}
-	for k, w := range want {
-		if got[k] != w {
-			t.Errorf("key %q: got %v, want %v", k, got[k], w)
-		}
-	}
-}
-
-// Map-side combining must keep AggregateByKey within caps even when one
-// key appears on every machine many times (the hot-edge case of tree
-// assembly): each machine sends one record per distinct key.
-func TestAggregateByKeyHotKeyWithinCap(t *testing.T) {
-	M := 8
-	c := New(Config{Machines: M, CapWords: 64})
-	// 20 copies of the same hot key per machine: raw shuffle would ship
-	// 20·8 = 160 records (480 words) to one machine, over cap. Combined:
-	// 8 records.
-	err := c.LocalMap(func(m int, local []Record) []Record {
-		for i := 0; i < 20; i++ {
-			local = append(local, rec("hot", 1))
-		}
-		return local
+		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := func(a, b Record) Record { a.Data[0] += b.Data[0]; return a }
-	if err := c.AggregateByKey(sum); err != nil {
-		t.Fatal(err)
-	}
-	all := mustCollect(t, c)
-	if len(all) != 1 || all[0].Data[0] != 160 {
-		t.Fatalf("hot key aggregation wrong: %+v", all)
-	}
 }
 
-func TestCombineByKeyOrderStable(t *testing.T) {
-	recs := []Record{rec("b", 1), rec("a", 1), rec("b", 2), rec("c", 1), rec("a", 3)}
-	sum := func(a, b Record) Record { a.Data[0] += b.Data[0]; return a }
-	out := combineByKey(recs, sum)
-	if len(out) != 3 || out[0].Key != "b" || out[0].Data[0] != 3 || out[1].Key != "a" || out[1].Data[0] != 4 {
-		t.Fatalf("combineByKey = %+v", out)
+// Owner is FNV-64a mod M: the hash/fnv function, written out.
+func TestOwnerMatchesFNV(t *testing.T) {
+	r := rng.New(1)
+	for i := 0; i < 2000; i++ {
+		key := make([]byte, r.Intn(40))
+		for j := range key {
+			key[j] = byte(r.Uint64())
+		}
+		M := 1 + r.Intn(64)
+		h := fnv.New64a()
+		h.Write(key)
+		if got, want := Owner(string(key), M), int(h.Sum64()%uint64(M)); got != want {
+			t.Fatalf("Owner(%x, %d) = %d, hash/fnv gives %d", key, M, got, want)
+		}
 	}
 }
 
@@ -140,8 +101,7 @@ func TestPipelineDeterminism(t *testing.T) {
 		if err := c.Distribute(recs); err != nil {
 			t.Fatal(err)
 		}
-		sum := func(a, b Record) Record { a.Data[0] += b.Data[0]; return a }
-		if err := c.AggregateByKey(sum); err != nil {
+		if err := ownerRound(c); err != nil {
 			t.Fatal(err)
 		}
 		if err := rotateRound(c); err != nil {

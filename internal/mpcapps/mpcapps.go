@@ -6,10 +6,11 @@
 // machine retains, per point it owns, the point's full ancestor-hash path
 // (the path(p) tuple of the paper). Because a point knows ALL of its
 // ancestors, per-node aggregates over the hierarchy need no level-by-level
-// tree walk: every point emits one contribution per ancestor, a single
-// AggregateByKey round combines them, and a one-round gather to machine 0
-// finishes — O(1) rounds total regardless of depth, exactly how
-// Corollary 1 piggybacks on Theorem 1.
+// tree walk: every point emits one contribution per ancestor, combined
+// map-side, one round sends them to the owner of their node (mpc.Owner),
+// which combines them, and a one-round gather to machine 0 finishes —
+// O(1) rounds total regardless of depth, exactly how Corollary 1
+// piggybacks on Theorem 1.
 //
 //   - EMD: the optimal transport cost on a tree is
 //     Σ_edges weight·|μ(subtree) − ν(subtree)|; per-node (μ, ν) masses
@@ -68,7 +69,8 @@ const (
 
 // EMD computes the tree Earth-Mover distance between measures mu and nu
 // (indexed by point id, equal totals) in O(1) MPC rounds: ancestor
-// contributions → AggregateByKey → local Σ w·|imbalance| → gather.
+// contributions → one round to each node's owner → local per-node sums
+// and Σ w·|imbalance| → gather.
 func (e *Embedding) EMD(mu, nu []float64) (float64, error) {
 	if len(mu) != e.n || len(nu) != e.n {
 		return 0, errors.New("mpcapps: measure length mismatch")
@@ -122,7 +124,7 @@ func (e *Embedding) EMD(mu, nu []float64) (float64, error) {
 		for _, k := range keys {
 			v := acc[k]
 			nodeKey := fmt.Sprintf("n|%d|%d|%d", k.lev, uint64(k.hi), uint64(k.lo))
-			emit(hashTo(nodeKey, M), mpc.Record{Key: nodeKey, Tag: tagMass, Ints: []int64{int64(k.lev)}, Data: []float64{v[0], v[1]}})
+			emit(mpc.Owner(nodeKey, M), mpc.Record{Key: nodeKey, Tag: tagMass, Ints: []int64{int64(k.lev)}, Data: []float64{v[0], v[1]}})
 		}
 		return local
 	})
@@ -243,7 +245,7 @@ func (e *Embedding) DensestBall(D, beta float64) (BallResult, error) {
 		})
 		for _, k := range ckeys {
 			nodeKey := fmt.Sprintf("c|%d|%d", uint64(k[0]), uint64(k[1]))
-			emit(hashTo(nodeKey, M), mpc.Record{Key: nodeKey, Tag: tagCount, Data: []float64{counts[k]}})
+			emit(mpc.Owner(nodeKey, M), mpc.Record{Key: nodeKey, Tag: tagCount, Data: []float64{counts[k]}})
 		}
 		return local
 	})
@@ -322,13 +324,4 @@ func gatherTotals(c *mpc.Cluster, combine func(acc, v float64) float64) (float64
 		}
 	}
 	return total, found, nil
-}
-
-func hashTo(key string, machines int) int {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(machines))
 }

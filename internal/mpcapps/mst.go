@@ -30,8 +30,8 @@ const tagRep uint8 = 43 // Key parentHash|childHash, Ints [pid]
 // per-node star over child representatives:
 //
 //  1. every point contributes, per ancestor pair (parent, child), a
-//     candidate representative (its own id); AggregateByKey keeps the
-//     minimum per child — 1 round;
+//     candidate representative (its own id), the minimum per child kept
+//     map-side and again on the parent's owner — 1 round;
 //  2. representatives regroup by parent, and each parent's machine emits
 //     the star edges — 1 round;
 //  3. the driver reads the edge list (n−1 edges).
@@ -72,7 +72,7 @@ func (e *Embedding) MST() ([]MSTEdge, error) {
 			}
 		}
 		for key, pid := range best {
-			emit(hashTo(parentPart(key), M), mpc.Record{Key: key, Tag: tagRep, Ints: []int64{pid, int64(lvl[key])}})
+			emit(mpc.Owner(parentPart(key), M), mpc.Record{Key: key, Tag: tagRep, Ints: []int64{pid, int64(lvl[key])}})
 		}
 		return local
 	})

@@ -4,9 +4,10 @@
 // The round structure follows the paper's four steps (dimension reduction,
 // Section 5, happens upstream in the pipeline package):
 //
-//  1. the point-set diameter is computed from per-machine bounding boxes,
-//     merged in one AggregateByKey round (the paper assumes Δ is known; we
-//     compute it for completeness);
+//  1. the point-set diameter is computed from per-machine bounding boxes:
+//     one round sends each machine's box to machine 0, where they are
+//     merged, while every point stays where it was loaded (the paper
+//     assumes Δ is known; we compute it for completeness);
 //  2. one machine draws all U·r·logΔ grids — Lemma 7 sizes U, and Lemma 8's
 //     constraint that the grids fit in one machine's memory is enforced
 //     before a single grid is drawn: if they cannot fit (as with r = 1 ball
@@ -18,10 +19,12 @@
 //     local work: per level and bucket, the first grid whose ball covers
 //     the bucket projection. Cluster identities along the path are chained
 //     128-bit hashes of the per-level, per-bucket ball ids — the path(p)
-//     tuples of Algorithm 2 in a fixed-width encoding;
-//  4. tree edges are deduplicated with one AggregateByKey round and the
-//     driver assembles the weighted tree (Algorithm 2's "T is the union of
-//     the returned T_i").
+//     tuples of Algorithm 2 in a fixed-width encoding. The same round
+//     sends every edge, leaf and path record to the machine that owns its
+//     key (mpc.Owner): it is the shuffle of Algorithm 2's union;
+//  4. each owner drops the duplicate edges it received, locally and with
+//     no further round, and the driver assembles the weighted tree
+//     (Algorithm 2's "T is the union of the returned T_i").
 //
 // Unlike the sequential embedding, paths run the full logΔ levels (no
 // early singleton cut-off), exactly as Algorithm 2 writes path(p); the
@@ -29,12 +32,14 @@
 package mpcembed
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 
 	"mpctree/internal/grid"
@@ -72,8 +77,9 @@ type Options struct {
 	// 0 means 1 (integer-lattice inputs, as Theorem 1 assumes). The
 	// Theorem-1 pipeline passes (1−ξ) after the FJLT.
 	MinDist float64
-	// EmitPaths keeps one TagPath record per point resident on the
-	// machines after embedding: the point's full ancestor-hash path.
+	// EmitPaths keeps one TagPath record per point resident after
+	// embedding, on the machine that owns its key: the point's full
+	// ancestor-hash path.
 	// Downstream O(1)-round applications (mpcapps: EMD, densest ball)
 	// aggregate over these instead of walking the tree level by level.
 	EmitPaths bool
@@ -119,14 +125,29 @@ var ErrGridsDontFit = errors.New("mpcembed: required grids exceed local memory; 
 // rootHash is the chain hash of the root cluster.
 func rootHash() [16]byte { var h [16]byte; return h }
 
-// chainNext extends a cluster chain hash with this level's joined ball id.
+// chainNext extends a cluster chain hash with this level's joined ball id:
+// FNV-128a over prev then levelID, written out high half first, each half
+// big-endian, as hash/fnv's Sum writes it.
 func chainNext(prev [16]byte, levelID []byte) [16]byte {
-	h := fnv.New128a()
-	_, _ = h.Write(prev[:])
-	_, _ = h.Write(levelID)
+	hi, lo := fnv128a(0x6c62272e07bb0142, 0x62b821756295c58d, prev[:])
+	hi, lo = fnv128a(hi, lo, levelID)
 	var out [16]byte
-	copy(out[:], h.Sum(nil))
+	binary.BigEndian.PutUint64(out[:8], hi)
+	binary.BigEndian.PutUint64(out[8:], lo)
 	return out
+}
+
+// fnv128a feeds data into the FNV-128a state (hi, lo). The prime is
+// 2^88 + 0x13b, so the 128-bit product is one 64×64 multiply by 0x13b
+// plus the low half shifted into the high half by 88−64 = 24 bits.
+func fnv128a(hi, lo uint64, data []byte) (uint64, uint64) {
+	for _, c := range data {
+		lo ^= uint64(c)
+		h, l := bits.Mul64(0x13b, lo)
+		hi = h + lo<<24 + 0x13b*hi
+		lo = l
+	}
+	return hi, lo
 }
 
 // plan is the Lemma 7/8 grid plan for one bucket count r.
@@ -260,84 +281,72 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		return nil, nil, err
 	}
 
-	// Step 1: diameter from per-machine bounding boxes.
-	if err := c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
-		lo := make([]float64, d)
-		hi := make([]float64, d)
-		seen := false
+	// Step 1: diameter from per-machine bounding boxes. One round sends
+	// each machine's box — lo in [0, d), hi in [d, 2d) — to machine 0, and
+	// every machine keeps its store. widen grows a box to cover [lo, hi].
+	widen := func(box, lo, hi []float64) {
+		for j := 0; j < d; j++ {
+			if lo[j] < box[j] {
+				box[j] = lo[j]
+			}
+			if hi[j] > box[d+j] {
+				box[d+j] = hi[j]
+			}
+		}
+	}
+	if err := c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
+		var box []float64
 		for _, rec := range local {
 			if rec.Tag != TagPoint {
 				continue
 			}
-			if !seen {
-				copy(lo, rec.Data)
-				copy(hi, rec.Data)
-				seen = true
+			if box == nil {
+				box = append(append(make([]float64, 0, 2*d), rec.Data...), rec.Data...)
 				continue
 			}
-			for j, x := range rec.Data {
-				if x < lo[j] {
-					lo[j] = x
-				}
-				if x > hi[j] {
-					hi[j] = x
-				}
-			}
+			widen(box, rec.Data, rec.Data)
 		}
-		if seen {
-			local = append(local, mpc.Record{Key: "box", Tag: TagBox, Data: append(append([]float64{}, lo...), hi...)})
+		if box != nil {
+			emit(0, mpc.Record{Key: "box", Tag: TagBox, Data: box})
 		}
 		return local
 	}); err != nil {
 		return nil, nil, err
 	}
-	// One AggregateByKey round merges the boxes: they all share the key
-	// "box", so they combine into one record on one machine, while the
-	// unique point keys pass through unmerged.
-	boxCombine := func(a, b mpc.Record) mpc.Record {
-		if a.Tag != TagBox {
-			return b
+	// Machine 0 folds the boxes into the first it received and drops the
+	// rest; the min/max folds are exact, so the order does not change the
+	// diameter.
+	var box []float64
+	if err := c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
+		if m != 0 {
+			return local
 		}
-		if b.Tag != TagBox {
-			return a
-		}
-		for j := 0; j < d; j++ {
-			if b.Data[j] < a.Data[j] {
-				a.Data[j] = b.Data[j]
+		keep := local[:0]
+		for _, rec := range local {
+			if rec.Tag != TagBox {
+				keep = append(keep, rec)
+				continue
 			}
-			if b.Data[d+j] > a.Data[d+j] {
-				a.Data[d+j] = b.Data[d+j]
+			if box == nil {
+				box = rec.Data
+				keep = append(keep, rec)
+				continue
 			}
+			widen(box, rec.Data[:d], rec.Data[d:])
 		}
-		return a
-	}
-	if err := c.AggregateByKey(func(a, b mpc.Record) mpc.Record {
-		if a.Key == "box" {
-			return boxCombine(a, b)
-		}
-		// Point keys are unique; aggregation never merges them.
-		return a
+		clear(local[len(keep):])
+		return keep
 	}); err != nil {
 		return nil, nil, err
 	}
 	var diam float64
-	for m := 0; m < c.Machines(); m++ {
-		recs, err := c.StoreErr(m)
-		if err != nil {
-			// A transport that cannot produce the store is a failed run,
-			// not a zero-diameter input.
-			return nil, nil, err
+	if box != nil {
+		var s float64
+		for j := 0; j < d; j++ {
+			dd := box[d+j] - box[j]
+			s += dd * dd
 		}
-		for _, rec := range recs {
-			if rec.Tag == TagBox {
-				var s float64
-				for j := 0; j < d; j++ {
-					dd := rec.Data[d+j] - rec.Data[j]
-					s += dd * dd
-				}
-				diam = math.Sqrt(s)
-			}
-		}
+		diam = math.Sqrt(s)
 	}
 	if diam == 0 {
 		if n > 1 {
@@ -429,7 +438,9 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	spPaths := beginPhase("root_paths")
 	spPaths.Add("points", int64(n))
 
-	// Step 3: local path computation + edge emission (map-side dedup).
+	// Step 3: local path computation, and the union's shuffle: every edge
+	// (deduplicated map-side), leaf, failure and path record goes to the
+	// machine that owns its key.
 	M := c.Machines()
 	err := c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
 		// Index the grid sets at (lev-1)·r + j; the cell length is per level
@@ -461,13 +472,13 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		// Per-point path computation and emission — the hot loop — in one
 		// serial sweep in store order: each point's path is a pure function
 		// of the grid table and its own coordinates, edges are deduplicated
-		// map-side, and records go out in the order they are computed.
-		// Emitted payloads are sliced out of per-machine chunks; the
-		// receiving stores own them.
+		// map-side, and records go out in the order they are computed, so
+		// every owner receives its path records in the same order at any
+		// GOMAXPROCS. Emitted payloads are sliced out of per-machine
+		// chunks; the receiving stores own them.
 		var intChunk []int64
 		var floatChunk []float64
-		seenEdge := make(map[string]bool)
-		var keepPaths []mpc.Record
+		seenEdge := make(map[[16]byte]struct{})
 		var scratch [16]int64
 		var levelID []byte // reused across points; hashed before reuse
 		var padded vec.Point
@@ -500,13 +511,9 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 						g := grid.Grid{Dim: k, Cell: cell[lev], Shift: set[uu*k : (uu+1)*k]}
 						if idx, in := g.InBall(proj, w, scratch[:0]); in {
 							levelID = append(levelID, byte(j))
-							var ub [8]byte
-							binary.LittleEndian.PutUint64(ub[:], uint64(uu))
-							levelID = append(levelID, ub[:]...)
+							levelID = binary.LittleEndian.AppendUint64(levelID, uint64(uu))
 							for _, v := range idx {
-								var vb [8]byte
-								binary.LittleEndian.PutUint64(vb[:], uint64(v))
-								levelID = append(levelID, vb[:]...)
+								levelID = binary.LittleEndian.AppendUint64(levelID, uint64(v))
 							}
 							covered = true
 							break
@@ -520,16 +527,16 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 					break
 				}
 				next := chainNext(cur, levelID)
-				if !seenEdge[string(next[:])] {
+				if _, seen := seenEdge[next]; !seen {
+					seenEdge[next] = struct{}{}
 					key := string(next[:])
-					seenEdge[key] = true
 					ints := carve(&intChunk, 3, 4*len(points))
 					ints[0] = int64(lev)
 					ints[1] = int64(binary.LittleEndian.Uint64(cur[:8]))
 					ints[2] = int64(binary.LittleEndian.Uint64(cur[8:]))
 					data := carve(&floatChunk, 1, len(points))
 					data[0] = diamFactor * w
-					emit(hashTo(key, M), mpc.Record{
+					emit(mpc.Owner(key, M), mpc.Record{
 						Key:  key,
 						Tag:  TagEdge,
 						Ints: ints,
@@ -544,28 +551,29 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 			}
 			if failLev > 0 {
 				key := fmt.Sprintf("fail|%d|%d|%d", pid, failLev, failBucket)
-				emit(hashTo(key, M), mpc.Record{Key: key, Tag: TagFail, Ints: []int64{int64(pid), int64(failLev), int64(failBucket)}})
+				emit(mpc.Owner(key, M), mpc.Record{Key: key, Tag: TagFail, Ints: []int64{int64(pid), int64(failLev), int64(failBucket)}})
 				continue
 			}
 			if opt.EmitPaths {
-				keepPaths = append(keepPaths, mpc.Record{Key: fmt.Sprintf("path|%d", pid), Tag: TagPath, Ints: pathInts})
+				key := "path|" + strconv.Itoa(pid)
+				emit(mpc.Owner(key, M), mpc.Record{Key: key, Tag: TagPath, Ints: pathInts})
 			}
 			// Terminal leaf edge at level levels+1.
-			leafKey := fmt.Sprintf("leaf|%d", pid)
+			leafKey := "leaf|" + strconv.Itoa(pid)
 			ints := carve(&intChunk, 4, 4*len(points))
 			ints[0], ints[1] = int64(pid), int64(levels+1)
 			ints[2] = int64(binary.LittleEndian.Uint64(cur[:8]))
 			ints[3] = int64(binary.LittleEndian.Uint64(cur[8:]))
 			data := carve(&floatChunk, 1, len(points))
 			data[0] = diamFactor * w
-			emit(hashTo(leafKey, M), mpc.Record{
+			emit(mpc.Owner(leafKey, M), mpc.Record{
 				Key:  leafKey,
 				Tag:  TagLeaf,
 				Ints: ints,
 				Data: data,
 			})
 		}
-		return keepPaths // grids and points are consumed; paths (if requested) stay resident
+		return nil // grids, points and the box are consumed
 	})
 	if err != nil {
 		return nil, info, err
@@ -573,15 +581,33 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	endPhase()
 	beginPhase("tree_build")
 
-	// Step 4: dedup edges across machines.
-	if err := c.AggregateByKey(func(a, b mpc.Record) mpc.Record { return a }); err != nil {
+	// Step 4: the union. Every edge already sits on its owner, so each
+	// owner drops, in place, the duplicates other machines also sent,
+	// keeping the first it received.
+	if err := c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
+		seen := make(map[[16]byte]struct{}, len(local))
+		keep := local[:0]
+		for _, rec := range local {
+			if rec.Tag == TagEdge {
+				var child [16]byte
+				copy(child[:], rec.Key)
+				if _, dup := seen[child]; dup {
+					continue
+				}
+				seen[child] = struct{}{}
+			}
+			keep = append(keep, rec)
+		}
+		clear(local[len(keep):])
+		return keep
+	}); err != nil {
 		return nil, info, err
 	}
 
 	fillMetrics(c, info, baseRounds)
 
 	// Driver-side assembly.
-	t, err := assemble(c, n, levels)
+	t, err := assemble(c, n)
 	if err != nil {
 		return nil, info, err
 	}
@@ -612,63 +638,80 @@ func fillMetrics(c *mpc.Cluster, info *Info, baseRounds int) {
 	info.CommWords = m.CommWords
 }
 
-func hashTo(key string, machines int) int {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum64() % uint64(machines))
+// nodeID is the chain hash a record carries in two ints, each the
+// little-endian reading of one half.
+func nodeID(a, b int64) [16]byte {
+	var id [16]byte
+	binary.LittleEndian.PutUint64(id[:8], uint64(a))
+	binary.LittleEndian.PutUint64(id[8:], uint64(b))
+	return id
 }
 
-// assemble reads the deduplicated edge and leaf records off the cluster
-// and builds the hst.Tree.
-func assemble(c *mpc.Cluster, n, levels int) (*hst.Tree, error) {
+// assemble reads the deduplicated edge and leaf records off the cluster,
+// machine by machine, and builds the hst.Tree. Nodes are numbered in
+// (level, child id) order, ids compared bytewise.
+func assemble(c *mpc.Cluster, n int) (*hst.Tree, error) {
 	type edge struct {
-		child  string
-		parent string
-		level  int
-		weight float64
+		child, parent [16]byte
+		level         int
+		weight        float64
 	}
-	var edges []edge
 	type leafRec struct {
-		point  int
-		level  int
-		parent string
-		weight float64
+		parent       [16]byte
+		point, level int
+		weight       float64
 	}
-	var leaves []leafRec
-	recs, err := c.Collect()
-	if err != nil {
-		return nil, err
+	// The resident state after a fault is not trustworthy output.
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", mpc.ErrFailed, err)
 	}
-	for _, rec := range recs {
-		switch rec.Tag {
-		case TagFail:
-			return nil, fmt.Errorf("%w (point %d, level %d, bucket %d)", ErrCoverage, rec.Ints[0], rec.Ints[1], rec.Ints[2])
-		case TagEdge:
-			var parent [16]byte
-			binary.LittleEndian.PutUint64(parent[:8], uint64(rec.Ints[1]))
-			binary.LittleEndian.PutUint64(parent[8:], uint64(rec.Ints[2]))
-			edges = append(edges, edge{child: rec.Key, parent: string(parent[:]), level: int(rec.Ints[0]), weight: rec.Data[0]})
-		case TagLeaf:
-			var parent [16]byte
-			binary.LittleEndian.PutUint64(parent[:8], uint64(rec.Ints[2]))
-			binary.LittleEndian.PutUint64(parent[8:], uint64(rec.Ints[3]))
-			leaves = append(leaves, leafRec{point: int(rec.Ints[0]), level: int(rec.Ints[1]), parent: string(parent[:]), weight: rec.Data[0]})
+	// One pass fails fast on a coverage failure and counts the edges, so
+	// the second fills slices allocated once.
+	stores := make([][]mpc.Record, c.Machines())
+	nEdges := 0
+	for m := range stores {
+		recs, err := c.StoreErr(m)
+		if err != nil {
+			return nil, err
+		}
+		stores[m] = recs
+		for _, rec := range recs {
+			switch rec.Tag {
+			case TagFail:
+				return nil, fmt.Errorf("%w (point %d, level %d, bucket %d)", ErrCoverage, rec.Ints[0], rec.Ints[1], rec.Ints[2])
+			case TagEdge:
+				nEdges++
+			}
+		}
+	}
+	edges := make([]edge, 0, nEdges)
+	leaves := make([]leafRec, 0, n)
+	for _, recs := range stores {
+		for _, rec := range recs {
+			switch rec.Tag {
+			case TagEdge:
+				e := edge{parent: nodeID(rec.Ints[1], rec.Ints[2]), level: int(rec.Ints[0]), weight: rec.Data[0]}
+				copy(e.child[:], rec.Key)
+				edges = append(edges, e)
+			case TagLeaf:
+				leaves = append(leaves, leafRec{parent: nodeID(rec.Ints[2], rec.Ints[3]), point: int(rec.Ints[0]), level: int(rec.Ints[1]), weight: rec.Data[0]})
+			}
 		}
 	}
 	if len(leaves) != n {
 		return nil, fmt.Errorf("mpcembed: %d leaf records for %d points", len(leaves), n)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].level != edges[j].level {
-			return edges[i].level < edges[j].level
+	slices.SortFunc(edges, func(a, b edge) int {
+		if a.level != b.level {
+			return cmp.Compare(a.level, b.level)
 		}
-		return edges[i].child < edges[j].child
+		return bytes.Compare(a.child[:], b.child[:])
 	})
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i].point < leaves[j].point })
+	slices.SortFunc(leaves, func(a, b leafRec) int { return cmp.Compare(a.point, b.point) })
 
 	b := hst.NewBuilder(n)
-	rh := rootHash()
-	nodeOf := map[string]int{string(rh[:]): b.Root()}
+	nodeOf := make(map[[16]byte]int, len(edges)+1)
+	nodeOf[rootHash()] = b.Root()
 	for _, e := range edges {
 		parent, ok := nodeOf[e.parent]
 		if !ok {

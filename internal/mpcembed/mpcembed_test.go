@@ -1,11 +1,14 @@
 package mpcembed
 
 import (
+	"bytes"
 	"errors"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"mpctree/internal/mpc"
+	"mpctree/internal/obs"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
@@ -349,5 +352,89 @@ func TestMissingGridFailsRound(t *testing.T) {
 				t.Fatalf("embed with grid set %s on machine 1: %v", tc.name, err)
 			}
 		})
+	}
+}
+
+// chainNext is FNV-128a written out: it must equal hash/fnv over the
+// previous id and the level id, byte for byte.
+func TestChainNextMatchesFNV128a(t *testing.T) {
+	r := rng.New(17)
+	for trial := 0; trial < 2000; trial++ {
+		var prev [16]byte
+		for i := range prev {
+			prev[i] = byte(r.Uint64())
+		}
+		levelID := make([]byte, r.Intn(120))
+		for i := range levelID {
+			levelID[i] = byte(r.Uint64())
+		}
+		h := fnv.New128a()
+		h.Write(prev[:])
+		h.Write(levelID)
+		if got, want := chainNext(prev, levelID), h.Sum(nil); !bytes.Equal(got[:], want) {
+			t.Fatalf("chainNext(%x, %x) = %x, hash/fnv gives %x", prev, levelID, got, want)
+		}
+	}
+}
+
+// The union costs no round: root_paths sends every edge, leaf and path
+// record to the owner of its key, each owner drops its duplicate edges in
+// place, and the tree_build phase moves nothing.
+func TestUnionRecordsOnTheirOwners(t *testing.T) {
+	pts := latticePts(t, 21, 300, 4, 256)
+	const machines = 5
+	c := bigCluster(machines)
+	root := obs.NewSpan("embed")
+	tr, info, err := Embed(c, pts, Options{R: 2, Seed: 8, EmitPaths: true, Span: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := map[string]bool{}
+	paths := 0
+	for m := 0; m < machines; m++ {
+		for _, rec := range c.Store(m) {
+			switch rec.Tag {
+			case TagEdge, TagLeaf, TagPath:
+				if owner := mpc.Owner(rec.Key, machines); owner != m {
+					t.Fatalf("record %q (tag %d) on machine %d, owner %d", rec.Key, rec.Tag, m, owner)
+				}
+			}
+			switch rec.Tag {
+			case TagEdge:
+				if edges[rec.Key] {
+					t.Fatalf("edge %x resident twice", rec.Key)
+				}
+				edges[rec.Key] = true
+			case TagPath:
+				paths++
+			}
+		}
+	}
+	// One resident edge per internal node: every node but the root and
+	// the n leaves.
+	if want := tr.NumNodes() - 1 - len(pts); len(edges) != want {
+		t.Errorf("%d resident edges, tree has %d internal nodes", len(edges), want)
+	}
+	if paths != len(pts) {
+		t.Errorf("%d resident paths for %d points", paths, len(pts))
+	}
+	var build *obs.SpanSnapshot
+	var rounds int64
+	for _, ph := range root.Snapshot().Children {
+		rounds += ph.Metrics["rounds"]
+		if ph.Name == "tree_build" {
+			build = ph
+		}
+	}
+	if build == nil {
+		t.Fatal("no tree_build span")
+	}
+	for _, key := range []string{"rounds", "comm_words"} {
+		if v, ok := build.Metrics[key]; !ok || v != 0 {
+			t.Errorf("tree_build %s = %d (recorded %v), want 0", key, v, ok)
+		}
+	}
+	if rounds != int64(info.Rounds) {
+		t.Errorf("phase spans carry %d rounds, Info.Rounds = %d", rounds, info.Rounds)
 	}
 }

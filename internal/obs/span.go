@@ -6,8 +6,8 @@
 //	├─ jl_projection        (Algorithm 3: MPC FJLT)
 //	└─ tree_embed           (Algorithm 2)
 //	   ├─ grid_construction (lines 1–3: diameter, grid draw, broadcast)
-//	   ├─ root_paths        (lines 4–6: per-point path computation)
-//	   └─ tree_build        (edge dedup, driver assembly, compress)
+//	   ├─ root_paths        (lines 4–6: per-point paths, sent to key owners)
+//	   └─ tree_build        (owner-side edge dedup, driver assembly)
 //
 // Each span records wall nanoseconds, heap bytes allocated while it was
 // open (process-wide cumulative allocation delta — attribution is
