@@ -67,16 +67,13 @@ type PipelineOptions struct {
 	Quality *quality.Collector
 }
 
-// PipelineInfo aggregates accounting across both stages.
+// PipelineInfo aggregates accounting across both stages; the cluster's
+// round, space and communication meters are c.Metrics().
 type PipelineInfo struct {
-	UsedFJLT    bool
-	FJLTParams  fjlt.Params
-	FJLTRounds  int
-	EmbedInfo   *mpcembed.Info
-	TotalRounds int
-	PeakLocal   int
-	TotalSpace  int
-	CommWords   int
+	UsedFJLT   bool
+	FJLTParams fjlt.Params
+	FJLTRounds int
+	EmbedInfo  *mpcembed.Info
 
 	// Degraded reports that the FJLT stage exhausted its retries and the
 	// pipeline fell back to embedding the original, un-reduced points
@@ -228,11 +225,6 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 		return nil
 	})
 	info.EmbedInfo = einfo
-	m := c.Metrics()
-	info.TotalRounds = m.Rounds
-	info.PeakLocal = m.MaxLocalWords
-	info.TotalSpace = m.TotalSpace
-	info.CommWords = m.CommWords
 	fillRecovery()
 	if err != nil {
 		return nil, info, err

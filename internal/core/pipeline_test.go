@@ -49,8 +49,8 @@ func TestPipelineHighDimensional(t *testing.T) {
 	if violations > 0 {
 		t.Errorf("%d/%d pairs violate domination after rescale", violations, pairs)
 	}
-	if info.TotalRounds > 24 {
-		t.Errorf("pipeline took %d rounds", info.TotalRounds)
+	if rounds := c.Metrics().Rounds; rounds > 24 {
+		t.Errorf("pipeline took %d rounds", rounds)
 	}
 }
 
@@ -81,12 +81,12 @@ func TestPipelineRoundsBounded(t *testing.T) {
 	for _, n := range []int{24, 96} {
 		pts := latticePts(t, 4, n, 300, 32)
 		c := pipelineCluster()
-		_, info, err := EmbedPipeline(c, pts, pipelineOpts(7))
+		_, _, err := EmbedPipeline(c, pts, pipelineOpts(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.TotalRounds > 24 {
-			t.Errorf("n=%d: pipeline took %d rounds", n, info.TotalRounds)
+		if rounds := c.Metrics().Rounds; rounds > 24 {
+			t.Errorf("n=%d: pipeline took %d rounds", n, rounds)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"mpctree/internal/core"
+	"mpctree/internal/hst"
 	"mpctree/internal/mpc"
 	"mpctree/internal/mpcembed"
 	"mpctree/internal/rng"
@@ -11,14 +13,17 @@ import (
 	"mpctree/internal/workload"
 )
 
+// buildEmbedding runs the Theorem-1 pipeline with paths kept. The inputs
+// here have d < k, so the FJLT is skipped and the tree is Algorithm 2's
+// with R=2 and the given seed.
 func buildEmbedding(t testing.TB, pts []vec.Point, machines int, seed uint64) *Embedding {
 	t.Helper()
 	c := mpc.New(mpc.Config{Machines: machines, CapWords: 1 << 22})
-	e, err := Embed(c, pts, mpcembed.Options{R: 2, Seed: seed})
+	tree, _, err := core.EmbedPipeline(c, pts, core.PipelineOptions{Embed: mpcembed.Options{R: 2, Seed: seed, EmitPaths: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return New(c, tree, nil)
 }
 
 // The distributed EMD must equal the driver-side tree EMD exactly (same
@@ -143,26 +148,27 @@ func TestMPCDensestBall(t *testing.T) {
 	if res.Count < 15 {
 		t.Errorf("planted cluster missed: count %d", res.Count)
 	}
-	if res.Level < 1 || res.Level > e.Info.Levels {
+	if res.Level < 1 || res.Level > e.levels {
 		t.Errorf("bad level %d", res.Level)
 	}
 	// Cross-check against driver-side counts at the same level.
-	counts := e.Tree.SubtreeCounts()
-	best := 0
-	for v, nd := range e.Tree.Nodes {
-		if nd.Level == res.Level && nd.Point < 0 {
-			if counts[v] > best {
-				best = counts[v]
-			}
-		}
-	}
-	// Leaves at that level count as singleton clusters too.
-	if best == 0 {
-		best = 1
-	}
-	if res.Count != best {
+	if best := driverMaxCount(e.Tree, res.Level); res.Count != best {
 		t.Errorf("MPC count %d != driver-side max %d at level %d", res.Count, best, res.Level)
 	}
+}
+
+// driverMaxCount is the densest ball's driver-side answer: the largest
+// leaf count under one internal node at level lev; leaves at that level
+// count as singleton clusters.
+func driverMaxCount(tree *hst.Tree, lev int) int {
+	counts := tree.SubtreeCounts()
+	best := 0
+	for v, nd := range tree.Nodes {
+		if nd.Level == lev && nd.Point < 0 && counts[v] > best {
+			best = counts[v]
+		}
+	}
+	return max(best, 1)
 }
 
 func TestMPCDensestBallValidation(t *testing.T) {
@@ -292,5 +298,71 @@ func TestMPCMSTConstantRoundsAndRepeatable(t *testing.T) {
 	mu[0], nu[1] = 1, 1
 	if _, err := e.EMD(mu, nu); err != nil {
 		t.Fatalf("EMD after MST failed: %v", err)
+	}
+}
+
+// On a tree the FJLT reduced, the queries read the tree's own weights,
+// the 1/(1−ξ) rescale included, so every answer agrees with the
+// driver-side one on the same tree.
+func TestMPCQueriesOnFJLTTree(t *testing.T) {
+	pts := workload.UniformLattice(2, 64, 200, 128)
+	c := mpc.New(mpc.Config{Machines: 8, CapWords: 1 << 22})
+	tree, info, err := core.EmbedPipeline(c, pts, core.PipelineOptions{Seed: 9, Embed: mpcembed.Options{EmitPaths: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.UsedFJLT {
+		t.Fatal("FJLT skipped at d=200")
+	}
+	e := New(c, tree, nil)
+	n := len(pts)
+	mu := make([]float64, n)
+	nu := make([]float64, n)
+	r := rng.New(4)
+	for i := range mu {
+		mu[i], nu[i] = r.Float64(), r.Float64()
+	}
+	sm, sn := 0.0, 0.0
+	for i := range mu {
+		sm += mu[i]
+		sn += nu[i]
+	}
+	for i := range mu {
+		mu[i] /= sm
+		nu[i] /= sn
+	}
+	got, err := e.EMD(mu, nu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tree.EMD(mu, nu); math.Abs(got-want) > 1e-9*(1+want) {
+		t.Errorf("MPC EMD %v != tree EMD %v", got, want)
+	}
+	edges, err := e.MST()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := 0.0
+	for _, ed := range edges {
+		d := tree.Dist(ed.A, ed.B)
+		if math.Abs(ed.Weight-d) > 1e-9*(1+d) {
+			t.Fatalf("edge (%d,%d) weight %v != tree distance %v", ed.A, ed.B, ed.Weight, d)
+		}
+		cost += ed.Weight
+	}
+	if want := tree.MSTCost(); math.Abs(cost-want) > 1e-9*(1+want) {
+		t.Errorf("MPC MST cost %v != tree MST cost %v", cost, want)
+	}
+	ball, err := e.DensestBall(8, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best := driverMaxCount(tree, ball.Level); ball.Count != best {
+		t.Errorf("MPC count %d != driver-side max %d at level %d", ball.Count, best, ball.Level)
+	}
+	for _, nd := range tree.Nodes {
+		if nd.Level == ball.Level && ball.DiameterBound != 2*nd.Weight {
+			t.Fatalf("diameter bound %v, but level-%d edges weigh %v", ball.DiameterBound, ball.Level, nd.Weight)
+		}
 	}
 }

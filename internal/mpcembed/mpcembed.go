@@ -80,7 +80,7 @@ type Options struct {
 	// EmitPaths keeps one TagPath record per point resident after
 	// embedding, on the machine that owns its key: the point's full
 	// ancestor-hash path.
-	// Downstream O(1)-round applications (mpcapps: EMD, densest ball)
+	// Downstream O(1)-round applications (mpcapps: EMD, MST, densest ball)
 	// aggregate over these instead of walking the tree level by level.
 	EmitPaths bool
 	// Seed drives all randomness.

@@ -27,7 +27,8 @@
 //	})
 //
 // Downstream applications from Corollary 1 — approximate minimum spanning
-// tree, Earth-Mover distance, and densest ball — are in apps.go.
+// tree, Earth-Mover distance, and densest ball — are in apps.go;
+// NewDistributedEmbedding runs them as O(1)-round queries on the cluster.
 package mpctree
 
 import (
@@ -147,13 +148,13 @@ type MPCInfo struct {
 	RoundTrace []RoundStat
 }
 
-// newMPCCluster builds the cluster an MPC entry point runs on: resolves
-// the machine count (Transport's count when one is supplied and Machines
-// is unset; 8 otherwise) and the memory cap (FullyScalableCap when
-// unset), routes the record plane through opt.Transport when given, and
-// applies the fault/obs/trace options.
-func newMPCCluster(pts []Point, opt MPCOptions) (cluster *mpc.Cluster, machines, capWords int) {
-	machines = opt.Machines
+// embedMPC is what EmbedMPC and NewDistributedEmbedding run: it builds the
+// cluster (Transport's machine count when Machines is unset and Transport
+// is given, else 8; FullyScalableCap when CapWords is unset) with the
+// fault/obs/trace options, merges opt into the pipeline options and runs
+// the Theorem-1 pipeline.
+func embedMPC(pts []Point, opt MPCOptions) (*mpc.Cluster, *Tree, *MPCInfo, error) {
+	machines := opt.Machines
 	if machines == 0 {
 		if opt.Transport != nil {
 			machines = opt.Transport.Machines()
@@ -161,7 +162,7 @@ func newMPCCluster(pts []Point, opt MPCOptions) (cluster *mpc.Cluster, machines,
 			machines = 8
 		}
 	}
-	capWords = opt.CapWords
+	capWords := opt.CapWords
 	if capWords == 0 {
 		n := len(pts)
 		d := 1
@@ -175,6 +176,7 @@ func newMPCCluster(pts []Point, opt MPCOptions) (cluster *mpc.Cluster, machines,
 		capWords = mpc.FullyScalableCap(n, d, eps, 256)
 	}
 	cfg := mpc.Config{Machines: machines, CapWords: capWords}
+	var cluster *mpc.Cluster
 	if opt.Transport != nil {
 		cluster = mpc.NewWithTransport(cfg, opt.Transport)
 	} else {
@@ -189,14 +191,6 @@ func newMPCCluster(pts []Point, opt MPCOptions) (cluster *mpc.Cluster, machines,
 	if opt.Trace {
 		cluster.EnableTrace()
 	}
-	return cluster, machines, capWords
-}
-
-// EmbedMPC runs the full Theorem-1 pipeline — MPC Fast Johnson–
-// Lindenstrauss dimension reduction followed by MPC hybrid partitioning —
-// on a freshly simulated cluster and returns the tree plus accounting.
-func EmbedMPC(pts []Point, opt MPCOptions) (*Tree, *MPCInfo, error) {
-	cluster, machines, capWords := newMPCCluster(pts, opt)
 	popt := opt.Pipeline
 	if opt.Seed != 0 {
 		popt.Seed = opt.Seed
@@ -217,10 +211,15 @@ func EmbedMPC(pts []Point, opt MPCOptions) (*Tree, *MPCInfo, error) {
 	opt.Span.Add("comm_words", int64(m.CommWords))
 	opt.Span.Add("peak_local_words", int64(m.MaxLocalWords))
 	opt.Span.Add("total_space_words", int64(m.TotalSpace))
-	if err != nil {
-		return nil, info, err
-	}
-	return tree, info, nil
+	return cluster, tree, info, err
+}
+
+// EmbedMPC runs the full Theorem-1 pipeline — MPC Fast Johnson–
+// Lindenstrauss dimension reduction followed by MPC hybrid partitioning —
+// on a freshly simulated cluster and returns the tree plus accounting.
+func EmbedMPC(pts []Point, opt MPCOptions) (*Tree, *MPCInfo, error) {
+	_, tree, info, err := embedMPC(pts, opt)
+	return tree, info, err
 }
 
 // Embedder is a persistent embedding index: beyond the tree it retains
@@ -236,24 +235,27 @@ func NewEmbedder(pts []Point, opt Options) (*Embedder, error) {
 	return core.NewEmbedder(pts, opt)
 }
 
-// DistributedEmbedding is an Algorithm-2 embedding that stays resident on
-// the simulated cluster: per-point path records enable O(1)-round EMD and
+// DistributedEmbedding is a Theorem-1 embedding resident on the simulated
+// cluster: per-point path records enable O(1)-round EMD, MST and
 // densest-ball queries (Corollary 1 in its genuinely distributed form).
 type DistributedEmbedding = mpcapps.Embedding
 
-// NewDistributedEmbedding runs Algorithm 2 on a fresh cluster, keeping
-// the path records resident for subsequent constant-round queries via the
-// returned embedding's EMD and DensestBall methods.
+// NewDistributedEmbedding runs EmbedMPC's pipeline with the path records
+// kept resident, so its tree is EmbedMPC's for the same options, ready for
+// the constant-round EMD, MST and DensestBall queries. With
+// Pipeline.Resilient each query, like each stage, runs under the retry
+// driver with Pipeline.Retry.
 func NewDistributedEmbedding(pts []Point, opt MPCOptions) (*DistributedEmbedding, error) {
-	cluster, _, _ := newMPCCluster(pts, opt)
-	eo := opt.Pipeline.Embed
-	if opt.Seed != 0 {
-		eo.Seed = opt.Seed
+	opt.Pipeline.Embed.EmitPaths = true
+	cluster, tree, _, err := embedMPC(pts, opt)
+	if err != nil {
+		return nil, err
 	}
-	if opt.Span != nil {
-		eo.Span = opt.Span
+	var retry *RetryOptions
+	if opt.Pipeline.Resilient {
+		retry = &opt.Pipeline.Retry
 	}
-	return mpcapps.Embed(cluster, pts, eo)
+	return mpcapps.New(cluster, tree, retry), nil
 }
 
 // MPCEmbedOptions tunes the Algorithm-2 stage directly.

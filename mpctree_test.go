@@ -1,8 +1,10 @@
 package mpctree
 
 import (
+	"math"
 	"testing"
 
+	"mpctree/internal/mpcapps"
 	"mpctree/internal/workload"
 )
 
@@ -133,7 +135,9 @@ func TestFacadeDistributedEmbedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := e.Tree.EMD(mu, nu); got != want {
+	// The distributed EMD adds the tree EMD's terms in another order, so
+	// the two agree to rounding, not bit for bit.
+	if want := e.Tree.EMD(mu, nu); math.Abs(got-want) > 1e-9*(1+want) {
 		t.Fatalf("distributed EMD %v != tree EMD %v", got, want)
 	}
 	db, err := e.DensestBall(8, 64)
@@ -142,5 +146,119 @@ func TestFacadeDistributedEmbedding(t *testing.T) {
 	}
 	if db.Count < 1 {
 		t.Error("densest ball found nothing")
+	}
+}
+
+// distributedAnswers runs the three Corollary-1 queries on e.
+func distributedAnswers(t *testing.T, e *DistributedEmbedding) (emd, mst float64, ball mpcapps.BallResult) {
+	t.Helper()
+	n := e.Tree.NumPoints()
+	mu := make([]float64, n)
+	nu := make([]float64, n)
+	for i := 0; i < n/2; i++ {
+		mu[i] = 1
+		nu[n-1-i] = 1
+	}
+	emd, err := e.EMD(mu, nu)
+	if err != nil {
+		t.Fatalf("EMD: %v", err)
+	}
+	if mst, err = e.MSTCost(); err != nil {
+		t.Fatalf("MST: %v", err)
+	}
+	if ball, err = e.DensestBall(8, 64); err != nil {
+		t.Fatalf("densest ball: %v", err)
+	}
+	return emd, mst, ball
+}
+
+// NewDistributedEmbedding runs EmbedMPC's pipeline, so its tree is
+// EmbedMPC's byte for byte: where the FJLT runs (d ≫ log n) and where it
+// is skipped (d < k). The first row is build-highdim's input at the CLIs'
+// cap: Algorithm 2 on the raw points would need r=1024 and more grid
+// words than the cap, so it embeds only after the FJLT.
+func TestDistributedEmbeddingIsEmbedMPCTree(t *testing.T) {
+	for _, tc := range []struct {
+		lattice, seed uint64
+		n, d, delta   int
+		wantFJLT      bool
+	}{
+		{lattice: 1, seed: 5, n: 256, d: 1024, delta: 1024, wantFJLT: true},
+		{lattice: 3, seed: 11, n: 64, d: 200, delta: 128, wantFJLT: true},
+		{lattice: 4, seed: 11, n: 96, d: 4, delta: 64, wantFJLT: false},
+	} {
+		pts := workload.UniformLattice(tc.lattice, tc.n, tc.d, tc.delta)
+		opt := MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: tc.seed}
+		tree, info, err := EmbedMPC(pts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.UsedFJLT != tc.wantFJLT {
+			t.Fatalf("d=%d: UsedFJLT = %v, want %v", tc.d, info.UsedFJLT, tc.wantFJLT)
+		}
+		e, err := NewDistributedEmbedding(pts, opt)
+		if err != nil {
+			t.Fatalf("d=%d: %v", tc.d, err)
+		}
+		if got, want := treeHash(t, e.Tree), treeHash(t, tree); got != want {
+			t.Errorf("d=%d: distributed tree %s, EmbedMPC tree %s", tc.d, got, want)
+		}
+	}
+}
+
+// With Pipeline.Resilient, the distributed build recovers from injected
+// faults as EmbedMPC's does, to the fault-free tree.
+func TestDistributedEmbeddingResilientBuild(t *testing.T) {
+	pts := workload.UniformLattice(2, 64, 8, 64)
+	opt := MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 7, Pipeline: PipelineOptions{Resilient: true}}
+	clean, err := NewDistributedEmbedding(pts, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Faults = UniformFaults(3, 0.05)
+	e, err := NewDistributedEmbedding(pts, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Cluster.FaultStats().Injected() == 0 {
+		t.Fatal("no fault injected; the test covers nothing")
+	}
+	if got, want := treeHash(t, e.Tree), treeHash(t, clean.Tree); got != want {
+		t.Errorf("recovered tree %s, fault-free tree %s", got, want)
+	}
+}
+
+// Under Faults and Resilient, every query runs under the retry driver: the
+// tree and the EMD, MST and densest-ball answers equal the fault-free
+// run's bit for bit, and some seed injects a fault during the queries.
+func TestDistributedQueriesRetryUnderFaults(t *testing.T) {
+	pts := workload.UniformLattice(2, 64, 200, 128)
+	opt := MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 9, Pipeline: PipelineOptions{
+		Resilient: true, Retry: RetryOptions{MaxRetries: 40},
+	}}
+	clean, err := NewDistributedEmbedding(pts, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEMD, wantMST, wantBall := distributedAnswers(t, clean)
+	queryFaults := 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		opt.Faults = UniformFaults(seed, 0.05)
+		e, err := NewDistributedEmbedding(pts, opt)
+		if err != nil {
+			t.Fatalf("fault seed %d: %v", seed, err)
+		}
+		if got, want := treeHash(t, e.Tree), treeHash(t, clean.Tree); got != want {
+			t.Errorf("fault seed %d: tree %s, fault-free %s", seed, got, want)
+		}
+		before := e.Cluster.FaultStats().Injected()
+		emd, mst, ball := distributedAnswers(t, e)
+		queryFaults += e.Cluster.FaultStats().Injected() - before
+		if emd != wantEMD || mst != wantMST || ball != wantBall {
+			t.Errorf("fault seed %d: answers (%v, %v, %+v), fault-free (%v, %v, %+v)", seed, emd, mst, ball, wantEMD, wantMST, wantBall)
+		}
+	}
+	if queryFaults == 0 {
+		t.Fatal("no fault injected during a query; the retry path went untested")
 	}
 }
