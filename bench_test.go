@@ -68,7 +68,7 @@ func BenchmarkEmbedMPCPipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := EmbedMPC(pts, MPCOptions{
 			Machines: 8, CapWords: 1 << 22, Seed: uint64(i) + 1,
-			Pipeline: PipelineTuning(0.3, 1),
+			Xi: 0.3, CK: 1,
 		}); err != nil {
 			b.Fatal(err)
 		}

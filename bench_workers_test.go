@@ -75,7 +75,7 @@ func BenchmarkEmbedPipelineWorkers(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, _, err := EmbedMPC(pts, MPCOptions{
 				Machines: 8, CapWords: 1 << 22, Seed: benchSeeds[i%len(benchSeeds)],
-				Pipeline: PipelineTuning(0.3, 1),
+				Xi: 0.3, CK: 1,
 			})
 			if err != nil {
 				b.Fatal(err)

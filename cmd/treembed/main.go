@@ -168,7 +168,7 @@ func main() {
 			defer tr.Close()
 			netTransport = tr
 			mopt.Transport = tr
-			mopt.Pipeline.Resilient = true
+			mopt.Resilient = true
 			if reg != nil {
 				tr.Instrument(reg)
 			}
@@ -202,12 +202,11 @@ func main() {
 				fs = *seed ^ 0xC4A05
 			}
 			mopt.Faults = mpctree.UniformFaults(fs, *faults)
-			mopt.Pipeline.Resilient = true
-			budget := *maxRetries
-			if budget == 0 {
-				budget = 40 // five fault classes compound; the driver's default 3 is for single-digit rates
+			mopt.Resilient = true
+			mopt.MaxRetries = *maxRetries
+			if mopt.MaxRetries == 0 {
+				mopt.MaxRetries = 40 // five fault classes compound; the driver's default 3 is for single-digit rates
 			}
-			mopt.Pipeline.Retry = mpctree.RetryOptions{MaxRetries: budget}
 		}
 		tree, info, err := mpctree.EmbedMPC(pts, mopt)
 		if err != nil {

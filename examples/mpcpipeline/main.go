@@ -27,7 +27,8 @@ func main() {
 		Machines: 16,
 		CapWords: 1 << 22,
 		Seed:     11,
-		Pipeline: mpctree.PipelineTuning(0.3, 1),
+		Xi:       0.3,
+		CK:       1,
 	})
 	if err != nil {
 		log.Fatal(err)

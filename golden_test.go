@@ -60,7 +60,7 @@ func TestGoldenPipeline(t *testing.T) {
 		pts := workload.UniformLattice(5, 48, 96, 512)
 		tr, _, err := EmbedMPC(pts, MPCOptions{
 			Machines: 8, CapWords: 1 << 22, Seed: seed,
-			Pipeline: PipelineTuning(0.3, 1),
+			Xi: 0.3, CK: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"mpctree/internal/fjlt"
 	"mpctree/internal/mpc"
 	"mpctree/internal/workload"
 )
@@ -44,7 +43,7 @@ func TestEmbedPipelineAllocCeiling(t *testing.T) {
 		t.Skip("alloc accounting under -short")
 	}
 	pts := latticePts(t, 1, 48, 300, 32) // d=300 ≫ k: the FJLT stage engages
-	opt := PipelineOptions{Xi: 0.3, FJLT: fjlt.Options{CK: 1}, Seed: 3}
+	opt := PipelineOptions{Xi: 0.3, CK: 1, Seed: 3}
 	allocs := testing.AllocsPerRun(3, func() {
 		c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 22})
 		if _, _, err := EmbedPipeline(c, pts, opt); err != nil {

@@ -134,25 +134,6 @@ func TestChaosDegradedFallback(t *testing.T) {
 	checkDomination(t, tree, pts)
 }
 
-// NoDegrade turns the same exhaustion into a hard error.
-func TestChaosNoDegradeFailsHard(t *testing.T) {
-	pts := latticePts(t, 2, 32, 300, 32)
-	opts := pipelineOpts(5)
-	opts.Resilient = true
-	opts.NoDegrade = true
-	opts.Retry = resilient.Options{MaxRetries: 2, Seed: 42}
-
-	c := pipelineCluster()
-	c.InjectFaults(&mpc.FaultPlan{Seed: 7, Transient: 1, MaxFaults: 3})
-	_, info, err := EmbedPipeline(c, pts, opts)
-	if !errors.Is(err, resilient.ErrExhausted) {
-		t.Fatalf("err = %v, want ErrExhausted", err)
-	}
-	if info == nil || info.Degraded {
-		t.Errorf("info wrong on hard failure: %+v", info)
-	}
-}
-
 // A non-resilient pipeline on a faulty cluster fails with the injected
 // error class — no silent partial results.
 func TestChaosWithoutResilienceFailsLoudly(t *testing.T) {

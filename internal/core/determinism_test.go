@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"mpctree/internal/fjlt"
 	"mpctree/internal/mpc"
 	"mpctree/internal/workload"
 )
@@ -56,7 +55,7 @@ func TestEmbedPipelineWorkerInvariant(t *testing.T) {
 		c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 22})
 		tree, _, err := EmbedPipeline(c, pts, PipelineOptions{
 			Xi:   0.3,
-			FJLT: fjlt.Options{CK: 1},
+			CK:   1,
 			Seed: 87,
 		})
 		if err != nil {

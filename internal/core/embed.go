@@ -22,7 +22,6 @@ import (
 	"mpctree/internal/grid"
 	"mpctree/internal/hst"
 	"mpctree/internal/partition"
-	"mpctree/internal/quality"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
@@ -76,14 +75,6 @@ type Options struct {
 	// Seed drives all randomness. Runs with equal options and seed are
 	// bit-identical.
 	Seed uint64
-
-	// Quality, if non-nil, receives the per-level Lemma-1 observables
-	// (separation events, same-part diameters) for the collector's seeded
-	// pair sample, measured against each level's flat partition as it is
-	// built. Observational only: the pair sample draws from the
-	// collector's own seed, never from the embedding RNG, so the tree is
-	// bit-identical with or without it.
-	Quality *quality.Collector
 }
 
 // Info reports what an embedding run did — the quantities the paper's
@@ -278,23 +269,6 @@ func build(pts []vec.Point, opt Options) (*hierarchy, *Info, error) {
 	// encoding. Points share a level-i cluster iff keys are equal.
 	clusterKey := make([]string, n)
 
-	// Quality instrumentation state: a seeded pair sample walked through
-	// the levels alongside the points. Two points still together share
-	// the whole id chain, so comparing this level's flat ids decides
-	// separation; both members of a together pair are in a ≥2-point
-	// cluster and therefore still active with fresh ids.
-	var qPairs [][2]int
-	var qTogether []bool
-	var qStats []partition.LevelStat
-	if opt.Quality != nil {
-		qc := opt.Quality.Config()
-		qPairs = quality.SamplePairs(qc.Seed, n, qc.MaxPairs)
-		qTogether = make([]bool, len(qPairs))
-		for i := range qTogether {
-			qTogether[i] = true
-		}
-	}
-
 	w := diam / 2
 	for lev := 1; lev <= levels; lev++ {
 		sub = sub[:len(active)]
@@ -318,9 +292,6 @@ func build(pts []vec.Point, opt Options) (*hierarchy, *Info, error) {
 			levIDs[p] = part.IDs[i]
 		}
 		ids[lev] = levIDs
-		if opt.Quality != nil {
-			qStats = append(qStats, partition.PairLevelStats(work, levIDs, qTogether, qPairs, lev, w, diamFactor*w))
-		}
 
 		// Extend chains and count cluster sizes; singletons leave.
 		size := make(map[string]int, len(active))
@@ -350,7 +321,6 @@ func build(pts []vec.Point, opt Options) (*hierarchy, *Info, error) {
 	if err != nil {
 		return nil, info, err
 	}
-	opt.Quality.ObserveLevels(qStats)
 	return h, info, nil
 }
 

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mpctree/internal/obs"
-	"mpctree/internal/quality"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
@@ -59,37 +57,6 @@ func TestEmbedInfoPinned(t *testing.T) {
 		}
 		if !reflect.DeepEqual(*got, want[i]) {
 			t.Errorf("%v R=%d: Info = %+v, want %+v", opt.Method, opt.R, *got, want[i])
-		}
-	}
-}
-
-// NewEmbedder honours Options.Quality: it publishes the same per-level
-// series as Embed does for the same options.
-func TestEmbedderPublishesQuality(t *testing.T) {
-	pts := latticePts(t, 1, 80, 4, 128)
-	for _, opt := range mergeConfigs {
-		series := func(run func(Options) error) []obs.Value {
-			reg := obs.New()
-			qopt := opt
-			qopt.Quality = quality.NewCollector(reg, quality.Config{MaxPairs: 300, Seed: 77})
-			if err := run(qopt); err != nil {
-				t.Fatal(err)
-			}
-			return reg.Snapshot()
-		}
-		fromEmbed := series(func(o Options) error { _, _, err := Embed(pts, o); return err })
-		fromIndex := series(func(o Options) error { _, err := NewEmbedder(pts, o); return err })
-		levels := 0
-		for _, v := range fromEmbed {
-			if v.Name == "quality_separation_events_total" {
-				levels++
-			}
-		}
-		if levels == 0 {
-			t.Fatalf("%v R=%d: Embed published no per-level series", opt.Method, opt.R)
-		}
-		if !reflect.DeepEqual(fromEmbed, fromIndex) {
-			t.Errorf("%v R=%d: NewEmbedder's quality series differ from Embed's", opt.Method, opt.R)
 		}
 	}
 }

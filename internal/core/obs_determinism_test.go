@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"mpctree/internal/fjlt"
 	"mpctree/internal/hst"
 	"mpctree/internal/mpc"
 	"mpctree/internal/obs"
@@ -41,7 +40,7 @@ func runPipeline(t *testing.T, pts []vec.Point, opt PipelineOptions, instrument 
 // GOMAXPROCS. Instrumentation is write-only; timing never feeds back.
 func TestObservabilityPreservesDeterminism(t *testing.T) {
 	pts := workload.UniformLattice(42, 48, 120, 512)
-	opt := PipelineOptions{Xi: 0.3, FJLT: fjlt.Options{CK: 1}, Seed: 7}
+	opt := PipelineOptions{Xi: 0.3, CK: 1, Seed: 7}
 
 	bare, _ := runPipeline(t, pts, opt, false, nil)
 
@@ -102,7 +101,7 @@ func TestObservabilityPreservesDeterminism(t *testing.T) {
 func TestObservabilityPreservesChaosRecovery(t *testing.T) {
 	pts := workload.UniformLattice(43, 32, 120, 512)
 	opt := PipelineOptions{
-		Xi: 0.3, FJLT: fjlt.Options{CK: 1}, Seed: 9,
+		Xi: 0.3, CK: 1, Seed: 9,
 		Resilient: true,
 		Retry:     resilient.Options{MaxRetries: 60, Seed: 10},
 	}

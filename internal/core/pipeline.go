@@ -21,31 +21,29 @@ import (
 type PipelineOptions struct {
 	// Xi is the FJLT distortion parameter ξ ∈ (0, 0.5); 0 means 0.3.
 	Xi float64
-	// FJLT tunes the transform further (CK). Xi here wins over FJLT.Xi
-	// when both set.
-	FJLT fjlt.Options
-	// Embed tunes the hybrid partitioning stage. Embed.MinDist, if 0, is
-	// derived as (1−ξ)·MinDist of the ORIGINAL data (default 1: integer
-	// lattice inputs, as Theorem 1 assumes).
-	Embed mpcembed.Options
-	// MinDist of the original data; 0 means 1 (lattice inputs).
-	MinDist float64
-	// Seed drives both stages.
+	// CK is the constant in the FJLT target dimension k = CK·ξ⁻²·ln n;
+	// 0 means 4.
+	CK float64
+	// R is Algorithm 2's bucket count; 0 picks the smallest r ≥
+	// Θ(log log n) whose grids fit one machine.
+	R int
+	// EmitPaths leaves one path record per point resident on the cluster
+	// (mpcembed.Options.EmitPaths), for mpcapps' constant-round queries.
+	EmitPaths bool
+	// Seed drives both stages: the FJLT draws from Seed^0xFA57, Algorithm
+	// 2 from Seed^0x7EE.
 	Seed uint64
 
 	// Resilient executes each stage under the retrying driver: a
-	// checkpoint at every stage boundary, bounded retries after injected
-	// faults, and resource escalation after genuine memory-cap
-	// violations. Retries replay the stage with its original seed, so a
-	// recovered run's tree is bit-identical to the fault-free run's.
+	// checkpoint at every stage boundary and bounded retries after
+	// injected faults. Retries replay the stage with its original seed, so
+	// a recovered run's tree is bit-identical to the fault-free run's.
+	// When the FJLT stage exhausts its retries, the pipeline degrades: it
+	// embeds the original, un-reduced points.
 	Resilient bool
-	// Retry tunes the retrying driver (zero value = resilient defaults);
-	// ignored unless Resilient is set.
+	// Retry tunes the retrying driver; a zero Retry.Seed means
+	// Seed^0xB0FF. Ignored unless Resilient is set.
 	Retry resilient.Options
-	// NoDegrade disables the degradation policy: when set, exhausting the
-	// FJLT stage's retry budget fails the pipeline instead of falling
-	// back to embedding the original, un-reduced points.
-	NoDegrade bool
 
 	// Span, if non-nil, receives one child span per stage attempt:
 	// "jl_projection" for the FJLT stage (Algorithm 3) and "tree_embed"
@@ -59,11 +57,11 @@ type PipelineOptions struct {
 
 	// Quality, if non-nil, audits the FINAL tree (after the 1/(1−ξ)
 	// rescale) against the ORIGINAL points on the collector's seeded pair
-	// sample and publishes the quality_* series, plus the per-scale
-	// Lemma-1 observables from inside the embedding stage. When the
-	// collector's MaxMeanRatio is zero, the Theorem-2 alarm threshold
-	// defaults to Thm2Bound over the run's actual (d, r, levels).
-	// Observational only: the tree is bit-identical with or without it.
+	// sample and publishes the quality_* series, the per-scale Lemma-1
+	// observables included. When the collector's MaxMeanRatio is zero,
+	// the Theorem-2 alarm threshold defaults to Thm2Bound over the run's
+	// actual (d, r, levels). Observational only: the tree is bit-identical
+	// with or without it.
 	Quality *quality.Collector
 }
 
@@ -72,7 +70,6 @@ type PipelineOptions struct {
 type PipelineInfo struct {
 	UsedFJLT   bool
 	FJLTParams fjlt.Params
-	FJLTRounds int
 	EmbedInfo  *mpcembed.Info
 
 	// Degraded reports that the FJLT stage exhausted its retries and the
@@ -81,10 +78,9 @@ type PipelineInfo struct {
 	Degraded       bool
 	DegradedReason string
 	// Recovery accounting (zero when nothing failed): stage attempts,
-	// resource escalations, virtual backoff charged by the retry driver,
-	// faults the cluster injected, and checkpoint/restore overhead.
+	// virtual backoff charged by the retry driver, faults the cluster
+	// injected, and checkpoint/restore overhead.
 	Attempts         int
-	Escalations      int
 	VirtualBackoffMs int64
 	Faults           mpc.FaultStats
 	Recovery         mpc.RecoveryStats
@@ -107,28 +103,21 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 
 	xi := opt.Xi
 	if xi == 0 {
-		xi = opt.FJLT.Xi
-	}
-	if xi == 0 {
 		xi = 0.3
 	}
 	if xi <= 0 || xi >= 0.5 {
 		return nil, nil, fmt.Errorf("core: xi=%v out of (0, 0.5)", xi)
 	}
-	fo := opt.FJLT
-	fo.Xi = xi
-	fo.Seed = opt.Seed ^ 0xFA57
-	params, err := fjlt.NewParams(n, d, fo)
+	params, err := fjlt.NewParams(n, d, fjlt.Options{Xi: xi, CK: opt.CK, Seed: opt.Seed ^ 0xFA57})
 	if err != nil {
 		return nil, nil, err
 	}
 
 	info := &PipelineInfo{FJLTParams: params}
 	work := pts
-	minDist := opt.MinDist
-	if minDist == 0 {
-		minDist = 1
-	}
+	// Theorem 1 assumes integer-lattice inputs: distinct points lie at
+	// distance ≥ 1.
+	minDist := 1.0
 
 	retry := opt.Retry
 	if retry.Seed == 0 {
@@ -156,7 +145,6 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 		}
 		st, err := resilient.Run(c, stage, retry, runAttempt)
 		info.Attempts += st.Attempts
-		info.Escalations += st.Escalations
 		info.VirtualBackoffMs += st.VirtualBackoffMs
 		return err
 	}
@@ -185,10 +173,9 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 		switch {
 		case ferr == nil:
 			info.UsedFJLT = true
-			info.FJLTRounds = c.Metrics().Rounds
 			// Distances contracted by at most (1−ξ) w.h.p.
 			minDist *= 1 - xi
-		case opt.Resilient && !opt.NoDegrade:
+		case opt.Resilient:
 			// Degradation policy: the reduction stage is unrecoverable,
 			// so embed the ORIGINAL points. MinDist stays unadjusted
 			// (distances were never contracted) and no rescale happens
@@ -203,20 +190,12 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 		}
 	}
 
-	eo := opt.Embed
-	if eo.Seed == 0 {
-		eo.Seed = opt.Seed ^ 0x7EE
-	}
-	if eo.MinDist == 0 {
-		eo.MinDist = minDist
-	}
 	var tree *hst.Tree
 	var einfo *mpcembed.Info
 	err = runStage("embed", "tree_embed", func(sp *obs.Span) error {
-		eoAttempt := eo
-		eoAttempt.Span = sp
-		eoAttempt.Quality = opt.Quality
-		t, ei, err := mpcembed.Embed(c, work, eoAttempt)
+		t, ei, err := mpcembed.Embed(c, work, mpcembed.Options{
+			R: opt.R, MinDist: minDist, EmitPaths: opt.EmitPaths, Seed: opt.Seed ^ 0x7EE, Span: sp,
+		})
 		einfo = ei // partial accounting survives a failed attempt
 		if err != nil {
 			return err

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"mpctree/internal/fjlt"
 	"mpctree/internal/mpc"
 	"mpctree/internal/vec"
 )
@@ -15,7 +14,7 @@ func pipelineCluster() *mpc.Cluster {
 // Small-n experiments need the JL constant dialled down or k exceeds the
 // ambient dimension; CK=1 is the standard empirical choice.
 func pipelineOpts(seed uint64) PipelineOptions {
-	return PipelineOptions{Xi: 0.3, FJLT: fjlt.Options{CK: 1}, Seed: seed}
+	return PipelineOptions{Xi: 0.3, CK: 1, Seed: seed}
 }
 
 // End-to-end Theorem 1 on genuinely high-dimensional data: the FJLT stage

@@ -2,10 +2,11 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
-	"mpctree/internal/fjlt"
 	"mpctree/internal/mpc"
 	"mpctree/internal/obs"
 	"mpctree/internal/quality"
@@ -13,41 +14,32 @@ import (
 )
 
 // The quality layer's hard constraint: auditing observes an embedding,
-// it never participates in one. A run with a collector attached must
-// produce a tree byte-identical to the bare run — the auditor draws its
-// pair sample from its own seed and only ever reads the tree — at any
-// GOMAXPROCS.
+// it never participates in one. Auditing a sequential tree through a
+// collector leaves the tree byte-identical — the auditor draws its pair
+// sample from its own seed and only ever reads the tree — and publishes
+// the same report, per-level series included, at any GOMAXPROCS.
 func TestQualityAuditingPreservesSequentialDeterminism(t *testing.T) {
 	pts := workload.UniformLattice(21, 96, 8, 1024)
-	opt := Options{Seed: 5}
-
-	bare, _, err := Embed(pts, opt)
+	tree, _, err := Embed(pts, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bareBytes bytes.Buffer
-	if _, err := bare.WriteTo(&bareBytes); err != nil {
-		t.Fatal(err)
-	}
+	before := treeBytes(t, tree)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var reports []*quality.Report
 	for _, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
 		reg := obs.New()
-		qopt := opt
-		qopt.Quality = quality.NewCollector(reg, quality.Config{MaxPairs: 400, Seed: 77})
-		audited, _, err := Embed(pts, qopt)
+		col := quality.NewCollector(reg, quality.Config{MaxPairs: 400, Seed: 77})
+		rep, err := quality.Audit(tree, pts, col.Config())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var auditedBytes bytes.Buffer
-		if _, err := audited.WriteTo(&auditedBytes); err != nil {
-			t.Fatal(err)
+		col.ObserveAudit(rep)
+		if !bytes.Equal(before, treeBytes(t, tree)) {
+			t.Fatalf("GOMAXPROCS=%d: auditing changed the tree", procs)
 		}
-		if !bytes.Equal(bareBytes.Bytes(), auditedBytes.Bytes()) {
-			t.Fatalf("GOMAXPROCS=%d: audited run's tree differs from bare run", procs)
-		}
-		// The in-loop instrumentation must actually have observed levels.
 		var seps float64
 		for _, v := range reg.Snapshot() {
 			if v.Name == "quality_separation_events_total" {
@@ -55,8 +47,12 @@ func TestQualityAuditingPreservesSequentialDeterminism(t *testing.T) {
 			}
 		}
 		if seps == 0 {
-			t.Fatal("no separation events recorded — collector was not wired into the level loop")
+			t.Fatal("no separation events recorded — the audit's levels were not published")
 		}
+		reports = append(reports, rep)
+	}
+	if !reflect.DeepEqual(reports[0], reports[1]) {
+		t.Fatal("audit report differs between GOMAXPROCS=1 and 8")
 	}
 }
 
@@ -66,7 +62,7 @@ func TestQualityAuditingPreservesSequentialDeterminism(t *testing.T) {
 // alarm threshold when none was configured.
 func TestQualityAuditingPreservesPipelineDeterminism(t *testing.T) {
 	pts := workload.UniformLattice(22, 48, 120, 512)
-	opt := PipelineOptions{Xi: 0.3, FJLT: fjlt.Options{CK: 1}, Seed: 7}
+	opt := PipelineOptions{Xi: 0.3, CK: 1, Seed: 7}
 
 	bare, _ := runPipeline(t, pts, opt, false, nil)
 
@@ -102,7 +98,7 @@ func TestQualityAuditingPreservesPipelineDeterminism(t *testing.T) {
 func TestQualityAuditingPreservesChaosRecovery(t *testing.T) {
 	pts := workload.UniformLattice(23, 32, 120, 512)
 	opt := PipelineOptions{
-		Xi: 0.3, FJLT: fjlt.Options{CK: 1}, Seed: 9,
+		Xi: 0.3, CK: 1, Seed: 9,
 		Resilient: true,
 	}
 	bare, _ := runPipeline(t, pts, opt, false, nil)
@@ -125,5 +121,55 @@ func TestQualityAuditingPreservesChaosRecovery(t *testing.T) {
 	}
 	if !bytes.Equal(bare, buf.Bytes()) {
 		t.Fatal("audited chaos run's tree differs from bare fault-free run")
+	}
+}
+
+// The per-level quality series come from one place, the final audit: a
+// pipeline run publishes exactly its report's Levels, measured against the
+// original points and the rescaled tree. The input engages the FJLT, where
+// a fold over the reduced points and the unscaled tree would read other
+// diameter ratios.
+func TestPipelineLevelSeriesAreAuditLevels(t *testing.T) {
+	pts := workload.UniformLattice(22, 48, 120, 512)
+	reg := obs.New()
+	col := quality.NewCollector(reg, quality.Config{MaxPairs: 300, Seed: 99})
+	c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 22})
+	_, info, err := EmbedPipeline(c, pts, PipelineOptions{Xi: 0.3, CK: 1, Seed: 7, Quality: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.UsedFJLT {
+		t.Fatal("FJLT did not run; the test needs the rescaled tree")
+	}
+	rep := col.Last()
+	if rep == nil || len(rep.Levels) == 0 {
+		t.Fatal("pipeline published no audit levels")
+	}
+	type series struct{ sep, together, ratio float64 }
+	got := map[string]*series{}
+	at := func(level string) *series {
+		if got[level] == nil {
+			got[level] = &series{}
+		}
+		return got[level]
+	}
+	for _, v := range reg.Snapshot() {
+		switch v.Name {
+		case "quality_separation_events_total":
+			at(v.Labels["level"]).sep = v.Value
+		case "quality_level_pairs_together":
+			at(v.Labels["level"]).together = v.Value
+		case "quality_level_diameter_ratio":
+			at(v.Labels["level"]).ratio = v.Value
+		}
+	}
+	if len(got) != len(rep.Levels) {
+		t.Fatalf("%d level series published, audit has %d levels", len(got), len(rep.Levels))
+	}
+	for _, st := range rep.Levels {
+		want := series{float64(st.Separated), float64(st.Together), st.DiamRatio}
+		if g := got[strconv.Itoa(st.Level)]; g == nil || *g != want {
+			t.Errorf("level %d: series %+v, audit %+v", st.Level, g, want)
+		}
 	}
 }

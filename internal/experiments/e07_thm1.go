@@ -102,8 +102,9 @@ func runE07(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		acct.AddRow(M, info.Rounds, info.PeakLocal, info.TotalSpace, info.CommWords, info.U, info.GridWords)
-		roundsPerM[M] = info.Rounds
+		m := c.Metrics()
+		acct.AddRow(M, m.Rounds, m.MaxLocalWords, m.TotalSpace, m.CommWords, info.U, info.GridWords)
+		roundsPerM[M] = m.Rounds
 	}
 	res.Tables = append(res.Tables, acct)
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 
 	"mpctree/internal/core"
-	"mpctree/internal/fjlt"
 	"mpctree/internal/hst"
 	"mpctree/internal/mpc"
 	"mpctree/internal/resilient"
@@ -51,7 +50,7 @@ func runE16(cfg Config) (*Result, error) {
 	pts := workload.UniformLattice(cfg.Seed+160, n, d, 512)
 	opts := core.PipelineOptions{
 		Xi:        0.3,
-		FJLT:      fjlt.Options{CK: 1},
+		CK:        1,
 		Seed:      cfg.Seed + 161,
 		Resilient: true,
 		Retry:     resilient.Options{MaxRetries: retries, Seed: cfg.Seed + 162},

@@ -42,10 +42,7 @@ func runE17(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Quality != nil {
-		cfg.Quality.ObserveAudit(full)
-		cfg.Quality.ObserveLevels(full.Levels)
-	}
+	cfg.Quality.ObserveAudit(full)
 	offline, err := stats.MeasureDistortion(pts, 1, func(uint64) (*hst.Tree, error) {
 		return tree, nil
 	})

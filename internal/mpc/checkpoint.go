@@ -149,16 +149,3 @@ func (c *Cluster) Restore(cp *Checkpoint) {
 		c.obs.rolledBackComm.Add(int64(rolledComm))
 	}
 }
-
-// RaiseCap raises the per-machine memory cap to capWords — a retrying
-// driver escalating its resource ask. Lower values are ignored: shrinking
-// a cap under live residents would retroactively invalidate state the
-// model already admitted.
-func (c *Cluster) RaiseCap(capWords int) {
-	if capWords > c.cfg.CapWords {
-		c.cfg.CapWords = capWords
-		if c.obs != nil {
-			c.obs.syncShape(c)
-		}
-	}
-}

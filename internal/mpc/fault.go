@@ -30,8 +30,9 @@ import (
 // Injected-fault error classes. Every injected fault matches ErrInjected
 // via errors.Is; crashes additionally match ErrMachineLost, and a cap
 // violation under injected memory pressure or injected duplicates
-// additionally matches ErrLocalMemory (so drivers can distinguish "retry
-// as-is" from "raise the resource ask").
+// additionally matches ErrLocalMemory (so drivers can tell "retry as-is"
+// from a genuine cap violation, which is the algorithm's failure to
+// report).
 var (
 	ErrInjected    = errors.New("mpc: injected fault")
 	ErrMachineLost = errors.New("mpc: machine round output lost")

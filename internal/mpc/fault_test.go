@@ -333,18 +333,6 @@ func TestRestoreIntoSmallerClusterPanics(t *testing.T) {
 	}
 }
 
-func TestRaiseCapOnlyRaises(t *testing.T) {
-	c := New(Config{Machines: 2, CapWords: 100})
-	c.RaiseCap(50)
-	if c.CapWords() != 100 {
-		t.Errorf("cap lowered to %d", c.CapWords())
-	}
-	c.RaiseCap(200)
-	if c.CapWords() != 200 {
-		t.Errorf("cap = %d, want 200", c.CapWords())
-	}
-}
-
 // --- Satellite regressions: Store bounds, Collect on failure, emit latch,
 // --- and ErrFailed propagation through every primitive.
 

@@ -7,7 +7,6 @@ import (
 	"mpctree/internal/core"
 	"mpctree/internal/hst"
 	"mpctree/internal/mpc"
-	"mpctree/internal/mpcembed"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 	"mpctree/internal/workload"
@@ -15,11 +14,12 @@ import (
 
 // buildEmbedding runs the Theorem-1 pipeline with paths kept. The inputs
 // here have d < k, so the FJLT is skipped and the tree is Algorithm 2's
-// with R=2 and the given seed.
+// with R=2 and the given seed (the pipeline seeds Algorithm 2 with
+// Seed^0x7EE).
 func buildEmbedding(t testing.TB, pts []vec.Point, machines int, seed uint64) *Embedding {
 	t.Helper()
 	c := mpc.New(mpc.Config{Machines: machines, CapWords: 1 << 22})
-	tree, _, err := core.EmbedPipeline(c, pts, core.PipelineOptions{Embed: mpcembed.Options{R: 2, Seed: seed, EmitPaths: true}})
+	tree, _, err := core.EmbedPipeline(c, pts, core.PipelineOptions{R: 2, EmitPaths: true, Seed: seed ^ 0x7EE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestMPCMSTConstantRoundsAndRepeatable(t *testing.T) {
 func TestMPCQueriesOnFJLTTree(t *testing.T) {
 	pts := workload.UniformLattice(2, 64, 200, 128)
 	c := mpc.New(mpc.Config{Machines: 8, CapWords: 1 << 22})
-	tree, info, err := core.EmbedPipeline(c, pts, core.PipelineOptions{Seed: 9, Embed: mpcembed.Options{EmitPaths: true}})
+	tree, info, err := core.EmbedPipeline(c, pts, core.PipelineOptions{Seed: 9, EmitPaths: true})
 	if err != nil {
 		t.Fatal(err)
 	}

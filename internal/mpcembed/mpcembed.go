@@ -48,7 +48,6 @@ import (
 	"mpctree/internal/obs"
 	"mpctree/internal/par"
 	"mpctree/internal/partition"
-	"mpctree/internal/quality"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
@@ -79,7 +78,8 @@ type Options struct {
 	MinDist float64
 	// EmitPaths keeps one TagPath record per point resident after
 	// embedding, on the machine that owns its key: the point's full
-	// ancestor-hash path.
+	// ancestor-hash path. They are then the only records left resident:
+	// the edge and leaf records are dropped once the tree is assembled.
 	// Downstream O(1)-round applications (mpcapps: EMD, MST, densest ball)
 	// aggregate over these instead of walking the tree level by level.
 	EmitPaths bool
@@ -92,25 +92,16 @@ type Options struct {
 	// rounds/comm_words deltas from the cluster meters; spans are
 	// observational only and never change the output.
 	Span *obs.Span
-	// Quality, if non-nil, receives the per-scale Lemma-1 observables for
-	// the collector's seeded pair sample, derived driver-side from the
-	// assembled tree — pairs span machines, so the flat partitions are
-	// never materialised in one place; the tree's LCA levels carry the
-	// same information. Observational only.
-	Quality *quality.Collector
 }
 
-// Info reports the run's accounting.
+// Info reports the run's plan; the cluster's round, space and
+// communication meters are c.Metrics().
 type Info struct {
-	N, Dim, R  int
-	Levels     int
-	U          int // grids per (level, bucket)
-	GridWords  int // words of broadcast grid state (Lemma 8's quantity)
-	Diameter   float64
-	Rounds     int // MPC rounds consumed (from cluster metrics delta)
-	PeakLocal  int
-	TotalSpace int
-	CommWords  int
+	N, Dim, R int
+	Levels    int
+	U         int // grids per (level, bucket)
+	GridWords int // words of broadcast grid state (Lemma 8's quantity)
+	Diameter  float64
 }
 
 // ErrCoverage is returned when some point was uncovered at some level and
@@ -224,8 +215,6 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	if opt.R < 0 || opt.R > d {
 		return nil, nil, fmt.Errorf("mpcembed: r=%d out of [1, d=%d]", opt.R, d)
 	}
-
-	baseRounds := c.Metrics().Rounds
 
 	// Phase spans. One phase is open at a time; endPhase stamps the exact
 	// rounds/comm_words delta the phase consumed, and the deferred call
@@ -604,16 +593,26 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		return nil, info, err
 	}
 
-	fillMetrics(c, info, baseRounds)
-
 	// Driver-side assembly.
 	t, err := assemble(c, n)
 	if err != nil {
 		return nil, info, err
 	}
-	if opt.Quality != nil {
-		qc := opt.Quality.Config()
-		opt.Quality.ObserveLevels(quality.TreeLevelStats(t, pts, quality.SamplePairs(qc.Seed, n, qc.MaxPairs)))
+	// The tree now lives on the driver; only the path records have a
+	// further use on the cluster.
+	if opt.EmitPaths {
+		if err := c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
+			keep := local[:0]
+			for _, rec := range local {
+				if rec.Tag != TagEdge && rec.Tag != TagLeaf {
+					keep = append(keep, rec)
+				}
+			}
+			clear(local[len(keep):])
+			return keep
+		}); err != nil {
+			return nil, info, err
+		}
 	}
 	return t, info, nil
 }
@@ -628,14 +627,6 @@ func carve[T any](chunk *[]T, n, size int) []T {
 	out := (*chunk)[:n:n]
 	*chunk = (*chunk)[n:]
 	return out
-}
-
-func fillMetrics(c *mpc.Cluster, info *Info, baseRounds int) {
-	m := c.Metrics()
-	info.Rounds = m.Rounds - baseRounds
-	info.PeakLocal = m.MaxLocalWords
-	info.TotalSpace = m.TotalSpace
-	info.CommWords = m.CommWords
 }
 
 // nodeID is the chain hash a record carries in two ints, each the

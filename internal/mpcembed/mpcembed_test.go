@@ -62,11 +62,10 @@ func TestConstantRounds(t *testing.T) {
 	for _, n := range []int{32, 128, 512} {
 		pts := latticePts(t, 2, n, 4, 128)
 		c := bigCluster(8)
-		_, info, err := Embed(c, pts, Options{R: 2, Seed: 7})
-		if err != nil {
+		if _, _, err := Embed(c, pts, Options{R: 2, Seed: 7}); err != nil {
 			t.Fatal(err)
 		}
-		rounds = append(rounds, info.Rounds)
+		rounds = append(rounds, c.Metrics().Rounds)
 	}
 	// All runs share the machine count, so broadcast depth is equal;
 	// round counts must be identical across n.
@@ -194,8 +193,9 @@ func TestInfoAccounting(t *testing.T) {
 	if info.U < 1 || info.Levels < 3 || info.GridWords <= 0 {
 		t.Errorf("accounting looks wrong: %+v", info)
 	}
-	if info.PeakLocal <= 0 || info.TotalSpace <= 0 || info.CommWords <= 0 {
-		t.Errorf("metrics not captured: %+v", info)
+	m := c.Metrics()
+	if m.MaxLocalWords <= 0 || m.TotalSpace <= 0 || m.CommWords <= 0 {
+		t.Errorf("metrics not captured: %+v", m)
 	}
 	if info.Diameter <= 0 {
 		t.Error("diameter not computed")
@@ -204,8 +204,8 @@ func TestInfoAccounting(t *testing.T) {
 	// must reflect its shift words. (GridWords is the plan's per-grid
 	// record charge, which the packed sets undercut.)
 	k := info.Dim / info.R
-	if shiftWords := info.Levels * info.R * info.U * k; info.PeakLocal < shiftWords {
-		t.Errorf("peak local %d below the %d resident shift words — storage not charged", info.PeakLocal, shiftWords)
+	if shiftWords := info.Levels * info.R * info.U * k; m.MaxLocalWords < shiftWords {
+		t.Errorf("peak local %d below the %d resident shift words — storage not charged", m.MaxLocalWords, shiftWords)
 	}
 }
 
@@ -379,22 +379,23 @@ func TestChainNextMatchesFNV128a(t *testing.T) {
 
 // The union costs no round: root_paths sends every edge, leaf and path
 // record to the owner of its key, each owner drops its duplicate edges in
-// place, and the tree_build phase moves nothing.
+// place, and the tree_build phase moves nothing. With EmitPaths, the path
+// records are all that stays resident once the tree is assembled.
 func TestUnionRecordsOnTheirOwners(t *testing.T) {
 	pts := latticePts(t, 21, 300, 4, 256)
 	const machines = 5
 	c := bigCluster(machines)
 	root := obs.NewSpan("embed")
-	tr, info, err := Embed(c, pts, Options{R: 2, Seed: 8, EmitPaths: true, Span: root})
+	tr, _, err := Embed(c, pts, Options{R: 2, Seed: 8, Span: root})
 	if err != nil {
 		t.Fatal(err)
 	}
 	edges := map[string]bool{}
-	paths := 0
+	leaves := 0
 	for m := 0; m < machines; m++ {
 		for _, rec := range c.Store(m) {
 			switch rec.Tag {
-			case TagEdge, TagLeaf, TagPath:
+			case TagEdge, TagLeaf:
 				if owner := mpc.Owner(rec.Key, machines); owner != m {
 					t.Fatalf("record %q (tag %d) on machine %d, owner %d", rec.Key, rec.Tag, m, owner)
 				}
@@ -405,8 +406,8 @@ func TestUnionRecordsOnTheirOwners(t *testing.T) {
 					t.Fatalf("edge %x resident twice", rec.Key)
 				}
 				edges[rec.Key] = true
-			case TagPath:
-				paths++
+			case TagLeaf:
+				leaves++
 			}
 		}
 	}
@@ -415,8 +416,8 @@ func TestUnionRecordsOnTheirOwners(t *testing.T) {
 	if want := tr.NumNodes() - 1 - len(pts); len(edges) != want {
 		t.Errorf("%d resident edges, tree has %d internal nodes", len(edges), want)
 	}
-	if paths != len(pts) {
-		t.Errorf("%d resident paths for %d points", paths, len(pts))
+	if leaves != len(pts) {
+		t.Errorf("%d resident leaves for %d points", leaves, len(pts))
 	}
 	var build *obs.SpanSnapshot
 	var rounds int64
@@ -434,7 +435,33 @@ func TestUnionRecordsOnTheirOwners(t *testing.T) {
 			t.Errorf("tree_build %s = %d (recorded %v), want 0", key, v, ok)
 		}
 	}
-	if rounds != int64(info.Rounds) {
-		t.Errorf("phase spans carry %d rounds, Info.Rounds = %d", rounds, info.Rounds)
+	if got := c.Metrics().Rounds; rounds != int64(got) {
+		t.Errorf("phase spans carry %d rounds, the cluster ran %d", rounds, got)
+	}
+
+	// An EmitPaths run keeps only TagPath records, each on its owner, one
+	// per point, and the tree is the same.
+	c = bigCluster(machines)
+	trPaths, _, err := Embed(c, pts, Options{R: 2, Seed: 8, EmitPaths: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trPaths.NumNodes() != tr.NumNodes() {
+		t.Errorf("EmitPaths tree has %d nodes, plain tree %d", trPaths.NumNodes(), tr.NumNodes())
+	}
+	paths := 0
+	for m := 0; m < machines; m++ {
+		for _, rec := range c.Store(m) {
+			if rec.Tag != TagPath {
+				t.Fatalf("EmitPaths run left a record with tag %d resident on machine %d", rec.Tag, m)
+			}
+			if owner := mpc.Owner(rec.Key, machines); owner != m {
+				t.Fatalf("path %q on machine %d, owner %d", rec.Key, m, owner)
+			}
+			paths++
+		}
+	}
+	if paths != len(pts) {
+		t.Errorf("%d resident paths for %d points", paths, len(pts))
 	}
 }

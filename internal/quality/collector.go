@@ -1,5 +1,5 @@
-// Collector publishes audit reports and per-scale level stats onto an
-// obs.Registry as the quality_* metric family. Like every obs consumer it
+// Collector publishes audit reports, per-scale level stats included, onto
+// an obs.Registry as the quality_* metric family. Like every obs consumer it
 // is write-only and nil-safe: a nil *Collector costs one comparison per
 // call, and nothing here is ever read back to steer an embedding.
 package quality
@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"mpctree/internal/obs"
-	"mpctree/internal/partition"
 )
 
 // DefaultRatioBuckets suit distortion-ratio distributions: domination
@@ -78,11 +77,11 @@ func (c *Collector) Last() *Report {
 	return c.last.Load()
 }
 
-// ObserveAudit publishes one report's distortion series: the run and pair
-// counters, every per-pair ratio into the histogram, the violation
-// counters, and the latest-audit gauges. Level stats are published
-// separately via ObserveLevels so embedders that observed richer in-loop
-// stats do not double-count.
+// ObserveAudit publishes one report's series: the run and pair counters,
+// every per-pair ratio into the histogram, the violation counters, the
+// latest-audit gauges, and the report's per-scale Lemma-1 observables,
+// one labelled child per level — separation-event counters,
+// pairs-together and diameter-ratio gauges.
 func (c *Collector) ObserveAudit(rep *Report) {
 	if c == nil || rep == nil {
 		return
@@ -99,20 +98,11 @@ func (c *Collector) ObserveAudit(rep *Report) {
 	c.mean.Set(rep.MeanRatio)
 	c.max.Set(rep.MaxRatio)
 	c.min.Set(rep.MinRatio)
-	c.last.Store(rep)
-}
-
-// ObserveLevels publishes per-scale Lemma-1 series, one labelled child
-// per level: separation-event counters, pairs-together and
-// diameter-ratio gauges.
-func (c *Collector) ObserveLevels(levels []partition.LevelStat) {
-	if c == nil || len(levels) == 0 {
-		return
-	}
-	for _, st := range levels {
+	for _, st := range rep.Levels {
 		lp := append(append([]string(nil), c.labels...), "level", strconv.Itoa(st.Level))
 		c.reg.Counter("quality_separation_events_total", "Sampled pairs first separated at this hierarchy level.", lp...).Add(int64(st.Separated))
 		c.reg.Gauge("quality_level_pairs_together", "Sampled pairs entering this level un-separated (latest observation).", lp...).Set(float64(st.Together))
 		c.reg.Gauge("quality_level_diameter_ratio", "Max same-part pair distance over the Lemma-1 diameter bound at this level (must stay <= 1).", lp...).Set(st.DiamRatio)
 	}
+	c.last.Store(rep)
 }

@@ -25,7 +25,6 @@ import (
 
 	"mpctree/internal/hst"
 	"mpctree/internal/par"
-	"mpctree/internal/partition"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
@@ -83,12 +82,36 @@ type Report struct {
 	// Levels holds the per-scale Lemma-1 observables derived from the
 	// tree: a pair's separation level is its LCA level + 1, and the
 	// level's diameter bound is the edge weight entering that level.
-	Levels []partition.LevelStat `json:"levels,omitempty"`
+	Levels []LevelStat `json:"levels,omitempty"`
 
 	// Ratios holds the per-pair distortion ratios in sample order (zero-
 	// distance pairs excluded), for histogram streaming and tests. Not
 	// serialized: /v1/quality responses stay small.
 	Ratios []float64 `json:"-"`
+}
+
+// LevelStat is one hierarchy level's Lemma-1 observables over an audit's
+// pair sample. Each level's flat partitioning either separates a pair
+// (probability ≤ O(√d·‖p−q‖₂/w) per level) or keeps it together — and a
+// pair kept together lies inside one part, whose diameter Lemma 1 bounds
+// by 2√r·w (ball-based methods) or √d·w (grid).
+type LevelStat struct {
+	Level int `json:"level"`
+	// DiamBound is the Lemma-1 cluster-diameter bound at this level — the
+	// edge weight diamFactor·w the tree charges for staying together here.
+	DiamBound float64 `json:"diam_bound,omitempty"`
+	// Together counts sampled pairs that entered this level un-separated.
+	Together int `json:"together"`
+	// Separated counts pairs whose first separation happened at this level.
+	Separated int `json:"separated"`
+	// MaxSamePartDist is the largest Euclidean distance among pairs still
+	// sharing a part after this level. Lemma 1 promises it ≤ DiamBound.
+	MaxSamePartDist float64 `json:"max_same_part_dist"`
+	// DiamRatio is MaxSamePartDist/DiamBound (0 when DiamBound is 0 or no
+	// pair survived). Values above 1 falsify the Lemma-1 diameter bound.
+	DiamRatio float64 `json:"diam_ratio"`
+	// SepRate is Separated/Together (0 when nothing entered).
+	SepRate float64 `json:"sep_rate"`
 }
 
 // Thm2Bound returns an alarm threshold for the expected distortion of an
@@ -241,30 +264,9 @@ func Audit(t *hst.Tree, pts []vec.Point, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// TreeLevelStats derives the per-scale Lemma-1 observables from an
-// assembled tree over a pair sample, without access to the per-level flat
-// partitions: pair (p,q) was together at every level ≤ its LCA's level
-// and separated one level below, and the Lemma-1 diameter bound at level
-// ℓ is the edge weight entering ℓ (diamFactor·w_ℓ for both embedding
-// algorithms). Used by the MPC embedding, where pairs span machines and
-// the flat partitions are never materialised on one machine.
-func TreeLevelStats(t *hst.Tree, pts []vec.Point, pairs [][2]int) []partition.LevelStat {
-	dists := make([]float64, len(pairs))
-	seps := make([]int, len(pairs))
-	for k, pr := range pairs {
-		dists[k] = vec.Dist(pts[pr[0]], pts[pr[1]])
-		if dists[k] == 0 {
-			seps[k] = 0 // excluded, same as Audit's zero-distance skip
-			continue
-		}
-		seps[k] = t.Nodes[t.LCA(t.Leaf[pr[0]], t.Leaf[pr[1]])].Level + 1
-	}
-	return levelStats(t, dists, seps)
-}
-
 // levelStats aggregates separation levels into per-level stats. seps[k]
 // == 0 excludes the pair (zero distance).
-func levelStats(t *hst.Tree, dists []float64, seps []int) []partition.LevelStat {
+func levelStats(t *hst.Tree, dists []float64, seps []int) []LevelStat {
 	maxSep := 0
 	for _, s := range seps {
 		if s > maxSep {
@@ -283,9 +285,9 @@ func levelStats(t *hst.Tree, dists []float64, seps []int) []partition.LevelStat 
 			weight[nd.Level] = nd.Weight
 		}
 	}
-	out := make([]partition.LevelStat, 0, maxSep)
+	out := make([]LevelStat, 0, maxSep)
 	for lev := 1; lev <= maxSep; lev++ {
-		st := partition.LevelStat{Level: lev, DiamBound: weight[lev]}
+		st := LevelStat{Level: lev, DiamBound: weight[lev]}
 		for k, s := range seps {
 			if s == 0 || s < lev {
 				continue // excluded, or separated before this level

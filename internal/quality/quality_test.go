@@ -205,7 +205,6 @@ func TestCollectorPublishesSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	col.ObserveAudit(rep)
-	col.ObserveLevels(rep.Levels)
 	if col.Last() != rep {
 		t.Fatal("Last() did not return the observed report")
 	}
@@ -249,7 +248,6 @@ func TestCollectorPublishesSeries(t *testing.T) {
 	// Nil collector: all observation paths must be no-ops.
 	var nilCol *quality.Collector
 	nilCol.ObserveAudit(rep)
-	nilCol.ObserveLevels(rep.Levels)
 	if nilCol.Last() != nil || nilCol.Config() != (quality.Config{}) {
 		t.Fatal("nil collector not inert")
 	}

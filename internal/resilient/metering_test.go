@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mpctree/internal/core"
-	"mpctree/internal/fjlt"
 	"mpctree/internal/mpc"
 	"mpctree/internal/obs"
 	"mpctree/internal/resilient"
@@ -33,7 +32,7 @@ func TestChaosMeteringAgreement(t *testing.T) {
 
 	_, info, err := core.EmbedPipeline(c, pts, core.PipelineOptions{
 		Xi:        0.3,
-		FJLT:      fjlt.Options{CK: 1},
+		CK:        1,
 		Seed:      161,
 		Resilient: true,
 		Retry:     resilient.Options{MaxRetries: 60, Seed: 162},

@@ -29,7 +29,7 @@ func TestFirstTrySuccess(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil || st.Attempts != 1 || st.VirtualBackoffMs != 0 || st.Escalations != 0 {
+	if err != nil || st.Attempts != 1 || st.VirtualBackoffMs != 0 {
 		t.Fatalf("st=%+v err=%v", st, err)
 	}
 }
@@ -115,33 +115,10 @@ func TestNegativeMaxRetriesMeansNone(t *testing.T) {
 	}
 }
 
-// A genuine (non-injected) memory-cap violation escalates: the driver
-// raises the cap, and the stage then fits.
-func TestEscalationOnGenuineMemoryPressure(t *testing.T) {
-	c := loaded(t, 4) // ~4·3 words on 2 machines, cap 4096
-	opts := Options{Seed: 2, Escalate: true}
-	startCap := c.CapWords()
-	st, err := Run(c, "hungry", opts, func(attempt int) error {
-		// Blow up each machine's residency just past the ORIGINAL cap;
-		// fits once the cap doubles.
-		return c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
-			big := mpc.Record{Key: "big", Data: make([]float64, startCap)}
-			return append(local, big)
-		})
-	})
-	if err != nil {
-		t.Fatalf("escalation did not rescue the stage: %v", err)
-	}
-	if st.Escalations != 1 {
-		t.Errorf("escalations = %d, want 1", st.Escalations)
-	}
-	if c.CapWords() <= startCap {
-		t.Errorf("cap not raised: %d", c.CapWords())
-	}
-}
-
-// Without Escalate, a memory violation is a deterministic failure.
-func TestMemoryWithoutEscalateFailsFast(t *testing.T) {
+// A genuine memory-cap violation is the algorithm's failure to report: it
+// returns at once, unretried, with the checkpoint restored and the cap as
+// it was. The cap is a parameter of the model, not a resource to raise.
+func TestGenuineMemoryViolationFailsFast(t *testing.T) {
 	c := loaded(t, 4)
 	capW := c.CapWords()
 	st, err := Run(c, "nofit", Options{Seed: 3}, func(attempt int) error {
@@ -153,14 +130,21 @@ func TestMemoryWithoutEscalateFailsFast(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	if st.Attempts != 1 {
-		t.Errorf("memory error without Escalate retried %d times", st.Attempts)
+		t.Errorf("genuine memory error retried: %d attempts", st.Attempts)
+	}
+	if c.CapWords() != capW {
+		t.Errorf("cap changed: %d → %d", capW, c.CapWords())
+	}
+	if c.Err() != nil || len(mustCollect(t, c)) != 4 {
+		t.Errorf("checkpoint not restored after the violation: %v", c.Err())
 	}
 }
 
-// Injected pressure is transient: it must NOT climb the escalation ladder
-// (a raised cap would change downstream parameter selection and break
-// bit-identity with the fault-free run).
-func TestInjectedPressureDoesNotEscalate(t *testing.T) {
+// Injected pressure is transient: the stage is replayed as-is until the
+// squeeze passes, at the cap the run started with (a raised cap would
+// change downstream parameter selection and break bit-identity with the
+// fault-free run).
+func TestInjectedPressureRetriedAtSameCap(t *testing.T) {
 	c := mpc.New(mpc.Config{Machines: 1, CapWords: 64})
 	var recs []mpc.Record
 	for i := 0; i < 16; i++ {
@@ -171,14 +155,14 @@ func TestInjectedPressureDoesNotEscalate(t *testing.T) {
 	}
 	c.InjectFaults(&mpc.FaultPlan{Seed: 4, Pressure: 1, PressureFactor: 0.25, MaxFaults: 2})
 	startCap := c.CapWords()
-	st, err := Run(c, "squeezed", Options{Escalate: true, Seed: 5}, func(attempt int) error {
+	st, err := Run(c, "squeezed", Options{Seed: 5}, func(attempt int) error {
 		return c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record { return local })
 	})
 	if err != nil {
 		t.Fatalf("transient pressure not ridden out: %v", err)
 	}
-	if st.Escalations != 0 {
-		t.Errorf("injected pressure escalated %d times", st.Escalations)
+	if st.Attempts != 3 {
+		t.Errorf("attempts = %d, want 3 (two squeezed rounds, then success)", st.Attempts)
 	}
 	if c.CapWords() != startCap {
 		t.Errorf("cap changed under injected pressure: %d → %d", startCap, c.CapWords())
@@ -188,7 +172,7 @@ func TestInjectedPressureDoesNotEscalate(t *testing.T) {
 // Duplicated messages that push a round over the cap are an injected
 // fault too: the stage is replayed as-is and, as under injected pressure,
 // the cap stays put.
-func TestInjectedDuplicatesOverCapDoNotEscalate(t *testing.T) {
+func TestInjectedDuplicatesOverCapRetriedAtSameCap(t *testing.T) {
 	c := mpc.New(mpc.Config{Machines: 2, CapWords: 64})
 	var recs []mpc.Record
 	for i := 0; i < 20; i++ {
@@ -199,7 +183,7 @@ func TestInjectedDuplicatesOverCapDoNotEscalate(t *testing.T) {
 	}
 	c.InjectFaults(&mpc.FaultPlan{Seed: 4, Duplicate: 1, PerMessage: 1, MaxFaults: 2})
 	startCap := c.CapWords()
-	st, err := Run(c, "echoed", Options{Escalate: true, Seed: 5}, func(attempt int) error {
+	st, err := Run(c, "echoed", Options{Seed: 5}, func(attempt int) error {
 		// Every machine sends its 40 words to the other: fits, but not
 		// twice over.
 		return c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
@@ -212,29 +196,11 @@ func TestInjectedDuplicatesOverCapDoNotEscalate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("injected duplicates not ridden out: %v", err)
 	}
-	if st.Attempts != 3 || st.Escalations != 0 {
-		t.Errorf("attempts = %d, escalations = %d; want 3 and 0", st.Attempts, st.Escalations)
+	if st.Attempts != 3 {
+		t.Errorf("attempts = %d, want 3 (two duplicated rounds, then success)", st.Attempts)
 	}
 	if c.CapWords() != startCap {
 		t.Errorf("cap changed under injected duplicates: %d → %d", startCap, c.CapWords())
-	}
-}
-
-func TestEscalationLadderBounded(t *testing.T) {
-	c := loaded(t, 2)
-	st, err := Run(c, "bottomless", Options{Escalate: true, MaxEscalations: 2, MaxRetries: 10, Seed: 6},
-		func(attempt int) error {
-			// Always exceeds whatever the cap currently is.
-			capNow := c.CapWords()
-			return c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
-				return append(local, mpc.Record{Key: "big", Data: make([]float64, 2*capNow)})
-			})
-		})
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err = %v", err)
-	}
-	if st.Escalations != 2 {
-		t.Errorf("escalations = %d, want 2", st.Escalations)
 	}
 }
 
@@ -261,15 +227,18 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
+// Backoff starts at 100 ms, doubles per attempt and stops at 10 s, each
+// step plus jitter in [0, 100) ms.
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	opts := Options{BackoffBaseMs: 100, BackoffMaxMs: 400, Seed: 8}
-	b0 := virtualBackoff(opts, "s", 0)
-	b3 := virtualBackoff(opts, "s", 3)
-	if b0 < 100 || b0 >= 200 {
-		t.Errorf("attempt 0 backoff %d outside [100,200)", b0)
+	opts := Options{Seed: 8}
+	if b := virtualBackoff(opts, "s", 0); b < 100 || b >= 200 {
+		t.Errorf("attempt 0 backoff %d outside [100,200)", b)
 	}
-	if b3 < 400 || b3 >= 500 {
-		t.Errorf("attempt 3 backoff %d outside [400,500) (cap+jitter)", b3)
+	if b := virtualBackoff(opts, "s", 3); b < 800 || b >= 900 {
+		t.Errorf("attempt 3 backoff %d outside [800,900)", b)
+	}
+	if b := virtualBackoff(opts, "s", 9); b < 10_000 || b >= 10_100 {
+		t.Errorf("attempt 9 backoff %d outside [10000,10100) (cap+jitter)", b)
 	}
 }
 

@@ -166,7 +166,6 @@ func (r *Registry) maybeAudit(e *entry, snap *snapshot) {
 		} else {
 			res.Report = rep
 			col.ObserveAudit(rep)
-			col.ObserveLevels(rep.Levels)
 			if logger != nil {
 				logger.Info("quality_audit", "tree", e.name, "generation", gen,
 					"pairs", rep.SampledPairs, "mean_ratio", rep.MeanRatio,

@@ -37,7 +37,6 @@ import (
 	"mpctree/internal/hst"
 	"mpctree/internal/mpc"
 	"mpctree/internal/mpcapps"
-	"mpctree/internal/mpcembed"
 	"mpctree/internal/obs"
 	"mpctree/internal/quality"
 	"mpctree/internal/resilient"
@@ -84,24 +83,36 @@ func Embed(pts []Point, opt Options) (*Tree, *Info, error) {
 	return core.Embed(pts, opt)
 }
 
-// MPCOptions configures the distributed pipeline.
+// MPCOptions configures the distributed pipeline. Each value is set here
+// and nowhere else.
 type MPCOptions struct {
 	// Machines is the simulated cluster size; 0 means 8.
 	Machines int
 	// CapWords is the per-machine memory in 64-bit words; 0 means
-	// mpc.FullyScalableCap(n, d, Eps, 256).
+	// mpc.FullyScalableCap(n, d, 0.7, 256), the model's (nd)^ε words at
+	// ε = 0.7. The cap is fixed for the run.
 	CapWords int
-	// Eps is the fully scalable exponent when CapWords is derived; 0
-	// means 0.7.
-	Eps float64
-	// Pipeline tunes both stages (FJLT + hybrid embedding).
-	Pipeline core.PipelineOptions
-	// Seed drives all randomness (overrides Pipeline.Seed when nonzero).
+	// Seed drives all randomness of both stages.
 	Seed uint64
+	// Xi is the FJLT distortion parameter ξ ∈ (0, 0.5); 0 means 0.3.
+	Xi float64
+	// CK is the constant in the FJLT target dimension k = CK·ξ⁻²·ln n
+	// (use CK ≈ 1 for small-n experiments); 0 means the conservative 4.
+	CK float64
+	// Resilient runs each stage — and each query of a
+	// DistributedEmbedding — under the retry driver: a checkpoint at
+	// entry, then bounded retries after injected faults or transport
+	// failures. A recovered run's tree is bit-identical to the fault-free
+	// run's. When the FJLT stage exhausts its retries the pipeline
+	// degrades to embedding the original points (MPCInfo.Degraded).
+	Resilient bool
+	// MaxRetries is the per-stage retry budget under Resilient; 0 means 3,
+	// negative means none.
+	MaxRetries int
 	// Faults, if set, installs a fault-injection schedule on the simulated
 	// cluster before the pipeline runs (see mpc.FaultPlan). Pair it with
-	// Pipeline.Resilient to exercise recovery; without it, the first
-	// injected fault fails the run with an mpc.ErrInjected-class error.
+	// Resilient to exercise recovery; without it, the first injected fault
+	// fails the run with an mpc.ErrInjected-class error.
 	Faults *mpc.FaultPlan
 	// Transport, if non-nil, backs the cluster's record plane with this
 	// transport (e.g. an mpcnet TCP transport over real worker processes)
@@ -109,8 +120,8 @@ type MPCOptions struct {
 	// transport's machine count, and capacity derivation is unchanged.
 	// The output tree is bit-identical across backends — all computation
 	// and randomness stay coordinator-side; pair remote transports with
-	// Pipeline.Resilient so worker failures recover by checkpointed
-	// replay instead of failing the run.
+	// Resilient so worker failures recover by checkpointed replay instead
+	// of failing the run.
 	Transport mpc.Transport
 	// Obs, if non-nil, instruments the simulated cluster against this
 	// metrics registry (mpc_rounds_total, mpc_comm_words_total, peak
@@ -121,8 +132,7 @@ type MPCOptions struct {
 	// Span, if non-nil, becomes the parent of per-stage attempt spans
 	// (jl_projection, tree_embed → grid_construction / root_paths /
 	// tree_build); after the run it also carries the cluster totals as
-	// rounds / comm_words / peak_local_words metrics. Overrides
-	// Pipeline.Span when non-nil.
+	// rounds / comm_words / peak_local_words metrics.
 	Span *Span
 	// Trace enables per-round tracing on the cluster; the rows land in
 	// MPCInfo.RoundTrace (render with FormatRoundTrace).
@@ -131,8 +141,7 @@ type MPCOptions struct {
 	// points on a seeded pair sample and publishes quality_* series (mean
 	// and extreme distortion ratios, domination violations, per-scale
 	// separation counts) onto the collector's registry. Observational
-	// only: the output tree is bit-identical with or without it. Overrides
-	// Pipeline.Quality when non-nil.
+	// only: the output tree is bit-identical with or without it.
 	Quality *QualityCollector
 }
 
@@ -151,9 +160,9 @@ type MPCInfo struct {
 // embedMPC is what EmbedMPC and NewDistributedEmbedding run: it builds the
 // cluster (Transport's machine count when Machines is unset and Transport
 // is given, else 8; FullyScalableCap when CapWords is unset) with the
-// fault/obs/trace options, merges opt into the pipeline options and runs
-// the Theorem-1 pipeline.
-func embedMPC(pts []Point, opt MPCOptions) (*mpc.Cluster, *Tree, *MPCInfo, error) {
+// fault/obs/trace options and runs the Theorem-1 pipeline, keeping the
+// per-point path records resident when emitPaths is set.
+func embedMPC(pts []Point, opt MPCOptions, emitPaths bool) (*mpc.Cluster, *Tree, *MPCInfo, error) {
 	machines := opt.Machines
 	if machines == 0 {
 		if opt.Transport != nil {
@@ -169,11 +178,7 @@ func embedMPC(pts []Point, opt MPCOptions) (*mpc.Cluster, *Tree, *MPCInfo, error
 		if n > 0 {
 			d = len(pts[0])
 		}
-		eps := opt.Eps
-		if eps == 0 {
-			eps = 0.7
-		}
-		capWords = mpc.FullyScalableCap(n, d, eps, 256)
+		capWords = mpc.FullyScalableCap(n, d, 0.7, 256)
 	}
 	cfg := mpc.Config{Machines: machines, CapWords: capWords}
 	var cluster *mpc.Cluster
@@ -191,17 +196,16 @@ func embedMPC(pts []Point, opt MPCOptions) (*mpc.Cluster, *Tree, *MPCInfo, error
 	if opt.Trace {
 		cluster.EnableTrace()
 	}
-	popt := opt.Pipeline
-	if opt.Seed != 0 {
-		popt.Seed = opt.Seed
-	}
-	if opt.Span != nil {
-		popt.Span = opt.Span
-	}
-	if opt.Quality != nil {
-		popt.Quality = opt.Quality
-	}
-	tree, pinfo, err := core.EmbedPipeline(cluster, pts, popt)
+	tree, pinfo, err := core.EmbedPipeline(cluster, pts, core.PipelineOptions{
+		Xi:        opt.Xi,
+		CK:        opt.CK,
+		EmitPaths: emitPaths,
+		Seed:      opt.Seed,
+		Resilient: opt.Resilient,
+		Retry:     resilient.Options{MaxRetries: opt.MaxRetries},
+		Span:      opt.Span,
+		Quality:   opt.Quality,
+	})
 	m := cluster.Metrics()
 	info := &MPCInfo{PipelineInfo: pinfo, Machines: machines, CapWords: capWords, Metrics: m}
 	if opt.Trace {
@@ -218,7 +222,7 @@ func embedMPC(pts []Point, opt MPCOptions) (*mpc.Cluster, *Tree, *MPCInfo, error
 // Lindenstrauss dimension reduction followed by MPC hybrid partitioning —
 // on a freshly simulated cluster and returns the tree plus accounting.
 func EmbedMPC(pts []Point, opt MPCOptions) (*Tree, *MPCInfo, error) {
-	_, tree, info, err := embedMPC(pts, opt)
+	_, tree, info, err := embedMPC(pts, opt, false)
 	return tree, info, err
 }
 
@@ -242,32 +246,24 @@ type DistributedEmbedding = mpcapps.Embedding
 
 // NewDistributedEmbedding runs EmbedMPC's pipeline with the path records
 // kept resident, so its tree is EmbedMPC's for the same options, ready for
-// the constant-round EMD, MST and DensestBall queries. With
-// Pipeline.Resilient each query, like each stage, runs under the retry
-// driver with Pipeline.Retry.
+// the constant-round EMD, MST and DensestBall queries. The path records
+// are then the only records resident on the cluster. With Resilient each
+// query, like each stage, runs under the retry driver with MaxRetries.
 func NewDistributedEmbedding(pts []Point, opt MPCOptions) (*DistributedEmbedding, error) {
-	opt.Pipeline.Embed.EmitPaths = true
-	cluster, tree, _, err := embedMPC(pts, opt)
+	cluster, tree, _, err := embedMPC(pts, opt, true)
 	if err != nil {
 		return nil, err
 	}
-	var retry *RetryOptions
-	if opt.Pipeline.Resilient {
-		retry = &opt.Pipeline.Retry
+	var retry *resilient.Options
+	if opt.Resilient {
+		retry = &resilient.Options{MaxRetries: opt.MaxRetries}
 	}
 	return mpcapps.New(cluster, tree, retry), nil
 }
 
-// MPCEmbedOptions tunes the Algorithm-2 stage directly.
-type MPCEmbedOptions = mpcembed.Options
-
 // FJLTOptions configures a standalone Fast Johnson–Lindenstrauss
 // transform.
 type FJLTOptions = fjlt.Options
-
-// PipelineOptions configures the two-stage Theorem-1 pipeline run by
-// EmbedMPC.
-type PipelineOptions = core.PipelineOptions
 
 // FaultPlan is a seeded, deterministic fault-injection schedule for the
 // simulated cluster: machine crashes, transient round failures, message
@@ -327,23 +323,10 @@ func NewQualityCollector(reg *MetricsRegistry, cfg QualityConfig, labelPairs ...
 	return quality.NewCollector(reg, cfg, labelPairs...)
 }
 
-// RetryOptions tunes the resilient execution driver enabled by
-// PipelineOptions.Resilient (retry budget, virtual backoff, resource
-// escalation).
-type RetryOptions = resilient.Options
-
 // UniformFaults builds a FaultPlan injecting every fault class at
 // per-round probability p.
 func UniformFaults(seed uint64, p float64) *FaultPlan {
 	return mpc.UniformFaults(seed, p)
-}
-
-// PipelineTuning is a convenience constructor for MPCOptions.Pipeline:
-// xi is the FJLT distortion parameter ξ ∈ (0, 0.5) and ck the constant in
-// k = ck·ξ⁻²·ln n (use ck ≈ 1 for small-n experiments; the conservative
-// default is 4).
-func PipelineTuning(xi, ck float64) PipelineOptions {
-	return PipelineOptions{Xi: xi, FJLT: fjlt.Options{CK: ck}}
 }
 
 // FJLT applies the Fast Johnson–Lindenstrauss Transform (Theorem 3,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpctree/internal/mpcapps"
+	"mpctree/internal/mpcembed"
 	"mpctree/internal/workload"
 )
 
@@ -149,6 +150,30 @@ func TestFacadeDistributedEmbedding(t *testing.T) {
 	}
 }
 
+// Once the tree is assembled, a distributed embedding keeps only its path
+// records resident: Algorithm 2's edge and leaf records would count
+// against every machine's cap during each query and be copied into each
+// query's checkpoint, though nothing reads them again.
+func TestDistributedEmbeddingKeepsOnlyPaths(t *testing.T) {
+	pts := workload.UniformLattice(3, 64, 200, 128)
+	e, err := NewDistributedEmbedding(pts, MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := 0
+	for m := 0; m < e.Cluster.Machines(); m++ {
+		for _, rec := range e.Cluster.Store(m) {
+			if rec.Tag != mpcembed.TagPath {
+				t.Fatalf("machine %d holds a record with tag %d (key %q)", m, rec.Tag, rec.Key)
+			}
+			paths++
+		}
+	}
+	if paths != len(pts) {
+		t.Errorf("%d resident paths for %d points", paths, len(pts))
+	}
+}
+
 // distributedAnswers runs the three Corollary-1 queries on e.
 func distributedAnswers(t *testing.T, e *DistributedEmbedding) (emd, mst float64, ball mpcapps.BallResult) {
 	t.Helper()
@@ -206,11 +231,11 @@ func TestDistributedEmbeddingIsEmbedMPCTree(t *testing.T) {
 	}
 }
 
-// With Pipeline.Resilient, the distributed build recovers from injected
-// faults as EmbedMPC's does, to the fault-free tree.
+// With Resilient, the distributed build recovers from injected faults as
+// EmbedMPC's does, to the fault-free tree.
 func TestDistributedEmbeddingResilientBuild(t *testing.T) {
 	pts := workload.UniformLattice(2, 64, 8, 64)
-	opt := MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 7, Pipeline: PipelineOptions{Resilient: true}}
+	opt := MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 7, Resilient: true}
 	clean, err := NewDistributedEmbedding(pts, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -233,9 +258,7 @@ func TestDistributedEmbeddingResilientBuild(t *testing.T) {
 // run's bit for bit, and some seed injects a fault during the queries.
 func TestDistributedQueriesRetryUnderFaults(t *testing.T) {
 	pts := workload.UniformLattice(2, 64, 200, 128)
-	opt := MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 9, Pipeline: PipelineOptions{
-		Resilient: true, Retry: RetryOptions{MaxRetries: 40},
-	}}
+	opt := MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 9, Resilient: true, MaxRetries: 40}
 	clean, err := NewDistributedEmbedding(pts, opt)
 	if err != nil {
 		t.Fatal(err)
