@@ -9,7 +9,7 @@
 //	treegate -backend http://h1:8080 -backend http://h2:8080 -addr :8090
 //	treegate -backend http://h1:8080 -backend http://h2:8080 \
 //	    -ensemble forest=t-0,t-1,t-2
-//	treegate -selftest -replicas 3 -queries 20000
+//	treegate -selftest
 //
 // The gate speaks treeserve's /v1 API unchanged (dist, knn, cut, emd,
 // medoid, trees, trees/reload, quality) plus GET /v1/ensembles, so
@@ -19,16 +19,20 @@
 // gate_* series at /metrics (see docs/OBSERVABILITY.md).
 //
 // -selftest runs the acceptance drill in-process: a versioned tree
-// store, N replicas, the gate, sustained verified mixed load (plain +
-// ensemble queries, hot reloads), and rolling replica restarts mid-run.
-// Any wrong answer, failed request, or cache inconsistency exits 1.
+// store, 3 replicas, the gate, 20000 verified mixed queries from 8
+// clients (plain + ensemble queries, hot reloads), and a rolling replica
+// restart every 400ms. Any wrong answer, failed request, or cache
+// inconsistency exits 1.
+//
+// The ring's 64 virtual nodes per backend, the 4096-entry answer cache,
+// the 4 failover sweeps (backoff jitter seed 1), the 8 MiB body limit
+// and the 512 retained trace roots are fixed.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -41,6 +45,10 @@ import (
 	"mpctree/internal/mpcnet"
 	"mpctree/internal/obs"
 )
+
+// traceBuf is the number of completed sampled request roots retained for
+// /trace/requests and -trace-out.
+const traceBuf = 512
 
 // repeatFlags collects repeated flag values (-backend, -ensemble).
 type repeatFlags []string
@@ -57,35 +65,19 @@ func main() {
 	flag.Var(&ensembles, "ensemble", "name=tree1,tree2,... — dist queries naming this fan across the member trees and answer the elementwise min (repeatable)")
 	var (
 		addr       = flag.String("addr", ":8090", "listen address (host:port; :0 picks a free port)")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring (0 = 64)")
-		cacheSize  = flag.Int("cache", 4096, "answer-cache capacity in entries (0 = default 4096, negative = disabled)")
 		cacheCheck = flag.Int("cache-check", 64, "double-check every Nth cache hit against a live backend, counting disagreements on gate_cache_mismatch_total (0 = never)")
 		healthIvl  = flag.Duration("health-interval", time.Second, "pace of background replica health polls")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-backend-attempt HTTP timeout")
-		retries    = flag.Int("retries", 4, "full failover sweeps over the replica preference list before answering 502")
-		retrySeed  = flag.Uint64("retry-seed", 1, "deterministic backoff-jitter seed")
-		maxBody    = flag.Int64("max-body", 8<<20, "maximum request body bytes")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
 
 		traceSample = flag.Float64("trace-sample", -1, "request-trace head-sampling fraction in [0,1]; the decision propagates to replicas via traceparent (negative disables tracing)")
-		traceBuf    = flag.Int("trace-buf", 512, "completed sampled request roots retained for /trace/requests and -trace-out")
 		traceOut    = flag.String("trace-out", "", "write the merged gate+replica chrome-trace timeline here on shutdown (with -trace-sample >= 0)")
-		sloTarget   = flag.Duration("slo", 0, "per-request latency objective; requests over it burn gate_slo_breaches_total (0 = publish quantile gauges only)")
-		slowLog     = flag.Duration("slow-log", 0, "slow-query log threshold; requests over it are candidates for a structured warn record (0 = disabled)")
-		slowEvery   = flag.Int("slow-log-every", 10, "log every Nth slow-query candidate (with -slow-log)")
+		sloTarget   = flag.Duration("slo", 0, "per-request latency objective; requests over it burn gate_slo_breaches_total and are logged at warn (0 = publish quantile gauges only)")
 
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
 		logFormat = flag.String("log-format", "json", "log encoding: json|text")
 
-		selftest     = flag.Bool("selftest", false, "run the fleet drill (store + replicas + gate + rolling restarts under verified load) and exit non-zero on any error")
-		replicas     = flag.Int("replicas", 3, "treeserve replicas to stand up (with -selftest)")
-		members      = flag.Int("members", 3, "independently-seeded ensemble member trees (with -selftest)")
-		points       = flag.Int("points", 96, "points per tree (with -selftest)")
-		queries      = flag.Int("queries", 20000, "total load-generator queries (with -selftest)")
-		clients      = flag.Int("clients", 8, "concurrent load-generator clients (with -selftest)")
-		seed         = flag.Uint64("seed", 1, "embedding + load stream seed (with -selftest)")
-		storeDir     = flag.String("store", "", "use this pre-populated tree store instead of building trees (with -selftest)")
-		restartEvery = flag.Duration("restart-every", 400*time.Millisecond, "rolling-restart pace (with -selftest)")
+		selftest = flag.Bool("selftest", false, "run the fleet drill (store + replicas + gate + rolling restarts under verified load) and exit non-zero on any error")
 	)
 	flag.Parse()
 
@@ -99,18 +91,7 @@ func main() {
 	}
 
 	if *selftest {
-		runSelftest(logger, gate.SelftestOptions{
-			Replicas:     *replicas,
-			Ensemble:     *members,
-			Points:       *points,
-			Queries:      *queries,
-			Clients:      *clients,
-			Seed:         *seed,
-			StoreDir:     *storeDir,
-			RestartEvery: *restartEvery,
-			CacheCheck:   8,
-			Logger:       logger,
-		})
+		runSelftest(gate.SelftestOptions{Logger: logger})
 		return
 	}
 
@@ -132,22 +113,18 @@ func main() {
 	obs.RegisterBuildInfo(reg)
 	var tracer *obs.Tracer
 	if *traceSample >= 0 {
-		tracer = obs.NewTracer(*traceSample, *traceBuf)
+		tracer = obs.NewTracer(*traceSample, traceBuf)
 	}
 	g, err := gate.New(gate.Options{
 		Backends:        backends,
 		Ensembles:       ensembleMap,
-		VNodes:          *vnodes,
-		CacheSize:       *cacheSize,
 		CacheCheckEvery: *cacheCheck,
-		Retry:           mpcnet.RetryPolicy{MaxAttempts: *retries, Seed: *retrySeed},
+		Retry:           mpcnet.RetryPolicy{MaxAttempts: 4, Seed: 1},
 		HealthInterval:  *healthIvl,
 		Timeout:         *timeout,
-		MaxBodyBytes:    *maxBody,
 		Obs:             reg,
 		Logger:          logger,
 		Tracer:          tracer,
-		SlowLog:         obs.NewSlowLog(reg, "gate", logger, *slowLog, *slowEvery),
 		SLOTarget:       *sloTarget,
 	})
 	if err != nil {
@@ -208,7 +185,7 @@ func main() {
 
 // runSelftest executes the fleet drill and reports like treeserve
 // -selftest does: the load report plus the gate-specific outcomes.
-func runSelftest(logger *slog.Logger, opts gate.SelftestOptions) {
+func runSelftest(opts gate.SelftestOptions) {
 	res, err := gate.Selftest(opts)
 	fmt.Println("selftest:", res)
 	if err != nil {

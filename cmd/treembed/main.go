@@ -220,8 +220,8 @@ func main() {
 			fmt.Printf("transport: tcp, %d ops, %d retries, %d redials, %d dead workers, %d machines remapped, %d live workers, %d B sent, %d B received\n",
 				st.Ops, st.Retries, st.Redials, st.DeadWorkers, st.Remapped, netTransport.LiveWorkers(), st.BytesSent, st.BytesReceived)
 			if info.Recovery.Restores > 0 {
-				fmt.Printf("recovery: %d attempts, %d restores, %d rounds rolled back, %d ckpt words\n",
-					info.Attempts, info.Recovery.Restores, info.Recovery.RolledBackRounds, info.Recovery.CheckpointWords)
+				fmt.Printf("recovery: %d attempts, %d restores, %d rounds rolled back\n",
+					info.Attempts, info.Recovery.Restores, info.Recovery.RolledBackRounds)
 			}
 		}
 		if info.UsedFJLT {
@@ -235,9 +235,8 @@ func main() {
 			fmt.Printf("chaos: %d faults injected (%d crashes, %d transient, %d drop, %d dup, %d pressure)\n",
 				info.Faults.Injected(), info.Faults.Crashes, info.Faults.Transients,
 				info.Faults.Drops, info.Faults.Duplicates, info.Faults.Pressures)
-			fmt.Printf("recovery: %d attempts, %d restores, %d rounds rolled back, %d ckpt words, %d ms virtual backoff\n",
-				info.Attempts, info.Recovery.Restores, info.Recovery.RolledBackRounds,
-				info.Recovery.CheckpointWords, info.VirtualBackoffMs)
+			fmt.Printf("recovery: %d attempts, %d restores, %d rounds rolled back, %d ms virtual backoff\n",
+				info.Attempts, info.Recovery.Restores, info.Recovery.RolledBackRounds, info.VirtualBackoffMs)
 			if info.Degraded {
 				fmt.Printf("DEGRADED: %s (embedded original un-reduced points)\n", info.DegradedReason)
 			}

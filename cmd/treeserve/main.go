@@ -19,7 +19,7 @@
 //	treeserve -store /var/trees -addr :8080
 //	treeserve -tree demo=t.tree -points demo=t.csv -audit-pairs 1024
 //	treeserve -tree a=a.tree -tree b=b.tree -deadline 5s
-//	treeserve -tree demo=t.tree -selftest -clients 8 -queries 20000
+//	treeserve -tree demo=t.tree -selftest
 //
 // API (JSON bodies; see docs/SERVING.md):
 //
@@ -32,8 +32,14 @@
 //	POST /v1/trees/reload  {"tree":"demo"}
 //	GET  /v1/quality[?tree=demo]
 //
+// -selftest serves on a loopback port and drives 20000 verified queries
+// (16-pair dist batches, stream seed 1) from 8 clients at the first
+// tree, with a hot reload every 100th request per client.
+//
 // Logs are structured (log/slog); -log-format json is the default for
 // this daemon so access logs and audit results are machine-parseable.
+// Requests slower than -slo are logged at warn. The body limit (8 MiB)
+// and the 512 retained trace roots are fixed.
 // On SIGINT/SIGTERM the server drains gracefully: the listener closes,
 // in-flight requests run to completion (up to -drain), then the process
 // exits 0.
@@ -71,6 +77,10 @@ func (t *repeatFlags) Set(v string) error {
 
 var logger = slog.Default()
 
+// traceBuf is the number of completed sampled request roots retained for
+// /trace/requests.
+const traceBuf = 512
+
 func main() {
 	var trees, points repeatFlags
 	flag.Var(&trees, "tree", "name=path of a tree written by treembed -save (repeatable, required)")
@@ -79,7 +89,6 @@ func main() {
 		storeDir = flag.String("store", "", "versioned tree store directory (loads every tree in it; see treembed -store)")
 		addr     = flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 		deadline = flag.Duration("deadline", 30*time.Second, "per-request wall budget (answers 503 when exceeded)")
-		maxBody  = flag.Int64("max-body", 8<<20, "maximum request body bytes")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
 
 		auditPairs = flag.Int("audit-pairs", 512, "point pairs sampled per quality audit (-1 = all pairs; with -points)")
@@ -87,19 +96,12 @@ func main() {
 		maxMean    = flag.Float64("max-distortion", 0, "mean-distortion alarm threshold for audits (0 = no alarm)")
 
 		traceSample = flag.Float64("trace-sample", -1, "request-trace head-sampling fraction in [0,1]; 0 records only propagated (gate-sampled) traces, negative disables tracing entirely")
-		traceBuf    = flag.Int("trace-buf", 512, "completed sampled request roots retained for /trace/requests")
-		sloTarget   = flag.Duration("slo", 0, "per-request latency objective; requests over it burn serve_slo_breaches_total (0 = publish quantile gauges only)")
-		slowLog     = flag.Duration("slow-log", 0, "slow-query log threshold; requests over it are candidates for a structured warn record (0 = disabled)")
-		slowEvery   = flag.Int("slow-log-every", 10, "log every Nth slow-query candidate (with -slow-log)")
+		sloTarget   = flag.Duration("slo", 0, "per-request latency objective; requests over it burn serve_slo_breaches_total and are logged at warn (0 = publish quantile gauges only)")
 
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
 		logFormat = flag.String("log-format", "json", "log encoding: json|text")
 
 		selftest = flag.Bool("selftest", false, "serve on a loopback port, drive the load generator against it (with hot reloads), print the report, and exit non-zero on any error")
-		clients  = flag.Int("clients", 8, "concurrent load-generator clients (with -selftest)")
-		queries  = flag.Int("queries", 20000, "total load-generator queries (with -selftest)")
-		batch    = flag.Int("batch", 16, "dist pairs per load-generator request (with -selftest)")
-		seed     = flag.Uint64("seed", 1, "load-generator stream seed (with -selftest)")
 	)
 	flag.Parse()
 
@@ -184,16 +186,14 @@ func main() {
 
 	var tracer *obs.Tracer
 	if *traceSample >= 0 {
-		tracer = obs.NewTracer(*traceSample, *traceBuf)
+		tracer = obs.NewTracer(*traceSample, traceBuf)
 	}
 	server := serve.NewServer(registry, serve.Options{
-		Deadline:     *deadline,
-		MaxBodyBytes: *maxBody,
-		Obs:          reg,
-		Logger:       logger,
-		Tracer:       tracer,
-		SlowLog:      obs.NewSlowLog(reg, "serve", logger, *slowLog, *slowEvery),
-		SLOTarget:    *sloTarget,
+		Deadline:  *deadline,
+		Obs:       reg,
+		Logger:    logger,
+		Tracer:    tracer,
+		SLOTarget: *sloTarget,
 	})
 	mux := http.NewServeMux()
 	server.RegisterMux(mux)
@@ -227,10 +227,9 @@ func main() {
 
 	if *selftest {
 		report := serve.RunLoad("http://"+ln.Addr().String(), firstName, firstPoints, serve.LoadOptions{
-			Clients:     *clients,
-			Queries:     *queries,
-			Batch:       *batch,
-			Seed:        *seed,
+			Clients:     8,
+			Queries:     20000,
+			Seed:        1,
 			ReloadEvery: 100, // sustained hot reloads under load
 			Verify:      mustGet(registry, firstName),
 		})

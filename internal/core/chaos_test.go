@@ -7,7 +7,6 @@ import (
 
 	"mpctree/internal/hst"
 	"mpctree/internal/mpc"
-	"mpctree/internal/resilient"
 	"mpctree/internal/vec"
 )
 
@@ -43,7 +42,7 @@ func TestChaosPipelineBitIdentical(t *testing.T) {
 	pts := latticePts(t, 1, 48, 300, 32) // engages the FJLT stage
 	opts := pipelineOpts(3)
 	opts.Resilient = true
-	opts.Retry = resilient.Options{MaxRetries: 60, Seed: 99}
+	opts.MaxRetries = 60
 
 	baseTree, baseInfo, err := EmbedPipeline(pipelineCluster(), pts, opts)
 	if err != nil {
@@ -107,7 +106,7 @@ func TestChaosDegradedFallback(t *testing.T) {
 	pts := latticePts(t, 2, 32, 300, 32)
 	opts := pipelineOpts(5)
 	opts.Resilient = true
-	opts.Retry = resilient.Options{MaxRetries: 2, Seed: 42}
+	opts.MaxRetries = 2
 
 	c := pipelineCluster()
 	// Exactly enough transient faults to burn all 3 FJLT attempts; the
@@ -152,7 +151,7 @@ func TestChaosCrashHeavy(t *testing.T) {
 	pts := latticePts(t, 4, 40, 300, 32)
 	opts := pipelineOpts(13)
 	opts.Resilient = true
-	opts.Retry = resilient.Options{MaxRetries: 80, Seed: 17}
+	opts.MaxRetries = 80
 
 	base, _, err := EmbedPipeline(pipelineCluster(), pts, opts)
 	if err != nil {

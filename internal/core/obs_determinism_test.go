@@ -102,8 +102,8 @@ func TestObservabilityPreservesChaosRecovery(t *testing.T) {
 	pts := workload.UniformLattice(43, 32, 120, 512)
 	opt := PipelineOptions{
 		Xi: 0.3, CK: 1, Seed: 9,
-		Resilient: true,
-		Retry:     resilient.Options{MaxRetries: 60, Seed: 10},
+		Resilient:  true,
+		MaxRetries: 60,
 	}
 	bare, _ := runPipeline(t, pts, opt, false, nil)
 

@@ -30,8 +30,9 @@ type PipelineOptions struct {
 	// EmitPaths leaves one path record per point resident on the cluster
 	// (mpcembed.Options.EmitPaths), for mpcapps' constant-round queries.
 	EmitPaths bool
-	// Seed drives both stages: the FJLT draws from Seed^0xFA57, Algorithm
-	// 2 from Seed^0x7EE.
+	// Seed drives both stages and the retry driver: the FJLT draws from
+	// Seed^0xFA57, Algorithm 2 from Seed^0x7EE, backoff jitter from
+	// Seed^0xB0FF.
 	Seed uint64
 
 	// Resilient executes each stage under the retrying driver: a
@@ -41,9 +42,11 @@ type PipelineOptions struct {
 	// When the FJLT stage exhausts its retries, the pipeline degrades: it
 	// embeds the original, un-reduced points.
 	Resilient bool
-	// Retry tunes the retrying driver; a zero Retry.Seed means
-	// Seed^0xB0FF. Ignored unless Resilient is set.
-	Retry resilient.Options
+	// MaxRetries is the retrying driver's per-stage budget
+	// (resilient.Options.MaxRetries: 0 means 3, negative means none); its
+	// backoff jitter draws from Seed^0xB0FF. Ignored unless Resilient is
+	// set.
+	MaxRetries int
 
 	// Span, if non-nil, receives one child span per stage attempt:
 	// "jl_projection" for the FJLT stage (Algorithm 3) and "tree_embed"
@@ -119,10 +122,7 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 	// distance ≥ 1.
 	minDist := 1.0
 
-	retry := opt.Retry
-	if retry.Seed == 0 {
-		retry.Seed = opt.Seed ^ 0xB0FF
-	}
+	retry := resilient.Options{MaxRetries: opt.MaxRetries, Seed: opt.Seed ^ 0xB0FF}
 	runStage := func(stage, spanName string, step func(sp *obs.Span) error) error {
 		runAttempt := func(attempt int) error {
 			sp := opt.Span.Child(spanName)

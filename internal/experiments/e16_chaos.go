@@ -6,7 +6,6 @@ import (
 	"mpctree/internal/core"
 	"mpctree/internal/hst"
 	"mpctree/internal/mpc"
-	"mpctree/internal/resilient"
 	"mpctree/internal/stats"
 	"mpctree/internal/vec"
 	"mpctree/internal/workload"
@@ -26,8 +25,8 @@ func init() { register("E16-Chaos", runE16) }
 //     same algorithm seed (recovery never perturbs the randomness);
 //   - the domination invariant dist_T(p,q) ≥ ‖p−q‖₂ survives chaos.
 //
-// The table reports the price: extra attempts, rolled-back rounds, words
-// of checkpoint traffic, and virtual backoff.
+// The table reports the price: extra attempts, restores, rolled-back
+// rounds, and virtual backoff.
 func runE16(cfg Config) (*Result, error) {
 	n, d := 48, 300
 	retries := 60
@@ -49,11 +48,11 @@ func runE16(cfg Config) (*Result, error) {
 
 	pts := workload.UniformLattice(cfg.Seed+160, n, d, 512)
 	opts := core.PipelineOptions{
-		Xi:        0.3,
-		CK:        1,
-		Seed:      cfg.Seed + 161,
-		Resilient: true,
-		Retry:     resilient.Options{MaxRetries: retries, Seed: cfg.Seed + 162},
+		Xi:         0.3,
+		CK:         1,
+		Seed:       cfg.Seed + 161,
+		Resilient:  true,
+		MaxRetries: retries,
 	}
 
 	run := func(plan *mpc.FaultPlan) (*hst.Tree, *core.PipelineInfo, error) {
@@ -80,8 +79,8 @@ func runE16(cfg Config) (*Result, error) {
 		rates = []float64{cfg.Faults}
 	}
 
-	t := stats.NewTable("fault rate", "injected", "attempts", "restores", "rolled-back rounds", "ckpt words", "backoff ms", "identical")
-	t.AddRow(0.0, 0, baseInfo.Attempts, 0, 0, baseInfo.Recovery.CheckpointWords, 0, true)
+	t := stats.NewTable("fault rate", "injected", "attempts", "restores", "rolled-back rounds", "backoff ms", "identical")
+	t.AddRow(0.0, 0, baseInfo.Attempts, 0, 0, 0, true)
 
 	identicalAll := true
 	injectedAny := 0
@@ -96,7 +95,7 @@ func runE16(cfg Config) (*Result, error) {
 				reason = "degraded: " + info.DegradedReason
 			}
 			t.AddRow(p, info.Faults.Injected(), info.Attempts, info.Recovery.Restores,
-				info.Recovery.RolledBackRounds, info.Recovery.CheckpointWords, info.VirtualBackoffMs, reason)
+				info.Recovery.RolledBackRounds, info.VirtualBackoffMs, reason)
 			continue
 		}
 		injectedAny += info.Faults.Injected()
@@ -117,7 +116,7 @@ func runE16(cfg Config) (*Result, error) {
 			}
 		}
 		t.AddRow(p, info.Faults.Injected(), info.Attempts, info.Recovery.Restores,
-			info.Recovery.RolledBackRounds, info.Recovery.CheckpointWords, info.VirtualBackoffMs, same)
+			info.Recovery.RolledBackRounds, info.VirtualBackoffMs, same)
 	}
 	res.Tables = append(res.Tables, t)
 

@@ -49,8 +49,6 @@ type Options struct {
 	// query naming an ensemble fans across the members and answers the
 	// elementwise min distance.
 	Ensembles map[string][]string
-	// VNodes is the virtual nodes per backend on the ring (0 = 64).
-	VNodes int
 	// CacheSize bounds the answer cache in entries (0 = 4096, <0 = off).
 	CacheSize int
 	// CacheCheckEvery, when > 0, re-forwards every Nth cache hit to the
@@ -65,13 +63,12 @@ type Options struct {
 	HealthInterval time.Duration
 	// Timeout bounds one backend HTTP attempt (0 = 30s).
 	Timeout time.Duration
-	// MaxBodyBytes caps inbound request bodies (0 = 8 MiB).
-	MaxBodyBytes int64
 	// Obs is the metrics sink; nil = unmetered.
 	Obs *obs.Registry
 	// Logger, if non-nil, logs health transitions, request errors, and
 	// one structured access-log record per request (with the request id
-	// and, when sampled, the trace id).
+	// and, when sampled, the trace id) — at Warn when the request took
+	// longer than SLOTarget, at Info otherwise.
 	Logger *slog.Logger
 	// Tracer, if non-nil, enables per-request span tracing: a sampled
 	// request gets a root span ("gate <endpoint>") with route,
@@ -81,14 +78,15 @@ type Options struct {
 	// Write-only: responses are bit-identical with tracing on or off, and
 	// a nil tracer costs one atomic pointer load.
 	Tracer *obs.Tracer
-	// SlowLog, if non-nil, emits a sampled structured record for
-	// requests over its threshold (every Nth candidate).
-	SlowLog *obs.SlowLog
 	// SLOTarget is the per-request latency objective: requests over it
-	// burn gate_slo_breaches_total and the bound is published as
-	// gate_latency_objective_seconds. 0 publishes quantile gauges only.
+	// burn gate_slo_breaches_total and are logged at Warn, and the bound
+	// is published as gate_latency_objective_seconds. 0 publishes
+	// quantile gauges only.
 	SLOTarget time.Duration
 }
+
+// maxBodyBytes caps inbound request bodies.
+const maxBodyBytes = 8 << 20
 
 // Gateway fronts a fleet of treeserve replicas.
 type Gateway struct {
@@ -103,7 +101,7 @@ type Gateway struct {
 	interval  time.Duration
 	client    *http.Client
 	logger    *slog.Logger
-	requests  *obs.Requests // request id, tracing, metering, body limit, logs
+	requests  *obs.Requests // method check, request id, tracing, metering, body limit, logs
 
 	seq      atomic.Uint64 // request sequence, feeds backoff jitter
 	hitSeq   atomic.Uint64 // cache hits, drives the every-Nth double-check
@@ -137,16 +135,12 @@ func New(opts Options) (*Gateway, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	maxBody := opts.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 8 << 20
-	}
 	rounds := opts.Retry.MaxAttempts
 	if rounds <= 0 {
 		rounds = 4
 	}
 	g := &Gateway{
-		ring:      NewRing(opts.Backends, opts.VNodes),
+		ring:      NewRing(opts.Backends),
 		byURL:     make(map[string]*backendState, len(opts.Backends)),
 		ensembles: opts.Ensembles,
 		cache:     NewCache(cacheSize, opts.Obs),
@@ -158,7 +152,7 @@ func New(opts Options) (*Gateway, error) {
 		logger:    opts.Logger,
 		requests: obs.NewRequests(obs.RequestsConfig{Family: "gate", Help: "Gate API",
 			Registry: opts.Obs, SLOTarget: opts.SLOTarget,
-			MaxBodyBytes: maxBody, Tracer: opts.Tracer, SlowLog: opts.SlowLog, Logger: opts.Logger}),
+			MaxBodyBytes: maxBodyBytes, Tracer: opts.Tracer, Logger: opts.Logger}),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 		reg:  opts.Obs,
@@ -289,7 +283,7 @@ func (g *Gateway) forward(path string, prefs []*backendState, body []byte, reqID
 	var lastErr error
 	for round := 0; round < g.rounds; round++ {
 		if round > 0 {
-			g.retrySleep(g.retry.Backoff(seq, round-1))
+			g.retry.Wait(g.retry.Backoff(seq, round-1))
 		}
 		for _, b := range prefs {
 			if g.reg != nil {
@@ -334,16 +328,6 @@ func (g *Gateway) countBackendError(url string) {
 	}
 }
 
-// retrySleep honors the policy's injectable Sleep hook (tests use a
-// fake clock), defaulting to time.Sleep.
-func (g *Gateway) retrySleep(d time.Duration) {
-	if g.retry.Sleep != nil {
-		g.retry.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
 // ---- HTTP surface ----
 
 // RegisterMux mounts the gate API. The query endpoints mirror
@@ -351,23 +335,17 @@ func (g *Gateway) retrySleep(d time.Duration) {
 // unchanged against a gate.
 func (g *Gateway) RegisterMux(mux *http.ServeMux) {
 	wrap := g.requests.Wrap
-	mux.HandleFunc("/v1/dist", wrap("dist", g.handleDist))
-	mux.HandleFunc("/v1/knn", wrap("knn", g.handleKNN))
-	mux.HandleFunc("/v1/cut", wrap("cut", g.handleForward("/v1/cut")))
-	mux.HandleFunc("/v1/emd", wrap("emd", g.handleForward("/v1/emd")))
-	mux.HandleFunc("/v1/medoid", wrap("medoid", g.handleForward("/v1/medoid")))
-	mux.HandleFunc("/v1/trees", wrap("trees", g.handleTrees))
-	mux.HandleFunc("/v1/trees/reload", wrap("reload", g.handleReload))
-	mux.HandleFunc("/v1/ensembles", wrap("ensembles", g.handleEnsembles))
-	mux.HandleFunc("/v1/quality", wrap("quality", g.handleQuality))
-	mux.HandleFunc("/v1/status", wrap("status", g.handleStatus))
-}
-
-// writeJSONError answers a structured error the way treeserve does.
-func writeJSONError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	const get, post = http.MethodGet, http.MethodPost
+	mux.HandleFunc("/v1/dist", wrap("dist", post, g.handleDist))
+	mux.HandleFunc("/v1/knn", wrap("knn", post, g.handleKNN))
+	mux.HandleFunc("/v1/cut", wrap("cut", post, g.handleForward("/v1/cut")))
+	mux.HandleFunc("/v1/emd", wrap("emd", post, g.handleForward("/v1/emd")))
+	mux.HandleFunc("/v1/medoid", wrap("medoid", post, g.handleForward("/v1/medoid")))
+	mux.HandleFunc("/v1/trees", wrap("trees", get, g.handleTrees))
+	mux.HandleFunc("/v1/trees/reload", wrap("reload", post, g.handleReload))
+	mux.HandleFunc("/v1/ensembles", wrap("ensembles", get, g.handleEnsembles))
+	mux.HandleFunc("/v1/quality", wrap("quality", get, g.handleQuality))
+	mux.HandleFunc("/v1/status", wrap("status", get, g.handleStatus))
 }
 
 // writeRaw relays a backend answer (or cached bytes) verbatim.
@@ -381,7 +359,7 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeJSONError(w, http.StatusRequestEntityTooLarge, "reading body: %v", err)
+		obs.WriteError(w, http.StatusRequestEntityTooLarge, "reading body: "+err.Error())
 		return nil, false
 	}
 	return body, true
@@ -405,10 +383,6 @@ func cacheKey(endpoint, tree, fp string, body []byte) string {
 // routing by tree name + body.
 func (g *Gateway) handleForward(path string) func(w http.ResponseWriter, r *http.Request) {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeJSONError(w, http.StatusMethodNotAllowed, "%s requires POST", path)
-			return
-		}
 		body, ok := readBody(w, r)
 		if !ok {
 			return
@@ -424,7 +398,7 @@ func (g *Gateway) handleForward(path string) func(w http.ResponseWriter, r *http
 		rsp.End()
 		res, err := g.forward(path, prefs, body, obs.RequestIDFromContext(r.Context()), sp)
 		if err != nil {
-			writeJSONError(w, http.StatusBadGateway, "%v", err)
+			obs.WriteError(w, http.StatusBadGateway, err.Error())
 			return
 		}
 		writeRaw(w, res.status, res.body)
@@ -442,7 +416,7 @@ func (g *Gateway) forwardCached(w http.ResponseWriter, endpoint, tree string, bo
 	rsp.Add("backends", int64(len(prefs)))
 	rsp.End()
 	if len(prefs) == 0 {
-		writeJSONError(w, http.StatusBadGateway, "gate: no backends")
+		obs.WriteError(w, http.StatusBadGateway, "gate: no backends")
 		return
 	}
 	var key string
@@ -467,7 +441,7 @@ func (g *Gateway) forwardCached(w http.ResponseWriter, endpoint, tree string, bo
 	}
 	res, err := g.forward(path, prefs, body, reqID, sp)
 	if err != nil {
-		writeJSONError(w, http.StatusBadGateway, "%v", err)
+		obs.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	if res.status == http.StatusOK {
@@ -536,17 +510,13 @@ func (g *Gateway) doubleCheck(endpoint, tree, key string, cached []byte, prefs [
 // handleDist answers /v1/dist: ensemble names fan across members and
 // fold the elementwise min; plain names go through the cache.
 func (g *Gateway) handleDist(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSONError(w, http.StatusMethodNotAllowed, "/v1/dist requires POST")
-		return
-	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
 	var req serve.DistRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, "bad request body: %v", err)
+		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	ctx := r.Context()
@@ -560,10 +530,6 @@ func (g *Gateway) handleDist(w http.ResponseWriter, r *http.Request) {
 // handleKNN answers /v1/knn through the cache. Ensemble names are
 // rejected: a min over neighbor lists has no single-tree semantics.
 func (g *Gateway) handleKNN(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSONError(w, http.StatusMethodNotAllowed, "/v1/knn requires POST")
-		return
-	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -573,7 +539,7 @@ func (g *Gateway) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 	_ = json.Unmarshal(body, &peek)
 	if _, isEnsemble := g.ensembles[peek.Tree]; isEnsemble {
-		writeJSONError(w, http.StatusBadRequest, "%q is an ensemble; knn requires a concrete tree", peek.Tree)
+		obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("%q is an ensemble; knn requires a concrete tree", peek.Tree))
 		return
 	}
 	g.forwardCached(w, "knn", peek.Tree, body, obs.RequestIDFromContext(r.Context()), obs.SpanFromContext(r.Context()))
@@ -628,7 +594,7 @@ func (g *Gateway) handleEnsembleDist(w http.ResponseWriter, req serve.DistReques
 	for i, member := range members {
 		res := results[i]
 		if res.err != nil {
-			writeJSONError(w, http.StatusBadGateway, "ensemble member %q: %v", member, res.err)
+			obs.WriteError(w, http.StatusBadGateway, fmt.Sprintf("ensemble member %q: %v", member, res.err))
 			return
 		}
 		if res.status != http.StatusOK {
@@ -640,7 +606,7 @@ func (g *Gateway) handleEnsembleDist(w http.ResponseWriter, req serve.DistReques
 			continue
 		}
 		if len(res.resp.Dists) != len(min) {
-			writeJSONError(w, http.StatusBadGateway, "ensemble member %q answered %d dists, want %d", member, len(res.resp.Dists), len(min))
+			obs.WriteError(w, http.StatusBadGateway, fmt.Sprintf("ensemble member %q answered %d dists, want %d", member, len(res.resp.Dists), len(min)))
 			return
 		}
 		for j, d := range res.resp.Dists {
@@ -649,8 +615,7 @@ func (g *Gateway) handleEnsembleDist(w http.ResponseWriter, req serve.DistReques
 			}
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(serve.DistResponse{Tree: req.Tree, Dists: min})
+	obs.WriteJSON(w, http.StatusOK, serve.DistResponse{Tree: req.Tree, Dists: min})
 }
 
 // recorder captures a handler's response for in-process composition
@@ -671,21 +636,12 @@ func (r *recorder) Write(b []byte) (int, error) { return r.buf.Write(b) }
 
 // handleTrees reports the gate's merged fleet view, shape-compatible
 // with treeserve's /v1/trees.
-func (g *Gateway) handleTrees(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSONError(w, http.StatusMethodNotAllowed, "/v1/trees is GET")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(serve.TreesResponse{Trees: g.mergedTrees()})
+func (g *Gateway) handleTrees(w http.ResponseWriter, _ *http.Request) {
+	obs.WriteJSON(w, http.StatusOK, serve.TreesResponse{Trees: g.mergedTrees()})
 }
 
 // handleEnsembles lists the configured ensembles.
-func (g *Gateway) handleEnsembles(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSONError(w, http.StatusMethodNotAllowed, "/v1/ensembles is GET")
-		return
-	}
+func (g *Gateway) handleEnsembles(w http.ResponseWriter, _ *http.Request) {
 	names := make([]string, 0, len(g.ensembles))
 	for name := range g.ensembles {
 		names = append(names, name)
@@ -701,17 +657,12 @@ func (g *Gateway) handleEnsembles(w http.ResponseWriter, r *http.Request) {
 	for _, name := range names {
 		out.Ensembles = append(out.Ensembles, ens{Name: name, Members: g.ensembles[name]})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	obs.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleReload broadcasts a hot reload to every healthy replica, so a
 // version push in the store rolls across the fleet in one call.
 func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSONError(w, http.StatusMethodNotAllowed, "/v1/trees/reload requires POST")
-		return
-	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -748,24 +699,31 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 	case failure != nil:
 		writeRaw(w, failure.status, failure.body)
 	default:
-		writeJSONError(w, http.StatusServiceUnavailable, "gate: no healthy backends to reload")
+		obs.WriteError(w, http.StatusServiceUnavailable, "gate: no healthy backends to reload")
 	}
 }
 
-// handleQuality forwards the quality listing to the first healthy
-// replica (audit state is per-replica; any healthy one is
-// representative).
+// handleQuality relays the quality listing of the replica fetchQuality
+// picks, status and body verbatim.
 func (g *Gateway) handleQuality(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSONError(w, http.StatusMethodNotAllowed, "/v1/quality is GET")
+	res := g.fetchQuality(r.URL.RawQuery, obs.RequestIDFromContext(r.Context()))
+	if res == nil {
+		obs.WriteError(w, http.StatusServiceUnavailable, "gate: no healthy backends")
 		return
 	}
-	reqID := obs.RequestIDFromContext(r.Context())
+	writeRaw(w, res.status, res.body)
+}
+
+// fetchQuality reads GET /v1/quality?query from the first healthy
+// replica that answers (audit state is per-replica; any healthy one is
+// representative), marking a replica that fails at the transport level
+// unhealthy. nil when no healthy replica answered.
+func (g *Gateway) fetchQuality(query, reqID string) *fwdResult {
 	for _, b := range g.backends {
 		if !b.healthy.Load() {
 			continue
 		}
-		req, err := http.NewRequest(http.MethodGet, b.url+"/v1/quality?"+r.URL.RawQuery, nil)
+		req, err := http.NewRequest(http.MethodGet, b.url+"/v1/quality?"+query, nil)
 		if err != nil {
 			continue
 		}
@@ -782,8 +740,7 @@ func (g *Gateway) handleQuality(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		writeRaw(w, resp.StatusCode, data)
-		return
+		return &fwdResult{status: resp.StatusCode, body: data, backend: b.url}
 	}
-	writeJSONError(w, http.StatusServiceUnavailable, "gate: no healthy backends")
+	return nil
 }

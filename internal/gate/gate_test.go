@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,6 +53,12 @@ func fleet(t testing.TB, trees []*hst.Tree, n int) ([]string, []*httptest.Server
 		}
 		names = append(names, name)
 	}
+	return storeFleet(t, st, names, n)
+}
+
+// storeFleet starts n replicas, each loading the named trees from st.
+func storeFleet(t testing.TB, st *treestore.Store, names []string, n int) ([]string, []*httptest.Server) {
+	t.Helper()
 	urls := make([]string, n)
 	servers := make([]*httptest.Server, n)
 	for i := 0; i < n; i++ {
@@ -119,8 +128,8 @@ func postJSON(t *testing.T, url string, req any, resp any) (int, http.Header) {
 // backends, and keys spread across more than one owner.
 func TestRingDeterministicAndComplete(t *testing.T) {
 	backends := []string{"http://a:1", "http://b:2", "http://c:3"}
-	r1 := NewRing(backends, 64)
-	r2 := NewRing([]string{"http://c:3", "http://a:1", "http://b:2"}, 64) // order must not matter
+	r1 := NewRing(backends)
+	r2 := NewRing([]string{"http://c:3", "http://a:1", "http://b:2"}) // order must not matter
 	owners := make(map[string]int)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
@@ -414,6 +423,92 @@ func TestGateCacheFreshAfterReload(t *testing.T) {
 		if v.Name == "gate_cache_mismatch_total" && v.Value != 0 {
 			t.Fatalf("gate_cache_mismatch_total = %v, want 0", v.Value)
 		}
+	}
+}
+
+// TestGateWrongMethod: every gate endpoint answers the other method
+// with 405 and the JSON error body before its handler runs — no
+// forward, broadcast or quality fetch reaches a replica — and counts it
+// on gate_errors_total{class="4xx"}. The table must cover every
+// endpoint RegisterMux mounts.
+func TestGateWrongMethod(t *testing.T) {
+	trees := buildTrees(t, 1, 1, 64)
+	urls, _ := fleet(t, trees, 1)
+	var forwarded atomic.Int64 // replica requests other than health polls
+	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/trees" {
+			forwarded.Add(1)
+		}
+		proxy, err := http.NewRequest(r.Method, urls[0]+r.URL.RequestURI(), r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := http.DefaultClient.Do(proxy)
+		if err != nil {
+			w.WriteHeader(http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
+	}))
+	t.Cleanup(counting.Close)
+	reg := obs.New()
+	_, gw := newGate(t, []string{counting.URL}, reg, func(o *Options) {
+		o.Ensembles = map[string][]string{"ens": {"t-0"}}
+	})
+
+	cases := []struct{ endpoint, path, method string }{
+		{"dist", "/v1/dist", http.MethodPost},
+		{"knn", "/v1/knn", http.MethodPost},
+		{"cut", "/v1/cut", http.MethodPost},
+		{"emd", "/v1/emd", http.MethodPost},
+		{"medoid", "/v1/medoid", http.MethodPost},
+		{"trees", "/v1/trees", http.MethodGet},
+		{"reload", "/v1/trees/reload", http.MethodPost},
+		{"ensembles", "/v1/ensembles", http.MethodGet},
+		{"quality", "/v1/quality", http.MethodGet},
+		{"status", "/v1/status", http.MethodGet},
+	}
+	registered := map[string]bool{}
+	for _, v := range reg.Snapshot() {
+		if v.Name == "gate_requests_total" {
+			registered[v.Labels["endpoint"]] = true
+		}
+	}
+	if len(registered) != len(cases) {
+		t.Fatalf("gate registers endpoints %v; the table has %d", registered, len(cases))
+	}
+	for _, c := range cases {
+		if !registered[c.endpoint] {
+			t.Fatalf("table endpoint %q is not registered", c.endpoint)
+		}
+		wrong := http.MethodGet
+		if c.method == http.MethodGet {
+			wrong = http.MethodPost
+		}
+		req, err := http.NewRequest(wrong, gw.URL+c.path, strings.NewReader(`{"tree":"t-0","pairs":[[0,1]],"point":0,"k":1,"scale":1,"mu":"0:1","nu":"1:1"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := fmt.Sprintf("{\"error\":\"%s requires %s\"}\n", c.path, c.method)
+		if resp.StatusCode != http.StatusMethodNotAllowed || string(body) != want ||
+			resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("%s %s: HTTP %d %q, want 405 %q", wrong, c.path, resp.StatusCode, body, want)
+		}
+		if got := reg.Counter("gate_errors_total", "", "endpoint", c.endpoint, "class", "4xx").Value(); got != 1 {
+			t.Errorf("%s: gate_errors_total{class=4xx} = %d, want 1", c.endpoint, got)
+		}
+	}
+	if n := forwarded.Load(); n != 0 {
+		t.Fatalf("%d wrong-method requests reached the replica", n)
 	}
 }
 

@@ -148,11 +148,11 @@ func (g *Gateway) poll() {
 	g.updateCoherence()
 }
 
-// updateCoherence compares manifest versions across healthy replicas:
-// coherent means every tree that any healthy replica serves from a
-// versioned store is served at the same version by every healthy
-// replica that has it.
-func (g *Gateway) updateCoherence() {
+// skewedTrees is the coherence rule: for every tree that some healthy
+// replica serves from a versioned store, the manifest versions the
+// healthy replicas serve it at. It returns, sorted, the versions of each
+// tree served at more than one; the fleet is coherent when it is empty.
+func (g *Gateway) skewedTrees() map[string][]int64 {
 	versions := make(map[string]map[int64]bool)
 	for _, b := range g.backends {
 		if !b.healthy.Load() {
@@ -169,25 +169,34 @@ func (g *Gateway) updateCoherence() {
 		}
 		b.mu.Unlock()
 	}
-	coherent := true
+	skew := make(map[string][]int64)
 	for name, vs := range versions {
 		if len(vs) > 1 {
-			coherent = false
-			if g.versionSkew != nil {
-				g.versionSkew.Inc()
+			list := make([]int64, 0, len(vs))
+			for v := range vs {
+				list = append(list, v)
 			}
-			if g.logger != nil {
-				list := make([]int64, 0, len(vs))
-				for v := range vs {
-					list = append(list, v)
-				}
-				sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-				g.logger.Warn("version_skew", "tree", name, "versions", fmt.Sprint(list))
-			}
+			sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+			skew[name] = list
+		}
+	}
+	return skew
+}
+
+// updateCoherence publishes the coherence rule after a poll: it sets
+// gate_replica_coherent, and counts and logs each skewed tree.
+func (g *Gateway) updateCoherence() {
+	skew := g.skewedTrees()
+	for name, list := range skew {
+		if g.versionSkew != nil {
+			g.versionSkew.Inc()
+		}
+		if g.logger != nil {
+			g.logger.Warn("version_skew", "tree", name, "versions", fmt.Sprint(list))
 		}
 	}
 	if g.replicaCoherent != nil {
-		if coherent {
+		if len(skew) == 0 {
 			g.replicaCoherent.Set(1)
 		} else {
 			g.replicaCoherent.Set(0)

@@ -3,7 +3,7 @@
 // key hashes to a position and walks clockwise collecting distinct
 // backends, yielding a full preference order — the first entry is the
 // owner, the rest are the deterministic failover sequence. Placement is
-// a pure function of (backend URLs, vnodes, key): every gate instance
+// a pure function of (backend URLs, key): every gate instance
 // with the same configuration routes every key identically, so a cache
 // in front of the ring sees maximal reuse and adding or removing one
 // backend only moves the keys that hashed to it.
@@ -35,13 +35,12 @@ func hashKey(s string) uint64 {
 	return h.Sum64()
 }
 
-// NewRing builds a ring with vnodes virtual nodes per backend
-// (vnodes <= 0 picks 64). Backend order does not affect placement —
-// positions derive from the URL text alone.
-func NewRing(backends []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
+// vnodes is the number of virtual nodes each backend owns on the ring.
+const vnodes = 64
+
+// NewRing builds a ring over the backends. Backend order does not affect
+// placement — positions derive from the URL text alone.
+func NewRing(backends []string) *Ring {
 	r := &Ring{backends: append([]string(nil), backends...)}
 	for i, b := range r.backends {
 		for v := 0; v < vnodes; v++ {

@@ -32,22 +32,27 @@ import (
 	"mpctree/internal/workload"
 )
 
-// SelftestOptions sizes a selftest run. The zero value runs 3 replicas,
-// a 3-tree ensemble over 96 points, and 6000 queries from 8 clients
-// with a rolling restart every 400ms.
+// The selftest's fleet: selftestReplicas treeserve replicas serving a
+// selftestEnsemble-tree ensemble over selftestPoints 4-dimensional
+// points, embedded and queried from selftestSeed, with every
+// selftestCacheCheck-th cache hit double-checked.
+const (
+	selftestReplicas   = 3
+	selftestEnsemble   = 3
+	selftestPoints     = 96
+	selftestDim        = 4
+	selftestSeed       = 1
+	selftestCacheCheck = 8
+)
+
+// SelftestOptions sizes a selftest run. The zero value is the daemon's
+// drill: 20000 queries from 8 clients with a rolling restart every
+// 400ms.
 type SelftestOptions struct {
-	Replicas     int           // treeserve replicas; 0 = 3
-	Ensemble     int           // independently-seeded member trees; 0 = 3
-	Points       int           // points per tree; 0 = 96
-	Dim          int           // point dimension; 0 = 4
-	Queries      int           // load-generator queries; 0 = 6000
+	Queries      int           // load-generator queries; 0 = 20000
 	Clients      int           // load-generator clients; 0 = 8
-	Seed         uint64        // embedding + load seed; 0 = 1
-	StoreDir     string        // tree store directory; "" = fresh temp dir
 	RestartEvery time.Duration // rolling-restart pace; 0 = 400ms
-	CacheCheck   int           // cache double-check every Nth hit; 0 = 8
 	Logger       *slog.Logger  // nil = silent
-	Obs          *obs.Registry // gate metrics sink; nil = private registry
 }
 
 // SelftestResult reports a completed run.
@@ -144,84 +149,48 @@ func (rp *replica) waitUp(client *http.Client, budget time.Duration) error {
 // Selftest runs the full drill and returns the outcome; err is non-nil
 // on any wrong answer, failed request, or cache inconsistency.
 func Selftest(o SelftestOptions) (SelftestResult, error) {
-	if o.Replicas <= 0 {
-		o.Replicas = 3
-	}
-	if o.Ensemble <= 0 {
-		o.Ensemble = 3
-	}
-	if o.Points <= 0 {
-		o.Points = 96
-	}
-	if o.Dim <= 0 {
-		o.Dim = 4
-	}
 	if o.Queries <= 0 {
-		o.Queries = 6000
+		o.Queries = 20000
 	}
 	if o.Clients <= 0 {
 		o.Clients = 8
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	if o.RestartEvery <= 0 {
 		o.RestartEvery = 400 * time.Millisecond
 	}
-	if o.CacheCheck == 0 {
-		o.CacheCheck = 8
-	}
-	reg := o.Obs
-	if reg == nil {
-		reg = obs.New()
-	}
+	reg := obs.New()
 	var result SelftestResult
 
 	// One point set, k independently-seeded trees: the ensemble the
 	// paper's w.h.p. distortion argument wants.
-	dir := o.StoreDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "treegate-selftest-*")
-		if err != nil {
-			return result, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+	dir, err := os.MkdirTemp("", "treegate-selftest-*")
+	if err != nil {
+		return result, err
 	}
+	defer os.RemoveAll(dir)
 	st, err := treestore.Open(dir)
 	if err != nil {
 		return result, err
 	}
-	names, err := st.Names()
+	var names []string
 	var verify []*hst.Tree
-	if err == nil && len(names) > 0 {
-		// A pre-populated store (the CI path): serve what it holds.
-		for _, name := range names {
-			t, _, lerr := st.Load(name)
-			if lerr != nil {
-				return result, lerr
-			}
-			verify = append(verify, t)
+	pts := workload.UniformLattice(selftestSeed, selftestPoints, selftestDim, 1<<10)
+	for i := 0; i < selftestEnsemble; i++ {
+		tree, _, err := core.Embed(pts, core.Options{Seed: selftestSeed + uint64(i)})
+		if err != nil {
+			return result, err
 		}
-	} else {
-		pts := workload.UniformLattice(o.Seed, o.Points, o.Dim, 1<<10)
-		for i := 0; i < o.Ensemble; i++ {
-			tree, _, eerr := core.Embed(pts, core.Options{Seed: o.Seed + uint64(i)})
-			if eerr != nil {
-				return result, eerr
-			}
-			name := fmt.Sprintf("t-%d", i)
-			if _, serr := st.Save(name, tree); serr != nil {
-				return result, serr
-			}
-			names = append(names, name)
-			verify = append(verify, tree)
+		name := fmt.Sprintf("t-%d", i)
+		if _, err := st.Save(name, tree); err != nil {
+			return result, err
 		}
+		names = append(names, name)
+		verify = append(verify, tree)
 	}
 
 	// The replica fleet, each loading every tree from the store.
-	replicas := make([]*replica, o.Replicas)
-	backends := make([]string, o.Replicas)
+	replicas := make([]*replica, selftestReplicas)
+	backends := make([]string, selftestReplicas)
 	for i := range replicas {
 		replicas[i] = &replica{store: st, names: names}
 		if err := replicas[i].start(); err != nil {
@@ -235,9 +204,9 @@ func Selftest(o SelftestOptions) (SelftestResult, error) {
 	g, err := New(Options{
 		Backends:        backends,
 		Ensembles:       map[string][]string{"ens": names},
-		CacheCheckEvery: o.CacheCheck,
+		CacheCheckEvery: selftestCacheCheck,
 		HealthInterval:  100 * time.Millisecond,
-		Retry:           mpcnet.RetryPolicy{Seed: o.Seed},
+		Retry:           mpcnet.RetryPolicy{Seed: selftestSeed},
 		Obs:             reg,
 		Logger:          o.Logger,
 	})
@@ -299,7 +268,7 @@ func Selftest(o SelftestOptions) (SelftestResult, error) {
 	result.Report = serve.RunLoad(result.GateURL, names[0], verify[0].NumPoints(), serve.LoadOptions{
 		Clients:        o.Clients,
 		Queries:        o.Queries,
-		Seed:           o.Seed,
+		Seed:           selftestSeed,
 		ReloadEvery:    64,
 		Verify:         verify[0],
 		Ensemble:       "ens",
@@ -314,7 +283,7 @@ func Selftest(o SelftestOptions) (SelftestResult, error) {
 	// double-checks that feed gate_cache_mismatch_total — while replicas
 	// keep restarting underneath. Every answer, cached or live, must
 	// still be bit-identical to serial.
-	if err := hammerHotQueries(result.GateURL, names[0], verify[0], o.Seed); err != nil {
+	if err := hammerHotQueries(result.GateURL, names[0], verify[0], selftestSeed); err != nil {
 		close(stopRoll)
 		<-rollDone
 		return result, err
@@ -340,7 +309,7 @@ func Selftest(o SelftestOptions) (SelftestResult, error) {
 		return result, fmt.Errorf("gate selftest: hot-query phase produced no cache hits; the consistency gate proved nothing")
 	}
 	if result.Restarts == 0 {
-		return result, fmt.Errorf("gate selftest: no rolling restart completed mid-run; lengthen the run or shorten -restart-every")
+		return result, fmt.Errorf("gate selftest: no rolling restart completed mid-run; lengthen the run or shorten RestartEvery")
 	}
 	return result, nil
 }

@@ -78,93 +78,45 @@ func (b *backendState) treeList() []serve.TreeInfo {
 	return out
 }
 
-// coherentNow recomputes the coherence verdict from the current replica
-// tables (the same rule updateCoherence gauges: every store-versioned
-// tree served at one manifest version across all healthy replicas).
-func (g *Gateway) coherentNow() bool {
-	versions := make(map[string]map[int64]bool)
-	for _, b := range g.backends {
-		if !b.healthy.Load() {
-			continue
-		}
-		b.mu.Lock()
-		for name, ti := range b.trees {
-			if ti.Version > 0 {
-				if versions[name] == nil {
-					versions[name] = make(map[int64]bool)
-				}
-				versions[name][ti.Version] = true
-			}
-		}
-		b.mu.Unlock()
-	}
-	for _, vs := range versions {
-		if len(vs) > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// qualityAlarms fetches the latest audit results from the first healthy
-// replica (audit state is per-replica; any healthy one is
-// representative) and keeps only the alarming ones. Best-effort: an
-// unreachable fleet yields no alarms and an empty source.
+// qualityAlarms decodes the quality listing fetchQuality reads and keeps
+// only the alarming results. Best-effort: with no healthy replica, or an
+// answer that is not a 200 listing, it yields no alarms and an empty
+// source.
 func (g *Gateway) qualityAlarms(reqID string) (alarms []QualityAlarm, source string) {
 	alarms = []QualityAlarm{}
-	for _, b := range g.backends {
-		if !b.healthy.Load() {
-			continue
-		}
-		req, err := http.NewRequest(http.MethodGet, b.url+"/v1/quality", nil)
-		if err != nil {
-			continue
-		}
-		if reqID != "" {
-			req.Header.Set(obs.RequestIDHeader, reqID)
-		}
-		resp, err := g.client.Do(req)
-		if err != nil {
-			g.markUnhealthy(b, err)
-			continue
-		}
-		var qr serve.QualityResponse
-		err = json.NewDecoder(resp.Body).Decode(&qr)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		for _, res := range qr.Results {
-			switch {
-			case res.Error != "":
-				alarms = append(alarms, QualityAlarm{Tree: res.Tree, Generation: res.Generation,
-					Reason: "audit error: " + res.Error})
-			case res.Report == nil:
-			case res.Report.BoundViolated:
-				alarms = append(alarms, QualityAlarm{Tree: res.Tree, Generation: res.Generation,
-					MeanRatio: res.Report.MeanRatio, Reason: "mean distortion bound violated"})
-			case res.Report.DominationViolations > 0:
-				alarms = append(alarms, QualityAlarm{Tree: res.Tree, Generation: res.Generation,
-					MeanRatio: res.Report.MeanRatio, Reason: "tree distance below base distance"})
-			}
-		}
-		return alarms, b.url
+	fetched := g.fetchQuality("", reqID)
+	if fetched == nil || fetched.status != http.StatusOK {
+		return alarms, ""
 	}
-	return alarms, ""
+	var qr serve.QualityResponse
+	if err := json.Unmarshal(fetched.body, &qr); err != nil {
+		return alarms, ""
+	}
+	for _, res := range qr.Results {
+		switch {
+		case res.Error != "":
+			alarms = append(alarms, QualityAlarm{Tree: res.Tree, Generation: res.Generation,
+				Reason: "audit error: " + res.Error})
+		case res.Report == nil:
+		case res.Report.BoundViolated:
+			alarms = append(alarms, QualityAlarm{Tree: res.Tree, Generation: res.Generation,
+				MeanRatio: res.Report.MeanRatio, Reason: "mean distortion bound violated"})
+		case res.Report.DominationViolations > 0:
+			alarms = append(alarms, QualityAlarm{Tree: res.Tree, Generation: res.Generation,
+				MeanRatio: res.Report.MeanRatio, Reason: "tree distance below base distance"})
+		}
+	}
+	return alarms, fetched.backend
 }
 
 // handleStatus answers GET /v1/status.
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSONError(w, http.StatusMethodNotAllowed, "/v1/status is GET")
-		return
-	}
 	st := StatusResponse{
 		Service:       "treegate",
 		Version:       obs.Health(nil).Version,
 		UptimeSeconds: time.Since(gateStart).Seconds(),
 		Backends:      len(g.backends),
-		Coherent:      g.coherentNow(),
+		Coherent:      len(g.skewedTrees()) == 0,
 		Trees:         g.mergedTrees(),
 		Ensembles:     g.ensembles,
 		Replicas:      make([]ReplicaStatus, 0, len(g.backends)),
@@ -183,8 +135,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 		st.Cache.Mismatches = g.cacheMismatch.Value()
 	}
 	st.QualityAlarms, st.QualitySource = g.qualityAlarms(obs.RequestIDFromContext(r.Context()))
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(st)
+	obs.WriteJSON(w, http.StatusOK, st)
 }
 
 // TraceProcesses assembles the merged gate+replica span forests for a

@@ -74,7 +74,9 @@ func (p RetryPolicy) Backoff(seq uint64, attempt int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + 0.5*u))
 }
 
-func (p RetryPolicy) sleep(d time.Duration) {
+// Wait sleeps for d through the Sleep hook, or time.Sleep when it is
+// nil.
+func (p RetryPolicy) Wait(d time.Duration) {
 	if p.Sleep != nil {
 		p.Sleep(d)
 		return

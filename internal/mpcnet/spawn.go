@@ -41,29 +41,22 @@ type SpawnOptions struct {
 	PrefixArgs []string
 	// Env entries are appended to the inherited environment.
 	Env []string
-	// ExtraArgs are appended to every worker's command line (e.g.
-	// "-die-after", "40" to arm one worker's crash trigger — use
-	// PerWorkerArgs for that instead).
-	ExtraArgs []string
 	// PerWorkerArgs maps a worker index to extra args for just that
 	// worker.
 	PerWorkerArgs map[int][]string
-	// AnnounceTimeout bounds the wait for the LISTEN line (default 10s).
-	AnnounceTimeout time.Duration
 	// Stderr, when true, passes worker stderr through to this process
 	// (round traces, death logs).
 	Stderr bool
 }
+
+// announceTimeout bounds the wait for a worker's LISTEN line.
+const announceTimeout = 10 * time.Second
 
 // SpawnWorkers launches n worker processes from the given binary, each
 // listening on an ephemeral localhost port, and returns them with their
 // announced addresses. On any failure every already-spawned worker is
 // killed before returning.
 func SpawnWorkers(bin string, n int, opts SpawnOptions) ([]*WorkerProc, error) {
-	timeout := opts.AnnounceTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
 	procs := make([]*WorkerProc, 0, n)
 	fail := func(err error) ([]*WorkerProc, error) {
 		for _, p := range procs {
@@ -74,7 +67,6 @@ func SpawnWorkers(bin string, n int, opts SpawnOptions) ([]*WorkerProc, error) {
 	for i := 0; i < n; i++ {
 		args := append([]string{}, opts.PrefixArgs...)
 		args = append(args, "-listen", "127.0.0.1:0")
-		args = append(args, opts.ExtraArgs...)
 		args = append(args, opts.PerWorkerArgs[i]...)
 		cmd := exec.Command(bin, args...)
 		if len(opts.Env) > 0 {
@@ -125,8 +117,8 @@ func SpawnWorkers(bin string, n int, opts SpawnOptions) ([]*WorkerProc, error) {
 			}
 			p.Addr = a.addr
 			p.ObsURL = a.obsURL
-		case <-time.After(timeout):
-			return fail(fmt.Errorf("worker %d did not announce an address within %v", i, timeout))
+		case <-time.After(announceTimeout):
+			return fail(fmt.Errorf("worker %d did not announce an address within %v", i, announceTimeout))
 		}
 	}
 	return procs, nil

@@ -44,8 +44,6 @@ type Config struct {
 	// Machines is the logical machine count; machines are assigned to
 	// workers round-robin (machine m starts on worker m % len(Addrs)).
 	Machines int
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
 	// OpTimeout bounds one op attempt end to end: write request + read
 	// response (default 10s).
 	OpTimeout time.Duration
@@ -53,12 +51,8 @@ type Config struct {
 	Retry RetryPolicy
 }
 
-func (c Config) dialTimeout() time.Duration {
-	if c.DialTimeout <= 0 {
-		return 2 * time.Second
-	}
-	return c.DialTimeout
-}
+// dialTimeout bounds one connection attempt.
+const dialTimeout = 2 * time.Second
 
 func (c Config) opTimeout() time.Duration {
 	if c.OpTimeout <= 0 {
@@ -196,7 +190,7 @@ func (t *Transport) LiveWorkers() int {
 }
 
 func (t *Transport) dial(w int) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", t.cfg.Addrs[w], t.cfg.dialTimeout())
+	conn, err := net.DialTimeout("tcp", t.cfg.Addrs[w], dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +269,7 @@ func (t *Transport) opWorker(w int, opCode Op, machine int32, payload []byte) (F
 			if t.sink != nil {
 				t.sink.retries.Inc()
 			}
-			t.cfg.Retry.sleep(t.cfg.Retry.Backoff(req.Seq, attempt-1))
+			t.cfg.Retry.Wait(t.cfg.Retry.Backoff(req.Seq, attempt-1))
 		}
 
 		// One wire span per ATTEMPT, not per op: a retried op shows up as

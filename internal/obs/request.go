@@ -6,9 +6,16 @@
 //     is generated; either way it is echoed on the response;
 //   - head-sampled tracing: a root span "<family> <endpoint>" continuing
 //     any propagated traceparent, finished with the answered status;
+//   - the method check: a request with the wrong method is answered 405
+//     before the handler runs;
 //   - metering: <family>_requests_total, <family>_errors_total{class},
 //     and <family>_request_seconds with its latency Objective;
-//   - the body limit, the slow-query log and the access log.
+//   - the body limit and the access log: one "request" record per
+//     request, at Warn when it took longer than the objective (SLOTarget)
+//     and at Info otherwise.
+//
+// WriteJSON and WriteError write every JSON answer and error of both
+// tiers.
 //
 // Handlers read the request id and the root span from the request
 // context (RequestIDFromContext, SpanFromContext). With tracing off the
@@ -17,6 +24,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -35,16 +43,15 @@ type RequestsConfig struct {
 	// Registry is the metrics sink; nil = unmetered.
 	Registry *Registry
 	// SLOTarget is the per-request latency objective (0 = quantile
-	// gauges only).
+	// gauges only). Requests over it count as breaches and are logged
+	// at Warn.
 	SLOTarget time.Duration
 	// MaxBodyBytes caps request bodies.
 	MaxBodyBytes int64
 	// Tracer enables per-request tracing; nil = off.
 	Tracer *Tracer
-	// SlowLog and Logger, when non-nil, get one record per slow request
-	// and per request.
-	SlowLog *SlowLog
-	Logger  *slog.Logger
+	// Logger, when non-nil, gets one access record per request.
+	Logger *slog.Logger
 }
 
 // requestLatencyBuckets spans 100µs–25s in powers of ~5 — wide enough
@@ -131,8 +138,21 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Wrap builds the handler for one endpoint.
-func (q *Requests) Wrap(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
+// WriteJSON answers v as JSON with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers a structured JSON error: {"error": msg}.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, map[string]string{"error": msg})
+}
+
+// Wrap builds the handler for one endpoint, which answers only method;
+// any other method gets 405 without fn running.
+func (q *Requests) Wrap(endpoint, method string, fn http.HandlerFunc) http.HandlerFunc {
 	fam, reg := q.cfg.Family, q.cfg.Registry
 	var requests, errors4xx, errors5xx *Counter
 	var objective *Objective
@@ -163,7 +183,11 @@ func (q *Requests) Wrap(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
 		}
 		r = r.WithContext(&st.ctx)
 		r.Body = http.MaxBytesReader(w, r.Body, q.cfg.MaxBodyBytes)
-		fn(&st.w, r)
+		if r.Method == method {
+			fn(&st.w, r)
+		} else {
+			WriteError(&st.w, http.StatusMethodNotAllowed, r.URL.Path+" requires "+method)
+		}
 
 		status := st.w.status
 		if status == 0 {
@@ -181,7 +205,7 @@ func (q *Requests) Wrap(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
 			span.Add("status", int64(status))
 			tr.Finish(span)
 		}
-		if q.cfg.SlowLog != nil || q.cfg.Logger != nil {
+		if q.cfg.Logger != nil {
 			attrs := []any{
 				"request_id", st.ctx.id, "endpoint", endpoint,
 				"method", r.Method, "path", r.URL.Path,
@@ -191,10 +215,11 @@ func (q *Requests) Wrap(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
 			if span != nil {
 				attrs = append(attrs, "trace_id", span.Context().TraceIDString())
 			}
-			q.cfg.SlowLog.Observe(d, attrs...)
-			if q.cfg.Logger != nil {
-				q.cfg.Logger.Info("request", attrs...)
+			level := slog.LevelInfo
+			if q.cfg.SLOTarget > 0 && d > q.cfg.SLOTarget {
+				level = slog.LevelWarn
 			}
+			q.cfg.Logger.Log(context.Background(), level, "request", attrs...)
 		}
 	}
 }

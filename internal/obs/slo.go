@@ -1,18 +1,11 @@
-// Latency objectives and the slow-query log. An Objective wraps an
-// existing latency histogram with p50/p99 estimate gauges, a published
-// objective bound, and an SLO burn counter, so dashboards and the
-// obscheck -max-p99 gate read tail latency straight off /metrics
-// without re-deriving it from buckets. A SlowLog emits a sampled
-// structured record for requests over a threshold — every Nth
-// candidate, so a latency storm costs bounded log volume while the
-// aggregate candidate count stays exact in a counter.
+// Latency objectives. An Objective wraps an existing latency histogram
+// with p50/p99 estimate gauges, a published objective bound, and an SLO
+// burn counter, so dashboards and the obscheck -max-p99 gate read tail
+// latency straight off /metrics without re-deriving it from buckets.
+// The same bound raises a request's access record to Warn (see Wrap).
 package obs
 
-import (
-	"log/slog"
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Quantile estimates the q-quantile (q in [0, 1]) of the observed
 // distribution by linear interpolation within the cumulative buckets —
@@ -120,53 +113,4 @@ func (o *Objective) Observe(seconds float64) {
 		o.p50.Set(o.hist.Quantile(0.50))
 		o.p99.Set(o.hist.Quantile(0.99))
 	}
-}
-
-// SlowLog is a sampled structured slow-query log: requests at or over
-// the threshold are counted exactly, and every Nth one is logged with
-// the caller's attributes. A nil SlowLog is a no-op.
-type SlowLog struct {
-	logger    *slog.Logger
-	threshold time.Duration
-	every     uint64
-	seen      atomic.Uint64
-	slow      *Counter
-}
-
-// NewSlowLog builds a slow-query log. Returns nil (disabled) when
-// logger is nil or threshold <= 0. every <= 1 logs all candidates;
-// every N logs the 1st, N+1st, ... candidate. family prefixes the
-// candidate counter (<family>_slow_requests_total); reg may be nil.
-func NewSlowLog(reg *Registry, family string, logger *slog.Logger, threshold time.Duration, every int) *SlowLog {
-	if logger == nil || threshold <= 0 {
-		return nil
-	}
-	l := &SlowLog{logger: logger, threshold: threshold, every: uint64(every)}
-	if l.every < 1 {
-		l.every = 1
-	}
-	if reg != nil {
-		l.slow = reg.Counter(family+"_slow_requests_total",
-			"Requests at or over the slow-query threshold (logged every Nth).")
-	}
-	return l
-}
-
-// Observe considers one finished request: below threshold it costs one
-// comparison, at or above it counts the candidate and logs every Nth
-// with the given attributes plus duration and threshold. Nil-safe.
-func (l *SlowLog) Observe(d time.Duration, attrs ...any) {
-	if l == nil || d < l.threshold {
-		return
-	}
-	if l.slow != nil {
-		l.slow.Inc()
-	}
-	if (l.seen.Add(1)-1)%l.every != 0 {
-		return
-	}
-	attrs = append(attrs,
-		"duration_ms", float64(d.Microseconds())/1e3,
-		"threshold_ms", float64(l.threshold.Microseconds())/1e3)
-	l.logger.Warn("slow_query", attrs...)
 }

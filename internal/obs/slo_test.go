@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -96,43 +99,63 @@ func TestObjective(t *testing.T) {
 	}
 }
 
-func TestSlowLogEveryNth(t *testing.T) {
+// TestSlowRequestsLogAtWarn: the objective is the one latency threshold.
+// A request over SLOTarget gives one Warn "request" record and one
+// breach; a request under it gives one Info record; with no logger
+// there is no record, and the breach is still counted.
+func TestSlowRequestsLogAtWarn(t *testing.T) {
+	const target = 100 * time.Millisecond
+	var delay time.Duration
+	handler := func(w http.ResponseWriter, r *http.Request) { time.Sleep(delay) }
 	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, nil))
 	reg := New()
-	l := NewSlowLog(reg, "gate", logger, 10*time.Millisecond, 3)
-	if l == nil {
-		t.Fatal("slow log nil with live logger")
+	h := NewRequests(RequestsConfig{Family: "test", Registry: reg, SLOTarget: target,
+		MaxBodyBytes: 1 << 10, Logger: slog.New(slog.NewJSONHandler(&buf, nil))}).Wrap("echo", http.MethodGet, handler)
+	breaches := func() int64 { return reg.Counter("test_slo_breaches_total", "", "endpoint", "echo").Value() }
+	records := func() []map[string]any {
+		var out []map[string]any
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			if line == "" {
+				continue
+			}
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("access record %q: %v", line, err)
+			}
+			out = append(out, rec)
+		}
+		buf.Reset()
+		return out
 	}
 
-	// 5 fast requests: no candidates, no logs.
-	for i := 0; i < 5; i++ {
-		l.Observe(time.Millisecond, "endpoint", "dist")
+	delay = target + 10*time.Millisecond
+	h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/echo", nil))
+	recs := records()
+	if len(recs) != 1 || recs[0]["level"] != "WARN" || recs[0]["msg"] != "request" || recs[0]["endpoint"] != "echo" {
+		t.Fatalf("slow request logged %v, want one WARN request record", recs)
 	}
+	if got := breaches(); got != 1 {
+		t.Fatalf("breaches after a slow request = %d, want 1", got)
+	}
+
+	delay = 0
+	h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/echo", nil))
+	recs = records()
+	if len(recs) != 1 || recs[0]["level"] != "INFO" || recs[0]["msg"] != "request" {
+		t.Fatalf("fast request logged %v, want one INFO request record", recs)
+	}
+	if got := breaches(); got != 1 {
+		t.Fatalf("breaches after a fast request = %d, want still 1", got)
+	}
+
+	silent := New()
+	delay = target + 10*time.Millisecond
+	NewRequests(RequestsConfig{Family: "test", Registry: silent, SLOTarget: target, MaxBodyBytes: 1 << 10}).
+		Wrap("echo", http.MethodGet, handler)(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/echo", nil))
 	if buf.Len() != 0 {
-		t.Fatalf("fast requests logged: %s", buf.String())
+		t.Fatalf("a wrapper without a logger wrote %q", buf.String())
 	}
-	// 7 slow requests with every=3: candidates 1, 4, 7 logged.
-	for i := 0; i < 7; i++ {
-		l.Observe(50*time.Millisecond, "endpoint", "dist", "request_id", "r1")
+	if got := silent.Counter("test_slo_breaches_total", "", "endpoint", "echo").Value(); got != 1 {
+		t.Fatalf("breaches without a logger = %d, want 1", got)
 	}
-	if got := strings.Count(buf.String(), "slow_query"); got != 3 {
-		t.Fatalf("logged %d slow queries, want 3:\n%s", got, buf.String())
-	}
-	if !strings.Contains(buf.String(), "request_id=r1") {
-		t.Fatalf("attrs missing from slow log: %s", buf.String())
-	}
-	if got := l.slow.Value(); got != 7 {
-		t.Fatalf("candidate counter = %d, want 7", got)
-	}
-
-	// Disabled configurations return nil, and nil is inert.
-	if NewSlowLog(reg, "gate", nil, time.Second, 1) != nil {
-		t.Fatal("nil logger did not disable slow log")
-	}
-	if NewSlowLog(reg, "gate", logger, 0, 1) != nil {
-		t.Fatal("zero threshold did not disable slow log")
-	}
-	var nilL *SlowLog
-	nilL.Observe(time.Hour)
 }

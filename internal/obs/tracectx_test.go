@@ -196,7 +196,7 @@ func TestContextPlumbing(t *testing.T) {
 	q := NewRequests(RequestsConfig{Family: "test", Tracer: tr, MaxBodyBytes: 1 << 10})
 	var gotID string
 	var gotSpan *Span
-	h := q.Wrap("echo", func(w http.ResponseWriter, r *http.Request) {
+	h := q.Wrap("echo", http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		gotID = RequestIDFromContext(r.Context())
 		gotSpan = SpanFromContext(r.Context())
 		gotSpan.Child("decode").End()

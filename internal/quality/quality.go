@@ -43,17 +43,15 @@ type Config struct {
 	// report whose mean ratio exceeds it is flagged BoundViolated. Derive
 	// a threshold with Thm2Bound, or set a tighter SLO by hand.
 	MaxMeanRatio float64 `json:"max_mean_ratio,omitempty"`
-	// Tolerance is the relative slack of the domination check (ratio ≥
-	// 1−Tolerance); 0 means 1e-9, absorbing float rounding only.
-	Tolerance float64 `json:"tolerance,omitempty"`
 }
+
+// dominationTolerance is the relative slack of the domination check
+// (ratio ≥ 1−dominationTolerance): it absorbs float rounding only.
+const dominationTolerance = 1e-9
 
 func (c Config) withDefaults() Config {
 	if c.MaxPairs == 0 {
 		c.MaxPairs = 2048
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = 1e-9
 	}
 	return c
 }
@@ -244,7 +242,7 @@ func Audit(t *hst.Tree, pts []vec.Point, cfg Config) (*Report, error) {
 			rep.MaxRatio = ratio
 			rep.WorstPair = pairs[k]
 		}
-		if ratio < 1-cfg.Tolerance {
+		if ratio < 1-dominationTolerance {
 			rep.DominationViolations++
 		}
 	}

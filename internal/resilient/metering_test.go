@@ -31,11 +31,11 @@ func TestChaosMeteringAgreement(t *testing.T) {
 	c.InjectFaults(mpc.UniformFaults(0xC4A05, 0.05))
 
 	_, info, err := core.EmbedPipeline(c, pts, core.PipelineOptions{
-		Xi:        0.3,
-		CK:        1,
-		Seed:      161,
-		Resilient: true,
-		Retry:     resilient.Options{MaxRetries: 60, Seed: 162},
+		Xi:         0.3,
+		CK:         1,
+		Seed:       161,
+		Resilient:  true,
+		MaxRetries: 60,
 	})
 	if err != nil {
 		t.Fatalf("chaos pipeline failed to recover: %v", err)

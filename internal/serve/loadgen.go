@@ -23,13 +23,11 @@ import (
 
 // LoadOptions configures a load run.
 type LoadOptions struct {
-	Clients     int               // concurrent client goroutines; 0 = 4
-	Queries     int               // total requests to issue across all clients; 0 = 10000
-	Batch       int               // dist pairs per request; 0 = 16
-	Seed        uint64            // query-stream seed; runs with equal seeds are identical
-	Mix         workload.QueryMix // zero value = workload.DefaultQueryMix()
-	ReloadEvery int               // every k-th request (per client) also POSTs a hot reload; 0 = never
-	Verify      *hst.Tree         // when set, dist/knn answers are checked against it
+	Clients     int       // concurrent client goroutines; 0 = 4
+	Queries     int       // total requests to issue across all clients; 0 = 10000
+	Seed        uint64    // query-stream seed; runs with equal seeds are identical
+	ReloadEvery int       // every k-th request (per client) also POSTs a hot reload; 0 = never
+	Verify      *hst.Tree // when set, dist/knn answers are checked against it
 
 	// Gate mode: when Ensemble is set, every EnsembleEvery-th dist
 	// request (per client) is redirected at that ensemble name instead
@@ -64,11 +62,15 @@ func (r LoadReport) String() string {
 	return s
 }
 
+// loadBatch is the number of dist pairs per generated request.
+const loadBatch = 16
+
 // RunLoad drives the query stream at baseURL against the named tree and
-// collects a report. Work is split across Clients goroutines, each
-// walking a disjoint strided slice of one deterministic query stream,
-// so the set of queries issued is independent of scheduling; only the
-// interleaving varies.
+// collects a report. The stream is workload.DefaultQueryMix with
+// loadBatch-pair dist requests. Work is split across Clients
+// goroutines, each walking a disjoint strided slice of one
+// deterministic query stream, so the set of queries issued is
+// independent of scheduling; only the interleaving varies.
 func RunLoad(baseURL, tree string, numPoints int, opts LoadOptions) LoadReport {
 	clients := opts.Clients
 	if clients <= 0 {
@@ -78,15 +80,7 @@ func RunLoad(baseURL, tree string, numPoints int, opts LoadOptions) LoadReport {
 	if total <= 0 {
 		total = 10000
 	}
-	batch := opts.Batch
-	if batch <= 0 {
-		batch = 16
-	}
-	mix := opts.Mix
-	if mix == (workload.QueryMix{}) {
-		mix = workload.DefaultQueryMix()
-	}
-	queries := workload.Queries(opts.Seed, numPoints, total, batch, 1e6, mix)
+	queries := workload.Queries(opts.Seed, numPoints, total, loadBatch, 1e6, workload.DefaultQueryMix())
 
 	var (
 		nQueries  atomic.Int64

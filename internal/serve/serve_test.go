@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -211,6 +212,65 @@ func TestValidationErrors(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/dist: HTTP %d, want 405", getResp.StatusCode)
+	}
+}
+
+// TestWrongMethod: every replica endpoint answers the other method with
+// 405 and the JSON error body before its handler runs, and counts it on
+// serve_errors_total{class="4xx"}. The table must cover every endpoint
+// RegisterMux mounts.
+func TestWrongMethod(t *testing.T) {
+	reg := obs.New()
+	srv, trees, _, _ := newTestServer(t, Options{Obs: reg})
+	cases := []struct{ endpoint, path, method string }{
+		{"dist", "/v1/dist", http.MethodPost},
+		{"knn", "/v1/knn", http.MethodPost},
+		{"cut", "/v1/cut", http.MethodPost},
+		{"emd", "/v1/emd", http.MethodPost},
+		{"medoid", "/v1/medoid", http.MethodPost},
+		{"trees", "/v1/trees", http.MethodGet},
+		{"reload", "/v1/trees/reload", http.MethodPost},
+		{"quality", "/v1/quality", http.MethodGet},
+	}
+	registered := map[string]bool{}
+	for _, v := range reg.Snapshot() {
+		if v.Name == "serve_requests_total" {
+			registered[v.Labels["endpoint"]] = true
+		}
+	}
+	if len(registered) != len(cases) {
+		t.Fatalf("server registers endpoints %v; the table has %d", registered, len(cases))
+	}
+	for _, c := range cases {
+		if !registered[c.endpoint] {
+			t.Fatalf("table endpoint %q is not registered", c.endpoint)
+		}
+		wrong := http.MethodGet
+		if c.method == http.MethodGet {
+			wrong = http.MethodPost
+		}
+		req, err := http.NewRequest(wrong, srv.URL+c.path, strings.NewReader(`{"tree":"t"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		want := fmt.Sprintf("{\"error\":\"%s requires %s\"}\n", c.path, c.method)
+		if resp.StatusCode != http.StatusMethodNotAllowed || string(body) != want ||
+			resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("%s %s: HTTP %d %q, want 405 %q", wrong, c.path, resp.StatusCode, body, want)
+		}
+		if got := reg.Counter("serve_errors_total", "", "endpoint", c.endpoint, "class", "4xx").Value(); got != 1 {
+			t.Errorf("%s: serve_errors_total{class=4xx} = %d, want 1", c.endpoint, got)
+		}
+	}
+	// GET /v1/trees/reload reached no handler: the tree was not reloaded.
+	if info := trees.List(); len(info) != 1 || info[0].Generation != 1 {
+		t.Fatalf("tree listing after wrong-method requests = %+v, want generation 1", info)
 	}
 }
 
@@ -443,7 +503,6 @@ func TestRunLoadAcceptance(t *testing.T) {
 	report := RunLoad(srv.URL, "t", tree.NumPoints(), LoadOptions{
 		Clients:     4,
 		Queries:     1200, // x batch 16 in the default mix -> >= 10k query items
-		Batch:       16,
 		Seed:        7,
 		ReloadEvery: 50,
 		Verify:      tree,

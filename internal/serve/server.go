@@ -1,5 +1,6 @@
 // The HTTP/JSON API. Every endpoint is a POST (except the GET tree
-// listing) taking a small JSON document naming a tree; batch-shaped
+// listing and quality report; RegisterMux names each endpoint's method)
+// taking a small JSON document naming a tree; batch-shaped
 // requests (dist pairs, knn points) fan out through internal/par, so a
 // 10k-pair batch uses every core while staying bit-identical to a
 // serial loop at any GOMAXPROCS (each shard writes only its own
@@ -35,7 +36,8 @@ type Options struct {
 	// /v1/* request with a request id (honoring an incoming
 	// X-Request-ID, else generated and echoed back in the response
 	// header), the endpoint span name, method, path, status, duration,
-	// and remote address.
+	// and remote address — at Warn when the request took longer than
+	// SLOTarget, at Info otherwise.
 	Logger *slog.Logger
 	// Tracer, if non-nil, enables per-request span tracing: a sampled
 	// request gets a root span ("serve <endpoint>") with decode,
@@ -45,12 +47,10 @@ type Options struct {
 	// write-only — responses are bit-identical with it on or off — and a
 	// nil tracer costs the hot path one atomic pointer load.
 	Tracer *obs.Tracer
-	// SlowLog, if non-nil, emits a sampled structured record for
-	// requests over its threshold (every Nth candidate).
-	SlowLog *obs.SlowLog
 	// SLOTarget is the per-request latency objective: requests over it
-	// burn serve_slo_breaches_total and the bound is published as
-	// serve_latency_objective_seconds. 0 publishes quantile gauges only.
+	// burn serve_slo_breaches_total and are logged at Warn, and the bound
+	// is published as serve_latency_objective_seconds. 0 publishes
+	// quantile gauges only.
 	SLOTarget time.Duration
 }
 
@@ -83,7 +83,7 @@ func NewServer(trees *Registry, opts Options) *Server {
 	}
 	s.requests = obs.NewRequests(obs.RequestsConfig{Family: "serve", Help: "API",
 		Registry: opts.Obs, SLOTarget: opts.SLOTarget,
-		MaxBodyBytes: maxBody, Tracer: opts.Tracer, SlowLog: opts.SlowLog, Logger: opts.Logger})
+		MaxBodyBytes: maxBody, Tracer: opts.Tracer, Logger: opts.Logger})
 	if opts.Obs != nil {
 		s.inflight = opts.Obs.Gauge("serve_inflight_requests", "Requests currently executing.")
 	}
@@ -97,7 +97,7 @@ func (s *Server) RegisterMux(mux *http.ServeMux) {
 	mux.HandleFunc("/v1/cut", s.endpoint("cut", http.MethodPost, s.handleCut))
 	mux.HandleFunc("/v1/emd", s.endpoint("emd", http.MethodPost, s.handleEMD))
 	mux.HandleFunc("/v1/medoid", s.endpoint("medoid", http.MethodPost, s.handleMedoid))
-	mux.HandleFunc("/v1/trees", s.endpoint("trees", "", s.handleTrees))
+	mux.HandleFunc("/v1/trees", s.endpoint("trees", http.MethodGet, s.handleTrees))
 	mux.HandleFunc("/v1/trees/reload", s.endpoint("reload", http.MethodPost, s.handleReload))
 	mux.HandleFunc("/v1/quality", s.endpoint("quality", http.MethodGet, s.handleQuality))
 }
@@ -119,21 +119,17 @@ func notFound(err error) error {
 }
 
 // endpoint wraps a handler with the serving concerns: the shared
-// request wrapper (request id, tracing, metering, body limit, logs) plus
-// the method check, per-request deadline, panic containment, and the
+// request wrapper (method check, request id, tracing, metering, body
+// limit, logs) plus the per-request deadline, panic containment, and the
 // in-flight gauge. The handler body runs in its own goroutine, under a
 // context carrying the deadline, so a blown deadline answers 503
 // immediately; the tree snapshot the stray computation holds stays valid
 // regardless of reloads, so it finishes harmlessly and is discarded.
 func (s *Server) endpoint(name, method string, fn func(context.Context, *http.Request) (any, error)) http.HandlerFunc {
-	return s.requests.Wrap(name, func(w http.ResponseWriter, r *http.Request) {
+	return s.requests.Wrap(name, method, func(w http.ResponseWriter, r *http.Request) {
 		if s.inflight != nil {
 			s.inflight.Add(1)
 			defer s.inflight.Add(-1)
-		}
-		if method != "" && r.Method != method {
-			writeError(w, http.StatusMethodNotAllowed, fmt.Sprintf("%s requires %s", r.URL.Path, method))
-			return
 		}
 		ctx := r.Context()
 		if s.deadline > 0 {
@@ -158,34 +154,22 @@ func (s *Server) endpoint(name, method string, fn func(context.Context, *http.Re
 		}()
 		select {
 		case <-ctx.Done():
-			writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("deadline exceeded after %v", s.deadline))
+			obs.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("deadline exceeded after %v", s.deadline))
 		case res := <-done:
 			if res.err != nil {
 				var ae *apiError
 				if errors.As(res.err, &ae) {
-					writeError(w, ae.status, ae.msg)
+					obs.WriteError(w, ae.status, ae.msg)
 				} else {
-					writeError(w, http.StatusInternalServerError, res.err.Error())
+					obs.WriteError(w, http.StatusInternalServerError, res.err.Error())
 				}
 				return
 			}
 			esp := obs.SpanFromContext(ctx).Child("encode")
-			writeJSON(w, http.StatusOK, res.v)
+			obs.WriteJSON(w, http.StatusOK, res.v)
 			esp.End()
 		}
 	})
-}
-
-// writeJSON answers v as JSON with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError answers a structured JSON error.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }
 
 // decode unmarshals the request body into req, translating the
@@ -503,10 +487,7 @@ type TreesResponse struct {
 	Trees []TreeInfo `json:"trees"`
 }
 
-func (s *Server) handleTrees(_ context.Context, r *http.Request) (any, error) {
-	if r.Method != http.MethodGet {
-		return nil, &apiError{status: http.StatusMethodNotAllowed, msg: "/v1/trees is GET; reload via POST /v1/trees/reload"}
-	}
+func (s *Server) handleTrees(context.Context, *http.Request) (any, error) {
 	return TreesResponse{Trees: s.trees.List()}, nil
 }
 

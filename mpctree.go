@@ -197,14 +197,14 @@ func embedMPC(pts []Point, opt MPCOptions, emitPaths bool) (*mpc.Cluster, *Tree,
 		cluster.EnableTrace()
 	}
 	tree, pinfo, err := core.EmbedPipeline(cluster, pts, core.PipelineOptions{
-		Xi:        opt.Xi,
-		CK:        opt.CK,
-		EmitPaths: emitPaths,
-		Seed:      opt.Seed,
-		Resilient: opt.Resilient,
-		Retry:     resilient.Options{MaxRetries: opt.MaxRetries},
-		Span:      opt.Span,
-		Quality:   opt.Quality,
+		Xi:         opt.Xi,
+		CK:         opt.CK,
+		EmitPaths:  emitPaths,
+		Seed:       opt.Seed,
+		Resilient:  opt.Resilient,
+		MaxRetries: opt.MaxRetries,
+		Span:       opt.Span,
+		Quality:    opt.Quality,
 	})
 	m := cluster.Metrics()
 	info := &MPCInfo{PipelineInfo: pinfo, Machines: machines, CapWords: capWords, Metrics: m}
@@ -303,8 +303,8 @@ type Span = obs.Span
 func NewSpan(name string) *Span { return obs.NewSpan(name) }
 
 // QualityConfig tunes the embedding-quality auditor: pair-sample size and
-// seed, worker fan-out, the Theorem-2 mean-distortion alarm threshold,
-// and the domination tolerance; see internal/quality.
+// seed and the Theorem-2 mean-distortion alarm threshold; see
+// internal/quality.
 type QualityConfig = quality.Config
 
 // QualityReport is one audit's result: distortion-ratio summary over the
