@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"mpctree/internal/hst"
 	"mpctree/internal/mpcnet"
 	"mpctree/internal/obs"
+	"mpctree/internal/rng"
 	"mpctree/internal/serve"
 	"mpctree/internal/treestore"
 	"mpctree/internal/workload"
@@ -125,7 +127,8 @@ func postJSON(t *testing.T, url string, req any, resp any) (int, http.Header) {
 
 // TestRingDeterministicAndComplete: placement is a pure function of the
 // configuration, every preference list is a permutation of the
-// backends, and keys spread across more than one owner.
+// backends, keys spread across more than one owner, and for any three
+// loopback backends each owns a fair share of /v1/dist keys.
 func TestRingDeterministicAndComplete(t *testing.T) {
 	backends := []string{"http://a:1", "http://b:2", "http://c:3"}
 	r1 := NewRing(backends)
@@ -154,6 +157,32 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 	}
 	if len(owners) < 2 {
 		t.Fatalf("all 200 keys landed on one backend: %v", owners)
+	}
+
+	// Share floor: three replicas on random loopback ports, as tests and
+	// the selftest start them, each own at least 15% of 2,000 dist-body
+	// keys (a fair share is 33%).
+	r := rng.New(7)
+	const keys = 2000
+	for draw := 0; draw < 100; draw++ {
+		var urls []string
+		for len(urls) < 3 {
+			u := fmt.Sprintf("http://127.0.0.1:%d", 1024+r.Intn(65535-1024))
+			if !slices.Contains(urls, u) {
+				urls = append(urls, u)
+			}
+		}
+		ring := NewRing(urls)
+		share := map[string]int{}
+		for i := 0; i < keys; i++ {
+			body := fmt.Sprintf(`{"tree":"t-0","pairs":[[%d,%d]]}`, i%64, (i*7+i/64)%64)
+			share[ring.Prefer(routeKey("/v1/dist", "t-0", []byte(body)))[0]]++
+		}
+		for _, u := range urls {
+			if share[u] < keys*15/100 {
+				t.Fatalf("backends %v: %s owns %d of %d keys, want at least 15%%", urls, u, share[u], keys)
+			}
+		}
 	}
 }
 

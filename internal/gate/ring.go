@@ -27,12 +27,19 @@ type Ring struct {
 	points   []ringPoint // sorted by pos
 }
 
-// hashKey is FNV-1a 64 — stable across processes and Go versions,
-// unlike maphash.
+// hashKey is FNV-1a 64 finished with the splitmix64 finalizer — stable
+// across processes and Go versions, unlike maphash. FNV-1a alone maps
+// strings that differ only in their trailing bytes, such as one
+// backend's "url#v" vnodes, to nearby positions, so a backend's vnodes
+// cluster and its share of the keys drifts far from 1/n; the finalizer
+// spreads them.
 func hashKey(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // vnodes is the number of virtual nodes each backend owns on the ring.

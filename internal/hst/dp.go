@@ -2,8 +2,11 @@
 // Section 1.3.3: "storing data on trees provides a unique structure for
 // data computation … efficient low-memory MPC and AMPC algorithms for
 // solving dynamic programs on trees". Two DPs serve the query layer:
-// CutAtScale (a flat clustering at a scale, top-down) and MedoidLeaf (the
-// 1-median leaf, one bottom-up and one top-down pass).
+// CutAtScale (a flat clustering at a scale) and MedoidLeaf (the 1-median
+// leaf). Both read state a finished tree derives once: CutAtScale scans
+// the preorder against the stored diameter bounds, and MedoidLeaf returns
+// the medoid computed at finish time by one bottom-up and one top-down
+// pass.
 package hst
 
 import "math"
@@ -11,7 +14,12 @@ import "math"
 // CutAtScale cuts the hierarchy at the coarsest frontier whose clusters
 // all have subtree-diameter bound ≤ maxDiam, returning a cluster label
 // per data point. This is the "flat clustering at a scale" read of a
-// hierarchical embedding: labels are contiguous ints from 0.
+// hierarchical embedding: labels are contiguous ints from 0, numbered in
+// preorder.
+//
+// One forward scan of the preorder visits the nodes above the frontier,
+// labels each admitted subtree's points as one cluster and jumps past it:
+// O(nodes above the frontier + points).
 //
 // Non-positive and NaN scales are normalised to 0, which admits only
 // zero-diameter frontiers — every point becomes its own singleton
@@ -21,43 +29,40 @@ func (t *Tree) CutAtScale(maxDiam float64) []int {
 	if maxDiam < 0 || math.IsNaN(maxDiam) {
 		maxDiam = 0
 	}
-	bounds := t.SubtreeLeafDiameterBound()
 	labels := make([]int, t.NumPoints())
 	next := 0
-	var walk func(v int, label int)
-	walk = func(v int, label int) {
-		if t.Nodes[v].Point >= 0 {
-			labels[t.Nodes[v].Point] = label
-			// A leaf may still have children in exotic trees; recurse
-			// with the same label.
-		}
-		for _, c := range t.Nodes[v].Children {
-			walk(c, label)
-		}
-	}
-	var descend func(v int)
-	descend = func(v int) {
-		if bounds[v] <= maxDiam {
-			walk(v, next)
+	for i := 0; i < len(t.pre); {
+		e := t.pre[i]
+		if t.diam[e.node] <= maxDiam {
+			for _, p := range t.prePoints[e.ptLo:e.ptHi] {
+				labels[p] = next
+			}
 			next++
-			return
+			i = int(e.end)
+			continue
 		}
-		if t.Nodes[v].Point >= 0 {
-			labels[t.Nodes[v].Point] = next
+		// A point node above the frontier (a leaf with children, in
+		// exotic trees) is a cluster of its own.
+		if p := t.Nodes[e.node].Point; p >= 0 {
+			labels[p] = next
 			next++
 		}
-		for _, c := range t.Nodes[v].Children {
-			descend(c)
-		}
+		i++
 	}
-	descend(0)
 	return labels
 }
 
 // MedoidLeaf returns the data point minimising the sum of tree distances
-// to all other points — the 1-median of the tree metric, computed exactly
-// in two passes (O(n) after preprocessing) rather than O(n²) pairwise.
+// to all other points — the 1-median of the tree metric. It is a constant
+// of the tree, derived when the tree is finished (and again by
+// ScaleWeights), so the call costs nothing.
 func (t *Tree) MedoidLeaf() (point int, totalDist float64) {
+	return t.medoid, t.medoidDist
+}
+
+// twoPassMedoid computes MedoidLeaf's answer exactly in two passes
+// (O(n) after preprocessing) rather than O(n²) pairwise.
+func (t *Tree) twoPassMedoid() (point int, totalDist float64) {
 	n := len(t.Nodes)
 	// below[v]: (#leaves in subtree, Σ distance from v to those leaves).
 	type agg struct {

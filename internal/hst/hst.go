@@ -9,9 +9,10 @@
 //
 // Beyond distance queries the package provides the primitives Corollary 1
 // of the paper builds on: exact minimum spanning trees of the leaf set
-// under the tree metric, Earth-Mover distance between leaf measures under
-// the tree metric (both computable exactly in linear time on trees), and
-// subtree statistics for densest-ball style queries.
+// under the tree metric (linear time), Earth-Mover distance between leaf
+// measures under the tree metric (a walk over the root paths of the two
+// measures' support), and subtree statistics for densest-ball style
+// queries.
 package hst
 
 import (
@@ -30,22 +31,38 @@ type Node struct {
 }
 
 // Tree is a weighted rooted tree over n data points. Build one with
-// Builder (or ReadTree); once finished, every query method (Dist, KNN,
-// MST, EMD, CutAtScale, MedoidLeaf, …) only reads the arrays, so a Tree
-// is safe for any number of concurrent readers — the serving layer
+// Builder (or ReadTree). Finishing a tree derives, once, every per-tree
+// quantity the query methods read (the fields below Leaf), so Dist, KNN,
+// MST, EMD, CutAtScale, MedoidLeaf, … only read arrays and a Tree is safe
+// for any number of concurrent readers — the serving layer
 // (internal/serve) relies on this, answering queries from many
 // goroutines against one *Tree and hot-swapping trees by replacing the
 // pointer, never by mutating a published Tree. The only mutators are
 // Compress (returns a new Tree; the receiver is untouched) and
-// ScaleWeights, which must happen-before the Tree is shared.
+// ScaleWeights, which re-derives the weight-dependent fields and must
+// happen-before the Tree is shared. Callers must not write Nodes or Leaf
+// of a finished tree: the derived fields would go stale.
 type Tree struct {
 	Nodes []Node
 	Leaf  []int // Leaf[i] = arena index of point i's leaf
 
-	// Derived (built by Builder.Finish):
-	depth []int     // edge depth from root
-	upW   []float64 // total weight of the root path
-	up    [][]int32 // binary lifting: up[k][v] = 2^k-th ancestor
+	// Derived by Builder.Finish and ReadTree; the weight-dependent ones
+	// (upW, diam, medoid, medoidDist) again by ScaleWeights.
+	depth      []int      // edge depth from root
+	upW        []float64  // total weight of the root path
+	up         [][]int32  // binary lifting: up[k][v] = 2^k-th ancestor
+	diam       []float64  // SubtreeLeafDiameterBound, per node
+	pre        []preEntry // nodes in depth-first preorder, children in Children order
+	prePoints  []int32    // data points in the preorder of their nodes
+	medoid     int        // MedoidLeaf's point …
+	medoidDist float64    // … and its total distance
+}
+
+// preEntry is one position of the preorder: the node there, the position
+// just past its subtree, and its subtree's points as the range
+// prePoints[ptLo:ptHi].
+type preEntry struct {
+	node, end, ptLo, ptHi int32
 }
 
 // NumPoints returns the number of embedded data points.
@@ -124,21 +141,11 @@ func (t *Tree) SubtreeCounts() []int {
 
 // SubtreeLeafDiameterBound returns, per node, an upper bound on the tree
 // distance between any two leaves of its subtree: twice the maximum
-// root-path weight below it minus twice its own root-path weight.
+// root-path weight below it minus twice its own root-path weight. The
+// bounds are derived when the tree is finished; the result is a fresh
+// copy the caller may modify.
 func (t *Tree) SubtreeLeafDiameterBound() []float64 {
-	maxUp := make([]float64, len(t.Nodes))
-	copy(maxUp, t.upW)
-	for v := len(t.Nodes) - 1; v > 0; v-- {
-		p := t.Nodes[v].Parent
-		if maxUp[v] > maxUp[p] {
-			maxUp[p] = maxUp[v]
-		}
-	}
-	out := make([]float64, len(t.Nodes))
-	for v := range out {
-		out[v] = 2 * (maxUp[v] - t.upW[v])
-	}
-	return out
+	return append([]float64(nil), t.diam...)
 }
 
 // Validate checks structural invariants and returns a descriptive error if
@@ -196,14 +203,14 @@ func NewBuilder(numPoints int) *Builder {
 func (b *Builder) Root() int { return 0 }
 
 // AddNode appends an internal node under parent with the given edge weight
-// and level, returning its arena index.
+// and level, returning its arena index. Children lists are laid out by
+// Finish.
 func (b *Builder) AddNode(parent int, weight float64, level int) int {
 	if parent < 0 || parent >= len(b.t.Nodes) {
 		panic(fmt.Sprintf("hst: AddNode with unknown parent %d", parent))
 	}
 	id := len(b.t.Nodes)
 	b.t.Nodes = append(b.t.Nodes, Node{Parent: parent, Weight: weight, Level: level, Point: -1})
-	b.t.Nodes[parent].Children = append(b.t.Nodes[parent].Children, id)
 	return id
 }
 
@@ -218,9 +225,9 @@ func (b *Builder) AddLeaf(parent int, weight float64, level, p int) int {
 	return id
 }
 
-// Finish computes the derived arrays (depths, root-path weights, binary
-// lifting tables) and returns the finished tree. The builder must not be
-// reused. It panics if any point lacks a leaf.
+// Finish lays out the children lists, derives the per-tree state the
+// queries read (see Tree) and returns the finished tree. The builder must
+// not be reused. It panics if any point lacks a leaf.
 func (b *Builder) Finish() *Tree {
 	t := &b.t
 	for p, leaf := range t.Leaf {
@@ -228,7 +235,35 @@ func (b *Builder) Finish() *Tree {
 			panic(fmt.Sprintf("hst: point %d has no leaf", p))
 		}
 	}
+	t.derive()
+	return t
+}
+
+// derive computes everything below Leaf in Tree from the node arena's
+// Parent, Weight and Point fields and Leaf, whose parents precede their
+// children. Every node's Children comes out of one slab, in increasing
+// arena order; a node without children keeps nil.
+func (t *Tree) derive() {
 	n := len(t.Nodes)
+	size := make([]int32, n) // child counts here; subtree node counts below
+	for v := 1; v < n; v++ {
+		size[t.Nodes[v].Parent]++
+	}
+	slab := make([]int, n-1)
+	off := 0
+	for v := range t.Nodes {
+		c := int(size[v])
+		t.Nodes[v].Children = nil
+		if c > 0 {
+			t.Nodes[v].Children = slab[off : off : off+c]
+			off += c
+		}
+	}
+	for v := 1; v < n; v++ {
+		p := t.Nodes[v].Parent
+		t.Nodes[p].Children = append(t.Nodes[p].Children, v)
+	}
+
 	t.depth = make([]int, n)
 	t.upW = make([]float64, n)
 	maxDepth := 0
@@ -260,7 +295,60 @@ func (b *Builder) Finish() *Tree {
 			t.up[k][v] = prev[prev[v]]
 		}
 	}
-	return t
+
+	// Preorder: a reverse scan sizes every subtree in nodes and points,
+	// then a forward scan places each child after its parent and its
+	// earlier siblings.
+	points := make([]int32, n)
+	for v := n - 1; v >= 0; v-- {
+		nd := &t.Nodes[v]
+		size[v] = 1
+		if nd.Point >= 0 {
+			points[v] = 1
+		}
+		for _, c := range nd.Children {
+			size[v] += size[c]
+			points[v] += points[c]
+		}
+	}
+	pos := make([]int32, n)   // preorder position of each node
+	ptPos := make([]int32, n) // prePoints slot of the first point in its subtree
+	t.pre = make([]preEntry, n)
+	t.prePoints = make([]int32, len(t.Leaf))
+	for v := 0; v < n; v++ {
+		i, pt := pos[v], ptPos[v]
+		t.pre[i] = preEntry{node: int32(v), end: i + size[v], ptLo: pt, ptHi: pt + points[v]}
+		if p := t.Nodes[v].Point; p >= 0 {
+			t.prePoints[pt] = int32(p)
+			pt++
+		}
+		i++
+		for _, c := range t.Nodes[v].Children {
+			pos[c], ptPos[c] = i, pt
+			i += size[c]
+			pt += points[c]
+		}
+	}
+	t.deriveWeighted()
+}
+
+// deriveWeighted computes the derived fields that depend on edge weights
+// beyond upW: the subtree diameter bounds and the medoid.
+func (t *Tree) deriveWeighted() {
+	n := len(t.Nodes)
+	maxUp := make([]float64, n)
+	copy(maxUp, t.upW)
+	for v := n - 1; v > 0; v-- {
+		p := t.Nodes[v].Parent
+		if maxUp[v] > maxUp[p] {
+			maxUp[p] = maxUp[v]
+		}
+	}
+	t.diam = maxUp
+	for v := range t.diam {
+		t.diam[v] = 2 * (maxUp[v] - t.upW[v])
+	}
+	t.medoid, t.medoidDist = t.twoPassMedoid()
 }
 
 // MSTEdge is one edge of a spanning tree over data points.
@@ -353,27 +441,65 @@ func (t *Tree) MSTCost() float64 {
 //
 //	EMD = Σ_edges weight(e) · |mu(subtree below e) − nu(subtree below e)|
 //
-// computed here in one bottom-up pass.
+// Only edges on the root paths of the points where mu and nu differ carry
+// an imbalance, so EMD walks just those paths, folding each node's
+// imbalance into its parent in descending arena order: the order, and
+// so the floating-point sums, of one bottom-up pass over every node.
 func (t *Tree) EMD(mu, nu []float64) float64 {
 	if len(mu) != t.NumPoints() || len(nu) != t.NumPoints() {
 		panic("hst: EMD measure length mismatch")
 	}
-	var tot float64
-	imbalance := make([]float64, len(t.Nodes))
+	flows := make([]flow, 0, 16) // holds at most one entry per support point
 	var sumMu, sumNu float64
 	for p := range mu {
-		imbalance[t.Leaf[p]] += mu[p] - nu[p]
+		if d := mu[p] - nu[p]; d != 0 {
+			flows = heapPush(flows, flow{node: int32(t.Leaf[p]), from: ownMass, imbalance: d})
+		}
 		sumMu += mu[p]
 		sumNu += nu[p]
 	}
 	if math.Abs(sumMu-sumNu) > 1e-9*(1+math.Abs(sumMu)) {
 		panic(fmt.Sprintf("hst: EMD requires equal masses, got %v vs %v", sumMu, sumNu))
 	}
-	for v := len(t.Nodes) - 1; v > 0; v-- {
-		tot += t.Nodes[v].Weight * math.Abs(imbalance[v])
-		imbalance[t.Nodes[v].Parent] += imbalance[v]
+	var tot float64
+	for len(flows) > 0 {
+		v := flows[0].node
+		var imbalance float64
+		for len(flows) > 0 && flows[0].node == v {
+			var f flow
+			f, flows = heapPop(flows)
+			imbalance += f.imbalance
+		}
+		if v == 0 {
+			break
+		}
+		nd := &t.Nodes[v]
+		tot += nd.Weight * math.Abs(imbalance)
+		flows = heapPush(flows, flow{node: int32(nd.Parent), from: v, imbalance: imbalance})
 	}
 	return tot
+}
+
+// flow is one contribution to a node's EMD imbalance: a point's own
+// mass difference (from == ownMass) or the imbalance of the child it
+// came up from.
+type flow struct {
+	node, from int32
+	imbalance  float64
+}
+
+// ownMass marks a point's own mass difference, which the node takes
+// before any child's imbalance.
+const ownMass = math.MaxInt32
+
+// before pops nodes in descending arena order and, within one node, its
+// own mass first and then its children in descending order — the order
+// in which a bottom-up pass over every node adds them up.
+func (a flow) before(b flow) bool {
+	if a.node != b.node {
+		return a.node > b.node
+	}
+	return a.from > b.from
 }
 
 // UniformMeasure returns a measure placing mass 1 on each listed point.
@@ -386,8 +512,9 @@ func UniformMeasure(n int, points []int) []float64 {
 }
 
 // ScaleWeights multiplies every edge weight by factor > 0, rescaling the
-// whole tree metric. Used by the Theorem-1 pipeline to restore strict
-// domination after the FJLT's (1−ξ) contraction.
+// whole tree metric, and re-derives the weight-dependent state (root-path
+// weights, diameter bounds, medoid). Used by the Theorem-1 pipeline to
+// restore strict domination after the FJLT's (1−ξ) contraction.
 func (t *Tree) ScaleWeights(factor float64) {
 	if factor <= 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 		panic(fmt.Sprintf("hst: bad scale factor %v", factor))
@@ -398,6 +525,7 @@ func (t *Tree) ScaleWeights(factor float64) {
 	for v := range t.upW {
 		t.upW[v] *= factor
 	}
+	t.deriveWeighted()
 }
 
 // MaxLevel returns the largest hierarchy level present.

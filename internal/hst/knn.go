@@ -1,17 +1,18 @@
 // K-nearest-neighbor queries under the tree metric — the read-path
 // primitive the serving layer's /v1/knn endpoint exposes. A tree has
 // unique paths, so a best-first (uniform-cost) traversal outward from the
-// query point's leaf pops every node at its exact tree distance; leaves
-// are collected until the k-th distance is sealed. No precomputation
-// beyond what Builder.Finish already derives (root-path weights) is
-// needed, and the traversal only reads the immutable arrays, so it is
-// safe for any number of concurrent callers.
+// query point's leaf reaches every node once, along the one path from
+// the leaf, and pops it at its exact tree distance; leaves are collected
+// until the k-th distance is sealed. The traversal reads only what
+// Builder.Finish derives (root-path weights, children lists) and keeps
+// its frontier in a per-call heap, so it is safe for any number of
+// concurrent callers.
 package hst
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Neighbor is one result of a k-nearest-neighbor query.
@@ -20,27 +21,23 @@ type Neighbor struct {
 	Dist  float64 `json:"dist"`
 }
 
-// visit is one frontier entry of the best-first traversal.
+// visit is one frontier entry of the best-first traversal: a node, its
+// distance from the query leaf, and the neighbor it was reached from
+// (-1 for the query leaf), which is the one neighbor not to expand.
 type visit struct {
-	dist float64
-	node int
+	dist       float64
+	node, from int32
 }
 
-// visitHeap orders the frontier by (distance, arena index); the index
-// tie-break makes the pop order — and therefore which equal-distance
-// nodes are explored first — deterministic.
-type visitHeap []visit
-
-func (h visitHeap) Len() int { return len(h) }
-func (h visitHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+// before orders the frontier by (distance, arena index); every node
+// enters the frontier at most once, so the order is strict and the pop
+// order — which equal-distance nodes are explored first — deterministic.
+func (a visit) before(b visit) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
-	return h[i].node < h[j].node
+	return a.node < b.node
 }
-func (h visitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *visitHeap) Push(x any)   { *h = append(*h, x.(visit)) }
-func (h *visitHeap) Pop() any     { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
 // KNN returns the k data points nearest to point p under the tree metric,
 // excluding p itself, ordered by (distance, point index). Ties at the
@@ -66,52 +63,41 @@ func (t *Tree) KNN(p, k int) []Neighbor {
 	if k == 0 {
 		return nil
 	}
-	src := t.Leaf[p]
-	dist := make(map[int]float64, 64)
-	frontier := &visitHeap{{dist: 0, node: src}}
-	dist[src] = 0
+	frontier := append(make([]visit, 0, 32), visit{node: int32(t.Leaf[p]), from: -1})
 
 	// Collect every leaf with distance ≤ the current k-th best; the
 	// frontier pops in non-decreasing distance, so once the popped
 	// distance exceeds that bound the answer set is sealed.
-	var found []Neighbor
-	kth := func() float64 { return found[k-1].Dist }
-	push := func(node int, d float64) {
-		if old, seen := dist[node]; seen && old <= d {
-			return
-		}
-		dist[node] = d
-		heap.Push(frontier, visit{dist: d, node: node})
-	}
-	for frontier.Len() > 0 {
-		v := heap.Pop(frontier).(visit)
-		if v.dist > dist[v.node] {
-			continue // stale entry
-		}
-		if len(found) >= k && v.dist > kth() {
+	found := make([]Neighbor, 0, k)
+	for len(frontier) > 0 {
+		var v visit
+		v, frontier = heapPop(frontier)
+		if len(found) >= k && v.dist > found[k-1].Dist {
 			break
 		}
 		nd := &t.Nodes[v.node]
 		if nd.Point >= 0 && nd.Point != p {
+			// Pops arrive in non-decreasing distance, so append order is
+			// sorted by distance and found[k-1] is the k-th best so far.
 			found = append(found, Neighbor{Point: nd.Point, Dist: v.dist})
-			// Keep found sorted enough for kth(): pops arrive in
-			// non-decreasing distance, so append order IS sorted by dist.
 		}
-		if nd.Parent >= 0 {
-			push(nd.Parent, v.dist+nd.Weight)
+		if nd.Parent >= 0 && int32(nd.Parent) != v.from {
+			frontier = heapPush(frontier, visit{dist: v.dist + nd.Weight, node: int32(nd.Parent), from: v.node})
 		}
 		for _, c := range nd.Children {
-			push(c, v.dist+t.Nodes[c].Weight)
+			if int32(c) != v.from {
+				frontier = heapPush(frontier, visit{dist: v.dist + t.Nodes[c].Weight, node: int32(c), from: v.node})
+			}
 		}
 	}
 	// found is sorted by distance with pop-order (arena index) tie-breaks;
 	// re-sort equal distances by point index and cut at k, keeping every
 	// point strictly closer than the k-th and the smallest-indexed ties.
-	sort.Slice(found, func(i, j int) bool {
-		if found[i].Dist != found[j].Dist {
-			return found[i].Dist < found[j].Dist
+	slices.SortFunc(found, func(a, b Neighbor) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
 		}
-		return found[i].Point < found[j].Point
+		return cmp.Compare(a.Point, b.Point)
 	})
 	if len(found) > k {
 		found = found[:k]

@@ -2,6 +2,7 @@ package hst
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -81,30 +82,55 @@ func TestKNNEdgeCases(t *testing.T) {
 	tr.KNN(-1, 1)
 }
 
-// KNN must be a pure read: concurrent queries over one tree race-free
-// (run under -race) with answers identical to serial.
+// The query kernels must be pure reads: concurrent KNN, cut, medoid and
+// EMD queries over one tree race-free (run under -race) with answers
+// identical to serial.
 func TestKNNConcurrentReads(t *testing.T) {
 	r := rng.New(23)
-	tr := randomHST(r, 60)
+	tr := shapedHST(r, 60, 4, true)
 	n := tr.NumPoints()
-	want := make([][]Neighbor, n)
+	scales := []float64{0, 3, 20, 1e9}
+	measures := make([][2][]float64, 8)
+	for i := range measures {
+		measures[i] = [2][]float64{normalise(randomMeasure(r, n, 1+i%4)), normalise(randomMeasure(r, n, 1+i%4))}
+	}
+	wantKNN := make([][]Neighbor, n)
 	for p := 0; p < n; p++ {
-		want[p] = tr.KNN(p, 5)
+		wantKNN[p] = tr.KNN(p, 5)
+	}
+	wantCut := make([][]int, len(scales))
+	for i, s := range scales {
+		wantCut[i] = tr.CutAtScale(s)
+	}
+	wantEMD := make([]float64, len(measures))
+	for i, m := range measures {
+		wantEMD[i] = tr.EMD(m[0], m[1])
+	}
+	wantMedoid, wantTotal := tr.MedoidLeaf()
+	check := func() error {
+		for p := 0; p < n; p++ {
+			if !slices.Equal(tr.KNN(p, 5), wantKNN[p]) {
+				return errorString("concurrent KNN answer diverged from serial")
+			}
+		}
+		for i, s := range scales {
+			if !slices.Equal(tr.CutAtScale(s), wantCut[i]) {
+				return errorString("concurrent CutAtScale answer diverged from serial")
+			}
+		}
+		for i, m := range measures {
+			if tr.EMD(m[0], m[1]) != wantEMD[i] {
+				return errorString("concurrent EMD answer diverged from serial")
+			}
+		}
+		if p, total := tr.MedoidLeaf(); p != wantMedoid || total != wantTotal {
+			return errorString("concurrent MedoidLeaf answer diverged from serial")
+		}
+		return nil
 	}
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
-		go func() {
-			for p := 0; p < n; p++ {
-				got := tr.KNN(p, 5)
-				for i := range got {
-					if got[i] != want[p][i] {
-						done <- errMismatch
-						return
-					}
-				}
-			}
-			done <- nil
-		}()
+		go func() { done <- check() }()
 	}
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
@@ -112,8 +138,6 @@ func TestKNNConcurrentReads(t *testing.T) {
 		}
 	}
 }
-
-var errMismatch = errorString("concurrent KNN answer diverged from serial")
 
 type errorString string
 

@@ -16,8 +16,9 @@ import (
 var magic = [8]byte{'m', 'p', 'c', 't', 'r', 'e', 'e', '1'}
 
 // WriteTo serialises the tree in a compact binary format. The derived
-// arrays (depths, LCA tables) are rebuilt on load, so only the structure
-// travels: ~3 words per node.
+// state (children lists, depths, LCA tables, preorder, diameter bounds,
+// medoid) is rebuilt on load, so only the structure travels: one 24-byte
+// record per node.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var written int64
@@ -55,101 +56,91 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 // ReadTree deserialises a tree written by WriteTo and rebuilds all
 // derived structures. The result is validated before being returned.
 func ReadTree(r io.Reader) (*Tree, error) {
+	// The arena is pre-sized only as far as the stream can back the
+	// header, and doubles as records arrive beyond that: a lying header
+	// must cost no more memory than the actual stream length provides.
+	// A reader that knows its length (bytes.Reader, as the tree store
+	// uses) bounds the node count exactly.
+	arenaCap := uint64(1024)
+	if lr, ok := r.(interface{ Len() int }); ok {
+		arenaCap = uint64(lr.Len()) / 24
+	}
 	br := bufio.NewReader(r)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	rec := make([]byte, 24) // one node record; the header fits too
+	if _, err := io.ReadFull(br, rec[:8]); err != nil {
 		return nil, fmt.Errorf("hst: reading magic: %w", err)
 	}
-	if hdr != magic {
-		return nil, fmt.Errorf("hst: bad magic %q", hdr[:])
+	if [8]byte(rec[:8]) != magic {
+		return nil, fmt.Errorf("hst: bad magic %q", rec[:8])
 	}
-	get := func() (uint64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(buf[:]), nil
-	}
-	nNodes, err := get()
-	if err != nil {
+	if _, err := io.ReadFull(br, rec[:16]); err != nil {
 		return nil, err
 	}
-	nLeaves, err := get()
-	if err != nil {
-		return nil, err
-	}
+	nNodes := binary.LittleEndian.Uint64(rec[0:])
+	nLeaves := binary.LittleEndian.Uint64(rec[8:])
 	const sanity = 1 << 32
 	if nNodes == 0 || nNodes > sanity || nLeaves > nNodes {
 		return nil, fmt.Errorf("hst: implausible sizes: %d nodes, %d leaves", nNodes, nLeaves)
 	}
-	// Read incrementally BEFORE any size-driven allocation: a lying header
-	// must cost no more memory than the actual stream length provides.
-	type rawNode struct {
-		parent int
-		weight float64
-		level  int
-		point  int
-	}
-	var raw []rawNode
+	nodes := make([]Node, 0, max(1, min(nNodes, arenaCap)))
 	seenLeaves := 0
 	for v := 0; v < int(nNodes); v++ {
-		parentU, err := get()
-		if err != nil {
+		if _, err := io.ReadFull(br, rec); err != nil {
 			return nil, fmt.Errorf("hst: truncated stream at node %d: %w", v, err)
 		}
-		weightU, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("hst: truncated stream at node %d: %w", v, err)
-		}
-		packed, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("hst: truncated stream at node %d: %w", v, err)
-		}
-		n := rawNode{
-			parent: int(int64(parentU)),
-			weight: math.Float64frombits(weightU),
-			level:  int(int64(packed) >> 32),
-			point:  int(int32(uint32(packed))),
+		packed := binary.LittleEndian.Uint64(rec[16:])
+		n := Node{
+			Parent: int(int64(binary.LittleEndian.Uint64(rec[0:]))),
+			Weight: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
+			Level:  int(int64(packed) >> 32),
+			Point:  int(int32(uint32(packed))),
 		}
 		if v == 0 {
-			if n.parent != -1 || n.point != -1 {
+			if n.Parent != -1 || n.Point != -1 {
 				return nil, fmt.Errorf("hst: stream node 0 is not a root")
 			}
+			n = Node{Parent: -1, Point: -1} // the root's weight and level are not data
 		} else {
-			if n.parent < 0 || n.parent >= v {
-				return nil, fmt.Errorf("hst: node %d has invalid parent %d", v, n.parent)
+			if n.Parent < 0 || n.Parent >= v {
+				return nil, fmt.Errorf("hst: node %d has invalid parent %d", v, n.Parent)
 			}
-			if n.point >= 0 {
-				if n.point >= int(nLeaves) {
-					return nil, fmt.Errorf("hst: leaf point %d out of range", n.point)
+			if n.Point >= 0 {
+				if n.Point >= int(nLeaves) {
+					return nil, fmt.Errorf("hst: leaf point %d out of range", n.Point)
 				}
 				seenLeaves++
+			} else {
+				n.Point = -1
 			}
 		}
-		raw = append(raw, n)
+		if len(nodes) == cap(nodes) {
+			nodes = append(make([]Node, 0, min(2*cap(nodes), int(nNodes))), nodes...)
+		}
+		nodes = append(nodes, n)
 	}
 	if seenLeaves != int(nLeaves) {
 		return nil, fmt.Errorf("hst: stream has %d leaves, header claims %d", seenLeaves, nLeaves)
 	}
-	b := NewBuilder(int(nLeaves))
-	for v := 1; v < len(raw); v++ {
-		n := raw[v]
-		if n.point >= 0 {
-			// Duplicate points would panic in AddLeaf; reject instead.
-			if b.t.Leaf[n.point] != -1 {
-				return nil, fmt.Errorf("hst: point %d appears twice", n.point)
-			}
-			b.AddLeaf(n.parent, n.weight, n.level, n.point)
-		} else {
-			b.AddNode(n.parent, n.weight, n.level)
-		}
+	leaf := make([]int, nLeaves)
+	for i := range leaf {
+		leaf[i] = -1
 	}
-	// Missing leaves would panic in Finish; already excluded by the
-	// seenLeaves check plus duplicate rejection.
-	t := b.Finish()
+	for v, n := range nodes {
+		if n.Point < 0 {
+			continue
+		}
+		if leaf[n.Point] != -1 {
+			return nil, fmt.Errorf("hst: point %d appears twice", n.Point)
+		}
+		leaf[n.Point] = v
+	}
+	// With seenLeaves == nLeaves and no point twice, every point has a
+	// leaf.
+	t := &Tree{Nodes: nodes, Leaf: leaf}
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("hst: deserialised tree invalid: %w", err)
 	}
+	t.derive()
 	return t, nil
 }
 

@@ -3,6 +3,7 @@ package hst
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,6 +14,9 @@ func TestSerializeRoundTrip(t *testing.T) {
 	r := rng.New(5)
 	for trial := 0; trial < 10; trial++ {
 		tr := randomHST(r, 2+r.Intn(60))
+		if trial%2 == 1 {
+			tr = shapedHST(r, 2+r.Intn(60), 4, trial%4 == 1)
+		}
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -23,6 +27,16 @@ func TestSerializeRoundTrip(t *testing.T) {
 		}
 		if back.NumNodes() != tr.NumNodes() || back.NumPoints() != tr.NumPoints() {
 			t.Fatal("shape changed in round trip")
+		}
+		// The loaded tree is the built one: same nodes with the same
+		// children in the same order, and the same derived state.
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatal("round trip changed the tree")
+		}
+		for v, nd := range back.Nodes {
+			if len(nd.Children) == 0 && nd.Children != nil {
+				t.Fatalf("node %d: empty Children not nil", v)
+			}
 		}
 		n := tr.NumPoints()
 		for i := 0; i < n; i++ {

@@ -13,7 +13,9 @@ import (
 // machine it was on, and string-keyed maps built over all of them twice —
 // and the driver assembled the tree on string keys, a run allocated ~72k
 // objects and ~28.5 MB; owner-side dedup and 128-bit ids read ~29k and
-// ~13 MB.
+// ~13 MB. Laying the tree's Children lists out of one slab instead of one
+// append per node reads ~16.3k objects and ~13.9 MB: the finished tree
+// also derives its query state (preorder, diameter bounds, medoid).
 func TestEmbedAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
@@ -38,7 +40,7 @@ func TestEmbedAllocCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20)
-	const allocCeiling, mbCeiling = 40000, 20
+	const allocCeiling, mbCeiling = 20000, 20
 	if allocs > allocCeiling || mb > mbCeiling {
 		t.Fatalf("Embed allocates %.0f objects and %.1f MB per run, ceilings %d and %d MB", allocs, mb, allocCeiling, mbCeiling)
 	}

@@ -116,8 +116,12 @@ func (r *Registry) QualityAll() []QualityResult {
 
 // collector lazily builds the per-tree quality collector. Registration
 // on the obs registry is idempotent, so reload-recreated collectors
-// share cells.
+// share cells. Without an obs registry it returns nil, whose methods
+// are no-ops: audits still run and /v1/quality still reports them.
 func (r *Registry) collector(e *entry, cfg quality.Config) *quality.Collector {
+	if r.reg == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e.qcol == nil {

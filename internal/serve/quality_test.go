@@ -126,6 +126,33 @@ func TestBackgroundAuditAndQualityEndpoint(t *testing.T) {
 	}
 }
 
+// A registry built without metrics (NewRegistry(nil)) still audits, and
+// /v1/quality reports the result.
+func TestQualityWithoutMetrics(t *testing.T) {
+	var logBuf bytes.Buffer
+	registry, mux, _, _ := newQualityFixture(t, nil, &logBuf)
+	registry.WaitAudits()
+	res, err := registry.Quality("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || res.Report == nil || res.Error != "" {
+		t.Fatalf("no audit result after WaitAudits: %+v", res)
+	}
+	rr := doGet(t, mux, "/v1/quality")
+	if rr.Code != http.StatusOK {
+		t.Fatalf("/v1/quality: %d %s", rr.Code, rr.Body.String())
+	}
+	var qresp QualityResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &qresp); err != nil {
+		t.Fatal(err)
+	}
+	if len(qresp.Results) != 1 || qresp.Results[0].Report == nil ||
+		qresp.Results[0].Report.MeanRatio != res.Report.MeanRatio {
+		t.Fatalf("bad /v1/quality body: %s", rr.Body.String())
+	}
+}
+
 func TestHotReloadReaudits(t *testing.T) {
 	reg := obs.New()
 	var logBuf bytes.Buffer
