@@ -25,8 +25,8 @@ import (
 // numbers so the comparison is interpretable.
 var workerCounts = []int{1, 8}
 
-// benchSeeds is the seed list the embedding benchmarks cycle through, so
-// every b.N, and every repeat, embeds the same mix of seeds instead of
+// benchSeeds is the seed list every seeded benchmark cycles through, so
+// every b.N, and every repeat, runs the same mix of seeds instead of
 // seeds 1..b.N.
 var benchSeeds = []uint64{1, 2, 3, 4}
 

@@ -2,6 +2,7 @@ package hst
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"mpctree/internal/rng"
@@ -9,10 +10,12 @@ import (
 
 // TestQueryAllocCeiling pins the heap objects of loading a serve-shape
 // tree (4096 points, ≈32k nodes, three in four of them unary chain
-// nodes, like an Algorithm-2 tree) and of one call of each query kernel
-// on it. Loading reads one record per node into one arena and lays every
-// Children list out of one slab; at one object per record field and one
-// per Children append the same load made ≈126k objects. The kernels
+// nodes, like an Algorithm-2 tree), of writing it, and of one call of
+// each query kernel on it. Loading reads one record per node into one
+// arena and lays every Children list out of one slab; at one object per
+// record field and one per Children append the same load made ≈126k
+// objects. Writing puts each node's record out of one buffer; a buffer
+// per field made three objects per node (≈94k). The kernels
 // read state derived at load time: a cut allocates only its labels, a
 // medoid nothing.
 func TestQueryAllocCeiling(t *testing.T) {
@@ -35,6 +38,11 @@ func TestQueryAllocCeiling(t *testing.T) {
 	}{
 		{"ReadTree", 32, func() {
 			if _, err := ReadTree(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"WriteTo", 2, func() {
+			if _, err := tr.WriteTo(io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		}},

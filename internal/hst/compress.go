@@ -12,18 +12,12 @@ package hst
 // motivation). Node levels are retained from the DEEPEST node of each
 // merged chain (the one whose geometry the surviving edge reflects).
 func (t *Tree) Compress() *Tree {
-	n := len(t.Nodes)
 	// For each kept node, walk down through unary internal nodes.
 	// A node is "unary-internal" if it has exactly one child and is not a
 	// leaf; the chain bottom is the first node that is a leaf or branches.
+	// A chain bottom that carries a point keeps it, and its children, if
+	// any, are expanded under its new id like an internal node's.
 	b := NewBuilder(t.NumPoints())
-	// Map from original node id (chain bottom) to new arena id.
-	newID := make([]int, n)
-	for i := range newID {
-		newID[i] = -1
-	}
-	newID[0] = b.Root()
-
 	type task struct {
 		origParent int // original id whose children we expand
 		newParent  int
@@ -41,14 +35,15 @@ func (t *Tree) Compress() *Tree {
 				weight += t.Nodes[next].Weight
 				cur = next
 			}
-			if t.Nodes[cur].Point >= 0 {
-				id := b.AddLeaf(tk.newParent, weight, t.Nodes[cur].Level, t.Nodes[cur].Point)
-				newID[cur] = id
-				continue
+			var id int
+			if p := t.Nodes[cur].Point; p >= 0 {
+				id = b.AddLeaf(tk.newParent, weight, t.Nodes[cur].Level, p)
+			} else {
+				id = b.AddNode(tk.newParent, weight, t.Nodes[cur].Level)
 			}
-			id := b.AddNode(tk.newParent, weight, t.Nodes[cur].Level)
-			newID[cur] = id
-			stack = append(stack, task{origParent: cur, newParent: id})
+			if len(t.Nodes[cur].Children) > 0 {
+				stack = append(stack, task{origParent: cur, newParent: id})
+			}
 		}
 	}
 	return b.Finish()

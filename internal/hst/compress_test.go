@@ -41,6 +41,33 @@ func TestCompressMergesChains(t *testing.T) {
 	}
 }
 
+// TestCompressKeepsPointsBelowAPoint compresses a tree whose point 0
+// sits on a node that has a child: root → a (point 0) → b → leaf 1, and
+// root → leaf 2. The points below a pointed node keep their leaves.
+func TestCompressKeepsPointsBelowAPoint(t *testing.T) {
+	b := NewBuilder(3)
+	a := b.AddLeaf(b.Root(), 8, 1, 0)
+	c := b.AddNode(a, 4, 2)
+	b.AddLeaf(c, 2, 3, 1)
+	b.AddLeaf(b.Root(), 8, 1, 2)
+	tr := b.Finish()
+	ct := tr.Compress()
+	if err := ct.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// root, point 0, point 1 (its chain merged), point 2.
+	if ct.NumNodes() != 4 {
+		t.Errorf("compressed to %d nodes, want 4", ct.NumNodes())
+	}
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			if got, want := ct.Dist(i, j), tr.Dist(i, j); got != want {
+				t.Errorf("Dist(%d, %d) = %v after Compress, %v before", i, j, got, want)
+			}
+		}
+	}
+}
+
 func TestCompressPreservesMetricOnRandomTrees(t *testing.T) {
 	r := rng.New(42)
 	for trial := 0; trial < 15; trial++ {

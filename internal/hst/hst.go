@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Node is one vertex of the hierarchy.
@@ -183,6 +184,8 @@ func (t *Tree) Validate() error {
 
 // Builder incrementally constructs a Tree. Nodes must be added parent
 // before child (the natural order for top-down hierarchical partitioning).
+// The node arena grows by append, so a caller that knows how many nodes
+// it will add reserves them once with Grow and no AddNode reallocates.
 type Builder struct {
 	t Tree
 }
@@ -201,6 +204,11 @@ func NewBuilder(numPoints int) *Builder {
 
 // Root returns the arena index of the root (always 0).
 func (b *Builder) Root() int { return 0 }
+
+// Grow reserves arena space for another n nodes, so the next n AddNode
+// and AddLeaf calls do not reallocate, as strings.Builder.Grow does for
+// bytes. It panics if n is negative.
+func (b *Builder) Grow(n int) { b.t.Nodes = slices.Grow(b.t.Nodes, n) }
 
 // AddNode appends an internal node under parent with the given edge weight
 // and level, returning its arena index. Children lists are laid out by

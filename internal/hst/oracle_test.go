@@ -256,18 +256,21 @@ type oracleCase struct {
 
 // oracleCases returns random trees of every shape the kernels meet:
 // plain HSTs, chain-heavy ones, ones with points on inner nodes, the
-// Compressed forms of chain-heavy ones, and trees rescaled by
-// ScaleWeights after Finish.
+// Compressed forms of chain-heavy ones and of ones with points on inner
+// nodes, and trees rescaled by ScaleWeights after Finish.
 func oracleCases(r *rng.RNG) []oracleCase {
 	var cases []oracleCase
 	for trial := 0; trial < 12; trial++ {
 		n := 1 + r.Intn(60)
 		chains := shapedHST(r, n, 6, false)
+		plain := shapedHST(r, n, 0, false)
+		inside := shapedHST(r, n, 3, true)
 		cases = append(cases,
-			oracleCase{"plain", shapedHST(r, n, 0, false)},
+			oracleCase{"plain", plain},
 			oracleCase{"chains", chains},
-			oracleCase{"points-inside", shapedHST(r, n, 3, true)},
-			oracleCase{"compressed", chains.Compress()})
+			oracleCase{"points-inside", inside},
+			oracleCase{"compressed", chains.Compress()},
+			oracleCase{"compressed-points-inside", inside.Compress()})
 		for _, f := range []float64{1 / (1 - 0.3), 0.37} {
 			scaled := shapedHST(r, n, 6, trial%2 == 0)
 			scaled.ScaleWeights(f)

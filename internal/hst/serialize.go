@@ -18,37 +18,28 @@ var magic = [8]byte{'m', 'p', 'c', 't', 'r', 'e', 'e', '1'}
 // WriteTo serialises the tree in a compact binary format. The derived
 // state (children lists, depths, LCA tables, preorder, diameter bounds,
 // medoid) is rebuilt on load, so only the structure travels: one 24-byte
-// record per node.
+// record per node, after a 24-byte header (magic, node and leaf counts).
+// Every record goes out of one buffer, the way ReadTree reads it.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
-	var written int64
-	put := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		n, err := bw.Write(buf[:])
-		written += int64(n)
-		return err
-	}
-	if n, err := bw.Write(magic[:]); err != nil {
-		return int64(n), err
-	}
-	written += int64(len(magic))
-	if err := put(uint64(len(t.Nodes))); err != nil {
-		return written, err
-	}
-	if err := put(uint64(len(t.Leaf))); err != nil {
-		return written, err
-	}
+	var rec [24]byte
+	copy(rec[:8], magic[:])
+	binary.LittleEndian.PutUint64(rec[8:], uint64(len(t.Nodes)))
+	binary.LittleEndian.PutUint64(rec[16:], uint64(len(t.Leaf)))
+	n, err := bw.Write(rec[:])
+	written := int64(n)
 	for _, nd := range t.Nodes {
-		if err := put(uint64(int64(nd.Parent))); err != nil {
+		if err != nil {
 			return written, err
 		}
-		if err := put(math.Float64bits(nd.Weight)); err != nil {
-			return written, err
-		}
-		if err := put(uint64(int64(nd.Level))<<32 | uint64(uint32(int32(nd.Point)))); err != nil {
-			return written, err
-		}
+		binary.LittleEndian.PutUint64(rec[0:], uint64(int64(nd.Parent)))
+		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(nd.Weight))
+		binary.LittleEndian.PutUint64(rec[16:], uint64(int64(nd.Level))<<32|uint64(uint32(int32(nd.Point))))
+		n, err = bw.Write(rec[:])
+		written += int64(n)
+	}
+	if err != nil {
+		return written, err
 	}
 	return written, bw.Flush()
 }

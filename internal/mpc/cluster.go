@@ -113,12 +113,11 @@ type Cluster struct {
 	recovery RecoveryStats // checkpoint/restore overhead (checkpoint.go)
 	obs      *obsSink      // optional metrics export (obs.go); write-only
 
-	// Round scratch, reused across rounds. Growing these from zero every
-	// round was the dominant memory churn of element-heavy workloads (the
-	// per-destination delivery slices and per-machine emit buffers re-grow
-	// through every power of two, copying Record headers each time); the
-	// buffers are cleared after delivery so no payload outlives its round.
-	outsBuf    [][]roundMsg
+	// Round scratch, kept for the cluster's later rounds and cleared after
+	// delivery so no payload outlives its round. outsBuf[m] buffers
+	// machine m's emits in emit order (see msgBuf); deliverBuf[m] gathers
+	// machine m's inbox, sized once per round from the exact count.
+	outsBuf    []msgBuf
 	deliverBuf [][]Record
 }
 
@@ -127,6 +126,43 @@ type Cluster struct {
 type roundMsg struct {
 	to  int
 	rec Record
+}
+
+// msgBuf is one machine's emitted messages, in emit order, in chunks
+// that start at one message and double. An emit never copies the
+// messages already buffered (an append-grown slice copies them at every
+// growth, through about five times its final size), a round that emits
+// one message allocates one small chunk, and the chunks are reused by
+// the cluster's later rounds.
+type msgBuf struct {
+	chunks [][]roundMsg // every chunk before cur is full
+	cur    int          // the chunk the next message goes to
+}
+
+// add appends ms after every message already buffered.
+func (b *msgBuf) add(ms roundMsg) {
+	if b.cur == len(b.chunks) {
+		size := 1
+		if b.cur > 0 {
+			size = 2 * cap(b.chunks[b.cur-1])
+		}
+		b.chunks = append(b.chunks, make([]roundMsg, 0, size))
+	}
+	ch := append(b.chunks[b.cur], ms)
+	b.chunks[b.cur] = ch
+	if len(ch) == cap(ch) {
+		b.cur++
+	}
+}
+
+// reset drops the buffered messages, and their payload references, and
+// keeps the chunks.
+func (b *msgBuf) reset() {
+	for i, ch := range b.chunks {
+		clear(ch)
+		b.chunks[i] = ch[:0]
+	}
+	b.cur = 0
 }
 
 // Errors returned by cluster operations.
@@ -163,7 +199,7 @@ func NewWithTransport(cfg Config, t Transport) *Cluster {
 	return &Cluster{
 		cfg:        cfg,
 		t:          t,
-		outsBuf:    make([][]roundMsg, cfg.Machines),
+		outsBuf:    make([]msgBuf, cfg.Machines),
 		deliverBuf: make([][]Record, cfg.Machines),
 	}
 }
@@ -368,9 +404,10 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 		locals[m] = st
 	}
 
+	// A round that failed before delivery left its messages buffered.
 	outs := c.outsBuf
-	for m := 0; m < M; m++ {
-		outs[m] = outs[m][:0]
+	for m := range outs {
+		outs[m].reset()
 	}
 	keeps := locals
 	if fn != nil {
@@ -394,7 +431,7 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 					if roundOver.Load() {
 						panic(fmt.Sprintf("mpc: machine %d called emit after its round ended; RoundFuncs must not retain emit across rounds", m))
 					}
-					outs[m] = append(outs[m], roundMsg{to: to, rec: rec})
+					outs[m].add(roundMsg{to: to, rec: rec})
 				}
 				keeps[m] = fn(m, locals[m], emit)
 			}(m)
@@ -418,7 +455,7 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 	case FaultCrash:
 		// The victim's round output — kept records and sends — is lost,
 		// and so is its store (the machine died holding it).
-		outs[inj.machine] = nil
+		outs[inj.machine].reset()
 		if sends != nil {
 			sends[inj.machine] = nil
 		}
@@ -432,7 +469,7 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 		for m, ss := range sends {
 			for _, s := range ss {
 				for _, rec := range s.recs {
-					outs[m] = append(outs[m], roundMsg{to: s.to, rec: rec})
+					outs[m].add(roundMsg{to: s.to, rec: rec})
 				}
 			}
 		}
@@ -440,16 +477,19 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 		pm := c.faults.perMessage()
 		mangled := 0
 		for m := 0; m < M; m++ {
-			kept := make([]roundMsg, 0, len(outs[m]))
-			for _, ms := range outs[m] {
-				if inj.r.Float64() < pm {
-					mangled++
-					if inj.kind == FaultDuplicate {
-						kept = append(kept, ms, ms)
+			var kept msgBuf
+			for _, ch := range outs[m].chunks {
+				for _, ms := range ch {
+					if inj.r.Float64() < pm {
+						mangled++
+						if inj.kind == FaultDuplicate {
+							kept.add(ms)
+							kept.add(ms)
+						}
+						continue
 					}
-					continue
+					kept.add(ms)
 				}
-				kept = append(kept, ms)
 			}
 			outs[m] = kept
 		}
@@ -471,14 +511,16 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 	}
 	for m := 0; m < M; m++ {
 		sent := 0
-		for _, ms := range outs[m] {
-			if ms.to < 0 || ms.to >= M {
-				return c.fail(fmt.Errorf("%w: machine %d sent to %d", ErrBadMachine, m, ms.to))
+		for _, ch := range outs[m].chunks {
+			for _, ms := range ch {
+				if ms.to < 0 || ms.to >= M {
+					return c.fail(fmt.Errorf("%w: machine %d sent to %d", ErrBadMachine, m, ms.to))
+				}
+				w := ms.rec.Words()
+				sent += w
+				recv[ms.to] += w
+				recvRecs[ms.to]++
 			}
-			w := ms.rec.Words()
-			sent += w
-			recv[ms.to] += w
-			recvRecs[ms.to]++
 		}
 		if sends != nil {
 			for _, s := range sends[m] {
@@ -524,8 +566,10 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 		}
 	}
 	for m := 0; m < M; m++ {
-		for _, ms := range outs[m] {
-			deliver[ms.to] = append(deliver[ms.to], ms.rec)
+		for _, ch := range outs[m].chunks {
+			for _, ms := range ch {
+				deliver[ms.to] = append(deliver[ms.to], ms.rec)
+			}
 		}
 	}
 	for m := 0; m < M; m++ {
@@ -546,7 +590,7 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 	// Drop payload references from the reused scratch so records don't
 	// outlive their round in a buffer the GC can't see past.
 	for m := 0; m < M; m++ {
-		clear(outs[m])
+		outs[m].reset()
 		clear(deliver[m])
 		c.deliverBuf[m] = deliver[m][:0]
 	}

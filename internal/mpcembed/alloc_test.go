@@ -14,8 +14,12 @@ import (
 // and the driver assembled the tree on string keys, a run allocated ~72k
 // objects and ~28.5 MB; owner-side dedup and 128-bit ids read ~29k and
 // ~13 MB. Laying the tree's Children lists out of one slab instead of one
-// append per node reads ~16.3k objects and ~13.9 MB: the finished tree
+// append per node read ~16.3k objects and ~13.9 MB: the finished tree
 // also derives its query state (preorder, diameter bounds, medoid).
+// Emit buffers that grow by chunks instead of by copying, a driver
+// assembly into one reserved arena, and one grid search per level for
+// the zero-padding buckets (d = 8 with r = 7 has three) read ~16.2k
+// objects and ~8.3 MB.
 func TestEmbedAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
@@ -40,7 +44,7 @@ func TestEmbedAllocCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20)
-	const allocCeiling, mbCeiling = 20000, 20
+	const allocCeiling, mbCeiling = 20000, 10
 	if allocs > allocCeiling || mb > mbCeiling {
 		t.Fatalf("Embed allocates %.0f objects and %.1f MB per run, ceilings %d and %d MB", allocs, mb, allocCeiling, mbCeiling)
 	}

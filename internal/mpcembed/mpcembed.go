@@ -32,7 +32,6 @@
 package mpcembed
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -464,13 +463,31 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		// map-side, and records go out in the order they are computed, so
 		// every owner receives its path records in the same order at any
 		// GOMAXPROCS. Emitted payloads are sliced out of per-machine
-		// chunks; the receiving stores own them.
+		// chunks; the receiving stores own them. A point adds at most one
+		// edge per level, which sizes the dedup set.
 		var intChunk []int64
 		var floatChunk []float64
-		seenEdge := make(map[[16]byte]struct{})
+		seenEdge := make(map[[16]byte]struct{}, len(points)*levels)
 		var scratch [16]int64
 		var levelID []byte // reused across points; hashed before reuse
 		var padded vec.Point
+		// Buckets from firstPad on hold only footnote-3 padding (j·k ≥ d),
+		// so every point projects to the zero vector there and gets the
+		// same grid and ball: the machine searches once per (level, bucket),
+		// when the first point gets there, and reuses the bytes, or the
+		// failure, for every other point.
+		type zeroCover struct {
+			lo, hi        int // the bucket's part of the level's ball id, zeroIDs[lo:hi]
+			done, covered bool
+		}
+		firstPad := (d + k - 1) / k
+		var zeroCovers []zeroCover
+		var zeroIDs []byte
+		var zero vec.Point
+		if firstPad < r {
+			zeroCovers = make([]zeroCover, levels*r)
+			zero = make(vec.Point, k)
+		}
 		for _, prec := range points {
 			pid := int(prec.Ints[0])
 			p := prec.Data
@@ -493,20 +510,19 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 				// Joined ball id across buckets.
 				levelID = levelID[:0]
 				for j := 0; j < r && failLev == 0; j++ {
-					proj := vec.Bucket(p, j, r)
-					set := sets[(lev-1)*r+j]
-					covered := false
-					for uu := 0; uu < u; uu++ {
-						g := grid.Grid{Dim: k, Cell: cell[lev], Shift: set[uu*k : (uu+1)*k]}
-						if idx, in := g.InBall(proj, w, scratch[:0]); in {
-							levelID = append(levelID, byte(j))
-							levelID = binary.LittleEndian.AppendUint64(levelID, uint64(uu))
-							for _, v := range idx {
-								levelID = binary.LittleEndian.AppendUint64(levelID, uint64(v))
-							}
-							covered = true
-							break
+					s := (lev-1)*r + j
+					var covered bool
+					if j < firstPad {
+						levelID, covered = appendCover(levelID, vec.Bucket(p, j, r), sets[s], j, cell[lev], w, scratch[:0])
+					} else {
+						z := &zeroCovers[s]
+						if !z.done {
+							z.lo = len(zeroIDs)
+							zeroIDs, z.covered = appendCover(zeroIDs, zero, sets[s], j, cell[lev], w, scratch[:0])
+							z.hi, z.done = len(zeroIDs), true
 						}
+						levelID = append(levelID, zeroIDs[z.lo:z.hi]...)
+						covered = z.covered
 					}
 					if !covered {
 						failLev, failBucket = lev, j
@@ -594,7 +610,7 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	}
 
 	// Driver-side assembly.
-	t, err := assemble(c, n)
+	t, err := assemble(c, n, levels)
 	if err != nil {
 		return nil, info, err
 	}
@@ -617,6 +633,27 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	return t, info, nil
 }
 
+// appendCover appends bucket j's part of a level's ball id for the
+// bucket projection proj to dst: j, then the index of the first grid of
+// the set (its shifts, len(proj) words each) whose balls of radius w
+// cover proj, then the covering ball's cell index. When no grid covers
+// proj it returns dst unchanged and false.
+func appendCover(dst []byte, proj vec.Point, set []float64, j int, cell, w float64, scratch []int64) ([]byte, bool) {
+	k := len(proj)
+	for uu := 0; uu*k < len(set); uu++ {
+		g := grid.Grid{Dim: k, Cell: cell, Shift: set[uu*k : (uu+1)*k]}
+		if idx, in := g.InBall(proj, w, scratch); in {
+			dst = append(dst, byte(j))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(uu))
+			for _, v := range idx {
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+			}
+			return dst, true
+		}
+	}
+	return dst, false
+}
+
 // carve returns the next n elements of *chunk. When *chunk is too short
 // it is replaced by a fresh chunk of size elements rather than grown, so
 // nothing is copied; the slices already carved keep the old chunk alive.
@@ -629,37 +666,117 @@ func carve[T any](chunk *[]T, n, size int) []T {
 	return out
 }
 
-// nodeID is the chain hash a record carries in two ints, each the
-// little-endian reading of one half.
-func nodeID(a, b int64) [16]byte {
-	var id [16]byte
-	binary.LittleEndian.PutUint64(id[:8], uint64(a))
-	binary.LittleEndian.PutUint64(id[8:], uint64(b))
-	return id
+// chainID is a cluster chain hash as two integers, the big-endian
+// readings of its halves, high half first: their numeric order is the
+// bytewise order of the 16 bytes.
+type chainID struct{ hi, lo uint64 }
+
+func (a chainID) cmp(b chainID) int {
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.lo, b.lo)
 }
 
-// assemble reads the deduplicated edge and leaf records off the cluster,
-// machine by machine, and builds the hst.Tree. Nodes are numbered in
-// (level, child id) order, ids compared bytewise.
-func assemble(c *mpc.Cluster, n int) (*hst.Tree, error) {
-	type edge struct {
-		child, parent [16]byte
-		level         int
-		weight        float64
+// keyID reads the chain hash an edge record carries as its 16-byte key.
+func keyID(key string) chainID {
+	var b [16]byte
+	copy(b[:], key)
+	return chainID{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+}
+
+// intsID reads the chain hash a record carries in two ints, each the
+// little-endian reading of one half.
+func intsID(a, b int64) chainID {
+	return chainID{bits.ReverseBytes64(uint64(a)), bits.ReverseBytes64(uint64(b))}
+}
+
+// treeEdge is one edge of the union: the child's chain hash, its
+// parent's, and the edge weight.
+type treeEdge struct {
+	id, parent chainID
+	weight     float64
+}
+
+func (a treeEdge) cmp(b treeEdge) int { return a.id.cmp(b.id) }
+
+// levelIndex is one level's edges in child-id order, with a directory
+// over the ids' top bits: the ids whose high half is q after a right
+// shift by shift sit at edges[dir[q]:dir[q+1]].
+type levelIndex struct {
+	edges []treeEdge
+	dir   []int32
+	shift uint
+}
+
+// indexLevel sorts one level's edges in place by child id and returns
+// their index; tmp holds at least len(edges) edges and dir 2^b+1 ints,
+// for b = bits.Len(len(edges)). One counting pass over the ids' top b
+// bits leaves each prefix about one id, since the ids are hashes; the
+// few ids that share a prefix are then sorted among themselves.
+func indexLevel(edges, tmp []treeEdge, dir []int32) levelIndex {
+	b := bits.Len(uint(len(edges)))
+	x := levelIndex{edges: edges, dir: dir[:1<<b+1], shift: uint(64 - b)}
+	clear(x.dir)
+	for _, e := range edges {
+		x.dir[e.id.hi>>x.shift+1]++
 	}
+	for q := 1; q < len(x.dir); q++ {
+		x.dir[q] += x.dir[q-1]
+	}
+	// Placing a prefix's ids advances its start to its end, which is the
+	// next prefix's start: shift the starts back afterwards.
+	for _, e := range edges {
+		q := e.id.hi >> x.shift
+		tmp[x.dir[q]] = e
+		x.dir[q]++
+	}
+	copy(x.dir[1:len(x.dir)-1], x.dir[:len(x.dir)-2])
+	x.dir[0] = 0
+	copy(edges, tmp[:len(edges)])
+	for q := 0; q+1 < len(x.dir); q++ {
+		if run := edges[x.dir[q]:x.dir[q+1]]; len(run) > 1 {
+			slices.SortFunc(run, treeEdge.cmp)
+		}
+	}
+	return x
+}
+
+// find returns the position of the edge whose child is id.
+func (x levelIndex) find(id chainID) (int, bool) {
+	if len(x.edges) == 0 {
+		return 0, false
+	}
+	q := id.hi >> x.shift
+	lo := int(x.dir[q])
+	j, ok := slices.BinarySearchFunc(x.edges[lo:x.dir[q+1]], id, func(e treeEdge, id chainID) int { return e.id.cmp(id) })
+	return lo + j, ok
+}
+
+// assemble reads the deduplicated edge and leaf records of a run with
+// the given number of levels off the cluster, machine by machine, and
+// builds the hst.Tree over its n points. Nodes are numbered in (level,
+// child id) order, ids compared bytewise, and the leaves follow in point
+// order. An edge's parent is found among the previous level's ids, a
+// leaf's among those of the level above its own.
+func assemble(c *mpc.Cluster, n, levels int) (*hst.Tree, error) {
 	type leafRec struct {
-		parent       [16]byte
-		point, level int
-		weight       float64
+		parent chainID
+		level  int
+		weight float64
+		ok     bool
 	}
 	// The resident state after a fault is not trustworthy output.
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", mpc.ErrFailed, err)
 	}
-	// One pass fails fast on a coverage failure and counts the edges, so
-	// the second fills slices allocated once.
+	// One pass fails fast on a coverage failure and counts each level's
+	// edges, so the second places every record where it belongs: an edge
+	// among its level's, at edges[start[lev]:start[lev+1]], and a leaf at
+	// its point index.
 	stores := make([][]mpc.Record, c.Machines())
-	nEdges := 0
+	start := make([]int, levels+2)
+	badLevel, bad := int64(0), false
 	for m := range stores {
 		recs, err := c.StoreErr(m)
 		if err != nil {
@@ -671,51 +788,90 @@ func assemble(c *mpc.Cluster, n int) (*hst.Tree, error) {
 			case TagFail:
 				return nil, fmt.Errorf("%w (point %d, level %d, bucket %d)", ErrCoverage, rec.Ints[0], rec.Ints[1], rec.Ints[2])
 			case TagEdge:
-				nEdges++
+				if lev := rec.Ints[0]; lev >= 1 && lev <= int64(levels) {
+					start[lev+1]++
+				} else if !bad {
+					badLevel, bad = lev, true
+				}
 			}
 		}
 	}
-	edges := make([]edge, 0, nEdges)
-	leaves := make([]leafRec, 0, n)
+	if bad {
+		return nil, fmt.Errorf("mpcembed: edge at level %d, outside [1, %d]", badLevel, levels)
+	}
+	widest := 0 // edges at the level that has the most
+	for lev := 1; lev <= levels; lev++ {
+		widest = max(widest, start[lev+1])
+		start[lev+1] += start[lev]
+	}
+	edges := make([]treeEdge, start[levels+1])
+	next := slices.Clone(start)
+	leaves := make([]leafRec, n)
+	nLeaves := 0
 	for _, recs := range stores {
 		for _, rec := range recs {
 			switch rec.Tag {
 			case TagEdge:
-				e := edge{parent: nodeID(rec.Ints[1], rec.Ints[2]), level: int(rec.Ints[0]), weight: rec.Data[0]}
-				copy(e.child[:], rec.Key)
-				edges = append(edges, e)
+				lev := rec.Ints[0]
+				edges[next[lev]] = treeEdge{id: keyID(rec.Key), parent: intsID(rec.Ints[1], rec.Ints[2]), weight: rec.Data[0]}
+				next[lev]++
 			case TagLeaf:
-				leaves = append(leaves, leafRec{parent: nodeID(rec.Ints[2], rec.Ints[3]), point: int(rec.Ints[0]), level: int(rec.Ints[1]), weight: rec.Data[0]})
+				nLeaves++
+				if p := rec.Ints[0]; p >= 0 && p < int64(n) && !leaves[p].ok {
+					leaves[p] = leafRec{parent: intsID(rec.Ints[2], rec.Ints[3]), level: int(rec.Ints[1]), weight: rec.Data[0], ok: true}
+				}
 			}
 		}
 	}
-	if len(leaves) != n {
-		return nil, fmt.Errorf("mpcembed: %d leaf records for %d points", len(leaves), n)
+	if nLeaves != n {
+		return nil, fmt.Errorf("mpcembed: %d leaf records for %d points", nLeaves, n)
 	}
-	slices.SortFunc(edges, func(a, b edge) int {
-		if a.level != b.level {
-			return cmp.Compare(a.level, b.level)
+	// n records filled n slots only if no point was out of range or twice.
+	for p, lf := range leaves {
+		if !lf.ok {
+			return nil, fmt.Errorf("mpcembed: point %d has no leaf record", p)
 		}
-		return bytes.Compare(a.child[:], b.child[:])
-	})
-	slices.SortFunc(leaves, func(a, b leafRec) int { return cmp.Compare(a.point, b.point) })
+	}
 
-	b := hst.NewBuilder(n)
-	nodeOf := make(map[[16]byte]int, len(edges)+1)
-	nodeOf[rootHash()] = b.Root()
-	for _, e := range edges {
-		parent, ok := nodeOf[e.parent]
-		if !ok {
-			return nil, fmt.Errorf("mpcembed: edge at level %d references unknown parent", e.level)
+	// Level by level, sort the edges and add their nodes: node
+	// 1+start[lev]+j is the j-th edge of level lev in id order.
+	index := make([]levelIndex, levels+1)
+	parentOf := func(lev int, id chainID) (int, bool) {
+		if lev == 0 {
+			return 0, id == chainID{}
 		}
-		nodeOf[e.child] = b.AddNode(parent, e.weight, e.level)
+		j, ok := index[lev].find(id)
+		return 1 + start[lev] + j, ok
 	}
-	for _, lf := range leaves {
-		parent, ok := nodeOf[lf.parent]
-		if !ok {
-			return nil, fmt.Errorf("mpcembed: leaf %d references unknown parent", lf.point)
+	dirWords := 0
+	for lev := 1; lev <= levels; lev++ {
+		dirWords += 1<<bits.Len(uint(start[lev+1]-start[lev])) + 1
+	}
+	dirs := make([]int32, dirWords)
+	tmp := make([]treeEdge, widest)
+	b := hst.NewBuilder(n)
+	b.Grow(len(edges) + n)
+	for lev := 1; lev <= levels; lev++ {
+		x := indexLevel(edges[start[lev]:start[lev+1]], tmp, dirs)
+		dirs = dirs[len(x.dir):]
+		index[lev] = x
+		for _, e := range x.edges {
+			parent, ok := parentOf(lev-1, e.parent)
+			if !ok {
+				return nil, fmt.Errorf("mpcembed: edge at level %d references unknown parent", lev)
+			}
+			b.AddNode(parent, e.weight, lev)
 		}
-		b.AddLeaf(parent, lf.weight, lf.level, lf.point)
+	}
+	for p, lf := range leaves {
+		parent, ok := 0, false
+		if lf.level >= 1 && lf.level <= levels+1 {
+			parent, ok = parentOf(lf.level-1, lf.parent)
+		}
+		if !ok {
+			return nil, fmt.Errorf("mpcembed: leaf %d references unknown parent", p)
+		}
+		b.AddLeaf(parent, lf.weight, lf.level, p)
 	}
 	t := b.Finish()
 	if err := t.Validate(); err != nil {
