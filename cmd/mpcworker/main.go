@@ -8,9 +8,8 @@
 //	mpcworker -listen 127.0.0.1:7701 -die-after 40   # crash drill
 //
 // -die-after N makes the worker SIGKILL itself upon processing its N-th
-// op, before responding — the deterministic mid-round crash CI's
-// transport-smoke job uses to prove checkpointed replay recovers
-// bit-identically.
+// op, before responding: the deterministic mid-round crash with which
+// the end-to-end tests prove checkpointed replay recovers bit-identically.
 //
 // The worker also self-observes: unless -obs-listen is empty, it serves
 // the standard debug surface (/metrics, /metrics.json, /trace,

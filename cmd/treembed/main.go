@@ -283,7 +283,7 @@ func main() {
 			fmt.Printf("timeline written to %s (load in ui.perfetto.dev)\n", *traceOut)
 		}
 		if srv != nil {
-			// Linger so scrapers (CI smoke job, a browsing human) can read
+			// Linger so scrapers (the end-to-end tests, a human) can read
 			// the finished run's metrics and span tree at leisure.
 			fmt.Printf("serving on http://%s until SIGINT/SIGTERM\n", srv.Addr())
 			ch := make(chan os.Signal, 1)

@@ -53,7 +53,7 @@ type Options struct {
 	CacheSize int
 	// CacheCheckEvery, when > 0, re-forwards every Nth cache hit to the
 	// backend and compares bytes, counting any disagreement on
-	// gate_cache_mismatch_total — the consistency proof CI gates on.
+	// gate_cache_mismatch_total, which must stay 0.
 	CacheCheckEvery int
 	// Retry is the per-request retry/backoff policy (mpcnet idiom:
 	// deterministic jitter from (Seed, request seq, attempt)). Its
@@ -478,8 +478,7 @@ func (g *Gateway) noteSnapshot(backend, tree string, version, generation int64) 
 // doubleCheck re-forwards a cache hit and compares bytes when the live
 // answer carries the same fingerprint. Any disagreement is counted on
 // gate_cache_mismatch_total and the entry is dropped — the counter
-// staying at zero under sustained load is the cache-consistency proof
-// the CI gate asserts.
+// staying at zero under sustained load is the cache-consistency proof.
 func (g *Gateway) doubleCheck(endpoint, tree, key string, cached []byte, prefs []*backendState, body []byte, reqID string, sp *obs.Span) {
 	res, err := g.forward("/v1/"+endpoint, prefs, body, reqID, sp)
 	if err != nil || res.status != http.StatusOK {

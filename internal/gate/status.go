@@ -142,9 +142,8 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 // chrome-trace export: the gate's own completed sampled roots (own, the
 // gate tracer's buffer) plus each backend's /trace/requests forest. Each
 // replica root's parent_span is the span_id of the gate forward attempt
-// that caused it, which is how the timeline (and the CI validator)
-// stitch the two together. Unreachable backends contribute an empty
-// forest — export must work mid-outage.
+// that caused it: the timeline stitches the two by it. Unreachable
+// backends contribute an empty forest; export must work mid-outage.
 func (g *Gateway) TraceProcesses(own *obs.TraceBuffer) []obs.TraceProcess {
 	procs := []obs.TraceProcess{{Name: "treegate", Roots: own.Snapshots()}}
 	for _, b := range g.backends {

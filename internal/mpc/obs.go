@@ -60,8 +60,8 @@ type obsSink struct {
 // Clusters on a non-default transport label every series with
 // backend=<transport name> (e.g. backend="tcp"), so a dashboard can split
 // simulated from real-network cost. The reference backend stays
-// unlabeled: its series names are the stable contract the existing
-// obscheck gates scrape.
+// unlabeled: its series names are the stable contract the end-to-end
+// tests scrape.
 func (c *Cluster) Instrument(reg *obs.Registry) {
 	var lbl []string
 	if name := c.t.Name(); name != "sim" {

@@ -1,8 +1,7 @@
 // Spawning real worker processes. The worker binary announces its bound
 // address by printing "MPCNET LISTEN <addr>" on stdout; SpawnWorkers
 // parses that line so workers can bind ephemeral ports (":0") without a
-// rendezvous service — the convention CI's transport-smoke job and the
-// -transport-spawn CLI flag both build on.
+// rendezvous service, as -transport-spawn and the end-to-end tests do.
 package mpcnet
 
 import (

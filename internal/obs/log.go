@@ -28,9 +28,9 @@ func ParseLevel(s string) (slog.Level, error) {
 }
 
 // NewLogger builds a slog.Logger writing to w at the given level.
-// format is "json" (one JSON object per line — the daemon default, easy
-// to ship as a CI artifact) or "text" (slog's key=value form — the
-// interactive default); the empty string means text.
+// format is "json" (one JSON object per line, the daemon default) or
+// "text" (slog's key=value form, the interactive default); the empty
+// string means text.
 func NewLogger(w io.Writer, level slog.Level, format string) (*slog.Logger, error) {
 	opts := &slog.HandlerOptions{Level: level}
 	switch strings.ToLower(strings.TrimSpace(format)) {

@@ -1,8 +1,6 @@
-// A strict validator for the Prometheus text exposition format. It is
-// used two ways: the exporter tests assert that WritePrometheus output
-// always validates, and cmd/obscheck (the CI observability smoke) asserts
-// that a live /metrics scrape does too — the producer and the consumer
-// check each other.
+// A strict validator for the Prometheus text exposition format. The
+// exporter tests assert that WritePrometheus output always validates,
+// and the end-to-end tests that every live /metrics scrape does too.
 package obs
 
 import (

@@ -1,50 +1,56 @@
 // Latency objectives. An Objective wraps an existing latency histogram
 // with p50/p99 estimate gauges, a published objective bound, and an SLO
-// burn counter, so dashboards and the obscheck -max-p99 gate read tail
-// latency straight off /metrics without re-deriving it from buckets.
-// The same bound raises a request's access record to Warn (see Wrap).
+// burn counter, so dashboards and the end-to-end tests read tail latency
+// straight off /metrics. The same bound raises a request's access record
+// to Warn (see Wrap).
 package obs
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Quantile estimates the q-quantile (q in [0, 1]) of the observed
-// distribution by linear interpolation within the cumulative buckets —
-// the same estimator Prometheus's histogram_quantile applies, so the
-// gauges an Objective publishes agree with what a PromQL dashboard
-// would compute from the buckets. Samples landing in the implicit +Inf
-// bucket clamp to the last finite bound (the histogram cannot resolve
-// beyond it). Returns 0 before the first observation.
+// distribution; see quantile. Returns 0 before the first observation.
 func (h *Histogram) Quantile(q float64) float64 {
 	d := h.m.hist
-	total := d.count.Load()
+	cum := int64(0)
+	return quantile(q, d.count.Load(), len(d.bounds), func(i int) (float64, int64) {
+		cum += d.counts[i].Load()
+		return d.bounds[i], cum
+	})
+}
+
+// Quantile is Histogram.Quantile over a snapshotted series: from
+// Registry.Snapshot, or decoded from /metrics.json (no +Inf bucket).
+func (v Value) Quantile(q float64) float64 {
+	b := v.Buckets
+	if n := len(b); n > 0 && math.IsInf(b[n-1].LE, 1) {
+		b = b[:n-1]
+	}
+	return quantile(q, v.Count, len(b), func(i int) (float64, int64) { return b[i].LE, b[i].Cumulative })
+}
+
+// quantile interpolates linearly within the cumulative buckets, as
+// Prometheus's histogram_quantile does, so an Objective's gauges agree
+// with a PromQL dashboard and with a scraper; samples in the implicit
+// +Inf bucket clamp to the last finite bound. bucket(i) returns finite
+// bucket i's upper bound and cumulative count (of total); it is called
+// once per bucket, in order, until the estimate is found.
+func quantile(q float64, total int64, n int, bucket func(i int) (le float64, cum int64)) float64 {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	lower := 0.0
-	for i, b := range d.bounds {
-		c := d.counts[i].Load()
-		if c > 0 && float64(cum)+float64(c) >= rank {
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + frac*(b-lower)
+	rank := min(max(q, 0), 1) * float64(total)
+	lower, below := 0.0, int64(0)
+	for i := 0; i < n; i++ {
+		le, cum := bucket(i)
+		if c := cum - below; c > 0 && float64(cum) >= rank {
+			return lower + max((rank-float64(below))/float64(c), 0)*(le-lower)
 		}
-		cum += c
-		lower = b
+		lower, below = le, cum
 	}
-	if len(d.bounds) > 0 {
-		return d.bounds[len(d.bounds)-1]
-	}
-	return 0
+	return lower
 }
 
 // quantileRefreshEvery is how many observations pass between quantile

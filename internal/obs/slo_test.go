@@ -51,6 +51,56 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestSnapshotQuantileMatchesHistogram feeds one set of observations to a
+// Histogram and reads its p-quantiles three ways: from the live
+// histogram, from a Registry.Snapshot (which keeps the +Inf bucket) and
+// from the decoded /metrics.json document (which drops it). All three
+// must answer bit for bit alike — a scraper's p99 gate and the
+// producer's p99 gauge are one estimator — and the live read, which the
+// serve and gate hot paths make every 32nd request, allocates nothing.
+func TestSnapshotQuantileMatchesHistogram(t *testing.T) {
+	reg := New()
+	h := reg.Histogram("lat_seconds", "", []float64{0.001, 0.01, 0.1, 1, 2.5})
+	for i := 0; i < 997; i++ {
+		h.Observe(float64(i%41) * 0.013) // spans every finite bucket
+	}
+	h.Observe(7) // overflow: clamps to the last finite bound
+	h.Observe(9)
+
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Metrics []Value `json:"metrics"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Metrics) != 1 || len(reg.Snapshot()) != 1 {
+		t.Fatalf("want one series, got %d scraped", len(doc.Metrics))
+	}
+	scraped, snap := doc.Metrics[0], reg.Snapshot()[0]
+	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+		want := h.Quantile(q)
+		if got := scraped.Quantile(q); got != want {
+			t.Errorf("q=%v: /metrics.json estimate %v, histogram %v", q, got, want)
+		}
+		if got := snap.Quantile(q); got != want {
+			t.Errorf("q=%v: snapshot estimate %v, histogram %v", q, got, want)
+		}
+	}
+	if got := scraped.Quantile(1); got != 2.5 {
+		t.Errorf("p100 with overflow samples = %v, want the last finite bound 2.5", got)
+	}
+	if got := (Value{}).Quantile(0.99); got != 0 {
+		t.Errorf("empty series p99 = %v, want 0", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = h.Quantile(0.99) }); allocs != 0 {
+		t.Errorf("Histogram.Quantile allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
 func TestObjective(t *testing.T) {
 	reg := New()
 	h := reg.Histogram("serve_request_seconds", "", []float64{0.01, 0.1, 1}, "endpoint", "dist")

@@ -1,7 +1,7 @@
 // The load generator: drives sustained concurrent traffic at a running
 // server over real HTTP and reports achieved QPS and latency quantiles.
 // It is the acceptance harness for the serving layer (treeserve
-// -selftest, the serve-smoke CI job, and the package's own tests):
+// -selftest and the package's own tests):
 // every response is checked — status, shape, and (when a verification
 // tree is supplied) bit-identical agreement of batch distances with
 // serial hst.Tree.Dist — and any mismatch is an error, not a statistic.
