@@ -9,7 +9,6 @@
 //	treegate -backend http://h1:8080 -backend http://h2:8080 -addr :8090
 //	treegate -backend http://h1:8080 -backend http://h2:8080 \
 //	    -ensemble forest=t-0,t-1,t-2
-//	treegate -selftest
 //
 // The gate speaks treeserve's /v1 API unchanged (dist, knn, cut, emd,
 // medoid, trees, trees/reload, quality) plus GET /v1/ensembles, so
@@ -18,11 +17,9 @@
 // version push across the fleet in one call. Fleet state is metered on
 // gate_* series at /metrics (see docs/OBSERVABILITY.md).
 //
-// -selftest runs the acceptance drill in-process: a versioned tree
-// store, 3 replicas, the gate, 20000 verified mixed queries from 8
-// clients (plain + ensemble queries, hot reloads), and a rolling replica
-// restart every 400ms. Any wrong answer, failed request, or cache
-// inconsistency exits 1.
+// TestGateSmoke in internal/e2e drills a fleet of these processes: 20000
+// verified mixed queries from 8 clients (plain and ensemble queries, hot
+// reloads) while a replica is SIGKILLed and restarted every 400ms.
 //
 // The ring's 64 virtual nodes per backend, the 4096-entry answer cache,
 // the 4 failover sweeps (backoff jitter seed 1), the 8 MiB body limit
@@ -76,8 +73,6 @@ func main() {
 
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
 		logFormat = flag.String("log-format", "json", "log encoding: json|text")
-
-		selftest = flag.Bool("selftest", false, "run the fleet drill (store + replicas + gate + rolling restarts under verified load) and exit non-zero on any error")
 	)
 	flag.Parse()
 
@@ -88,11 +83,6 @@ func main() {
 	logger, err := obs.NewLogger(os.Stderr, level, *logFormat)
 	if err != nil {
 		fail(err)
-	}
-
-	if *selftest {
-		runSelftest(gate.SelftestOptions{Logger: logger})
-		return
 	}
 
 	if len(backends) == 0 {
@@ -181,18 +171,6 @@ func main() {
 		logger.Info("trace_exported", "path", *traceOut, "requests", tracer.Buffer().Total())
 	}
 	logger.Info("drained")
-}
-
-// runSelftest executes the fleet drill and reports like treeserve
-// -selftest does: the load report plus the gate-specific outcomes.
-func runSelftest(opts gate.SelftestOptions) {
-	res, err := gate.Selftest(opts)
-	fmt.Println("selftest:", res)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "treegate: selftest FAILED: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("selftest PASSED: zero wrong answers across rolling restarts, cache consistent")
 }
 
 func fail(err error) {

@@ -284,10 +284,11 @@ func main() {
 		}
 		if srv != nil {
 			// Linger so scrapers (the end-to-end tests, a human) can read
-			// the finished run's metrics and span tree at leisure.
-			fmt.Printf("serving on http://%s until SIGINT/SIGTERM\n", srv.Addr())
+			// the finished run's metrics and span tree at leisure. The
+			// handler is in place before the line that announces it.
 			ch := make(chan os.Signal, 1)
 			signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+			fmt.Printf("serving on http://%s until SIGINT/SIGTERM\n", srv.Addr())
 			<-ch
 			srv.Close()
 		}

@@ -19,7 +19,6 @@
 //	treeserve -store /var/trees -addr :8080
 //	treeserve -tree demo=t.tree -points demo=t.csv -audit-pairs 1024
 //	treeserve -tree a=a.tree -tree b=b.tree -deadline 5s
-//	treeserve -tree demo=t.tree -selftest
 //
 // API (JSON bodies; see docs/SERVING.md):
 //
@@ -32,9 +31,9 @@
 //	POST /v1/trees/reload  {"tree":"demo"}
 //	GET  /v1/quality[?tree=demo]
 //
-// -selftest serves on a loopback port and drives 20000 verified queries
-// (16-pair dist batches, stream seed 1) from 8 clients at the first
-// tree, with a hot reload every 100th request per client.
+// TestServeSmoke in internal/e2e drills this process with 20000 verified
+// queries (16-pair dist batches, stream seed 1) from 8 clients, with a
+// hot reload every 100th request per client.
 //
 // Logs are structured (log/slog); -log-format json is the default for
 // this daemon so access logs and audit results are machine-parseable.
@@ -58,7 +57,6 @@ import (
 	"syscall"
 	"time"
 
-	"mpctree/internal/hst"
 	"mpctree/internal/obs"
 	"mpctree/internal/par"
 	"mpctree/internal/quality"
@@ -100,8 +98,6 @@ func main() {
 
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
 		logFormat = flag.String("log-format", "json", "log encoding: json|text")
-
-		selftest = flag.Bool("selftest", false, "serve on a loopback port, drive the load generator against it (with hot reloads), print the report, and exit non-zero on any error")
 	)
 	flag.Parse()
 
@@ -131,16 +127,11 @@ func main() {
 			MaxMeanRatio: *maxMean,
 		}, logger)
 	}
-	var firstName string
-	var firstPoints int
 	loaded := 0
 	noteLoaded := func(name, path string) {
 		t, _ := registry.Get(name)
 		logger.Info("tree_loaded", "tree", name, "path", path,
 			"points", t.NumPoints(), "nodes", t.NumNodes(), "height", t.Height())
-		if firstName == "" {
-			firstName, firstPoints = name, t.NumPoints()
-		}
 		loaded++
 	}
 	for _, spec := range trees {
@@ -209,11 +200,7 @@ func main() {
 		fmt.Fprint(w, "treeserve\n\nPOST /v1/dist /v1/knn /v1/cut /v1/emd /v1/medoid /v1/trees/reload\nGET  /v1/trees /v1/quality\nGET  /healthz /metrics /metrics.json /debug/vars /debug/pprof/ /trace/requests\n")
 	})
 
-	listenAddr := *addr
-	if *selftest {
-		listenAddr = "127.0.0.1:0" // never expose a selftest run
-	}
-	ln, err := net.Listen("tcp", listenAddr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fail(err)
 	}
@@ -224,25 +211,6 @@ func main() {
 		}
 	}()
 	logger.Info("serving", "addr", "http://"+ln.Addr().String(), "trees", loaded)
-
-	if *selftest {
-		report := serve.RunLoad("http://"+ln.Addr().String(), firstName, firstPoints, serve.LoadOptions{
-			Clients:     8,
-			Queries:     20000,
-			Seed:        1,
-			ReloadEvery: 100, // sustained hot reloads under load
-			Verify:      mustGet(registry, firstName),
-		})
-		fmt.Println("selftest:", report)
-		registry.WaitAudits()
-		_ = httpSrv.Shutdown(context.Background())
-		if report.Errors > 0 {
-			fmt.Fprintf(os.Stderr, "treeserve: selftest FAILED: %d errors (first: %s)\n", report.Errors, report.FirstErr)
-			os.Exit(1)
-		}
-		fmt.Println("selftest PASSED: zero errors, all dist answers bit-identical to serial")
-		return
-	}
 
 	// Graceful drain: stop accepting, let in-flight requests finish.
 	ch := make(chan os.Signal, 1)
@@ -257,14 +225,6 @@ func main() {
 	}
 	registry.WaitAudits()
 	logger.Info("drained")
-}
-
-func mustGet(r *serve.Registry, name string) *hst.Tree {
-	t, err := r.Get(name)
-	if err != nil {
-		fail(err)
-	}
-	return t
 }
 
 func fail(err error) {

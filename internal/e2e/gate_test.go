@@ -8,10 +8,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"mpctree/internal/hst"
+	"mpctree/internal/treestore"
+	"mpctree/internal/workload"
 )
 
-// TestGateSmoke runs the serving fleet as real processes: 3
-// independently seeded trees published into a versioned store, 3
+// TestGateSmoke runs the serving fleet as real processes: one point set
+// embedded under 3 seeds and published into a versioned store, 3
 // treeserve replicas over it, and treegate in front. It drives plain,
 // ensemble and repeated (cache-hitting) queries through the gate,
 // SIGKILLs a replica and restarts it on its port under traffic, and
@@ -20,12 +25,16 @@ import (
 // replica) exactly zero, and every request-latency series' p99 within
 // its bound. On SIGTERM the gate scrapes the replicas and writes the
 // merged timeline, in which replica spans nest under the gate's forward
-// attempts. The selftest then repeats the drill in-process at scale.
+// attempts. Then a second, untraced fleet is drilled (see gateDrill).
 func TestGateSmoke(t *testing.T) {
 	dir := scratch(t)
 	for i := 0; i < 3; i++ {
-		pub := run(t, dir, "treembed", "-gen", "uniform", "-n", "96", "-d", "4", "-trees", "0",
-			"-seed", fmt.Sprint(i+1), "-store", "store", "-store-name", fmt.Sprintf("t-%d", i))
+		in := []string{"-in", "points.csv"}
+		if i == 0 {
+			in = []string{"-gen", "uniform", "-n", "96", "-d", "4", "-save-points", "points.csv"}
+		}
+		pub := run(t, dir, "treembed", append(in, "-trees", "0", "-seed", fmt.Sprint(i+1),
+			"-store", "store", "-store-name", fmt.Sprintf("t-%d", i))...)
 		mustMatch(t, "treembed -store", pub.stdout.String(), fmt.Sprintf(`stored as t-%d v1`, i))
 	}
 	if _, err := os.Stat(filepath.Join(dir, "store", "t-0", "CURRENT")); err != nil {
@@ -35,23 +44,10 @@ func TestGateSmoke(t *testing.T) {
 	// Replicas sample only propagated traces (-trace-sample 0): the
 	// gate's head-sampling decision rides traceparent, so replica compute
 	// spans nest under the gate's forward attempts.
-	replica := func(addr string) (*proc, string) {
-		r := start(t, dir, "treeserve", "-store", "store", "-addr", addr, "-trace-sample", "0")
-		return r, r.served(t, "serving")
-	}
-	var replicas []*proc
-	var backends []string
-	args := []string{"-addr", "127.0.0.1:0"}
-	for i := 0; i < 3; i++ {
-		r, url := replica("127.0.0.1:0")
-		replicas = append(replicas, r)
-		backends = append(backends, url)
-		args = append(args, "-backend", url)
-	}
-	gate := start(t, dir, "treegate", append(args, "-ensemble", "ens=t-0,t-1,t-2",
+	f := startFleet(t, dir, []string{"-trace-sample", "0"}, "-ensemble", "ens=t-0,t-1,t-2",
 		"-trace-sample", "1", "-trace-out", "gate-trace.json", "-slo", "2s",
-		"-health-interval", "250ms", "-cache-check", "2")...)
-	base := gate.served(t, "gating")
+		"-health-interval", "250ms", "-cache-check", "2")
+	base := f.base
 
 	mustMatch(t, "/v1/trees", string(get(t, base+"/v1/trees")), `"version":1`, `"sha256"`)
 	mustMatch(t, "/v1/ensembles", string(get(t, base+"/v1/ensembles")), `"ens"`)
@@ -75,11 +71,11 @@ func TestGateSmoke(t *testing.T) {
 	post(t, base+"/v1/knn", `{"tree":"t-1","point":4,"k":3}`)
 
 	// The gate must absorb a replica's death: queries keep answering.
-	replicas[1].kill(t)
+	f.replicas[1].kill(t)
 	for i := 0; i < 20; i++ {
 		post(t, base+"/v1/dist", dist)
 	}
-	replicas[1], _ = replica(strings.TrimPrefix(backends[1], "http://"))
+	f.restart(t, 1)
 
 	var health struct {
 		Status    string `json:"status"`
@@ -112,14 +108,121 @@ func TestGateSmoke(t *testing.T) {
 
 	// SIGTERM the gate first: its drain scrapes every replica's
 	// /trace/requests for the merged timeline, so they must still be up.
-	gate.stop(t)
+	f.gate.stop(t)
 	checkGateTimeline(t, filepath.Join(dir, "gate-trace.json"))
-	for _, r := range replicas {
+	for _, r := range f.replicas {
 		r.stop(t)
 	}
 
-	self := run(t, dir, "treegate", "-selftest", "-log-level", "warn")
-	mustMatch(t, "treegate -selftest", self.stdout.String(), `selftest PASSED`)
+	gateDrill(t, startFleet(t, dir, nil, "-ensemble", "ens=t-0,t-1,t-2", "-health-interval", "100ms", "-cache-check", "8"))
+}
+
+// fleet is 3 treeserve replicas over the store in dir and a treegate in
+// front of them, all real processes.
+type fleet struct {
+	dir, base   string
+	gate        *proc
+	replicas    []*proc
+	backends    []string
+	replicaArgs []string
+}
+
+// startFleet starts the replicas, each with replicaArgs, then the gate
+// with gateArgs.
+func startFleet(t *testing.T, dir string, replicaArgs []string, gateArgs ...string) *fleet {
+	f := &fleet{dir: dir, replicas: make([]*proc, 3), backends: make([]string, 3), replicaArgs: replicaArgs}
+	args := []string{"-addr", "127.0.0.1:0"}
+	for i := range f.replicas {
+		f.backends[i] = f.replica(t, i, "127.0.0.1:0")
+		args = append(args, "-backend", f.backends[i])
+	}
+	f.gate = start(t, dir, "treegate", append(args, gateArgs...)...)
+	f.base = f.gate.served(t, "gating")
+	return f
+}
+
+// replica starts replica i listening on addr and returns its URL.
+func (f *fleet) replica(t *testing.T, i int, addr string) string {
+	f.replicas[i] = start(t, f.dir, "treeserve", append([]string{"-store", "store", "-addr", addr}, f.replicaArgs...)...)
+	return f.replicas[i].served(t, "serving")
+}
+
+// restart starts replica i again on its port.
+func (f *fleet) restart(t *testing.T, i int) {
+	f.replica(t, i, strings.TrimPrefix(f.backends[i], "http://"))
+}
+
+// gateDrill sends 20,000 requests of the mixed query stream through the
+// fleet's gate from 8 clients, each also reloading t-0 every 64th request
+// and naming the ensemble in every 4th that is a dist. Meanwhile the
+// test's goroutine rolls the fleet: every 400 ms it SIGKILLs the next
+// replica, round-robin, and starts it again on its port, so no two are
+// down at once. The stream never repeats a body, which leaves the answer
+// cache cold; so then, with the roller still running, 8 fixed dist
+// batches are sent 40 times for the cache to serve hits and double-check
+// them. Every dist and knn answer must equal t-0's from the store bit for
+// bit, every ensemble dist the serial elementwise min over t-0, t-1 and
+// t-2; no request may fail, a restart and an ensemble dist must have
+// happened, the cache must have hit, and every gate_cache_mismatch_total
+// sample must read 0.
+func gateDrill(t *testing.T, f *fleet) {
+	st, err := treestore.Open(filepath.Join(f.dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trees []*hst.Tree
+	for i := 0; i < 3; i++ {
+		tree, _, err := st.Load(fmt.Sprintf("t-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tree)
+	}
+	d := &drill{base: f.base, tree: "t-0", trees: map[string][]*hst.Tree{"t-0": trees[:1], "ens": trees},
+		clients: 8, reloadEvery: 64, ens: "ens", ensEvery: 4}
+	done := make(chan struct{})
+	t.Cleanup(func() { <-done }) // a failed restart must not leave the load running
+	go func() {
+		defer close(done)
+		d.run(mixed(trees[0].NumPoints(), 20000))
+		d.reloadEvery, d.ensEvery = 0, 0
+		hot := workload.Queries(2, trees[0].NumPoints(), 8, 4, 1, workload.QueryMix{Dist: 1})
+		for range 40 {
+			d.run(hot)
+		}
+	}()
+	restarts := 0
+	for rolling := true; rolling; {
+		select {
+		case <-done:
+			rolling = false
+		case <-time.After(400 * time.Millisecond):
+			i := restarts % len(f.replicas)
+			f.replicas[i].kill(t)
+			time.Sleep(200 * time.Millisecond)
+			f.restart(t, i)
+			restarts++
+		}
+	}
+
+	values, doc, err := scrape(f.base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, mismatches := 0.0, 0.0
+	for _, v := range values {
+		switch v.Name {
+		case "gate_cache_hits_total":
+			hits += v.Value
+		case "gate_cache_mismatch_total":
+			mismatches += v.Value
+		}
+	}
+	if d.failed.Load() > 0 || restarts == 0 || d.ensembles.Load() == 0 || hits == 0 || mismatches != 0 {
+		t.Fatalf("drill: %v, %d restarts, %g cache hits, %g cache mismatches; want no failure, "+
+			"a restart, an ensemble dist, a cache hit and no mismatch\n%s", d, restarts, hits, mismatches, doc)
+	}
+	t.Logf("drill: %v, %d restarts, %g cache hits", d, restarts, hits)
 }
 
 // checkGateCounters requires every gate_cache_mismatch_total sample to

@@ -7,21 +7,24 @@
 // the tree queries of Corollary 1 are answered by treeserve replicas
 // behind treegate while one of them is killed and restarted.
 //
-// TestMain builds every binary once per run with the go tool that runs
-// the tests. Under -short it builds nothing and every test skips.
-// Addresses are never hard-coded: each process binds port 0 and the
-// test reads the address back from the line the process prints. Every
-// child is killed and reaped when its test ends, and a failing test
-// prints each child's captured output.
+// The first test to run builds every binary with the go tool that runs
+// the tests, into .e2e_build/plain at the module root, or .e2e_build/race
+// when the tests are built with -race (the binaries are then race-built
+// too, and any child that reports a data race fails its test). A build
+// that is up to date relinks nothing. Under -short it builds nothing and
+// every test skips. Addresses are never hard-coded: each process binds
+// port 0 and the test reads the address back from the line the process
+// prints. Every child is killed and reaped when its test ends, and a
+// failing test prints each child's captured output.
 package e2e
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"os/exec"
@@ -37,8 +40,15 @@ import (
 	"mpctree/internal/obs"
 )
 
-// binDir holds the binaries TestMain built; empty under -short.
-var binDir string
+// binDir holds the binaries once built; buildErr is why they are not.
+var (
+	built    sync.Once
+	binDir   string
+	buildErr error
+)
+
+// root is the module root, relative to this package's directory.
+const root = "../.."
 
 // targets are the main packages the tests run.
 var targets = []string{
@@ -47,49 +57,56 @@ var targets = []string{
 	"mpctree/cmd/fjltdemo", "mpctree/examples/...",
 }
 
-func TestMain(m *testing.M) {
-	flag.Parse()
-	if testing.Short() {
-		os.Exit(m.Run())
-	}
-	dir, err := os.MkdirTemp("", "mpctree-e2e-")
+// build compiles targets into binDir. go test puts the GOROOT/bin of the
+// go tool running it first on the test binary's PATH, so "go" here is
+// that tool and the binaries match the tests' toolchain and build cache.
+//
+// The binaries are not inputs of the test binary, so first every source
+// directory of the module is read: go test keys its cached result on
+// what the tests read (a directory by its files' names, sizes and
+// mtimes), so an edited source reruns the tests instead of reporting
+// (cached). It logs only the reads made while tests run, not those of a
+// TestMain, which is why the first test builds.
+func build() error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		return err
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "e2e:", err)
-		os.Exit(1)
+		return err
 	}
-	code := 1
-	if err := build(dir); err != nil {
-		fmt.Fprintln(os.Stderr, "e2e:", err)
-	} else {
-		binDir = dir
-		code = m.Run()
-	}
-	os.RemoveAll(dir)
-	os.Exit(code)
-}
-
-// build compiles targets into dir. go test puts the GOROOT/bin of the go
-// tool running it first on the test binary's PATH, so "go" here is that
-// tool and the binaries match the tests' toolchain and build cache.
-func build(dir string) error {
 	gotool, err := exec.LookPath("go")
 	if err != nil {
 		return err
 	}
-	args := append([]string{"build", "-o", dir + string(filepath.Separator)}, targets...)
+	args := []string{"build"}
+	flavor := "plain"
+	if raceBuild {
+		args, flavor = append(args, "-race"), "race"
+	}
+	if binDir, err = filepath.Abs(filepath.Join(root, ".e2e_build", flavor)); err != nil {
+		return err
+	}
+	args = append(append(args, "-o", binDir+string(filepath.Separator)), targets...)
 	if out, err := exec.Command(gotool, args...).CombinedOutput(); err != nil {
 		return fmt.Errorf("go build: %v\n%s", err, out)
 	}
 	return nil
 }
 
-// scratch skips under -short; otherwise it runs the test in parallel
-// with the others (each binds its own ports) and returns the test's
-// working directory, where the binaries write their files.
+// scratch skips under -short; otherwise it builds the binaries if no
+// test has yet, runs the test in parallel with the others (each binds
+// its own ports) and returns the test's working directory, where the
+// binaries write their files.
 func scratch(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("runs the built binaries; skipped under -short")
+	}
+	if built.Do(func() { buildErr = build() }); buildErr != nil {
+		t.Fatal(buildErr)
 	}
 	t.Parallel()
 	return t.TempDir()
@@ -125,8 +142,9 @@ type proc struct {
 }
 
 // start runs binary name with args in dir. t.Cleanup kills and reaps it,
-// also when the test fails, and then prints its output if the test
-// failed.
+// also when the test fails, fails the test if the process reported a
+// data race (a SIGKILLed race-built child never reaches its exit code
+// 66), and then prints its output if the test failed.
 func start(t *testing.T, dir, name string, args ...string) *proc {
 	t.Helper()
 	p := &proc{name: name, done: make(chan struct{})}
@@ -143,6 +161,9 @@ func start(t *testing.T, dir, name string, args ...string) *proc {
 	t.Cleanup(func() {
 		_ = p.cmd.Process.Kill()
 		<-p.done
+		if strings.Contains(p.stderr.String(), "WARNING: DATA RACE") {
+			t.Errorf("%s reported a data race", name)
+		}
 		if t.Failed() {
 			t.Logf("%s %s (%v)\n--- stdout:\n%s--- stderr:\n%s", name, strings.Join(args, " "),
 				p.err, p.stdout.String(), p.stderr.String())

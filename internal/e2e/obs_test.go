@@ -29,5 +29,8 @@ func TestObsSmoke(t *testing.T) {
 	if root.Name == "" || len(root.Children) == 0 {
 		t.Fatalf("/trace?format=json is not a named span tree:\n%s", doc)
 	}
+	// treembed handles SIGTERM only once the run is over and it lingers;
+	// a SIGTERM before that kills it.
+	embed.await(t, &embed.stdout, `serving on`)
 	embed.stop(t)
 }

@@ -2,15 +2,19 @@ package e2e
 
 import (
 	"net/http"
+	"path/filepath"
 	"testing"
+
+	"mpctree/internal/hst"
 )
 
 // TestServeSmoke serves a saved tree and calls every endpoint (a batch
 // dist and knn by point and by points included), hot-reloads the tree
 // under the server and queries again, checks that hardened inputs
-// answer 400, and validates the serving metrics. The selftest then
-// repeats it under sustained concurrent load with every dist answer
-// checked bit for bit against serial.
+// answer 400, and validates the serving metrics. Then it drills the
+// server: 20,000 requests of the mixed query stream from 8 clients, each
+// also hot-reloading the tree every 100th request, with every dist and
+// knn answer equal bit for bit to the saved tree's own.
 func TestServeSmoke(t *testing.T) {
 	dir := scratch(t)
 	run(t, dir, "treembed", "-gen", "clusters", "-n", "512", "-d", "16", "-trees", "0",
@@ -38,8 +42,13 @@ func TestServeSmoke(t *testing.T) {
 
 	checkMetrics(t, base, "serve_requests_total", "serve_request_seconds", "serve_inflight_requests",
 		"serve_trees_loaded", "serve_tree_points", "serve_tree_reloads_total")
-	srv.stop(t)
 
-	self := run(t, dir, "treeserve", "-tree", "demo=demo.tree", "-selftest")
-	mustMatch(t, "treeserve -selftest", self.stdout.String(), `selftest PASSED`)
+	tree := readTree(t, filepath.Join(dir, "demo.tree"))
+	d := &drill{base: base, tree: "demo", trees: map[string][]*hst.Tree{"demo": {tree}}, clients: 8, reloadEvery: 100}
+	d.run(mixed(tree.NumPoints(), 20000))
+	if d.failed.Load() > 0 || d.answered.Load() < 10000 || d.reloads.Load() == 0 {
+		t.Fatalf("drill: %v; want no failure, at least 10,000 items answered and a reload", d)
+	}
+	t.Logf("drill: %v", d)
+	srv.stop(t)
 }

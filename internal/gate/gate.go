@@ -331,8 +331,7 @@ func (g *Gateway) countBackendError(url string) {
 // ---- HTTP surface ----
 
 // RegisterMux mounts the gate API. The query endpoints mirror
-// treeserve's /v1 surface, so clients and the load generator work
-// unchanged against a gate.
+// treeserve's /v1 surface, so clients work unchanged against a gate.
 func (g *Gateway) RegisterMux(mux *http.ServeMux) {
 	wrap := g.requests.Wrap
 	const get, post = http.MethodGet, http.MethodPost

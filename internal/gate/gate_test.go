@@ -159,9 +159,9 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 		t.Fatalf("all 200 keys landed on one backend: %v", owners)
 	}
 
-	// Share floor: three replicas on random loopback ports, as tests and
-	// the selftest start them, each own at least 15% of 2,000 dist-body
-	// keys (a fair share is 33%).
+	// Share floor: three replicas on random loopback ports, as the tests
+	// start them, each own at least 15% of 2,000 dist-body keys (a fair
+	// share is 33%).
 	r := rng.New(7)
 	const keys = 2000
 	for draw := 0; draw < 100; draw++ {
@@ -539,27 +539,4 @@ func TestGateWrongMethod(t *testing.T) {
 	if n := forwarded.Load(); n != 0 {
 		t.Fatalf("%d wrong-method requests reached the replica", n)
 	}
-}
-
-// TestSelftest runs the full acceptance drill at test scale: 3 replicas,
-// a 3-tree ensemble, rolling restarts mid-run, zero wrong answers.
-func TestSelftest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("selftest drill is seconds-long")
-	}
-	res, err := Selftest(SelftestOptions{
-		Queries:      4000,
-		Clients:      4,
-		RestartEvery: 200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("selftest failed: %v (%v)", err, res)
-	}
-	if res.Restarts == 0 {
-		t.Fatal("no rolling restart completed mid-run")
-	}
-	if res.Report.Ensemble == 0 {
-		t.Fatal("no ensemble queries issued")
-	}
-	t.Logf("selftest: %v", res)
 }

@@ -251,34 +251,36 @@ func (c *Cluster) fail(err error) error {
 	return err
 }
 
-// checkSpace recomputes residency metrics after stores changed and
-// returns a (not yet sticky) ErrLocalMemory error if any machine exceeds
-// capWords — which a fault injection may have temporarily reduced.
-// Transport failures during the check are sticky immediately.
-func (c *Cluster) checkSpace(capWords int) error {
-	total := 0
+// checkSpace recomputes residency metrics after stores changed, returns
+// the largest residency it read, and a (not yet sticky) ErrLocalMemory
+// error if any machine exceeds capWords — which a fault injection may
+// have temporarily reduced. Transport failures during the check are
+// sticky immediately.
+func (c *Cluster) checkSpace(capWords int) (int, error) {
+	total, peak := 0, 0
 	for m := 0; m < c.cfg.Machines; m++ {
 		w, err := c.t.Words(m)
 		if err != nil {
-			return c.fail(err)
+			return peak, c.fail(err)
 		}
 		total += w
+		peak = max(peak, w)
 		if w > c.m.MaxLocalWords {
 			c.m.MaxLocalWords = w
 		}
 		if w > capWords {
-			return fmt.Errorf("%w: machine %d holds %d words (cap %d)", ErrLocalMemory, m, w, capWords)
+			return peak, fmt.Errorf("%w: machine %d holds %d words (cap %d)", ErrLocalMemory, m, w, capWords)
 		}
 	}
 	if total > c.m.TotalSpace {
 		c.m.TotalSpace = total
 	}
-	return nil
+	return peak, nil
 }
 
 // refreshSpace checks residency against the configured cap.
 func (c *Cluster) refreshSpace() error {
-	err := c.checkSpace(c.cfg.CapWords)
+	_, err := c.checkSpace(c.cfg.CapWords)
 	if c.obs != nil {
 		c.obs.syncShape(c)
 	}
@@ -595,7 +597,10 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 		c.deliverBuf[m] = deliver[m][:0]
 	}
 	c.m.Rounds++
-	err := c.checkSpace(effCap)
+	// The trace takes its residency from the reading the check made: a
+	// second reading is one more op per machine on a remote transport,
+	// and a worker that dies on it must fail the round, not be skipped.
+	peak, err := c.checkSpace(effCap)
 	if err != nil && capInjected && !errors.Is(err, ErrTransport) {
 		err = injectedCapErr(err, inj.kind, inj.tick)
 	}
@@ -603,11 +608,7 @@ func (c *Cluster) round(fn RoundFunc, sends [][]send) error {
 		err = c.fail(err)
 	}
 	if c.trace {
-		for m := 0; m < M; m++ {
-			if w, werr := c.t.Words(m); werr == nil && w > stat.MaxResidency {
-				stat.MaxResidency = w
-			}
-		}
+		stat.MaxResidency = peak
 		c.roundStats = append(c.roundStats, stat)
 	}
 	if c.obs != nil {

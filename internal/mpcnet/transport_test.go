@@ -3,6 +3,7 @@ package mpcnet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -140,46 +141,59 @@ func TestPipelineBitIdenticalAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestWorkerDeathRecovery kills a worker mid-pipeline (in-process death:
-// listener and connection close and stay closed) and checks the resilient
-// driver recovers a tree bit-identical to the fault-free simulator run,
-// with the degradation visible in the transport stats.
+// TestWorkerDeathRecovery kills worker 1 of 3 at each sequenced op it
+// serves in a fault-free run (in-process death: listener and connection
+// close and stay closed), with the round trace off and on, and checks
+// that resilient execution recovers a tree bit-identical to the
+// fault-free simulator run, with the degradation visible in the
+// transport stats. The trace reads no store of its own, so it moves no
+// die point and loses no transport error.
 func TestWorkerDeathRecovery(t *testing.T) {
 	pts := testPoints(48, 6, 7)
 	popt := core.PipelineOptions{Seed: 11, Resilient: true}
 	cfg := mpc.Config{Machines: 8, CapWords: 1 << 20}
-
 	simTree := treeBytes(t, mpc.New(cfg), pts, popt)
 
-	workers, addrs := startWorkers(t, 3)
-	tr, err := Dial(Config{Addrs: addrs, Machines: cfg.Machines, Retry: fastRetry(3)})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	// run embeds over 3 workers, worker 1 armed to die at its dieAfter-th
+	// op (0 = never), and returns the transport, the cluster and the
+	// ops worker 1 served.
+	run := func(t *testing.T, dieAfter int, traced bool) (*Transport, *mpc.Cluster, int) {
+		workers, addrs := startWorkers(t, 3)
+		tr, err := Dial(Config{Addrs: addrs, Machines: cfg.Machines, Retry: fastRetry(3)})
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		workers[1].SetDieAfter(dieAfter)
+		cluster := mpc.NewWithTransport(cfg, tr)
+		if traced {
+			cluster.EnableTrace()
+		}
+		if tree := treeBytes(t, cluster, pts, popt); !bytes.Equal(simTree, tree) {
+			t.Fatalf("recovered tree differs from fault-free simulator tree")
+		}
+		workers[1].mu.Lock()
+		defer workers[1].mu.Unlock()
+		return tr, cluster, workers[1].ops
 	}
-	defer tr.Close()
-	// Arm worker 1 to die partway in. The op count is far below what the
-	// pipeline sends each worker, so death lands mid-stage.
-	workers[1].SetDieAfter(30)
-
-	tcpCluster := mpc.NewWithTransport(cfg, tr)
-	tcpTree := treeBytes(t, tcpCluster, pts, popt)
-
-	if !bytes.Equal(simTree, tcpTree) {
-		t.Fatalf("recovered tree differs from fault-free simulator tree")
-	}
-	st := tr.Stats()
-	if st.DeadWorkers != 1 {
-		t.Fatalf("DeadWorkers = %d, want 1 (stats %+v)", st.DeadWorkers, st)
-	}
-	if st.Remapped == 0 {
-		t.Fatalf("no machines remapped after worker death (stats %+v)", st)
-	}
-	if tr.LiveWorkers() != 2 {
-		t.Fatalf("LiveWorkers = %d, want 2", tr.LiveWorkers())
-	}
-	rec := tcpCluster.Recovery()
-	if rec.Restores == 0 {
-		t.Fatalf("recovery did not restore a checkpoint: %+v", rec)
+	for _, traced := range []bool{false, true} {
+		_, _, ops := run(t, 0, traced)
+		// A death during the embed stage's entry checkpoint, whose reads
+		// of worker 1's machines (1, 4 and 7: machines go to workers
+		// round-robin) are its first 3 ops, is not recovered: the
+		// snapshot itself lacks the dead worker's stores.
+		for dieAfter := 4; dieAfter <= ops; dieAfter++ {
+			t.Run(fmt.Sprintf("trace=%v/die-after=%d", traced, dieAfter), func(t *testing.T) {
+				tr, cluster, _ := run(t, dieAfter, traced)
+				if st := tr.Stats(); st.DeadWorkers != 1 || st.Remapped == 0 || tr.LiveWorkers() != 2 {
+					t.Fatalf("want 1 dead worker, its machines remapped and 2 live: stats %+v, %d live",
+						st, tr.LiveWorkers())
+				}
+				if rec := cluster.Recovery(); rec.Restores == 0 {
+					t.Fatalf("recovery did not restore a checkpoint: %+v", rec)
+				}
+			})
+		}
 	}
 }
 

@@ -206,7 +206,10 @@ func TestHotReloadReaudits(t *testing.T) {
 func TestAccessLogsCarryRequestIDs(t *testing.T) {
 	reg := obs.New()
 	var logBuf bytes.Buffer
-	_, mux, _, _ := newQualityFixture(t, reg, &logBuf)
+	registry, mux, _, _ := newQualityFixture(t, reg, &logBuf)
+	// The background audit logs into logBuf too; reading the buffer
+	// while it writes is a data race.
+	registry.WaitAudits()
 
 	rr := doGet(t, mux, "/v1/trees")
 	if rr.Code != http.StatusOK {

@@ -487,55 +487,3 @@ func TestServeMetrics(t *testing.T) {
 		}
 	}
 }
-
-// The ISSUE acceptance run, in-suite: >= 4 concurrent clients, >= 10k
-// total queries, hot reloads mixed in, zero errors, and every dist/knn
-// answer verified bit-identical against the serial tree.
-func TestRunLoadAcceptance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load run in -short mode")
-	}
-	srv, reg, _, _ := newTestServer(t, Options{})
-	tree, err := reg.Get("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := RunLoad(srv.URL, "t", tree.NumPoints(), LoadOptions{
-		Clients:     4,
-		Queries:     1200, // x batch 16 in the default mix -> >= 10k query items
-		Seed:        7,
-		ReloadEvery: 50,
-		Verify:      tree,
-	})
-	t.Logf("load report: %s", report)
-	if report.Errors > 0 {
-		t.Fatalf("%d errors (first: %s)", report.Errors, report.FirstErr)
-	}
-	if report.Requests != 1200 {
-		t.Fatalf("issued %d requests, want 1200", report.Requests)
-	}
-	if report.Queries < 10000 {
-		t.Fatalf("answered %d queries, want >= 10000", report.Queries)
-	}
-	if report.Reloads == 0 {
-		t.Fatal("no hot reloads happened during the run")
-	}
-}
-
-// Deterministic query streams: two RunLoad invocations with the same
-// seed issue the same queries, so reports agree on everything but
-// timing.
-func TestRunLoadDeterministicStream(t *testing.T) {
-	q1 := workload.Queries(3, 50, 200, 8, 1e6, workload.DefaultQueryMix())
-	q2 := workload.Queries(3, 50, 200, 8, 1e6, workload.DefaultQueryMix())
-	if len(q1) != len(q2) {
-		t.Fatalf("lengths differ: %d vs %d", len(q1), len(q2))
-	}
-	for i := range q1 {
-		a, _ := json.Marshal(q1[i])
-		b, _ := json.Marshal(q2[i])
-		if !bytes.Equal(a, b) {
-			t.Fatalf("query %d differs:\n%s\n%s", i, a, b)
-		}
-	}
-}

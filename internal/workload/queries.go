@@ -1,5 +1,5 @@
 // Serving-layer query workloads: deterministic streams of tree-metric
-// queries for the load generator (internal/serve) and its tests. Like
+// queries for the serving drills (internal/e2e) and benchmarks. Like
 // the point-set generators, everything is a pure function of the seed —
 // two runs with the same seed drive byte-identical request sequences,
 // so a load test that fails is replayable.
