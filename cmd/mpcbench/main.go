@@ -119,7 +119,7 @@ func main() {
 		addrs := splitAddrs(*transportAddrs)
 		obsURLs := splitAddrs(*transportObs)
 		if *transportSpawn > 0 {
-			procs, err := mpcnet.SpawnWorkers(*workerBin, *transportSpawn, mpcnet.SpawnOptions{Stderr: true})
+			procs, err := mpcnet.SpawnWorkers(*workerBin, *transportSpawn)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "mpcbench: spawn workers:", err)
 				os.Exit(2)
@@ -175,7 +175,7 @@ func main() {
 		}
 	}
 	if *httpAddr != "" {
-		srv, err := obs.Serve(*httpAddr, reg, nil)
+		srv, err := obs.Serve(*httpAddr, reg, nil, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mpcbench:", err)
 			os.Exit(1)

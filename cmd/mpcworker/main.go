@@ -12,11 +12,13 @@
 // the end-to-end tests prove checkpointed replay recovers bit-identically.
 //
 // The worker also self-observes: unless -obs-listen is empty, it serves
-// the standard debug surface (/metrics, /metrics.json, /trace,
-// /debug/pprof/*) and announces it as "MPCNET OBS <url>" on stdout
-// BEFORE the LISTEN line, so spawners capture both in one scan. The
-// coordinator's fleet scraper polls that endpoint and re-exports the
-// series as worker_* on its own /metrics.
+// the standard debug surface (/metrics, /metrics.json, /healthz,
+// /debug/pprof/*) plus /trace/requests, the service spans of its last
+// traced ops, and announces it as "MPCNET OBS <url>" on stdout BEFORE
+// the LISTEN line, so spawners capture both in one scan. The
+// coordinator's fleet scraper polls that endpoint, re-exports the series
+// as worker_* on its own /metrics, and reads the spans into the merged
+// -trace-out timeline.
 package main
 
 import (
@@ -31,7 +33,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "address to bind (:0 picks an ephemeral port)")
-	obsListen := flag.String("obs-listen", "127.0.0.1:0", "serve /metrics, /metrics.json, /trace and /debug/pprof on this address, announced as MPCNET OBS (empty disables)")
+	obsListen := flag.String("obs-listen", "127.0.0.1:0", "serve /metrics, /metrics.json, /trace/requests and /debug/pprof on this address, announced as MPCNET OBS (empty disables)")
 	dieAfter := flag.Int("die-after", 0, "SIGKILL self after processing this many ops (0 = never)")
 	verbose := flag.Bool("v", false, "log lifecycle events to stderr")
 	flag.Parse()
@@ -48,7 +50,7 @@ func main() {
 		reg := obs.New()
 		obs.RegisterBuildInfo(reg)
 		w.Instrument(reg)
-		srv, err := obs.Serve(*obsListen, reg, w.TraceRoot())
+		srv, err := obs.Serve(*obsListen, reg, nil, w.Traces())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mpcworker: %v\n", err)
 			os.Exit(1)

@@ -130,7 +130,7 @@ func main() {
 			mopt.Span = root
 			if *httpAddr != "" {
 				var err error
-				srv, err = obs.Serve(*httpAddr, reg, root)
+				srv, err = obs.Serve(*httpAddr, reg, root, nil)
 				if err != nil {
 					fail(err)
 				}
@@ -149,7 +149,7 @@ func main() {
 			addrs := splitAddrs(*transportAddrs)
 			obsURLs := splitAddrs(*transportObs)
 			if *transportSpawn > 0 {
-				procs, err := mpcnet.SpawnWorkers(*workerBin, *transportSpawn, mpcnet.SpawnOptions{Stderr: true})
+				procs, err := mpcnet.SpawnWorkers(*workerBin, *transportSpawn)
 				if err != nil {
 					fail(fmt.Errorf("spawn workers: %w", err))
 				}

@@ -88,6 +88,12 @@ type Options struct {
 // maxBodyBytes caps inbound request bodies.
 const maxBodyBytes = 8 << 20
 
+// idlePerReplica is how many idle connections the gate keeps to each
+// replica: one per concurrent forward. With http.DefaultTransport's 2,
+// any more concurrent forwards than that dial a connection each and
+// close it after.
+const idlePerReplica = 64
+
 // Gateway fronts a fleet of treeserve replicas.
 type Gateway struct {
 	ring      *Ring
@@ -139,6 +145,8 @@ func New(opts Options) (*Gateway, error) {
 	if rounds <= 0 {
 		rounds = 4
 	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = idlePerReplica
 	g := &Gateway{
 		ring:      NewRing(opts.Backends),
 		byURL:     make(map[string]*backendState, len(opts.Backends)),
@@ -148,7 +156,7 @@ func New(opts Options) (*Gateway, error) {
 		retry:     opts.Retry,
 		rounds:    rounds,
 		interval:  interval,
-		client:    &http.Client{Timeout: timeout},
+		client:    &http.Client{Timeout: timeout, Transport: transport},
 		logger:    opts.Logger,
 		requests: obs.NewRequests(obs.RequestsConfig{Family: "gate", Help: "Gate API",
 			Registry: opts.Obs, SLOTarget: opts.SLOTarget,
@@ -212,10 +220,12 @@ func (g *Gateway) Start() {
 	}()
 }
 
-// Stop halts the health poller. Safe to call more than once.
+// Stop halts the health poller and closes the idle replica connections.
+// Safe to call more than once.
 func (g *Gateway) Stop() {
 	g.stopOnce.Do(func() { close(g.stop) })
 	<-g.done
+	g.client.CloseIdleConnections()
 }
 
 // prefer returns the ring's preference list for key with healthy

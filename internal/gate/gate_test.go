@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -341,6 +342,75 @@ func TestGateFailover(t *testing.T) {
 	}
 	if len(healthyVals) != 1 || healthyVals[0] != 0 {
 		t.Fatalf("gate_replica_healthy{backend=%s} = %v, want [0]", urls[kill], healthyVals)
+	}
+}
+
+// TestForwardsReuseReplicaConnections drives 8 clients × 200 dist
+// requests through the gate, answer cache off so every one is
+// forwarded, to one replica, and counts the connections the replica
+// accepts. The gate keeps a pooled connection per concurrent forward;
+// with http.DefaultTransport's 2 idle connections per host it dialed
+// hundreds.
+func TestForwardsReuseReplicaConnections(t *testing.T) {
+	const clients, perClient = 8, 200
+	trees := buildTrees(t, 1, 1, 64)
+	st, err := treestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Save("t-0", trees[0]); err != nil {
+		t.Fatal(err)
+	}
+	reg := serve.NewRegistry(nil)
+	if err := reg.LoadWith("t-0", serve.StoreLoader(st, "t-0")); err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	serve.NewServer(reg, serve.Options{}).RegisterMux(mux)
+	replica := httptest.NewUnstartedServer(mux)
+	var accepted atomic.Int64
+	replica.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			accepted.Add(1)
+		}
+	}
+	replica.Start()
+	t.Cleanup(replica.Close)
+	_, gw := newGate(t, []string{replica.URL}, nil, func(o *Options) { o.CacheSize = -1 })
+
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer client.CloseIdleConnections()
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			for i := 0; i < perClient; i++ {
+				a, b := (c*perClient+i)%64, (c+7*i)%64
+				body := fmt.Sprintf(`{"tree":"t-0","pairs":[[%d,%d]]}`, a, b)
+				resp, err := client.Post(gw.URL+"/v1/dist", "application/json", strings.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				var out serve.DistResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || out.Dists[0] != trees[0].Dist(a, b) {
+					errs <- fmt.Errorf("dist(%d,%d): HTTP %d, %+v, %v", a, b, resp.StatusCode, out, err)
+					return
+				}
+			}
+			errs <- nil
+		}(c)
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := accepted.Load()
+	t.Logf("replica accepted %d connections", n)
+	if n > 16 {
+		t.Fatalf("replica accepted %d connections for %d forwards from %d clients, want at most 16", n, clients*perClient, clients)
 	}
 }
 

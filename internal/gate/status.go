@@ -147,20 +147,8 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) TraceProcesses(own *obs.TraceBuffer) []obs.TraceProcess {
 	procs := []obs.TraceProcess{{Name: "treegate", Roots: own.Snapshots()}}
 	for _, b := range g.backends {
-		proc := obs.TraceProcess{Name: "replica " + b.url}
-		resp, err := g.client.Get(b.url + "/trace/requests")
-		if err == nil {
-			var doc struct {
-				Spans []*obs.SpanSnapshot `json:"spans"`
-			}
-			if resp.StatusCode == http.StatusOK {
-				if derr := json.NewDecoder(resp.Body).Decode(&doc); derr == nil {
-					proc.Roots = doc.Spans
-				}
-			}
-			resp.Body.Close()
-		}
-		procs = append(procs, proc)
+		roots, _ := obs.FetchRequestTraces(g.client, b.url) // unreachable: an empty row
+		procs = append(procs, obs.TraceProcess{Name: "replica " + b.url, Roots: roots})
 	}
 	return procs
 }

@@ -110,7 +110,7 @@ func serviceSpanLinks(t *testing.T, wireRoot *obs.Span, workers []*Worker) (serv
 		attempts[sp.SpanID] = attempt{sp.TraceID, sp.Metrics["attempt"]}
 	}
 	for i, w := range workers {
-		for _, sp := range w.TraceRoot().Snapshot().Children {
+		for _, sp := range w.Traces().Snapshots() {
 			a, ok := attempts[sp.ParentSpan]
 			if !ok || a.trace != sp.TraceID {
 				t.Fatalf("worker %d service span %q seq %d: parent %q (trace %q) is no wire attempt",
@@ -130,7 +130,6 @@ func serviceSpanLinks(t *testing.T, wireRoot *obs.Span, workers []*Worker) (serv
 // span names that retry — not the op or its first attempt — as parent.
 func TestServiceSpansLinkToRetriedAttempts(t *testing.T) {
 	workers, addrs := startWorkers(t, 1)
-	workers[0].TraceRoot()
 	tr, err := Dial(Config{Addrs: addrs, Machines: 1, Retry: fastRetry(12)})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -153,6 +152,58 @@ func TestServiceSpansLinkToRetriedAttempts(t *testing.T) {
 	}
 }
 
+// TestWorkerRetainsLastTracedOps sends more traced ops than a worker's
+// ring holds. The worker keeps only the last traceBuf service spans, as
+// a replica keeps its last sampled requests, and each retained root
+// continues the coordinator's trace with an attempt span as parent_span.
+func TestWorkerRetainsLastTracedOps(t *testing.T) {
+	const ops = traceBuf + 88
+	workers, addrs := startWorkers(t, 1)
+	tr, err := Dial(Config{Addrs: addrs, Machines: 1, Retry: fastRetry(4)})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer tr.Close()
+	wireRoot := obs.NewSpan("mpcnet_client")
+	tr.EnableTracing(wireRoot)
+	for i := 0; i < ops; i++ {
+		if _, err := tr.Words(0); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	tr.EnableTracing(nil)
+	if _, err := tr.Words(0); err != nil { // an untraced op records nothing
+		t.Fatal(err)
+	}
+
+	buf := workers[0].Traces()
+	roots := buf.Snapshots()
+	if len(roots) != traceBuf || buf.Total() != ops {
+		t.Fatalf("worker retains %d of %d service spans, want the last %d of %d", len(roots), buf.Total(), traceBuf, ops)
+	}
+	services, _ := serviceSpanLinks(t, wireRoot, workers)
+	if services != traceBuf {
+		t.Fatalf("%d retained service spans link to wire attempts, want %d", services, traceBuf)
+	}
+	trace := wireRoot.Context().TraceIDString()
+	for i, r := range roots {
+		if want := int64(ops - traceBuf + i + 1); r.TraceID != trace || r.Metrics["seq"] != want || len(r.Children) != 0 {
+			t.Fatalf("retained root %d = %s seq %d in trace %s, want seq %d in %s", i, r.Name, r.Metrics["seq"], r.TraceID, want, trace)
+		}
+	}
+}
+
+// sumFamily totals a counter family over all its label sets.
+func sumFamily(reg *obs.Registry, name string) int64 {
+	var total int64
+	for _, v := range reg.Snapshot() {
+		if v.Name == name {
+			total += int64(v.Value)
+		}
+	}
+	return total
+}
+
 // TestInstrumentedTCPPipelineBitIdentical is the determinism half of the
 // tentpole: the full pipeline over tcp with EVERYTHING attached — frame
 // tracing, coordinator wire spans, transport metrics, worker metrics and
@@ -171,7 +222,6 @@ func TestInstrumentedTCPPipelineBitIdentical(t *testing.T) {
 	wreg := obs.New()
 	for _, w := range workers {
 		w.Instrument(wreg)
-		w.TraceRoot() // enables service spans for traced frames
 	}
 	tr, err := Dial(Config{Addrs: addrs, Machines: cfg.Machines, Retry: fastRetry(2)})
 	if err != nil {
@@ -218,12 +268,8 @@ func TestInstrumentedTCPPipelineBitIdentical(t *testing.T) {
 	if len(wsn.Children) != st.Ops {
 		t.Errorf("wire spans = %d, transport completed %d ops", len(wsn.Children), st.Ops)
 	}
-	var perOpOps int
-	for _, os := range st.PerOp {
-		perOpOps += os.Ops
-	}
-	if perOpOps != st.Ops {
-		t.Errorf("PerOp ops sum = %d, Stats.Ops = %d", perOpOps, st.Ops)
+	if ops := sumFamily(reg, "mpcnet_ops_total"); ops != int64(st.Ops) {
+		t.Errorf("mpcnet_ops_total summed over op kinds = %d, Stats.Ops = %d", ops, st.Ops)
 	}
 	// Every service span links to a wire attempt. Dedup replays answer
 	// without a new service span, so worker spans can undercount wire ops
@@ -254,9 +300,6 @@ func TestWireSpansAccountForRetriedOps(t *testing.T) {
 	simTree := treeBytes(t, mpc.New(cfg), pts, popt)
 
 	workers, addrs := startWorkers(t, 3)
-	for _, w := range workers {
-		w.TraceRoot()
-	}
 	tr, err := Dial(Config{Addrs: addrs, Machines: cfg.Machines, Retry: fastRetry(3)})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -291,12 +334,8 @@ func TestWireSpansAccountForRetriedOps(t *testing.T) {
 	if ok != st.Ops {
 		t.Errorf("successful wire spans = %d, Stats.Ops = %d", ok, st.Ops)
 	}
-	var perOpErrors int
-	for _, os := range st.PerOp {
-		perOpErrors += os.Errors
-	}
-	if failed != perOpErrors {
-		t.Errorf("failed wire spans = %d, PerOp errors = %d", failed, perOpErrors)
+	if errs := sumFamily(reg, "mpcnet_op_errors_total"); int64(failed) != errs {
+		t.Errorf("failed wire spans = %d, mpcnet_op_errors_total summed over op kinds = %d", failed, errs)
 	}
 	if failed == 0 {
 		t.Error("no failed wire spans despite retries — retried attempts unaccounted")
@@ -376,9 +415,9 @@ func TestWorkerSinkCounters(t *testing.T) {
 // concurrency check: several coordinator streams run traced ops at once
 // (one worker each — the seq protocol is single-coordinator per worker)
 // while every span forest is snapshotted live from another goroutine.
-// Each worker's service spans share its root's lock while the streams
-// extend them, so this exercises concurrent Child/End/Snapshot
-// interleaving; the snapshots must stay well-formed and the final merged
+// Each worker's ring takes new service spans while the streams run, so
+// this exercises concurrent Start/Finish/Snapshots interleaving; the
+// snapshots must stay well-formed and the final merged
 // timeline must be valid, Perfetto-shaped JSON accounting for every
 // applied op.
 func TestConcurrentTracedStreamsSnapshotWellFormed(t *testing.T) {
@@ -386,7 +425,6 @@ func TestConcurrentTracedStreamsSnapshotWellFormed(t *testing.T) {
 	workers, addrs := startWorkers(t, streams)
 	for _, w := range workers {
 		w.Instrument(obs.New())
-		w.TraceRoot()
 	}
 
 	roots := make([]*obs.Span, streams)
@@ -424,11 +462,11 @@ func TestConcurrentTracedStreamsSnapshotWellFormed(t *testing.T) {
 			snapshotting = false
 		default:
 			for _, w := range workers {
-				sn := w.TraceRoot().Snapshot()
-				if _, err := json.Marshal(sn); err != nil {
+				roots := w.Traces().Snapshots()
+				if _, err := json.Marshal(roots); err != nil {
 					t.Fatalf("live snapshot does not marshal: %v", err)
 				}
-				for _, c := range sn.Children {
+				for _, c := range roots {
 					if c.Name == "" {
 						t.Fatal("live snapshot holds an unnamed span")
 					}
@@ -451,11 +489,11 @@ func TestConcurrentTracedStreamsSnapshotWellFormed(t *testing.T) {
 			t.Fatalf("worker %d applied %d appends, want %d", i, n, opsPer)
 		}
 		applied += n
-		sn := w.TraceRoot().Snapshot()
-		if len(sn.Children) != n {
-			t.Fatalf("worker %d service spans = %d, applied ops = %d", i, len(sn.Children), n)
+		roots := w.Traces().Snapshots()
+		if len(roots) != n {
+			t.Fatalf("worker %d service spans = %d, applied ops = %d", i, len(roots), n)
 		}
-		procs = append(procs, obs.TraceProcess{Name: fmt.Sprintf("worker %d", i), Roots: []*obs.SpanSnapshot{sn}})
+		procs = append(procs, obs.TraceProcess{Name: fmt.Sprintf("worker %d", i), Roots: roots})
 	}
 
 	// Merge all processes into one timeline and re-parse it.

@@ -19,8 +19,8 @@ type WorkerProc struct {
 	Addr string
 	// ObsURL is the worker's debug/metrics endpoint, parsed from the
 	// "MPCNET OBS <url>" line a worker prints BEFORE its LISTEN line.
-	// Empty when the worker does not self-observe (old binaries, the
-	// helper-process test workers) — callers must tolerate that.
+	// Empty when the worker does not self-observe (-obs-listen "") —
+	// callers must tolerate that.
 	ObsURL string
 	Cmd    *exec.Cmd
 }
@@ -33,29 +33,15 @@ func (p *WorkerProc) Kill() {
 	_, _ = p.Cmd.Process.Wait()
 }
 
-// SpawnOptions shapes a worker fleet.
-type SpawnOptions struct {
-	// PrefixArgs precede the standard "-listen" arguments — the hook the
-	// test-binary helper-process pattern needs ("-test.run=...", "--").
-	PrefixArgs []string
-	// Env entries are appended to the inherited environment.
-	Env []string
-	// PerWorkerArgs maps a worker index to extra args for just that
-	// worker.
-	PerWorkerArgs map[int][]string
-	// Stderr, when true, passes worker stderr through to this process
-	// (round traces, death logs).
-	Stderr bool
-}
-
 // announceTimeout bounds the wait for a worker's LISTEN line.
 const announceTimeout = 10 * time.Second
 
 // SpawnWorkers launches n worker processes from the given binary, each
-// listening on an ephemeral localhost port, and returns them with their
+// listening on an ephemeral localhost port with its stderr (death logs)
+// passed through to this process's, and returns them with their
 // announced addresses. On any failure every already-spawned worker is
 // killed before returning.
-func SpawnWorkers(bin string, n int, opts SpawnOptions) ([]*WorkerProc, error) {
+func SpawnWorkers(bin string, n int) ([]*WorkerProc, error) {
 	procs := make([]*WorkerProc, 0, n)
 	fail := func(err error) ([]*WorkerProc, error) {
 		for _, p := range procs {
@@ -64,16 +50,8 @@ func SpawnWorkers(bin string, n int, opts SpawnOptions) ([]*WorkerProc, error) {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		args := append([]string{}, opts.PrefixArgs...)
-		args = append(args, "-listen", "127.0.0.1:0")
-		args = append(args, opts.PerWorkerArgs[i]...)
-		cmd := exec.Command(bin, args...)
-		if len(opts.Env) > 0 {
-			cmd.Env = append(os.Environ(), opts.Env...)
-		}
-		if opts.Stderr {
-			cmd.Stderr = os.Stderr
-		}
+		cmd := exec.Command(bin, "-listen", "127.0.0.1:0")
+		cmd.Stderr = os.Stderr
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
 			return fail(err)
@@ -86,7 +64,7 @@ func SpawnWorkers(bin string, n int, opts SpawnOptions) ([]*WorkerProc, error) {
 
 		// The worker announces its obs endpoint (optional) and then its
 		// record-plane address; the scan records the former and breaks on
-		// the latter, so old binaries that never print OBS cost nothing.
+		// the latter.
 		type announce struct{ addr, obsURL string }
 		addrCh := make(chan announce, 1)
 		go func() {

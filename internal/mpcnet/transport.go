@@ -71,19 +71,6 @@ type Stats struct {
 	Remapped      int   // logical machines remapped onto survivors
 	BytesSent     int64 // frame bytes written
 	BytesReceived int64 // frame payload bytes read
-
-	// PerOp breaks the work down by op kind ("read", "append", …), so
-	// tail behaviour is visible per kind: a Words probe and a bulk Append
-	// have no business sharing a latency figure.
-	PerOp map[string]OpStats
-}
-
-// OpStats is one op kind's slice of the transport's work.
-type OpStats struct {
-	Ops     int   // successful attempts (completed ops)
-	Errors  int   // failed attempts (timeouts, refusals, torn connections)
-	TotalNs int64 // wall time summed over successful attempts
-	MaxNs   int64 // slowest successful attempt
 }
 
 // Transport implements mpc.Transport over TCP workers. Not safe for
@@ -142,19 +129,14 @@ func Dial(cfg Config) (*Transport, error) {
 func (t *Transport) Name() string  { return "tcp" }
 func (t *Transport) Machines() int { return len(t.assign) }
 
-// Stats returns a snapshot of the transport's counters. The PerOp map is
-// deep-copied; callers own the result.
+// Stats returns a snapshot of the transport's counters. Per op kind,
+// the same work is on the mpcnet_ops_total, mpcnet_op_errors_total and
+// mpcnet_op_seconds series (Instrument) and on the wire spans
+// (EnableTracing).
 func (t *Transport) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.stats
-	if t.stats.PerOp != nil {
-		s.PerOp = make(map[string]OpStats, len(t.stats.PerOp))
-		for k, v := range t.stats.PerOp {
-			s.PerOp[k] = v
-		}
-	}
-	return s
+	return t.stats
 }
 
 // Instrument attaches a metrics registry: the transport's counters and
@@ -328,30 +310,13 @@ func (t *Transport) opWorker(w int, opCode Op, machine int32, payload []byte) (F
 }
 
 // endAttempt closes one attempt's wire span and records its latency and
-// outcome in both the PerOp stats and the obs sink.
+// outcome in the obs sink.
 func (t *Transport) endAttempt(span *obs.Span, opCode Op, start time.Time, failed bool) {
 	if failed {
 		span.Add("failed", 1)
 	}
 	span.End()
-	d := time.Since(start)
-	t.sink.observeAttempt(opCode, d.Seconds(), failed)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stats.PerOp == nil {
-		t.stats.PerOp = make(map[string]OpStats)
-	}
-	s := t.stats.PerOp[opCode.String()]
-	if failed {
-		s.Errors++
-	} else {
-		s.Ops++
-		s.TotalNs += d.Nanoseconds()
-		if d.Nanoseconds() > s.MaxNs {
-			s.MaxNs = d.Nanoseconds()
-		}
-	}
-	t.stats.PerOp[opCode.String()] = s
+	t.sink.observeAttempt(opCode, time.Since(start).Seconds(), failed)
 }
 
 // Reset clears every live worker's stores and sequence state, beginning a

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,21 +144,26 @@ func TestPipelineBitIdenticalAcrossBackends(t *testing.T) {
 
 // TestWorkerDeathRecovery kills worker 1 of 3 at each sequenced op it
 // serves in a fault-free run (in-process death: listener and connection
-// close and stay closed), with the round trace off and on, and checks
-// that resilient execution recovers a tree bit-identical to the
-// fault-free simulator run, with the degradation visible in the
-// transport stats. The trace reads no store of its own, so it moves no
-// die point and loses no transport error.
+// close and stay closed), with the round trace off and on. From its
+// 4th op on, resilient execution must recover a tree bit-identical to
+// the fault-free simulator run, with the degradation visible in the
+// transport stats. Its first 3 ops are the embed stage's entry
+// checkpoint reading worker 1's machines (1, 4 and 7: machines go to
+// workers round-robin); a death there is not recovered, since the
+// snapshot itself lacks the dead worker's stores, so the run must fail
+// without a tree and with an error that names the transport failure and
+// the worker. The trace reads no store of its own, so it moves no die
+// point and loses no transport error.
 func TestWorkerDeathRecovery(t *testing.T) {
 	pts := testPoints(48, 6, 7)
 	popt := core.PipelineOptions{Seed: 11, Resilient: true}
 	cfg := mpc.Config{Machines: 8, CapWords: 1 << 20}
 	simTree := treeBytes(t, mpc.New(cfg), pts, popt)
 
-	// run embeds over 3 workers, worker 1 armed to die at its dieAfter-th
-	// op (0 = never), and returns the transport, the cluster and the
-	// ops worker 1 served.
-	run := func(t *testing.T, dieAfter int, traced bool) (*Transport, *mpc.Cluster, int) {
+	// dial starts 3 workers, worker 1 armed to die at its dieAfter-th op
+	// (0 = never), and returns the transport, a cluster over it and
+	// worker 1.
+	dial := func(t *testing.T, dieAfter int, traced bool) (*Transport, *mpc.Cluster, *Worker) {
 		workers, addrs := startWorkers(t, 3)
 		tr, err := Dial(Config{Addrs: addrs, Machines: cfg.Machines, Retry: fastRetry(3)})
 		if err != nil {
@@ -169,22 +175,30 @@ func TestWorkerDeathRecovery(t *testing.T) {
 		if traced {
 			cluster.EnableTrace()
 		}
-		if tree := treeBytes(t, cluster, pts, popt); !bytes.Equal(simTree, tree) {
-			t.Fatalf("recovered tree differs from fault-free simulator tree")
-		}
-		workers[1].mu.Lock()
-		defer workers[1].mu.Unlock()
-		return tr, cluster, workers[1].ops
+		return tr, cluster, workers[1]
 	}
 	for _, traced := range []bool{false, true} {
-		_, _, ops := run(t, 0, traced)
-		// A death during the embed stage's entry checkpoint, whose reads
-		// of worker 1's machines (1, 4 and 7: machines go to workers
-		// round-robin) are its first 3 ops, is not recovered: the
-		// snapshot itself lacks the dead worker's stores.
-		for dieAfter := 4; dieAfter <= ops; dieAfter++ {
+		_, cluster, w1 := dial(t, 0, traced)
+		if tree := treeBytes(t, cluster, pts, popt); !bytes.Equal(simTree, tree) {
+			t.Fatalf("fault-free tcp tree differs from the simulator tree")
+		}
+		w1.mu.Lock()
+		ops := w1.ops
+		w1.mu.Unlock()
+		for dieAfter := 1; dieAfter <= ops; dieAfter++ {
 			t.Run(fmt.Sprintf("trace=%v/die-after=%d", traced, dieAfter), func(t *testing.T) {
-				tr, cluster, _ := run(t, dieAfter, traced)
+				tr, cluster, _ := dial(t, dieAfter, traced)
+				if dieAfter <= 3 {
+					tree, _, err := core.EmbedPipeline(cluster, pts, popt)
+					if tree != nil || !errors.Is(err, mpc.ErrTransport) || !strings.Contains(err.Error(), "worker 1 (") {
+						t.Fatalf("death in the entry checkpoint gave a tree (%v) and error %v; want no tree and a transport error naming worker 1",
+							tree != nil, err)
+					}
+					return
+				}
+				if tree := treeBytes(t, cluster, pts, popt); !bytes.Equal(simTree, tree) {
+					t.Fatalf("recovered tree differs from fault-free simulator tree")
+				}
 				if st := tr.Stats(); st.DeadWorkers != 1 || st.Remapped == 0 || tr.LiveWorkers() != 2 {
 					t.Fatalf("want 1 dead worker, its machines remapped and 2 live: stats %+v, %d live",
 						st, tr.LiveWorkers())

@@ -43,8 +43,8 @@ type Worker struct {
 	lastResp Frame
 	haveResp bool
 
-	sink      *workerSink // nil when not instrumented
-	traceRoot *obs.Span   // parent of per-op service spans; nil disables
+	sink   *workerSink // nil when not instrumented
+	tracer *obs.Tracer // keeps the last traceBuf traced ops' service spans
 
 	ops      int // sequenced ops processed (the die-after trigger counts these)
 	dieAfter int // kill self after this many ops; 0 disables
@@ -62,9 +62,16 @@ type Worker struct {
 	Logf func(format string, args ...any)
 }
 
+// traceBuf is the number of traced ops whose service spans a worker
+// retains, as treeserve and treegate retain their last sampled requests.
+const traceBuf = 512
+
 // NewWorker returns an empty worker.
 func NewWorker() *Worker {
-	return &Worker{stores: make(map[int32][]mpc.Record), machineWords: make(map[int32]int)}
+	return &Worker{stores: make(map[int32][]mpc.Record), machineWords: make(map[int32]int),
+		// Fraction 0: a worker never starts a trace of its own; it only
+		// continues the ones traced frames carry.
+		tracer: obs.NewTracer(0, traceBuf)}
 }
 
 // Instrument attaches a metrics registry: per-op service-time histograms,
@@ -79,20 +86,11 @@ func (w *Worker) Instrument(reg *obs.Registry) {
 	w.mu.Unlock()
 }
 
-// TraceRoot returns (creating on first call) the worker's persistent span
-// root. Once it exists, every TRACED frame gets a child service span
-// continuing the coordinator's context (its trace id, the attempt span as
-// parent_span) — untraced traffic never grows the tree, which is what
-// bounds it. Hand the root to
-// the debug server so /trace?format=json serves the forest.
-func (w *Worker) TraceRoot() *obs.Span {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.traceRoot == nil {
-		w.traceRoot = obs.NewSpan("mpcworker")
-	}
-	return w.traceRoot
-}
+// Traces returns the buffer of the worker's last traceBuf service
+// spans, one root per traced op, each continuing the coordinator's
+// context (its trace id, the attempt span as parent_span). Untraced
+// frames record nothing. mpcworker serves it at /trace/requests.
+func (w *Worker) Traces() *obs.TraceBuffer { return w.tracer.Buffer() }
 
 // SetDieAfter arms the crash trigger: the worker dies upon processing its
 // n-th sequenced op, BEFORE sending the response — the coordinator
@@ -189,24 +187,21 @@ func (w *Worker) handle(conn net.Conn, f Frame) Frame {
 	}
 
 	// A service span per TRACED frame, continuing the coordinator attempt
-	// span named by the frame's trace context. Timing wraps apply() only:
-	// the delta between this span and the coordinator's wire span is the
-	// network plus framing, which is the comparison the merged timeline
-	// exists to show.
-	var span *obs.Span
-	if f.Trace.Valid() && w.traceRoot != nil {
-		span = w.traceRoot.Continue(f.Op.String(), f.Trace)
-		span.Add("seq", int64(f.Seq))
-		span.Add("machine", int64(f.Machine))
-		span.Add("req_bytes", int64(len(f.Payload)))
-	}
+	// span named by the frame's trace context (nil for an untraced one).
+	// Timing wraps apply() only: the delta between this span and the
+	// coordinator's wire span is the network plus framing, which is the
+	// comparison the merged timeline exists to show.
+	span := w.tracer.StartRequest(f.Trace, f.Op.String())
+	span.Add("seq", int64(f.Seq))
+	span.Add("machine", int64(f.Machine))
+	span.Add("req_bytes", int64(len(f.Payload)))
 	start := time.Now()
 	resp := w.apply(f)
 	if w.sink != nil {
 		w.sink.observeOp(f.Op, time.Since(start).Seconds())
 		w.sink.setResident(w.totalWords)
 	}
-	span.End()
+	w.tracer.Finish(span)
 
 	w.lastSeq = f.Seq
 	w.lastResp = resp

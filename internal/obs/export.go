@@ -1,18 +1,16 @@
-// Exporters: Prometheus text exposition format, JSON, and expvar. All
-// three render the same Snapshot, so a scrape of /metrics, /metrics.json,
-// and /debug/vars at the same instant reports consistent families.
+// Exporters: Prometheus text exposition format and JSON. Both render the
+// same Snapshot, so a scrape of /metrics and /metrics.json at the same
+// instant reports consistent families.
 package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // formatValue renders a sample value the way Prometheus expects: integers
@@ -106,34 +104,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(struct {
 		Metrics []Value `json:"metrics"`
 	}{Metrics: snap})
-}
-
-var (
-	expvarMu        sync.Mutex
-	expvarPublished = map[string]bool{}
-)
-
-// PublishExpvar exposes the registry under the given expvar name (shown
-// at /debug/vars as {"series key": value, ...}; histograms appear as
-// their sum with a separate "<name>_count" entry). Publishing the same
-// name twice is a no-op — expvar itself panics on duplicates, and tests
-// re-create registries freely.
-func (r *Registry) PublishExpvar(name string) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvarPublished[name] {
-		return
-	}
-	expvarPublished[name] = true
-	expvar.Publish(name, expvar.Func(func() any {
-		out := make(map[string]float64)
-		for _, v := range r.Snapshot() {
-			key := v.Name + labelString(v.Labels)
-			out[key] = v.Value
-			if v.Kind == "histogram" {
-				out[key+"_count"] = float64(v.Count)
-			}
-		}
-		return out
-	}))
 }

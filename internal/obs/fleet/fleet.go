@@ -220,39 +220,19 @@ func (s *Scraper) rollup() {
 		"Max per-process peak residency across the fleet — the paper's per-machine space bound, observed live. Dead workers keep their last-known peak.").Set(peak)
 }
 
-// FetchSpans pulls each worker's span forest (/trace?format=json) and
-// returns one TraceProcess per target, in target order — the worker rows
-// of a merged Perfetto timeline. Unreachable workers yield a process with
-// no roots: an empty row in the viewer, which is what a dead worker is.
+// FetchSpans reads each worker's retained service spans
+// (/trace/requests) and returns one TraceProcess per target, in target
+// order — the worker rows of a merged Perfetto timeline, one track per
+// retained op. Unreachable workers yield a process with no roots: an
+// empty row in the viewer, which is what a dead worker is.
 func (s *Scraper) FetchSpans() []obs.TraceProcess {
 	procs := make([]obs.TraceProcess, 0, len(s.targets))
 	for _, t := range s.targets {
 		p := obs.TraceProcess{Name: "worker " + t.ID}
 		if t.URL != "" {
-			if sn := s.fetchSpan(t); sn != nil {
-				p.Roots = []*obs.SpanSnapshot{sn}
-			}
+			p.Roots, _ = obs.FetchRequestTraces(s.client, t.URL) // unreachable: an empty row
 		}
 		procs = append(procs, p)
 	}
 	return procs
-}
-
-func (s *Scraper) fetchSpan(t Target) *obs.SpanSnapshot {
-	resp, err := s.client.Get(strings.TrimSuffix(t.URL, "/") + "/trace?format=json")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var sn obs.SpanSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&sn); err != nil {
-		return nil
-	}
-	if sn.Name == "" {
-		return nil // "null" body: the worker serves no span tree
-	}
-	return &sn
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -10,10 +9,11 @@ import (
 	"mpctree/internal/obs"
 )
 
-// fakeWorker serves a real obs registry (and optionally a span forest)
-// the way mpcworker's debug endpoint does, so the scraper is tested
-// against the genuine JSON shapes, not hand-rolled fixtures.
-func fakeWorker(t *testing.T, reg *obs.Registry, root *obs.Span) *httptest.Server {
+// fakeWorker serves a real obs registry and, when traces is non-nil, its
+// service spans through the handlers mpcworker's debug endpoint uses, so
+// the scraper is tested against the genuine JSON shapes, not hand-rolled
+// fixtures.
+func fakeWorker(t *testing.T, reg *obs.Registry, traces *obs.TraceBuffer) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
@@ -22,14 +22,9 @@ func fakeWorker(t *testing.T, reg *obs.Registry, root *obs.Span) *httptest.Serve
 			t.Errorf("fake worker WriteJSON: %v", err)
 		}
 	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var sn *obs.SpanSnapshot
-		if root != nil {
-			sn = root.Snapshot()
-		}
-		json.NewEncoder(w).Encode(sn) // nil encodes as "null", like the real endpoint
-	})
+	if traces != nil {
+		obs.RegisterRequestTraces(mux, traces)
+	}
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
@@ -174,12 +169,13 @@ func TestStartStopLoop(t *testing.T) {
 }
 
 func TestFetchSpans(t *testing.T) {
-	root := obs.NewSpan("mpcworker")
-	sp := root.Child("append")
+	tracer := obs.NewTracer(0, 8)
+	remote := obs.NewSpan("mpcnet_client").Child("append")
+	sp := tracer.StartRequest(remote.Context(), "append")
 	sp.Add("seq", 3)
-	sp.End()
-	live := fakeWorker(t, workerReg(1), root)
-	bare := fakeWorker(t, workerReg(1), nil) // serves "null" on /trace
+	tracer.Finish(sp)
+	live := fakeWorker(t, workerReg(1), tracer.Buffer())
+	bare := fakeWorker(t, workerReg(1), nil) // serves no /trace/requests
 
 	s := New(obs.New(), []Target{
 		{ID: "0", URL: live.URL},
@@ -194,16 +190,16 @@ func TestFetchSpans(t *testing.T) {
 		t.Fatalf("live worker row = %+v, want one root", procs[0])
 	}
 	got := procs[0].Roots[0]
-	if got.Name != "mpcworker" || len(got.Children) != 1 || got.Children[0].Metrics["seq"] != 3 {
-		t.Errorf("scraped span forest mangled: %+v", got)
+	if got.Name != "append" || got.Metrics["seq"] != 3 || got.ParentSpan != remote.Snapshot().SpanID {
+		t.Errorf("scraped service span mangled: %+v", got)
 	}
-	if got.Children[0].StartUnixNs == 0 {
+	if got.StartUnixNs == 0 {
 		t.Error("scraped span lost StartUnixNs — cross-process merge has no clock")
 	}
 	if len(procs[1].Roots) != 0 {
 		t.Errorf("dead worker row has %d roots, want an empty row", len(procs[1].Roots))
 	}
 	if len(procs[2].Roots) != 0 {
-		t.Errorf("span-less worker row has %d roots, want 0 (null body)", len(procs[2].Roots))
+		t.Errorf("span-less worker row has %d roots, want 0", len(procs[2].Roots))
 	}
 }

@@ -1,15 +1,16 @@
-// The live debug server: -http on treembed/mpcbench serves metrics,
-// spans, expvar, and pprof so long experiment runs can be inspected
-// while they execute.
+// The live debug server: -http on treembed/mpcbench and -obs-listen on
+// mpcworker serve metrics, spans, expvar, and pprof so long runs can be
+// inspected while they execute.
 //
 // Endpoints:
 //
-//	/metrics        Prometheus text exposition format
-//	/metrics.json   the same snapshot as JSON
-//	/trace          phase-attributed span tree (text; ?format=json for JSON)
-//	/healthz        build identity + uptime + series count (liveness probe)
-//	/debug/vars     expvar (the registry is published, plus Go's defaults)
-//	/debug/pprof/*  the standard runtime profiles
+//	/metrics         Prometheus text exposition format
+//	/metrics.json    the same snapshot as JSON
+//	/trace           phase-attributed span tree (text; ?format=json for JSON)
+//	/trace/requests  completed request forests (when Serve gets a buffer)
+//	/healthz         build identity + uptime + series count (liveness probe)
+//	/debug/vars      expvar (Go's own variables)
+//	/debug/pprof/*   the standard runtime profiles
 //
 // The server observes; it never mutates. Scraping any endpoint at any
 // frequency cannot change algorithmic output — the registry and span
@@ -60,21 +61,17 @@ func Health(reg *Registry) HealthStatus {
 
 // Server is a running debug endpoint.
 type Server struct {
-	addr     string
-	listener net.Listener
-	srv      *http.Server
-	root     *Span
+	addr string
+	srv  *http.Server
 }
 
 // RegisterDebug mounts the standard debug endpoints — /metrics,
 // /metrics.json, /trace, /healthz, /debug/vars, /debug/pprof/* — on an
-// existing
-// mux, so servers with their own routes (cmd/treeserve) expose the same
-// observability surface Serve does without a second listener. root is
-// called per /trace request and may return nil (renders "(no spans)").
-// The registry is published to expvar under "mpctree_metrics".
+// existing mux, so servers with their own routes (cmd/treeserve) expose
+// the same observability surface Serve does without a second listener.
+// root is called per /trace request and may return nil (renders "(no
+// spans)").
 func RegisterDebug(mux *http.ServeMux, reg *Registry, root func() *Span) {
-	reg.PublishExpvar("mpctree_metrics")
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
@@ -111,35 +108,36 @@ func RegisterDebug(mux *http.ServeMux, reg *Registry, root func() *Span) {
 }
 
 // Serve starts the debug server on addr (host:port; ":0" picks a free
-// port) exporting reg and, when non-nil, the span tree rooted at root.
-// The registry is also published to expvar under "mpctree_metrics".
-func Serve(addr string, reg *Registry, root *Span) (*Server, error) {
+// port) exporting reg, the span tree rooted at root, and, at
+// /trace/requests, the forests traces retains. root and traces may be
+// nil; a nil traces mounts no /trace/requests.
+func Serve(addr string, reg *Registry, root *Span, traces *TraceBuffer) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	s := &Server{addr: ln.Addr().String(), listener: ln, root: root}
-
 	mux := http.NewServeMux()
-	RegisterDebug(mux, reg, s.Root)
+	RegisterDebug(mux, reg, func() *Span { return root })
+	index := "mpctree observability\n\n/metrics\n/metrics.json\n/trace (?format=json)\n/healthz\n/debug/vars\n/debug/pprof/\n"
+	if traces != nil {
+		RegisterRequestTraces(mux, traces)
+		index += "/trace/requests\n"
+	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "mpctree observability\n\n/metrics\n/metrics.json\n/trace (?format=json)\n/healthz\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, index)
 	})
 
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	s := &Server{addr: ln.Addr().String(), srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }
 
 // Addr returns the bound listen address (resolves ":0").
 func (s *Server) Addr() string { return s.addr }
-
-// Root returns the span tree served.
-func (s *Server) Root() *Span { return s.root }
 
 // Close shuts the server down.
 func (s *Server) Close() error { return s.srv.Close() }

@@ -33,8 +33,11 @@ func TestServeEndpoints(t *testing.T) {
 	ph.Add("rounds", 13)
 	ph.End()
 	root.End()
+	tracer := NewTracer(1, 4)
+	req := tracer.StartRequest(TraceContext{}, "served")
+	tracer.Finish(req)
 
-	srv, err := Serve("127.0.0.1:0", reg, root)
+	srv, err := Serve("127.0.0.1:0", reg, root, tracer.Buffer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +79,11 @@ func TestServeEndpoints(t *testing.T) {
 		t.Errorf("trace rounds = %d, want 13", sn.SumMetric("rounds"))
 	}
 
+	forests, err := FetchRequestTraces(http.DefaultClient, base)
+	if err != nil || len(forests) != 1 || forests[0].Name != "served" || forests[0].SpanID != formatSpanID(req.Context().SpanID) {
+		t.Fatalf("/trace/requests read back %+v, %v; want the one finished request", forests, err)
+	}
+
 	hz, ctype := get(t, base+"/healthz")
 	if !strings.Contains(ctype, "application/json") {
 		t.Errorf("/healthz content-type = %q", ctype)
@@ -99,18 +107,21 @@ func TestServeEndpoints(t *testing.T) {
 	}
 
 	home, _ := get(t, base+"/")
-	if !strings.Contains(home, "/metrics") {
+	if !strings.Contains(home, "/metrics") || !strings.Contains(home, "/trace/requests") {
 		t.Errorf("index page missing endpoint list: %q", home)
 	}
 }
 
 func TestServeNilRoot(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", New(), nil)
+	srv, err := Serve("127.0.0.1:0", New(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr()
+	if _, err := FetchRequestTraces(http.DefaultClient, base); err == nil {
+		t.Error("a server given no trace buffer answers /trace/requests")
+	}
 	trace, _ := get(t, base+"/trace")
 	if !strings.Contains(trace, "no spans") {
 		t.Errorf("nil-root /trace = %q", trace)
@@ -122,7 +133,7 @@ func TestServeNilRoot(t *testing.T) {
 }
 
 func TestServeBadAddr(t *testing.T) {
-	if _, err := Serve("127.0.0.1:99999", New(), nil); err == nil {
+	if _, err := Serve("127.0.0.1:99999", New(), nil, nil); err == nil {
 		t.Fatal("bad address did not error")
 	}
 }

@@ -1,6 +1,6 @@
 // Package obs is the repository's observability layer: a concurrency-safe
 // metrics registry (counters, gauges, fixed-bucket histograms) with
-// Prometheus-text, JSON, and expvar exporters, hierarchical spans that
+// Prometheus-text and JSON exporters, hierarchical spans that
 // attribute cost to the Theorem-1 pipeline phases, and a live debug HTTP
 // server (http.go). It is stdlib-only by design — the module has zero
 // external dependencies and observability must not be the thing that

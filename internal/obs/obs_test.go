@@ -201,10 +201,3 @@ func TestValidateRejectsGarbage(t *testing.T) {
 		}
 	}
 }
-
-func TestExpvarPublishIdempotent(t *testing.T) {
-	r := New()
-	r.Counter("pub_total", "").Inc()
-	r.PublishExpvar("obs_test_pub")
-	r.PublishExpvar("obs_test_pub") // second call must not panic
-}

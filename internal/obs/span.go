@@ -20,8 +20,8 @@
 // Every span also carries its identity — a 128-bit trace id, its own
 // span id and its parent's — so forests recorded in different processes
 // (coordinator and workers, gate and replicas) join into one trace: a
-// span continuing a remote TraceContext records the remote span as its
-// parent.
+// root that Tracer.StartRequest opens for a propagated TraceContext
+// records the remote span as its parent.
 //
 // Every method is safe on a nil *Span — instrumentation call sites never
 // need nil checks — and safe for concurrent use: a live span tree can be
@@ -104,21 +104,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.attach(newSpan(name, s.mu, s.traceID, s.spanID))
-}
-
-// Continue starts a child span that continues a remote context: it nests
-// under s in this process's tree, but takes its trace id from remote and
-// records remote's span as its parent. A worker's service span for a
-// traced MPW1 frame is one. Nil-safe.
-func (s *Span) Continue(name string, remote TraceContext) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.attach(newSpan(name, s.mu, remote.TraceID, remote.SpanID))
-}
-
-func (s *Span) attach(c *Span) *Span {
+	c := newSpan(name, s.mu, s.traceID, s.spanID)
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()

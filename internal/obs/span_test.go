@@ -139,14 +139,15 @@ func TestSpanDoubleEndKeepsFirst(t *testing.T) {
 }
 
 // TestSpanIdentity: a root draws a fresh trace, a child inherits its
-// parent's trace id and names it as parent_span, and Continue takes both
-// from the remote context — the three cases every cross-process link in
-// the repository is built from.
+// parent's trace id and names it as parent_span, and a root that
+// Tracer.StartRequest opens for a remote context takes both from it —
+// the three cases every cross-process link in the repository is built
+// from.
 func TestSpanIdentity(t *testing.T) {
 	root := NewSpan("root")
 	child := root.Child("child")
 	remote := TraceContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
-	cont := root.Continue("served", remote)
+	cont := NewTracer(0, 1).StartRequest(remote, "served")
 	for _, s := range []*Span{cont, child, root} {
 		s.End()
 	}
@@ -163,12 +164,12 @@ func TestSpanIdentity(t *testing.T) {
 	if c.TraceID != sn.TraceID || c.ParentSpan != sn.SpanID || cc.SpanID == rc.SpanID {
 		t.Fatalf("child identity %+v under root %q/%q", c, sn.TraceID, sn.SpanID)
 	}
-	x := sn.Children[1]
+	x := cont.Snapshot()
 	if x.TraceID != remote.TraceIDString() || x.ParentSpan != formatSpanID(remote.SpanID) || xc.TraceID != remote.TraceID {
 		t.Fatalf("continued identity %+v, remote %+v", x, remote)
 	}
 	var nilSpan *Span
-	if nilSpan.Context().Valid() || nilSpan.Continue("x", remote) != nil {
+	if nilSpan.Context().Valid() {
 		t.Fatal("nil span has identity")
 	}
 }

@@ -330,18 +330,41 @@ func (t *Tracer) Finish(root *Span) {
 	t.buf.Add(root)
 }
 
+// requestTraces is the /trace/requests document.
+type requestTraces struct {
+	Spans []*SpanSnapshot `json:"spans"`
+}
+
 // RegisterRequestTraces mounts GET /trace/requests on mux: the
 // buffer's completed sampled request forests as {"spans": [...]}, the
-// feed the merged gate+replica timeline export reads.
+// feed FetchRequestTraces reads for the merged timeline exports.
 func RegisterRequestTraces(mux *http.ServeMux, buf *TraceBuffer) {
 	mux.HandleFunc("/trace/requests", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		spans := buf.Snapshots()
-		if spans == nil {
-			spans = []*SpanSnapshot{}
+		doc := requestTraces{Spans: buf.Snapshots()}
+		if doc.Spans == nil {
+			doc.Spans = []*SpanSnapshot{}
 		}
-		_ = json.NewEncoder(w).Encode(struct {
-			Spans []*SpanSnapshot `json:"spans"`
-		}{Spans: spans})
+		_ = json.NewEncoder(w).Encode(doc)
 	})
+}
+
+// FetchRequestTraces reads the forests the process at base (a URL such
+// as "http://127.0.0.1:4102") serves at /trace/requests, oldest first:
+// the rows a merged timeline shows for a replica or a worker.
+func FetchRequestTraces(client *http.Client, base string) ([]*SpanSnapshot, error) {
+	url := strings.TrimSuffix(base, "/") + "/trace/requests"
+	resp, err := client.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("obs: GET %s: %s", url, resp.Status)
+	}
+	var doc requestTraces
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		return nil, fmt.Errorf("obs: GET %s: %w", url, err)
+	}
+	return doc.Spans, nil
 }

@@ -112,7 +112,12 @@ type Step func(attempt int) error
 // cannot fix a genuine cap violation, a coverage failure or a bad route.
 //
 // On final failure the checkpoint is restored one last time, so the
-// caller receives a clean (if rolled-back) cluster to degrade on.
+// caller receives a clean (if rolled-back) cluster to degrade on. If the
+// cluster was failed once the entry checkpoint was taken — a worker lost
+// during the checkpoint's own reads — the snapshot lacks that worker's
+// stores, no retry can help, and the returned error wraps that failure
+// too, naming its cause (mpc.ErrTransport and the worker) instead of
+// only mpc.ErrFailed.
 func Run(c *mpc.Cluster, stage string, opts Options, step Step) (Stats, error) {
 	st := Stats{Stage: stage}
 	snk := sink.Load()
@@ -120,6 +125,13 @@ func Run(c *mpc.Cluster, stage string, opts Options, step Step) (Stats, error) {
 		snk.stages.Inc()
 	}
 	cp := c.Checkpoint()
+	entryErr := c.Err()
+	fail := func(err error) (Stats, error) {
+		if entryErr != nil {
+			err = fmt.Errorf("%w (stage %q entry checkpoint: %w)", err, stage, entryErr)
+		}
+		return st, err
+	}
 	budget := opts.maxRetries()
 
 	for attempt := 0; ; attempt++ {
@@ -138,7 +150,7 @@ func Run(c *mpc.Cluster, stage string, opts Options, step Step) (Stats, error) {
 		// was). Anything else is a deterministic algorithm failure.
 		if !errors.Is(err, mpc.ErrInjected) && !errors.Is(err, mpc.ErrTransport) {
 			c.Restore(cp)
-			return st, err
+			return fail(err)
 		}
 
 		if attempt >= budget {
@@ -146,7 +158,7 @@ func Run(c *mpc.Cluster, stage string, opts Options, step Step) (Stats, error) {
 			if snk != nil {
 				snk.exhausted.Inc()
 			}
-			return st, fmt.Errorf("%w: stage %q failed %d attempts: %w", ErrExhausted, stage, st.Attempts, err)
+			return fail(fmt.Errorf("%w: stage %q failed %d attempts: %w", ErrExhausted, stage, st.Attempts, err))
 		}
 
 		backoff := virtualBackoff(opts, stage, attempt)
