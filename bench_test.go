@@ -10,6 +10,8 @@
 package mpctree
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"mpctree/internal/experiments"
@@ -87,6 +89,60 @@ func BenchmarkTreeDistanceQuery(b *testing.B) {
 		sink += tree.Dist(i%1024, (i*31+7)%1024)
 	}
 	_ = sink
+}
+
+// benchSink keeps the kernels' results live.
+var benchSink int
+
+// serveTrees embeds perfbench's serve shape — 4096 lattice points in
+// d = 2, Δ = 1024, 8 machines, a 1<<22-word cap — once per bench seed.
+func serveTrees(b *testing.B) []*Tree {
+	b.Helper()
+	pts := workload.UniformLattice(1, 4096, 2, 1024)
+	trees := make([]*Tree, len(benchSeeds))
+	for i, s := range benchSeeds {
+		t, _, err := EmbedMPC(pts, MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: s})
+		if err != nil {
+			b.Fatal(err)
+		}
+		trees[i] = t
+	}
+	return trees
+}
+
+// BenchmarkTreeKNN times KNN on serve-shaped trees. One op is 64
+// queries: points stride through each tree and k cycles 1…8, so even a
+// one-iteration run (benchdiff -quick) reads warm state.
+func BenchmarkTreeKNN(b *testing.B) {
+	trees := serveTrees(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := trees[i%len(trees)]
+		for j := 0; j < 64; j++ {
+			q := i*64 + j
+			benchSink += len(t.KNN(q*7919%t.NumPoints(), 1+q%8))
+		}
+	}
+}
+
+// BenchmarkTreeCut times CutAtScale on serve-shaped trees. One op is 8
+// cuts at scales drawn log-uniformly from [1, 1e6].
+func BenchmarkTreeCut(b *testing.B) {
+	trees := serveTrees(b)
+	r := rand.New(rand.NewSource(1))
+	scales := make([]float64, 256)
+	for i := range scales {
+		scales[i] = math.Pow(10, 6*r.Float64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := trees[i%len(trees)]
+		for j := 0; j < 8; j++ {
+			benchSink += len(t.CutAtScale(scales[(i*8+j)%len(scales)]))
+		}
+	}
 }
 
 func BenchmarkApproxMST(b *testing.B) {

@@ -1,7 +1,8 @@
 // benchdiff runs the width-scaling benchmark suite at workers=1 and
 // workers=8 (the sub-benchmarks of bench_workers_test.go, each run at that
-// GOMAXPROCS, plus the DistFWHT record-routing benchmark), writes the
-// results to a JSON report,
+// GOMAXPROCS), plus the DistFWHT record-routing benchmark, the gate's hot
+// path and the tree's KNN and cut kernels, writes the results to a JSON
+// report,
 // and fails if any benchmark regressed by more than -threshold against the
 // committed baseline.
 //
@@ -157,7 +158,7 @@ func main() {
 		rep.Note = "recorded at GOMAXPROCS=1: the /workers=N>1 variants measure the worker pool's scheduling overhead, not a parallel speedup; read the speedup ratios only against a multi-core recording"
 	}
 	for _, suite := range []struct{ pkg, pattern string }{
-		{"mpctree", "Workers"},
+		{"mpctree", "Workers|BenchmarkTreeKNN|BenchmarkTreeCut"},
 		{"mpctree/internal/hadamard", "BenchmarkDistFWHT|BenchmarkFWHT1024|BenchmarkFWHTLarge"},
 		{"mpctree/internal/gate", "BenchmarkGateHotPath"},
 	} {

@@ -17,13 +17,19 @@ import (
 // objects. Writing puts each node's record out of one buffer; a buffer
 // per field made three objects per node (≈94k). The kernels
 // read state derived at load time: a cut allocates only its labels, a
-// medoid nothing.
+// medoid nothing, and a KNN query only its answer, which holds its
+// bounded heap — also on a full-depth tree, where many points tie
+// at the k-th distance and a query must not grow with the ties.
 func TestQueryAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
 	}
 	r := rng.New(1)
 	tr := shapedHST(r, 4096, 8, false)
+	full := fullDepthHST(r, 4096, 5)
+	if full.levelW == nil {
+		t.Fatal("full-depth tree is not level-uniform")
+	}
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -49,6 +55,7 @@ func TestQueryAllocCeiling(t *testing.T) {
 		{"CutAtScale", 1, func() { tr.CutAtScale(10) }},
 		{"MedoidLeaf", 0, func() { tr.MedoidLeaf() }},
 		{"KNN", 2, func() { tr.KNN(1234, 8) }},
+		{"KNN full-depth", 2, func() { full.KNN(1234, 8) }},
 		{"EMD", 1, func() { tr.EMD(mu, nu) }},
 	}
 	for _, c := range cases {

@@ -4,9 +4,9 @@
 // solving dynamic programs on trees". Two DPs serve the query layer:
 // CutAtScale (a flat clustering at a scale) and MedoidLeaf (the 1-median
 // leaf). Both read state a finished tree derives once: CutAtScale scans
-// the preorder against the stored diameter bounds, and MedoidLeaf returns
-// the medoid computed at finish time by one bottom-up and one top-down
-// pass.
+// the preorder against the diameter bounds stored in the same order, and
+// MedoidLeaf returns the medoid computed at finish time by one bottom-up
+// and one top-down pass.
 package hst
 
 import "math"
@@ -19,7 +19,9 @@ import "math"
 //
 // One forward scan of the preorder visits the nodes above the frontier,
 // labels each admitted subtree's points as one cluster and jumps past it:
-// O(nodes above the frontier + points).
+// O(nodes above the frontier + points), on any tree. The scan reads only
+// arrays laid out in preorder (subtree ends, point ranges, diameter
+// bounds), so it walks them front to back and never indexes by node.
 //
 // Non-positive and NaN scales are normalised to 0, which admits only
 // zero-diameter frontiers — every point becomes its own singleton
@@ -33,7 +35,7 @@ func (t *Tree) CutAtScale(maxDiam float64) []int {
 	next := 0
 	for i := 0; i < len(t.pre); {
 		e := t.pre[i]
-		if t.diam[e.node] <= maxDiam {
+		if t.preDiam[i] <= maxDiam {
 			for _, p := range t.prePoints[e.ptLo:e.ptHi] {
 				labels[p] = next
 			}
@@ -42,12 +44,17 @@ func (t *Tree) CutAtScale(maxDiam float64) []int {
 			continue
 		}
 		// A point node above the frontier (a leaf with children, in
-		// exotic trees) is a cluster of its own.
-		if p := t.Nodes[e.node].Point; p >= 0 {
-			labels[p] = next
+		// exotic trees) is a cluster of its own. Its point leads its
+		// range, ahead of the first child's.
+		i++
+		childLo := e.ptHi
+		if i < int(e.end) {
+			childLo = t.pre[i].ptLo
+		}
+		if e.ptLo < childLo {
+			labels[t.prePoints[e.ptLo]] = next
 			next++
 		}
-		i++
 	}
 	return labels
 }

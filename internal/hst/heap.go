@@ -1,8 +1,8 @@
 package hst
 
 // heapItem orders the entries of a binary heap: a.before(b) means a pops
-// first. KNN's frontier and EMD's flows are heaps of such values, kept
-// unboxed in a plain slice.
+// first. EMD's flows and KNN's k best neighbors (a max-heap, farthest on
+// top) are heaps of such values, kept unboxed in a plain slice.
 type heapItem[T any] interface {
 	before(T) bool
 }
@@ -28,22 +28,28 @@ func heapPop[T heapItem[T]](h []T) (T, []T) {
 	last := len(h) - 1
 	h[0] = h[last]
 	h = h[:last]
-	for i := 0; ; {
+	heapDown(h, 0)
+	return top, h
+}
+
+// heapDown restores the heap order of h after h[i] was replaced by an
+// entry that may pop later than its children.
+func heapDown[T heapItem[T]](h []T, i int) {
+	for {
 		first, l := i, 2*i+1
-		if l >= last {
-			break
+		if l >= len(h) {
+			return
 		}
 		if h[l].before(h[first]) {
 			first = l
 		}
-		if r := l + 1; r < last && h[r].before(h[first]) {
+		if r := l + 1; r < len(h) && h[r].before(h[first]) {
 			first = r
 		}
 		if first == i {
-			break
+			return
 		}
 		h[i], h[first] = h[first], h[i]
 		i = first
 	}
-	return top, h
 }

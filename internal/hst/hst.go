@@ -12,7 +12,12 @@
 // under the tree metric (linear time), Earth-Mover distance between leaf
 // measures under the tree metric (a walk over the root paths of the two
 // measures' support), and subtree statistics for densest-ball style
-// queries.
+// queries. The serving tier's kernels — k nearest neighbours, a cut at a
+// scale, the medoid — read state a finished tree derives once (see
+// Tree). On a level-uniform tree, the shape Algorithm 2 builds (every
+// point on a childless node at one depth, one edge weight per depth), all
+// points of a subtree are equidistant from any point outside it, and KNN
+// reads such ties as ranges of a preorder instead of visiting them.
 package hst
 
 import (
@@ -48,22 +53,24 @@ type Tree struct {
 	Leaf  []int // Leaf[i] = arena index of point i's leaf
 
 	// Derived by Builder.Finish and ReadTree; the weight-dependent ones
-	// (upW, diam, medoid, medoidDist) again by ScaleWeights.
+	// (upW, preDiam, levelW, medoid, medoidDist) again by ScaleWeights.
 	depth      []int      // edge depth from root
 	upW        []float64  // total weight of the root path
 	up         [][]int32  // binary lifting: up[k][v] = 2^k-th ancestor
-	diam       []float64  // SubtreeLeafDiameterBound, per node
-	pre        []preEntry // nodes in depth-first preorder, children in Children order
+	pos        []int32    // each node's position in the depth-first preorder, children in Children order
+	pre        []preEntry // the preorder's subtrees, by position
+	preDiam    []float64  // SubtreeLeafDiameterBound, by preorder position
 	prePoints  []int32    // data points in the preorder of their nodes
+	levelW     []float64  // the edge weight at each depth of a level-uniform tree; nil on any other
 	medoid     int        // MedoidLeaf's point …
 	medoidDist float64    // … and its total distance
 }
 
-// preEntry is one position of the preorder: the node there, the position
-// just past its subtree, and its subtree's points as the range
-// prePoints[ptLo:ptHi].
+// preEntry is one position of the preorder: the position just past the
+// subtree of the node there, and that subtree's points as the range
+// prePoints[ptLo:ptHi]. A node's own point, if it has one, comes first.
 type preEntry struct {
-	node, end, ptLo, ptHi int32
+	end, ptLo, ptHi int32
 }
 
 // NumPoints returns the number of embedded data points.
@@ -143,10 +150,14 @@ func (t *Tree) SubtreeCounts() []int {
 // SubtreeLeafDiameterBound returns, per node, an upper bound on the tree
 // distance between any two leaves of its subtree: twice the maximum
 // root-path weight below it minus twice its own root-path weight. The
-// bounds are derived when the tree is finished; the result is a fresh
-// copy the caller may modify.
+// bounds are derived, in preorder, when the tree is finished; the result
+// is a fresh node-indexed copy the caller may modify.
 func (t *Tree) SubtreeLeafDiameterBound() []float64 {
-	return append([]float64(nil), t.diam...)
+	out := make([]float64, len(t.Nodes))
+	for v, i := range t.pos {
+		out[v] = t.preDiam[i]
+	}
+	return out
 }
 
 // Validate checks structural invariants and returns a descriptive error if
@@ -321,11 +332,12 @@ func (t *Tree) derive() {
 	}
 	pos := make([]int32, n)   // preorder position of each node
 	ptPos := make([]int32, n) // prePoints slot of the first point in its subtree
+	t.pos = pos
 	t.pre = make([]preEntry, n)
 	t.prePoints = make([]int32, len(t.Leaf))
 	for v := 0; v < n; v++ {
 		i, pt := pos[v], ptPos[v]
-		t.pre[i] = preEntry{node: int32(v), end: i + size[v], ptLo: pt, ptHi: pt + points[v]}
+		t.pre[i] = preEntry{end: i + size[v], ptLo: pt, ptHi: pt + points[v]}
 		if p := t.Nodes[v].Point; p >= 0 {
 			t.prePoints[pt] = int32(p)
 			pt++
@@ -341,22 +353,62 @@ func (t *Tree) derive() {
 }
 
 // deriveWeighted computes the derived fields that depend on edge weights
-// beyond upW: the subtree diameter bounds and the medoid.
+// beyond upW: the subtree diameter bounds, the level weights and the
+// medoid.
 func (t *Tree) deriveWeighted() {
-	n := len(t.Nodes)
-	maxUp := make([]float64, n)
-	copy(maxUp, t.upW)
-	for v := n - 1; v > 0; v-- {
-		p := t.Nodes[v].Parent
-		if maxUp[v] > maxUp[p] {
-			maxUp[p] = maxUp[v]
+	// The maximum root-path weight below each node, by preorder position:
+	// each node's own, then, in reverse preorder, its children's, which
+	// start just after it, each past the previous one's subtree.
+	maxUp := make([]float64, len(t.Nodes))
+	for v, i := range t.pos {
+		maxUp[i] = t.upW[v]
+	}
+	for i := len(maxUp) - 1; i >= 0; i-- {
+		for c := i + 1; c < int(t.pre[i].end); c = int(t.pre[c].end) {
+			if maxUp[c] > maxUp[i] {
+				maxUp[i] = maxUp[c]
+			}
 		}
 	}
-	t.diam = maxUp
-	for v := range t.diam {
-		t.diam[v] = 2 * (maxUp[v] - t.upW[v])
+	for v, i := range t.pos {
+		maxUp[i] = 2 * (maxUp[i] - t.upW[v])
 	}
+	t.preDiam = maxUp
+	t.levelW = t.levelWeights()
 	t.medoid, t.medoidDist = t.twoPassMedoid()
+}
+
+// levelWeights returns, for a level-uniform tree, the edge weight of
+// every depth down to the points' depth, and nil for any other tree. A
+// tree is level-uniform when every point sits on a childless node at one
+// depth and, at each depth down to it, all nodes carry bit-identical
+// weights: the shape of Algorithm 2's trees, which hang every point on a
+// full-depth root path below one weight per level. On such a tree all
+// points of a subtree are equidistant from any point outside it, which
+// KNN reads as one range of tied points.
+func (t *Tree) levelWeights() []float64 {
+	if len(t.Leaf) == 0 {
+		return nil
+	}
+	leafDepth := t.depth[t.Leaf[0]]
+	w := make([]float64, leafDepth+1)
+	// Parents precede children, so each depth is first met just after
+	// the one above it; nodes below the points' depth lead to no point.
+	known := 0
+	for v := 1; v < len(t.Nodes); v++ {
+		nd, d := &t.Nodes[v], t.depth[v]
+		if nd.Point >= 0 && (d != leafDepth || len(nd.Children) > 0) {
+			return nil
+		}
+		switch {
+		case d > leafDepth:
+		case d > known:
+			w[d], known = nd.Weight, d
+		case math.Float64bits(nd.Weight) != math.Float64bits(w[d]):
+			return nil
+		}
+	}
+	return w
 }
 
 // MSTEdge is one edge of a spanning tree over data points.

@@ -84,10 +84,16 @@ func TestKNNEdgeCases(t *testing.T) {
 
 // The query kernels must be pure reads: concurrent KNN, cut, medoid and
 // EMD queries over one tree race-free (run under -race) with answers
-// identical to serial.
+// identical to serial, on a tree with points on inner nodes and on a
+// level-uniform one.
 func TestKNNConcurrentReads(t *testing.T) {
 	r := rng.New(23)
-	tr := shapedHST(r, 60, 4, true)
+	for _, tr := range []*Tree{shapedHST(r, 60, 4, true), fullDepthHST(r, 200, 5)} {
+		concurrentReads(t, r, tr)
+	}
+}
+
+func concurrentReads(t *testing.T, r *rng.RNG, tr *Tree) {
 	n := tr.NumPoints()
 	scales := []float64{0, 3, 20, 1e9}
 	measures := make([][2][]float64, 8)

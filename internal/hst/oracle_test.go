@@ -248,33 +248,114 @@ func shapedHST(r *rng.RNG, nPoints, maxChain int, pointsInside bool) *Tree {
 	return b.Finish()
 }
 
-// oracleCase is one tree the kernels are checked on.
+// fullDepthHST builds a level-uniform tree of Algorithm 2's shape: every
+// cluster splits at each depth into up to three groups below one weight
+// per depth, a single point is padded down by a unary chain, and every
+// point is a childless node at depth `depth`, so all points of a subtree
+// tie from outside it: a point's ring at the root holds every point of
+// the root's other children. The weights are drawn per depth, so sums
+// round differently in different orders, and one depth in five weighs
+// 0, so rings at successive ancestors can tie too.
+func fullDepthHST(r *rng.RNG, nPoints, depth int) *Tree {
+	b := NewBuilder(nPoints)
+	type clus struct {
+		node   int
+		points []int
+	}
+	all := make([]int, nPoints)
+	for i := range all {
+		all[i] = i
+	}
+	frontier := []clus{{node: 0, points: all}}
+	scale := 64.0
+	for level := 1; level <= depth; level++ {
+		w := scale * (0.5 + r.Float64())
+		if r.Intn(5) == 0 {
+			w = 0
+		}
+		var next []clus
+		for _, c := range frontier {
+			if level == depth {
+				for _, p := range c.points {
+					b.AddLeaf(c.node, w, level, p)
+				}
+				continue
+			}
+			groups := make([][]int, min(1+r.Intn(3), len(c.points)))
+			for _, p := range c.points {
+				g := r.Intn(len(groups))
+				groups[g] = append(groups[g], p)
+			}
+			for _, g := range groups {
+				if len(g) > 0 {
+					next = append(next, clus{node: b.AddNode(c.node, w, level), points: g})
+				}
+			}
+		}
+		frontier = next
+		scale /= 2
+	}
+	return b.Finish()
+}
+
+// nudged returns a copy of t with node v's edge weight moved up by one
+// ulp.
+func nudged(t *Tree, v int) *Tree {
+	b := NewBuilder(t.NumPoints())
+	for u, nd := range t.Nodes[1:] {
+		w := nd.Weight
+		if u+1 == v {
+			w = math.Nextafter(w, math.Inf(1))
+		}
+		if nd.Point >= 0 {
+			b.AddLeaf(nd.Parent, w, nd.Level, nd.Point)
+		} else {
+			b.AddNode(nd.Parent, w, nd.Level)
+		}
+	}
+	return b.Finish()
+}
+
+// oracleCase is one tree the kernels are checked on, and whether it
+// must be level-uniform (+1), must not be (-1), or either (0).
 type oracleCase struct {
-	shape string
-	tree  *Tree
+	shape   string
+	tree    *Tree
+	uniform int
 }
 
 // oracleCases returns random trees of every shape the kernels meet:
 // plain HSTs, chain-heavy ones, ones with points on inner nodes, the
 // Compressed forms of chain-heavy ones and of ones with points on inner
-// nodes, and trees rescaled by ScaleWeights after Finish.
+// nodes, trees rescaled by ScaleWeights after Finish, and full-depth
+// level-uniform trees with hundreds of points, rescaled and with one
+// weight moved by one ulp.
 func oracleCases(r *rng.RNG) []oracleCase {
 	var cases []oracleCase
+	for trial := 0; trial < 6; trial++ {
+		full := fullDepthHST(r, 10+r.Intn(390), 3+r.Intn(7))
+		scaled := fullDepthHST(r, 10+r.Intn(390), 3+r.Intn(7))
+		scaled.ScaleWeights(1 / (1 - 0.3))
+		cases = append(cases,
+			oracleCase{"full-depth", full, +1},
+			oracleCase{"full-depth-scaled", scaled, +1},
+			oracleCase{"full-depth-nudged", nudged(full, full.Leaf[r.Intn(full.NumPoints())]), -1})
+	}
 	for trial := 0; trial < 12; trial++ {
 		n := 1 + r.Intn(60)
 		chains := shapedHST(r, n, 6, false)
 		plain := shapedHST(r, n, 0, false)
 		inside := shapedHST(r, n, 3, true)
 		cases = append(cases,
-			oracleCase{"plain", plain},
-			oracleCase{"chains", chains},
-			oracleCase{"points-inside", inside},
-			oracleCase{"compressed", chains.Compress()},
-			oracleCase{"compressed-points-inside", inside.Compress()})
+			oracleCase{"plain", plain, 0},
+			oracleCase{"chains", chains, 0},
+			oracleCase{"points-inside", inside, 0},
+			oracleCase{"compressed", chains.Compress(), 0},
+			oracleCase{"compressed-points-inside", inside.Compress(), 0})
 		for _, f := range []float64{1 / (1 - 0.3), 0.37} {
 			scaled := shapedHST(r, n, 6, trial%2 == 0)
 			scaled.ScaleWeights(f)
-			cases = append(cases, oracleCase{"scaled", scaled})
+			cases = append(cases, oracleCase{"scaled", scaled, 0})
 		}
 	}
 	return cases
@@ -312,6 +393,9 @@ func TestKernelsMatchOracles(t *testing.T) {
 	r := rng.New(2024)
 	for i, c := range oracleCases(r) {
 		tr, n := c.tree, c.tree.NumPoints()
+		if uniform := tr.levelW != nil; c.uniform != 0 && uniform != (c.uniform > 0) {
+			t.Fatalf("%s #%d: level-uniform = %v", c.shape, i, uniform)
+		}
 		bounds := oracleDiameterBounds(tr)
 		if got := tr.SubtreeLeafDiameterBound(); !slices.Equal(got, bounds) {
 			t.Fatalf("%s #%d: SubtreeLeafDiameterBound = %v, oracle %v", c.shape, i, got, bounds)
@@ -319,7 +403,7 @@ func TestKernelsMatchOracles(t *testing.T) {
 		// Every bound, just below it and between bounds: each admits a
 		// different frontier.
 		scales := []float64{-1, 0, math.NaN(), 1e9}
-		for _, b := range bounds {
+		for _, b := range slices.Compact(slices.Sorted(slices.Values(bounds))) {
 			scales = append(scales, b, math.Nextafter(b, 0), b*1.5)
 		}
 		for _, s := range scales {
@@ -344,9 +428,13 @@ func TestKernelsMatchOracles(t *testing.T) {
 				t.Fatalf("%s #%d: EMD = %v, oracle %v", c.shape, i, got, want)
 			}
 		}
+		// The oracle's answer for k is the first k of its answer for
+		// every other point, so one oracle call per point checks every k.
 		for p := 0; p < n; p++ {
+			all := oracleKNN(tr, p, n)
 			for _, k := range []int{1, 2, 5, n} {
-				if got, want := tr.KNN(p, k), oracleKNN(tr, p, k); !slices.Equal(got, want) {
+				want := all[:min(k, len(all))]
+				if got := tr.KNN(p, k); !slices.Equal(got, want) {
 					t.Fatalf("%s #%d: KNN(%d, %d) = %v, oracle %v", c.shape, i, p, k, got, want)
 				}
 			}

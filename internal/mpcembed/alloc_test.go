@@ -19,6 +19,8 @@ import (
 // Emit buffers that grow by chunks instead of by copying, a driver
 // assembly into one reserved arena, and one grid search per level for
 // the zero-padding buckets (d = 8 with r = 7 has three) read ~16.2k
+// objects and ~8.3 MB. Keying a machine's emitted edges by slices of one
+// string of its chain ids, instead of one string per edge, read ~3.1k
 // objects and ~8.3 MB.
 func TestEmbedAllocCeiling(t *testing.T) {
 	if testing.Short() {
@@ -44,7 +46,7 @@ func TestEmbedAllocCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / runs
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20)
-	const allocCeiling, mbCeiling = 20000, 10
+	const allocCeiling, mbCeiling = 4000, 10
 	if allocs > allocCeiling || mb > mbCeiling {
 		t.Fatalf("Embed allocates %.0f objects and %.1f MB per run, ceilings %d and %d MB", allocs, mb, allocCeiling, mbCeiling)
 	}

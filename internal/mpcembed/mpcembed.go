@@ -40,6 +40,7 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
+	"strings"
 
 	"mpctree/internal/grid"
 	"mpctree/internal/hst"
@@ -457,17 +458,26 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 				panic(fmt.Sprintf("mpcembed: grid set (level %d, bucket %d) missing", s/r+1, s%r))
 			}
 		}
-		// Per-point path computation and emission — the hot loop — in one
-		// serial sweep in store order: each point's path is a pure function
-		// of the grid table and its own coordinates, edges are deduplicated
-		// map-side, and records go out in the order they are computed, so
-		// every owner receives its path records in the same order at any
-		// GOMAXPROCS. Emitted payloads are sliced out of per-machine
-		// chunks; the receiving stores own them. A point adds at most one
-		// edge per level, which sizes the dedup set.
+		// Per-point path computation — the hot loop — then emission, each
+		// in one serial sweep in store order: each point's path is a pure
+		// function of the grid table and its own coordinates, edges are
+		// deduplicated map-side, and records go out in the order they are
+		// computed, so every owner receives its path records in the same
+		// order at any GOMAXPROCS. The first sweep writes every point's
+		// chain ids, 16 bytes a level, into one string; the second emits
+		// each new edge keyed by its 16 bytes of that string, so the keys
+		// of a machine's edges are one heap object. Emitted payloads are
+		// sliced out of per-machine chunks; the receiving stores own them.
+		// A point adds at most one edge per level, which sizes the dedup
+		// set and the id string.
 		var intChunk []int64
 		var floatChunk []float64
 		seenEdge := make(map[[16]byte]struct{}, len(points)*levels)
+		var ids strings.Builder
+		ids.Grow(len(points) * levels * 16)
+		isNew := make([]bool, 0, len(points)*levels)   // per chain id: its edge is emitted
+		type outcome struct{ failLev, failBucket int } // failLev > 0 marks an uncovered point
+		outcomes := make([]outcome, len(points))
 		var scratch [16]int64
 		var levelID []byte // reused across points; hashed before reuse
 		var padded vec.Point
@@ -488,8 +498,7 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 			zeroCovers = make([]zeroCover, levels*r)
 			zero = make(vec.Point, k)
 		}
-		for _, prec := range points {
-			pid := int(prec.Ints[0])
+		for i, prec := range points {
 			p := prec.Data
 			if len(p) < dPad {
 				if padded == nil {
@@ -501,15 +510,11 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 			}
 			cur := rootHash()
 			w := diam / 2
-			failLev, failBucket := 0, 0 // failLev > 0 marks an uncovered point
-			var pathInts []int64
-			if opt.EmitPaths {
-				pathInts = append(pathInts, int64(pid))
-			}
-			for lev := 1; lev <= levels && failLev == 0; lev++ {
+			out := &outcomes[i]
+			for lev := 1; lev <= levels && out.failLev == 0; lev++ {
 				// Joined ball id across buckets.
 				levelID = levelID[:0]
-				for j := 0; j < r && failLev == 0; j++ {
+				for j := 0; j < r && out.failLev == 0; j++ {
 					s := (lev-1)*r + j
 					var covered bool
 					if j < firstPad {
@@ -525,16 +530,41 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 						covered = z.covered
 					}
 					if !covered {
-						failLev, failBucket = lev, j
+						out.failLev, out.failBucket = lev, j
 					}
 				}
-				if failLev > 0 {
+				if out.failLev > 0 {
 					break
 				}
 				next := chainNext(cur, levelID)
-				if _, seen := seenEdge[next]; !seen {
+				_, seen := seenEdge[next]
+				if !seen {
 					seenEdge[next] = struct{}{}
-					key := string(next[:])
+				}
+				ids.Write(next[:])
+				isNew = append(isNew, !seen)
+				cur = next
+				w /= 2
+			}
+		}
+		keys := ids.String()
+		off := 0 // chain ids emitted so far
+		for i, prec := range points {
+			pid := int(prec.Ints[0])
+			out := outcomes[i]
+			var cur [16]byte // the root's id
+			w := diam / 2
+			var pathInts []int64
+			if opt.EmitPaths {
+				pathInts = append(pathInts, int64(pid))
+			}
+			reached := levels // the levels whose ball covered the point
+			if out.failLev > 0 {
+				reached = out.failLev - 1
+			}
+			for lev := 1; lev <= reached; lev++ {
+				key := keys[16*off : 16*off+16]
+				if isNew[off] {
 					ints := carve(&intChunk, 3, 4*len(points))
 					ints[0] = int64(lev)
 					ints[1] = int64(binary.LittleEndian.Uint64(cur[:8]))
@@ -548,15 +578,16 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 						Data: data,
 					})
 				}
-				cur = next
+				off++
+				copy(cur[:], key)
 				if opt.EmitPaths {
 					pathInts = append(pathInts, int64(binary.LittleEndian.Uint64(cur[:8])), int64(binary.LittleEndian.Uint64(cur[8:])))
 				}
 				w /= 2
 			}
-			if failLev > 0 {
-				key := fmt.Sprintf("fail|%d|%d|%d", pid, failLev, failBucket)
-				emit(mpc.Owner(key, M), mpc.Record{Key: key, Tag: TagFail, Ints: []int64{int64(pid), int64(failLev), int64(failBucket)}})
+			if out.failLev > 0 {
+				key := fmt.Sprintf("fail|%d|%d|%d", pid, out.failLev, out.failBucket)
+				emit(mpc.Owner(key, M), mpc.Record{Key: key, Tag: TagFail, Ints: []int64{int64(pid), int64(out.failLev), int64(out.failBucket)}})
 				continue
 			}
 			if opt.EmitPaths {
