@@ -77,6 +77,23 @@ func BenchmarkEmbedMPCPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkEmbedMPCHighdim times one EmbedMPC at perfbench's
+// build-highdim shape: 256 lattice points in d = 1024, Δ = 1024, 8
+// machines, a 1<<22-word cap. The FJLT runs, and the root paths search
+// 124 buckets of k = 2 over 21 levels.
+func BenchmarkEmbedMPCHighdim(b *testing.B) {
+	pts := workload.UniformLattice(9, 256, 1024, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := EmbedMPC(pts, MPCOptions{
+			Machines: 8, CapWords: 1 << 22, Seed: benchSeeds[i%len(benchSeeds)],
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTreeDistanceQuery(b *testing.B) {
 	pts := workload.UniformLattice(3, 1024, 6, 4096)
 	tree, _, err := Embed(pts, Options{Seed: 1})

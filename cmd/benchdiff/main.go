@@ -1,14 +1,19 @@
 // benchdiff runs the width-scaling benchmark suite at workers=1 and
 // workers=8 (the sub-benchmarks of bench_workers_test.go, each run at that
 // GOMAXPROCS), plus the DistFWHT record-routing benchmark, the gate's hot
-// path and the tree's KNN and cut kernels, writes the results to a JSON
-// report,
-// and fails if any benchmark regressed by more than -threshold against the
-// committed baseline.
+// path, the tree's KNN and cut kernels, one EmbedMPC at the build-highdim
+// shape and the first-cover kernel, writes the results to a JSON report,
+// and fails if any benchmark's median regressed by more than -threshold
+// against the committed baseline.
 //
 //	go run ./cmd/benchdiff                  # auto-discovers the newest BENCH_*.json baseline
 //	go run ./cmd/benchdiff -quick           # one iteration per benchmark (CI smoke)
+//	go run ./cmd/benchdiff -count 5         # five runs per benchmark: medians and quartiles
 //	go run ./cmd/benchdiff -out BENCH_PR5.json -baseline BENCH_PR2.json
+//
+// -count N passes -count=N to go test. Each row records the median of
+// its N runs' ns/op, B/op and allocs/op, and the quartiles of ns/op;
+// the gate compares medians.
 //
 // When -baseline is omitted the most recent committed baseline is
 // auto-discovered, preferring like-for-like hardware: among the
@@ -39,10 +44,15 @@ import (
 	"strings"
 )
 
-// Bench is one parsed benchmark result.
+// Bench is one benchmark's result: the median over its runs of ns/op,
+// B/op and allocs/op, and the quartiles of ns/op. Baselines recorded
+// before -count existed hold one run and no quartiles.
 type Bench struct {
 	Name        string  `json:"name"`
+	Runs        int     `json:"runs,omitempty"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsQ1        float64 `json:"ns_per_op_q1,omitempty"`
+	NsQ3        float64 `json:"ns_per_op_q3,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
@@ -65,14 +75,24 @@ type Report struct {
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
 
-func runSuite(pkg, pattern, benchtime string) ([]Bench, error) {
-	cmd := exec.Command("go", "test", "-run=^$", "-bench="+pattern, "-benchmem", "-benchtime="+benchtime, pkg)
+func runSuite(pkg, pattern, benchtime string, count int) ([]Bench, error) {
+	cmd := exec.Command("go", "test", "-run=^$", "-bench="+pattern, "-benchmem", "-benchtime="+benchtime, "-count="+strconv.Itoa(count), pkg)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		return nil, fmt.Errorf("go test -bench %s: %v\n%s", pkg, err, out)
 	}
+	bs := summarize(parseRuns(string(out)))
+	if len(bs) == 0 {
+		return nil, fmt.Errorf("no benchmark lines parsed from %s output:\n%s", pkg, out)
+	}
+	return bs, nil
+}
+
+// parseRuns returns one Bench per benchmark line of go test output, so
+// a benchmark run -count times appears that many times.
+func parseRuns(out string) []Bench {
 	var bs []Bench
-	for _, line := range strings.Split(string(out), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
 			continue
@@ -85,10 +105,55 @@ func runSuite(pkg, pattern, benchtime string) ([]Bench, error) {
 		}
 		bs = append(bs, b)
 	}
-	if len(bs) == 0 {
-		return nil, fmt.Errorf("no benchmark lines parsed from %s output:\n%s", pkg, out)
+	return bs
+}
+
+// summarize folds the runs of each benchmark into one row, in order of
+// first appearance: the medians of ns/op, B/op and allocs/op, and the
+// quartiles of ns/op.
+func summarize(runs []Bench) []Bench {
+	byName := map[string][]Bench{}
+	var order []string
+	for _, r := range runs {
+		if _, ok := byName[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
 	}
-	return bs, nil
+	out := make([]Bench, 0, len(order))
+	for _, name := range order {
+		rs := byName[name]
+		col := func(f func(Bench) float64) []float64 {
+			v := make([]float64, len(rs))
+			for i, r := range rs {
+				v[i] = f(r)
+			}
+			sort.Float64s(v)
+			return v
+		}
+		ns := col(func(b Bench) float64 { return b.NsPerOp })
+		out = append(out, Bench{
+			Name:        name,
+			Runs:        len(rs),
+			NsPerOp:     quantile(ns, 0.5),
+			NsQ1:        quantile(ns, 0.25),
+			NsQ3:        quantile(ns, 0.75),
+			BytesPerOp:  quantile(col(func(b Bench) float64 { return b.BytesPerOp }), 0.5),
+			AllocsPerOp: quantile(col(func(b Bench) float64 { return b.AllocsPerOp }), 0.5),
+		})
+	}
+	return out
+}
+
+// quantile is the p-quantile of sorted, non-empty v, interpolated
+// linearly between order statistics.
+func quantile(v []float64, p float64) float64 {
+	pos := p * float64(len(v)-1)
+	i := int(pos)
+	if i+1 >= len(v) {
+		return v[len(v)-1]
+	}
+	return v[i] + (pos-float64(i))*(v[i+1]-v[i])
 }
 
 func speedups(bs []Bench) map[string]float64 {
@@ -113,9 +178,14 @@ func main() {
 	quick := flag.Bool("quick", false, "one iteration per benchmark (fast, noisy; CI smoke)")
 	out := flag.String("out", "bench_report.json", "report file to write ('' to skip)")
 	baseline := flag.String("baseline", "", "baseline to compare against ('' = auto-discover newest BENCH_*.json; 'none' or missing file skips the check)")
-	threshold := flag.Float64("threshold", 0.20, "fail if ns/op regresses by more than this fraction vs baseline")
+	threshold := flag.Float64("threshold", 0.20, "fail if median ns/op regresses by more than this fraction vs baseline")
+	count := flag.Int("count", 1, "runs per benchmark (go test -count); rows record medians and ns/op quartiles")
 	benchtime := flag.String("benchtime", "", "override -benchtime (default 0.5s, or 1x with -quick)")
 	flag.Parse()
+	if *count < 1 {
+		fmt.Fprintln(os.Stderr, "benchdiff: -count must be at least 1")
+		os.Exit(2)
+	}
 
 	bt := "0.5s"
 	if *quick {
@@ -158,12 +228,13 @@ func main() {
 		rep.Note = "recorded at GOMAXPROCS=1: the /workers=N>1 variants measure the worker pool's scheduling overhead, not a parallel speedup; read the speedup ratios only against a multi-core recording"
 	}
 	for _, suite := range []struct{ pkg, pattern string }{
-		{"mpctree", "Workers|BenchmarkTreeKNN|BenchmarkTreeCut"},
+		{"mpctree", "Workers|BenchmarkTreeKNN|BenchmarkTreeCut|BenchmarkEmbedMPCHighdim"},
 		{"mpctree/internal/hadamard", "BenchmarkDistFWHT|BenchmarkFWHT1024|BenchmarkFWHTLarge"},
 		{"mpctree/internal/gate", "BenchmarkGateHotPath"},
+		{"mpctree/internal/grid", "BenchmarkFirstCover"},
 	} {
-		fmt.Fprintf(os.Stderr, "benchdiff: running %s -bench=%s -benchtime=%s\n", suite.pkg, suite.pattern, bt)
-		bs, err := runSuite(suite.pkg, suite.pattern, bt)
+		fmt.Fprintf(os.Stderr, "benchdiff: running %s -bench=%s -benchtime=%s -count=%d\n", suite.pkg, suite.pattern, bt, *count)
+		bs, err := runSuite(suite.pkg, suite.pattern, bt, *count)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchdiff:", err)
 			os.Exit(2)
@@ -174,7 +245,11 @@ func main() {
 	rep.Speedups = speedups(rep.Benchmarks)
 
 	for _, b := range rep.Benchmarks {
-		fmt.Printf("%-55s %14.0f ns/op %12.0f B/op %10.0f allocs/op\n", b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
+		spread := ""
+		if b.Runs > 1 {
+			spread = fmt.Sprintf("  [%.0f, %.0f] over %d runs", b.NsQ1, b.NsQ3, b.Runs)
+		}
+		fmt.Printf("%-55s %14.0f ns/op %12.0f B/op %10.0f allocs/op%s\n", b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp, spread)
 	}
 	for _, base := range sortedKeys(rep.Speedups) {
 		fmt.Printf("speedup %-47s %14.2fx (workers=1 vs workers=8, GOMAXPROCS=%d)\n", base, rep.Speedups[base], rep.GOMAXPROCS)
@@ -218,7 +293,8 @@ type regression struct {
 }
 
 // diffReports compares a fresh report against the baseline and splits the
-// over-threshold slowdowns into gating failures and waived warnings.
+// over-threshold slowdowns into gating failures and waived warnings. Both
+// sides' ns/op are medians (one run's value in a one-run row).
 //
 // A baseline recorded on different hardware is only partially comparable:
 // benchmarks that fan work out across cores (/workers=N, N>1) shift with
@@ -247,7 +323,7 @@ func diffReports(rep, base *Report, threshold float64) (gating, waived []regress
 			continue
 		}
 		r := regression{b.Name,
-			fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (%.0f%% slower, threshold %.0f%%)",
+			fmt.Sprintf("%s: median %.0f ns/op vs baseline %.0f (%.0f%% slower, threshold %.0f%%)",
 				b.Name, b.NsPerOp, o.NsPerOp, (ratio-1)*100, threshold*100)}
 		if cpuMismatch && cpuSensitive(b.Name) {
 			waived = append(waived, r)

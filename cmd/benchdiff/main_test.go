@@ -145,3 +145,49 @@ func TestDiscoverBaselineFallsBackToNewest(t *testing.T) {
 		t.Fatalf("empty dir: discoverBaseline = %q, want \"\"", got)
 	}
 }
+
+// With -count N, go test prints each benchmark N times; a row is the
+// median of its runs' ns/op, B/op and allocs/op plus the ns/op
+// quartiles, and a one-run row reads its run.
+func TestSummarizeRuns(t *testing.T) {
+	out := `goos: linux
+BenchmarkX-2   	     100	      1200 ns/op	     64 B/op	       2 allocs/op
+BenchmarkY/workers=1-2   	      10	      50.5 ns/op
+BenchmarkX-2   	     100	      1000 ns/op	     80 B/op	       3 allocs/op
+BenchmarkX-2   	     100	      9000 ns/op	     64 B/op	       2 allocs/op
+BenchmarkX-2   	     100	      1100 ns/op	     72 B/op	       2 allocs/op
+PASS
+`
+	got := summarize(parseRuns(out))
+	want := []Bench{
+		{Name: "BenchmarkX", Runs: 4, NsPerOp: 1150, NsQ1: 1075, NsQ3: 3150, BytesPerOp: 68, AllocsPerOp: 2},
+		{Name: "BenchmarkY/workers=1", Runs: 1, NsPerOp: 50.5, NsQ1: 50.5, NsQ3: 50.5},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("summarize = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// The gate compares medians: one slow run of three does not fail a
+// row, two do.
+func TestDiffGatesOnMedian(t *testing.T) {
+	base := &Report{GOMAXPROCS: 2, CPUs: 2, Benchmarks: []Bench{{Name: "BenchmarkX", NsPerOp: 1000}}}
+	run := func(ns ...float64) *Report {
+		var runs []Bench
+		for _, v := range ns {
+			runs = append(runs, Bench{Name: "BenchmarkX", Runs: 1, NsPerOp: v})
+		}
+		return &Report{GOMAXPROCS: 2, CPUs: 2, Benchmarks: summarize(runs)}
+	}
+	if gating, _ := diffReports(run(1000, 5000, 1100), base, 0.20); len(gating) != 0 {
+		t.Fatalf("one outlier run gated: %v", names(gating))
+	}
+	if gating, _ := diffReports(run(1000, 5000, 1300), base, 0.20); len(gating) != 1 {
+		t.Fatalf("median 30%% over the baseline did not gate")
+	}
+}

@@ -29,6 +29,7 @@ const (
 	goldenFJLTApplyAll  = "e052876748f8d04e5b8f0bc6f58647b970c103664bac480c76da19174cd55f0d"
 	goldenFJLTApplyMPC  = "8586524f601454cd77cdc887fa5131acb77c2e56b4cb824045f2ef7281865549"
 	goldenCoreEmbed     = "95cf28255094e9c67644bc5c93894baf2fc44fb565bc8786d4d1111cc9e170a6"
+	goldenMPCHighdim    = "3078476d6e0f5b95645d1cac31cdba1418b92d853fc2f92929b134a5a3e62c24"
 )
 
 func treeHash(t *testing.T, tr *Tree) string {
@@ -139,5 +140,23 @@ func TestGoldenCoreEmbed(t *testing.T) {
 	}
 	if got := treeHash(t, tr); got != goldenCoreEmbed {
 		t.Errorf("core.Embed hash = %s, golden %s", got, goldenCoreEmbed)
+	}
+}
+
+// TestGoldenMPCHighdim pins one EmbedMPC tree at the build-highdim
+// benchmark's shape (n = 256, d = 1024, 8 machines, cap 1<<22): the
+// FJLT runs, and the root paths search 124 buckets of k = 2 over 21
+// levels, a scale the other goldens do not reach.
+func TestGoldenMPCHighdim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one full-size embed under -short")
+	}
+	pts := workload.UniformLattice(9, 256, 1024, 1024)
+	tr, _, err := EmbedMPC(pts, MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := treeHash(t, tr); got != goldenMPCHighdim {
+		t.Errorf("highdim EmbedMPC hash = %s, golden %s", got, goldenMPCHighdim)
 	}
 }

@@ -388,6 +388,16 @@ func cacheKey(endpoint, tree, fp string, body []byte) string {
 	return endpoint + "\x00" + tree + "\x00" + fp + "\x00" + string(body)
 }
 
+// bodyTree reads a query body's tree name, and nothing else of it; a
+// body it cannot read names no tree, and the replica judges it.
+func bodyTree(body []byte) string {
+	var peek struct {
+		Tree string `json:"tree"`
+	}
+	_ = json.Unmarshal(body, &peek)
+	return peek.Tree
+}
+
 // handleForward proxies an uncached endpoint (cut, emd, medoid),
 // routing by tree name + body.
 func (g *Gateway) handleForward(path string) func(w http.ResponseWriter, r *http.Request) {
@@ -396,13 +406,9 @@ func (g *Gateway) handleForward(path string) func(w http.ResponseWriter, r *http
 		if !ok {
 			return
 		}
-		var peek struct {
-			Tree string `json:"tree"`
-		}
-		_ = json.Unmarshal(body, &peek)
 		sp := obs.SpanFromContext(r.Context())
 		rsp := sp.Child("route")
-		prefs := g.prefer(routeKey(path, peek.Tree, body))
+		prefs := g.prefer(routeKey(path, bodyTree(body), body))
 		rsp.Add("backends", int64(len(prefs)))
 		rsp.End()
 		res, err := g.forward(path, prefs, body, obs.RequestIDFromContext(r.Context()), sp)
@@ -516,23 +522,26 @@ func (g *Gateway) doubleCheck(endpoint, tree, key string, cached []byte, prefs [
 }
 
 // handleDist answers /v1/dist: ensemble names fan across members and
-// fold the elementwise min; plain names go through the cache.
+// fold the elementwise min; plain names go through the cache. Only an
+// ensemble body is decoded whole; a plain-tree body is read for its
+// tree and forwarded as is, so the replica judges it.
 func (g *Gateway) handleDist(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	var req serve.DistRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
+	tree := bodyTree(body)
 	ctx := r.Context()
-	if members, isEnsemble := g.ensembles[req.Tree]; isEnsemble {
+	if members, isEnsemble := g.ensembles[tree]; isEnsemble {
+		var req serve.DistRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			obs.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+			return
+		}
 		g.handleEnsembleDist(w, req, members, obs.RequestIDFromContext(ctx), obs.SpanFromContext(ctx))
 		return
 	}
-	g.forwardCached(w, "dist", req.Tree, body, obs.RequestIDFromContext(ctx), obs.SpanFromContext(ctx))
+	g.forwardCached(w, "dist", tree, body, obs.RequestIDFromContext(ctx), obs.SpanFromContext(ctx))
 }
 
 // handleKNN answers /v1/knn through the cache. Ensemble names are
@@ -542,15 +551,12 @@ func (g *Gateway) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var peek struct {
-		Tree string `json:"tree"`
-	}
-	_ = json.Unmarshal(body, &peek)
-	if _, isEnsemble := g.ensembles[peek.Tree]; isEnsemble {
-		obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("%q is an ensemble; knn requires a concrete tree", peek.Tree))
+	tree := bodyTree(body)
+	if _, isEnsemble := g.ensembles[tree]; isEnsemble {
+		obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("%q is an ensemble; knn requires a concrete tree", tree))
 		return
 	}
-	g.forwardCached(w, "knn", peek.Tree, body, obs.RequestIDFromContext(r.Context()), obs.SpanFromContext(r.Context()))
+	g.forwardCached(w, "knn", tree, body, obs.RequestIDFromContext(r.Context()), obs.SpanFromContext(r.Context()))
 }
 
 // handleEnsembleDist fans one dist request across the ensemble's member

@@ -304,11 +304,65 @@ func TestGateEnsembleMin(t *testing.T) {
 			t.Fatalf("ensemble dist[%d] = %v, want min %v", i, resp.Dists[i], want)
 		}
 	}
+	// The gate decodes an ensemble body whole, whatever its field order.
+	status, raw := postRaw(t, gw.URL+"/v1/dist", `{"pairs":[[0,1],[2,3],[10,40],[7,7]],"tree":"ens"}`)
+	var rawResp serve.DistResponse
+	if status != http.StatusOK || json.Unmarshal(raw, &rawResp) != nil || rawResp.Tree != "ens" || !slices.Equal(rawResp.Dists, resp.Dists) {
+		t.Fatalf("raw ensemble body: %d %s, want the dists %v", status, raw, resp.Dists)
+	}
 
 	// knn against an ensemble name is a client error, not a fan-out.
 	status, _ = postJSON(t, gw.URL+"/v1/knn", serve.KNNRequest{Tree: "ens", Points: []int{0}, K: 1}, nil)
 	if status != http.StatusBadRequest {
 		t.Fatalf("ensemble knn: HTTP %d, want 400", status)
+	}
+}
+
+// postRaw posts body to url and returns the status and response bytes.
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
+}
+
+// TestGateDistPlainBodyForwardedAsIs: the gate reads only a dist body's
+// tree, so a plain-tree body whose pairs are malformed reaches the
+// replica, and the client gets the replica's 400 body byte for byte.
+// (A truncated body tells the two apart: the gate's whole-body decode
+// said "unexpected end of JSON input", the replica says "unexpected
+// EOF".)
+func TestGateDistPlainBodyForwardedAsIs(t *testing.T) {
+	urls, _ := fleet(t, buildTrees(t, 1, 1, 32), 1)
+	_, gw := newGate(t, urls, nil, func(o *Options) {
+		o.Ensembles = map[string][]string{"ens": {"t-0"}}
+	})
+	for _, body := range []string{
+		`{"tree":"t-0","pairs":[[0,1],[2`,
+		`{"tree":"t-0","pairs":[[0,"x"]]}`,
+		`{"tree":"t-0","pairs":7}`,
+		`{"tree":"t-0","pairs":[[0,1]],"extra":true}`,
+	} {
+		status, got := postRaw(t, gw.URL+"/v1/dist", body)
+		wantStatus, want := postRaw(t, urls[0]+"/v1/dist", body)
+		if wantStatus != http.StatusBadRequest {
+			t.Fatalf("%s: replica answered %d %s, want 400", body, wantStatus, want)
+		}
+		if status != wantStatus || !bytes.Equal(got, want) {
+			t.Fatalf("%s: gate answered %d %q, replica %d %q", body, status, got, wantStatus, want)
+		}
+	}
+	// An ensemble body is still decoded by the gate, which rejects it.
+	if status, got := postRaw(t, gw.URL+"/v1/dist", `{"tree":"ens","pairs":[[0,"x"]]}`); status != http.StatusBadRequest ||
+		!strings.Contains(string(got), "bad request body") {
+		t.Fatalf("malformed ensemble body: %d %s, want the gate's 400", status, got)
 	}
 }
 

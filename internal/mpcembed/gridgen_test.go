@@ -9,8 +9,9 @@ import (
 	"mpctree/internal/vec"
 )
 
-// The parallel grid generation in Embed reseeds a stack RNG per grid and
-// samples the shift through grid.NewInto. This test pins it
+// The parallel grid generation in Embed hashes each set's (seed, level,
+// bucket) prefix once, reseeds a stack RNG per grid from it and the
+// attempt, and samples the shift through grid.NewInto. This test pins it
 // to the reference construction, grid.New over rng.NewHashed with the
 // same arguments: for every (level, bucket, attempt) the two must agree to
 // the bit.
@@ -20,10 +21,11 @@ func TestGridGenerationMatchesDeriveGrid(t *testing.T) {
 		for lev := 1; lev <= 4; lev++ {
 			cell := 4 * 100.0 / math.Pow(2, float64(lev))
 			for j := 0; j < 3; j++ {
+				pre := rng.HashPrefix(seed, 0x9d1d, uint64(lev), uint64(j))
 				for uu := 0; uu < 5; uu++ {
 					want := grid.New(rng.NewHashed(seed, 0x9d1d, uint64(lev), uint64(j), uint64(uu)), dim, cell)
 					var rg rng.RNG
-					rg.Reseed(seed, 0x9d1d, uint64(lev), uint64(j), uint64(uu))
+					rg.ReseedFrom(pre, uint64(uu))
 					got := grid.NewInto(&rg, make(vec.Point, dim), cell)
 					if got.Dim != want.Dim || got.Cell != want.Cell {
 						t.Fatalf("(%d,%d,%d,dim=%d): shape (%d,%v) != (%d,%v)",

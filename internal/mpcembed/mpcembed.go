@@ -390,20 +390,24 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	// All U·r·L shifts live in one slice, grid gi = ((lev-1)·r + j)·u + uu
 	// at [gi·k, (gi+1)·k), so set (lev, j) is one contiguous run of u·k
 	// words. The shift sampling — on the coordinator, outside any round —
-	// fans out at GOMAXPROCS. Each grid reseeds its own generator from
-	// (seed, lev, j, uu), so the sampled variates are independent of the
-	// shard layout. The byte-serial hash seeding Reseed shares with
-	// rng.NewHashed matters: a weaker XOR-multiply mix produced measurably
-	// correlated shift sequences whose coverage had dead zones.
+	// fans out over the sets at GOMAXPROCS. Each grid reseeds its own
+	// generator from (seed, lev, j, uu), so the sampled variates are
+	// independent of the shard layout; a set hashes its (seed, lev, j)
+	// prefix once and each grid only its uu. The byte-serial hash seeding
+	// Reseed shares with rng.NewHashed matters: a weaker XOR-multiply mix
+	// produced measurably correlated shift sequences whose coverage had
+	// dead zones.
 	shifts := make([]float64, u*r*levels*k)
-	par.For(u*r*levels, func(lo, hi int) {
+	par.For(r*levels, func(lo, hi int) {
 		var rg rng.RNG
-		for gi := lo; gi < hi; gi++ {
-			lev := gi/(r*u) + 1
-			rem := gi % (r * u)
-			j, uu := rem/u, rem%u
-			rg.Reseed(opt.Seed, 0x9d1d, uint64(lev), uint64(j), uint64(uu))
-			grid.NewInto(&rg, shifts[gi*k:(gi+1)*k:(gi+1)*k], cell[lev])
+		for s := lo; s < hi; s++ {
+			lev, j := s/r+1, s%r
+			pre := rng.HashPrefix(opt.Seed, 0x9d1d, uint64(lev), uint64(j))
+			for uu := 0; uu < u; uu++ {
+				gi := s*u + uu
+				rg.ReseedFrom(pre, uint64(uu))
+				grid.NewInto(&rg, shifts[gi*k:(gi+1)*k:(gi+1)*k], cell[lev])
+			}
 		}
 	})
 	setWords := u * k
@@ -518,7 +522,7 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 					s := (lev-1)*r + j
 					var covered bool
 					if j < firstPad {
-						levelID, covered = appendCover(levelID, vec.Bucket(p, j, r), sets[s], j, cell[lev], w, scratch[:0])
+						levelID, covered = appendCover(levelID, p[j*k:(j+1)*k], sets[s], j, cell[lev], w, scratch[:0])
 					} else {
 						z := &zeroCovers[s]
 						if !z.done {
@@ -670,19 +674,16 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 // cover proj, then the covering ball's cell index. When no grid covers
 // proj it returns dst unchanged and false.
 func appendCover(dst []byte, proj vec.Point, set []float64, j int, cell, w float64, scratch []int64) ([]byte, bool) {
-	k := len(proj)
-	for uu := 0; uu*k < len(set); uu++ {
-		g := grid.Grid{Dim: k, Cell: cell, Shift: set[uu*k : (uu+1)*k]}
-		if idx, in := g.InBall(proj, w, scratch); in {
-			dst = append(dst, byte(j))
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(uu))
-			for _, v := range idx {
-				dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-			}
-			return dst, true
-		}
+	uu, idx, ok := grid.FirstCover(proj, set, cell, w, scratch)
+	if !ok {
+		return dst, false
 	}
-	return dst, false
+	dst = append(dst, byte(j))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(uu))
+	for _, v := range idx {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	}
+	return dst, true
 }
 
 // carve returns the next n elements of *chunk. When *chunk is too short

@@ -42,7 +42,7 @@ func splitmix64(state *uint64) uint64 {
 // projections can exhibit lattice artifacts (dead zones in shift space),
 // which we observed empirically; the byte-serial hash does not.
 func NewHashed(vals ...uint64) *RNG {
-	return New(fnvMix(vals))
+	return New(fnvFold(fnvOffset, vals))
 }
 
 // Reseed re-initialises r in place from the same byte-serial FNV-1a hash
@@ -51,11 +51,30 @@ func NewHashed(vals ...uint64) *RNG {
 // variadic slice never escapes, so hot loops that derive one generator per
 // grid pay zero heap objects.
 func (r *RNG) Reseed(vals ...uint64) {
-	r.seed(fnvMix(vals))
+	r.seed(fnvFold(fnvOffset, vals))
 }
 
-func fnvMix(vals []uint64) uint64 {
-	h := uint64(14695981039346656037) // FNV-64a offset basis
+// Prefix is the state of the byte-serial hash NewHashed and Reseed use
+// after a leading run of values. ReseedFrom continues it with the rest,
+// so a loop that derives many generators from value lists sharing a
+// prefix hashes the prefix once.
+type Prefix struct{ h uint64 }
+
+// HashPrefix hashes the leading values of a NewHashed/Reseed list.
+func HashPrefix(vals ...uint64) Prefix { return Prefix{fnvFold(fnvOffset, vals)} }
+
+// ReseedFrom re-initialises r as Reseed does from the prefix's values
+// followed by vals: r.ReseedFrom(HashPrefix(a, b), c) and
+// r.Reseed(a, b, c) give the same stream, bit for bit.
+func (r *RNG) ReseedFrom(p Prefix, vals ...uint64) {
+	r.seed(fnvFold(p.h, vals))
+}
+
+const fnvOffset = 14695981039346656037 // FNV-64a offset basis
+
+// fnvFold continues the FNV-1a hash h over vals, eight little-endian
+// bytes each.
+func fnvFold(h uint64, vals []uint64) uint64 {
 	const prime = 1099511628211
 	for _, v := range vals {
 		for s := 0; s < 64; s += 8 {

@@ -284,3 +284,37 @@ func TestNewHashedSweepUniformity(t *testing.T) {
 		t.Errorf("sweep variance = %v", variance)
 	}
 }
+
+// The prefix form must be Reseed to the bit at every split of every
+// list: ReseedFrom(HashPrefix(vals[:i]...), vals[i:]...) and
+// Reseed(vals...) give one stream, for lists of 1–6 values and every i
+// from 0 (an empty prefix) to the list's length (no values after it),
+// on a generator left dirty by earlier draws.
+func TestReseedFromMatchesReseed(t *testing.T) {
+	src := New(12)
+	for n := 1; n <= 6; n++ {
+		for trial := 0; trial < 20; trial++ {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = src.Uint64() >> (8 * uint(src.Intn(8))) // short and long values
+			}
+			var want RNG
+			want.Reseed(vals...)
+			ref := make([]uint64, 16)
+			for i := range ref {
+				ref[i] = want.Uint64()
+			}
+			for i := 0; i <= n; i++ {
+				var got RNG
+				got.Reseed(99)
+				got.Uint64()
+				got.ReseedFrom(HashPrefix(vals[:i]...), vals[i:]...)
+				for j, w := range ref {
+					if g := got.Uint64(); g != w {
+						t.Fatalf("%v split at %d: draw %d = %x, Reseed %x", vals, i, j, g, w)
+					}
+				}
+			}
+		}
+	}
+}
