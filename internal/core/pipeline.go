@@ -27,20 +27,18 @@ type PipelineOptions struct {
 	// R is Algorithm 2's bucket count; 0 picks the smallest r ≥
 	// Θ(log log n) whose grids fit one machine.
 	R int
-	// EmitPaths leaves one path record per point resident on the cluster
-	// (mpcembed.Options.EmitPaths), for mpcapps' constant-round queries.
-	EmitPaths bool
 	// Seed drives both stages and the retry driver: the FJLT draws from
 	// Seed^0xFA57, Algorithm 2 from Seed^0x7EE, backoff jitter from
 	// Seed^0xB0FF.
 	Seed uint64
 
-	// Resilient executes each stage under the retrying driver: a
-	// checkpoint at every stage boundary and bounded retries after
-	// injected faults. Retries replay the stage with its original seed, so
-	// a recovered run's tree is bit-identical to the fault-free run's.
-	// When the FJLT stage exhausts its retries, the pipeline degrades: it
-	// embeds the original, un-reduced points.
+	// Resilient executes each stage under the retrying driver: bounded
+	// retries after injected faults or transport failures, each after a
+	// rollback that clears the stores, so none is read at stage entry.
+	// Retries replay the stage with its original seed, so a recovered
+	// run's tree is bit-identical to the fault-free run's. When the FJLT
+	// stage exhausts its retries, the pipeline degrades: it embeds the
+	// original, un-reduced points.
 	Resilient bool
 	// MaxRetries is the retrying driver's per-stage budget
 	// (resilient.Options.MaxRetries: 0 means 3, negative means none); its
@@ -80,9 +78,8 @@ type PipelineInfo struct {
 	// (with MinDist left unadjusted — distances were never contracted).
 	Degraded       bool
 	DegradedReason string
-	// Recovery accounting (zero when nothing failed): stage attempts,
-	// virtual backoff charged by the retry driver, faults the cluster
-	// injected, and checkpoint/restore overhead.
+	// Recovery accounting: stage attempts, virtual backoff charged by the
+	// retry driver, faults the cluster injected, and rollback overhead.
 	Attempts         int
 	VirtualBackoffMs int64
 	Faults           mpc.FaultStats
@@ -93,15 +90,30 @@ type PipelineInfo struct {
 // MPC FJLT when it helps, then build the tree with MPC hybrid
 // partitioning. The returned tree is rescaled by 1/(1−ξ) after dimension
 // reduction so that, whenever the FJLT met its (1±ξ) guarantee, the tree
-// metric still dominates the ORIGINAL Euclidean distances.
+// metric still dominates the ORIGINAL Euclidean distances. c must hold no
+// records: each stage loads its own inputs from the driver, and under
+// Resilient a failed stage rolls back to empty stores.
 func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.Tree, *PipelineInfo, error) {
+	tree, info, _, err := embedPipeline(c, pts, opt, false)
+	return tree, info, err
+}
+
+// EmbedPaths is EmbedPipeline leaving one path record per point resident
+// on c (mpcembed.Options.EmitPaths) for mpcapps' queries. Under Resilient
+// it also returns a checkpoint of them, read at the end of the embed
+// stage's step so that a worker lost while they are read retries it.
+func EmbedPaths(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.Tree, *PipelineInfo, *mpc.Checkpoint, error) {
+	return embedPipeline(c, pts, opt, true)
+}
+
+func embedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions, emitPaths bool) (*hst.Tree, *PipelineInfo, *mpc.Checkpoint, error) {
 	n := len(pts)
 	if n == 0 {
-		return nil, nil, errors.New("core: empty point set")
+		return nil, nil, nil, errors.New("core: empty point set")
 	}
 	d := len(pts[0])
 	if d == 0 {
-		return nil, nil, errors.New("core: zero-dimensional points")
+		return nil, nil, nil, errors.New("core: zero-dimensional points")
 	}
 
 	xi := opt.Xi
@@ -109,11 +121,11 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 		xi = 0.3
 	}
 	if xi <= 0 || xi >= 0.5 {
-		return nil, nil, fmt.Errorf("core: xi=%v out of (0, 0.5)", xi)
+		return nil, nil, nil, fmt.Errorf("core: xi=%v out of (0, 0.5)", xi)
 	}
 	params, err := fjlt.NewParams(n, d, fjlt.Options{Xi: xi, CK: opt.CK, Seed: opt.Seed ^ 0xFA57})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 
 	info := &PipelineInfo{FJLTParams: params}
@@ -143,7 +155,7 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 		if !opt.Resilient {
 			return runAttempt(0)
 		}
-		st, err := resilient.Run(c, stage, retry, runAttempt)
+		st, err := resilient.Run(c, nil, stage, retry, runAttempt)
 		info.Attempts += st.Attempts
 		info.VirtualBackoffMs += st.VirtualBackoffMs
 		return err
@@ -179,34 +191,37 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 			// Degradation policy: the reduction stage is unrecoverable,
 			// so embed the ORIGINAL points. MinDist stays unadjusted
 			// (distances were never contracted) and no rescale happens
-			// at the end. resilient.Run left the cluster restored to the
-			// stage-entry checkpoint.
+			// at the end. resilient.Run left every store cleared.
 			info.Degraded = true
 			info.DegradedReason = ferr.Error()
 			work = pts
 		default:
 			fillRecovery()
-			return nil, info, ferr
+			return nil, info, nil, ferr
 		}
 	}
 
 	var tree *hst.Tree
 	var einfo *mpcembed.Info
+	var paths *mpc.Checkpoint
 	err = runStage("embed", "tree_embed", func(sp *obs.Span) error {
 		t, ei, err := mpcembed.Embed(c, work, mpcembed.Options{
-			R: opt.R, MinDist: minDist, EmitPaths: opt.EmitPaths, Seed: opt.Seed ^ 0x7EE, Span: sp,
+			R: opt.R, MinDist: minDist, EmitPaths: emitPaths, Seed: opt.Seed ^ 0x7EE, Span: sp,
 		})
 		einfo = ei // partial accounting survives a failed attempt
 		if err != nil {
 			return err
 		}
 		tree = t
-		return nil
+		if emitPaths && opt.Resilient {
+			paths, err = c.Checkpoint()
+		}
+		return err
 	})
 	info.EmbedInfo = einfo
 	fillRecovery()
 	if err != nil {
-		return nil, info, err
+		return nil, info, nil, err
 	}
 	if info.UsedFJLT {
 		tree.ScaleWeights(1 / (1 - xi))
@@ -223,5 +238,5 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 			opt.Quality.ObserveAudit(rep)
 		}
 	}
-	return tree, info, nil
+	return tree, info, paths, nil
 }

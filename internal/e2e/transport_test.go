@@ -28,22 +28,51 @@ import (
 // /trace/requests, the coordinator re-exports the series as worker_* and
 // fleet_* with the dead worker visibly down and stale, and the merged
 // coordinator+worker timeline has a row per process, the coordinator's
-// wire spans, and worker service spans that name their parent_span.
+// wire spans, and worker service spans that name their parent_span. A
+// first, plain run loses its worker at that worker's first op: no stage
+// reads its stores at entry, so that loss is recovered like any other.
 func TestTransportSmoke(t *testing.T) {
 	dir := scratch(t)
 	shape := []string{"-gen", "clusters", "-n", "200", "-d", "8", "-mpc", "-machines", "8", "-seed", "5"}
 	run(t, dir, "treembed", append(shape, "-save", "sim.tree")...)
-
-	var addrs, obsURLs []string
-	for i := 0; i < 4; i++ {
-		args := []string{"-listen", "127.0.0.1:0"}
-		if i == 2 {
-			args = append(args, "-die-after", "30")
-		}
-		w := start(t, dir, "mpcworker", args...)
-		addrs = append(addrs, w.await(t, &w.stdout, `MPCNET LISTEN (\S+)`)[1])
-		obsURLs = append(obsURLs, w.await(t, &w.stdout, `MPCNET OBS (\S+)`)[1])
+	sim, err := os.ReadFile(filepath.Join(dir, "sim.tree"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	// dyingFleet starts 4 mpcworkers, worker 2 with -die-after dieAfter, and
+	// returns their addresses and observability URLs.
+	dyingFleet := func(dieAfter string) (addrs, obsURLs []string) {
+		for i := 0; i < 4; i++ {
+			args := []string{"-listen", "127.0.0.1:0"}
+			if i == 2 {
+				args = append(args, "-die-after", dieAfter)
+			}
+			w := start(t, dir, "mpcworker", args...)
+			addrs = append(addrs, w.await(t, &w.stdout, `MPCNET LISTEN (\S+)`)[1])
+			obsURLs = append(obsURLs, w.await(t, &w.stdout, `MPCNET OBS (\S+)`)[1])
+		}
+		return addrs, obsURLs
+	}
+	// sameTree requires the tree saved as name to be the simulator's.
+	sameTree := func(name string) {
+		tcp, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sim, tcp) {
+			t.Fatalf("%s (%d bytes) differs from the simulator tree (%d bytes)", name, len(tcp), len(sim))
+		}
+	}
+
+	addrs, _ := dyingFleet("1")
+	first := run(t, dir, "treembed", append(shape,
+		"-transport", "tcp", "-transport-addrs", strings.Join(addrs, ","), "-save", "first.tree")...)
+	mustMatch(t, "treembed's output", first.stdout.String(),
+		`transport: tcp, \d+ ops, .*1 dead workers, [1-9]\d* machines remapped, 3 live workers,`,
+		`recovery: .* [1-9][0-9]* restores`)
+	sameTree("first.tree")
+
+	addrs, obsURLs := dyingFleet("30")
 
 	// -http makes treembed linger after the run, so the finished run's
 	// aggregated fleet series stay scrapeable.
@@ -57,17 +86,7 @@ func TestTransportSmoke(t *testing.T) {
 		`transport: tcp, \d+ ops, [1-9]\d* retries, \d+ redials, 1 dead workers, [1-9]\d* machines remapped, 3 live workers,`,
 		`recovery: .* [1-9][0-9]* restores`)
 
-	sim, err := os.ReadFile(filepath.Join(dir, "sim.tree"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp, err := os.ReadFile(filepath.Join(dir, "tcp.tree"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sim, tcp) {
-		t.Fatalf("tcp tree (%d bytes) differs from the simulator tree (%d bytes)", len(tcp), len(sim))
-	}
+	sameTree("tcp.tree")
 
 	w0 := string(get(t, obsURLs[0]+"/metrics"))
 	mustMatch(t, "worker 0's /metrics", w0, `(?m)^mpcworker_ops_total\{`, `(?m)^build_info\{`)

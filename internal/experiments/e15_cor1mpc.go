@@ -55,14 +55,13 @@ func runE15(cfg Config) (*Result, error) {
 			mu[i] /= sm
 			nu[i] /= sn
 		}
-		popt.EmitPaths = true
 		for _, M := range []int{4, 8} {
 			c := cfg.NewCluster(mpc.Config{Machines: M, CapWords: 1 << 22})
-			tree, info, err := core.EmbedPipeline(c, pts, popt)
+			tree, info, _, err := core.EmbedPaths(c, pts, popt)
 			if err != nil {
 				return err
 			}
-			e := mpcapps.New(c, tree, nil)
+			e := mpcapps.New(c, tree, nil, nil)
 			embedRounds := c.Metrics().Rounds
 			got, err := e.EMD(mu, nu)
 			if err != nil {

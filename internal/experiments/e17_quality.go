@@ -16,7 +16,7 @@ func init() { register("E17-Quality", runE17) }
 // runE17 validates the quality-telemetry layer against the offline
 // measurement it replaces: on one sequentially embedded tree, a
 // full-sample audit must agree bit-for-bit with stats.MeasureDistortion
-// (same pair enumeration, same serial fold), domination must hold with
+// (which folds that audit's own per-pair ratios), domination must hold with
 // zero violations (Theorem 2 is deterministic for sequential trees),
 // every per-scale diameter ratio must respect the Lemma-1 bound, and
 // auditing must leave the tree's serialized bytes untouched. A sampled

@@ -14,7 +14,8 @@ import (
 // FuzzGateBodies posts arbitrary bodies to the five query endpoints of an
 // in-process gate fronting one replica that serves one tree, "t-0", with
 // "ens" configured as an ensemble of that tree. No body may be answered
-// with 500; every 200 must decode into the endpoint's response type; a
+// with 500; every 200 must answer a body that is one valid JSON value and
+// decode into the endpoint's response type; a
 // 200 for the plain tree must carry the bytes the replica answers the
 // same body with directly; and an ensemble dist must answer the member
 // tree's distances.
@@ -79,6 +80,9 @@ func FuzzGateBodies(f *testing.F) {
 			case http.StatusOK:
 			default:
 				continue
+			}
+			if !json.Valid(body) {
+				t.Fatalf("%s %q: 200 for a body that is not one JSON value", ep.path, body)
 			}
 			dec := json.NewDecoder(bytes.NewReader(rec.Body.Bytes()))
 			dec.DisallowUnknownFields()

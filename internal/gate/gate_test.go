@@ -366,6 +366,31 @@ func TestGateDistPlainBodyForwardedAsIs(t *testing.T) {
 	}
 }
 
+// TestGateTrailingBytesNotCached: a dist or knn body with bytes after its
+// JSON value names no tree the gate can read, so it reaches the replica
+// as is and gets the replica's 400, and no answer is cached for it.
+func TestGateTrailingBytesNotCached(t *testing.T) {
+	urls, _ := fleet(t, buildTrees(t, 1, 1, 32), 1)
+	g, gw := newGate(t, urls, nil, func(o *Options) {
+		o.Ensembles = map[string][]string{"ens": {"t-0"}}
+	})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/dist", `{"tree":"t-0","pairs":[[0,1]]}{"tree":"t-0","pairs":[[0,1]]}`},
+		{"/v1/dist", `{"tree":"ens","pairs":[[0,1]]}{"tree":"t-0","pairs":[[0,1]]}`},
+		{"/v1/dist", `{"tree":"t-0","pairs":[[0,1]]}}`},
+		{"/v1/knn", `{"tree":"t-0","point":1,"k":2}]`},
+	} {
+		status, got := postRaw(t, gw.URL+tc.path, tc.body)
+		wantStatus, want := postRaw(t, urls[0]+tc.path, tc.body)
+		if wantStatus != http.StatusBadRequest || status != wantStatus || !bytes.Equal(got, want) {
+			t.Fatalf("%s %s: gate answered %d %q, replica %d %q, want the replica's 400", tc.path, tc.body, status, got, wantStatus, want)
+		}
+	}
+	if n := g.cache.Len(); n != 0 {
+		t.Fatalf("%d answers cached for refused bodies", n)
+	}
+}
+
 // TestGateFailover: killing a replica mid-run must not surface a single
 // client error — the ring's failover order absorbs it.
 func TestGateFailover(t *testing.T) {

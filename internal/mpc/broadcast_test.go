@@ -153,7 +153,7 @@ func TestBroadcastMatchesPerRecordRounds(t *testing.T) {
 							plan.PerMessage = 0.3
 							c.InjectFaults(plan)
 						}
-						cp := c.Checkpoint()
+						cp := checkpoint(t, c)
 						var states []broadcastState
 						for attempt := 0; attempt < 3; attempt++ {
 							err := bcast(c, src, blob)

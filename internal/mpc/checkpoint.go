@@ -1,40 +1,35 @@
-// Checkpoint/restore: snapshot the cluster's stores and metrics at a
-// stage boundary and roll back to it after a fault. Restoring clears the
+// Checkpoint/restore: roll the cluster back to a stage boundary after a
+// fault. A checkpoint is a rollback point: the meters and round trace the
+// driver holds, plus the stores to write back. Restoring clears the
 // sticky failure — it is the one sanctioned way to recover a poisoned
-// cluster. The word cost of snapshotting and restoring is metered
+// cluster. The word cost of reading and restoring stores is metered
 // separately (RecoveryStats) so experiments can report recovery overhead
 // without it contaminating the model's own cost measures.
 //
-// Snapshots live on the DRIVER side, not on the machines: a checkpoint
-// deep-copies every store out of the transport, so it survives the death
-// of the processes hosting them. Restore pushes the snapshot back through
-// the transport — after a remote worker died and its logical machines
-// were remapped onto survivors, this is exactly the step that heals the
-// cluster.
+// Only Checkpoint reads the stores out of the transport; its driver-side
+// snapshot survives the death of the processes hosting them. Restore
+// pushes stores back through the transport — after a remote worker died
+// and its logical machines were remapped onto survivors, this is exactly
+// the step that heals the cluster.
 package mpc
 
 import "fmt"
 
-// Checkpoint is an immutable snapshot of a cluster's state. It deep-copies
-// record payloads, so later in-place mutation by RoundFuncs (a common
-// idiom) cannot corrupt it, and one checkpoint can be restored repeatedly.
+// Checkpoint is an immutable rollback point. Its stores are deep copies,
+// so later in-place mutation by RoundFuncs (a common idiom) cannot
+// corrupt them, and one checkpoint can be restored repeatedly.
 type Checkpoint struct {
 	stores     [][]Record
 	metrics    Metrics
 	roundStats []RoundStat
-	words      int
 }
-
-// Words is the snapshot's size in 64-bit words (the recovery overhead a
-// real framework would pay in storage/IO to persist it).
-func (cp *Checkpoint) Words() int { return cp.words }
 
 // RecoveryStats meters fault-recovery overhead. Unlike Metrics it is NOT
 // rolled back by Restore — it exists precisely to account for work that
 // rollback erases from the primary meters.
 type RecoveryStats struct {
-	Checkpoints      int // snapshots taken
-	CheckpointWords  int // cumulative words snapshotted
+	Checkpoints      int // rollback points made, by Mark or Checkpoint
+	CheckpointWords  int // cumulative words Checkpoint read from the stores
 	Restores         int // rollbacks performed
 	RestoredWords    int // cumulative words copied back
 	RolledBackRounds int // rounds erased by rollbacks (wasted work)
@@ -67,50 +62,56 @@ func deepCopyStores(stores [][]Record) ([][]Record, int) {
 	return out, words
 }
 
-// readStores pulls every machine's store out of the transport. A
-// transport failure marks the cluster failed and yields nil stores for
-// the unreachable machines — Checkpoint's documented caveat about
-// snapshotting failed clusters applies.
-func (c *Cluster) readStores() [][]Record {
-	stores := make([][]Record, c.cfg.Machines)
-	for m := 0; m < c.cfg.Machines; m++ {
-		st, err := c.t.Read(m)
-		if err != nil {
-			c.fail(err)
-			continue
-		}
-		stores[m] = st
-	}
-	return stores
-}
-
-// Checkpoint snapshots the stores, metrics, and trace. It may be taken on
-// a healthy or a failed cluster (a failed cluster's snapshot captures the
-// corrupted state — drivers checkpoint BEFORE risky stages, not after).
-func (c *Cluster) Checkpoint() *Checkpoint {
-	stores, words := deepCopyStores(c.readStores())
-	cp := &Checkpoint{
-		stores:  stores,
-		metrics: c.m,
-		words:   words,
+// Mark returns a rollback point at the current meters and round trace
+// with the records of stores (not its meters), or none when stores is
+// nil. It reads nothing through the transport.
+func (c *Cluster) Mark(stores *Checkpoint) *Checkpoint {
+	cp := &Checkpoint{stores: make([][]Record, c.cfg.Machines), metrics: c.m}
+	if stores != nil {
+		cp.stores = stores.stores
 	}
 	if c.trace {
 		cp.roundStats = append([]RoundStat(nil), c.roundStats...)
 	}
 	c.recovery.Checkpoints++
-	c.recovery.CheckpointWords += words
 	if c.obs != nil {
 		c.obs.checkpoints.Inc()
-		c.obs.checkpointWords.Add(int64(words))
 	}
 	return cp
 }
 
-// Restore rolls the cluster back to the checkpoint: stores, metrics, and
-// trace return to their snapshotted values and the sticky failure is
-// cleared. The installed FaultPlan (and its tick) is deliberately left
-// alone — a retried round must see fresh fault draws. Restore panics if
-// the checkpoint was taken on a cluster with a different machine count.
+// Checkpoint reads every store through the transport and returns a
+// rollback point to them and to the current meters and trace, or an error
+// if the cluster has failed or a read fails (which latches): a lost
+// worker's stores are gone, so take it inside a step the driver retries.
+func (c *Cluster) Checkpoint() (*Checkpoint, error) {
+	if c.failed != nil {
+		return nil, ErrFailed
+	}
+	stores := make([][]Record, c.cfg.Machines)
+	for m := range stores {
+		st, err := c.t.Read(m)
+		if err != nil {
+			return nil, c.fail(err)
+		}
+		stores[m] = st
+	}
+	copied, words := deepCopyStores(stores)
+	cp := c.Mark(nil)
+	cp.stores = copied
+	c.recovery.CheckpointWords += words
+	if c.obs != nil {
+		c.obs.checkpointWords.Add(int64(words))
+	}
+	return cp, nil
+}
+
+// Restore rolls the cluster back to the checkpoint: every store is
+// rewritten with the checkpoint's (an empty one clears it), meters and
+// trace return to their marked values and the sticky failure is cleared.
+// The installed FaultPlan (and its tick) is deliberately left alone — a
+// retried round must see fresh fault draws. Restore panics if the
+// checkpoint was made on a cluster with a different machine count.
 //
 // Restoring is also the transport-level healing step: every store is
 // rewritten through the transport, so logical machines that were remapped

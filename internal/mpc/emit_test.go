@@ -87,7 +87,7 @@ func TestEmitOrderAcrossChunks(t *testing.T) {
 // round that failed before delivery are not delivered by the next one.
 func TestFailedRoundDeliversNothingLater(t *testing.T) {
 	c := New(Config{Machines: 3, CapWords: 1 << 12})
-	cp := c.Checkpoint()
+	cp := checkpoint(t, c)
 	err := c.Round(func(m int, local []Record, emit Emit) []Record {
 		for i := 0; i < 40; i++ {
 			emit(1, Record{Key: "stale"})

@@ -19,6 +19,16 @@ func seedRecords(t testing.TB, c *Cluster, n int) {
 	}
 }
 
+// checkpoint reads c's stores into a checkpoint, failing t if it cannot.
+func checkpoint(t testing.TB, c *Cluster) *Checkpoint {
+	t.Helper()
+	cp, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
 func noopRound(c *Cluster) error {
 	return c.Round(func(m int, local []Record, emit Emit) []Record { return local })
 }
@@ -188,7 +198,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 			err := noopRound(c)
 			if err != nil {
 				trace = append(trace, err.Error())
-				c.Restore(c.Checkpoint()) // clear stickiness; state is whatever it is
+				c.Restore(c.Mark(nil)) // clear stickiness and every store
 			} else {
 				trace = append(trace, "ok")
 			}
@@ -210,7 +220,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 func TestFaultTickSurvivesRestore(t *testing.T) {
 	c := New(Config{Machines: 2, CapWords: 1 << 12})
 	seedRecords(t, c, 4)
-	cp := c.Checkpoint()
+	cp := checkpoint(t, c)
 	plan := &FaultPlan{Seed: 11, Transient: 0.5}
 	c.InjectFaults(plan)
 	for i := 0; i < 6; i++ {
@@ -226,7 +236,7 @@ func TestFaultTickSurvivesRestore(t *testing.T) {
 func TestMaxFaultsStopsInjection(t *testing.T) {
 	c := New(Config{Machines: 2, CapWords: 1 << 12})
 	seedRecords(t, c, 4)
-	cp := c.Checkpoint()
+	cp := checkpoint(t, c)
 	c.InjectFaults(&FaultPlan{Seed: 12, Transient: 1, MaxFaults: 2})
 	fails := 0
 	for i := 0; i < 8; i++ {
@@ -258,9 +268,9 @@ func TestCheckpointRestoreRoundTripWithTrace(t *testing.T) {
 		wantVals = append(wantVals, r.Data[0])
 	}
 
-	cp := c.Checkpoint()
-	if cp.Words() == 0 {
-		t.Fatal("checkpoint of a loaded cluster has zero words")
+	cp := checkpoint(t, c)
+	if c.Recovery().CheckpointWords == 0 {
+		t.Fatal("checkpoint of a loaded cluster read zero words")
 	}
 
 	// Mutate heavily: more rounds, in-place payload edits, then poison.
@@ -320,7 +330,7 @@ func TestRestoreIntoSmallerClusterPanics(t *testing.T) {
 	// A checkpoint restores only into a cluster of its own machine count:
 	// smaller and larger clusters both panic.
 	for _, into := range []int{2, 6} {
-		cp := New(Config{Machines: 4, CapWords: 1 << 10}).Checkpoint()
+		cp := checkpoint(t, New(Config{Machines: 4, CapWords: 1 << 10}))
 		other := New(Config{Machines: into, CapWords: 1 << 10})
 		func() {
 			defer func() {
@@ -330,6 +340,83 @@ func TestRestoreIntoSmallerClusterPanics(t *testing.T) {
 			}()
 			other.Restore(cp)
 		}()
+	}
+}
+
+// readCounter is the local transport with its reads counted; from read
+// failAt on (0 = never), a read fails as a lost worker's does.
+type readCounter struct {
+	Transport
+	reads, failAt int
+}
+
+func (t *readCounter) Read(m int) ([]Record, error) {
+	t.reads++
+	if t.failAt > 0 && t.reads >= t.failAt {
+		return nil, fmt.Errorf("%w: machine %d unreachable", ErrTransport, m)
+	}
+	return t.Transport.Read(m)
+}
+
+// A rollback point made by Mark reads no store. Restoring one that names
+// no stores clears every machine; one that names a snapshot's stores
+// writes those back. Either way meters and trace return to the mark, not
+// to the snapshot.
+func TestMarkRollsBackWithoutReading(t *testing.T) {
+	tr := &readCounter{Transport: NewLocalTransport(3)}
+	c := NewWithTransport(Config{Machines: 3, CapWords: 1 << 12}, tr)
+	c.EnableTrace()
+	seedRecords(t, c, 9)
+	snap := checkpoint(t, c)
+	snapWords := c.Recovery().CheckpointWords
+	if err := rotateRound(c); err != nil {
+		t.Fatal(err)
+	}
+	atMark, traceAtMark, reads := c.Metrics(), len(c.Trace()), tr.reads
+	empty, withStores := c.Mark(nil), c.Mark(snap)
+	if tr.reads != reads {
+		t.Fatalf("Mark read %d stores", tr.reads-reads)
+	}
+	if rs := c.Recovery(); rs.Checkpoints != 3 || rs.CheckpointWords != snapWords || snapWords == 0 {
+		t.Fatalf("recovery stats %+v: want 3 checkpoints and only the snapshot's %d words read", rs, snapWords)
+	}
+	for _, tc := range []struct {
+		cp   *Checkpoint
+		recs int
+	}{{empty, 0}, {withStores, 9}} {
+		if err := rotateRound(c); err != nil {
+			t.Fatal(err)
+		}
+		c.Restore(tc.cp)
+		if got := c.Metrics(); got != atMark {
+			t.Errorf("metrics after restore %+v, want the mark's %+v", got, atMark)
+		}
+		if got := len(c.Trace()); got != traceAtMark {
+			t.Errorf("trace after restore has %d rows, want the mark's %d", got, traceAtMark)
+		}
+		if got := len(mustCollect(t, c)); got != tc.recs {
+			t.Errorf("%d records after restore, want %d", got, tc.recs)
+		}
+	}
+}
+
+// Checkpoint gives no snapshot of a cluster whose read fails, nor of a
+// failed one: the failure latches, and a restore revives the cluster.
+func TestCheckpointRefusesFailure(t *testing.T) {
+	tr := &readCounter{Transport: NewLocalTransport(2)}
+	c := NewWithTransport(Config{Machines: 2, CapWords: 1 << 12}, tr)
+	seedRecords(t, c, 4)
+	tr.failAt = tr.reads + 2 // machine 1's read
+	if cp, err := c.Checkpoint(); cp != nil || !errors.Is(err, ErrTransport) || !errors.Is(c.Err(), ErrTransport) {
+		t.Fatalf("checkpoint over a failed read: %v, %v (cluster %v)", cp, err, c.Err())
+	}
+	tr.failAt = 0
+	if cp, err := c.Checkpoint(); cp != nil || !errors.Is(err, ErrFailed) {
+		t.Fatalf("checkpoint of a failed cluster: %v, %v", cp, err)
+	}
+	c.Restore(c.Mark(nil))
+	if c.Err() != nil || len(mustCollect(t, c)) != 0 {
+		t.Fatalf("restore to no stores left %v and %d records", c.Err(), len(mustCollect(t, c)))
 	}
 }
 
@@ -413,7 +500,7 @@ func TestErrFailedPropagatesThroughEveryPrimitive(t *testing.T) {
 func TestLocalMapPanicThenRestoreRevives(t *testing.T) {
 	c := New(Config{Machines: 2, CapWords: 1 << 10})
 	seedRecords(t, c, 4)
-	cp := c.Checkpoint()
+	cp := checkpoint(t, c)
 	err := c.LocalMap(func(m int, local []Record) []Record {
 		if m == 1 {
 			panic("flaky dependency")

@@ -77,8 +77,8 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 		machines:   reg.Gauge("mpc_machines", "Simulated machine count.", lbl...),
 		capWords:   reg.Gauge("mpc_cap_words", "Per-machine local memory cap in words.", lbl...),
 
-		checkpoints:      reg.Counter("mpc_checkpoints_total", "Cluster snapshots taken.", lbl...),
-		checkpointWords:  reg.Counter("mpc_checkpoint_words_total", "Words snapshotted by checkpoints.", lbl...),
+		checkpoints:      reg.Counter("mpc_checkpoints_total", "Rollback points made: one per resilient stage or query, plus each store snapshot.", lbl...),
+		checkpointWords:  reg.Counter("mpc_checkpoint_words_total", "Words read from the stores into snapshots.", lbl...),
 		restores:         reg.Counter("mpc_restores_total", "Checkpoint rollbacks performed.", lbl...),
 		restoredWords:    reg.Counter("mpc_restored_words_total", "Words copied back by restores.", lbl...),
 		rolledBackRounds: reg.Counter("mpc_rolled_back_rounds_total", "Rounds erased by rollbacks (wasted work).", lbl...),

@@ -54,7 +54,7 @@ func TestInstrumentRecoveryCounters(t *testing.T) {
 	if err := c.Distribute([]Record{{Key: "a", Data: []float64{1}}, {Key: "b", Data: []float64{2}}}); err != nil {
 		t.Fatal(err)
 	}
-	cp := c.Checkpoint()
+	cp := checkpoint(t, c)
 	for i := 0; i < 3; i++ {
 		if err := c.Round(func(m int, local []Record, emit Emit) []Record {
 			for _, r := range local {
@@ -104,7 +104,7 @@ func TestInstrumentFaultCounters(t *testing.T) {
 	if err := c.Distribute([]Record{{Key: "a", Data: []float64{1}}}); err != nil {
 		t.Fatal(err)
 	}
-	cp := c.Checkpoint()
+	cp := checkpoint(t, c)
 	injected := 0
 	for i := 0; i < 30; i++ {
 		err := c.Round(func(m int, local []Record, emit Emit) []Record { return local })

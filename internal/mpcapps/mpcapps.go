@@ -13,7 +13,8 @@
 // regardless of depth, exactly how Corollary 1 piggybacks on Theorem 1.
 // Edge weights come from the assembled tree, one per level, so answers
 // carry whatever rescale the tree does. When the pipeline ran under the
-// retry driver, so does every query.
+// retry driver, so does every query; no query changes a path record, so a
+// failed one rolls back to the records read once at embed time.
 //
 //   - EMD: the optimal transport cost on a tree is
 //     Σ_edges weight·|μ(subtree) − ν(subtree)|; per-node (μ, ν) masses
@@ -45,19 +46,21 @@ type Embedding struct {
 	Tree    *hst.Tree
 	levels  int                // internal levels L; leaves sit at L+1
 	weight  []float64          // weight[ℓ]: every edge into level ℓ, ℓ = 1..L+1
-	retry   *resilient.Options // nil: each query runs once
+	paths   *mpc.Checkpoint    // nil: each query runs once
+	retry   *resilient.Options // used when paths is set
 }
 
 // New wraps a cluster holding Algorithm 2's resident path records and the
 // tree assembled from them. Every edge into level ℓ of that tree has the
-// same weight, so the per-level table is read off tree.Nodes once. retry,
-// if non-nil, runs every query under the retry driver with these options.
-func New(c *mpc.Cluster, tree *hst.Tree, retry *resilient.Options) *Embedding {
+// same weight, so the per-level table is read off tree.Nodes once. paths,
+// if non-nil, is a checkpoint of those records: every query then runs
+// under the retry driver with retry, and a failed one rolls back to it.
+func New(c *mpc.Cluster, tree *hst.Tree, paths *mpc.Checkpoint, retry *resilient.Options) *Embedding {
 	weight := make([]float64, tree.MaxLevel()+1)
 	for _, nd := range tree.Nodes[1:] {
 		weight[nd.Level] = nd.Weight
 	}
-	return &Embedding{Cluster: c, Tree: tree, levels: len(weight) - 2, weight: weight, retry: retry}
+	return &Embedding{Cluster: c, Tree: tree, levels: len(weight) - 2, weight: weight, paths: paths, retry: retry}
 }
 
 // Tags of the records queries create: one range, tagMass..tagMSTEdge, that
@@ -72,8 +75,8 @@ const (
 
 // query runs body, then drops every record tagged by a query, so the next
 // query starts from the resident embedding alone. With a retry driver the
-// two run as one resilient.Run step: each retry starts from the
-// checkpoint taken at query entry.
+// two run as one resilient.Run step: each retry starts from the path
+// records and the meters at this query's entry.
 func (e *Embedding) query(name string, body func() error) error {
 	step := func(int) error {
 		if err := body(); err != nil {
@@ -89,10 +92,10 @@ func (e *Embedding) query(name string, body func() error) error {
 			return keep
 		})
 	}
-	if e.retry == nil {
+	if e.paths == nil {
 		return step(0)
 	}
-	_, err := resilient.Run(e.Cluster, name, *e.retry, step)
+	_, err := resilient.Run(e.Cluster, e.paths, name, *e.retry, step)
 	return err
 }
 

@@ -19,11 +19,11 @@ import (
 func buildEmbedding(t testing.TB, pts []vec.Point, machines int, seed uint64) *Embedding {
 	t.Helper()
 	c := mpc.New(mpc.Config{Machines: machines, CapWords: 1 << 22})
-	tree, _, err := core.EmbedPipeline(c, pts, core.PipelineOptions{R: 2, EmitPaths: true, Seed: seed ^ 0x7EE})
+	tree, _, _, err := core.EmbedPaths(c, pts, core.PipelineOptions{R: 2, Seed: seed ^ 0x7EE})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(c, tree, nil)
+	return New(c, tree, nil, nil)
 }
 
 // The distributed EMD must equal the driver-side tree EMD exactly (same
@@ -307,14 +307,14 @@ func TestMPCMSTConstantRoundsAndRepeatable(t *testing.T) {
 func TestMPCQueriesOnFJLTTree(t *testing.T) {
 	pts := workload.UniformLattice(2, 64, 200, 128)
 	c := mpc.New(mpc.Config{Machines: 8, CapWords: 1 << 22})
-	tree, info, err := core.EmbedPipeline(c, pts, core.PipelineOptions{Seed: 9, EmitPaths: true})
+	tree, info, _, err := core.EmbedPaths(c, pts, core.PipelineOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !info.UsedFJLT {
 		t.Fatal("FJLT skipped at d=200")
 	}
-	e := New(c, tree, nil)
+	e := New(c, tree, nil, nil)
 	n := len(pts)
 	mu := make([]float64, n)
 	nu := make([]float64, n)

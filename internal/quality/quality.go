@@ -12,9 +12,9 @@
 // the tree and the points, draws its randomness from its own seed, and
 // therefore never perturbs an embedding — the determinism suite asserts
 // an audited run is bitwise equal to an un-audited one. With MaxPairs
-// covering all pairs, the auditor enumerates and folds pairs in exactly
-// the order stats.MeasureDistortion uses, so the two agree bit-for-bit
-// on a single tree.
+// covering all pairs, the audit's per-pair ratios are the ones
+// stats.MeasureDistortion folds, so the two agree on a single tree by
+// construction.
 package quality
 
 import (
@@ -34,7 +34,7 @@ import (
 type Config struct {
 	// MaxPairs caps the pair sample: 0 means 2048, negative means every
 	// pair. When the cap covers all n(n−1)/2 pairs the sample is the full
-	// lexicographic enumeration (the stats.MeasureDistortion order).
+	// lexicographic enumeration.
 	MaxPairs int `json:"max_pairs,omitempty"`
 	// Seed drives pair sampling only — it is independent of any embedding
 	// seed, so the same pairs are re-audited across hot reloads.
@@ -132,8 +132,7 @@ func Thm2Bound(d, r, levels int) float64 {
 
 // SamplePairs returns a deterministic sample of point-index pairs (i<j,
 // lexicographically sorted). When maxPairs is negative or covers all
-// n(n−1)/2 pairs, the full enumeration is returned — the exact pair order
-// stats.MeasureDistortion folds in. Otherwise maxPairs distinct pairs are
+// n(n−1)/2 pairs, the full enumeration is returned. Otherwise maxPairs distinct pairs are
 // drawn without replacement from the seeded generator; the draw never
 // looks at coordinates, so the same (seed, n) yields the same sample for
 // every tree of the point set.
@@ -223,8 +222,7 @@ func Audit(t *hst.Tree, pts []vec.Point, cfg Config) (*Report, error) {
 		}
 	})
 
-	// Serial fold in pair order — the stats.MeasureDistortion addition
-	// sequence, so full-sample audits match it bit-for-bit.
+	// Serial fold in pair order: the same addition sequence at any width.
 	var sum float64
 	kept := make([]float64, 0, len(pairs))
 	for k, ratio := range ratios {

@@ -13,10 +13,12 @@ import (
 // An E16-style seeded chaos run must leave the three accounting layers in
 // agreement: the retry driver's Stats, the cluster's RecoveryStats, and
 // the exported registry counters. Every driver retry restores exactly one
-// checkpoint, every resilient stage takes exactly one, so
+// rollback point, every resilient stage makes exactly one and reads no
+// store for it, so
 //
 //	resilient_retries_total == mpc_restores_total == Attempts − stages
 //	mpc_checkpoints_total   == resilient_stages_total == stages
+//	mpc_checkpoint_words_total == 0
 //
 // and the monotone round counter exceeds the model's by exactly the
 // rolled-back work.
@@ -59,6 +61,9 @@ func TestChaosMeteringAgreement(t *testing.T) {
 	}
 	if got := reg.Counter("mpc_checkpoints_total", "").Value(); got != int64(rec.Checkpoints) {
 		t.Errorf("mpc_checkpoints_total = %d, RecoveryStats says %d", got, rec.Checkpoints)
+	}
+	if got := reg.Counter("mpc_checkpoint_words_total", "").Value(); got != 0 || rec.CheckpointWords != 0 {
+		t.Errorf("mpc_checkpoint_words_total = %d, RecoveryStats says %d: a stage that loads its own inputs reads no store", got, rec.CheckpointWords)
 	}
 
 	wantRestores := info.Attempts - stages

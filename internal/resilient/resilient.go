@@ -1,14 +1,14 @@
 // Package resilient executes MPC pipeline stages with fault recovery:
-// checkpoint before the stage, then bounded retries with virtual
+// a rollback point at stage entry, then bounded retries with virtual
 // exponential backoff after injected faults and transport failures, each
-// replaying the stage from the checkpoint. Any other failure — a genuine
+// replaying the stage from the rollback point. Any other failure — a genuine
 // memory-cap violation included — is the algorithm reporting failure, as
 // the fully scalable MPC model prescribes, and returns at once: each
 // machine's memory is a fixed parameter of the model, never raised
 // mid-run.
 //
 // Recovery never changes the algorithm's randomness: a stage retried
-// after a fault re-runs with the same seed on the restored checkpoint, so
+// after a fault re-runs with the same seed on the restored state, so
 // a recovered run produces output bit-identical to a fault-free run of
 // the same seeds. The only per-attempt reseeding is of the driver's own
 // backoff jitter, derived deterministically from (Options.Seed, stage,
@@ -96,42 +96,34 @@ type Stats struct {
 }
 
 // Step is one pipeline stage body. It is (re-)invoked on a cluster whose
-// state equals the stage-entry checkpoint; attempt counts from 0. Steps
-// must derive algorithmic randomness from their own fixed seeds — NOT
-// from attempt — if recovered output is to match the fault-free run.
+// stores and meters equal the rollback point's; attempt counts from 0.
+// Steps must derive algorithmic randomness from their own fixed seeds —
+// NOT from attempt — if recovered output is to match the fault-free run.
 type Step func(attempt int) error
 
-// Run executes step with checkpointed retries on c. On entry it snapshots
-// the cluster; every retry first restores that snapshot (clearing the
-// sticky failure a fault left behind). Retryable failures are the
-// injected-fault class (mpc.ErrInjected) and the transport-failure class
-// (mpc.ErrTransport — connection loss or worker death, where Restore
-// doubles as the healing step that rewrites state onto the surviving
-// workers). Any other error is returned immediately: re-running a
-// deterministic algorithm on identical state and the same memory cap
-// cannot fix a genuine cap violation, a coverage failure or a bad route.
+// Run executes step with rollback and retries on c. The rollback point is
+// the meters and round trace at entry, which the driver holds, and the
+// records of stores — none when stores is nil, so a rollback clears every
+// machine. Run reads nothing through the transport, so a worker lost
+// anywhere in the stage is lost inside step. Every retry first restores
+// the rollback point, clearing the sticky failure a fault left behind.
+// Retryable failures are the injected-fault class (mpc.ErrInjected) and
+// the transport-failure class (mpc.ErrTransport — connection loss or
+// worker death, where the restore doubles as the healing step that
+// rewrites state onto the surviving workers). Any other error is returned
+// immediately: re-running a deterministic algorithm on identical state and
+// the same memory cap cannot fix a genuine cap violation, a coverage
+// failure or a bad route.
 //
-// On final failure the checkpoint is restored one last time, so the
-// caller receives a clean (if rolled-back) cluster to degrade on. If the
-// cluster was failed once the entry checkpoint was taken — a worker lost
-// during the checkpoint's own reads — the snapshot lacks that worker's
-// stores, no retry can help, and the returned error wraps that failure
-// too, naming its cause (mpc.ErrTransport and the worker) instead of
-// only mpc.ErrFailed.
-func Run(c *mpc.Cluster, stage string, opts Options, step Step) (Stats, error) {
+// On final failure the rollback point is restored one last time, so the
+// caller receives a clean (if rolled-back) cluster to degrade on.
+func Run(c *mpc.Cluster, stores *mpc.Checkpoint, stage string, opts Options, step Step) (Stats, error) {
 	st := Stats{Stage: stage}
 	snk := sink.Load()
 	if snk != nil {
 		snk.stages.Inc()
 	}
-	cp := c.Checkpoint()
-	entryErr := c.Err()
-	fail := func(err error) (Stats, error) {
-		if entryErr != nil {
-			err = fmt.Errorf("%w (stage %q entry checkpoint: %w)", err, stage, entryErr)
-		}
-		return st, err
-	}
+	cp := c.Mark(stores)
 	budget := opts.maxRetries()
 
 	for attempt := 0; ; attempt++ {
@@ -150,7 +142,7 @@ func Run(c *mpc.Cluster, stage string, opts Options, step Step) (Stats, error) {
 		// was). Anything else is a deterministic algorithm failure.
 		if !errors.Is(err, mpc.ErrInjected) && !errors.Is(err, mpc.ErrTransport) {
 			c.Restore(cp)
-			return fail(err)
+			return st, err
 		}
 
 		if attempt >= budget {
@@ -158,7 +150,7 @@ func Run(c *mpc.Cluster, stage string, opts Options, step Step) (Stats, error) {
 			if snk != nil {
 				snk.exhausted.Inc()
 			}
-			return fail(fmt.Errorf("%w: stage %q failed %d attempts: %w", ErrExhausted, stage, st.Attempts, err))
+			return st, fmt.Errorf("%w: stage %q failed %d attempts: %w", ErrExhausted, stage, st.Attempts, err)
 		}
 
 		backoff := virtualBackoff(opts, stage, attempt)

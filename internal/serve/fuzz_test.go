@@ -46,8 +46,9 @@ func FuzzParseMeasure(f *testing.F) {
 
 // FuzzServeBodies posts arbitrary bodies to the four query endpoints of
 // an in-process replica. No body may be answered with 500 (a handler
-// panic or an unclassified error), and every 200 must decode into the
-// endpoint's response type.
+// panic or an unclassified error), every 200 must answer a body that is
+// one valid JSON value, and it must decode into the endpoint's response
+// type.
 func FuzzServeBodies(f *testing.F) {
 	tree := buildTree(f, 1, 24)
 	path := filepath.Join(f.TempDir(), "t.tree")
@@ -95,6 +96,9 @@ func FuzzServeBodies(f *testing.F) {
 			case http.StatusInternalServerError:
 				t.Fatalf("%s %q: 500 %s", ep.path, body, rec.Body.Bytes())
 			case http.StatusOK:
+				if !json.Valid(body) {
+					t.Fatalf("%s %q: 200 for a body that is not one JSON value", ep.path, body)
+				}
 				dec := json.NewDecoder(rec.Body)
 				dec.DisallowUnknownFields()
 				if err := dec.Decode(ep.resp()); err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -282,10 +283,59 @@ func TestBodySizeLimit(t *testing.T) {
 	}
 }
 
+// A body is one JSON value and nothing but whitespace after it: a second
+// value, a stray } or ] or any other byte after the value answers 400.
+func TestTrailingBytesRejected(t *testing.T) {
+	srv, _, _, _ := newTestServer(t, Options{})
+	const dist = `{"tree":"t","pairs":[[0,1]]}`
+	for body, want := range map[string]int{
+		dist + " \n\t": http.StatusOK,
+		dist + dist:    http.StatusBadRequest,
+		dist + "}":     http.StatusBadRequest,
+		dist + "]":     http.StatusBadRequest,
+		dist + " 1":    http.StatusBadRequest,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/dist", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("body %q: HTTP %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+}
+
 func TestDeadline(t *testing.T) {
 	srv, _, _, _ := newTestServer(t, Options{Deadline: time.Nanosecond})
 	if code := postJSON(t, srv.URL+"/v1/medoid", MedoidRequest{Tree: "t"}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("expired deadline: HTTP %d, want 503", code)
+	}
+}
+
+// TestPanicAnswers500: a handler that panics answers 500 with the panic's
+// message, and the server goes on serving.
+func TestPanicAnswers500(t *testing.T) {
+	_, reg, _, _ := newTestServer(t, Options{})
+	s := NewServer(reg, Options{})
+	mux := http.NewServeMux()
+	s.RegisterMux(mux)
+	mux.HandleFunc("/boom", s.endpoint("boom", http.MethodPost, func(context.Context, *http.Request) (any, error) {
+		panic("boom")
+	}))
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/boom", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "internal: boom") {
+		t.Fatalf("panicking handler: HTTP %d %s, want 500 naming the panic", resp.StatusCode, body)
+	}
+	if code := postJSON(t, srv.URL+"/v1/dist", DistRequest{Tree: "t", Pairs: [][2]int{{0, 1}}}, nil); code != http.StatusOK {
+		t.Fatalf("dist after the panic: HTTP %d, want 200", code)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -120,11 +121,11 @@ func notFound(err error) error {
 
 // endpoint wraps a handler with the serving concerns: the shared
 // request wrapper (method check, request id, tracing, metering, body
-// limit, logs) plus the per-request deadline, panic containment, and the
-// in-flight gauge. The handler body runs in its own goroutine, under a
-// context carrying the deadline, so a blown deadline answers 503
-// immediately; the tree snapshot the stray computation holds stays valid
-// regardless of reloads, so it finishes harmlessly and is discarded.
+// limit, logs) plus the per-request deadline, panic containment (a 500),
+// and the in-flight gauge. The handler runs on the request goroutine
+// under a context carrying the deadline: the batch fan-outs (dist, knn)
+// stop at it inside par.ForCtx, and a handler that returns past it
+// answers 503, whatever it computed.
 func (s *Server) endpoint(name, method string, fn func(context.Context, *http.Request) (any, error)) http.HandlerFunc {
 	return s.requests.Wrap(name, method, func(w http.ResponseWriter, r *http.Request) {
 		if s.inflight != nil {
@@ -137,55 +138,51 @@ func (s *Server) endpoint(name, method string, fn func(context.Context, *http.Re
 			ctx, cancel = context.WithTimeout(ctx, s.deadline)
 			defer cancel()
 		}
-		type result struct {
-			v   any
-			err error
-		}
-		done := make(chan result, 1)
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					done <- result{err: &apiError{status: http.StatusInternalServerError,
-						msg: fmt.Sprintf("internal: %v", p)}}
-				}
-			}()
-			v, err := fn(ctx, r)
-			done <- result{v: v, err: err}
-		}()
-		select {
-		case <-ctx.Done():
-			obs.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("deadline exceeded after %v", s.deadline))
-		case res := <-done:
-			if res.err != nil {
-				var ae *apiError
-				if errors.As(res.err, &ae) {
-					obs.WriteError(w, ae.status, ae.msg)
-				} else {
-					obs.WriteError(w, http.StatusInternalServerError, res.err.Error())
-				}
-				return
+		defer func() {
+			if p := recover(); p != nil {
+				obs.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("internal: %v", p))
 			}
-			esp := obs.SpanFromContext(ctx).Child("encode")
-			obs.WriteJSON(w, http.StatusOK, res.v)
-			esp.End()
+		}()
+		v, err := fn(ctx, r)
+		if ctx.Err() != nil {
+			obs.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("deadline exceeded after %v", s.deadline))
+			return
 		}
+		if err != nil {
+			var ae *apiError
+			if errors.As(err, &ae) {
+				obs.WriteError(w, ae.status, ae.msg)
+			} else {
+				obs.WriteError(w, http.StatusInternalServerError, err.Error())
+			}
+			return
+		}
+		esp := obs.SpanFromContext(ctx).Child("encode")
+		obs.WriteJSON(w, http.StatusOK, v)
+		esp.End()
 	})
 }
 
-// decode unmarshals the request body into req, translating the
-// MaxBytesReader overrun and JSON syntax errors into 4xx.
+// decode unmarshals the request body, exactly one JSON value and nothing
+// but whitespace after it, into req, translating the MaxBytesReader
+// overrun and JSON syntax errors into 4xx.
 func decode(r *http.Request, req any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return &apiError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
+	err := dec.Decode(req)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		} else if err == nil {
+			err = errors.New("data after the JSON value")
 		}
-		return badRequest("bad request body: %v", err)
 	}
-	return nil
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		return &apiError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
+	}
+	return badRequest("bad request body: %v", err)
 }
 
 // tree resolves the named tree or answers 404.

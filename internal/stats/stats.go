@@ -13,7 +13,7 @@ import (
 	"strings"
 
 	"mpctree/internal/hst"
-	"mpctree/internal/par"
+	"mpctree/internal/quality"
 	"mpctree/internal/vec"
 )
 
@@ -28,52 +28,40 @@ type Distortion struct {
 }
 
 // MeasureDistortion evaluates the trees produced by build (called once per
-// seed 0..trees-1, serially) against the Euclidean metric of pts. Pairs
-// with zero distance are skipped. build returning an error aborts. The
-// per-pair ratios fan out at GOMAXPROCS — each lands in its own slot, tree
-// distance queries being read-only — and every floating-point sum folds
-// serially in fixed pair order, so the result is bit-identical at any
-// width.
+// seed 0..trees-1, serially) against the Euclidean metric of pts. Each
+// tree's per-pair ratios are those of a quality.Audit over every pair,
+// zero-distance pairs skipped, and they fold serially in that audit's pair
+// order, so the result is bit-identical at any width and a one-tree
+// measurement agrees with the audit by construction. build returning an
+// error aborts.
 func MeasureDistortion(pts []vec.Point, trees int, build func(seed uint64) (*hst.Tree, error)) (Distortion, error) {
-	n := len(pts)
-	if n < 2 {
-		return Distortion{}, fmt.Errorf("stats: need ≥ 2 points")
+	if len(pts) < 2 || trees < 1 {
+		return Distortion{}, fmt.Errorf("stats: need ≥ 2 points and ≥ 1 tree")
 	}
-	type pair struct{ i, j int }
-	var pairs []pair
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if vec.Dist(pts[i], pts[j]) > 0 {
-				pairs = append(pairs, pair{i, j})
-			}
-		}
-	}
-	sums := make([]float64, len(pairs))
+	var sums []float64
 	minRatio := math.Inf(1)
 	var grand float64
-	ratios := make([]float64, len(pairs))
 	for s := 0; s < trees; s++ {
 		t, err := build(uint64(s))
 		if err != nil {
 			return Distortion{}, err
 		}
-		par.For(len(pairs), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				pr := pairs[k]
-				ratios[k] = t.Dist(pr.i, pr.j) / vec.Dist(pts[pr.i], pts[pr.j])
-			}
-		})
-		// Serial fold in pair order: the same float addition sequence at
-		// any width, so sums/grand/minRatio are bit-identical.
-		for k, ratio := range ratios {
+		rep, err := quality.Audit(t, pts, quality.Config{MaxPairs: -1})
+		if err != nil {
+			return Distortion{}, err
+		}
+		if sums == nil {
+			sums = make([]float64, len(rep.Ratios))
+		}
+		for k, ratio := range rep.Ratios {
 			sums[k] += ratio
 			grand += ratio
-			if ratio < minRatio {
-				minRatio = ratio
-			}
+		}
+		if rep.MinRatio < minRatio {
+			minRatio = rep.MinRatio
 		}
 	}
-	means := make([]float64, len(pairs))
+	means := make([]float64, len(sums))
 	var worst float64
 	for k := range sums {
 		means[k] = sums[k] / float64(trees)
@@ -85,9 +73,9 @@ func MeasureDistortion(pts []vec.Point, trees int, build func(seed uint64) (*hst
 	p95 := means[int(0.95*float64(len(means)-1))]
 	return Distortion{
 		Trees:        trees,
-		Pairs:        len(pairs),
+		Pairs:        len(sums),
 		MaxMeanRatio: worst,
-		MeanRatio:    grand / float64(trees*len(pairs)),
+		MeanRatio:    grand / float64(trees*len(sums)),
 		MinRatio:     minRatio,
 		P95Ratio:     p95,
 	}, nil

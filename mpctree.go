@@ -100,11 +100,11 @@ type MPCOptions struct {
 	// (use CK ≈ 1 for small-n experiments); 0 means the conservative 4.
 	CK float64
 	// Resilient runs each stage — and each query of a
-	// DistributedEmbedding — under the retry driver: a checkpoint at
-	// entry, then bounded retries after injected faults or transport
-	// failures. A recovered run's tree is bit-identical to the fault-free
-	// run's. When the FJLT stage exhausts its retries the pipeline
-	// degrades to embedding the original points (MPCInfo.Degraded).
+	// DistributedEmbedding — under the retry driver: bounded retries after
+	// injected faults or transport failures, each after a rollback that
+	// reads nothing. A recovered run's tree is bit-identical to the
+	// fault-free run's. When the FJLT stage exhausts its retries the
+	// pipeline degrades to embedding the original points (MPCInfo.Degraded).
 	Resilient bool
 	// MaxRetries is the per-stage retry budget under Resilient; 0 means 3,
 	// negative means none.
@@ -161,8 +161,8 @@ type MPCInfo struct {
 // cluster (Transport's machine count when Machines is unset and Transport
 // is given, else 8; FullyScalableCap when CapWords is unset) with the
 // fault/obs/trace options and runs the Theorem-1 pipeline, keeping the
-// per-point path records resident when emitPaths is set.
-func embedMPC(pts []Point, opt MPCOptions, emitPaths bool) (*mpc.Cluster, *Tree, *MPCInfo, error) {
+// per-point path records resident (core.EmbedPaths) when emitPaths is set.
+func embedMPC(pts []Point, opt MPCOptions, emitPaths bool) (*mpc.Cluster, *Tree, *MPCInfo, *mpc.Checkpoint, error) {
 	machines := opt.Machines
 	if machines == 0 {
 		if opt.Transport != nil {
@@ -196,16 +196,24 @@ func embedMPC(pts []Point, opt MPCOptions, emitPaths bool) (*mpc.Cluster, *Tree,
 	if opt.Trace {
 		cluster.EnableTrace()
 	}
-	tree, pinfo, err := core.EmbedPipeline(cluster, pts, core.PipelineOptions{
+	popt := core.PipelineOptions{
 		Xi:         opt.Xi,
 		CK:         opt.CK,
-		EmitPaths:  emitPaths,
 		Seed:       opt.Seed,
 		Resilient:  opt.Resilient,
 		MaxRetries: opt.MaxRetries,
 		Span:       opt.Span,
 		Quality:    opt.Quality,
-	})
+	}
+	var tree *Tree
+	var pinfo *core.PipelineInfo
+	var paths *mpc.Checkpoint
+	var err error
+	if emitPaths {
+		tree, pinfo, paths, err = core.EmbedPaths(cluster, pts, popt)
+	} else {
+		tree, pinfo, err = core.EmbedPipeline(cluster, pts, popt)
+	}
 	m := cluster.Metrics()
 	info := &MPCInfo{PipelineInfo: pinfo, Machines: machines, CapWords: capWords, Metrics: m}
 	if opt.Trace {
@@ -215,14 +223,14 @@ func embedMPC(pts []Point, opt MPCOptions, emitPaths bool) (*mpc.Cluster, *Tree,
 	opt.Span.Add("comm_words", int64(m.CommWords))
 	opt.Span.Add("peak_local_words", int64(m.MaxLocalWords))
 	opt.Span.Add("total_space_words", int64(m.TotalSpace))
-	return cluster, tree, info, err
+	return cluster, tree, info, paths, err
 }
 
 // EmbedMPC runs the full Theorem-1 pipeline — MPC Fast Johnson–
 // Lindenstrauss dimension reduction followed by MPC hybrid partitioning —
 // on a freshly simulated cluster and returns the tree plus accounting.
 func EmbedMPC(pts []Point, opt MPCOptions) (*Tree, *MPCInfo, error) {
-	_, tree, info, err := embedMPC(pts, opt, false)
+	_, tree, info, _, err := embedMPC(pts, opt, false)
 	return tree, info, err
 }
 
@@ -248,17 +256,14 @@ type DistributedEmbedding = mpcapps.Embedding
 // kept resident, so its tree is EmbedMPC's for the same options, ready for
 // the constant-round EMD, MST and DensestBall queries. The path records
 // are then the only records resident on the cluster. With Resilient each
-// query, like each stage, runs under the retry driver with MaxRetries.
+// query, like each stage, runs under the retry driver with MaxRetries and
+// rolls back to the path records read once at embed time.
 func NewDistributedEmbedding(pts []Point, opt MPCOptions) (*DistributedEmbedding, error) {
-	cluster, tree, _, err := embedMPC(pts, opt, true)
+	cluster, tree, _, paths, err := embedMPC(pts, opt, true)
 	if err != nil {
 		return nil, err
 	}
-	var retry *resilient.Options
-	if opt.Resilient {
-		retry = &resilient.Options{MaxRetries: opt.MaxRetries}
-	}
-	return mpcapps.New(cluster, tree, retry), nil
+	return mpcapps.New(cluster, tree, paths, &resilient.Options{MaxRetries: opt.MaxRetries}), nil
 }
 
 // FJLTOptions configures a standalone Fast Johnson–Lindenstrauss

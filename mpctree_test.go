@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mpctree/internal/mpc"
 	"mpctree/internal/mpcapps"
 	"mpctree/internal/mpcembed"
 	"mpctree/internal/workload"
@@ -253,9 +254,34 @@ func TestDistributedEmbeddingResilientBuild(t *testing.T) {
 	}
 }
 
+// A resilient distributed embedding reads its path records once, inside
+// the embed stage, and no fault-free query reads or copies them again.
+func TestDistributedEmbeddingCopiesPathsOnce(t *testing.T) {
+	pts := workload.UniformLattice(2, 64, 8, 64)
+	e, err := NewDistributedEmbedding(pts, MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 7, Resilient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := 0
+	for m := 0; m < e.Cluster.Machines(); m++ {
+		resident += mpc.WordsOf(e.Cluster.Store(m))
+	}
+	built := e.Cluster.Recovery()
+	if built.CheckpointWords != resident || resident == 0 {
+		t.Fatalf("embed read %d checkpoint words, the path records hold %d", built.CheckpointWords, resident)
+	}
+	for q := 0; q < 3; q++ {
+		distributedAnswers(t, e)
+	}
+	if got := e.Cluster.Recovery(); got.CheckpointWords != built.CheckpointWords || got.RestoredWords != 0 {
+		t.Fatalf("after 9 queries: %+v, after the embed: %+v", got, built)
+	}
+}
+
 // Under Faults and Resilient, every query runs under the retry driver: the
 // tree and the EMD, MST and densest-ball answers equal the fault-free
-// run's bit for bit, and some seed injects a fault during the queries.
+// run's bit for bit, and so do the cluster's meters after the queries,
+// and some seed injects a fault during the queries.
 func TestDistributedQueriesRetryUnderFaults(t *testing.T) {
 	pts := workload.UniformLattice(2, 64, 200, 128)
 	opt := MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 9, Resilient: true, MaxRetries: 40}
@@ -264,6 +290,7 @@ func TestDistributedQueriesRetryUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantEMD, wantMST, wantBall := distributedAnswers(t, clean)
+	wantMetrics := clean.Cluster.Metrics()
 	queryFaults := 0
 	for seed := uint64(1); seed <= 6; seed++ {
 		opt.Faults = UniformFaults(seed, 0.05)
@@ -279,6 +306,9 @@ func TestDistributedQueriesRetryUnderFaults(t *testing.T) {
 		queryFaults += e.Cluster.FaultStats().Injected() - before
 		if emd != wantEMD || mst != wantMST || ball != wantBall {
 			t.Errorf("fault seed %d: answers (%v, %v, %+v), fault-free (%v, %v, %+v)", seed, emd, mst, ball, wantEMD, wantMST, wantBall)
+		}
+		if got := e.Cluster.Metrics(); got != wantMetrics {
+			t.Errorf("fault seed %d: meters after the queries %+v, fault-free %+v", seed, got, wantMetrics)
 		}
 	}
 	if queryFaults == 0 {
