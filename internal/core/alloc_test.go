@@ -8,10 +8,11 @@ import (
 )
 
 // TestEmbedAllocCeiling pins the sequential Algorithm 1's heap-object
-// count on BenchmarkEmbedSequentialWorkers's input. The ceiling is the
-// count measured while Embed and NewEmbedder still ran separate level
-// loops over every point; the one build, which partitions only the points
-// still sharing a cluster and joins each hybrid id once, reads ~10.6k.
+// count on BenchmarkEmbedSequentialWorkers's input. The one-pass build,
+// which splits each cluster by its points' level ids inside the level
+// loop, reads ~9.6k. The ceiling sits below the ~10.4k of a build that
+// groups every level twice, by chain keys and again into tree nodes, so
+// a return to that fails here.
 func TestEmbedAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
@@ -22,7 +23,7 @@ func TestEmbedAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 12845
+	const ceiling = 10000
 	if allocs > ceiling {
 		t.Fatalf("Embed allocates %.0f objects per run, ceiling %d", allocs, ceiling)
 	}

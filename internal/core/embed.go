@@ -5,19 +5,23 @@
 // framework, so that the distortion experiments compare exactly like with
 // like.
 //
-// The hierarchy is built top-down. Level i partitions space at scale
-// w_i = Δ/2^i (Δ = the point-set diameter); a cluster of the hierarchy at
-// level i is identified by the chain of its flat-partition identifiers
-// through levels 1..i, which is precisely the path(p) encoding of
-// Algorithm 2. Edges from level i−1 to level i carry weight proportional
-// to √r·w_i (the Lemma 1 cluster-diameter bound), which yields the
-// domination property dist_T ≥ ‖p−q‖₂ deterministically.
+// The hierarchy is built top-down, one pass per level. Level i partitions
+// the points still sharing a cluster at scale w_i = Δ/2^i (Δ = the
+// point-set diameter), with grids global per (level, bucket) as in
+// Algorithm 2, and each cluster splits by its points' level-i ids, so the
+// ids along a root path are Algorithm 2's path(p). Edges from level i−1
+// to level i carry weight proportional to √r·w_i (the Lemma 1
+// cluster-diameter bound), which yields the domination property
+// dist_T ≥ ‖p−q‖₂ deterministically. The choice of r and the level
+// schedule are partition.ChooseR and partition.Levels, which Algorithm 2
+// (internal/mpcembed) shares.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"mpctree/internal/grid"
 	"mpctree/internal/hst"
@@ -56,7 +60,9 @@ type Options struct {
 	Method Method
 
 	// R is the number of dimension buckets for MethodHybrid. 0 selects
-	// the paper's r = Θ(log log n) (Section 4). Ignored by other methods.
+	// the paper's r = Θ(log log n) (Section 4), raised by
+	// partition.ChooseR until the Lemma 7 grid count is practical.
+	// Ignored by other methods.
 	R int
 
 	// MaxGrids caps the ball-partitioning grid draws per (level, bucket).
@@ -64,7 +70,7 @@ type Options struct {
 	MaxGrids int
 
 	// FailProb is the per-run coverage failure probability δ used to size
-	// MaxGrids when MaxGrids is 0. 0 defaults to 1/n².
+	// MaxGrids when MaxGrids is 0. 0 defaults to min(1e-4, 1/(n²+1)).
 	FailProb float64
 
 	// MinDist overrides the smallest pairwise distance used to size the
@@ -107,9 +113,6 @@ var ErrInfeasible = errors.New("core: required grid count is astronomically larg
 // effectively forever and is rejected with ErrInfeasible.
 const maxPracticalGrids = 1 << 20
 
-// maxLevels caps the hierarchy depth as a safety bound.
-const maxLevels = 64
-
 // Embed builds a tree embedding of pts with the selected method. Points
 // must be distinct (use vec.Dedup first); dimension must be ≥ 1.
 func Embed(pts []vec.Point, opt Options) (*hst.Tree, *Info, error) {
@@ -126,7 +129,7 @@ type hierarchy struct {
 	tree *hst.Tree
 	pts  []vec.Point // working (padded) copy
 	// parts[lev-1] is level lev's flat partition of the points still
-	// sharing a cluster; its Grids replay the level's grids.
+	// sharing a cluster; its Shifts replay the level's grids.
 	parts []partition.Result
 	// childByID[v] maps a level id to the child of v holding that part;
 	// repLeaf[v] is one data point in v's subtree.
@@ -138,8 +141,9 @@ type hierarchy struct {
 // so r divides d, fixes the level schedule and the Lemma-7 grid cap, then
 // at each scale w_i = Δ/2^i partitions the points still sharing a
 // cluster — Definition 1 for the grid method, Definition 3 otherwise
-// (r = 1 is Definition 2) — and assembles the tree. Info comes back on
-// success and with any error raised in or after the level loop.
+// (r = 1 is Definition 2) — and splits each cluster by its points' ids.
+// Info comes back on success and with any error raised in or after the
+// level loop.
 func build(pts []vec.Point, opt Options) (*hierarchy, *Info, error) {
 	n := len(pts)
 	if n == 0 {
@@ -157,9 +161,9 @@ func build(pts []vec.Point, opt Options) (*hierarchy, *Info, error) {
 
 	failProb := opt.FailProb
 	if failProb == 0 {
-		// 1/n² with a 1e-4 floor: at small n the pure 1/n² default is
-		// loose enough that repeated experiment sweeps hit coverage
-		// failures; the floor costs only a log factor in U.
+		// δ = 1/(n²+1), capped at 1e-4: at small n the uncapped default
+		// is loose enough that repeated experiment sweeps hit coverage
+		// failures; the cap costs only a log factor in U.
 		failProb = min(1e-4, 1/float64(n*n+1))
 	}
 	r := 1
@@ -167,16 +171,12 @@ func build(pts []vec.Point, opt Options) (*hierarchy, *Info, error) {
 	case MethodHybrid:
 		r = opt.R
 		if r == 0 {
-			// Auto-select: start at the paper's Θ(log log n) and escalate
-			// until the Lemma-7 grid count per bucket is practical —
-			// mirroring the MPC implementation's Lemma-8-driven choice.
-			// Uses a conservative 48-level estimate; the exact bound is
-			// re-checked (and can only be smaller) once levels are known.
-			for r = partition.AutoR(n, d); r < d; r++ {
-				if partition.HybridGridBound((d+r-1)/r, n, r, 48, failProb) <= maxPracticalGrids {
-					break
-				}
-			}
+			// The Lemma-7 count at MaxLevels levels must be practical; the
+			// count at the actual level schedule, checked below, can only
+			// be smaller.
+			r = partition.ChooseR(n, d, func(r int) bool {
+				return partition.HybridGridBound((d+r-1)/r, n, r, partition.MaxLevels, failProb) <= maxPracticalGrids
+			})
 		}
 		if r < 1 || r > d {
 			return nil, nil, fmt.Errorf("core: r=%d out of [1, d=%d]", r, d)
@@ -216,20 +216,16 @@ func build(pts []vec.Point, opt Options) (*hierarchy, *Info, error) {
 		}
 	}
 
-	// Level schedule: w_i = diam/2^i for i = 1..L, with L chosen so that
-	// the level-L cluster diameter bound (2√r·w_L for ball-based methods,
-	// √d·w_L for the grid method) is below the minimum distance — then
-	// every surviving cluster is a singleton.
+	// The level-L cluster diameter bound is 2√r·w_L for the ball-based
+	// methods and √d·w_L for the grid method; it also weighs the edges
+	// into level L.
 	var diamFactor float64
 	if opt.Method == MethodGrid {
 		diamFactor = math.Sqrt(float64(d))
 	} else {
 		diamFactor = 2 * math.Sqrt(float64(r))
 	}
-	levels := 1
-	for w := diam / 2; diamFactor*w >= minDist && levels < maxLevels; w /= 2 {
-		levels++
-	}
+	levels := partition.Levels(diam, minDist, diamFactor)
 
 	maxGrids := opt.MaxGrids
 	if maxGrids == 0 && opt.Method != MethodGrid {
@@ -252,22 +248,37 @@ func build(pts []vec.Point, opt Options) (*hierarchy, *Info, error) {
 
 	bucketGridWords := grid.Grid{Dim: d / r}.Words() // descriptor of one d/r-dimensional grid
 	rnd := rng.New(opt.Seed)
-	h := &hierarchy{pts: work}
-	// ids[i] holds the level-i flat partition identifier per point.
-	ids := make([][]string, levels+1)
-	// active lists the points whose cluster still holds others; a point
-	// leaves once its cluster is a singleton (its subtree is finished).
-	// Grids are global per (level, bucket), not per cluster, as in
-	// Algorithm 2: clusters are refined implicitly by the chain keys.
+	b := hst.NewBuilder(n)
+	h := &hierarchy{pts: work, childByID: []map[string]int{nil}, repLeaf: []int{0}}
+	// addChild adds a child of parent at level lev for the part whose
+	// first point is p: a leaf when p is alone in it, else a node.
+	addChild := func(parent, lev int, weight float64, p int, leaf bool) int {
+		h.childByID = append(h.childByID, nil)
+		h.repLeaf = append(h.repLeaf, p)
+		if leaf {
+			return b.AddLeaf(parent, weight, lev, p)
+		}
+		return b.AddNode(parent, weight, lev)
+	}
+
+	// The frontier holds the clusters of several points, each with its
+	// points in increasing index order, and active lists all of them in
+	// increasing index order. Grids are global per (level, bucket), as in
+	// Algorithm 2: a level partitions every active point at once, and each
+	// cluster splits by its points' ids.
+	type cluster struct {
+		node   int
+		points []int
+	}
 	active := make([]int, n)
 	for i := range active {
 		active[i] = i
 	}
+	// The root's points are a copy: active is rebuilt while the frontier
+	// is read.
+	frontier := []cluster{{node: b.Root(), points: slices.Clone(active)}}
+	levID := make([]string, n) // levID[p] is p's id at the current level
 	sub := make([]vec.Point, n)
-
-	// clusterKey[p] accumulates the chain of level ids — the path(p)
-	// encoding. Points share a level-i cluster iff keys are equal.
-	clusterKey := make([]string, n)
 
 	w := diam / 2
 	for lev := 1; lev <= levels; lev++ {
@@ -287,138 +298,59 @@ func build(pts []vec.Point, opt Options) (*hierarchy, *Info, error) {
 		}
 		info.GridsPerLevel = append(info.GridsPerLevel, part.GridsUsed)
 		h.parts = append(h.parts, part)
-		levIDs := make([]string, n)
 		for i, p := range active {
-			levIDs[p] = part.IDs[i]
+			levID[p] = part.IDs[i]
 		}
-		ids[lev] = levIDs
 
-		// Extend chains and count cluster sizes; singletons leave.
-		size := make(map[string]int, len(active))
-		for _, p := range active {
-			clusterKey[p] = clusterKey[p] + levelTag(lev) + levIDs[p]
-			size[clusterKey[p]]++
-		}
-		still := active[:0]
-		for _, p := range active {
-			if size[clusterKey[p]] > 1 {
-				still = append(still, p)
+		// Split each cluster by id, parts in first-seen order: a lone
+		// point becomes a leaf, a larger part a node of the next frontier.
+		// kids first maps each id to its part's index, then to the child
+		// made for the part.
+		weight := diamFactor * w
+		var next []cluster
+		active = active[:0]
+		for _, c := range frontier {
+			kids := make(map[string]int)
+			var parts [][]int
+			for _, p := range c.points {
+				g, seen := kids[levID[p]]
+				if !seen {
+					g = len(parts)
+					kids[levID[p]] = g
+					parts = append(parts, nil)
+				}
+				parts[g] = append(parts[g], p)
 			}
+			for _, ps := range parts {
+				v := addChild(c.node, lev, weight, ps[0], len(ps) == 1)
+				kids[levID[ps[0]]] = v
+				if len(ps) > 1 {
+					next = append(next, cluster{node: v, points: ps})
+					active = append(active, ps...)
+				}
+			}
+			h.childByID[c.node] = kids
 		}
-		active = still
+		frontier = next
+		slices.Sort(active)
 		w /= 2
-		// Once every cluster is a singleton the hierarchy is complete;
-		// later levels would partition nothing.
-		if len(active) == 0 {
+		if len(frontier) == 0 { // every cluster is a singleton: done
 			info.Levels = lev
-			levels = lev
 			break
 		}
 	}
-
-	var err error
-	h.tree, h.childByID, h.repLeaf, err = buildTreeNav(work, ids, levels, diam, diamFactor)
-	if err != nil {
-		return nil, info, err
-	}
-	return h, info, nil
-}
-
-// levelTag returns a one-byte separator making chain keys prefix-free
-// across levels.
-func levelTag(lev int) string { return string([]byte{byte(lev)}) }
-
-// buildTreeNav converts per-level flat ids into the weighted tree, plus
-// the navigation structures the Embedder uses for out-of-sample queries:
-// childByID[v] maps a level-id to the child of v holding that part, and
-// repLeaf[v] is one data point living in v's subtree. Edge weight into
-// level i is diamFactor·w_i (w_i = diam/2^i); a cluster that becomes a
-// singleton at level i is emitted as a leaf at level i and not refined
-// further.
-func buildTreeNav(pts []vec.Point, ids [][]string, levels int, diam, diamFactor float64) (*hst.Tree, []map[string]int, []int, error) {
-	n := len(pts)
-	b := hst.NewBuilder(n)
-	childByID := []map[string]int{nil} // grows with the arena
-	repLeaf := []int{-1}
-
-	addNode := func(parent int, weight float64, lev, rep int) int {
-		id := b.AddNode(parent, weight, lev)
-		childByID = append(childByID, nil)
-		repLeaf = append(repLeaf, rep)
-		return id
-	}
-	addLeaf := func(parent int, weight float64, lev, p int) int {
-		id := b.AddLeaf(parent, weight, lev, p)
-		childByID = append(childByID, nil)
-		repLeaf = append(repLeaf, p)
-		return id
-	}
-	link := func(parent int, id string, child int) {
-		if childByID[parent] == nil {
-			childByID[parent] = make(map[string]int)
-		}
-		childByID[parent][id] = child
-	}
-
-	type clus struct {
-		node   int
-		points []int
-	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	repLeaf[0] = 0
-	frontier := []clus{{node: b.Root(), points: all}}
-	w := diam / 2
-	for lev := 1; lev <= levels && len(frontier) > 0; lev++ {
-		weight := diamFactor * w
-		var next []clus
-		for _, c := range frontier {
-			if len(c.points) == 1 {
-				p := c.points[0]
-				leaf := addLeaf(c.node, weight, lev, p)
-				if id := ids[lev][p]; id != "" {
-					link(c.node, id, leaf)
-				}
-				continue
-			}
-			groups := make(map[string][]int)
-			var order []string
-			for _, p := range c.points {
-				id := ids[lev][p]
-				if _, seen := groups[id]; !seen {
-					order = append(order, id)
-				}
-				groups[id] = append(groups[id], p)
-			}
-			for _, id := range order {
-				g := groups[id]
-				if len(g) == 1 {
-					leaf := addLeaf(c.node, weight, lev, g[0])
-					link(c.node, id, leaf)
-					continue
-				}
-				child := addNode(c.node, weight, lev, g[0])
-				link(c.node, id, child)
-				next = append(next, clus{node: child, points: g})
-			}
-		}
-		frontier = next
-		w /= 2
-	}
-	// Any cluster still holding several points after the last level (only
-	// possible through floating-point boundary effects) is force-split
-	// into leaves one level below, preserving domination.
-	weight := diamFactor * w
+	// A cluster still holding several points after the last level (an
+	// input past MaxLevels, a MinDist above the true minimum, or a
+	// floating-point boundary effect) is force-split into leaves one level
+	// below, preserving domination.
 	for _, c := range frontier {
 		for _, p := range c.points {
-			addLeaf(c.node, weight, levels+1, p)
+			addChild(c.node, levels+1, diamFactor*w, p, true)
 		}
 	}
-	t := b.Finish()
-	if err := t.Validate(); err != nil {
-		return nil, nil, nil, fmt.Errorf("core: built invalid tree: %v", err)
+	h.tree = b.Finish()
+	if err := h.tree.Validate(); err != nil {
+		return nil, info, fmt.Errorf("core: built invalid tree: %v", err)
 	}
-	return t, childByID, repLeaf, nil
+	return h, info, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"mpctree/internal/partition"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
@@ -297,5 +298,37 @@ func BenchmarkEmbedGrid(b *testing.B) {
 		if _, _, err := Embed(pts, Options{Method: MethodGrid, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// An input whose aspect ratio needs more than partition.MaxLevels levels
+// stops at MaxLevels, and every pair stays dominated. At seed 1 every
+// method still holds the closest pair together after level 47, and the
+// grid method after level 48 too: it force-splits the pair into leaves
+// one level below.
+func TestEmbedLevelCap(t *testing.T) {
+	pts := []vec.Point{{0}, {0x1p-50}, {0.5}, {1}}
+	forceSplit := false
+	for _, m := range []Method{MethodGrid, MethodBall, MethodHybrid} {
+		tr, info, err := Embed(pts, Options{Method: m, Seed: 1})
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if info.Levels != partition.MaxLevels {
+			t.Errorf("%v: Levels = %d, want partition.MaxLevels = %d", m, info.Levels, partition.MaxLevels)
+		}
+		for i := range pts {
+			for j := i + 1; j < len(pts); j++ {
+				if tr.Dist(i, j) < vec.Dist(pts[i], pts[j]) {
+					t.Errorf("%v: dist_T(%d,%d) = %g < %g", m, i, j, tr.Dist(i, j), vec.Dist(pts[i], pts[j]))
+				}
+			}
+		}
+		if tr.MaxLevel() == partition.MaxLevels+1 {
+			forceSplit = true
+		}
+	}
+	if !forceSplit {
+		t.Error("no method force-split below the last level")
 	}
 }

@@ -26,9 +26,10 @@ type Embedder struct {
 	r       int
 	levels  int
 	diam    float64
-	// grids[lev-1][j] is the ordered grid sequence of level lev, bucket j
-	// (one entry, one grid for the grid method).
-	grids     [][][]grid.Grid
+	// shifts[lev-1][j] holds the grids of level lev, bucket j, packed in
+	// draw order as grid.FirstCover reads them (one bucket, one grid for
+	// the grid method).
+	shifts    [][][]float64
 	tree      *hst.Tree
 	childByID []map[string]int
 	repLeaf   []int
@@ -48,7 +49,7 @@ func NewEmbedder(pts []vec.Point, opt Options) (*Embedder, error) {
 		tree: h.tree, childByID: h.childByID, repLeaf: h.repLeaf,
 	}
 	for _, part := range h.parts {
-		e.grids = append(e.grids, part.Grids())
+		e.shifts = append(e.shifts, part.Shifts())
 	}
 	return e, nil
 }
@@ -59,30 +60,37 @@ func (e *Embedder) Tree() *hst.Tree { return e.tree }
 // NumPoints returns the indexed point count.
 func (e *Embedder) NumPoints() int { return len(e.pts) }
 
-// queryID computes the level-lev flat id of q (1-based level), or "" if q
-// is uncovered at that level.
+// pad checks q's dimension and returns q in the working dimension:
+// zero-padded when the build padded the points, else q itself.
+func (e *Embedder) pad(q vec.Point) vec.Point {
+	if len(q) != e.origDim {
+		panic(fmt.Sprintf("core: query dimension %d, index expects %d", len(q), e.origDim))
+	}
+	if len(q) == len(e.pts[0]) {
+		return q
+	}
+	qq := make(vec.Point, len(e.pts[0]))
+	copy(qq, q)
+	return qq
+}
+
+// queryID computes the level-lev flat id of the padded query q (1-based
+// level), or "" if q is uncovered at that level.
 func (e *Embedder) queryID(q vec.Point, lev int) string {
 	w := e.diam / math.Pow(2, float64(lev))
 	var scratch [16]int64
-	levGrids := e.grids[lev-1]
+	shifts := e.shifts[lev-1]
 	if e.method == MethodGrid {
-		g := levGrids[0][0]
-		sc := g.CellCoords(q, scratch[:0])
-		return grid.Key(sc)
+		g := grid.Grid{Dim: len(q), Cell: w, Shift: shifts[0]}
+		return grid.Key(g.CellCoords(q, scratch[:0]))
 	}
 	id := ""
-	for j := 0; j < e.r; j++ {
-		found := false
-		for u, g := range levGrids[j] {
-			if idx, in := g.InBall(vec.Bucket(q, j, e.r), w, scratch[:0]); in {
-				id += string([]byte{byte(j)}) + grid.KeyWithPrefix(uint64(u), idx)
-				found = true
-				break
-			}
-		}
-		if !found {
+	for j, s := range shifts {
+		u, idx, in := grid.FirstCover(vec.Bucket(q, j, e.r), s, 4*w, w, scratch[:0])
+		if !in {
 			return ""
 		}
+		id += string([]byte{byte(j)}) + grid.KeyWithPrefix(uint64(u), idx)
 	}
 	return id
 }
@@ -92,22 +100,17 @@ func (e *Embedder) queryID(q vec.Point, lev int) string {
 // falls into (the root if it immediately diverges), plus the depth
 // reached in levels.
 func (e *Embedder) Locate(q vec.Point) (node, level int) {
-	if len(q) != e.origDim {
-		panic(fmt.Sprintf("core: query dimension %d, index expects %d", len(q), e.origDim))
-	}
-	qq := q
-	if len(e.pts) > 0 && len(q) < len(e.pts[0]) {
-		qq = make(vec.Point, len(e.pts[0]))
-		copy(qq, q)
-	}
-	node = 0
+	return e.locate(e.pad(q))
+}
+
+// locate is Locate for a padded query.
+func (e *Embedder) locate(q vec.Point) (node, level int) {
 	for lev := 1; lev <= e.levels; lev++ {
-		id := e.queryID(qq, lev)
+		id := e.queryID(q, lev)
 		if id == "" {
 			return node, lev - 1
 		}
-		m := e.childByID[node]
-		child, ok := m[id]
+		child, ok := e.childByID[node][id]
 		if !ok {
 			return node, lev - 1
 		}
@@ -125,16 +128,9 @@ func (e *Embedder) Locate(q vec.Point) (node, level int) {
 // candidate's quality follows the embedding guarantee: points that stay
 // with q through many levels are within O(√r·w_level) of it.
 func (e *Embedder) NearestCandidate(q vec.Point) (point int, dist float64) {
-	node, _ := e.Locate(q)
+	qq := e.pad(q)
+	node, _ := e.locate(qq)
 	p := e.repLeaf[node]
-	if p < 0 {
-		p = 0
-	}
-	qq := q
-	if len(q) < len(e.pts[0]) {
-		qq = make(vec.Point, len(e.pts[0]))
-		copy(qq, q)
-	}
 	return p, vec.Dist(e.pts[p], qq)
 }
 
@@ -142,12 +138,8 @@ func (e *Embedder) NearestCandidate(q vec.Point) (point int, dist float64) {
 // cluster and returning the true nearest among them — still typically far
 // fewer than n points.
 func (e *Embedder) Refine(q vec.Point) (point int, dist float64) {
-	node, _ := e.Locate(q)
-	qq := q
-	if len(q) < len(e.pts[0]) {
-		qq = make(vec.Point, len(e.pts[0]))
-		copy(qq, q)
-	}
+	qq := e.pad(q)
+	node, _ := e.locate(qq)
 	best, bestD := -1, math.Inf(1)
 	var walk func(v int)
 	walk = func(v int) {

@@ -143,14 +143,11 @@ func fnv128a(hi, lo uint64, data []byte) (uint64, uint64) {
 
 // plan is the Lemma 7/8 grid plan for one bucket count r.
 type plan struct {
-	r, dPad, k, levels, u int
-	gridRecWords          int // words charged per grid: a record of its own
-	gridWords             int // words of all grids (Lemma 8's quantity)
-	diamFactor            float64
+	dPad, k, levels, u int
+	gridRecWords       int // words charged per grid: a record of its own
+	gridWords          int // words of all grids (Lemma 8's quantity)
+	diamFactor         float64
 }
-
-// maxLevels caps the depth of the level schedule.
-const maxLevels = 48
 
 // planGrids plans r buckets over diameter diam. Of opt it reads MinDist,
 // FailProb and MaxGrids, with their documented defaults.
@@ -169,10 +166,7 @@ func planGrids(n, d, r int, diam float64, opt Options) plan {
 	}
 	k := dPad / r
 	diamFactor := 2 * math.Sqrt(float64(r))
-	levels := 1
-	for w := diam / 2; diamFactor*w >= minDist && levels < maxLevels; w /= 2 {
-		levels++
-	}
+	levels := partition.Levels(diam, minDist, diamFactor)
 	u := opt.MaxGrids
 	if u == 0 {
 		u = partition.HybridGridBound(k, n, r, levels, failProb)
@@ -183,7 +177,7 @@ func planGrids(n, d, r int, diam float64, opt Options) plan {
 	if gwf < float64(1<<50) {
 		gw = int(gwf)
 	}
-	return plan{r: r, dPad: dPad, k: k, levels: levels, u: u, gridRecWords: grw, gridWords: gw, diamFactor: diamFactor}
+	return plan{dPad: dPad, k: k, levels: levels, u: u, gridRecWords: grw, gridWords: gw, diamFactor: diamFactor}
 }
 
 // GridPlan reports, without running anything, the Lemma-7 grid count U
@@ -346,23 +340,15 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		return b.Finish(), &Info{N: 1, Dim: d, R: 1}, nil
 	}
 
-	// Choose r: the caller's explicit value, or the smallest r ≥
-	// Θ(log log n) whose Lemma-7 grid count fits one machine's memory —
-	// the Lemma 8 constraint. Larger r costs √r distortion but shrinks the
-	// per-bucket dimension k = d/r and with it the 2^Θ(k log k) grid count;
-	// this is the paper's grid↔ball trade-off made operational.
-	var pl plan
-	if opt.R != 0 {
-		pl = planGrids(n, d, opt.R, diam, opt)
-	} else {
-		for r := partition.AutoR(n, d); ; r++ {
-			pl = planGrids(n, d, r, diam, opt)
-			if pl.gridWords <= c.CapWords() || r >= d {
-				break
-			}
-		}
+	// Choose r: the caller's explicit value, or partition.ChooseR's
+	// smallest r whose planned grids fit one machine's memory (Lemma 8).
+	r := opt.R
+	if r == 0 {
+		r = partition.ChooseR(n, d, func(r int) bool {
+			return planGrids(n, d, r, diam, opt).gridWords <= c.CapWords()
+		})
 	}
-	r := pl.r
+	pl := planGrids(n, d, r, diam, opt)
 	k := pl.k
 	dPad := pl.dPad
 	levels := pl.levels

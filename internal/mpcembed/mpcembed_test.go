@@ -9,6 +9,7 @@ import (
 
 	"mpctree/internal/mpc"
 	"mpctree/internal/obs"
+	"mpctree/internal/partition"
 	"mpctree/internal/rng"
 	"mpctree/internal/vec"
 )
@@ -51,6 +52,27 @@ func TestEmbedDomination(t *testing.T) {
 				if tr.Dist(i, j) < vec.Dist(pts[i], pts[j])-1e-9 {
 					t.Fatalf("domination violated for (%d,%d)", i, j)
 				}
+			}
+		}
+	}
+}
+
+// An input whose aspect ratio needs more than partition.MaxLevels levels
+// stops at MaxLevels, and every pair stays dominated: points still
+// sharing a cluster there get sibling leaves one level below.
+func TestEmbedLevelCap(t *testing.T) {
+	pts := []vec.Point{{0}, {1}, {7}, {0x1p50}}
+	tr, info, err := Embed(bigCluster(2), pts, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Levels != partition.MaxLevels {
+		t.Errorf("Levels = %d, want partition.MaxLevels = %d", info.Levels, partition.MaxLevels)
+	}
+	for i := range pts {
+		for j := i + 1; j < len(pts); j++ {
+			if tr.Dist(i, j) < vec.Dist(pts[i], pts[j]) {
+				t.Errorf("dist_T(%d,%d) = %g < %g", i, j, tr.Dist(i, j), vec.Dist(pts[i], pts[j]))
 			}
 		}
 	}

@@ -40,7 +40,7 @@ type Result struct {
 	Uncovered int      // number of uncovered points
 	GridsUsed int      // grids actually consulted (≤ the cap)
 
-	// The recipe Grids replays: the generator as it stood before the
+	// The recipe Shifts replays: the generator as it stood before the
 	// first draw, the grids drawn in each bucket, and their shape.
 	start rng.RNG
 	drawn []int
@@ -48,21 +48,22 @@ type Result struct {
 	cell  float64
 }
 
-// Grids re-draws the grids the partitioning consulted, in draw order:
-// Grids()[j][u] is grid u of bucket j (one bucket for the grid and ball
-// methods). A partitioning draws nothing but grids from its generator, so
-// replaying them from a copy of its starting state is exact; the caller's
-// generator is left untouched. Only an index that places new points needs
-// the grids, so a Result does not keep them.
-func (r Result) Grids() [][]grid.Grid {
+// Shifts re-draws the grids the partitioning consulted, in draw order,
+// packed the way grid.FirstCover reads them: Shifts()[j] holds bucket
+// j's grids (one bucket for the grid and ball methods), grid u's shift
+// at [u·k, (u+1)·k) for bucket dimension k. A partitioning draws nothing
+// but grids from its generator, so replaying them from a copy of its
+// starting state is exact; the caller's generator is left untouched.
+// Only an index that places new points needs the grids, so a Result
+// does not keep them.
+func (r Result) Shifts() [][]float64 {
 	rnd := r.start
 	shifts := make([]float64, r.GridsUsed*r.dim)
-	out := make([][]grid.Grid, len(r.drawn))
+	out := make([][]float64, len(r.drawn))
 	for j, u := range r.drawn {
-		out[j] = make([]grid.Grid, u)
-		for i := range out[j] {
-			out[j][i] = grid.NewInto(&rnd, shifts[:r.dim:r.dim], r.cell)
-			shifts = shifts[r.dim:]
+		out[j], shifts = shifts[:u*r.dim:u*r.dim], shifts[u*r.dim:]
+		for g := 0; g < u; g++ {
+			grid.NewInto(&rnd, out[j][g*r.dim:(g+1)*r.dim], r.cell)
 		}
 	}
 	return out
@@ -256,7 +257,7 @@ func HybridGridBound(k, n, r, levels int, delta float64) int {
 }
 
 // AutoR returns the paper's bucket count r = Θ(log log n) (Section 4),
-// at least 1 and at most d. Both embeddings start their choice of r here.
+// at least 1 and at most d. ChooseR starts from it.
 func AutoR(n, d int) int {
 	if n < 4 {
 		return 1
@@ -269,6 +270,38 @@ func AutoR(n, d int) int {
 		r = d
 	}
 	return r
+}
+
+// ChooseR returns the bucket count both embeddings use when the caller
+// sets none: the smallest r from AutoR(n, d) up whose grids fit, or d if
+// no r below d fits. Each embedding passes its own fit test: Algorithm 1
+// a practical Lemma-7 count, Algorithm 2 one machine's memory (Lemma 8).
+// Larger r costs √r distortion but shrinks the bucket dimension d/r and
+// with it the 2^Θ(k log k) grid count: the paper's grid↔ball trade-off.
+func ChooseR(n, d int, fits func(r int) bool) int {
+	r := AutoR(n, d)
+	for r < d && !fits(r) {
+		r++
+	}
+	return r
+}
+
+// MaxLevels caps the level schedule of both embeddings. On an input that
+// needs more levels (an aspect ratio of about 2^MaxLevels or more), the
+// points still sharing a cluster at the last level become sibling leaves
+// one level below it.
+const MaxLevels = 48
+
+// Levels returns the level count L of the schedule w_i = diam/2^i,
+// i = 1..L, shared by both embeddings: the first level whose cluster
+// diameter bound diamFactor·w_L is below minDist, so that distinct points
+// no longer share a cluster, or MaxLevels if that comes first.
+func Levels(diam, minDist, diamFactor float64) int {
+	levels := 1
+	for w := diam / 2; diamFactor*w >= minDist && levels < MaxLevels; w /= 2 {
+		levels++
+	}
+	return levels
 }
 
 // Diameters returns, for each part with ≥ 2 points, the exact diameter of

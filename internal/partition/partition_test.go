@@ -201,14 +201,18 @@ func TestHybridPanicsOnBadR(t *testing.T) {
 	}
 }
 
-// Result.Grids replays exactly the grids a partitioning drew: assigning
-// every point again with the replayed grids reproduces IDs, covered or
-// not, and the replay leaves the caller's generator where it was.
+// Result.Shifts replays exactly the grids a partitioning drew: assigning
+// every point again by an InBall loop over the replayed shifts reproduces
+// IDs, covered or not, and the replay leaves the caller's generator where
+// it was.
 func TestGridsReplayAssignment(t *testing.T) {
 	pts := uniformPts(rng.New(12), 200, 4, 60)
 	const w = 5.0
-	firstBall := func(grids []grid.Grid, p vec.Point) string {
-		for u, g := range grids {
+	// firstBall is the InBall loop over one bucket's packed shifts.
+	firstBall := func(shifts []float64, p vec.Point) string {
+		k := len(p)
+		for u := 0; u < len(shifts)/k; u++ {
+			g := grid.Grid{Dim: k, Cell: 4 * w, Shift: shifts[u*k : (u+1)*k]}
 			if idx, in := g.InBall(p, w, nil); in {
 				return grid.KeyWithPrefix(uint64(u), idx)
 			}
@@ -218,18 +222,20 @@ func TestGridsReplayAssignment(t *testing.T) {
 	cases := []struct {
 		name   string
 		run    func(*rng.RNG) Result
-		assign func([][]grid.Grid, vec.Point) string
+		assign func([][]float64, vec.Point) string
 	}{
 		{"grid", func(r *rng.RNG) Result { return GridPartition(r, pts, w) },
-			func(g [][]grid.Grid, p vec.Point) string { return grid.Key(g[0][0].CellCoords(p, nil)) }},
+			func(s [][]float64, p vec.Point) string {
+				return grid.Key(grid.Grid{Dim: len(p), Cell: w, Shift: s[0]}.CellCoords(p, nil))
+			}},
 		// Three grids in 4-D leave points uncovered: the replay must too.
 		{"ball", func(r *rng.RNG) Result { return BallPartition(r, pts, w, 3) },
-			func(g [][]grid.Grid, p vec.Point) string { return firstBall(g[0], p) }},
+			func(s [][]float64, p vec.Point) string { return firstBall(s[0], p) }},
 		{"hybrid", func(r *rng.RNG) Result { return HybridPartition(r, pts, w, 2, 400) },
-			func(g [][]grid.Grid, p vec.Point) string {
+			func(s [][]float64, p vec.Point) string {
 				id := ""
-				for j := range g {
-					b := firstBall(g[j], vec.Bucket(p, j, 2))
+				for j := range s {
+					b := firstBall(s[j], vec.Bucket(p, j, 2))
 					if b == Uncovered {
 						return Uncovered
 					}
@@ -242,25 +248,52 @@ func TestGridsReplayAssignment(t *testing.T) {
 		rnd := rng.New(5)
 		res := tc.run(rnd)
 		after := *rnd
-		grids := res.Grids()
+		shifts := res.Shifts()
 		if *rnd != after {
-			t.Fatalf("%s: Grids advanced the caller's generator", tc.name)
+			t.Fatalf("%s: Shifts advanced the caller's generator", tc.name)
 		}
+		k := len(pts[0]) / len(shifts)
 		drawn := 0
-		for _, bucket := range grids {
-			drawn += len(bucket)
+		for _, bucket := range shifts {
+			drawn += len(bucket) / k
 		}
 		if drawn != res.GridsUsed {
-			t.Fatalf("%s: Grids replayed %d grids, GridsUsed %d", tc.name, drawn, res.GridsUsed)
+			t.Fatalf("%s: Shifts replayed %d grids, GridsUsed %d", tc.name, drawn, res.GridsUsed)
 		}
 		for i, p := range pts {
-			if got := tc.assign(grids, p); got != res.IDs[i] {
+			if got := tc.assign(shifts, p); got != res.IDs[i] {
 				t.Fatalf("%s: point %d replays to %q, partition assigned %q", tc.name, i, got, res.IDs[i])
 			}
 		}
 		if tc.name == "ball" && res.OK() {
 			t.Errorf("ball: expected uncovered points with three grids")
 		}
+	}
+}
+
+// ChooseR climbs from AutoR to the first r that fits and stops at d;
+// Levels stops at the first level whose bound is below minDist, or at
+// MaxLevels.
+func TestChooseRAndLevels(t *testing.T) {
+	const n, d = 1 << 16, 20 // AutoR = 8
+	for _, c := range []struct {
+		fits func(int) bool
+		want int
+	}{
+		{func(int) bool { return true }, 8},
+		{func(r int) bool { return r >= 11 }, 11},
+		{func(int) bool { return false }, d},
+	} {
+		if got := ChooseR(n, d, c.fits); got != c.want {
+			t.Errorf("ChooseR = %d, want %d", got, c.want)
+		}
+	}
+	// 2·1024/2^L < 1 first at L = 12.
+	if got := Levels(1024, 1, 2); got != 12 {
+		t.Errorf("Levels(1024, 1, 2) = %d, want 12", got)
+	}
+	if got := Levels(0x1p60, 1, 2); got != MaxLevels {
+		t.Errorf("Levels(2^60, 1, 2) = %d, want MaxLevels = %d", got, MaxLevels)
 	}
 }
 
