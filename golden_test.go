@@ -87,7 +87,7 @@ func TestGoldenMPCEmbed(t *testing.T) {
 func TestGoldenMPCEmbedPaths(t *testing.T) {
 	pts := workload.UniformLattice(11, 32, 12, 64)
 	c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 20})
-	tr, _, err := mpcembed.Embed(c, pts, mpcembed.Options{R: 3, Seed: 13, EmitPaths: true})
+	tr, _, err := mpcembed.Embed(c, pts, mpcembed.Options{R: 3, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,15 +98,16 @@ func EmbedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.T
 	return tree, info, err
 }
 
-// EmbedPaths is EmbedPipeline leaving one path record per point resident
-// on c (mpcembed.Options.EmitPaths) for mpcapps' queries. Under Resilient
-// it also returns a checkpoint of them, read at the end of the embed
-// stage's step so that a worker lost while they are read retries it.
+// EmbedPaths is EmbedPipeline for mpcapps' queries. Both leave one path
+// record per point resident on c (see mpcembed.TagPath); under Resilient
+// EmbedPaths also returns a checkpoint of them, read at the end of the
+// embed stage's step so that a worker lost while they are read retries
+// it.
 func EmbedPaths(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions) (*hst.Tree, *PipelineInfo, *mpc.Checkpoint, error) {
 	return embedPipeline(c, pts, opt, true)
 }
 
-func embedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions, emitPaths bool) (*hst.Tree, *PipelineInfo, *mpc.Checkpoint, error) {
+func embedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions, checkpointPaths bool) (*hst.Tree, *PipelineInfo, *mpc.Checkpoint, error) {
 	n := len(pts)
 	if n == 0 {
 		return nil, nil, nil, errors.New("core: empty point set")
@@ -206,14 +207,14 @@ func embedPipeline(c *mpc.Cluster, pts []vec.Point, opt PipelineOptions, emitPat
 	var paths *mpc.Checkpoint
 	err = runStage("embed", "tree_embed", func(sp *obs.Span) error {
 		t, ei, err := mpcembed.Embed(c, work, mpcembed.Options{
-			R: opt.R, MinDist: minDist, EmitPaths: emitPaths, Seed: opt.Seed ^ 0x7EE, Span: sp,
+			R: opt.R, MinDist: minDist, Seed: opt.Seed ^ 0x7EE, Span: sp,
 		})
 		einfo = ei // partial accounting survives a failed attempt
 		if err != nil {
 			return err
 		}
 		tree = t
-		if emitPaths && opt.Resilient {
+		if checkpointPaths && opt.Resilient {
 			paths, err = c.Checkpoint()
 		}
 		return err

@@ -3,10 +3,12 @@
 // embedding, not driver-side post-processing.
 //
 // The embedding is the Theorem-1 pipeline's (FJLT, Algorithm 2, then the
-// 1/(1−ξ) rescale) run with mpcembed's EmitPaths: each machine retains,
-// per point it owns, the point's full ancestor-hash path (the path(p)
-// tuple of the paper). Because a point knows ALL of its ancestors,
-// per-node aggregates over the hierarchy need no level-by-level tree walk:
+// 1/(1−ξ) rescale). Algorithm 2 leaves its path records resident: each
+// machine holds, per point it owns, the point's full ancestor-hash path
+// (the path(p) tuple of the paper), read with mpcembed.PathAt, and the
+// coordinator's tree is the union of the same records. Because a point
+// knows ALL of its ancestors, per-node aggregates over the hierarchy need
+// no level-by-level tree walk:
 // every point emits one contribution per ancestor, combined map-side, one
 // round sends them to the owner of their node (mpc.Owner), which combines
 // them, and a one-round gather to machine 0 finishes — O(1) rounds total
@@ -131,9 +133,12 @@ func (e *Embedding) EMD(mu, nu []float64) (float64, error) {
 				if r.Tag != mpcembed.TagPath {
 					continue
 				}
-				pid := int(r.Ints[0])
-				for lev := 1; lev <= levels && 2*lev < len(r.Ints); lev++ {
-					k := key{hi: r.Ints[2*lev-1], lo: r.Ints[2*lev], lev: lev}
+				for lev := 1; lev <= levels; lev++ {
+					pid, hi, lo, ok := mpcembed.PathAt(r, lev)
+					if !ok {
+						break
+					}
+					k := key{hi: hi, lo: lo, lev: lev}
 					v := acc[k]
 					v[0] += mu[pid]
 					v[1] += nu[pid]
@@ -184,8 +189,9 @@ func (e *Embedding) EMD(mu, nu []float64) (float64, error) {
 					}
 					continue
 				case mpcembed.TagPath:
-					pid := int(r.Ints[0])
-					partial += leafW * math.Abs(mu[pid]-nu[pid])
+					if pid, _, _, ok := mpcembed.PathAt(r, 0); ok {
+						partial += leafW * math.Abs(mu[pid]-nu[pid])
+					}
 				}
 				keep = append(keep, r)
 			}
@@ -251,10 +257,9 @@ func (e *Embedding) DensestBall(D, beta float64) (BallResult, error) {
 				if r.Tag != mpcembed.TagPath {
 					continue
 				}
-				if 2*target >= len(r.Ints) {
-					continue
+				if _, hi, lo, ok := mpcembed.PathAt(r, target); ok {
+					counts[[2]int64{hi, lo}]++
 				}
-				counts[[2]int64{r.Ints[2*target-1], r.Ints[2*target]}]++
 			}
 			ckeys := make([][2]int64, 0, len(counts))
 			for k := range counts {

@@ -58,16 +58,17 @@ func (e *Embedding) MST() ([]MSTEdge, error) {
 				if r.Tag != mpcembed.TagPath {
 					continue
 				}
-				pid := r.Ints[0]
-				prevHi, prevLo := int64(0), int64(0) // root hash is zero
-				for lev := 1; lev <= levels && 2*lev < len(r.Ints); lev++ {
-					hi, lo := r.Ints[2*lev-1], r.Ints[2*lev]
-					key := repKey(prevHi, prevLo, hi, lo)
-					if b, ok := best[key]; !ok || pid < b {
-						best[key] = pid
+				for lev := 1; lev <= levels; lev++ {
+					p, hi, lo, ok := mpcembed.PathAt(r, lev)
+					if !ok {
+						break
+					}
+					_, pHi, pLo, _ := mpcembed.PathAt(r, lev-1)
+					key := repKey(pHi, pLo, hi, lo)
+					if b, ok := best[key]; !ok || int64(p) < b {
+						best[key] = int64(p)
 						lvl[key] = lev
 					}
-					prevHi, prevLo = hi, lo
 				}
 			}
 			for key, pid := range best {

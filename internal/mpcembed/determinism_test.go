@@ -24,10 +24,10 @@ func TestEmbedWorkerInvariant(t *testing.T) {
 		}
 	}
 
-	treeBytes := func(procs int, emitPaths bool) []byte {
+	treeBytes := func(procs int) []byte {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		c := mpc.New(mpc.Config{Machines: 4, CapWords: 1 << 22})
-		tree, _, err := Embed(c, pts, Options{R: 2, Seed: 77, EmitPaths: emitPaths})
+		tree, _, err := Embed(c, pts, Options{R: 2, Seed: 77})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,17 +38,8 @@ func TestEmbedWorkerInvariant(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	want := treeBytes(1, false)
-	if got := treeBytes(8, false); !bytes.Equal(got, want) {
+	want := treeBytes(1)
+	if got := treeBytes(8); !bytes.Equal(got, want) {
 		t.Fatalf("GOMAXPROCS=8: tree bytes differ from GOMAXPROCS=1 (%d vs %d bytes)", len(got), len(want))
-	}
-	// The path-emitting variant routes extra records but must build the
-	// same tree, still width-invariantly.
-	wantPaths := treeBytes(1, true)
-	if !bytes.Equal(wantPaths, want) {
-		t.Fatal("EmitPaths changed the tree")
-	}
-	if got := treeBytes(8, true); !bytes.Equal(got, wantPaths) {
-		t.Fatal("GOMAXPROCS=8 with EmitPaths: tree bytes differ from GOMAXPROCS=1")
 	}
 }

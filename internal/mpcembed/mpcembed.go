@@ -20,11 +20,13 @@
 //     the bucket projection. Cluster identities along the path are chained
 //     128-bit hashes of the per-level, per-bucket ball ids — the path(p)
 //     tuples of Algorithm 2 in a fixed-width encoding. The same round
-//     sends every edge, leaf and path record to the machine that owns its
-//     key (mpc.Owner): it is the shuffle of Algorithm 2's union;
-//  4. each owner drops the duplicate edges it received, locally and with
-//     no further round, and the driver assembles the weighted tree
-//     (Algorithm 2's "T is the union of the returned T_i").
+//     sends each point's path record to the machine that owns its key
+//     (mpc.Owner): it is the shuffle of Algorithm 2's union;
+//  4. the coordinator reads the path records and takes their union,
+//     level by level, into the weighted tree (Algorithm 2's "T is the
+//     union of the returned T_i"), with no further round. The path
+//     records stay resident, one per point on its owner: they are what
+//     the O(1)-round queries of package mpcapps read (Corollary 1).
 //
 // Unlike the sequential embedding, paths run the full logΔ levels (no
 // early singleton cut-off), exactly as Algorithm 2 writes path(p); the
@@ -40,7 +42,6 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
-	"strings"
 
 	"mpctree/internal/grid"
 	"mpctree/internal/hst"
@@ -56,12 +57,24 @@ import (
 const (
 	TagPoint uint8 = 30 // Key "pt|i", Ints [i], Data coords
 	TagGrid  uint8 = 31 // Key "g|lev|bucket", Ints [lev,bucket], Data the U shifts, shift u at [u·k, (u+1)·k)
-	TagEdge  uint8 = 32 // Key childHash, Ints [level, parentHi, parentLo], Data [weight]
-	TagLeaf  uint8 = 33 // Key "leaf|i", Ints [i, level, parentHi, parentLo], Data [weight]
-	TagFail  uint8 = 34 // Ints [point, level, bucket]
+	TagFail  uint8 = 34 // Key "fail|i|level|bucket", Ints [i, level, bucket]
 	TagBox   uint8 = 35 // Data [lo..., hi...]
-	TagPath  uint8 = 36 // Key "path|i", Ints [i, h1Hi, h1Lo, ..., hLHi, hLLo], Data [] — resident per-point ancestor path (EmitPaths)
+	TagPath  uint8 = 36 // Key "path|i", Ints [i, h1Hi, h1Lo, ..., hLHi, hLLo] (read with PathAt), Data [] — point i's path(p), resident after Embed
 )
+
+// PathAt reads path record rec: its point, and its chain id at level
+// lev as the two ints the record carries, each the little-endian reading
+// of one half of the id. Level 0 is the root, whose id reads 0, 0. ok is
+// false when the record holds no point or no level lev.
+func PathAt(rec mpc.Record, lev int) (point int, hi, lo int64, ok bool) {
+	if lev < 0 || len(rec.Ints) < 1+2*lev {
+		return 0, 0, 0, false
+	}
+	if lev > 0 {
+		hi, lo = rec.Ints[2*lev-1], rec.Ints[2*lev]
+	}
+	return int(rec.Ints[0]), hi, lo, true
+}
 
 // Options configures the MPC embedding.
 type Options struct {
@@ -76,21 +89,15 @@ type Options struct {
 	// 0 means 1 (integer-lattice inputs, as Theorem 1 assumes). The
 	// Theorem-1 pipeline passes (1−ξ) after the FJLT.
 	MinDist float64
-	// EmitPaths keeps one TagPath record per point resident after
-	// embedding, on the machine that owns its key: the point's full
-	// ancestor-hash path. They are then the only records left resident:
-	// the edge and leaf records are dropped once the tree is assembled.
-	// Downstream O(1)-round applications (mpcapps: EMD, MST, densest ball)
-	// aggregate over these instead of walking the tree level by level.
-	EmitPaths bool
 	// Seed drives all randomness.
 	Seed uint64
 	// Span, if non-nil, receives child spans attributing cost to the
 	// Algorithm-2 phases: grid_construction (lines 1–3: diameter, grid
-	// draw, broadcast), root_paths (lines 4–6: per-point paths), and
-	// tree_build (edge dedup, driver assembly). Each child carries exact
-	// rounds/comm_words deltas from the cluster meters; spans are
-	// observational only and never change the output.
+	// draw, broadcast), root_paths (lines 4–6: per-point paths and their
+	// shuffle), and tree_build (the coordinator's union of the paths,
+	// which moves no record). Each child carries exact rounds/comm_words
+	// deltas from the cluster meters; spans are observational only and
+	// never change the output.
 	Span *obs.Span
 }
 
@@ -335,6 +342,18 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 		if n > 1 {
 			return nil, nil, errors.New("mpcembed: points are not distinct (diameter 0)")
 		}
+		// One point: its path has no level, the tree is the root and its
+		// leaf, and, as after any run, the path record is all that stays
+		// resident.
+		owner := mpc.Owner("path|0", c.Machines())
+		if err := c.LocalMap(func(m int, _ []mpc.Record) []mpc.Record {
+			if m != owner {
+				return nil
+			}
+			return []mpc.Record{{Key: "path|0", Tag: TagPath, Ints: []int64{0}}}
+		}); err != nil {
+			return nil, nil, err
+		}
 		b := hst.NewBuilder(1)
 		b.AddLeaf(b.Root(), 0, 1, 0)
 		return b.Finish(), &Info{N: 1, Dim: d, R: 1}, nil
@@ -417,9 +436,8 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	spPaths := beginPhase("root_paths")
 	spPaths.Add("points", int64(n))
 
-	// Step 3: local path computation, and the union's shuffle: every edge
-	// (deduplicated map-side), leaf, failure and path record goes to the
-	// machine that owns its key.
+	// Step 3: local path computation, and the union's shuffle: every path
+	// and failure record goes to the machine that owns its key.
 	M := c.Machines()
 	err := c.Round(func(m int, local []mpc.Record, emit mpc.Emit) []mpc.Record {
 		// Index the grid sets at (lev-1)·r + j; the cell length is per level
@@ -448,26 +466,14 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 				panic(fmt.Sprintf("mpcembed: grid set (level %d, bucket %d) missing", s/r+1, s%r))
 			}
 		}
-		// Per-point path computation — the hot loop — then emission, each
-		// in one serial sweep in store order: each point's path is a pure
-		// function of the grid table and its own coordinates, edges are
-		// deduplicated map-side, and records go out in the order they are
+		// Per-point path computation — the hot loop — in one serial sweep in
+		// store order: each point's path is a pure function of the grid
+		// table and its own coordinates, and its record goes out once it is
 		// computed, so every owner receives its path records in the same
-		// order at any GOMAXPROCS. The first sweep writes every point's
-		// chain ids, 16 bytes a level, into one string; the second emits
-		// each new edge keyed by its 16 bytes of that string, so the keys
-		// of a machine's edges are one heap object. Emitted payloads are
-		// sliced out of per-machine chunks; the receiving stores own them.
-		// A point adds at most one edge per level, which sizes the dedup
-		// set and the id string.
-		var intChunk []int64
-		var floatChunk []float64
-		seenEdge := make(map[[16]byte]struct{}, len(points)*levels)
-		var ids strings.Builder
-		ids.Grow(len(points) * levels * 16)
-		isNew := make([]bool, 0, len(points)*levels)   // per chain id: its edge is emitted
-		type outcome struct{ failLev, failBucket int } // failLev > 0 marks an uncovered point
-		outcomes := make([]outcome, len(points))
+		// order at any GOMAXPROCS. The paths' ints are slices of one slice
+		// per machine; the receiving stores own them.
+		pathLen := 1 + 2*levels
+		pathInts := make([]int64, pathLen*len(points))
 		var scratch [16]int64
 		var levelID []byte // reused across points; hashed before reuse
 		var padded vec.Point
@@ -489,6 +495,7 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 			zero = make(vec.Point, k)
 		}
 		for i, prec := range points {
+			pid := int(prec.Ints[0])
 			p := prec.Data
 			if len(p) < dPad {
 				if padded == nil {
@@ -498,13 +505,15 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 				copy(padded, p)
 				p = padded
 			}
+			path := pathInts[i*pathLen : (i+1)*pathLen : (i+1)*pathLen]
+			path[0] = int64(pid)
 			cur := rootHash()
 			w := diam / 2
-			out := &outcomes[i]
-			for lev := 1; lev <= levels && out.failLev == 0; lev++ {
+			failLev, failBucket := 0, 0 // failLev > 0 marks an uncovered point
+			for lev := 1; lev <= levels && failLev == 0; lev++ {
 				// Joined ball id across buckets.
 				levelID = levelID[:0]
-				for j := 0; j < r && out.failLev == 0; j++ {
+				for j := 0; j < r && failLev == 0; j++ {
 					s := (lev-1)*r + j
 					var covered bool
 					if j < firstPad {
@@ -520,84 +529,24 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 						covered = z.covered
 					}
 					if !covered {
-						out.failLev, out.failBucket = lev, j
+						failLev, failBucket = lev, j
 					}
 				}
-				if out.failLev > 0 {
+				if failLev > 0 {
 					break
 				}
-				next := chainNext(cur, levelID)
-				_, seen := seenEdge[next]
-				if !seen {
-					seenEdge[next] = struct{}{}
-				}
-				ids.Write(next[:])
-				isNew = append(isNew, !seen)
-				cur = next
+				cur = chainNext(cur, levelID)
+				path[2*lev-1] = int64(binary.LittleEndian.Uint64(cur[:8]))
+				path[2*lev] = int64(binary.LittleEndian.Uint64(cur[8:]))
 				w /= 2
 			}
-		}
-		keys := ids.String()
-		off := 0 // chain ids emitted so far
-		for i, prec := range points {
-			pid := int(prec.Ints[0])
-			out := outcomes[i]
-			var cur [16]byte // the root's id
-			w := diam / 2
-			var pathInts []int64
-			if opt.EmitPaths {
-				pathInts = append(pathInts, int64(pid))
-			}
-			reached := levels // the levels whose ball covered the point
-			if out.failLev > 0 {
-				reached = out.failLev - 1
-			}
-			for lev := 1; lev <= reached; lev++ {
-				key := keys[16*off : 16*off+16]
-				if isNew[off] {
-					ints := carve(&intChunk, 3, 4*len(points))
-					ints[0] = int64(lev)
-					ints[1] = int64(binary.LittleEndian.Uint64(cur[:8]))
-					ints[2] = int64(binary.LittleEndian.Uint64(cur[8:]))
-					data := carve(&floatChunk, 1, len(points))
-					data[0] = diamFactor * w
-					emit(mpc.Owner(key, M), mpc.Record{
-						Key:  key,
-						Tag:  TagEdge,
-						Ints: ints,
-						Data: data,
-					})
-				}
-				off++
-				copy(cur[:], key)
-				if opt.EmitPaths {
-					pathInts = append(pathInts, int64(binary.LittleEndian.Uint64(cur[:8])), int64(binary.LittleEndian.Uint64(cur[8:])))
-				}
-				w /= 2
-			}
-			if out.failLev > 0 {
-				key := fmt.Sprintf("fail|%d|%d|%d", pid, out.failLev, out.failBucket)
-				emit(mpc.Owner(key, M), mpc.Record{Key: key, Tag: TagFail, Ints: []int64{int64(pid), int64(out.failLev), int64(out.failBucket)}})
+			if failLev > 0 {
+				key := fmt.Sprintf("fail|%d|%d|%d", pid, failLev, failBucket)
+				emit(mpc.Owner(key, M), mpc.Record{Key: key, Tag: TagFail, Ints: []int64{int64(pid), int64(failLev), int64(failBucket)}})
 				continue
 			}
-			if opt.EmitPaths {
-				key := "path|" + strconv.Itoa(pid)
-				emit(mpc.Owner(key, M), mpc.Record{Key: key, Tag: TagPath, Ints: pathInts})
-			}
-			// Terminal leaf edge at level levels+1.
-			leafKey := "leaf|" + strconv.Itoa(pid)
-			ints := carve(&intChunk, 4, 4*len(points))
-			ints[0], ints[1] = int64(pid), int64(levels+1)
-			ints[2] = int64(binary.LittleEndian.Uint64(cur[:8]))
-			ints[3] = int64(binary.LittleEndian.Uint64(cur[8:]))
-			data := carve(&floatChunk, 1, len(points))
-			data[0] = diamFactor * w
-			emit(mpc.Owner(leafKey, M), mpc.Record{
-				Key:  leafKey,
-				Tag:  TagLeaf,
-				Ints: ints,
-				Data: data,
-			})
+			key := "path|" + strconv.Itoa(pid)
+			emit(mpc.Owner(key, M), mpc.Record{Key: key, Tag: TagPath, Ints: path})
 		}
 		return nil // grids, points and the box are consumed
 	})
@@ -607,49 +556,12 @@ func Embed(c *mpc.Cluster, pts []vec.Point, opt Options) (*hst.Tree, *Info, erro
 	endPhase()
 	beginPhase("tree_build")
 
-	// Step 4: the union. Every edge already sits on its owner, so each
-	// owner drops, in place, the duplicates other machines also sent,
-	// keeping the first it received.
-	if err := c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
-		seen := make(map[[16]byte]struct{}, len(local))
-		keep := local[:0]
-		for _, rec := range local {
-			if rec.Tag == TagEdge {
-				var child [16]byte
-				copy(child[:], rec.Key)
-				if _, dup := seen[child]; dup {
-					continue
-				}
-				seen[child] = struct{}{}
-			}
-			keep = append(keep, rec)
-		}
-		clear(local[len(keep):])
-		return keep
-	}); err != nil {
-		return nil, info, err
-	}
-
-	// Driver-side assembly.
-	t, err := assemble(c, n, levels)
+	// Step 4: the union, on the coordinator. Every path record already
+	// sits on its owner and stays there for the queries of package
+	// mpcapps.
+	t, err := assemble(c, n, levels, diam, diamFactor)
 	if err != nil {
 		return nil, info, err
-	}
-	// The tree now lives on the driver; only the path records have a
-	// further use on the cluster.
-	if opt.EmitPaths {
-		if err := c.LocalMap(func(m int, local []mpc.Record) []mpc.Record {
-			keep := local[:0]
-			for _, rec := range local {
-				if rec.Tag != TagEdge && rec.Tag != TagLeaf {
-					keep = append(keep, rec)
-				}
-			}
-			clear(local[len(keep):])
-			return keep
-		}); err != nil {
-			return nil, info, err
-		}
 	}
 	return t, info, nil
 }
@@ -672,18 +584,6 @@ func appendCover(dst []byte, proj vec.Point, set []float64, j int, cell, w float
 	return dst, true
 }
 
-// carve returns the next n elements of *chunk. When *chunk is too short
-// it is replaced by a fresh chunk of size elements rather than grown, so
-// nothing is copied; the slices already carved keep the old chunk alive.
-func carve[T any](chunk *[]T, n, size int) []T {
-	if len(*chunk) < n {
-		*chunk = make([]T, max(size, n))
-	}
-	out := (*chunk)[:n:n]
-	*chunk = (*chunk)[n:]
-	return out
-}
-
 // chainID is a cluster chain hash as two integers, the big-endian
 // readings of its halves, high half first: their numeric order is the
 // bytewise order of the 16 bytes.
@@ -696,45 +596,36 @@ func (a chainID) cmp(b chainID) int {
 	return cmp.Compare(a.lo, b.lo)
 }
 
-// keyID reads the chain hash an edge record carries as its 16-byte key.
-func keyID(key string) chainID {
-	var b [16]byte
-	copy(b[:], key)
-	return chainID{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+// intsID reads a chain id as PathAt returns it.
+func intsID(hi, lo int64) chainID {
+	return chainID{bits.ReverseBytes64(uint64(hi)), bits.ReverseBytes64(uint64(lo))}
 }
 
-// intsID reads the chain hash a record carries in two ints, each the
-// little-endian reading of one half.
-func intsID(a, b int64) chainID {
-	return chainID{bits.ReverseBytes64(uint64(a)), bits.ReverseBytes64(uint64(b))}
-}
-
-// treeEdge is one edge of the union: the child's chain hash, its
-// parent's, and the edge weight.
-type treeEdge struct {
-	id, parent chainID
-	weight     float64
-}
+// treeEdge is one edge of the union: the child's chain id and its
+// parent's.
+type treeEdge struct{ id, parent chainID }
 
 func (a treeEdge) cmp(b treeEdge) int { return a.id.cmp(b.id) }
 
-// levelIndex is one level's edges in child-id order, with a directory
-// over the ids' top bits: the ids whose high half is q after a right
-// shift by shift sit at edges[dir[q]:dir[q+1]].
+// levelIndex is one level's distinct edges in child-id order, with a
+// directory over the ids' top bits: the ids whose high half is q after a
+// right shift by shift sit at edges[dir[q]:dir[q+1]].
 type levelIndex struct {
 	edges []treeEdge
 	dir   []int32
 	shift uint
 }
 
-// indexLevel sorts one level's edges in place by child id and returns
-// their index; tmp holds at least len(edges) edges and dir 2^b+1 ints,
-// for b = bits.Len(len(edges)). One counting pass over the ids' top b
-// bits leaves each prefix about one id, since the ids are hashes; the
-// few ids that share a prefix are then sorted among themselves.
-func indexLevel(edges, tmp []treeEdge, dir []int32) levelIndex {
+// indexLevel sorts one level's edges by child id, merges the edges that
+// share a child, and returns the index over what is left, which reuses
+// edges' array; ok is false when two edges with one child name different
+// parents. tmp holds at least len(edges) edges and dir 2^b+1 ints, for
+// b = bits.Len(len(edges)). One counting pass over the ids' top b bits
+// leaves each prefix about one distinct id, since the ids are hashes; the
+// few edges that share a prefix are then sorted among themselves.
+func indexLevel(edges, tmp []treeEdge, dir []int32) (x levelIndex, ok bool) {
 	b := bits.Len(uint(len(edges)))
-	x := levelIndex{edges: edges, dir: dir[:1<<b+1], shift: uint(64 - b)}
+	x = levelIndex{dir: dir[:1<<b+1], shift: uint(64 - b)}
 	clear(x.dir)
 	for _, e := range edges {
 		x.dir[e.id.hi>>x.shift+1]++
@@ -742,22 +633,38 @@ func indexLevel(edges, tmp []treeEdge, dir []int32) levelIndex {
 	for q := 1; q < len(x.dir); q++ {
 		x.dir[q] += x.dir[q-1]
 	}
-	// Placing a prefix's ids advances its start to its end, which is the
-	// next prefix's start: shift the starts back afterwards.
+	// Placing a prefix's edges advances its start to its end, which is
+	// the next prefix's start.
 	for _, e := range edges {
 		q := e.id.hi >> x.shift
 		tmp[x.dir[q]] = e
 		x.dir[q]++
 	}
-	copy(x.dir[1:len(x.dir)-1], x.dir[:len(x.dir)-2])
-	x.dir[0] = 0
-	copy(edges, tmp[:len(edges)])
+	// Sort each prefix's run and copy its distinct edges back, pointing
+	// the prefix's entry at where they start.
+	kept, start := 0, 0
 	for q := 0; q+1 < len(x.dir); q++ {
-		if run := edges[x.dir[q]:x.dir[q+1]]; len(run) > 1 {
+		end := int(x.dir[q])
+		run := tmp[start:end]
+		if len(run) > 1 {
 			slices.SortFunc(run, treeEdge.cmp)
 		}
+		x.dir[q] = int32(kept)
+		for i, e := range run {
+			if i > 0 && e.id == run[i-1].id {
+				if e.parent != run[i-1].parent {
+					return x, false
+				}
+				continue
+			}
+			edges[kept] = e
+			kept++
+		}
+		start = end
 	}
-	return x
+	x.dir[len(x.dir)-1] = int32(kept)
+	x.edges = edges[:kept]
+	return x, true
 }
 
 // find returns the position of the edge whose child is id.
@@ -771,125 +678,97 @@ func (x levelIndex) find(id chainID) (int, bool) {
 	return lo + j, ok
 }
 
-// assemble reads the deduplicated edge and leaf records of a run with
-// the given number of levels off the cluster, machine by machine, and
-// builds the hst.Tree over its n points. Nodes are numbered in (level,
-// child id) order, ids compared bytewise, and the leaves follow in point
-// order. An edge's parent is found among the previous level's ids, a
-// leaf's among those of the level above its own.
-func assemble(c *mpc.Cluster, n, levels int) (*hst.Tree, error) {
-	type leafRec struct {
-		parent chainID
-		level  int
-		weight float64
-		ok     bool
-	}
+// assemble reads the path records of a run with the given number of
+// levels off the cluster, machine by machine, and builds the hst.Tree
+// over its n points as the union of their paths. Nodes are numbered in
+// (level, child id) order, ids compared bytewise, and the leaves follow
+// in point order, each under the last id of its path. Every edge into
+// level lev weighs diamFactor·diam/2^lev, halved level by level as step
+// 3 halves the ball radius; a leaf sits at level levels+1.
+func assemble(c *mpc.Cluster, n, levels int, diam, diamFactor float64) (*hst.Tree, error) {
 	// The resident state after a fault is not trustworthy output.
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", mpc.ErrFailed, err)
 	}
-	// One pass fails fast on a coverage failure and counts each level's
-	// edges, so the second places every record where it belongs: an edge
-	// among its level's, at edges[start[lev]:start[lev+1]], and a leaf at
-	// its point index.
-	stores := make([][]mpc.Record, c.Machines())
-	start := make([]int, levels+2)
-	badLevel, bad := int64(0), false
-	for m := range stores {
+	// One pass fails fast on a coverage failure and files every path
+	// under its point.
+	paths := make([]mpc.Record, n)
+	for m := range c.Machines() {
 		recs, err := c.StoreErr(m)
 		if err != nil {
 			return nil, err
 		}
-		stores[m] = recs
 		for _, rec := range recs {
 			switch rec.Tag {
 			case TagFail:
+				if len(rec.Ints) != 3 {
+					return nil, fmt.Errorf("mpcembed: failure record with %d ints, want 3", len(rec.Ints))
+				}
 				return nil, fmt.Errorf("%w (point %d, level %d, bucket %d)", ErrCoverage, rec.Ints[0], rec.Ints[1], rec.Ints[2])
-			case TagEdge:
-				if lev := rec.Ints[0]; lev >= 1 && lev <= int64(levels) {
-					start[lev+1]++
-				} else if !bad {
-					badLevel, bad = lev, true
+			case TagPath:
+				if len(rec.Ints) != 1+2*levels {
+					return nil, fmt.Errorf("mpcembed: path with %d ints, want %d", len(rec.Ints), 1+2*levels)
 				}
+				p, _, _, _ := PathAt(rec, 0)
+				if p < 0 || p >= n {
+					return nil, fmt.Errorf("mpcembed: path of point %d, outside [0, %d)", p, n)
+				}
+				if paths[p].Ints != nil {
+					return nil, fmt.Errorf("mpcembed: point %d has two paths", p)
+				}
+				paths[p] = rec
 			}
 		}
 	}
-	if bad {
-		return nil, fmt.Errorf("mpcembed: edge at level %d, outside [1, %d]", badLevel, levels)
-	}
-	widest := 0 // edges at the level that has the most
-	for lev := 1; lev <= levels; lev++ {
-		widest = max(widest, start[lev+1])
-		start[lev+1] += start[lev]
-	}
-	edges := make([]treeEdge, start[levels+1])
-	next := slices.Clone(start)
-	leaves := make([]leafRec, n)
-	nLeaves := 0
-	for _, recs := range stores {
-		for _, rec := range recs {
-			switch rec.Tag {
-			case TagEdge:
-				lev := rec.Ints[0]
-				edges[next[lev]] = treeEdge{id: keyID(rec.Key), parent: intsID(rec.Ints[1], rec.Ints[2]), weight: rec.Data[0]}
-				next[lev]++
-			case TagLeaf:
-				nLeaves++
-				if p := rec.Ints[0]; p >= 0 && p < int64(n) && !leaves[p].ok {
-					leaves[p] = leafRec{parent: intsID(rec.Ints[2], rec.Ints[3]), level: int(rec.Ints[1]), weight: rec.Data[0], ok: true}
-				}
-			}
-		}
-	}
-	if nLeaves != n {
-		return nil, fmt.Errorf("mpcembed: %d leaf records for %d points", nLeaves, n)
-	}
-	// n records filled n slots only if no point was out of range or twice.
-	for p, lf := range leaves {
-		if !lf.ok {
-			return nil, fmt.Errorf("mpcembed: point %d has no leaf record", p)
+	for p, rec := range paths {
+		if rec.Ints == nil {
+			return nil, fmt.Errorf("mpcembed: point %d has no path", p)
 		}
 	}
 
-	// Level by level, sort the edges and add their nodes: node
-	// 1+start[lev]+j is the j-th edge of level lev in id order.
+	// Index every level's (child, parent) pairs, one per path: level lev's
+	// sit at pairs[(lev-1)·n : lev·n] until indexLevel keeps the level's
+	// distinct children there. index[0], the root's, is empty.
+	pairs := make([]treeEdge, levels*n)
+	tmp := make([]treeEdge, n)
+	dirLen := 1<<bits.Len(uint(n)) + 1
+	dirs := make([]int32, levels*dirLen)
 	index := make([]levelIndex, levels+1)
-	parentOf := func(lev int, id chainID) (int, bool) {
-		if lev == 0 {
-			return 0, id == chainID{}
-		}
-		j, ok := index[lev].find(id)
-		return 1 + start[lev] + j, ok
-	}
-	dirWords := 0
+	nodes := n // below the root: the leaves, then each level's children
 	for lev := 1; lev <= levels; lev++ {
-		dirWords += 1<<bits.Len(uint(start[lev+1]-start[lev])) + 1
-	}
-	dirs := make([]int32, dirWords)
-	tmp := make([]treeEdge, widest)
-	b := hst.NewBuilder(n)
-	b.Grow(len(edges) + n)
-	for lev := 1; lev <= levels; lev++ {
-		x := indexLevel(edges[start[lev]:start[lev+1]], tmp, dirs)
-		dirs = dirs[len(x.dir):]
-		index[lev] = x
-		for _, e := range x.edges {
-			parent, ok := parentOf(lev-1, e.parent)
-			if !ok {
-				return nil, fmt.Errorf("mpcembed: edge at level %d references unknown parent", lev)
-			}
-			b.AddNode(parent, e.weight, lev)
+		edges := pairs[(lev-1)*n : lev*n]
+		for p, rec := range paths {
+			_, hi, lo, _ := PathAt(rec, lev)
+			_, phi, plo, _ := PathAt(rec, lev-1)
+			edges[p] = treeEdge{id: intsID(hi, lo), parent: intsID(phi, plo)}
 		}
-	}
-	for p, lf := range leaves {
-		parent, ok := 0, false
-		if lf.level >= 1 && lf.level <= levels+1 {
-			parent, ok = parentOf(lf.level-1, lf.parent)
-		}
+		x, ok := indexLevel(edges, tmp, dirs[(lev-1)*dirLen:lev*dirLen])
 		if !ok {
-			return nil, fmt.Errorf("mpcembed: leaf %d references unknown parent", p)
+			return nil, fmt.Errorf("mpcembed: a level-%d id has two parents", lev)
 		}
-		b.AddLeaf(parent, lf.weight, lf.level, p)
+		index[lev] = x
+		nodes += len(x.edges)
+	}
+
+	// Node up+j is the j-th child of the level above in id order. Every
+	// parent is some path's id in the level above, so its search cannot
+	// miss; a search of the root's empty index reads position 0, the root.
+	b := hst.NewBuilder(n)
+	b.Grow(nodes)
+	up, next := 0, 1 // the nodes of the level above's and this level's first child
+	w := diam / 2
+	for lev := 1; lev <= levels; lev++ {
+		for _, e := range index[lev].edges {
+			j, _ := index[lev-1].find(e.parent)
+			b.AddNode(up+j, diamFactor*w, lev)
+		}
+		up, next = next, next+len(index[lev].edges)
+		w /= 2
+	}
+	for p, rec := range paths {
+		_, hi, lo, _ := PathAt(rec, levels)
+		j, _ := index[levels].find(intsID(hi, lo))
+		b.AddLeaf(up+j, diamFactor*w, levels+1, p)
 	}
 	t := b.Finish()
 	if err := t.Validate(); err != nil {

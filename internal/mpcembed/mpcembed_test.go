@@ -156,6 +156,8 @@ func TestCoverageFailureReported(t *testing.T) {
 	}
 }
 
+// One point embeds as the root and its leaf, and leaves its path record,
+// with no level, as the only record resident.
 func TestSinglePoint(t *testing.T) {
 	c := bigCluster(2)
 	tr, _, err := Embed(c, []vec.Point{{5, 5}}, Options{Seed: 1})
@@ -164,6 +166,13 @@ func TestSinglePoint(t *testing.T) {
 	}
 	if tr.NumPoints() != 1 {
 		t.Error("single point tree wrong")
+	}
+	recs, err := c.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Tag != TagPath || len(recs[0].Ints) != 1 || recs[0].Ints[0] != 0 {
+		t.Fatalf("resident records %+v, want one level-less path record of point 0", recs)
 	}
 }
 
@@ -399,47 +408,38 @@ func TestChainNextMatchesFNV128a(t *testing.T) {
 	}
 }
 
-// The union costs no round: root_paths sends every edge, leaf and path
-// record to the owner of its key, each owner drops its duplicate edges in
-// place, and the tree_build phase moves nothing. With EmitPaths, the path
-// records are all that stays resident once the tree is assembled.
+// The union costs no round: root_paths sends every path record to the
+// owner of its key, and the tree_build phase, the coordinator's union of
+// the paths, takes no round and sends no word. The path records, one per
+// point on its owner, are then all that stays resident.
 func TestUnionRecordsOnTheirOwners(t *testing.T) {
 	pts := latticePts(t, 21, 300, 4, 256)
 	const machines = 5
 	c := bigCluster(machines)
 	root := obs.NewSpan("embed")
-	tr, _, err := Embed(c, pts, Options{R: 2, Seed: 8, Span: root})
-	if err != nil {
+	if _, _, err := Embed(c, pts, Options{R: 2, Seed: 8, Span: root}); err != nil {
 		t.Fatal(err)
 	}
-	edges := map[string]bool{}
-	leaves := 0
+	seen := make([]bool, len(pts))
 	for m := 0; m < machines; m++ {
 		for _, rec := range c.Store(m) {
-			switch rec.Tag {
-			case TagEdge, TagLeaf:
-				if owner := mpc.Owner(rec.Key, machines); owner != m {
-					t.Fatalf("record %q (tag %d) on machine %d, owner %d", rec.Key, rec.Tag, m, owner)
-				}
+			if rec.Tag != TagPath {
+				t.Fatalf("machine %d holds a record with tag %d (key %q)", m, rec.Tag, rec.Key)
 			}
-			switch rec.Tag {
-			case TagEdge:
-				if edges[rec.Key] {
-					t.Fatalf("edge %x resident twice", rec.Key)
-				}
-				edges[rec.Key] = true
-			case TagLeaf:
-				leaves++
+			if owner := mpc.Owner(rec.Key, machines); owner != m {
+				t.Fatalf("path %q on machine %d, owner %d", rec.Key, m, owner)
 			}
+			p, _, _, _ := PathAt(rec, 0)
+			if seen[p] {
+				t.Fatalf("point %d has two resident paths", p)
+			}
+			seen[p] = true
 		}
 	}
-	// One resident edge per internal node: every node but the root and
-	// the n leaves.
-	if want := tr.NumNodes() - 1 - len(pts); len(edges) != want {
-		t.Errorf("%d resident edges, tree has %d internal nodes", len(edges), want)
-	}
-	if leaves != len(pts) {
-		t.Errorf("%d resident leaves for %d points", leaves, len(pts))
+	for p, ok := range seen {
+		if !ok {
+			t.Fatalf("point %d has no resident path", p)
+		}
 	}
 	var build *obs.SpanSnapshot
 	var rounds int64
@@ -459,31 +459,5 @@ func TestUnionRecordsOnTheirOwners(t *testing.T) {
 	}
 	if got := c.Metrics().Rounds; rounds != int64(got) {
 		t.Errorf("phase spans carry %d rounds, the cluster ran %d", rounds, got)
-	}
-
-	// An EmitPaths run keeps only TagPath records, each on its owner, one
-	// per point, and the tree is the same.
-	c = bigCluster(machines)
-	trPaths, _, err := Embed(c, pts, Options{R: 2, Seed: 8, EmitPaths: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trPaths.NumNodes() != tr.NumNodes() {
-		t.Errorf("EmitPaths tree has %d nodes, plain tree %d", trPaths.NumNodes(), tr.NumNodes())
-	}
-	paths := 0
-	for m := 0; m < machines; m++ {
-		for _, rec := range c.Store(m) {
-			if rec.Tag != TagPath {
-				t.Fatalf("EmitPaths run left a record with tag %d resident on machine %d", rec.Tag, m)
-			}
-			if owner := mpc.Owner(rec.Key, machines); owner != m {
-				t.Fatalf("path %q on machine %d, owner %d", rec.Key, m, owner)
-			}
-			paths++
-		}
-	}
-	if paths != len(pts) {
-		t.Errorf("%d resident paths for %d points", paths, len(pts))
 	}
 }

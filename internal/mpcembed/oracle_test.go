@@ -20,85 +20,95 @@ func nodeID(a, b int64) [16]byte {
 	return id
 }
 
-// oracleAssemble is the driver-side assembly as it was before it read
-// ids as integer pairs: a map from 16-byte ids to nodes, a comparison
-// sort of every edge, and a Builder arena grown by append. assemble must
-// build the same tree from the same resident records.
-func oracleAssemble(c *mpc.Cluster, n int) (*hst.Tree, error) {
-	type edge struct {
-		child, parent [16]byte
-		level         int
-		weight        float64
+// oracleAssemble is the union of the resident path records built the
+// plain way: every path's (level, child, parent) triples in one slice, a
+// comparison sort of them by level and child bytes, and a map from
+// (level, 16-byte id) to node. It reads the records' ints directly, not
+// through PathAt. assemble must build the same tree from the same
+// records, and fail where it fails with the same error.
+func oracleAssemble(c *mpc.Cluster, n, levels int, diam, diamFactor float64) (*hst.Tree, error) {
+	type node struct {
+		level int
+		id    [16]byte
 	}
-	type leafRec struct {
-		parent       [16]byte
-		point, level int
-		weight       float64
+	type edge struct {
+		child, parent node
 	}
 	// The resident state after a fault is not trustworthy output.
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", mpc.ErrFailed, err)
 	}
-	// One pass fails fast on a coverage failure and counts the edges, so
-	// the second fills slices allocated once.
-	stores := make([][]mpc.Record, c.Machines())
-	nEdges := 0
-	for m := range stores {
+	paths := make(map[int][]int64, n)
+	for m := 0; m < c.Machines(); m++ {
 		recs, err := c.StoreErr(m)
 		if err != nil {
 			return nil, err
 		}
-		stores[m] = recs
 		for _, rec := range recs {
 			switch rec.Tag {
 			case TagFail:
+				if len(rec.Ints) != 3 {
+					return nil, fmt.Errorf("mpcembed: failure record with %d ints, want 3", len(rec.Ints))
+				}
 				return nil, fmt.Errorf("%w (point %d, level %d, bucket %d)", ErrCoverage, rec.Ints[0], rec.Ints[1], rec.Ints[2])
-			case TagEdge:
-				nEdges++
+			case TagPath:
+				if len(rec.Ints) != 1+2*levels {
+					return nil, fmt.Errorf("mpcembed: path with %d ints, want %d", len(rec.Ints), 1+2*levels)
+				}
+				p := int(rec.Ints[0])
+				if p < 0 || p >= n {
+					return nil, fmt.Errorf("mpcembed: path of point %d, outside [0, %d)", p, n)
+				}
+				if _, dup := paths[p]; dup {
+					return nil, fmt.Errorf("mpcembed: point %d has two paths", p)
+				}
+				paths[p] = rec.Ints
 			}
 		}
 	}
-	edges := make([]edge, 0, nEdges)
-	leaves := make([]leafRec, 0, n)
-	for _, recs := range stores {
-		for _, rec := range recs {
-			switch rec.Tag {
-			case TagEdge:
-				e := edge{parent: nodeID(rec.Ints[1], rec.Ints[2]), level: int(rec.Ints[0]), weight: rec.Data[0]}
-				copy(e.child[:], rec.Key)
-				edges = append(edges, e)
-			case TagLeaf:
-				leaves = append(leaves, leafRec{parent: nodeID(rec.Ints[2], rec.Ints[3]), point: int(rec.Ints[0]), level: int(rec.Ints[1]), weight: rec.Data[0]})
-			}
+	var edges []edge
+	for p := 0; p < n; p++ {
+		ints, ok := paths[p]
+		if !ok {
+			return nil, fmt.Errorf("mpcembed: point %d has no path", p)
 		}
-	}
-	if len(leaves) != n {
-		return nil, fmt.Errorf("mpcembed: %d leaf records for %d points", len(leaves), n)
+		parent := node{0, rootHash()}
+		for lev := 1; lev <= levels; lev++ {
+			child := node{lev, nodeID(ints[2*lev-1], ints[2*lev])}
+			edges = append(edges, edge{child, parent})
+			parent = child
+		}
 	}
 	slices.SortFunc(edges, func(a, b edge) int {
-		if a.level != b.level {
-			return cmp.Compare(a.level, b.level)
+		if a.child.level != b.child.level {
+			return cmp.Compare(a.child.level, b.child.level)
 		}
-		return bytes.Compare(a.child[:], b.child[:])
+		return bytes.Compare(a.child.id[:], b.child.id[:])
 	})
-	slices.SortFunc(leaves, func(a, b leafRec) int { return cmp.Compare(a.point, b.point) })
+	weight := make([]float64, levels+2)
+	w := diam / 2
+	for lev := 1; lev <= levels+1; lev++ {
+		weight[lev] = diamFactor * w
+		w /= 2
+	}
 
 	b := hst.NewBuilder(n)
-	nodeOf := make(map[[16]byte]int, len(edges)+1)
-	nodeOf[rootHash()] = b.Root()
+	nodeOf := map[node]int{{0, rootHash()}: b.Root()}
+	parentOf := map[node]node{}
 	for _, e := range edges {
-		parent, ok := nodeOf[e.parent]
-		if !ok {
-			return nil, fmt.Errorf("mpcembed: edge at level %d references unknown parent", e.level)
+		if _, seen := nodeOf[e.child]; seen {
+			if parentOf[e.child] != e.parent {
+				return nil, fmt.Errorf("mpcembed: a level-%d id has two parents", e.child.level)
+			}
+			continue
 		}
-		nodeOf[e.child] = b.AddNode(parent, e.weight, e.level)
+		parentOf[e.child] = e.parent
+		nodeOf[e.child] = b.AddNode(nodeOf[e.parent], weight[e.child.level], e.child.level)
 	}
-	for _, lf := range leaves {
-		parent, ok := nodeOf[lf.parent]
-		if !ok {
-			return nil, fmt.Errorf("mpcembed: leaf %d references unknown parent", lf.point)
-		}
-		b.AddLeaf(parent, lf.weight, lf.level, lf.point)
+	for p := 0; p < n; p++ {
+		ints := paths[p]
+		last := node{levels, nodeID(ints[2*levels-1], ints[2*levels])}
+		b.AddLeaf(nodeOf[last], weight[levels+1], levels+1, p)
 	}
 	t := b.Finish()
 	if err := t.Validate(); err != nil {

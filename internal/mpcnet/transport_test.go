@@ -152,14 +152,15 @@ func TestPipelineBitIdenticalAcrossBackends(t *testing.T) {
 // bit-identical to the fault-free simulator run's, with the degradation
 // visible in the transport stats. No stage reads a store at entry, so
 // every op a worker serves belongs to a step the driver retries: the
-// tree build and path emission, then, as worker 1's last 3 ops, the read
-// of the path records on its machines (1, 4 and 7: machines go to workers
-// round-robin) that ends the embed stage's step. The trace reads no store
-// of its own, so it moves no die point and loses no transport error.
+// tree build and path emission, then, as worker 1's last 4 ops, the read
+// of the path records on its machines (1, 4, 7 and 10: machines go to
+// workers round-robin, so workers 0 and 1 host 4 of the 11 and worker 2
+// hosts 3) that ends the embed stage's step. The trace reads no store of
+// its own, so it moves no die point and loses no transport error.
 func TestWorkerDeathRecovery(t *testing.T) {
 	pts := testPoints(48, 6, 7)
 	popt := core.PipelineOptions{Seed: 11, Resilient: true}
-	cfg := mpc.Config{Machines: 8, CapWords: 1 << 20}
+	cfg := mpc.Config{Machines: 11, CapWords: 1 << 20}
 
 	for _, traced := range []bool{false, true} {
 		sim := mpc.New(cfg)
@@ -266,10 +267,10 @@ func TestResilientRunAddsNoTransportOps(t *testing.T) {
 
 // TestQueryWorkerDeathRecovery kills worker 1 of 3 at each op it serves
 // from the read of the path records at the end of the embed stage to the
-// end of one EMD query and one densest-ball query on a resilient
-// distributed embedding. At every die point both answers must equal the
-// fault-free run's bit for bit, and so must the cluster's meters after
-// the two queries: a failed query rolls back to the path records read
+// end of one EMD, one densest-ball and one MST query on a resilient
+// distributed embedding. At every die point all three answers must equal
+// the fault-free run's bit for bit, and so must the cluster's meters
+// after the queries: a failed query rolls back to the path records read
 // once at embed time and to the meters at its own entry.
 func TestQueryWorkerDeathRecovery(t *testing.T) {
 	pts := testPoints(40, 6, 13)
@@ -282,11 +283,11 @@ func TestQueryWorkerDeathRecovery(t *testing.T) {
 		nu[n-1-i] = 1
 	}
 	type answers struct {
-		emd  float64
-		ball mpcapps.BallResult
-		m    mpc.Metrics
+		emd, mst float64
+		ball     mpcapps.BallResult
+		m        mpc.Metrics
 	}
-	// queries embeds pts with the path records kept and runs the two
+	// queries embeds pts with the path records kept and runs the three
 	// queries, returning the answers and worker 1's op count after the
 	// embed.
 	queries := func(t *testing.T, cluster *mpc.Cluster, w1 *Worker) (answers, int) {
@@ -303,6 +304,9 @@ func TestQueryWorkerDeathRecovery(t *testing.T) {
 		}
 		if a.ball, err = e.DensestBall(4, 64); err != nil {
 			t.Fatalf("densest ball: %v", err)
+		}
+		if a.mst, err = e.MSTCost(); err != nil {
+			t.Fatalf("mst: %v", err)
 		}
 		a.m = cluster.Metrics()
 		return a, embedOps

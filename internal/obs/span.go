@@ -7,7 +7,7 @@
 //	└─ tree_embed           (Algorithm 2)
 //	   ├─ grid_construction (lines 1–3: diameter, grid draw, broadcast)
 //	   ├─ root_paths        (lines 4–6: per-point paths, sent to key owners)
-//	   └─ tree_build        (owner-side edge dedup, driver assembly)
+//	   └─ tree_build        (the union of the path records, no round)
 //
 // Each span records wall nanoseconds, heap bytes allocated while it was
 // open (process-wide cumulative allocation delta — attribution is

@@ -160,9 +160,11 @@ type MPCInfo struct {
 // embedMPC is what EmbedMPC and NewDistributedEmbedding run: it builds the
 // cluster (Transport's machine count when Machines is unset and Transport
 // is given, else 8; FullyScalableCap when CapWords is unset) with the
-// fault/obs/trace options and runs the Theorem-1 pipeline, keeping the
-// per-point path records resident (core.EmbedPaths) when emitPaths is set.
-func embedMPC(pts []Point, opt MPCOptions, emitPaths bool) (*mpc.Cluster, *Tree, *MPCInfo, *mpc.Checkpoint, error) {
+// fault/obs/trace options and runs the Theorem-1 pipeline, which leaves
+// the per-point path records resident. With checkpointPaths it runs
+// core.EmbedPaths, whose checkpoint of them a resilient distributed
+// embedding's queries roll back to.
+func embedMPC(pts []Point, opt MPCOptions, checkpointPaths bool) (*mpc.Cluster, *Tree, *MPCInfo, *mpc.Checkpoint, error) {
 	machines := opt.Machines
 	if machines == 0 {
 		if opt.Transport != nil {
@@ -209,7 +211,7 @@ func embedMPC(pts []Point, opt MPCOptions, emitPaths bool) (*mpc.Cluster, *Tree,
 	var pinfo *core.PipelineInfo
 	var paths *mpc.Checkpoint
 	var err error
-	if emitPaths {
+	if checkpointPaths {
 		tree, pinfo, paths, err = core.EmbedPaths(cluster, pts, popt)
 	} else {
 		tree, pinfo, err = core.EmbedPipeline(cluster, pts, popt)
@@ -252,10 +254,10 @@ func NewEmbedder(pts []Point, opt Options) (*Embedder, error) {
 // densest-ball queries (Corollary 1 in its genuinely distributed form).
 type DistributedEmbedding = mpcapps.Embedding
 
-// NewDistributedEmbedding runs EmbedMPC's pipeline with the path records
-// kept resident, so its tree is EmbedMPC's for the same options, ready for
-// the constant-round EMD, MST and DensestBall queries. The path records
-// are then the only records resident on the cluster. With Resilient each
+// NewDistributedEmbedding runs EmbedMPC's pipeline, so its tree is
+// EmbedMPC's for the same options, and keeps the cluster: the path
+// records the pipeline leaves there, its only records, serve the
+// constant-round EMD, MST and DensestBall queries. With Resilient each
 // query, like each stage, runs under the retry driver with MaxRetries and
 // rolls back to the path records read once at embed time.
 func NewDistributedEmbedding(pts []Point, opt MPCOptions) (*DistributedEmbedding, error) {

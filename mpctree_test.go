@@ -151,27 +151,69 @@ func TestFacadeDistributedEmbedding(t *testing.T) {
 	}
 }
 
-// Once the tree is assembled, a distributed embedding keeps only its path
-// records resident: Algorithm 2's edge and leaf records would count
-// against every machine's cap during each query and be copied into each
-// query's checkpoint, though nothing reads them again.
+// The Theorem-1 pipeline leaves only Algorithm 2's path records resident,
+// one per point on the machine that owns its key, whether the cluster is
+// EmbedMPC's or a distributed embedding's: nothing else would be read
+// again, yet it would count against every machine's cap during each query
+// and be copied into each query's checkpoint.
 func TestDistributedEmbeddingKeepsOnlyPaths(t *testing.T) {
 	pts := workload.UniformLattice(3, 64, 200, 128)
-	e, err := NewDistributedEmbedding(pts, MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 11})
+	opt := MPCOptions{Machines: 8, CapWords: 1 << 22, Seed: 11}
+	e, err := NewDistributedEmbedding(pts, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := 0
-	for m := 0; m < e.Cluster.Machines(); m++ {
-		for _, rec := range e.Cluster.Store(m) {
-			if rec.Tag != mpcembed.TagPath {
-				t.Fatalf("machine %d holds a record with tag %d (key %q)", m, rec.Tag, rec.Key)
+	plain, _, _, _, err := embedMPC(pts, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*mpc.Cluster{"NewDistributedEmbedding": e.Cluster, "EmbedMPC": plain} {
+		seen := make([]bool, len(pts))
+		for m := 0; m < c.Machines(); m++ {
+			for _, rec := range c.Store(m) {
+				if rec.Tag != mpcembed.TagPath {
+					t.Fatalf("%s: machine %d holds a record with tag %d (key %q)", name, m, rec.Tag, rec.Key)
+				}
+				if owner := mpc.Owner(rec.Key, c.Machines()); owner != m {
+					t.Fatalf("%s: path %q on machine %d, owner %d", name, rec.Key, m, owner)
+				}
+				p, _, _, _ := mpcembed.PathAt(rec, 0)
+				if seen[p] {
+					t.Fatalf("%s: point %d has two resident paths", name, p)
+				}
+				seen[p] = true
 			}
-			paths++
+		}
+		for p, ok := range seen {
+			if !ok {
+				t.Errorf("%s: point %d has no resident path", name, p)
+			}
 		}
 	}
-	if paths != len(pts) {
-		t.Errorf("%d resident paths for %d points", paths, len(pts))
+}
+
+// A distributed embedding of one point holds its one path record, so its
+// densest ball holds that point.
+func TestDistributedEmbeddingSinglePoint(t *testing.T) {
+	e, err := NewDistributedEmbedding([]Point{{1, 2}}, MPCOptions{Machines: 4, CapWords: 1 << 22, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := e.Cluster.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Tag != mpcembed.TagPath {
+		t.Fatalf("resident records %+v, want one path record", recs)
+	}
+	if ball, err := e.DensestBall(1, 1); err != nil || ball.Count != 1 {
+		t.Errorf("densest ball %+v (err %v), want 1 point", ball, err)
+	}
+	if emd, err := e.EMD([]float64{1}, []float64{1}); err != nil || emd != 0 {
+		t.Errorf("EMD %v (err %v), want 0", emd, err)
+	}
+	if edges, err := e.MST(); err != nil || len(edges) != 0 {
+		t.Errorf("MST %v (err %v), want no edge", edges, err)
 	}
 }
 
